@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fix lint-fix-check bce-check bce-baseline test test-chaos race bench bench-smoke bench-compare repro repro-quick examples clean
+.PHONY: all build vet lint lint-fix lint-fix-check bce-check bce-baseline test test-chaos race bench bench-smoke bench-load bench-compare repro repro-quick examples clean
 
 # Pre-merge checklist: `make all` runs build → vet → lint → bce-check →
 # test; run `make race` as well before merging scheduler or simulator
@@ -82,6 +82,13 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 	$(GO) run ./cmd/olapbench -quick -experiment ingest
+
+# Two seconds of the repo's end-to-end benchmark (BENCHMARK.json,
+# cmd/olapload/README.md) on its GPU-bound workload: catches a change
+# that breaks what the benchmark drives — SQL in, verified answer out —
+# without paying for a measurement run. Builds into .bench_build/.
+bench-load:
+	bash cmd/olapload/bench.sh --workload scan_cold --seed 1 --seconds 2 --trace 0
 
 # Benchmark regression gate: fresh quick runs (in a scratch directory) of
 # scan-kernels, ingest, fusion and cluster, diffed against the committed

@@ -1,6 +1,6 @@
-// Package gpusim mirrors the simulated accelerator: the Execute family
-// must cross fault.GPUExec, normally through the device's faultCheck
-// wrapper.
+// Package gpusim mirrors the simulated accelerator: all five Execute*
+// entry points must cross fault.GPUExec, normally through the device's
+// faultCheck wrapper.
 package gpusim
 
 import "fix/fault"
@@ -25,5 +25,21 @@ func (p *Partition) Execute() error { return p.dev.faultCheck(p.id) }
 
 // ExecuteGroup skips the wrapper.
 func (p *Partition) ExecuteGroup() error { // want `gpusim\.Partition\.ExecuteGroup must cross the fault\.GPUExec injection point but never does`
+	return nil
+}
+
+// launch is a shared kernel head that crosses for its callers.
+func (p *Partition) launch() error { return p.dev.faultCheck(p.id) }
+
+// ExecuteChunks crosses through the shared head: fine.
+func (p *Partition) ExecuteChunks() error { return p.launch() }
+
+// ExecuteFused drops its crossing.
+func (p *Partition) ExecuteFused() error { // want `gpusim\.Partition\.ExecuteFused must cross the fault\.GPUExec injection point but never does`
+	return nil
+}
+
+// ExecuteGroupChunks drops its crossing too.
+func (p *Partition) ExecuteGroupChunks() error { // want `gpusim\.Partition\.ExecuteGroupChunks must cross the fault\.GPUExec injection point but never does`
 	return nil
 }

@@ -26,9 +26,9 @@ func faultFreeAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef)
 	var r table.ScanResult
 	var err error
 	if queue.Kind == sched.QueueCPU {
-		r, err = s.AnswerOnCPUAt(q, nil)
+		r, err = s.AnswerOnCPUAt(q, s.pin())
 	} else {
-		r, err = s.AnswerOnGPUAt(q, queue.Index, nil)
+		r, err = s.AnswerOnGPUAt(q, queue.Index, s.pin())
 	}
 	if err != nil {
 		t.Fatalf("fault-free recompute of query %d on %s: %v", q0.ID, queue, err)

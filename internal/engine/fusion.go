@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hybridolap/internal/fault"
-	"hybridolap/internal/gpusim"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -58,7 +57,6 @@ type fusionMember struct {
 type fusionGroup struct {
 	key     string
 	snap    *table.Snapshot
-	epoch   uint64
 	members []*fusionMember
 	full    chan struct{} // closed when FusionMaxFanIn members joined
 	done    chan struct{} // closed by the leader when outcomes are ready
@@ -78,10 +76,7 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	}
 	q := q0.Clone()
 	snap := s.pin()
-	var epoch uint64
-	if snap != nil {
-		epoch = snap.Epoch()
-	}
+	epoch := snap.Epoch()
 
 	// Translate before the window: fused members must already be integer
 	// predicates. A dictionary fault here falls back to the full RunReal
@@ -125,7 +120,7 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	}
 
 	m := &fusionMember{req: req, est: est, wantCells: s.wantCells(&req)}
-	g, leader := s.joinWindow(epoch, snap, &req, m)
+	g, leader := s.joinWindow(snap, &req, m)
 	if leader {
 		timer := time.NewTimer(s.cfg.FusionWindow)
 		select {
@@ -193,7 +188,7 @@ func (s *System) runSingle(q *query.Query, started time.Time, req *table.ScanReq
 		// RunReal pins its own epoch; epochs are monotone, so the answer is
 		// from the epoch Serve pinned iff no newer epoch has been published
 		// by now. Skip the store otherwise — never cache cross-epoch bits.
-		if cur := s.pin(); cur == nil || cur.Epoch() == epoch {
+		if s.pin().Epoch() == epoch {
 			s.cache.store(req, epoch, o.Result, nil, o.Queue)
 		}
 	}
@@ -202,8 +197,8 @@ func (s *System) runSingle(q *query.Query, started time.Time, req *table.ScanReq
 
 // joinWindow adds a member to the open window of its compatibility key,
 // creating one (and making the caller its leader) when none is open.
-func (s *System) joinWindow(epoch uint64, snap *table.Snapshot, req *table.ScanRequest, m *fusionMember) (*fusionGroup, bool) {
-	key := strconv.FormatUint(epoch, 10) + "/" + table.FusionKey(*req)
+func (s *System) joinWindow(snap *table.Snapshot, req *table.ScanRequest, m *fusionMember) (*fusionGroup, bool) {
+	key := strconv.FormatUint(snap.Epoch(), 10) + "/" + table.FusionKey(*req)
 	s.fusionMu.Lock()
 	defer s.fusionMu.Unlock()
 	if g, ok := s.fusionGroups[key]; ok && !g.fired {
@@ -216,7 +211,7 @@ func (s *System) joinWindow(epoch uint64, snap *table.Snapshot, req *table.ScanR
 		return g, false
 	}
 	g := &fusionGroup{
-		key: key, snap: snap, epoch: epoch,
+		key: key, snap: snap,
 		members: []*fusionMember{m},
 		full:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -283,13 +278,7 @@ func (s *System) executeFused(g *fusionGroup) {
 	}
 	part := s.cfg.Device.Partitions()[d.Queue.Index]
 	t0 := time.Now()
-	var answers []gpusim.FusedAnswer
-	var execErr error
-	if g.snap != nil {
-		answers, execErr = part.ExecuteFusedSnapshot(g.snap, reqs, wantCells)
-	} else {
-		answers, execErr = part.ExecuteFused(reqs, wantCells)
-	}
+	answers, execErr := part.ExecuteFused(g.snap, reqs, wantCells)
 	act := time.Since(t0).Seconds()
 	s.schedMu.Lock()
 	s.scheduler.Feedback(d.Queue, act-(d.End-d.Start), s.nowS())
@@ -315,7 +304,7 @@ func (s *System) executeFused(g *fusionGroup) {
 	}
 	if s.cache != nil {
 		for ui := range reqs {
-			s.cache.store(&reqs[ui], g.epoch, answers[ui].Result, answers[ui].Cells, d.Queue)
+			s.cache.store(&reqs[ui], g.snap.Epoch(), answers[ui].Result, answers[ui].Cells, d.Queue)
 		}
 	}
 }

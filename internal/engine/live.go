@@ -20,14 +20,15 @@ func (s *System) Live() *ingest.Store { return s.cfg.Live }
 // a live system, the static table's frozen ones otherwise.
 func (s *System) Dicts() *dict.Set { return s.dicts() }
 
-// pin pins the current epoch snapshot, or returns nil for a static
-// system. Every query path pins exactly once, at bind time; everything
-// downstream (translation targets, stripe scans, the cube set) reads the
-// pinned epoch, so concurrent ingest and compaction never shift a query's
-// row set mid-flight.
+// pin pins the current epoch snapshot — on a static system the device's
+// resident one-stripe epoch-0 snapshot, so it never returns nil. Every
+// query path pins exactly once, at bind time; everything downstream
+// (translation targets, stripe scans, the cube set) reads the pinned
+// epoch, so concurrent ingest and compaction never shift a query's row
+// set mid-flight.
 func (s *System) pin() *table.Snapshot {
 	if s.cfg.Live == nil {
-		return nil
+		return s.cfg.Device.Resident()
 	}
 	return s.cfg.Live.Current()
 }
@@ -43,12 +44,10 @@ func (s *System) dicts() *dict.Set {
 
 // cubesAt returns the cube set that answers CPU queries at the given
 // epoch: the snapshot's incrementally maintained set when one rides the
-// epoch, otherwise the configured static set.
+// epoch, otherwise (always, on a static system) the configured set.
 func (s *System) cubesAt(snap *table.Snapshot) *cube.Set {
-	if snap != nil {
-		if cs, ok := snap.Aux().(*cube.Set); ok && cs != nil {
-			return cs
-		}
+	if cs, ok := snap.Aux().(*cube.Set); ok && cs != nil {
+		return cs
 	}
 	return s.cfg.Cubes
 }
@@ -61,8 +60,8 @@ func (s *System) cpuCanAnswerWith(q *query.Query, cs *cube.Set) bool {
 	return q.Op == table.AggCount || q.Measure == cs.Measure()
 }
 
-// AnswerOnCPUAt answers a query from the cube set riding the given epoch
-// snapshot (nil means the static configuration).
+// AnswerOnCPUAt answers a query from the cube set riding the given pinned
+// epoch snapshot.
 func (s *System) AnswerOnCPUAt(q *query.Query, snap *table.Snapshot) (table.ScanResult, error) {
 	cs := s.cubesAt(snap)
 	if cs == nil {
@@ -89,7 +88,7 @@ func (s *System) AnswerOnCPUAt(q *query.Query, snap *table.Snapshot) (table.Scan
 }
 
 // AnswerOnGPUAt answers a (translated) query on a GPU partition over the
-// given epoch snapshot (nil means the device's static resident table).
+// given pinned epoch snapshot.
 func (s *System) AnswerOnGPUAt(q *query.Query, partition int, snap *table.Snapshot) (table.ScanResult, error) {
 	parts := s.cfg.Device.Partitions()
 	if partition < 0 || partition >= len(parts) {
@@ -102,14 +101,12 @@ func (s *System) AnswerOnGPUAt(q *query.Query, partition int, snap *table.Snapsh
 	if empty {
 		return table.ScanResult{}, nil
 	}
-	if snap != nil {
-		return parts[partition].ExecuteSnapshot(snap, req)
-	}
-	return parts[partition].Execute(req)
+	return parts[partition].Execute(snap, req)
 }
 
-// ReferenceAt answers a query by a sequential scan of the given epoch
-// snapshot (nil means the static table) — the ground truth.
+// ReferenceAt answers a query by a sequential scan of the given pinned
+// epoch snapshot — the ground truth. A static system keeps the
+// row-at-a-time oracle over its one table.
 //
 // olaplint:faultexempt: reference executor — the oracle every
 // fault-injected path is checked against; injecting a dictionary fault
@@ -128,10 +125,10 @@ func (s *System) ReferenceAt(q *query.Query, snap *table.Snapshot) (table.ScanRe
 	if empty {
 		return table.ScanResult{}, nil
 	}
-	if snap != nil {
-		return table.ScanSnapshot(snap, req)
+	if s.cfg.Live == nil {
+		return table.Scan(s.cfg.Table, req)
 	}
-	return table.Scan(s.cfg.Table, req)
+	return table.ScanSnapshot(snap, req)
 }
 
 // AnswerGroupsOnGPUAt answers a (translated) grouped query on a GPU
@@ -148,14 +145,12 @@ func (s *System) AnswerGroupsOnGPUAt(q *query.Query, partition int, snap *table.
 	if empty {
 		return nil, nil
 	}
-	if snap != nil {
-		return parts[partition].ExecuteGroupSnapshot(snap, req)
-	}
-	return parts[partition].ExecuteGroup(req)
+	return parts[partition].ExecuteGroup(snap, req)
 }
 
 // ReferenceGroupsAt answers a grouped query by a sequential scan of the
-// given epoch snapshot.
+// given pinned epoch snapshot (row-at-a-time on a static system, like
+// ReferenceAt).
 //
 // olaplint:faultexempt: reference executor — the oracle every
 // fault-injected path is checked against; injecting a dictionary fault
@@ -174,10 +169,10 @@ func (s *System) ReferenceGroupsAt(q *query.Query, snap *table.Snapshot) ([]tabl
 	if empty {
 		return nil, nil
 	}
-	if snap != nil {
-		return table.GroupScanSnapshot(snap, req)
+	if s.cfg.Live == nil {
+		return table.GroupScan(s.cfg.Table, req)
 	}
-	return table.GroupScan(s.cfg.Table, req)
+	return table.GroupScanSnapshot(snap, req)
 }
 
 // Ingest forwards a batch to the live store and returns the first epoch

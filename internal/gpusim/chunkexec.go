@@ -1,11 +1,6 @@
 package gpusim
 
-import (
-	"fmt"
-	"sync"
-
-	"hybridolap/internal/table"
-)
+import "hybridolap/internal/table"
 
 // ChunkRange is one chunk of a shard's local row space on the cluster's
 // fixed global merge grid. Chunks play the role of a fixed CUDA grid of
@@ -14,140 +9,66 @@ import (
 // partition layout, which is what lets the coordinator reduce partials in
 // a shard-count-independent order.
 type ChunkRange struct {
-	Lo, Hi int // local row range [Lo, Hi) within the partition's table
+	Lo, Hi int // local row range [Lo, Hi) within the device's resident table
 }
 
-// ExecuteChunks runs a scan over explicit chunk ranges and returns one
-// UNFINALIZED partial per chunk, in chunk order. Each partial is produced
-// by exactly one vectorized plan.Range over its chunk, and the batch
-// kernels accumulate strictly in row order, so a chunk's bits depend only
-// on the rows inside it — not on which SM drained it, how many chunks the
-// call received, or how the device is partitioned. The cluster
-// coordinator folds every shard's chunk partials in global chunk order;
-// that flat, fixed-grid reduction is what keeps distributed answers
-// bit-identical across shard counts (a hierarchical per-shard pre-merge
-// would change the floating-point fold tree as N changes).
-//
-// The SMs drain chunks from a shared cursor exactly as Execute drains
-// stripes; only the reduction moves up to the caller.
+// gridUnits is the chunk-grid cut: one work unit per chunk, in chunk
+// order, over the resident snapshot's single stripe.
+func gridUnits(chunks []ChunkRange) []workUnit {
+	units := make([]workUnit, len(chunks))
+	for i, c := range chunks {
+		units[i] = workUnit{lo: c.Lo, hi: c.Hi}
+	}
+	return units
+}
+
+// ExecuteChunks scans the device's resident table over explicit chunk
+// ranges and returns one UNFINALIZED partial per chunk, in chunk order
+// (see scanUnits: a chunk's bits depend only on the rows inside it — not
+// on how many chunks the call received or how the device is partitioned).
+// The reduction moves up to the caller: the cluster coordinator folds
+// every shard's chunk partials in global chunk order, and that flat,
+// fixed-grid reduction is what keeps distributed answers bit-identical
+// across shard counts (a hierarchical per-shard pre-merge would change the
+// floating-point fold tree as N changes).
 func (p *Partition) ExecuteChunks(req table.ScanRequest, chunks []ChunkRange) ([]table.ScanResult, error) {
 	if err := p.dev.faultCheck(p.id); err != nil {
 		return nil, err
 	}
-	ft := p.dev.ft
-	if ft == nil {
-		return nil, fmt.Errorf("gpusim: no table loaded")
-	}
-	plan, err := table.BindScan(ft, req)
+	plans, err := bindStripes(p.dev.resident, func(ft *table.FactTable) (*table.ScanPlan, error) {
+		return table.BindScan(ft, req)
+	})
 	if err != nil {
 		return nil, err
 	}
-	partials := make([]table.ScanResult, len(chunks))
-	errs := make([]error, p.sms)
-	var next int
-	var nextMu sync.Mutex
-	takeChunk := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		if next >= len(chunks) {
-			return -1
-		}
-		c := next
-		next++
-		return c
-	}
-	var wg sync.WaitGroup
-	for sm := 0; sm < p.sms; sm++ {
-		wg.Add(1)
-		go func(sm int) {
-			defer wg.Done()
-			for {
-				c := takeChunk()
-				if c < 0 {
-					break
-				}
-				if chunks[c].Lo >= chunks[c].Hi {
-					continue
-				}
-				part, err := plan.Range(chunks[c].Lo, chunks[c].Hi)
-				if err != nil {
-					errs[sm] = err
-					return
-				}
-				partials[c] = part
-			}
-		}(sm)
-	}
-	wg.Wait()
-	for sm := 0; sm < p.sms; sm++ {
-		if errs[sm] != nil {
-			return nil, errs[sm]
-		}
-	}
-	p.done()
-	return partials, nil
+	return p.scanUnits(plans, gridUnits(chunks))
 }
 
 // ExecuteGroupChunks is ExecuteChunks for grouped scans: one fresh
-// UNFINALIZED group map per chunk, in chunk order. Unlike ExecuteGroup —
-// whose per-SM hash tables accumulate whichever stripes each SM happened
-// to drain, making the merge tree depend on goroutine interleaving — a
-// chunk's map here is built by a single RangeInto pass over exactly its
-// rows, so the per-chunk maps (and the coordinator's chunk-order
-// MergeGroups fold over them) are deterministic for any shard count.
+// UNFINALIZED group map per chunk, in chunk order (nil for an empty
+// chunk). Unlike ExecuteGroup — whose per-SM hash tables accumulate
+// whichever units each SM happened to drain, making the merge tree depend
+// on goroutine interleaving — a chunk's map here is built by a single
+// RangeInto pass over exactly its rows, so the per-chunk maps (and the
+// coordinator's chunk-order MergeGroups fold over them) are deterministic
+// for any shard count.
 func (p *Partition) ExecuteGroupChunks(req table.GroupScanRequest, chunks []ChunkRange) ([]table.Groups, error) {
 	if err := p.dev.faultCheck(p.id); err != nil {
 		return nil, err
 	}
-	ft := p.dev.ft
-	if ft == nil {
-		return nil, fmt.Errorf("gpusim: no table loaded")
-	}
-	plan, err := table.BindGroupScan(ft, req)
+	plans, err := bindStripes(p.dev.resident, func(ft *table.FactTable) (*table.GroupScanPlan, error) {
+		return table.BindGroupScan(ft, req)
+	})
 	if err != nil {
 		return nil, err
 	}
 	partials := make([]table.Groups, len(chunks))
-	errs := make([]error, p.sms)
-	var next int
-	var nextMu sync.Mutex
-	takeChunk := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		if next >= len(chunks) {
-			return -1
-		}
-		c := next
-		next++
-		return c
-	}
-	var wg sync.WaitGroup
-	for sm := 0; sm < p.sms; sm++ {
-		wg.Add(1)
-		go func(sm int) {
-			defer wg.Done()
-			for {
-				c := takeChunk()
-				if c < 0 {
-					break
-				}
-				if chunks[c].Lo >= chunks[c].Hi {
-					continue
-				}
-				part, err := plan.RangeInto(chunks[c].Lo, chunks[c].Hi, nil)
-				if err != nil {
-					errs[sm] = err
-					return
-				}
-				partials[c] = part
-			}
-		}(sm)
-	}
-	wg.Wait()
-	for sm := 0; sm < p.sms; sm++ {
-		if errs[sm] != nil {
-			return nil, errs[sm]
-		}
+	err = p.drain(gridUnits(chunks), func(_, i int, u workUnit) (err error) {
+		partials[i], err = plans[u.stripe].RangeInto(u.lo, u.hi, nil)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	p.done()
 	return partials, nil

@@ -58,7 +58,7 @@ func PaperLayout() []int { return []int{1, 1, 2, 2, 4, 4} }
 // partition layout.
 type Device struct {
 	spec       DeviceSpec
-	ft         *table.FactTable
+	resident   *table.Snapshot // the loaded table as a one-stripe epoch-0 snapshot
 	partitions []*Partition
 	faults     *fault.Plan
 }
@@ -88,12 +88,26 @@ func (d *Device) LoadTable(ft *table.FactTable) error {
 		return fmt.Errorf("gpusim: table needs %d bytes, device has %d",
 			ft.SizeBytes(), d.spec.GlobalMemBytes)
 	}
-	d.ft = ft
+	reg, err := table.NewRegistry(*ft.Schema(), ft, nil)
+	if err != nil {
+		return err
+	}
+	d.resident = reg.Current()
 	return nil
 }
 
+// Resident returns the loaded table as a one-stripe epoch-0 snapshot (nil
+// when none) — the row source every kernel of a static system scans, and
+// the one ExecuteChunks' ranges address.
+func (d *Device) Resident() *table.Snapshot { return d.resident }
+
 // Table returns the loaded fact table (nil when none).
-func (d *Device) Table() *table.FactTable { return d.ft }
+func (d *Device) Table() *table.FactTable {
+	if d.resident == nil {
+		return nil
+	}
+	return d.resident.Stripes()[0].Table()
+}
 
 // Partition installs a static layout: one partition per entry, holding
 // that many SMs. The layout must fit the device and every width must have

@@ -1,18 +1,6 @@
 package gpusim
 
-import (
-	"fmt"
-	"sync"
-
-	"hybridolap/internal/table"
-)
-
-// Fused execution: one kernel launch answers K compatible member queries
-// in a single pass over the partition's row space. The stripe/unit cuts,
-// the shared work cursor and the index-order reduction are exactly those
-// of Execute/ExecuteSnapshot, so each scalar member's answer is
-// bit-identical to running that member alone on the same partition — the
-// property the engine's differential tests and the result cache pin.
+import "hybridolap/internal/table"
 
 // FusedAnswer is one member's answer from a fused kernel: the finalised
 // result plus, for cell-granted members, the pre-finalise per-cell
@@ -22,397 +10,56 @@ type FusedAnswer struct {
 	Cells  table.Groups // nil unless the plan granted cells
 }
 
-// finalizeFused folds the per-member states into answers.
-func finalizeFused(pl *table.FusedScanPlan, reqs []table.ScanRequest, states []table.FusedState) []FusedAnswer {
-	out := make([]FusedAnswer, len(reqs))
-	for mi := range reqs {
-		if pl.HasCells(mi) {
-			cells := states[mi].Cells
-			if cells == nil {
-				cells = make(table.Groups)
-			}
-			out[mi] = FusedAnswer{
-				Result: table.Finalize(reqs[mi].Op, table.FoldCells(reqs[mi].Op, cells)),
-				Cells:  cells,
-			}
-		} else {
-			out[mi] = FusedAnswer{Result: table.Finalize(reqs[mi].Op, states[mi].Scalar)}
-		}
-	}
-	return out
-}
-
-// mergeFusedStates merges per-stripe member states in stripe index order —
-// the deterministic reduction of Execute, applied per member.
-func mergeFusedStates(pl *table.FusedScanPlan, reqs []table.ScanRequest, partials [][]table.FusedState) []table.FusedState {
-	acc := make([]table.FusedState, len(reqs))
-	for _, part := range partials {
-		if part == nil {
-			continue // stripe had no rows
-		}
-		for mi := range reqs {
-			if pl.HasCells(mi) {
-				acc[mi].Cells = table.MergeGroups(reqs[mi].Op, acc[mi].Cells, part[mi].Cells)
-			} else {
-				acc[mi].Scalar = table.Merge(reqs[mi].Op, acc[mi].Scalar, part[mi].Scalar)
-			}
-		}
-	}
-	return acc
-}
-
-// ExecuteFused runs K compatible scan requests as ONE kernel on this
-// partition: bind once, cut the row space into SMs×StripesPerSM stripes,
-// drain stripes from a shared cursor with one goroutine per SM — each
-// stripe pass evaluating every member — then merge per-stripe member
-// partials in stripe order. wantCells follows BindFusedScan's contract.
-func (p *Partition) ExecuteFused(reqs []table.ScanRequest, wantCells []bool) ([]FusedAnswer, error) {
+// ExecuteFused answers K compatible scan requests as ONE kernel over the
+// snapshot: each unit pass evaluates every member, and per-unit member
+// partials merge in unit order. Cut, cursor and reduction order are those
+// of Execute, so each member's answer is bit-identical to running that
+// member alone on the same partition and snapshot — the property the
+// engine's differential tests and the result cache pin. wantCells follows
+// BindFusedScan's contract.
+func (p *Partition) ExecuteFused(snap *table.Snapshot, reqs []table.ScanRequest, wantCells []bool) ([]FusedAnswer, error) {
 	if err := p.dev.faultCheck(p.id); err != nil {
 		return nil, err
 	}
-	ft := p.dev.ft
-	if ft == nil {
-		return nil, fmt.Errorf("gpusim: no table loaded")
-	}
-	plan, err := table.BindFusedScan(ft, reqs, wantCells)
-	if err != nil {
-		return nil, err
-	}
-	rows := ft.Rows()
-	stripes := p.sms * StripesPerSM
-	if stripes > rows {
-		stripes = rows
-	}
-	if stripes <= 1 {
-		states := make([]table.FusedState, len(reqs))
-		if err := plan.RangeInto(0, rows, states); err != nil {
-			return nil, err
-		}
-		p.done()
-		return finalizeFused(plan, reqs, states), nil
-	}
-
-	stripeLen := (rows + stripes - 1) / stripes
-	var next int
-	var nextMu sync.Mutex
-	takeStripe := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		if next >= stripes {
-			return -1
-		}
-		s := next
-		next++
-		return s
-	}
-	partials := make([][]table.FusedState, stripes)
-	errs := make([]error, p.sms)
-	var wg sync.WaitGroup
-	for sm := 0; sm < p.sms; sm++ {
-		wg.Add(1)
-		go func(sm int) {
-			defer wg.Done()
-			for {
-				s := takeStripe()
-				if s < 0 {
-					break
-				}
-				lo := s * stripeLen
-				hi := lo + stripeLen
-				if hi > rows {
-					hi = rows
-				}
-				if lo >= hi {
-					continue
-				}
-				states := make([]table.FusedState, len(reqs))
-				if err := plan.RangeInto(lo, hi, states); err != nil {
-					errs[sm] = err
-					return
-				}
-				partials[s] = states
-			}
-		}(sm)
-	}
-	wg.Wait()
-	for sm := 0; sm < p.sms; sm++ {
-		if errs[sm] != nil {
-			return nil, errs[sm]
-		}
-	}
-	p.done()
-	return finalizeFused(plan, reqs, mergeFusedStates(plan, reqs, partials)), nil
-}
-
-// ExecuteFusedSnapshot is ExecuteFused over an epoch snapshot: the fused
-// plan binds once per stripe, the combined row space is cut into units
-// respecting stripe boundaries, and per-unit member partials merge in
-// unit index order — deterministic, like ExecuteSnapshot.
-func (p *Partition) ExecuteFusedSnapshot(snap *table.Snapshot, reqs []table.ScanRequest, wantCells []bool) ([]FusedAnswer, error) {
-	if err := p.dev.faultCheck(p.id); err != nil {
-		return nil, err
-	}
-	if snap == nil {
-		return nil, fmt.Errorf("gpusim: nil snapshot")
-	}
-	plans := make([]*table.FusedScanPlan, len(snap.Stripes()))
-	units, err := snapshotUnits(snap, p.sms, func(i int, ft *table.FactTable) error {
-		pl, err := table.BindFusedScan(ft, reqs, wantCells)
-		if err != nil {
-			return err
-		}
-		plans[i] = pl
-		return nil
+	plans, err := bindStripes(snap, func(ft *table.FactTable) (*table.FusedScanPlan, error) {
+		return table.BindFusedScan(ft, reqs, wantCells)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(units) == 0 {
-		p.done()
-		// No rows anywhere: finalise zero states. Cell grants depend only
-		// on the requests and schema, so bind against an empty table via
-		// any stripe is impossible — answer scalar zeros with empty cell
-		// maps where requested.
-		out := make([]FusedAnswer, len(reqs))
-		for mi := range reqs {
-			out[mi].Result = table.Finalize(reqs[mi].Op, table.ScanResult{})
-			if wantCells != nil && wantCells[mi] {
-				out[mi].Cells = make(table.Groups)
-			}
-		}
-		return out, nil
-	}
-	// One plan per stripe; all grant cells identically (same requests,
-	// same schema), so use the first bound plan as the grant oracle.
-	oracle := plans[units[0].stripe]
-
-	runUnit := func(u workUnit, states []table.FusedState) error {
-		return plans[u.stripe].RangeInto(u.lo, u.hi, states)
-	}
-	if len(units) == 1 {
-		states := make([]table.FusedState, len(reqs))
-		if err := runUnit(units[0], states); err != nil {
-			return nil, err
-		}
-		p.done()
-		return finalizeFused(oracle, reqs, states), nil
-	}
-
-	var next int
-	var nextMu sync.Mutex
-	take := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		if next >= len(units) {
-			return -1
-		}
-		u := next
-		next++
-		return u
-	}
+	units := p.cut(snap)
 	partials := make([][]table.FusedState, len(units))
-	errs := make([]error, p.sms)
-	var wg sync.WaitGroup
-	for sm := 0; sm < p.sms; sm++ {
-		wg.Add(1)
-		go func(sm int) {
-			defer wg.Done()
-			for {
-				i := take()
-				if i < 0 {
-					break
-				}
-				states := make([]table.FusedState, len(reqs))
-				if err := runUnit(units[i], states); err != nil {
-					errs[sm] = err
-					return
-				}
-				partials[i] = states
-			}
-		}(sm)
-	}
-	wg.Wait()
-	for sm := 0; sm < p.sms; sm++ {
-		if errs[sm] != nil {
-			return nil, errs[sm]
-		}
-	}
-	p.done()
-	return finalizeFused(oracle, reqs, mergeFusedStates(oracle, reqs, partials)), nil
-}
-
-// ExecuteFusedGroup runs K compatible grouped requests as one kernel over
-// the resident table. Unlike ExecuteGroup's per-SM hash accumulation, the
-// per-stripe member maps merge in stripe index order — a deterministic
-// reduction, so repeated fused runs are bit-identical to each other (the
-// per-SM path is only epsilon-close run to run for sum/avg).
-func (p *Partition) ExecuteFusedGroup(reqs []table.GroupScanRequest) ([][]table.GroupRow, error) {
-	if err := p.dev.faultCheck(p.id); err != nil {
-		return nil, err
-	}
-	ft := p.dev.ft
-	if ft == nil {
-		return nil, fmt.Errorf("gpusim: no table loaded")
-	}
-	plan, err := table.BindFusedGroupScan(ft, reqs)
-	if err != nil {
-		return nil, err
-	}
-	rows := ft.Rows()
-	stripes := p.sms * StripesPerSM
-	if stripes > rows {
-		stripes = rows
-	}
-	if stripes <= 1 {
-		dsts, err := plan.RangeInto(0, rows, nil)
-		if err != nil {
-			return nil, err
-		}
-		p.done()
-		return finalizeFusedGroups(reqs, dsts), nil
-	}
-
-	stripeLen := (rows + stripes - 1) / stripes
-	var next int
-	var nextMu sync.Mutex
-	takeStripe := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		if next >= stripes {
-			return -1
-		}
-		s := next
-		next++
-		return s
-	}
-	partials := make([][]table.Groups, stripes)
-	errs := make([]error, p.sms)
-	var wg sync.WaitGroup
-	for sm := 0; sm < p.sms; sm++ {
-		wg.Add(1)
-		go func(sm int) {
-			defer wg.Done()
-			for {
-				s := takeStripe()
-				if s < 0 {
-					break
-				}
-				lo := s * stripeLen
-				hi := lo + stripeLen
-				if hi > rows {
-					hi = rows
-				}
-				if lo >= hi {
-					continue
-				}
-				dsts, err := plan.RangeInto(lo, hi, nil)
-				if err != nil {
-					errs[sm] = err
-					return
-				}
-				partials[s] = dsts
-			}
-		}(sm)
-	}
-	wg.Wait()
-	for sm := 0; sm < p.sms; sm++ {
-		if errs[sm] != nil {
-			return nil, errs[sm]
-		}
-	}
-	p.done()
-	return finalizeFusedGroups(reqs, mergeFusedGroups(reqs, partials)), nil
-}
-
-// ExecuteFusedGroupSnapshot is ExecuteFusedGroup over an epoch snapshot,
-// with per-unit member maps merged in unit index order.
-func (p *Partition) ExecuteFusedGroupSnapshot(snap *table.Snapshot, reqs []table.GroupScanRequest) ([][]table.GroupRow, error) {
-	if err := p.dev.faultCheck(p.id); err != nil {
-		return nil, err
-	}
-	if snap == nil {
-		return nil, fmt.Errorf("gpusim: nil snapshot")
-	}
-	plans := make([]*table.FusedGroupScanPlan, len(snap.Stripes()))
-	units, err := snapshotUnits(snap, p.sms, func(i int, ft *table.FactTable) error {
-		pl, err := table.BindFusedGroupScan(ft, reqs)
-		if err != nil {
-			return err
-		}
-		plans[i] = pl
-		return nil
+	err = p.drain(units, func(_, i int, u workUnit) error {
+		// Each SM allocates the states of the units it scans: the kernel
+		// writes them once per batch, so neighbouring units' states stay
+		// off each other's cache lines.
+		partials[i] = make([]table.FusedState, len(reqs))
+		return plans[u.stripe].RangeInto(u.lo, u.hi, partials[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(units) == 0 {
-		p.done()
-		return finalizeFusedGroups(reqs, make([]table.Groups, len(reqs))), nil
-	}
-	var next int
-	var nextMu sync.Mutex
-	take := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		if next >= len(units) {
-			return -1
-		}
-		u := next
-		next++
-		return u
-	}
-	partials := make([][]table.Groups, len(units))
-	errs := make([]error, p.sms)
-	var wg sync.WaitGroup
-	for sm := 0; sm < p.sms; sm++ {
-		wg.Add(1)
-		go func(sm int) {
-			defer wg.Done()
-			for {
-				i := take()
-				if i < 0 {
-					break
-				}
-				u := units[i]
-				dsts, err := plans[u.stripe].RangeInto(u.lo, u.hi, nil)
-				if err != nil {
-					errs[sm] = err
-					return
-				}
-				partials[i] = dsts
-			}
-		}(sm)
-	}
-	wg.Wait()
-	for sm := 0; sm < p.sms; sm++ {
-		if errs[sm] != nil {
-			return nil, errs[sm]
-		}
-	}
 	p.done()
-	return finalizeFusedGroups(reqs, mergeFusedGroups(reqs, partials)), nil
-}
 
-// mergeFusedGroups merges per-stripe (or per-unit) member maps in index
-// order.
-func mergeFusedGroups(reqs []table.GroupScanRequest, partials [][]table.Groups) []table.Groups {
-	acc := make([]table.Groups, len(reqs))
-	for _, part := range partials {
-		if part == nil {
+	// cut yields no empty units, so drain ran — and set a partial for —
+	// every one.
+	out := make([]FusedAnswer, len(reqs))
+	for mi, req := range reqs {
+		// Every stripe's plan grants cells identically (same requests, same
+		// schema); a stripeless snapshot has no plan and nothing to grant.
+		if len(plans) == 0 || !plans[0].HasCells(mi) {
+			var acc table.ScanResult
+			for _, part := range partials {
+				acc = table.Merge(req.Op, acc, part[mi].Scalar)
+			}
+			out[mi].Result = table.Finalize(req.Op, acc)
 			continue
 		}
-		for mi := range reqs {
-			acc[mi] = table.MergeGroups(reqs[mi].Op, acc[mi], part[mi])
+		cells := make(table.Groups)
+		for _, part := range partials {
+			cells = table.MergeGroups(req.Op, cells, part[mi].Cells)
 		}
+		out[mi] = FusedAnswer{Result: table.Finalize(req.Op, table.FoldCells(req.Op, cells)), Cells: cells}
 	}
-	return acc
-}
-
-// finalizeFusedGroups finalises each member's map sorted by packed key.
-func finalizeFusedGroups(reqs []table.GroupScanRequest, dsts []table.Groups) [][]table.GroupRow {
-	out := make([][]table.GroupRow, len(reqs))
-	for mi := range reqs {
-		out[mi] = table.FinalizeGroups(reqs[mi].Op, dsts[mi], len(reqs[mi].GroupBy))
-	}
-	return out
+	return out, nil
 }

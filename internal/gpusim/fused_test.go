@@ -42,7 +42,7 @@ func TestExecuteFusedMatchesExecute(t *testing.T) {
 		wantCells[mi] = req.Op != table.AggSum && req.Op != table.AggAvg
 	}
 	for _, p := range d.Partitions() {
-		fused, err := p.ExecuteFused(reqs, wantCells)
+		fused, err := p.ExecuteFused(d.Resident(), reqs, wantCells)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestExecuteFusedMatchesExecute(t *testing.T) {
 			t.Fatalf("partition %d: %d answers for %d members", p.ID(), len(fused), len(reqs))
 		}
 		for mi, req := range reqs {
-			want, err := p.Execute(req)
+			want, err := p.Execute(d.Resident(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,129 +67,20 @@ func TestExecuteFusedMatchesExecute(t *testing.T) {
 	}
 }
 
-func TestExecuteFusedSnapshotMatchesExecuteSnapshot(t *testing.T) {
-	d := newTestDevice(t, 64)
-	snap, _ := testSnapshot(t, 20000, []int{7000, 7003, 12000, 19999})
-	reqs := fusedReqs()
-	wantCells := make([]bool, len(reqs))
-	wantCells[1] = true
-	for _, p := range d.Partitions() {
-		fused, err := p.ExecuteFusedSnapshot(snap, reqs, wantCells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for mi, req := range reqs {
-			want, err := p.ExecuteSnapshot(snap, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitsEqual(fused[mi].Result, want) {
-				t.Fatalf("partition %d member %d: fused=%+v solo=%+v", p.ID(), mi, fused[mi].Result, want)
-			}
-		}
-	}
-}
-
-// TestExecuteFusedGroupDeterministic: the fused grouped reduction merges
-// in stripe/unit index order, so repeated runs are bit-identical to each
-// other, and epsilon-close to the per-SM ExecuteGroup path.
-func TestExecuteFusedGroupDeterministic(t *testing.T) {
-	d := newTestDevice(t, 15000)
-	reqs := []table.GroupScanRequest{
-		{ScanRequest: table.ScanRequest{Op: table.AggSum, Measure: 0,
-			Predicates: []table.RangePredicate{{Dim: 2, Level: 1, From: 3, To: 30}}},
-			GroupBy: []table.GroupCol{{Dim: 0, Level: 0}}},
-		{ScanRequest: table.ScanRequest{Op: table.AggAvg, Measure: 1,
-			Predicates: []table.RangePredicate{{Dim: 2, Level: 1, From: 0, To: 12}}},
-			GroupBy: []table.GroupCol{{Dim: 0, Level: 0}, {Dim: 1, Level: 0}}},
-	}
-	p := d.Partitions()[0]
-	a, err := p.ExecuteFusedGroup(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.ExecuteFusedGroup(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for mi := range reqs {
-		if len(a[mi]) != len(b[mi]) {
-			t.Fatalf("member %d: run lengths differ", mi)
-		}
-		for i := range a[mi] {
-			if a[mi][i].Rows != b[mi][i].Rows ||
-				math.Float64bits(a[mi][i].Value) != math.Float64bits(b[mi][i].Value) {
-				t.Fatalf("member %d group %d: nondeterministic fused grouped run", mi, i)
-			}
-		}
-		want, err := p.ExecuteGroup(reqs[mi])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a[mi]) != len(want) {
-			t.Fatalf("member %d: %d groups, want %d", mi, len(a[mi]), len(want))
-		}
-		for i := range want {
-			if table.PackKey(a[mi][i].Keys) != table.PackKey(want[i].Keys) ||
-				a[mi][i].Rows != want[i].Rows ||
-				math.Abs(a[mi][i].Value-want[i].Value) > 1e-6 {
-				t.Fatalf("member %d group %d: fused %+v vs solo %+v", mi, i, a[mi][i], want[i])
-			}
-		}
-	}
-}
-
-func TestExecuteFusedGroupSnapshot(t *testing.T) {
-	d := newTestDevice(t, 64)
-	snap, whole := testSnapshot(t, 15000, []int{1, 5000, 5001, 11000})
-	reqs := []table.GroupScanRequest{
-		{ScanRequest: table.ScanRequest{Op: table.AggCount,
-			Predicates: []table.RangePredicate{{Dim: 2, Level: 1, From: 3, To: 30}}},
-			GroupBy: []table.GroupCol{{Dim: 0, Level: 0}}},
-		{ScanRequest: table.ScanRequest{Op: table.AggSum, Measure: 0,
-			Predicates: []table.RangePredicate{{Dim: 2, Level: 1, From: 0, To: 20}}},
-			GroupBy: []table.GroupCol{{Dim: 1, Level: 0}}},
-	}
-	p := d.Partitions()[0]
-	got, err := p.ExecuteFusedGroupSnapshot(snap, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for mi := range reqs {
-		want, err := table.GroupScan(whole, reqs[mi])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got[mi]) != len(want) {
-			t.Fatalf("member %d: %d groups, want %d", mi, len(got[mi]), len(want))
-		}
-		for i := range want {
-			if table.PackKey(got[mi][i].Keys) != table.PackKey(want[i].Keys) ||
-				got[mi][i].Rows != want[i].Rows ||
-				math.Abs(got[mi][i].Value-want[i].Value) > 1e-6 {
-				t.Fatalf("member %d group %d: %+v != %+v", mi, i, got[mi][i], want[i])
-			}
-		}
-	}
-}
-
 func TestExecuteFusedValidation(t *testing.T) {
 	d := newTestDevice(t, 1000)
 	p := d.Partitions()[0]
-	if _, err := p.ExecuteFused(nil, nil); err == nil {
+	if _, err := p.ExecuteFused(d.Resident(), nil, nil); err == nil {
 		t.Error("empty member set accepted")
 	}
 	incompatible := []table.ScanRequest{
 		{Op: table.AggCount, Predicates: []table.RangePredicate{{Dim: 0, Level: 0, From: 0, To: 1}}},
 		{Op: table.AggCount, Predicates: []table.RangePredicate{{Dim: 1, Level: 0, From: 0, To: 1}}},
 	}
-	if _, err := p.ExecuteFused(incompatible, nil); err == nil {
+	if _, err := p.ExecuteFused(d.Resident(), incompatible, nil); err == nil {
 		t.Error("incompatible members accepted")
 	}
-	if _, err := p.ExecuteFusedSnapshot(nil, fusedReqs(), nil); err == nil {
+	if _, err := p.ExecuteFused(nil, fusedReqs(), nil); err == nil {
 		t.Error("nil snapshot accepted")
-	}
-	if _, err := p.ExecuteFusedGroupSnapshot(nil, nil); err == nil {
-		t.Error("nil snapshot accepted for grouped")
 	}
 }

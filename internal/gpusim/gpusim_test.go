@@ -115,7 +115,7 @@ func TestExecuteMatchesSequentialScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range d.Partitions() {
-		got, err := p.Execute(req)
+		got, err := p.Execute(d.Resident(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestExecuteAllOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.Partitions()[4].Execute(req)
+		got, err := d.Partitions()[4].Execute(d.Resident(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestExecuteAllOps(t *testing.T) {
 }
 
 func TestExecuteTinyTable(t *testing.T) {
-	// Fewer rows than stripes exercises the single-stripe path.
+	// Fewer rows than units exercises the one-unit cut.
 	d, _ := NewDevice(TeslaC2070())
 	if err := d.LoadTable(testTable(t, 1)); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestExecuteTinyTable(t *testing.T) {
 	if err := d.Partition([]int{4}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Partitions()[0].Execute(table.ScanRequest{Op: table.AggCount})
+	got, err := d.Partitions()[0].Execute(d.Resident(), table.ScanRequest{Op: table.AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestExecuteWithoutTableFails(t *testing.T) {
 	if err := d.Partition([]int{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Partitions()[0].Execute(table.ScanRequest{Op: table.AggCount}); err == nil {
+	if _, err := d.Partitions()[0].Execute(d.Resident(), table.ScanRequest{Op: table.AggCount}); err == nil {
 		t.Fatal("execute without table accepted")
 	}
 }
@@ -181,7 +181,7 @@ func TestExecuteWithoutTableFails(t *testing.T) {
 func TestExecutePropagatesScanErrors(t *testing.T) {
 	d := newTestDevice(t, 1000)
 	req := table.ScanRequest{Measure: 99, Op: table.AggSum}
-	if _, err := d.Partitions()[0].Execute(req); err == nil {
+	if _, err := d.Partitions()[0].Execute(d.Resident(), req); err == nil {
 		t.Fatal("bad request accepted")
 	}
 }
@@ -204,7 +204,7 @@ func TestConcurrentKernelExecution(t *testing.T) {
 		go func(i int, p *Partition) {
 			defer wg.Done()
 			for k := 0; k < 5; k++ {
-				results[i], errs[i] = p.Execute(req)
+				results[i], errs[i] = p.Execute(d.Resident(), req)
 				if errs[i] != nil {
 					return
 				}
@@ -285,7 +285,7 @@ func BenchmarkExecute4SM(b *testing.B) {
 	b.SetBytes(int64(12 * ft.Rows()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Execute(req); err != nil {
+		if _, err := p.Execute(d.Resident(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func TestExecuteGroupMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range d.Partitions() {
-		got, err := p.ExecuteGroup(req)
+		got, err := p.ExecuteGroup(d.Resident(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestExecuteGroupConcurrent(t *testing.T) {
 		go func(i int, p *Partition) {
 			defer wg.Done()
 			for k := 0; k < 3; k++ {
-				got, err := p.ExecuteGroup(req)
+				got, err := p.ExecuteGroup(d.Resident(), req)
 				if err != nil {
 					errs[i] = err
 					return
@@ -362,7 +362,7 @@ func TestExecuteGroupTinyTableAndErrors(t *testing.T) {
 	if err := d.Partition([]int{4}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := d.Partitions()[0].ExecuteGroup(table.GroupScanRequest{
+	rows, err := d.Partitions()[0].ExecuteGroup(d.Resident(), table.GroupScanRequest{
 		ScanRequest: table.ScanRequest{Op: table.AggCount},
 		GroupBy:     []table.GroupCol{{Dim: 0, Level: 0}},
 	})
@@ -373,7 +373,7 @@ func TestExecuteGroupTinyTableAndErrors(t *testing.T) {
 		t.Fatalf("rows = %+v", rows)
 	}
 	// No group columns is an error.
-	if _, err := d.Partitions()[0].ExecuteGroup(table.GroupScanRequest{
+	if _, err := d.Partitions()[0].ExecuteGroup(d.Resident(), table.GroupScanRequest{
 		ScanRequest: table.ScanRequest{Op: table.AggCount},
 	}); err == nil {
 		t.Fatal("empty group-by accepted")
@@ -383,7 +383,7 @@ func TestExecuteGroupTinyTableAndErrors(t *testing.T) {
 	if err := d2.Partition([]int{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d2.Partitions()[0].ExecuteGroup(table.GroupScanRequest{
+	if _, err := d2.Partitions()[0].ExecuteGroup(d2.Resident(), table.GroupScanRequest{
 		ScanRequest: table.ScanRequest{Op: table.AggCount},
 		GroupBy:     []table.GroupCol{{Dim: 0, Level: 0}},
 	}); err == nil {

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -52,32 +53,69 @@ func testSnapshot(t testing.TB, rows int, cuts []int) (*table.Snapshot, *table.F
 	return reg.Current(), whole
 }
 
-func TestExecuteSnapshotMatchesWholeTable(t *testing.T) {
-	d := newTestDevice(t, 64)
-	snap, whole := testSnapshot(t, 20000, []int{7000, 7003, 12000, 19999})
-	reqs := []table.ScanRequest{
-		{Op: table.AggSum, Measure: 0, Predicates: []table.RangePredicate{
-			{Dim: 0, Level: 1, From: 0, To: 23}, {Dim: 2, Level: 0, From: 2, To: 7}}},
-		{Op: table.AggCount},
-		{Op: table.AggMin, Measure: 1},
-		{Op: table.AggMax, Measure: 0, Predicates: []table.RangePredicate{
+// TestExecuteStripesDifferential is the one-stripe ≡ k-stripe ≡ reference
+// differential over every op × partition width. The device's resident
+// (one-stripe) snapshot and a k-stripe snapshot of the same rows both
+// answer count/min/max exactly like the row-at-a-time table.Scan (sum/avg
+// within the fold-tree epsilon); a fused member answers bit-for-bit like
+// the same request run solo on the same partition and snapshot; and two
+// solo runs of a request on one partition are bit-identical.
+func TestExecuteStripesDifferential(t *testing.T) {
+	const rows = 20000
+	d := newTestDevice(t, rows)
+	striped, whole := testSnapshot(t, rows, []int{7000, 7003, 12000, 19999})
+	// The first len(family) requests are one fusion family (every op, one
+	// predicate-column set); the rest vary the predicate shape solo-only.
+	family := fusedReqs()
+	reqs := append(family[:len(family):len(family)],
+		table.ScanRequest{Op: table.AggCount},
+		table.ScanRequest{Op: table.AggMin, Measure: 1},
+		table.ScanRequest{Op: table.AggMax, Measure: 0, Predicates: []table.RangePredicate{
 			{Dim: 1, Level: 0, From: 0, To: 2}}},
-		{Op: table.AggAvg, Measure: 1, Predicates: []table.RangePredicate{
-			{Dim: 0, Level: 0, From: 1, To: 3}}},
-	}
-	for ri, req := range reqs {
-		want, err := table.Scan(whole, req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		table.ScanRequest{Op: table.AggAvg, Measure: 1, Predicates: []table.RangePredicate{
+			{Dim: 0, Level: 0, From: 1, To: 3}}})
+	wantCells := make([]bool, len(family))
+	wantCells[1] = true
+	snaps := []struct {
+		name string
+		snap *table.Snapshot
+	}{{"resident", d.Resident()}, {"striped", striped}}
+	for _, sn := range snaps {
 		for _, p := range d.Partitions() {
-			got, err := p.ExecuteSnapshot(snap, req)
+			fused, err := p.ExecuteFused(sn.snap, family, wantCells)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Rows != want.Rows || math.Abs(got.Value-want.Value) > 1e-6 {
-				t.Fatalf("req %d partition %d: got (%v,%d), want (%v,%d)",
-					ri, p.ID(), got.Value, got.Rows, want.Value, want.Rows)
+			for mi, req := range reqs {
+				where := fmt.Sprintf("%s partition %d (%d SMs) %v request %d", sn.name, p.ID(), p.SMs(), req.Op, mi)
+				want, err := table.Scan(whole, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo, err := p.Execute(sn.snap, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again, err := p.Execute(sn.snap, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if solo != again {
+					t.Fatalf("%s: solo runs differ: %+v vs %+v", where, solo, again)
+				}
+				if mi < len(family) && fused[mi].Result != solo {
+					t.Fatalf("%s: fused=%+v solo=%+v", where, fused[mi].Result, solo)
+				}
+				switch req.Op {
+				case table.AggSum, table.AggAvg:
+					if solo.Rows != want.Rows || math.Abs(solo.Value-want.Value) > 1e-6 {
+						t.Fatalf("%s: got (%v,%d), want (%v,%d)", where, solo.Value, solo.Rows, want.Value, want.Rows)
+					}
+				default:
+					if solo != want {
+						t.Fatalf("%s: got %+v, reference %+v", where, solo, want)
+					}
+				}
 			}
 		}
 	}
@@ -99,7 +137,7 @@ func TestExecuteGroupSnapshotMatchesWholeTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range d.Partitions() {
-			got, err := p.ExecuteGroupSnapshot(snap, req)
+			got, err := p.ExecuteGroup(snap, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,15 +158,15 @@ func TestExecuteGroupSnapshotMatchesWholeTable(t *testing.T) {
 func TestExecuteSnapshotEdgeCases(t *testing.T) {
 	d := newTestDevice(t, 64)
 	p := d.Partitions()[0]
-	if _, err := p.ExecuteSnapshot(nil, table.ScanRequest{Op: table.AggCount}); err == nil {
+	if _, err := p.Execute(nil, table.ScanRequest{Op: table.AggCount}); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
-	if _, err := p.ExecuteGroupSnapshot(nil, table.GroupScanRequest{}); err == nil {
+	if _, err := p.ExecuteGroup(nil, table.GroupScanRequest{}); err == nil {
 		t.Fatal("nil snapshot accepted (grouped)")
 	}
 	// A tiny snapshot (fewer rows than SMs×stripes) must still answer.
 	snap, whole := testSnapshot(t, 3, []int{1, 2})
-	got, err := p.ExecuteSnapshot(snap, table.ScanRequest{Op: table.AggCount})
+	got, err := p.Execute(snap, table.ScanRequest{Op: table.AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +178,31 @@ func TestExecuteSnapshotEdgeCases(t *testing.T) {
 		t.Fatalf("tiny snapshot: got %+v, want %+v", got, want)
 	}
 	// Scan errors must propagate, not panic.
-	if _, err := p.ExecuteSnapshot(snap, table.ScanRequest{Op: table.AggSum, Measure: 99}); err == nil {
+	bad := table.ScanRequest{Op: table.AggSum, Measure: 99}
+	if _, err := p.Execute(snap, bad); err == nil {
 		t.Fatal("bad measure accepted")
+	}
+	// ... identically on a snapshot whose only stripe has no rows: every
+	// entry point validates before it cuts.
+	empty, _ := testSnapshot(t, 0, []int{0})
+	if empty.Rows() != 0 || len(empty.Stripes()) == 0 {
+		t.Fatalf("fixture: %d rows in %d stripes", empty.Rows(), len(empty.Stripes()))
+	}
+	if got, err := p.Execute(empty, table.ScanRequest{Op: table.AggCount}); err != nil || got != (table.ScanResult{}) {
+		t.Fatalf("empty snapshot: got %+v, %v", got, err)
+	}
+	if _, err := p.Execute(empty, bad); err == nil {
+		t.Fatal("bad measure accepted on an empty snapshot")
+	}
+	if _, err := p.ExecuteGroup(empty, table.GroupScanRequest{
+		ScanRequest: bad, GroupBy: []table.GroupCol{{Dim: 0, Level: 0}},
+	}); err == nil {
+		t.Fatal("bad measure accepted on an empty snapshot (grouped)")
+	}
+	if _, err := p.ExecuteFused(empty, []table.ScanRequest{bad}, nil); err == nil {
+		t.Fatal("bad measure accepted on an empty snapshot (fused)")
+	}
+	if _, err := p.ExecuteFused(empty, fusedReqs(), []bool{true}); err == nil {
+		t.Fatal("mismatched cell flags accepted on an empty snapshot (fused)")
 	}
 }

@@ -189,7 +189,7 @@ func GPUSweep(rows int, widths []int, maxCols, reps int, seed int64) ([]GPUPoint
 			best := time.Duration(1<<62 - 1)
 			for r := 0; r < reps; r++ {
 				t0 := time.Now()
-				if _, err := p.Execute(req); err != nil {
+				if _, err := p.Execute(dev.Resident(), req); err != nil {
 					return nil, err
 				}
 				if d := time.Since(t0); d < best {

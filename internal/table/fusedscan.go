@@ -95,21 +95,21 @@ func FusionKey(req ScanRequest) string {
 }
 
 // fusedMember is one member query of a fused pass: its residual predicates
-// (selectivity-ordered), its aggregation, and optionally the grouping
-// columns it scatters per-cell accumulators into (group-by columns for a
-// fused grouped plan, predicate columns for a cell-cacheable scalar
-// member).
+// (selectivity-ordered), its aggregation, and — for a cell-cacheable
+// member — the predicate columns it scatters per-cell accumulators into.
 type fusedMember struct {
 	op    AggOp
 	meas  []float64 // nil for pure counts
 	preds []boundPred
 	never bool
 	cells bool       // scatter per-cell instead of scalar
-	gcols [][]uint32 // cell/group coordinate columns, canonical order
+	gcols [][]uint32 // cell coordinate columns, canonical order
 }
 
-// fusedCore is the shared pass state of scalar and grouped fused plans.
-type fusedCore struct {
+// FusedScanPlan is K compatible ScanRequests bound to one table as a
+// single shared pass. Immutable after binding; safe for concurrent
+// RangeInto calls on disjoint state slices.
+type FusedScanPlan struct {
 	rows      int
 	shared    boundPred // envelope predicate (shapeRange), valid when sharedSet
 	sharedSet bool      // false: seed densely (no usable shared column)
@@ -117,11 +117,9 @@ type fusedCore struct {
 	members   []fusedMember
 }
 
-// Members returns the number of member queries bound into the plan.
-func (c *fusedCore) Members() int { return len(c.members) }
-
-// MemberOp returns member i's aggregation op.
-func (c *fusedCore) MemberOp(i int) AggOp { return c.members[i].op }
+// HasCells reports whether member i accumulates per-cell aggregates
+// (granted only when the member is cell-cacheable; see BindFusedScan).
+func (pl *FusedScanPlan) HasCells(i int) bool { return pl.members[i].cells }
 
 // acceptedBounds returns the hull [lo, hi] of every code the bound
 // predicate accepts, or ok=false when it accepts nothing.
@@ -183,27 +181,27 @@ type memberBind struct {
 // bindFusedCore validates every member against the table, checks
 // column-set compatibility, picks the shared envelope predicate and
 // assembles per-member residual lists.
-func bindFusedCore(t *FactTable, reqs []ScanRequest) (*fusedCore, []memberBind, error) {
+func bindFusedCore(t *FactTable, reqs []ScanRequest) (*FusedScanPlan, error) {
 	if len(reqs) == 0 {
-		return nil, nil, fmt.Errorf("table: fused scan needs at least one member")
+		return nil, fmt.Errorf("table: fused scan needs at least one member")
 	}
-	core := &fusedCore{rows: t.rows, members: make([]fusedMember, len(reqs))}
+	pl := &FusedScanPlan{rows: t.rows, members: make([]fusedMember, len(reqs))}
 	binds := make([]memberBind, len(reqs))
 	key0 := ""
 	for mi := range reqs {
 		req := &reqs[mi]
-		m := &core.members[mi]
+		m := &pl.members[mi]
 		m.op = req.Op
 		if req.Op != AggCount {
 			if req.Measure < 0 || req.Measure >= len(t.measures) {
-				return nil, nil, fmt.Errorf("table: member %d: measure %d out of range", mi, req.Measure)
+				return nil, fmt.Errorf("table: member %d: measure %d out of range", mi, req.Measure)
 			}
 			m.meas = t.measures[req.Measure]
 		}
 		for pi := range req.Predicates {
 			p := &req.Predicates[pi]
 			if err := validatePred(t, p); err != nil {
-				return nil, nil, fmt.Errorf("table: member %d: %w", mi, err)
+				return nil, fmt.Errorf("table: member %d: %w", mi, err)
 			}
 			bp := bindPred(t, p)
 			if bp.from > bp.to && len(bp.or) == 0 {
@@ -216,7 +214,7 @@ func bindFusedCore(t *FactTable, reqs []ScanRequest) (*fusedCore, []memberBind, 
 		if mi == 0 {
 			key0 = k
 		} else if k != key0 {
-			return nil, nil, fmt.Errorf("table: member %d filters columns %q, member 0 filters %q; fused members must share one column set",
+			return nil, fmt.Errorf("table: member %d filters columns %q, member 0 filters %q; fused members must share one column set",
 				mi, k, key0)
 		}
 	}
@@ -238,14 +236,14 @@ func bindFusedCore(t *FactTable, reqs []ScanRequest) (*fusedCore, []memberBind, 
 	// codes on it to bound (degenerate Or lists); with no usable column
 	// the pass seeds densely and every predicate stays residual.
 	anyLive := false
-	for mi := range core.members {
-		if !core.members[mi].never {
+	for mi := range pl.members {
+		if !pl.members[mi].never {
 			anyLive = true
 		}
 	}
 	if !anyLive {
-		core.never = true
-		return core, binds, nil
+		pl.never = true
+		return pl, nil
 	}
 	bestSel := 0.0
 	var bestRef fusedColRef
@@ -254,8 +252,8 @@ func bindFusedCore(t *FactTable, reqs []ScanRequest) (*fusedCore, []memberBind, 
 		var perCode float64
 		envOK := true
 		first := true
-		for mi := range core.members {
-			if core.members[mi].never {
+		for mi := range pl.members {
+			if pl.members[mi].never {
 				continue
 			}
 			b := &binds[mi]
@@ -291,22 +289,22 @@ func bindFusedCore(t *FactTable, reqs []ScanRequest) (*fusedCore, []memberBind, 
 			continue
 		}
 		envSel := float64(int64(envTo-envFrom)+1) * perCode
-		if !core.sharedSet || envSel < bestSel {
-			core.sharedSet = true
+		if !pl.sharedSet || envSel < bestSel {
+			pl.sharedSet = true
 			bestSel = envSel
 			bestRef = ref
-			core.shared = boundPred{from: envFrom, to: envTo, shape: shapeRange, sel: envSel}
+			pl.shared = boundPred{from: envFrom, to: envTo, shape: shapeRange, sel: envSel}
 		}
 	}
-	if core.sharedSet {
+	if pl.sharedSet {
 		// Resolve the column slice from any live member's bound predicate.
-		for mi := range core.members {
-			if core.members[mi].never {
+		for mi := range pl.members {
+			if pl.members[mi].never {
 				continue
 			}
 			for pi, r := range binds[mi].refs {
 				if r == bestRef {
-					core.shared.col = binds[mi].preds[pi].col
+					pl.shared.col = binds[mi].preds[pi].col
 					break
 				}
 			}
@@ -317,14 +315,14 @@ func bindFusedCore(t *FactTable, reqs []ScanRequest) (*fusedCore, []memberBind, 
 	// Residuals: every member predicate except one that the envelope
 	// already applies exactly (a plain range equal to the envelope on the
 	// shared column). Selectivity-ordered, like BindScan.
-	for mi := range core.members {
-		m := &core.members[mi]
+	for mi := range pl.members {
+		m := &pl.members[mi]
 		b := &binds[mi]
 		dropped := false
 		for pi := range b.preds {
 			bp := &b.preds[pi]
-			if core.sharedSet && !dropped && b.refs[pi] == bestRef &&
-				bp.shape == shapeRange && bp.from == core.shared.from && bp.to == core.shared.to {
+			if pl.sharedSet && !dropped && b.refs[pi] == bestRef &&
+				bp.shape == shapeRange && bp.from == pl.shared.from && bp.to == pl.shared.to {
 				dropped = true
 				continue
 			}
@@ -332,19 +330,8 @@ func bindFusedCore(t *FactTable, reqs []ScanRequest) (*fusedCore, []memberBind, 
 		}
 		sort.SliceStable(m.preds, func(i, j int) bool { return m.preds[i].sel < m.preds[j].sel })
 	}
-	return core, binds, nil
+	return pl, nil
 }
-
-// FusedScanPlan is K compatible ScanRequests bound to one table as a
-// single shared pass. Immutable after binding; safe for concurrent
-// RangeInto calls on disjoint state slices.
-type FusedScanPlan struct {
-	fusedCore
-}
-
-// HasCells reports whether member i accumulates per-cell aggregates
-// (granted only when the member is cell-cacheable; see BindFusedScan).
-func (pl *FusedScanPlan) HasCells(i int) bool { return pl.members[i].cells }
 
 // BindFusedScan binds K compatible requests (identical predicate column
 // multisets; ops, measures and intervals free per member) into one fused
@@ -361,11 +348,10 @@ func BindFusedScan(t *FactTable, reqs []ScanRequest, wantCells []bool) (*FusedSc
 	if wantCells != nil && len(wantCells) != len(reqs) {
 		return nil, fmt.Errorf("table: got %d cell flags for %d members", len(wantCells), len(reqs))
 	}
-	core, _, err := bindFusedCore(t, reqs)
+	pl, err := bindFusedCore(t, reqs)
 	if err != nil {
 		return nil, err
 	}
-	pl := &FusedScanPlan{fusedCore: *core}
 	for mi := range reqs {
 		if wantCells == nil || !wantCells[mi] {
 			continue
@@ -602,105 +588,4 @@ func FoldCells(op AggOp, cells Groups) ScanResult {
 		acc = Merge(op, acc, cells[k])
 	}
 	return acc
-}
-
-// FusedGroupScanPlan is K compatible GroupScanRequests bound as one shared
-// pass: members share the predicate column set but group by their own
-// columns into their own destination maps.
-type FusedGroupScanPlan struct {
-	fusedCore
-	ncols []int // group columns per member
-}
-
-// GroupCols returns the number of grouping columns of member i.
-func (pl *FusedGroupScanPlan) GroupCols(i int) int { return pl.ncols[i] }
-
-// BindFusedGroupScan binds K compatible grouped requests into one fused
-// plan. Predicate column sets must match (the fusion compatibility rule);
-// group-by columns are free per member.
-func BindFusedGroupScan(t *FactTable, reqs []GroupScanRequest) (*FusedGroupScanPlan, error) {
-	scans := make([]ScanRequest, len(reqs))
-	for i := range reqs {
-		if len(reqs[i].GroupBy) == 0 {
-			return nil, fmt.Errorf("table: member %d: grouped scan needs at least one group column", i)
-		}
-		if len(reqs[i].GroupBy) > MaxGroupCols {
-			return nil, fmt.Errorf("table: member %d: at most %d group columns (got %d)", i, MaxGroupCols, len(reqs[i].GroupBy))
-		}
-		scans[i] = reqs[i].ScanRequest
-	}
-	core, _, err := bindFusedCore(t, scans)
-	if err != nil {
-		return nil, err
-	}
-	pl := &FusedGroupScanPlan{fusedCore: *core, ncols: make([]int, len(reqs))}
-	for mi := range reqs {
-		m := &pl.members[mi]
-		m.cells = true
-		m.gcols = make([][]uint32, len(reqs[mi].GroupBy))
-		pl.ncols[mi] = len(reqs[mi].GroupBy)
-		for gi, g := range reqs[mi].GroupBy {
-			col, err := validateGroupCol(t, g)
-			if err != nil {
-				return nil, fmt.Errorf("table: member %d: %w", mi, err)
-			}
-			m.gcols[gi] = col
-		}
-	}
-	return pl, nil
-}
-
-// RangeInto runs the fused grouped kernel over rows [lo, hi), accumulating
-// into one destination map per member (allocated when nil) and returning
-// them. One shared pass visits rows in ascending order, so each member's
-// map is bit-identical to its own unfused GroupScanPlan.RangeInto over the
-// same range.
-func (pl *FusedGroupScanPlan) RangeInto(lo, hi int, dsts []Groups) ([]Groups, error) {
-	if lo < 0 || hi > pl.rows || lo > hi {
-		return dsts, fmt.Errorf("table: scan range [%d,%d) outside [0,%d)", lo, hi, pl.rows)
-	}
-	if dsts == nil {
-		dsts = make([]Groups, len(pl.members))
-	}
-	if len(dsts) != len(pl.members) {
-		return dsts, fmt.Errorf("table: got %d destinations for %d members", len(dsts), len(pl.members))
-	}
-	for i := range dsts {
-		if dsts[i] == nil {
-			dsts[i] = make(Groups)
-		}
-	}
-	if pl.never {
-		return dsts, nil
-	}
-	sc := fusedScratchPool.Get().(*fusedScratch)
-	shared, msel := sc.shared, sc.member
-	for base := lo; base < hi; base += BatchSize {
-		n := hi - base
-		if n > BatchSize {
-			n = BatchSize
-		}
-		var k int
-		if pl.sharedSet {
-			k = seedRange(pl.shared.col, base, n, pl.shared.from, pl.shared.to, shared)
-		} else {
-			k = fillDense(shared, n)
-		}
-		if k == 0 {
-			continue
-		}
-		for mi := range pl.members {
-			m := &pl.members[mi]
-			if m.never {
-				continue
-			}
-			kk := m.refineShared(base, k, shared, msel)
-			if kk == 0 {
-				continue
-			}
-			m.accumulateGroups(dsts[mi], base, msel[:kk])
-		}
-	}
-	fusedScratchPool.Put(sc)
-	return dsts, nil
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The fused differential suite: a FusedScanPlan / FusedGroupScanPlan must
+// The fused differential suite: a FusedScanPlan must
 // agree *exactly* — bit-identical values — with each member's own unfused
 // plan over the same stripes. The fused kernel visits the same rows in the
 // same ascending order per member, so == is the specification.
@@ -309,80 +309,5 @@ func TestFusedScanIncompatible(t *testing.T) {
 	}
 	if err := fused.RangeInto(-1, 3, make([]FusedState, 1)); err == nil {
 		t.Error("negative lo accepted")
-	}
-}
-
-func randFusedGroupFamily(rng *rand.Rand, s *Schema, k int) []GroupScanRequest {
-	scans := randFusedFamily(rng, s, k)
-	reqs := make([]GroupScanRequest, k)
-	for mi := range reqs {
-		reqs[mi].ScanRequest = scans[mi]
-		for i, n := 0, rng.Intn(2)+1; i < n; i++ {
-			if rng.Intn(4) == 0 {
-				reqs[mi].GroupBy = append(reqs[mi].GroupBy, GroupCol{Text: true})
-			} else {
-				d := rng.Intn(len(s.Dimensions))
-				l := rng.Intn(len(s.Dimensions[d].Levels))
-				reqs[mi].GroupBy = append(reqs[mi].GroupBy, GroupCol{Dim: d, Level: l})
-			}
-		}
-	}
-	return reqs
-}
-
-func TestFusedGroupScanDifferential(t *testing.T) {
-	tables := diffTables(t)
-	rng := rand.New(rand.NewSource(171))
-	schema := diffSchema()
-	for i := 0; i < 300; i++ {
-		ft := tables[rng.Intn(len(tables))]
-		k := rng.Intn(4) + 1
-		reqs := randFusedGroupFamily(rng, &schema, k)
-		fused, err := BindFusedGroupScan(ft, reqs)
-		if err != nil {
-			t.Fatalf("case %d: BindFusedGroupScan: %v", i, err)
-		}
-		lo, hi := randStripe(rng, ft.Rows())
-		got, err := fused.RangeInto(lo, hi, nil)
-		if err != nil {
-			t.Fatalf("case %d: RangeInto: %v", i, err)
-		}
-		for mi := range reqs {
-			plan, err := BindGroupScan(ft, reqs[mi])
-			if err != nil {
-				t.Fatalf("case %d member %d: BindGroupScan: %v", i, mi, err)
-			}
-			want, err := plan.RangeInto(lo, hi, nil)
-			if err != nil {
-				t.Fatalf("case %d member %d: RangeInto: %v", i, mi, err)
-			}
-			if len(got[mi]) != len(want) {
-				t.Fatalf("case %d member %d: %d groups, want %d", i, mi, len(got[mi]), len(want))
-			}
-			for key, w := range want {
-				if g, ok := got[mi][key]; !ok || g != w {
-					t.Fatalf("case %d member %d key %d: fused=%+v want=%+v", i, mi, key, got[mi][key], w)
-				}
-			}
-		}
-	}
-}
-
-func TestFusedGroupScanValidation(t *testing.T) {
-	ft := diffTables(t)[3]
-	// Missing group columns.
-	if _, err := BindFusedGroupScan(ft, []GroupScanRequest{{ScanRequest: ScanRequest{Op: AggCount}}}); err == nil {
-		t.Error("grouped member without group columns accepted")
-	}
-	// Mismatched predicate columns still rejected for grouped members.
-	reqs := []GroupScanRequest{
-		{ScanRequest: ScanRequest{Op: AggCount,
-			Predicates: []RangePredicate{{Dim: 0, Level: 0, From: 0, To: 2}}},
-			GroupBy: []GroupCol{{Dim: 1, Level: 0}}},
-		{ScanRequest: ScanRequest{Op: AggCount},
-			GroupBy: []GroupCol{{Dim: 1, Level: 0}}},
-	}
-	if _, err := BindFusedGroupScan(ft, reqs); err == nil {
-		t.Error("mismatched predicate columns accepted for grouped members")
 	}
 }
