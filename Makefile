@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fix lint-fix-check bce-check bce-baseline test test-chaos race bench bench-smoke bench-load bench-compare repro repro-quick examples clean
+.PHONY: all build vet lint lint-fix lint-fix-check bce-check bce-baseline test test-chaos test-serve-stress race bench bench-smoke bench-load bench-compare repro repro-quick examples clean
 
 # Pre-merge checklist: `make all` runs build → vet → lint → bce-check →
 # test; run `make race` as well before merging scheduler or simulator
@@ -65,6 +65,14 @@ test:
 # "Fault model & degradation" and "Self-healing & degraded reads".
 test-chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./...
+
+# The serving path's wake-up protocol, twenty times under the race
+# detector: a fusion-window leader sleeps on a channel, not a timer, and is
+# woken by the last Serve call that could have joined it. A lost wake-up is
+# not a wrong answer, only a rare FusionWindow-long stall, so no single run
+# of the plain suite would notice one. CI runs this beside test-chaos.
+test-serve-stress:
+	$(GO) test -race -count=20 -run 'Serv|Fus|Window' ./internal/engine ./internal/sched ./cmd/olapd
 
 race:
 	$(GO) test -race ./...

@@ -6,7 +6,9 @@ package olap
 // reproduction with paper-vs-measured output.
 
 import (
+	"math/rand"
 	"testing"
+	"time"
 
 	"hybridolap/internal/engine"
 	"hybridolap/internal/experiments"
@@ -116,6 +118,39 @@ func BenchmarkRealEngineBatch(b *testing.B) {
 		}
 		if res.Failed != 0 {
 			b.Fatalf("%d queries failed", res.Failed)
+		}
+	}
+}
+
+// BenchmarkServeSoloMiss measures the serving path with nobody to fuse
+// with: unique GPU-bound queries from one goroutine, fusion on with a 1 ms
+// window, 100K rows. A window that closes on idle costs about one kernel
+// (~0.2 ms on a 2-core box); a reintroduced fixed wait reads as ns/op > 1 ms.
+func BenchmarkServeSoloMiss(b *testing.B) {
+	sys, err := engine.Setup(engine.SetupSpec{
+		Rows: 100_000, Seed: 1, Fusion: true, FusionWindow: time.Millisecond,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Level-2 conditions sit below the {0,1} cube set: GPU-bound.
+		lo := uint32(rng.Intn(200))
+		q := &query.Query{
+			Conditions: []query.Condition{
+				{Dim: 0, Level: 2, From: lo, To: lo + uint32(rng.Intn(56))},
+				{Dim: 1, Level: 2, From: 0, To: uint32(rng.Intn(128))},
+			},
+			Op: table.AggSum,
+		}
+		out, err := sys.Serve(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !out.Fused || out.FanIn != 1 {
+			b.Fatalf("want a fused job of one, got %+v", out)
 		}
 	}
 }

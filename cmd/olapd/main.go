@@ -32,7 +32,7 @@ func main() {
 		inflight = flag.Int("max-inflight", defaultMaxInflight, "concurrent /query, /explain and /ingest requests")
 		queued   = flag.Int("max-queue", defaultMaxQueued, "requests that may wait for a slot before 429s")
 		fusion   = flag.Bool("fusion", true, "fuse compatible concurrent GPU-bound queries into shared scans")
-		fwindow  = flag.Duration("fusion-window", time.Millisecond, "how long the first arrival holds a fusion window open")
+		fwindow  = flag.Duration("fusion-window", time.Millisecond, "upper bound on how long the first arrival holds a fusion window; the window closes as soon as no request can still join")
 		ffanin   = flag.Int("fusion-fanin", 64, "close a fusion window early at this many members")
 		cache    = flag.Bool("cache", true, "enable the epoch-keyed result cache")
 		centries = flag.Int("cache-entries", 0, "result cache capacity (0 = default 4096)")

@@ -74,11 +74,13 @@ type Config struct {
 	// negative disables retries).
 	MaxRetries int
 	// FusionEnabled turns on the Serve fusion window: compatible GPU-bound
-	// queries arriving within FusionWindow are booked and executed as one
-	// fused job of up to FusionMaxFanIn members.
+	// queries inside Serve together are booked and executed as one fused
+	// job of up to FusionMaxFanIn members.
 	FusionEnabled bool
-	// FusionWindow is how long the first arrival holds the window open for
-	// compatible peers (default 1ms wall clock).
+	// FusionWindow is an upper bound on how long the first arrival holds
+	// the window open (default 1ms wall clock): the window closes as soon
+	// as no request can still join, and never later than the tightest
+	// member's deadline allows.
 	FusionWindow time.Duration
 	// FusionMaxFanIn closes the window early once this many members joined
 	// (default 64).
@@ -103,9 +105,9 @@ type System struct {
 	// one scheduler.
 	schedMu sync.Mutex
 
-	// start anchors Serve's virtual clock: every Serve submission shares
-	// one monotone origin, so fused bookings from concurrent handlers
-	// compare consistently against the queue clocks.
+	// start anchors nowS, the one clock every real-path scheduler call
+	// reads, so bookings from concurrent Run, Serve and grouped calls
+	// compare consistently against the queue clocks and T_Q drains.
 	start time.Time
 
 	// cache is the epoch-keyed result cache (nil when disabled).
@@ -114,6 +116,11 @@ type System struct {
 	// fusionMu guards the open fusion windows (one per compatibility key).
 	fusionMu     sync.Mutex
 	fusionGroups map[string]*fusionGroup
+	// arriving counts Serve calls between entry and window-join, bypass or
+	// return — the calls that could still join an open window; holding
+	// counts leaders waiting on them. See holdWindow and settle.
+	arriving atomic.Int64
+	holding  atomic.Int64
 
 	// fusionFallbacks counts members of failed fused jobs (booking or
 	// execution) that were sent back through the individual retry path —

@@ -37,7 +37,7 @@ func (s *System) Explain(q *query.Query) (*Explanation, error) {
 		return nil, err
 	}
 	s.schedMu.Lock()
-	d, err := s.scheduler.Peek(0, est)
+	d, err := s.scheduler.Peek(s.nowS(), est)
 	s.schedMu.Unlock()
 	if err != nil {
 		return nil, err

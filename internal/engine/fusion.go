@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -18,6 +19,10 @@ import (
 //	pin epoch → translate → cache lookup → estimate
 //	  ├── CPU-answerable or fusion off → RunReal (cube walk / solo scan)
 //	  └── GPU-bound → fusion window → ONE fused job for K members
+//
+// A window closes once no other Serve call can still join it (a solitary
+// miss runs at once, fan-in 1); FusionWindow, FusionMaxFanIn and the
+// members' deadlines only bound the wait.
 //
 // Soundness is preserved at every turn: fused members get bit-identical
 // answers to solo execution on the same partition (the gpusim fused
@@ -46,6 +51,9 @@ type fusionMember struct {
 	req       table.ScanRequest
 	est       sched.Estimates
 	wantCells bool
+	// deadline is the member's absolute T_D on the nowS clock: its arrival
+	// at Serve + T_C, so window time is charged against T_C.
+	deadline float64
 	// out is filled by the window leader; fallback marks members that must
 	// re-run individually (failed fused job or unplaceable booking).
 	out      ServeOutcome
@@ -58,13 +66,26 @@ type fusionGroup struct {
 	key     string
 	snap    *table.Snapshot
 	members []*fusionMember
-	full    chan struct{} // closed when FusionMaxFanIn members joined
-	done    chan struct{} // closed by the leader when outcomes are ready
-	fired   bool          // guarded by System.fusionMu
+	// fireBy is the latest instant (nowS clock) the leader may hold the
+	// window to: its opening + FusionWindow, capped by every member's
+	// slack (T_D − its fastest-partition estimate). Guarded by fusionMu.
+	fireBy float64
+	wake   chan struct{} // buffered 1: tells the leader to re-check its hold
+	done   chan struct{} // closed by the leader when outcomes are ready
+	fired  bool          // no further joins; guarded by System.fusionMu
 }
 
-// nowS is Serve's scheduler clock: seconds since system construction, one
-// monotone origin shared by every concurrent handler.
+// nudge makes the leader re-evaluate its hold; a pending nudge suffices.
+func (g *fusionGroup) nudge() {
+	select {
+	case g.wake <- struct{}{}:
+	default:
+	}
+}
+
+// nowS is the real path's one scheduler clock: seconds since system
+// construction, the monotone origin every Submit, Feedback and health
+// report of Run, Serve, grouped queries and maintenance shares.
 func (s *System) nowS() float64 { return time.Since(s.start).Seconds() }
 
 // Serve answers one scalar query through the cache + fusion serving path.
@@ -74,6 +95,17 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	if q0.Grouped() {
 		return ServeOutcome{}, fmt.Errorf("engine: query %d has GROUP BY; Serve answers scalar queries", q0.ID)
 	}
+	// This call may still join a window until it does, bypasses or
+	// returns; leaders hold their windows only while such calls exist.
+	s.arriving.Add(1)
+	arriving := true
+	settle := func() {
+		if arriving {
+			arriving = false
+			s.settle()
+		}
+	}
+	defer settle()
 	q := q0.Clone()
 	snap := s.pin()
 	epoch := snap.Epoch()
@@ -83,9 +115,11 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	// path, whose translation worker owns deadline-aware retries.
 	if q.NeedsTranslation() {
 		if err := s.cfg.Faults.Check(fault.DictLookup, -1); err != nil {
+			settle()
 			return s.runSingle(q0, started, nil, epoch)
 		}
 		if _, err := query.Translate(q, s.dicts()); err != nil {
+			settle()
 			return s.runSingle(q0, started, nil, epoch)
 		}
 	}
@@ -116,19 +150,18 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	// CPU-answerable queries bypass the window: shared scans target the
 	// GPU fact-table path, and the cube walk is already cheap.
 	if !s.cfg.FusionEnabled || est.CPUOK {
+		settle()
 		return s.runSingle(q, started, &req, epoch)
 	}
 
-	m := &fusionMember{req: req, est: est, wantCells: s.wantCells(&req)}
-	g, leader := s.joinWindow(snap, &req, m)
+	m := &fusionMember{
+		req: req, est: est, wantCells: s.wantCells(&req),
+		deadline: started.Sub(s.start).Seconds() + s.cfg.Sched.DeadlineSeconds,
+	}
+	g, leader := s.joinWindow(snap, m)
+	settle()
 	if leader {
-		timer := time.NewTimer(s.cfg.FusionWindow)
-		select {
-		case <-g.full:
-			timer.Stop()
-		case <-timer.C:
-		}
-		s.closeWindow(g)
+		s.holdWindow(g)
 		s.executeFused(g)
 		close(g.done)
 	} else {
@@ -195,45 +228,84 @@ func (s *System) runSingle(q *query.Query, started time.Time, req *table.ScanReq
 	return out, nil
 }
 
+// settle ends a Serve call's time as a possible window partner. The last
+// one out wakes the leaders holding a window for it; when no leader is
+// holding — every cache hit, every solitary miss — it takes no lock.
+func (s *System) settle() {
+	if s.arriving.Add(-1) > 0 || s.holding.Load() == 0 {
+		return
+	}
+	s.fusionMu.Lock()
+	for _, g := range s.fusionGroups {
+		g.nudge()
+	}
+	s.fusionMu.Unlock()
+}
+
+// holdWindow is the leader's wait, and closes the window when it ends. The
+// window stays open only while some other Serve call is still arriving (a
+// partner is microseconds away), and never past g.fireBy or FusionMaxFanIn;
+// with nobody arriving it closes at once, without a timer. Everything that
+// can end or shorten the hold — the last arrival settling, the window
+// filling, a tighter member, the timer — is a nudge, after which the
+// leader looks again. No nudge is lost: the leader publishes holding before
+// it reads arriving, settle decrements arriving before it reads holding,
+// so one sees the other.
+func (s *System) holdWindow(g *fusionGroup) {
+	s.holding.Add(1)
+	defer s.holding.Add(-1)
+	s.fusionMu.Lock()
+	for s.arriving.Load() > 0 && !g.fired {
+		left := g.fireBy - s.nowS()
+		if left <= 0 {
+			break
+		}
+		s.fusionMu.Unlock()
+		timer := time.AfterFunc(time.Duration(left*float64(time.Second)), g.nudge)
+		<-g.wake
+		timer.Stop()
+		s.fusionMu.Lock()
+	}
+	if !g.fired {
+		g.fired = true
+		delete(s.fusionGroups, g.key)
+	}
+	s.fusionMu.Unlock()
+}
+
 // joinWindow adds a member to the open window of its compatibility key,
 // creating one (and making the caller its leader) when none is open.
-func (s *System) joinWindow(snap *table.Snapshot, req *table.ScanRequest, m *fusionMember) (*fusionGroup, bool) {
-	key := strconv.FormatUint(snap.Epoch(), 10) + "/" + table.FusionKey(*req)
+func (s *System) joinWindow(snap *table.Snapshot, m *fusionMember) (*fusionGroup, bool) {
+	key := strconv.FormatUint(snap.Epoch(), 10) + "/" + table.FusionKey(m.req)
+	fireBy := m.deadline - slices.Min(m.est.GPUSeconds)
 	s.fusionMu.Lock()
 	defer s.fusionMu.Unlock()
 	if g, ok := s.fusionGroups[key]; ok && !g.fired {
 		g.members = append(g.members, m)
+		if fireBy < g.fireBy {
+			g.fireBy = fireBy
+			g.nudge() // the leader's timer is now too long
+		}
 		if len(g.members) >= s.cfg.FusionMaxFanIn {
 			g.fired = true
 			delete(s.fusionGroups, key)
-			close(g.full)
+			g.nudge()
 		}
 		return g, false
 	}
 	g := &fusionGroup{
 		key: key, snap: snap,
 		members: []*fusionMember{m},
-		full:    make(chan struct{}),
+		fireBy:  min(fireBy, s.nowS()+s.cfg.FusionWindow.Seconds()),
+		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	if len(g.members) >= s.cfg.FusionMaxFanIn {
-		g.fired = true
-		close(g.full)
+	if s.cfg.FusionMaxFanIn <= 1 {
+		g.fired = true // a window of one is full already
 	} else {
 		s.fusionGroups[key] = g
 	}
 	return g, true
-}
-
-// closeWindow marks the group fired so no further member can join
-// (idempotent with the max-fan-in close in joinWindow).
-func (s *System) closeWindow(g *fusionGroup) {
-	s.fusionMu.Lock()
-	if !g.fired {
-		g.fired = true
-		delete(s.fusionGroups, g.key)
-	}
-	s.fusionMu.Unlock()
 }
 
 // executeFused books and runs one window's members as a single fused GPU
@@ -251,10 +323,12 @@ func (s *System) executeFused(g *fusionGroup) {
 	ests := make([]sched.Estimates, len(members))
 	var reqs []table.ScanRequest
 	var wantCells []bool
+	deadline := members[0].deadline // the job's T_D is its earliest member's
 	for i, m := range members {
 		// The scheduler books the served fan-in (every member pays its ε);
 		// the kernel runs the unique request set.
 		ests[i] = m.est
+		deadline = min(deadline, m.deadline)
 		k := cacheKey(&m.req, table.CanonicalPredOrder(m.req.Predicates))
 		if ui, ok := uniq[k]; ok {
 			rep[i] = ui
@@ -267,7 +341,7 @@ func (s *System) executeFused(g *fusionGroup) {
 		wantCells = append(wantCells, m.wantCells)
 	}
 	s.schedMu.Lock()
-	d, err := s.scheduler.SubmitFused(s.nowS(), ests)
+	d, err := s.scheduler.SubmitFused(s.nowS(), deadline, ests)
 	s.schedMu.Unlock()
 	if err != nil {
 		for _, m := range members {
@@ -280,14 +354,7 @@ func (s *System) executeFused(g *fusionGroup) {
 	t0 := time.Now()
 	answers, execErr := part.ExecuteFused(g.snap, reqs, wantCells)
 	act := time.Since(t0).Seconds()
-	s.schedMu.Lock()
-	s.scheduler.Feedback(d.Queue, act-(d.End-d.Start), s.nowS())
-	if execErr != nil {
-		s.scheduler.ReportFailure(d.Queue, s.nowS())
-	} else {
-		s.scheduler.ReportSuccess(d.Queue)
-	}
-	s.schedMu.Unlock()
+	s.reportGPU(d.Queue, act-(d.End-d.Start), execErr)
 	if execErr != nil {
 		for _, m := range members {
 			m.fallback = true

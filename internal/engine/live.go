@@ -210,14 +210,11 @@ func (p *schedPacer) estimate(bytes int64) float64 {
 func (p *schedPacer) Begin(bytes int64) (done func()) {
 	est := p.estimate(bytes)
 	p.sys.schedMu.Lock()
-	p.sys.scheduler.SubmitMaintenance(0, est)
+	p.sys.scheduler.SubmitMaintenance(p.sys.nowS(), est)
 	p.sys.schedMu.Unlock()
 	t0 := time.Now()
 	return func() {
-		act := time.Since(t0).Seconds()
-		p.sys.schedMu.Lock()
-		p.sys.scheduler.Feedback(sched.QueueRef{Kind: sched.QueueCPU}, act-est, 0)
-		p.sys.schedMu.Unlock()
+		p.sys.feedback(sched.QueueRef{Kind: sched.QueueCPU}, time.Since(t0).Seconds()-est)
 	}
 }
 

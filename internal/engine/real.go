@@ -56,6 +56,29 @@ type realJob struct {
 	snap *table.Snapshot
 }
 
+// feedback reports one job's actual − estimated service time on the
+// system clock. schedMu serialises scheduler access: RunReal's workers,
+// RunGrouped, Serve, Explain and the compaction pacer all share the one
+// set of queue clocks.
+func (s *System) feedback(ref sched.QueueRef, delta float64) {
+	s.schedMu.Lock()
+	s.scheduler.Feedback(ref, delta, s.nowS())
+	s.schedMu.Unlock()
+}
+
+// reportGPU closes one GPU attempt's loop in one critical section: the
+// service-time feedback, then the partition-health verdict.
+func (s *System) reportGPU(ref sched.QueueRef, delta float64, err error) {
+	s.schedMu.Lock()
+	s.scheduler.Feedback(ref, delta, s.nowS())
+	if err != nil {
+		s.scheduler.ReportFailure(ref, s.nowS())
+	} else {
+		s.scheduler.ReportSuccess(ref)
+	}
+	s.schedMu.Unlock()
+}
+
 // retries returns the effective retry budget (negative config disables).
 func (s *System) retries() int {
 	if s.cfg.MaxRetries < 0 {
@@ -98,16 +121,6 @@ func (s *System) RunReal(queries []*query.Query) (*RealResult, error) {
 	}
 
 	start := time.Now()
-	nowS := func() float64 { return time.Since(start).Seconds() }
-
-	// The system-wide schedMu serialises scheduler access: workers here,
-	// concurrent RunGrouped/Explain calls and the compaction pacer all
-	// mutate the same queue clocks.
-	feedback := func(ref sched.QueueRef, delta float64) {
-		s.schedMu.Lock()
-		s.scheduler.Feedback(ref, delta, nowS())
-		s.schedMu.Unlock()
-	}
 
 	var wg sync.WaitGroup
 	done := func(j realJob, r table.ScanResult, est, act float64, err error) {
@@ -139,7 +152,7 @@ func (s *System) RunReal(queries []*query.Query) (*RealResult, error) {
 			t0 := time.Now()
 			r, err := s.AnswerOnCPUAt(j.q, j.snap)
 			act := time.Since(t0).Seconds()
-			feedback(j.decision.Queue, act-j.est.CPUSeconds)
+			s.feedback(j.decision.Queue, act-j.est.CPUSeconds)
 			done(j, r, j.est.CPUSeconds, act, err)
 		}
 	}()
@@ -158,7 +171,7 @@ func (s *System) RunReal(queries []*query.Query) (*RealResult, error) {
 			if err == nil {
 				_, err = query.Translate(j.q, s.dicts())
 			}
-			feedback(transQueue, time.Since(t0).Seconds()-j.est.TransSeconds)
+			s.feedback(transQueue, time.Since(t0).Seconds()-j.est.TransSeconds)
 			if err != nil {
 				if j.attempt+1 < maxAttempts {
 					retryCh <- j
@@ -181,14 +194,7 @@ func (s *System) RunReal(queries []*query.Query) (*RealResult, error) {
 				t0 := time.Now()
 				r, err := s.AnswerOnGPUAt(j.q, i, j.snap)
 				act := time.Since(t0).Seconds()
-				s.schedMu.Lock()
-				s.scheduler.Feedback(j.decision.Queue, act-j.est.GPUSeconds[i], nowS())
-				if err != nil {
-					s.scheduler.ReportFailure(j.decision.Queue, nowS())
-				} else {
-					s.scheduler.ReportSuccess(j.decision.Queue)
-				}
-				s.schedMu.Unlock()
+				s.reportGPU(j.decision.Queue, act-j.est.GPUSeconds[i], err)
 				if err != nil && j.attempt+1 < maxAttempts {
 					retryCh <- j
 					continue
@@ -210,7 +216,7 @@ func (s *System) RunReal(queries []*query.Query) (*RealResult, error) {
 				j.est.TransSeconds = 0
 			}
 			s.schedMu.Lock()
-			d, err := s.scheduler.Resubmit(nowS(), j.decision.Deadline, j.est)
+			d, err := s.scheduler.Resubmit(s.nowS(), j.decision.Deadline, j.est)
 			s.schedMu.Unlock()
 			if err != nil {
 				done(j, table.ScanResult{}, 0, 0,
@@ -239,7 +245,7 @@ func (s *System) RunReal(queries []*query.Query) (*RealResult, error) {
 			break
 		}
 		s.schedMu.Lock()
-		d, err := s.scheduler.Submit(nowS(), est)
+		d, err := s.scheduler.Submit(s.nowS(), est)
 		s.schedMu.Unlock()
 		if err != nil {
 			submitErr = fmt.Errorf("engine: scheduling query %d: %w", q.ID, err)

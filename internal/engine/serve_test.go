@@ -207,52 +207,78 @@ func serveFamilyQuery(rng *rand.Rand, op table.AggOp, measure int) *query.Query 
 	}
 }
 
-// TestServeFusedDifferential is the serving-path soundness pin: concurrent
-// compatible queries fuse into shared scans, and every answer — fused,
-// solo, cached or subsumed — is bit-identical to a fault-free recompute on
-// the placement that produced it.
+// serveTogether serves qs — compatible GPU-bound cache misses — as ONE
+// fused job, without depending on how the scheduler interleaves them: it
+// pins the arriving count at +1 (a partner that never comes, so the window
+// cannot close on idle), waits until one open window holds every query,
+// then releases the pin. The system's FusionWindow and deadline must
+// outlast the wait.
+func serveTogether(t *testing.T, s *System, qs []*query.Query) []ServeOutcome {
+	t.Helper()
+	s.arriving.Add(1)
+	outs := make([]ServeOutcome, len(qs))
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	for i := range qs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = s.Serve(qs[i])
+		}(i)
+	}
+	joined := 0
+	for giveUp := time.Now().Add(20 * time.Second); joined < len(qs) && time.Now().Before(giveUp); {
+		time.Sleep(50 * time.Microsecond)
+		s.fusionMu.Lock()
+		for _, g := range s.fusionGroups {
+			joined = max(joined, len(g.members))
+		}
+		s.fusionMu.Unlock()
+	}
+	s.settle()
+	wg.Wait()
+	if joined < len(qs) {
+		t.Fatalf("only %d of %d queries joined one window", joined, len(qs))
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+	}
+	return outs
+}
+
+// TestServeFusedDifferential is the serving-path soundness pin: K
+// compatible queries inside Serve together run as exactly one fused job
+// of fan-in K, and every answer — fused or cached — is bit-identical to a
+// fault-free recompute on the placement that produced it.
 func TestServeFusedDifferential(t *testing.T) {
 	s := testSystem(t, func(spec *SetupSpec) {
 		spec.Fusion = true
-		spec.FusionWindow = 100 * time.Millisecond
+		spec.FusionWindow = time.Minute
+		spec.DeadlineSeconds = 60
 		spec.Cache = true
 	})
 	rng := rand.New(rand.NewSource(11))
 	ops := []table.AggOp{table.AggSum, table.AggCount, table.AggMin, table.AggMax, table.AggAvg, table.AggCount}
 
-	maxFanIn := 0
-	for round := 0; round < 4; round++ {
+	const rounds = 4
+	for round := 0; round < rounds; round++ {
 		k := len(ops)
 		qs := make([]*query.Query, k)
 		for i := range qs {
 			qs[i] = serveFamilyQuery(rng, ops[i], rng.Intn(2))
 			qs[i].ID = int64(round*k + i)
 		}
-		outs := make([]ServeOutcome, k)
-		errs := make([]error, k)
-		start := make(chan struct{})
-		var wg sync.WaitGroup
+		outs := serveTogether(t, s, qs)
 		for i := range qs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				<-start
-				outs[i], errs[i] = s.Serve(qs[i])
-			}(i)
-		}
-		close(start)
-		wg.Wait()
-		for i := range qs {
-			if errs[i] != nil {
-				t.Fatalf("round %d member %d: %v", round, i, errs[i])
-			}
-			if outs[i].FanIn > maxFanIn {
-				maxFanIn = outs[i].FanIn
+			if !outs[i].Fused || outs[i].FanIn != k || outs[i].Queue != outs[0].Queue {
+				t.Fatalf("round %d member %d: not one fused job of %d: %+v", round, i, k, outs[i])
 			}
 			want := faultFreeAt(t, s, qs[i], outs[i].Queue)
 			if !resultBits(outs[i].Result, want) {
-				t.Fatalf("round %d member %d (op %v, fused=%v cache=%v/%v, queue %s): got (%v, %d), want (%v, %d)",
-					round, i, ops[i], outs[i].Fused, outs[i].CacheHit, outs[i].Subsumed, outs[i].Queue,
+				t.Fatalf("round %d member %d (op %v, queue %s): got (%v, %d), want (%v, %d)",
+					round, i, ops[i], outs[i].Queue,
 					outs[i].Result.Value, outs[i].Result.Rows, want.Value, want.Rows)
 			}
 		}
@@ -269,10 +295,10 @@ func TestServeFusedDifferential(t *testing.T) {
 	}
 
 	st := s.Scheduler().Stats()
-	if st.FusedJobs == 0 || maxFanIn < 2 {
-		t.Fatalf("fusion never engaged: stats %+v, max fan-in %d", st, maxFanIn)
+	if st.FusedJobs != rounds || st.FusedMembers != int64(rounds*len(ops)) || st.PredictedLate != 0 {
+		t.Fatalf("want %d fused jobs of %d members, none late: %+v", rounds, len(ops), st)
 	}
-	if cs := s.CacheStats(); cs.Hits == 0 || cs.Stores == 0 {
+	if cs := s.CacheStats(); cs.Hits != rounds || cs.Stores == 0 {
 		t.Fatalf("cache never engaged: %+v", cs)
 	}
 }

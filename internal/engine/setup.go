@@ -60,9 +60,11 @@ type SetupSpec struct {
 	// MaxRetries bounds re-booking of failed GPU attempts (default 2;
 	// negative disables retries).
 	MaxRetries int
-	// Fusion enables the Serve fusion window; FusionWindow and
-	// FusionMaxFanIn tune it (defaults 1ms, 64). FusionEpsilonSeconds is
-	// the scheduler's per-member shared-scan overhead ε.
+	// Fusion enables the Serve fusion window; FusionMaxFanIn (default 64)
+	// caps its members and FusionWindow (default 1ms) is an upper bound on
+	// the leader's hold — the window closes as soon as no request can
+	// still join. FusionEpsilonSeconds is the scheduler's per-member
+	// shared-scan overhead ε.
 	Fusion               bool
 	FusionWindow         time.Duration
 	FusionMaxFanIn       int

@@ -38,9 +38,12 @@ func FanInBucket(k int) int {
 // pressure turns into throughput. Members must be pre-translated (the
 // engine translates before the fusion window closes) and the combined job
 // is GPU-only: shared scans target the fact-table path, never the CPU
-// cube walk. The decision's queue, window and deadline apply to every
+// cube walk. deadline is the absolute T_D of the job — the earliest
+// member's arrival + T_C, so time a member spent waiting in the fusion
+// window is charged against its T_C instead of earning a fresh one at
+// fire time. The decision's queue, window and deadline apply to every
 // member; the caller reports one Feedback/outcome for the whole job.
-func (s *Scheduler) SubmitFused(now float64, members []Estimates) (Decision, error) {
+func (s *Scheduler) SubmitFused(now, deadline float64, members []Estimates) (Decision, error) {
 	if len(members) == 0 {
 		return Decision{}, fmt.Errorf("sched: fused submission needs at least one member")
 	}
@@ -65,7 +68,7 @@ func (s *Scheduler) SubmitFused(now float64, members []Estimates) (Decision, err
 	for i := range combined.GPUSeconds {
 		combined.GPUSeconds[i] += overhead
 	}
-	d, err := s.submit(now, now+s.cfg.DeadlineSeconds, combined, &s.stats.Submitted)
+	d, err := s.submit(now, deadline, combined, &s.stats.Submitted)
 	if err != nil {
 		return Decision{}, err
 	}

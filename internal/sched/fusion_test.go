@@ -21,7 +21,7 @@ func TestSubmitFusedBooksMaxPlusEpsilon(t *testing.T) {
 		{GPUSeconds: []float64{0.80, 0.80, 0.40, 0.40, 0.20, 0.20}},
 		{GPUSeconds: []float64{0.60, 0.60, 0.30, 0.30, 0.15, 0.15}},
 	}
-	d, err := s.SubmitFused(0, members)
+	d, err := s.SubmitFused(0, 1, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSubmitFusedBeatsSequential(t *testing.T) {
 	est := Estimates{GPUSeconds: []float64{0.40, 0.40, 0.20, 0.20, 0.10, 0.10}}
 	members := []Estimates{est, est, est, est}
 
-	fd, err := fusedS.SubmitFused(0, members)
+	fd, err := fusedS.SubmitFused(0, 1, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,53 @@ func TestSubmitFusedBeatsSequential(t *testing.T) {
 	}
 }
 
+// TestSubmitFusedDeadline pins what a fused booking is held to: the
+// deadline its caller passes (the earliest member's arrival + T_C), not a
+// fresh now + T_C at fire time — so time members spent in the fusion
+// window counts against T_C.
+func TestSubmitFusedDeadline(t *testing.T) {
+	est := Estimates{GPUSeconds: []float64{0.40, 0.40, 0.20, 0.20, 0.10, 0.10}}
+	cases := []struct {
+		name          string
+		now, deadline float64
+		meets         bool
+	}{
+		{"fired at arrival", 0, 1, true},
+		{"window time charged, slowest partition still fits", 0.5, 1, true},
+		{"only the fast partitions fit", 0.85, 1, true},
+		{"window outlasted the slack", 0.95, 1, false},
+		{"fired after the deadline", 1.5, 1, false},
+		{"late arrival, own deadline", 1.5, 2.5, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := fusionTestScheduler(t)
+			d, err := s.SubmitFused(c.now, c.deadline, []Estimates{est, est})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Deadline != c.deadline {
+				t.Fatalf("booked deadline %v, want the members' %v", d.Deadline, c.deadline)
+			}
+			if d.Start < c.now {
+				t.Fatalf("job starts at %v, before it was fired at %v", d.Start, c.now)
+			}
+			if d.MeetsDeadline != c.meets || d.MeetsDeadline != (d.End <= c.deadline) {
+				t.Fatalf("End %v vs deadline %v: MeetsDeadline %v, want %v", d.End, c.deadline, d.MeetsDeadline, c.meets)
+			}
+			if late := s.Stats().PredictedLate; (late == 1) == c.meets {
+				t.Fatalf("PredictedLate = %d with meets = %v", late, c.meets)
+			}
+		})
+	}
+}
+
 func TestSubmitFusedCustomEpsilon(t *testing.T) {
 	s, err := New(Config{GPUWidths: []int{2}, DeadlineSeconds: 1, FusionEpsilonSeconds: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.SubmitFused(0, []Estimates{
+	d, err := s.SubmitFused(0, 1, []Estimates{
 		{GPUSeconds: []float64{0.1}},
 		{GPUSeconds: []float64{0.2}},
 	})
@@ -96,10 +137,10 @@ func TestSubmitFusedCustomEpsilon(t *testing.T) {
 
 func TestSubmitFusedValidation(t *testing.T) {
 	s := fusionTestScheduler(t)
-	if _, err := s.SubmitFused(0, nil); err == nil {
+	if _, err := s.SubmitFused(0, 1, nil); err == nil {
 		t.Error("empty member list accepted")
 	}
-	if _, err := s.SubmitFused(0, []Estimates{{GPUSeconds: []float64{1}}}); err == nil {
+	if _, err := s.SubmitFused(0, 1, []Estimates{{GPUSeconds: []float64{1}}}); err == nil {
 		t.Error("wrong estimate arity accepted")
 	}
 	if st := s.Stats(); st.FusedJobs != 0 || st.Submitted != 0 {

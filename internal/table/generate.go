@@ -32,6 +32,16 @@ func Generate(spec GenSpec) (*FactTable, error) {
 	if err != nil {
 		return nil, err
 	}
+	b.Grow(spec.Rows)
+	if err := generateInto(b, spec); err != nil {
+		return nil, err
+	}
+	return b.Build()
+}
+
+// generateInto appends spec's rows to b (any capacity: the rows depend on
+// the seed alone).
+func generateInto(b *Builder, spec GenSpec) error {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	max := spec.MeasureMax
 	if max <= 0 {
@@ -67,10 +77,10 @@ func Generate(spec GenSpec) (*FactTable, error) {
 			row.Texts[i] = pools[i][rng.Intn(len(pools[i]))]
 		}
 		if err := b.Append(row); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return b.Build()
+	return nil
 }
 
 // PaperSchema returns the evaluation configuration of Sec. IV: "the GPU has

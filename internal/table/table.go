@@ -127,6 +127,31 @@ func (b *Builder) Append(r Row) error {
 // Rows returns the number of tuples appended so far.
 func (b *Builder) Rows() int { return b.rows }
 
+// Grow reserves room for n more rows in every column. A builder told its
+// final row count up front never regrows a column, so the built table's
+// columns end with cap == len instead of carrying append's spare capacity
+// for the life of the table.
+func (b *Builder) Grow(n int) {
+	for d := range b.dimCoord {
+		b.dimCoord[d] = grow(b.dimCoord[d], n)
+	}
+	for m := range b.measures {
+		b.measures[m] = grow(b.measures[m], n)
+	}
+	for i := range b.textProv {
+		b.textProv[i] = grow(b.textProv[i], n)
+	}
+}
+
+// grow returns s with room for exactly n more elements (make, not append:
+// append rounds the capacity up to a size class).
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
 // Build freezes the builder: derives every coarser-level column from the
 // finest coordinates, builds per-column dictionaries (order-preserving
 // Sorted kind) and rewrites provisional text codes to final codes.

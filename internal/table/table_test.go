@@ -2,8 +2,11 @@ package table
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"hybridolap/internal/dict"
 )
 
 func smallSchema() Schema {
@@ -144,6 +147,78 @@ func TestGenerateDeterministic(t *testing.T) {
 	for r := 0; r < a.Rows(); r++ {
 		if a.CoordAt(r, 0, 1) != b.CoordAt(r, 0, 1) || a.MeasureColumn(0)[r] != b.MeasureColumn(0)[r] {
 			t.Fatalf("generation not deterministic at row %d", r)
+		}
+	}
+}
+
+// TestGenerateGrowIdentical pins the preallocation contract: Grow changes
+// capacities only. A table generated into a pre-sized builder has the same
+// columns and dictionaries as one whose columns were append-grown, and
+// none of its columns carries spare capacity.
+func TestGenerateGrowIdentical(t *testing.T) {
+	spec := GenSpec{Schema: PaperSchema(), Rows: 3001, Seed: 7}
+	grown, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBuilder(spec.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := generateInto(b, spec); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.Rows() != spec.Rows || plain.Rows() != spec.Rows {
+		t.Fatalf("rows: grown %d, plain %d, want %d", grown.Rows(), plain.Rows(), spec.Rows)
+	}
+	codes := func(name string, g, p []uint32) {
+		t.Helper()
+		if !slices.Equal(g, p) {
+			t.Fatalf("%s differs with Grow", name)
+		}
+		if cap(g) != len(g) {
+			t.Fatalf("%s: cap %d != len %d", name, cap(g), len(g))
+		}
+	}
+	sc := grown.Schema()
+	for d, dim := range sc.Dimensions {
+		for l := range dim.Levels {
+			codes(dim.Name+"."+dim.Levels[l].Name, grown.DimLevelColumn(d, l), plain.DimLevelColumn(d, l))
+		}
+	}
+	for m, ms := range sc.Measures {
+		g, p := grown.MeasureColumn(m), plain.MeasureColumn(m)
+		for r := range g {
+			if math.Float64bits(g[r]) != math.Float64bits(p[r]) {
+				t.Fatalf("measure %s row %d differs with Grow", ms.Name, r)
+			}
+		}
+		if len(g) != len(p) || cap(g) != len(g) {
+			t.Fatalf("measure %s: len %d/%d cap %d", ms.Name, len(g), len(p), cap(g))
+		}
+	}
+	for i, ts := range sc.Texts {
+		codes(ts.Name, grown.TextColumn(i), plain.TextColumn(i))
+		n := grown.Dicts().DictLen(ts.Name)
+		if n == 0 || n != plain.Dicts().DictLen(ts.Name) {
+			t.Fatalf("dictionary %s: %d vs %d entries", ts.Name, n, plain.Dicts().DictLen(ts.Name))
+		}
+		for id := 0; id < n; id++ {
+			gs, err := grown.Dicts().Decode(ts.Name, dict.ID(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := plain.Dicts().Decode(ts.Name, dict.ID(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gs != ps {
+				t.Fatalf("dictionary %s id %d: %q vs %q", ts.Name, id, gs, ps)
+			}
 		}
 	}
 }

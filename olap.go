@@ -71,8 +71,11 @@ type Options struct {
 	// negative disables retries).
 	MaxRetries int
 	// Fusion enables the Serve fusion window: compatible GPU-bound queries
-	// arriving within FusionWindow are executed as one shared scan of up to
-	// FusionMaxFanIn members (defaults 1ms, 64).
+	// that are inside Serve together are executed as one shared scan of up
+	// to FusionMaxFanIn members (default 64). FusionWindow (default 1ms) is
+	// an upper bound on how long the first arrival holds the window, not a
+	// fixed wait: the window closes as soon as no request can still join,
+	// and never later than the tightest member's deadline allows.
 	Fusion         bool
 	FusionWindow   time.Duration
 	FusionMaxFanIn int
