@@ -155,6 +155,33 @@ func BenchmarkServeSoloMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkServeCPUBypass measures the serving path's other solo route: a
+// cube-answerable query, which bypasses the fusion window and goes
+// estimate → Submit → cube walk → Feedback on the caller's goroutine.
+// Fusion on, cache off (every call must execute), 100K rows; the cube walk
+// itself is a few µs, so this reads the per-query cost of the attempt loop.
+func BenchmarkServeCPUBypass(b *testing.B) {
+	sys, err := engine.Setup(engine.SetupSpec{Rows: 100_000, Seed: 1, Fusion: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := &query.Query{
+		Conditions: []query.Condition{{Dim: 0, Level: 1, From: 2, To: 9}},
+		Op:         table.AggSum,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := sys.Serve(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Queue.Kind != sched.QueueCPU || out.Fused {
+			b.Fatalf("want a CPU bypass, got %+v", out)
+		}
+	}
+}
+
 // BenchmarkModelEngine10k measures the discrete-event system model:
 // 10 000 scheduled queries on virtual time per iteration.
 func BenchmarkModelEngine10k(b *testing.B) {

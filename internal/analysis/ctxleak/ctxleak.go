@@ -3,9 +3,12 @@
 // closing the channel they range over, and loop goroutines that ignore
 // cancellation entirely.
 //
-// The motivating code is the engine's real-execution mode and the GPU
-// partition simulator: both fan work out to per-resource worker
-// goroutines fed by channels (Fig. 10's per-partition queues). The
+// The motivating code was the engine's real-execution mode and the GPU
+// partition simulator: both fanned work out to per-resource worker
+// goroutines fed by channels (Fig. 10's per-partition queues). Neither
+// does any more — gpusim drains a shared cursor and the engine runs one
+// inline attempt loop — so rule 1 now guards against the shape coming
+// back (ROADMAP item 7 audits whether that earns its keep). The
 // producer's happy path closes every channel after the final task, but an
 // early `return err` between `go worker(ch)` and `close(ch)` strands the
 // worker in a permanent channel receive — invisible to tests (the process

@@ -7,8 +7,8 @@
 // simulation run to host load, making traces unreproducible and T_Q
 // estimates unfalsifiable. Those packages must route all timing through
 // the injected sim.Clock; measurement packages (internal/membench,
-// internal/engine's RunReal) legitimately read the wall clock and are out
-// of scope.
+// internal/engine's real path, whose attempt loop times every step it
+// feeds back) legitimately read the wall clock and are out of scope.
 package simclock
 
 import (

@@ -43,7 +43,7 @@ type Result struct {
 // translate resolves text predicates against the GLOBAL dictionary set —
 // shard views share it, so one translation is valid on every node. A
 // dictionary miss storm (fault.DictLookup) fails the attempt and retries
-// within the failover budget, like the engine's translation worker.
+// within the failover budget, like the engine's attempt loop.
 func (c *Cluster) translate(q *query.Query) error {
 	if !q.NeedsTranslation() {
 		return nil

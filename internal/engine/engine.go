@@ -10,11 +10,12 @@
 //     model ... based on characteristics extracted from performance
 //     measurements") and is what reproduces the throughput tables.
 //
-//   - RunReal executes every query for real: goroutine worker partitions
-//     aggregate actual cubes, translate actual dictionaries and scan the
-//     actual fact table, at laptop scale on the wall clock. It exists to
-//     prove functional correctness end to end: both paths return identical
-//     answers.
+//   - The real path executes every query for real: actual cubes are
+//     aggregated, actual dictionaries translated and the actual fact table
+//     scanned, at laptop scale on the wall clock. One inline attempt loop
+//     (real.go) carries a query from booking to answer; RunReal, RunGrouped
+//     and Serve are its entry points. It exists to prove functional
+//     correctness end to end: both paths return identical answers.
 package engine
 
 import (
@@ -100,9 +101,9 @@ type System struct {
 	totalCols int
 
 	// schedMu serialises all scheduler mutation (Submit, Feedback,
-	// SubmitMaintenance) and consistent reads (Peek, Stats): RunReal
-	// workers, RunGrouped, Explain and the compaction pacer all share the
-	// one scheduler.
+	// SubmitMaintenance) and consistent reads (Peek, Stats): every attempt
+	// loop, the fused path, Explain and the compaction pacer share the one
+	// scheduler.
 	schedMu sync.Mutex
 
 	// start anchors nowS, the one clock every real-path scheduler call

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"hybridolap/internal/fault"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -17,7 +16,7 @@ import (
 // GPU-bound queries fused into shared scans.
 //
 //	pin epoch → translate → cache lookup → estimate
-//	  ├── CPU-answerable or fusion off → RunReal (cube walk / solo scan)
+//	  ├── CPU-answerable or fusion off → attempt loop (cube walk / solo scan)
 //	  └── GPU-bound → fusion window → ONE fused job for K members
 //
 // A window closes once no other Serve call can still join it (a solitary
@@ -28,8 +27,9 @@ import (
 // answers to solo execution on the same partition (the gpusim fused
 // kernels pin this), cache hits replay stored execution bits or exact
 // count/min/max folds, and a fused job failure sends every member through
-// RunReal's deadline-aware retry path individually, so fusion never
-// reduces fault tolerance.
+// the deadline-aware attempt loop individually, so fusion never reduces
+// fault tolerance. Whatever route answers, it answers the epoch pinned
+// here.
 type ServeOutcome struct {
 	Result table.ScanResult
 	// Queue is the placement that produced the answer (for cache hits,
@@ -108,20 +108,17 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	defer settle()
 	q := q0.Clone()
 	snap := s.pin()
-	epoch := snap.Epoch()
 
 	// Translate before the window: fused members must already be integer
-	// predicates. A dictionary fault here falls back to the full RunReal
-	// path, whose translation worker owns deadline-aware retries.
-	if q.NeedsTranslation() {
-		if err := s.cfg.Faults.Check(fault.DictLookup, -1); err != nil {
-			settle()
-			return s.runSingle(q0, started, nil, epoch)
+	// predicates. A dictionary fault here leaves the translation to the
+	// attempt loop, which owns deadline-aware retries.
+	if q.NeedsTranslation() && s.translate(q) != nil {
+		est, err := s.Estimate(q)
+		if err != nil {
+			return ServeOutcome{}, err
 		}
-		if _, err := query.Translate(q, s.dicts()); err != nil {
-			settle()
-			return s.runSingle(q0, started, nil, epoch)
-		}
+		settle()
+		return s.serveAlone(q, snap, est, 0, started)
 	}
 	req, empty, err := q.ToScanRequest(s.cfg.Table.Schema())
 	if err != nil {
@@ -134,7 +131,7 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	}
 
 	if s.cache != nil {
-		if ans, ok := s.cache.lookup(&req, epoch); ok {
+		if ans, ok := s.cache.lookup(&req, snap.Epoch()); ok {
 			return ServeOutcome{
 				Result: ans.result, Queue: ans.queue,
 				CacheHit: true, Subsumed: ans.subsumed,
@@ -151,7 +148,7 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	// GPU fact-table path, and the cube walk is already cheap.
 	if !s.cfg.FusionEnabled || est.CPUOK {
 		settle()
-		return s.runSingle(q, started, &req, epoch)
+		return s.serveAlone(q, snap, est, 0, started)
 	}
 
 	m := &fusionMember{
@@ -168,9 +165,10 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 		<-g.done
 	}
 	if m.fallback {
-		// Fused booking or execution failed: this member retries alone
-		// through the existing deadline-aware retry path.
-		return s.runSingle(q, started, &req, epoch)
+		// Fused booking or execution failed: this member retries alone,
+		// re-booked against its own arrival + T_C — the window wait and the
+		// failed scan are charged to it, not forgiven.
+		return s.serveAlone(q, snap, est, m.deadline, started)
 	}
 	m.out.Latency = time.Since(started)
 	return m.out, nil
@@ -202,28 +200,25 @@ func (s *System) wantCells(req *table.ScanRequest) bool {
 	return coverage >= cellCoverageFloor
 }
 
-// runSingle answers one query through RunReal (scheduling, feedback,
-// retries included) and caches the answer when req is known.
-func (s *System) runSingle(q *query.Query, started time.Time, req *table.ScanRequest, epoch uint64) (ServeOutcome, error) {
-	res, err := s.RunReal([]*query.Query{q})
-	if err != nil {
-		return ServeOutcome{}, err
-	}
-	o := res.Outcomes[0]
+// serveAlone takes one query through the attempt loop (scheduling,
+// feedback, retries included) and caches the answer under the epoch Serve
+// pinned, which is the epoch the loop answered. A zero deadline is a first
+// booking. The loop gets its own clone: its answer callbacks take the
+// query to the heap, and Serve's copy — all a cache hit ever touches —
+// stays on the stack.
+func (s *System) serveAlone(q *query.Query, snap *table.Snapshot, est sched.Estimates, deadline float64, started time.Time) (ServeOutcome, error) {
+	j := &job{q: q.Clone(), snap: snap, est: est, d: sched.Decision{Deadline: deadline}}
+	r, err := run(s, j, scalar)
 	out := ServeOutcome{
-		Result: o.Result, Queue: o.Queue,
-		Attempts: o.Attempts, Latency: time.Since(started),
+		Result: r, Queue: j.d.Queue,
+		Attempts: j.attempts, Latency: time.Since(started),
 	}
-	if o.Err != nil {
-		return out, o.Err
+	if err != nil || s.cache == nil {
+		return out, err
 	}
-	if s.cache != nil && req != nil {
-		// RunReal pins its own epoch; epochs are monotone, so the answer is
-		// from the epoch Serve pinned iff no newer epoch has been published
-		// by now. Skip the store otherwise — never cache cross-epoch bits.
-		if s.pin().Epoch() == epoch {
-			s.cache.store(req, epoch, o.Result, nil, o.Queue)
-		}
+	// The loop has translated whatever Serve could not.
+	if req, empty, err := j.q.ToScanRequest(s.cfg.Table.Schema()); err == nil && !empty {
+		s.cache.store(&req, j.snap.Epoch(), r, nil, j.d.Queue)
 	}
 	return out, nil
 }

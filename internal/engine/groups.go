@@ -2,11 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
-	"hybridolap/internal/fault"
 	"hybridolap/internal/query"
-	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
 )
 
@@ -77,71 +74,18 @@ func (s *System) ReferenceGroups(q *query.Query) ([]table.GroupRow, error) {
 }
 
 // RunGrouped schedules one grouped query with the Fig. 10 algorithm (its
-// estimates already include the grouping columns in C_QD) and executes it
-// synchronously on the chosen partition. Grouped queries are interactive
-// drill-downs, so the synchronous path matches how they are used: a
-// failed GPU attempt reports partition health and is re-booked inline
-// (same absolute deadline) until the retry budget runs out.
+// estimates already include the grouping columns in C_QD) and takes it
+// through the attempt loop on the caller's goroutine. Grouped queries are
+// interactive drill-downs, so the synchronous call matches how they are
+// used.
 func (s *System) RunGrouped(q *query.Query) ([]table.GroupRow, string, error) {
-	qq := q.Clone()
-	est, err := s.Estimate(qq)
+	j, err := s.newJob(q)
 	if err != nil {
 		return nil, "", err
 	}
-	s.schedMu.Lock()
-	d, err := s.scheduler.Submit(s.nowS(), est)
-	s.schedMu.Unlock()
+	rows, err := run(s, &j, grouped)
 	if err != nil {
 		return nil, "", err
 	}
-	snap := s.pin() // bind-time epoch: stable across translation + scan
-	for attempt := 0; ; attempt++ {
-		rows, route, err := s.groupedAttempt(qq, est, d, snap)
-		// CPU failures are deterministic, so only translation and GPU
-		// attempts are re-booked.
-		if err == nil || d.Queue.Kind == sched.QueueCPU || attempt+1 >= 1+s.retries() {
-			return rows, route, err
-		}
-		est.NeedsTranslation = qq.NeedsTranslation()
-		if !est.NeedsTranslation {
-			est.TransSeconds = 0
-		}
-		s.schedMu.Lock()
-		d, err = s.scheduler.Resubmit(s.nowS(), d.Deadline, est)
-		s.schedMu.Unlock()
-		if err != nil {
-			return nil, "", err
-		}
-	}
-}
-
-// groupedAttempt runs one booked attempt of a grouped query — translation
-// if still owed, then the chosen partition — and reports what each step
-// took (and, for a GPU partition, its health) back to the scheduler.
-func (s *System) groupedAttempt(qq *query.Query, est sched.Estimates, d sched.Decision, snap *table.Snapshot) ([]table.GroupRow, string, error) {
-	if qq.NeedsTranslation() {
-		// Translation rides the chaos layer like every other dictionary
-		// path: an injected miss storm (fault.DictLookup) fails this
-		// attempt and goes through the retry budget with the same absolute
-		// deadline — not through partition health, which the dictionary
-		// cannot implicate.
-		t0 := time.Now()
-		err := s.cfg.Faults.Check(fault.DictLookup, -1)
-		if err == nil {
-			_, err = query.Translate(qq, s.dicts())
-		}
-		s.feedback(sched.QueueRef{Kind: sched.QueueCPU, Index: -1}, time.Since(t0).Seconds()-est.TransSeconds)
-		if err != nil {
-			return nil, "", err
-		}
-	}
-	t0 := time.Now()
-	if d.Queue.Kind == sched.QueueCPU {
-		rows, err := s.answerGroupsOnCPUAt(qq, snap)
-		s.feedback(d.Queue, time.Since(t0).Seconds()-est.CPUSeconds)
-		return rows, "cpu", err
-	}
-	rows, err := s.AnswerGroupsOnGPUAt(qq, d.Queue.Index, snap)
-	s.reportGPU(d.Queue, time.Since(t0).Seconds()-est.GPUSeconds[d.Queue.Index], err)
-	return rows, d.Queue.String(), err
+	return rows, j.d.Queue.String(), nil
 }

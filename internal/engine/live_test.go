@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -97,13 +98,32 @@ func TestLiveIngestVisibleToRunReal(t *testing.T) {
 	groupRowsEqual(t, got, ref, "live-grouped")
 }
 
-// TestLiveConcurrentIngestQueryCompact drives writers, scalar and grouped
-// readers, and the background compactor against one live system; run with
-// -race this is the engine-level concurrency check for the write path.
+// TestLiveConcurrentIngestQueryCompact drives writers, scalar, grouped and
+// Serve readers (fusion and cache on), and the background compactor
+// against one live system; run with -race this is the engine-level
+// concurrency check for the write path.
 func TestLiveConcurrentIngestQueryCompact(t *testing.T) {
 	const baseRows, writers, batches, perBatch = 2000, 2, 10, 20
-	s := liveSystem(t, baseRows)
+	s, err := Setup(SetupSpec{Rows: baseRows, Seed: 1, Live: true, Fusion: true, Cache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Live().Close(); err != nil {
+			t.Errorf("closing live store: %v", err)
+		}
+	})
 	store := s.Live()
+	// One query per Serve route, exact ops only (count/min/max compare with
+	// == against the sequential reference): a cube walk that bypasses the
+	// window, a GPU-bound window member, and a text predicate on a string
+	// only ingested rows carry.
+	served := []*query.Query{
+		{Op: table.AggCount},
+		{Conditions: []query.Condition{{Dim: 0, Level: 1, From: 1, To: 20}}, Op: table.AggMax},
+		serveFamilyQuery(rand.New(rand.NewSource(4)), table.AggCount, 0),
+		{TextConds: []query.TextCondition{{Column: "customer_city", From: "live city 1", To: "live city 1"}}, Op: table.AggMin, Measure: 1},
+	}
 	if store.StartCompactor(ingest.CompactorConfig{MinDeltas: 2, Interval: time.Millisecond}) == nil {
 		t.Fatal("compactor did not start")
 	}
@@ -168,6 +188,17 @@ func TestLiveConcurrentIngestQueryCompact(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				for _, sq := range served {
+					out, err := s.Serve(sq)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if out.Result.Rows > total {
+						t.Errorf("served %d rows, more than were ever written (%d)", out.Result.Rows, total)
+						return
+					}
+				}
 			}
 		}()
 	}
@@ -204,5 +235,28 @@ func TestLiveConcurrentIngestQueryCompact(t *testing.T) {
 	}
 	if o := res.Outcomes[0]; o.Err != nil || o.Result.Rows != total {
 		t.Fatalf("final count = (%d, %v), want %d", o.Result.Rows, o.Err, total)
+	}
+
+	// Serve caches what it answered under the epoch it pinned, so whatever
+	// the racing readers left behind, a re-serve now — an exact hit or a
+	// fresh execution, the compactor may still publish an epoch between
+	// the two — is the final row set's answer.
+	for i, sq := range served {
+		want, err := s.Reference(sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			out, err := s.Serve(sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Subsumed || out.Result != want {
+				t.Fatalf("served query %d pass %d: %+v, want %+v", i, pass, out, want)
+			}
+		}
+	}
+	if cs := s.CacheStats(); cs.Stores == 0 || cs.Hits == 0 {
+		t.Fatalf("Serve never stored or never hit: %+v", cs)
 	}
 }

@@ -41,25 +41,75 @@ type RealResult struct {
 	SchedStats sched.Stats
 }
 
-// realJob carries a scheduled query to its partition worker.
-type realJob struct {
-	q        *query.Query
-	decision sched.Decision
-	est      sched.Estimates
-	started  time.Time
-	slot     int // index into outcomes
-	attempt  int // 0-based attempt counter
-	// snap is the epoch pinned at bind time (nil on static systems): the
-	// worker answers exactly this snapshot no matter how much ingest or
-	// compaction happens while the job queues. Retries keep the original
-	// pin, so a query's answer is independent of how many attempts it took.
+// job is one query on the real path: what the attempt loop books, answers
+// and, on failure, re-books.
+type job struct {
+	q *query.Query // a clone: translation mutates it
+	// snap is the epoch pinned at bind time. Every attempt answers exactly
+	// this snapshot whatever ingest and compaction do meanwhile, so an
+	// answer does not depend on how many attempts it took.
 	snap *table.Snapshot
+	est  sched.Estimates
+	// d is the current booking. d.Deadline, the absolute T_D on the nowS
+	// clock, is zero until the first booking — a Submit — stamps now + T_C;
+	// every later booking is a Resubmit against the same T_D, so a retry
+	// competes for the slack that remains instead of earning a fresh T_C.
+	// A member of a failed fused job arrives with its arrival + T_C set.
+	d          sched.Decision
+	attempts   int
+	estS, actS float64 // service time of the step that ended the last attempt
 }
 
-// feedback reports one job's actual − estimated service time on the
-// system clock. schedMu serialises scheduler access: RunReal's workers,
-// RunGrouped, Serve, Explain and the compaction pacer all share the one
-// set of queue clocks.
+// newJob clones the caller's query, prices it (Fig. 10 step 2) and pins
+// the epoch it will answer.
+func (s *System) newJob(q *query.Query) (job, error) {
+	qq := q.Clone()
+	est, err := s.Estimate(qq)
+	return job{q: qq, snap: s.pin(), est: est}, err
+}
+
+// answerer is how one kind of query is answered on either side, over a
+// pinned epoch; the GPU side takes the partition index.
+type answerer[T any] struct {
+	cpu func(*System, *query.Query, *table.Snapshot) (T, error)
+	gpu func(*System, *query.Query, int, *table.Snapshot) (T, error)
+}
+
+var (
+	scalar  = answerer[table.ScanResult]{(*System).AnswerOnCPUAt, (*System).AnswerOnGPUAt}
+	grouped = answerer[[]table.GroupRow]{(*System).answerGroupsOnCPUAt, (*System).AnswerGroupsOnGPUAt}
+)
+
+// lanes holds one mutex per queue (translation, CPU, then the GPU
+// partitions) for the jobs of one RunReal batch: a partition works one job
+// at a time, so of a batch spread over several goroutines at most one job
+// executes per queue. Separate calls are not serialised against each other
+// (concurrent Serve calls overlap on a partition): their lanes are nil,
+// and every lock of a nil lanes is free.
+type lanes []sync.Mutex
+
+type free struct{}
+
+func (free) Lock()   {}
+func (free) Unlock() {}
+
+// lane indexes lanes: the CPU partition is queue index 0, translation −1.
+func lane(ref sched.QueueRef) int {
+	if ref.Kind == sched.QueueGPU {
+		return 2 + ref.Index
+	}
+	return 1 + ref.Index
+}
+
+func (l lanes) of(ref sched.QueueRef) sync.Locker {
+	if l == nil {
+		return free{}
+	}
+	return &l[lane(ref)]
+}
+
+// feedback reports one step's actual − estimated service time on the
+// system clock.
 func (s *System) feedback(ref sched.QueueRef, delta float64) {
 	s.schedMu.Lock()
 	s.scheduler.Feedback(ref, delta, s.nowS())
@@ -79,188 +129,177 @@ func (s *System) reportGPU(ref sched.QueueRef, delta float64, err error) {
 	s.schedMu.Unlock()
 }
 
-// retries returns the effective retry budget (negative config disables).
-func (s *System) retries() int {
-	if s.cfg.MaxRetries < 0 {
-		return 0
+// book places the job with the configured policy and commits the chosen
+// queue's clock (see job.d for Submit against Resubmit).
+func (s *System) book(j *job) error {
+	s.schedMu.Lock()
+	defer s.schedMu.Unlock()
+	var d sched.Decision
+	var err error
+	if j.d.Deadline == 0 {
+		d, err = s.scheduler.Submit(s.nowS(), j.est)
+	} else {
+		d, err = s.scheduler.Resubmit(s.nowS(), j.d.Deadline, j.est)
 	}
-	return s.cfg.MaxRetries
+	if err == nil {
+		j.d = d // a failed re-booking leaves the last placement on record
+	}
+	return err
 }
 
-// RunReal executes every query for real: the scheduler (driven by the wall
-// clock) places each query; goroutine workers embody the partitions — one
-// for the CPU cube partition, one for the translation partition and one
-// per GPU partition. Queries routed to the GPU with text predicates pass
-// through the translation worker first, exactly like the paper's pipeline.
+// translate resolves the text conditions that still owe it, behind the
+// fault.DictLookup injection point. Live systems translate against the
+// growing append dictionaries; codes for strings added after the query's
+// pinned epoch match no pinned row, so answers stay stable.
+func (s *System) translate(q *query.Query) error {
+	if err := s.cfg.Faults.Check(fault.DictLookup, -1); err != nil {
+		return err
+	}
+	_, err := query.Translate(q, s.dicts())
+	return err
+}
+
+// attempt runs one booked attempt — the translation partition first when
+// text predicates still owe it, like the paper's pipeline, then the chosen
+// partition — and feeds what each step took back to the scheduler. A
+// failed translation spends retry budget but never partition health, which
+// the dictionary cannot implicate.
+func attempt[T any](s *System, j *job, l lanes, by answerer[T]) (out T, err error) {
+	if j.q.NeedsTranslation() {
+		trans := sched.QueueRef{Kind: sched.QueueCPU, Index: -1}
+		mu := l.of(trans)
+		mu.Lock()
+		t0 := time.Now()
+		err = s.translate(j.q)
+		s.feedback(trans, time.Since(t0).Seconds()-j.est.TransSeconds)
+		mu.Unlock()
+		if err != nil {
+			j.estS, j.actS = j.est.TransSeconds, 0
+			return out, err
+		}
+	}
+	ref := j.d.Queue
+	mu := l.of(ref)
+	mu.Lock()
+	defer mu.Unlock()
+	t0 := time.Now()
+	if ref.Kind == sched.QueueCPU {
+		out, err = by.cpu(s, j.q, j.snap)
+		j.estS, j.actS = j.est.CPUSeconds, time.Since(t0).Seconds()
+		s.feedback(ref, j.actS-j.estS)
+	} else {
+		out, err = by.gpu(s, j.q, ref.Index, j.snap)
+		j.estS, j.actS = j.est.GPUSeconds[ref.Index], time.Since(t0).Seconds()
+		s.reportGPU(ref, j.actS-j.estS, err)
+	}
+	return out, err
+}
+
+// execute is the real path's one attempt loop, on the caller's goroutine:
+// run the booked attempt and, while it fails, re-book it through the
+// normal scheduling path against its original deadline. Partition health
+// quarantines repeat offenders and the policy's own CPU preference is the
+// failover path, so a query fails only when its retry budget (MaxRetries;
+// negative disables) is spent, when re-booking itself fails (every GPU
+// partition quarantined under a GPU-only query) or on the CPU, whose
+// failures are deterministic: a query the cube set cannot answer fails the
+// same way every time.
+func execute[T any](s *System, j *job, l lanes, by answerer[T]) (T, error) {
+	for {
+		j.attempts++
+		out, err := attempt(s, j, l, by)
+		if err == nil || j.d.Queue.Kind == sched.QueueCPU || j.attempts > s.cfg.MaxRetries {
+			return out, err
+		}
+		// Translation state rides the query: a retry that has already
+		// translated owes the translation queue nothing.
+		j.est.NeedsTranslation = j.q.NeedsTranslation()
+		if !j.est.NeedsTranslation {
+			j.est.TransSeconds = 0
+		}
+		if err := s.book(j); err != nil {
+			var zero T
+			return zero, fmt.Errorf("engine: rescheduling query %d after failed attempt %d: %w", j.q.ID, j.attempts, err)
+		}
+	}
+}
+
+// run is Fig. 10 for one query from start to finish: book, then execute.
+func run[T any](s *System, j *job, by answerer[T]) (T, error) {
+	if err := s.book(j); err != nil {
+		var zero T
+		return zero, err
+	}
+	return execute(s, j, nil, by)
+}
+
+// RunReal executes a batch of scalar queries for real, on the wall clock.
+// Every query is priced and booked in input order on the calling
+// goroutine; the batch then fans out over the queues it booked, one
+// goroutine per queue taking its jobs through the attempt loop in booking
+// order, so partitions work concurrently and at most one job of the batch
+// executes per queue. The first queue booked stays on the calling
+// goroutine: a batch on one queue — every single query — starts none.
 //
 // Feedback uses real measured service times, so estimation error in the
 // calibrated models is corrected while the run proceeds.
-//
-// Failure handling: a failed GPU or translation attempt is re-booked
-// through the normal scheduling path (Resubmit) with the query's original
-// absolute deadline, so the retry competes with whatever slack remains.
-// The scheduler's partition-health layer quarantines repeat offenders and
-// the policy's own CPU preference provides the failover path; a query is
-// reported failed only after its retry budget is spent or rescheduling
-// itself fails (e.g. every GPU partition quarantined on a GPU-only query).
 func (s *System) RunReal(queries []*query.Query) (*RealResult, error) {
-	parts := s.cfg.Device.Partitions()
-	res := &RealResult{Queries: len(queries), Outcomes: make([]RealOutcome, len(queries))}
-	maxAttempts := 1 + s.retries()
-
-	// Every channel is buffered for the full query count: at most one copy
-	// of each job is in flight at a time (a retry re-enters exactly one
-	// queue), so no send below can block forever and the single close
-	// point after wg.Wait is safe.
-	cpuCh := make(chan realJob, len(queries))
-	transCh := make(chan realJob, len(queries))
-	retryCh := make(chan realJob, len(queries))
-	gpuCh := make([]chan realJob, len(parts))
-	for i := range gpuCh {
-		gpuCh[i] = make(chan realJob, len(queries))
-	}
-
 	start := time.Now()
+	res := &RealResult{Queries: len(queries), Outcomes: make([]RealOutcome, len(queries))}
+	jobs := make([]job, len(queries))
+	l := make(lanes, 2+len(s.widths))
+	byLane := make([][]int, len(l))
 
-	var wg sync.WaitGroup
-	done := func(j realJob, r table.ScanResult, est, act float64, err error) {
-		res.Outcomes[j.slot] = RealOutcome{
-			ID: j.q.ID, Queue: j.decision.Queue, Result: r,
-			Latency:           time.Since(j.started),
-			EstServiceSeconds: est, ActServiceSeconds: act,
-			Attempts: j.attempt + 1,
-			Err:      err,
-		}
-		wg.Done()
-	}
-	route := func(j realJob) {
-		switch {
-		case j.decision.Queue.Kind == sched.QueueCPU:
-			cpuCh <- j
-		case j.est.NeedsTranslation:
-			transCh <- j
-		default:
-			gpuCh[j.decision.Queue.Index] <- j
-		}
-	}
-
-	// CPU cube partition worker. CPU failures are deterministic (a query
-	// the cube set cannot answer fails the same way every time), so they
-	// are not retried.
-	go func() {
-		for j := range cpuCh {
-			t0 := time.Now()
-			r, err := s.AnswerOnCPUAt(j.q, j.snap)
-			act := time.Since(t0).Seconds()
-			s.feedback(j.decision.Queue, act-j.est.CPUSeconds)
-			done(j, r, j.est.CPUSeconds, act, err)
-		}
-	}()
-
-	// Translation partition worker: translate, then forward to the GPU
-	// queue chosen by the scheduler. Live systems translate against the
-	// growing append dictionaries; codes for strings added after the
-	// job's pinned epoch match no pinned row, so answers stay stable.
-	// A dictionary miss storm (fault.DictLookup) fails the attempt and
-	// sends it through the retry path like a GPU fault.
-	go func() {
-		transQueue := sched.QueueRef{Kind: sched.QueueCPU, Index: -1}
-		for j := range transCh {
-			t0 := time.Now()
-			err := s.cfg.Faults.Check(fault.DictLookup, -1)
-			if err == nil {
-				_, err = query.Translate(j.q, s.dicts())
-			}
-			s.feedback(transQueue, time.Since(t0).Seconds()-j.est.TransSeconds)
-			if err != nil {
-				if j.attempt+1 < maxAttempts {
-					retryCh <- j
-					continue
-				}
-				done(j, table.ScanResult{}, j.est.TransSeconds, 0, err)
-				continue
-			}
-			gpuCh[j.decision.Queue.Index] <- j
-		}
-	}()
-
-	// GPU partition workers: record feedback and partition health for
-	// every attempt, successful or not, then either finalise or hand the
-	// failed job to the retry loop.
-	for i := range parts {
-		i := i
-		go func() {
-			for j := range gpuCh[i] {
-				t0 := time.Now()
-				r, err := s.AnswerOnGPUAt(j.q, i, j.snap)
-				act := time.Since(t0).Seconds()
-				s.reportGPU(j.decision.Queue, act-j.est.GPUSeconds[i], err)
-				if err != nil && j.attempt+1 < maxAttempts {
-					retryCh <- j
-					continue
-				}
-				done(j, r, j.est.GPUSeconds[i], act, err)
-			}
-		}()
-	}
-
-	// Retry loop: re-book the failed job with its original absolute
-	// deadline. Translation state rides the query itself (a retried job
-	// that already translated skips the translation queue), so the
-	// estimates are refreshed to match before rescheduling.
-	go func() {
-		for j := range retryCh {
-			j.attempt++
-			j.est.NeedsTranslation = j.q.NeedsTranslation()
-			if !j.est.NeedsTranslation {
-				j.est.TransSeconds = 0
-			}
-			s.schedMu.Lock()
-			d, err := s.scheduler.Resubmit(s.nowS(), j.decision.Deadline, j.est)
-			s.schedMu.Unlock()
-			if err != nil {
-				done(j, table.ScanResult{}, 0, 0,
-					fmt.Errorf("engine: rescheduling query %d after failed attempt %d: %w", j.q.ID, j.attempt, err))
-				continue
-			}
-			j.decision = d
-			route(j)
-		}
-	}()
-
-	// Drive: estimate, schedule, route. A submission error must not return
-	// directly: the workers above block on their channels forever unless
-	// every channel is closed, so the error is recorded, submission stops,
-	// and the in-flight jobs drain before the single exit below.
+	// A query that cannot be booked ends the submission, but the bookings
+	// before it hold queue time: they execute before the error returns.
 	var submitErr error
-	for slot, q0 := range queries {
-		if q0.Grouped() {
-			submitErr = fmt.Errorf("engine: query %d has GROUP BY; use RunGrouped", q0.ID)
+	for slot, q := range queries {
+		if q.Grouped() {
+			submitErr = fmt.Errorf("engine: query %d has GROUP BY; use RunGrouped", q.ID)
 			break
 		}
-		q := q0.Clone() // translation mutates the query
-		est, err := s.Estimate(q)
+		j, err := s.newJob(q)
 		if err != nil {
 			submitErr = fmt.Errorf("engine: estimating query %d: %w", q.ID, err)
 			break
 		}
-		s.schedMu.Lock()
-		d, err := s.scheduler.Submit(s.nowS(), est)
-		s.schedMu.Unlock()
-		if err != nil {
+		if err := s.book(&j); err != nil {
 			submitErr = fmt.Errorf("engine: scheduling query %d: %w", q.ID, err)
 			break
 		}
-		wg.Add(1)
-		route(realJob{q: q, decision: d, est: est, started: time.Now(), slot: slot, snap: s.pin()})
+		jobs[slot] = j
+		byLane[lane(j.d.Queue)] = append(byLane[lane(j.d.Queue)], slot)
 	}
+
+	runLane := func(slots []int) {
+		for _, slot := range slots {
+			j := &jobs[slot]
+			r, err := execute(s, j, l, scalar)
+			res.Outcomes[slot] = RealOutcome{
+				ID: j.q.ID, Queue: j.d.Queue, Result: r,
+				Latency:           time.Since(start),
+				EstServiceSeconds: j.estS, ActServiceSeconds: j.actS,
+				Attempts: j.attempts, Err: err,
+			}
+		}
+	}
+	var mine []int
+	var wg sync.WaitGroup
+	for _, slots := range byLane {
+		switch {
+		case len(slots) == 0:
+		case mine == nil:
+			mine = slots
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runLane(slots)
+			}()
+		}
+	}
+	runLane(mine)
 	wg.Wait()
-	close(cpuCh)
-	close(transCh)
-	close(retryCh)
-	for _, ch := range gpuCh {
-		close(ch)
-	}
 	if submitErr != nil {
 		return nil, submitErr
 	}

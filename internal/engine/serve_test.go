@@ -303,6 +303,49 @@ func TestServeFusedDifferential(t *testing.T) {
 	}
 }
 
+// TestServeFusedFallbackKeepsDeadline pins what a failed shared scan costs
+// its members: each retries alone, re-booked against its own arrival + T_C
+// (a Resubmit) — not a fresh T_C (a Submit) that would forgive the window
+// wait and the failed scan — and answers exactly what its final placement
+// answers fault-free.
+func TestServeFusedFallbackKeepsDeadline(t *testing.T) {
+	const k = 5
+	mutate := func(spec *SetupSpec) {
+		spec.Fusion = true
+		spec.FusionWindow = time.Minute
+		spec.DeadlineSeconds = 60
+	}
+	base := testSystem(t, mutate)
+	s := testSystem(t, func(spec *SetupSpec) {
+		mutate(spec)
+		spec.Faults = fault.NewPlan(fault.PlanConfig{Seed: 1, Points: map[fault.Point]fault.PointConfig{
+			fault.GPUExec: {Rate: 1, Limit: 1},
+		}})
+	})
+	rng := rand.New(rand.NewSource(13))
+	qs := make([]*query.Query, k)
+	for i := range qs {
+		qs[i] = serveFamilyQuery(rng, table.AggSum, i%2)
+		qs[i].ID = int64(i)
+	}
+	outs := serveTogether(t, s, qs)
+
+	st := s.Scheduler().Stats()
+	if st.Submitted != 1 || st.FusedJobs != 1 || st.Resubmitted != k || s.FusionFallbacks() != k {
+		t.Fatalf("want 1 fused booking, then %d re-bookings of %d fallbacks: %+v, %d fallbacks",
+			k, k, st, s.FusionFallbacks())
+	}
+	for i, out := range outs {
+		if out.Fused || out.Attempts != 1 {
+			t.Fatalf("member %d did not retry alone, once: %+v", i, out)
+		}
+		if want := faultFreeAt(t, base, qs[i], out.Queue); !resultBits(out.Result, want) {
+			t.Fatalf("member %d on %s: got (%v, %d), want (%v, %d)",
+				i, out.Queue, out.Result.Value, out.Result.Rows, want.Value, want.Rows)
+		}
+	}
+}
+
 // TestServeSubsumption drives the wide-then-narrow flow end to end: a wide
 // count executes (fan-in 1) and stores its cells; narrowed counts are then
 // answered from the cache by exact interval folds.

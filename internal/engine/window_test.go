@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -134,6 +135,76 @@ func TestServeCacheHitSkipsWindow(t *testing.T) {
 	const parentAllocs = 12
 	if got := testing.AllocsPerRun(200, func() { _, _ = s.Serve(q) }); got > parentAllocs {
 		t.Fatalf("cache hit allocates %v times, parent %d", got, parentAllocs)
+	}
+}
+
+// TestServeBypassIsInline pins what the attempt loop is: one procedure on
+// the caller's goroutine. A cube-answerable Serve — the bypass — allocates
+// no more than 30 times (58 through the per-call worker mesh it replaced)
+// and leaves no goroutine behind, and the same query books and reports
+// identically whichever entry point brings it to the loop.
+func TestServeBypassIsInline(t *testing.T) {
+	q := &query.Query{
+		Conditions: []query.Condition{{Dim: 0, Level: 1, From: 2, To: 9}},
+		Op:         table.AggSum,
+	}
+	fresh := func() *System {
+		return testSystem(t, func(spec *SetupSpec) { spec.Fusion = true })
+	}
+
+	s := fresh()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		out, err := s.Serve(q)
+		if err != nil || out.Queue.Kind != sched.QueueCPU || out.Fused || out.Attempts != 1 {
+			t.Fatalf("serve %d is not a CPU bypass: %+v, %v", i, out, err)
+		}
+	}
+	// The cube walk's own fork/join workers signal done before they exit:
+	// give the last of them a moment, a leaked goroutine never goes away.
+	for giveUp := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(giveUp); {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before 1000 bypasses, %d after", before, after)
+	}
+	if !raceEnabled { // allocation counts are not meaningful under -race
+		if got := testing.AllocsPerRun(200, func() { _, _ = s.Serve(q) }); got > 30 {
+			t.Fatalf("a CPU bypass allocates %v times, want <= 30", got)
+		}
+	}
+
+	grouped := q.Clone()
+	grouped.GroupBy = []query.GroupRef{{Dim: 2, Level: 0}}
+	entries := map[string]func(*System) error{
+		"RunReal": func(s *System) error {
+			res, err := s.RunReal([]*query.Query{q})
+			if err == nil {
+				err = res.Outcomes[0].Err
+			}
+			return err
+		},
+		"Serve":      func(s *System) error { _, err := s.Serve(q); return err },
+		"RunGrouped": func(s *System) error { _, _, err := s.RunGrouped(grouped); return err },
+	}
+	var first sched.Stats
+	for name, enter := range entries {
+		s := fresh()
+		if err := enter(s); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		st := s.Scheduler().Stats()
+		if st.Submitted != 1 || st.ToCPU != 1 || st.Resubmitted != 0 {
+			t.Fatalf("%s: want one booking, on the CPU: %+v", name, st)
+		}
+		if first.Submitted == 0 {
+			first = st
+		} else if !reflect.DeepEqual(st, first) {
+			t.Fatalf("%s left %+v, another entry point %+v", name, st, first)
+		}
+		if tq := s.Scheduler().QueueClock(sched.QueueRef{Kind: sched.QueueCPU}); tq > s.nowS() {
+			t.Fatalf("%s returned with the CPU queue booked %.6fs ahead of the clock", name, tq-s.nowS())
+		}
 	}
 }
 

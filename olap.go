@@ -359,6 +359,15 @@ type Result struct {
 	Latency time.Duration
 }
 
+// newResult builds the answer every scalar entry point returns; kind names
+// the partition (see Route.Kind).
+func newResult(q *query.Query, value float64, rows int64, kind string, latency time.Duration) Result {
+	return Result{
+		Value: value, Rows: rows, Latency: latency,
+		Route: Route{Kind: kind, Translated: q.GPUOnly()},
+	}
+}
+
 // Query parses one SQL-like query, schedules it with the paper's algorithm
 // and executes it on the chosen partition for real. Grouped queries
 // (GROUP BY) go through QueryGroups. See query.Parse for the grammar.
@@ -384,15 +393,9 @@ func (db *DB) Run(q *query.Query) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{
-			Value: r.Value,
-			Rows:  r.Rows,
-			Route: Route{
-				Kind: fmt.Sprintf("cluster[%d]", db.cl.Shards()), Translated: q.GPUOnly(),
-				Partial: r.Partial,
-			},
-			Latency: r.Latency,
-		}, nil
+		res := newResult(q, r.Value, r.Rows, fmt.Sprintf("cluster[%d]", db.cl.Shards()), r.Latency)
+		res.Route.Partial = r.Partial
+		return res, nil
 	}
 	res, err := db.sys.RunReal([]*query.Query{q})
 	if err != nil {
@@ -402,12 +405,7 @@ func (db *DB) Run(q *query.Query) (Result, error) {
 	if o.Err != nil {
 		return Result{}, o.Err
 	}
-	return Result{
-		Value:   o.Result.Value,
-		Rows:    o.Result.Rows,
-		Route:   Route{Kind: o.Queue.String(), Translated: q.GPUOnly()},
-		Latency: o.Latency,
-	}, nil
+	return newResult(q, o.Result.Value, o.Result.Rows, o.Queue.String(), o.Latency), nil
 }
 
 // Serve answers one scalar query through the high-QPS serving path: the
@@ -437,16 +435,10 @@ func (db *DB) Serve(q *query.Query) (Result, error) {
 	case o.Fused:
 		kind = "fused " + kind
 	}
-	return Result{
-		Value: o.Result.Value,
-		Rows:  o.Result.Rows,
-		Route: Route{
-			Kind: kind, Translated: q.GPUOnly(),
-			Fused: o.Fused, FanIn: o.FanIn,
-			Cached: o.CacheHit, Subsumed: o.Subsumed,
-		},
-		Latency: o.Latency,
-	}, nil
+	res := newResult(q, o.Result.Value, o.Result.Rows, kind, o.Latency)
+	res.Route.Fused, res.Route.FanIn = o.Fused, o.FanIn
+	res.Route.Cached, res.Route.Subsumed = o.CacheHit, o.Subsumed
+	return res, nil
 }
 
 // ServeQuery parses one SQL-like scalar query and answers it through the
@@ -496,12 +488,7 @@ func (db *DB) Batch(qs []*query.Query) ([]Result, error) {
 		if o.Err != nil {
 			return nil, fmt.Errorf("olap: query %d: %w", o.ID, o.Err)
 		}
-		out[i] = Result{
-			Value:   o.Result.Value,
-			Rows:    o.Result.Rows,
-			Route:   Route{Kind: o.Queue.String(), Translated: qs[i].GPUOnly()},
-			Latency: o.Latency,
-		}
+		out[i] = newResult(qs[i], o.Result.Value, o.Result.Rows, o.Queue.String(), o.Latency)
 	}
 	return out, nil
 }
