@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fix lint-fix-check bce-check bce-baseline test test-chaos test-serve-stress race bench bench-smoke bench-load bench-compare repro repro-quick examples clean
+.PHONY: all build vet lint lint-fix lint-fix-check bce-check bce-baseline test test-chaos test-serve-stress race bench bench-kernels bench-smoke bench-load bench-compare repro repro-quick examples clean
 
 # Pre-merge checklist: `make all` runs build → vet → lint → bce-check →
 # test; run `make race` as well before merging scheduler or simulator
@@ -79,6 +79,16 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The A/B for an edit to the vectorized kernels or the one batch loop
+# (internal/table/vecscan.go): every BENCH_scan.json shape, the batch-size
+# sweep that justifies BatchSize, the grouped kernel and fan-in 1 vs 8,
+# each against the row-at-a-time reference. Run it on the parent commit
+# and on the change, alternating (or build both with `go test -c` and
+# alternate the binaries), and compare per sub-benchmark; EXPERIMENTS.md
+# "One bound plan" shows the form.
+bench-kernels:
+	$(GO) test ./internal/table -run '^$$' -bench 'ScanKernels|GroupScanKernels' -benchtime 20x -count 5
 
 # One iteration of every benchmark — catches bitrot in benchmark code
 # (compile errors, renamed kernels, broken fixtures) without paying for a

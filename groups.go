@@ -73,7 +73,3 @@ func (db *DB) labelGroupRows(q *query.Query, rows []table.GroupRow) []GroupRow {
 	}
 	return out
 }
-
-// interface satisfaction reminder for readers: grouped rows originate as
-// table.GroupRow from either execution path.
-var _ = table.GroupRow{}

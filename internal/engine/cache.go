@@ -133,35 +133,17 @@ func cacheKey(req *table.ScanRequest, order []int) string {
 	return b.String()
 }
 
-// subsumableShape reports whether a request can be served from (or can
-// produce) per-cell aggregates: count/min/max over 1-4 pure ranges on
-// distinct non-text columns — the mirror of table.BindFusedScan's cell
-// grant — and returns the canonical intervals. The cardinality gate lives
-// in the table layer; the engine trusts the granted cells' presence.
-func subsumableShape(req *table.ScanRequest, order []int) ([]cacheInterval, bool) {
-	switch req.Op {
-	case table.AggCount, table.AggMin, table.AggMax:
-	default:
-		return nil, false
-	}
-	if len(req.Predicates) == 0 || len(req.Predicates) > table.MaxGroupCols {
-		return nil, false
-	}
-	ivals := make([]cacheInterval, 0, len(order))
+// cellIntervals returns a table.CellShape request's intervals in its
+// cells' coordinate order. Whether a request can be served from (or can
+// produce) per-cell aggregates is table.CellShape's call — the rule a plan
+// member's cell grant follows too — and the cardinality gate lives in the
+// table layer as well; the engine trusts the granted cells' presence.
+func cellIntervals(req *table.ScanRequest, order []int) []cacheInterval {
+	ivals := make([]cacheInterval, len(order))
 	for i, pi := range order {
-		p := &req.Predicates[pi]
-		if p.Text || len(p.Or) > 0 || p.From > p.To {
-			return nil, false
-		}
-		if i > 0 {
-			prev := &req.Predicates[order[i-1]]
-			if prev.Dim == p.Dim && prev.Level == p.Level {
-				return nil, false
-			}
-		}
-		ivals = append(ivals, cacheInterval{from: p.From, to: p.To})
+		ivals[i] = cacheInterval{from: req.Predicates[pi].From, to: req.Predicates[pi].To}
 	}
-	return ivals, true
+	return ivals
 }
 
 // cacheAnswer is one lookup's result.
@@ -191,7 +173,7 @@ func (c *resultCache) checkEpoch(epoch uint64) bool {
 // only unlinks them), so concurrent lookups fold in parallel instead of
 // convoying every worker behind one fold.
 func (c *resultCache) lookup(req *table.ScanRequest, epoch uint64) (cacheAnswer, bool) {
-	order := table.CanonicalPredOrder(req.Predicates)
+	order, cellShaped := table.CellShape(req)
 	key := cacheKey(req, order)
 	var donor *cacheEntry
 	var ivals []cacheInterval
@@ -206,7 +188,8 @@ func (c *resultCache) lookup(req *table.ScanRequest, epoch uint64) (cacheAnswer,
 		c.mu.Unlock()
 		return cacheAnswer{result: e.result, queue: e.queue}, true
 	}
-	if iv, ok := subsumableShape(req, order); ok {
+	if cellShaped {
+		iv := cellIntervals(req, order)
 		for _, e := range c.bySig[cacheSig(req, order)] {
 			if e.hasCells && contains(e.ivals, iv) {
 				donor, ivals = e, iv
@@ -280,26 +263,24 @@ func foldCellsWithin(op table.AggOp, e *cacheEntry, ivals []cacheInterval) table
 // entry is kept (first-stored bits win, so repeated executions on
 // different partitions never flap a cached sum's bits).
 func (c *resultCache) store(req *table.ScanRequest, epoch uint64, res table.ScanResult, cells table.Groups, queue sched.QueueRef) {
-	order := table.CanonicalPredOrder(req.Predicates)
+	order, cellShaped := table.CellShape(req)
 	key := cacheKey(req, order)
 	// Build the entry (including the potentially large key sort) before
 	// taking the lock; a stale-epoch or duplicate store wastes the work but
 	// never stalls concurrent lookups.
 	e := &cacheEntry{key: key, op: req.Op, result: res, queue: queue}
-	if cells != nil {
-		if ivals, ok := subsumableShape(req, order); ok {
-			e.hasCells = true
-			e.ivals = ivals
-			e.sig = cacheSig(req, order)
-			e.keys = make([]table.GroupKey, 0, len(cells))
-			for k := range cells {
-				e.keys = append(e.keys, k)
-			}
-			sort.Slice(e.keys, func(i, j int) bool { return e.keys[i] < e.keys[j] })
-			e.vals = make([]table.ScanResult, len(e.keys))
-			for i, k := range e.keys {
-				e.vals[i] = cells[k]
-			}
+	if cells != nil && cellShaped {
+		e.hasCells = true
+		e.ivals = cellIntervals(req, order)
+		e.sig = cacheSig(req, order)
+		e.keys = make([]table.GroupKey, 0, len(cells))
+		for k := range cells {
+			e.keys = append(e.keys, k)
+		}
+		sort.Slice(e.keys, func(i, j int) bool { return e.keys[i] < e.keys[j] })
+		e.vals = make([]table.ScanResult, len(e.keys))
+		for i, k := range e.keys {
+			e.vals[i] = cells[k]
 		}
 	}
 	c.mu.Lock()

@@ -188,7 +188,7 @@ func (s *System) wantCells(req *table.ScanRequest) bool {
 	if s.cache == nil {
 		return false
 	}
-	if _, ok := subsumableShape(req, table.CanonicalPredOrder(req.Predicates)); !ok {
+	if _, ok := table.CellShape(req); !ok {
 		return false
 	}
 	sc := s.cfg.Table.Schema()

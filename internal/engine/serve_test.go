@@ -123,19 +123,19 @@ func TestResultCacheSubsumptionFold(t *testing.T) {
 			{Dim: 0, Level: 1, From: 2, To: 29},
 			{Dim: 2, Level: 1, From: 1, To: 30},
 		}}
-		pl, err := table.BindFusedScan(ft, []table.ScanRequest{outer}, []bool{true})
+		pl, err := table.Bind(ft, []table.Member{{ScanRequest: outer, Cells: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pl.HasCells(0) {
+		if !pl.Keyed(0) {
 			t.Fatalf("op %v: cells not granted", op)
 		}
-		states := make([]table.FusedState, 1)
+		states := make([]table.State, 1)
 		if err := pl.RangeInto(0, ft.Rows(), states); err != nil {
 			t.Fatal(err)
 		}
-		stored := table.Finalize(op, table.FoldCells(op, states[0].Cells))
-		c.store(&outer, 0, stored, states[0].Cells, sched.QueueRef{Kind: sched.QueueGPU, Index: 1})
+		stored := table.Finalize(op, table.FoldCells(op, states[0].Groups))
+		c.store(&outer, 0, stored, states[0].Groups, sched.QueueRef{Kind: sched.QueueGPU, Index: 1})
 
 		for i := 0; i < 25; i++ {
 			inner := outer

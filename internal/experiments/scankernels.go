@@ -31,7 +31,7 @@ type scanKernelsReport struct {
 }
 
 // ScanKernels measures the row-at-a-time reference scan (ScanRange) against
-// the bound vectorized plan ((*ScanPlan).Range) on the same table and
+// the bound vectorized plan (a 1-member table.Plan) on the same table and
 // predicate set — per aggregation op, per predicate selectivity, and per
 // predicate shape — and writes the series to BENCH_scan.json. It is the
 // olapbench twin of BenchmarkScanKernels in internal/table, for tracking
@@ -115,7 +115,7 @@ func ScanKernels(opts Options) (*Table, error) {
 		Columns: []string{"case", "reference [ns/row]", "vectorized [ns/row]", "speedup"},
 		Notes: []string{
 			fmt.Sprintf("%d rows, best of %d reps; machine-readable copy in %s", rows, reps, scanKernelsFile),
-			"vectorized = BindScan once, then 1024-row batches through a pooled selection vector",
+			"vectorized = Bind once (a 1-member plan), then 1024-row batches through a pooled selection vector",
 		},
 	}
 	report := scanKernelsReport{Experiment: "scan-kernels", Rows: rows, Reps: reps, Seed: opts.seed()}
@@ -128,13 +128,12 @@ func ScanKernels(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := table.BindScan(ft, tc.req)
+		plan, err := table.Bind(ft, []table.Member{{ScanRequest: tc.req}})
 		if err != nil {
 			return nil, err
 		}
 		vecNs, err := timeNsPerRow(func() error {
-			_, err := plan.Range(0, ft.Rows())
-			return err
+			return plan.RangeInto(0, ft.Rows(), make([]table.State, 1))
 		})
 		if err != nil {
 			return nil, err

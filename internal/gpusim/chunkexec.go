@@ -14,17 +14,19 @@ type ChunkRange struct {
 
 // gridUnits is the chunk-grid cut: one work unit per chunk, in chunk
 // order, over the resident snapshot's single stripe.
-func gridUnits(chunks []ChunkRange) []workUnit {
-	units := make([]workUnit, len(chunks))
-	for i, c := range chunks {
-		units[i] = workUnit{lo: c.Lo, hi: c.Hi}
+func gridUnits(chunks []ChunkRange) func(*table.Snapshot) []workUnit {
+	return func(*table.Snapshot) []workUnit {
+		units := make([]workUnit, len(chunks))
+		for i, c := range chunks {
+			units[i] = workUnit{lo: c.Lo, hi: c.Hi}
+		}
+		return units
 	}
-	return units
 }
 
 // ExecuteChunks scans the device's resident table over explicit chunk
 // ranges and returns one UNFINALIZED partial per chunk, in chunk order
-// (see scanUnits: a chunk's bits depend only on the rows inside it — not
+// (see scan: a chunk's bits depend only on the rows inside it — not
 // on how many chunks the call received or how the device is partitioned).
 // The reduction moves up to the caller: the cluster coordinator folds
 // every shard's chunk partials in global chunk order, and that flat,
@@ -32,44 +34,29 @@ func gridUnits(chunks []ChunkRange) []workUnit {
 // across shard counts (a hierarchical per-shard pre-merge would change the
 // floating-point fold tree as N changes).
 func (p *Partition) ExecuteChunks(req table.ScanRequest, chunks []ChunkRange) ([]table.ScanResult, error) {
-	if err := p.dev.faultCheck(p.id); err != nil {
-		return nil, err
-	}
-	plans, err := bindStripes(p.dev.resident, func(ft *table.FactTable) (*table.ScanPlan, error) {
-		return table.BindScan(ft, req)
-	})
+	_, states, err := p.scan(p.dev.resident, []table.Member{{ScanRequest: req}}, gridUnits(chunks), false)
 	if err != nil {
 		return nil, err
 	}
-	return p.scanUnits(plans, gridUnits(chunks))
+	return scalars(states, 0), nil
 }
 
 // ExecuteGroupChunks is ExecuteChunks for grouped scans: one fresh
-// UNFINALIZED group map per chunk, in chunk order (nil for an empty
-// chunk). Unlike ExecuteGroup — whose per-SM hash tables accumulate
+// UNFINALIZED group map per chunk, in chunk order (nil for a chunk in
+// which no row matched). Unlike ExecuteGroup — whose per-SM hash tables accumulate
 // whichever units each SM happened to drain, making the merge tree depend
 // on goroutine interleaving — a chunk's map here is built by a single
 // RangeInto pass over exactly its rows, so the per-chunk maps (and the
 // coordinator's chunk-order MergeGroups fold over them) are deterministic
 // for any shard count.
 func (p *Partition) ExecuteGroupChunks(req table.GroupScanRequest, chunks []ChunkRange) ([]table.Groups, error) {
-	if err := p.dev.faultCheck(p.id); err != nil {
-		return nil, err
-	}
-	plans, err := bindStripes(p.dev.resident, func(ft *table.FactTable) (*table.GroupScanPlan, error) {
-		return table.BindGroupScan(ft, req)
-	})
+	m, err := table.GroupMember(req)
 	if err != nil {
 		return nil, err
 	}
-	partials := make([]table.Groups, len(chunks))
-	err = p.drain(gridUnits(chunks), func(_, i int, u workUnit) (err error) {
-		partials[i], err = plans[u.stripe].RangeInto(u.lo, u.hi, nil)
-		return err
-	})
+	_, states, err := p.scan(p.dev.resident, []table.Member{m}, gridUnits(chunks), false)
 	if err != nil {
 		return nil, err
 	}
-	p.done()
-	return partials, nil
+	return groups(states, 0), nil
 }

@@ -28,7 +28,8 @@ const StripesPerSM = 8
 //	step 2 — parallel table scan: the row space is cut into work units
 //	         (cut: about SMs×StripesPerSM, never crossing a stripe; or the
 //	         caller's chunk grid) and one goroutine per SM drains units
-//	         from a shared cursor through the vectorized batch kernel;
+//	         from a shared cursor through the vectorized batch kernel
+//	         (steps 1 and 2 are scan, shared by all five);
 //	step 3 — reduction: the entry point's own — a fold of per-unit
 //	         partials in unit order everywhere except ExecuteGroup, so the
 //	         same request over the same snapshot on the same partition
@@ -90,16 +91,16 @@ func (p *Partition) cut(snap *table.Snapshot) []workUnit {
 	return units
 }
 
-// bindStripes binds a request once per stripe of the snapshot, zero-row
+// bindStripes binds the members once per stripe of the snapshot, zero-row
 // stripes included.
-func bindStripes[P any](snap *table.Snapshot, bind func(*table.FactTable) (P, error)) ([]P, error) {
+func bindStripes(snap *table.Snapshot, members []table.Member) ([]*table.Plan, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("gpusim: nil snapshot (no table loaded?)")
 	}
-	plans := make([]P, len(snap.Stripes()))
+	plans := make([]*table.Plan, len(snap.Stripes()))
 	for i, st := range snap.Stripes() {
 		var err error
-		if plans[i], err = bind(st.Table()); err != nil {
+		if plans[i], err = table.Bind(st.Table(), members); err != nil {
 			return nil, err
 		}
 	}
@@ -149,42 +150,79 @@ func (p *Partition) drain(units []workUnit, run func(sm, i int, u workUnit) erro
 	return nil
 }
 
-// scanUnits drains the units through the bound scalar plans and returns
-// one UNFINALIZED partial per unit, in unit order. Each partial is one
-// vectorized plan.Range over its unit, and the batch kernels accumulate
+// scan is what every entry point shares: cross the fault point, bind the
+// members once per stripe, cut the row space and drain the units through
+// the one vectorized kernel. states[i] holds the member states unit i
+// accumulated (nil for an empty unit, which never runs) — or, with perSM,
+// what SM i accumulated over every unit it drained. The kernel accumulates
 // strictly in row order, so a unit's bits depend only on the rows inside
-// it — not on which SM drained it.
-func (p *Partition) scanUnits(plans []*table.ScanPlan, units []workUnit) ([]table.ScanResult, error) {
-	partials := make([]table.ScanResult, len(units))
-	err := p.drain(units, func(_, i int, u workUnit) (err error) {
-		partials[i], err = plans[u.stripe].Range(u.lo, u.hi)
-		return err
+// it — not on which SM drained it. Completed advances only when every unit
+// ran.
+func (p *Partition) scan(snap *table.Snapshot, members []table.Member, cut func(*table.Snapshot) []workUnit,
+	perSM bool) (plans []*table.Plan, states [][]table.State, err error) {
+	if err := p.dev.faultCheck(p.id); err != nil {
+		return nil, nil, err
+	}
+	if plans, err = bindStripes(snap, members); err != nil {
+		return nil, nil, err
+	}
+	units := cut(snap)
+	slots := len(units)
+	if perSM {
+		slots = p.sms
+	}
+	states = make([][]table.State, slots)
+	err = p.drain(units, func(sm, i int, u workUnit) error {
+		if perSM {
+			i = sm
+		}
+		// Each SM allocates the states it fills: the kernel writes them
+		// once per batch, so neighbouring units' states stay off each
+		// other's cache lines.
+		if states[i] == nil {
+			states[i] = make([]table.State, len(members))
+		}
+		return plans[u.stripe].RangeInto(u.lo, u.hi, states[i])
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.done()
-	return partials, nil
+	return plans, states, nil
+}
+
+// scalars returns member mi's scalar partial of every unit, in unit order.
+func scalars(states [][]table.State, mi int) []table.ScanResult {
+	out := make([]table.ScanResult, len(states))
+	for i, st := range states {
+		if st != nil {
+			out[i] = st[mi].Scalar
+		}
+	}
+	return out
+}
+
+// groups is scalars for a keyed member: one map per unit, nil where no
+// row matched.
+func groups(states [][]table.State, mi int) []table.Groups {
+	out := make([]table.Groups, len(states))
+	for i, st := range states {
+		if st != nil {
+			out[i] = st[mi].Groups
+		}
+	}
+	return out
 }
 
 // Execute answers a scalar request over the snapshot: per-unit partials
 // merge in unit order.
 func (p *Partition) Execute(snap *table.Snapshot, req table.ScanRequest) (table.ScanResult, error) {
-	if err := p.dev.faultCheck(p.id); err != nil {
-		return table.ScanResult{}, err
-	}
-	plans, err := bindStripes(snap, func(ft *table.FactTable) (*table.ScanPlan, error) {
-		return table.BindScan(ft, req)
-	})
-	if err != nil {
-		return table.ScanResult{}, err
-	}
-	partials, err := p.scanUnits(plans, p.cut(snap))
+	_, states, err := p.scan(snap, []table.Member{{ScanRequest: req}}, p.cut, false)
 	if err != nil {
 		return table.ScanResult{}, err
 	}
 	var acc table.ScanResult
-	for _, part := range partials {
+	for _, part := range scalars(states, 0) {
 		acc = table.Merge(req.Op, acc, part)
 	}
 	return table.Finalize(req.Op, acc), nil
@@ -197,28 +235,18 @@ func (p *Partition) Execute(snap *table.Snapshot, req table.ScanRequest) (table.
 // units an SM drains depends on goroutine interleaving, so sum/avg are
 // only epsilon-close run to run; count/min/max are exact.
 func (p *Partition) ExecuteGroup(snap *table.Snapshot, req table.GroupScanRequest) ([]table.GroupRow, error) {
-	if err := p.dev.faultCheck(p.id); err != nil {
-		return nil, err
-	}
-	plans, err := bindStripes(snap, func(ft *table.FactTable) (*table.GroupScanPlan, error) {
-		return table.BindGroupScan(ft, req)
-	})
+	m, err := table.GroupMember(req)
 	if err != nil {
 		return nil, err
 	}
-	perSM := make([]table.Groups, p.sms)
-	err = p.drain(p.cut(snap), func(sm, _ int, u workUnit) (err error) {
-		perSM[sm], err = plans[u.stripe].RangeInto(u.lo, u.hi, perSM[sm])
-		return err
-	})
+	_, states, err := p.scan(snap, []table.Member{m}, p.cut, true)
 	if err != nil {
 		return nil, err
 	}
 	var acc table.Groups
-	for _, g := range perSM {
+	for _, g := range groups(states, 0) {
 		acc = table.MergeGroups(req.Op, acc, g)
 	}
-	p.done()
 	return table.FinalizeGroups(req.Op, acc, len(req.GroupBy)), nil
 }
 

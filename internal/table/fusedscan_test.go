@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// The fused differential suite: a FusedScanPlan must
-// agree *exactly* — bit-identical values — with each member's own unfused
-// plan over the same stripes. The fused kernel visits the same rows in the
-// same ascending order per member, so == is the specification.
+// The fused differential suite: every member of a K-member Plan must
+// agree *exactly* — bit-identical values — with the reference kernel
+// running that member alone over the same rows, whatever the other
+// members are. The kernel visits the same rows in the same ascending order
+// per member, so == is the specification.
 
 // fusedCol is one column pick of a compatibility set.
 type fusedCol struct {
@@ -111,51 +112,62 @@ func TestFusedScanDifferential(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		ft := tables[rng.Intn(len(tables))]
 		k := rng.Intn(6) + 1
-		reqs := randFusedFamily(rng, &schema, k)
-		wantCells := make([]bool, k)
-		for mi := range wantCells {
-			wantCells[mi] = rng.Intn(3) == 0
+		members := make([]Member, k)
+		for mi, req := range randFusedFamily(rng, &schema, k) {
+			members[mi] = Member{ScanRequest: req}
+			// Scalar, cell-asking and GROUP BY members share one pass.
+			switch rng.Intn(4) {
+			case 0:
+				members[mi].Cells = true
+			case 1:
+				members[mi].GroupBy = randGroupReq(rng, &schema).GroupBy
+			}
 		}
-		fused, err := BindFusedScan(ft, reqs, wantCells)
+		fused, err := Bind(ft, members)
 		if err != nil {
-			t.Fatalf("case %d: BindFusedScan: %v", i, err)
+			t.Fatalf("case %d: Bind: %v", i, err)
 		}
 		lo, hi := randStripe(rng, ft.Rows())
-		lo2 := hi
-		hi2 := lo2 + rng.Intn(ft.Rows()-lo2+1)
+		hi2 := hi + rng.Intn(ft.Rows()-hi+1)
 
-		states := make([]FusedState, k)
+		states := make([]State, k)
 		if err := fused.RangeInto(lo, hi, states); err != nil {
 			t.Fatalf("case %d: RangeInto: %v", i, err)
 		}
 		// Chain a second consecutive stripe through the same states:
-		// continuous accumulation must match RangeFrom on each member.
-		if err := fused.RangeInto(lo2, hi2, states); err != nil {
+		// continuous accumulation must match one reference scan over both.
+		if err := fused.RangeInto(hi, hi2, states); err != nil {
 			t.Fatalf("case %d: RangeInto chain: %v", i, err)
 		}
-		for mi := range reqs {
-			plan, err := BindScan(ft, reqs[mi])
-			if err != nil {
-				t.Fatalf("case %d member %d: BindScan: %v", i, mi, err)
+		for mi, m := range members {
+			fail := func(want, got any) {
+				t.Helper()
+				t.Fatalf("case %d member %d: %+v stripes=[%d,%d)+[%d,%d)\nref=%+v\nfused=%+v keyed=%v",
+					i, mi, m, lo, hi, hi, hi2, want, got, fused.Keyed(mi))
 			}
-			want, err := plan.Range(lo, hi)
-			if err != nil {
-				t.Fatalf("case %d member %d: Range: %v", i, mi, err)
+			if len(m.GroupBy) > 0 {
+				want, err := GroupScanRange(ft, GroupScanRequest{ScanRequest: m.ScanRequest, GroupBy: m.GroupBy}, lo, hi2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !fused.Keyed(mi) || !groupsEqual(want, states[mi].Groups) {
+					fail(want, states[mi].Groups)
+				}
+				continue
 			}
-			want, err = plan.RangeFrom(want, lo2, hi2)
+			want, err := ScanRange(ft, m.ScanRequest, lo, hi2)
 			if err != nil {
-				t.Fatalf("case %d member %d: RangeFrom: %v", i, mi, err)
+				t.Fatal(err)
 			}
 			got := states[mi].Scalar
-			if fused.HasCells(mi) {
-				got = FoldCells(reqs[mi].Op, states[mi].Cells)
+			if fused.Keyed(mi) {
+				got = FoldCells(m.Op, states[mi].Groups)
 				if states[mi].Scalar != (ScanResult{}) {
 					t.Fatalf("case %d member %d: cells member accumulated a scalar too", i, mi)
 				}
 			}
 			if got != want {
-				t.Fatalf("case %d member %d: req=%+v stripes=[%d,%d)+[%d,%d)\nref=%+v\nfused=%+v cells=%v",
-					i, mi, reqs[mi], lo, hi, lo2, hi2, want, got, fused.HasCells(mi))
+				fail(want, got)
 			}
 		}
 	}
@@ -177,17 +189,15 @@ func TestFusedScanCellsSubInterval(t *testing.T) {
 				{Dim: 1, Level: 0, From: 1, To: 5},  // regions
 			},
 		}
-		fused, err := BindFusedScan(ft, []ScanRequest{req}, []bool{true})
+		fused := bind1(t, ft, Member{ScanRequest: req, Cells: true})
+		if !fused.Keyed(0) {
+			t.Fatalf("op %v: cells not granted", op)
+		}
+		st, err := rangeFrom(fused, State{}, 0, ft.Rows())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !fused.HasCells(0) {
-			t.Fatalf("op %v: cells not granted", op)
-		}
-		states := make([]FusedState, 1)
-		if err := fused.RangeInto(0, ft.Rows(), states); err != nil {
-			t.Fatal(err)
-		}
+		cells := st.Groups
 		order := CanonicalPredOrder(req.Predicates)
 		for trial := 0; trial < 40; trial++ {
 			// Narrow each predicate interval to a random sub-interval.
@@ -203,7 +213,7 @@ func TestFusedScanCellsSubInterval(t *testing.T) {
 			// Fold only the cells inside the sub-intervals, canonical
 			// coordinate order.
 			var acc ScanResult
-			for _, key := range sortedGroupKeys(states[0].Cells) {
+			for _, key := range sortedGroupKeys(cells) {
 				coords := UnpackKey(key, len(order))
 				in := true
 				for ci, pi := range order {
@@ -214,7 +224,7 @@ func TestFusedScanCellsSubInterval(t *testing.T) {
 					}
 				}
 				if in {
-					acc = Merge(op, acc, states[0].Cells[key])
+					acc = Merge(op, acc, cells[key])
 				}
 			}
 			want, err := ScanRange(ft, sub, 0, ft.Rows())
@@ -263,51 +273,55 @@ func TestFusedScanCellsEligibility(t *testing.T) {
 		{"or predicate", ScanRequest{Op: AggCount,
 			Predicates: []RangePredicate{{Dim: 0, Level: 0, From: 0, To: 1, Or: []CodeRange{{From: 3, To: 3}}}}}, false},
 		{"no predicates", ScanRequest{Op: AggCount}, false},
+		{"empty range", ScanRequest{Op: AggCount,
+			Predicates: []RangePredicate{{Dim: 0, Level: 0, From: 2, To: 1}}}, true},
+		{"one column twice", ScanRequest{Op: AggCount,
+			Predicates: []RangePredicate{{Dim: 0, Level: 0, From: 0, To: 2}, {Dim: 0, Level: 0, From: 1, To: 3}}}, false},
 	}
 	for _, c := range cases {
-		fused, err := BindFusedScan(ft, []ScanRequest{c.req}, []bool{true})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		if _, got := CellShape(&c.req); got != c.want {
+			t.Errorf("%s: CellShape=%v want %v", c.name, got, c.want)
 		}
-		if got := fused.HasCells(0); got != c.want {
-			t.Errorf("%s: HasCells=%v want %v", c.name, got, c.want)
+		if got := bind1(t, ft, Member{ScanRequest: c.req, Cells: true}).Keyed(0); got != c.want {
+			t.Errorf("%s: Keyed=%v want %v", c.name, got, c.want)
+		}
+		if bind1(t, ft, Member{ScanRequest: c.req}).Keyed(0) {
+			t.Errorf("%s: cells granted unasked", c.name)
 		}
 	}
 }
 
 func TestFusedScanIncompatible(t *testing.T) {
 	ft := diffTables(t)[3]
-	if _, err := BindFusedScan(ft, nil, nil); err == nil {
+	if _, err := Bind(ft, nil); err == nil {
 		t.Error("empty member set accepted")
 	}
 	// Different column sets must be rejected.
-	reqs := []ScanRequest{
-		{Op: AggCount, Predicates: []RangePredicate{{Dim: 0, Level: 0, From: 0, To: 2}}},
-		{Op: AggCount, Predicates: []RangePredicate{{Dim: 1, Level: 0, From: 0, To: 2}}},
+	reqs := []Member{
+		{ScanRequest: ScanRequest{Op: AggCount, Predicates: []RangePredicate{{Dim: 0, Level: 0, From: 0, To: 2}}}},
+		{ScanRequest: ScanRequest{Op: AggCount, Predicates: []RangePredicate{{Dim: 1, Level: 0, From: 0, To: 2}}}},
 	}
-	if _, err := BindFusedScan(ft, reqs, nil); err == nil {
+	if _, err := Bind(ft, reqs); err == nil {
 		t.Error("mismatched column sets accepted")
 	}
 	// Same columns, different multiplicity: also incompatible.
 	reqs[1].Predicates = []RangePredicate{
 		{Dim: 0, Level: 0, From: 0, To: 2}, {Dim: 0, Level: 0, From: 1, To: 2},
 	}
-	if _, err := BindFusedScan(ft, reqs, nil); err == nil {
+	if _, err := Bind(ft, reqs); err == nil {
 		t.Error("mismatched column multisets accepted")
 	}
-	// Validation errors surface like BindScan's.
-	if _, err := BindFusedScan(ft, []ScanRequest{{Op: AggSum, Measure: 99}}, nil); err == nil {
+	// Validation errors surface from any member.
+	reqs[1] = Member{ScanRequest: ScanRequest{Op: AggSum, Measure: 99, Predicates: reqs[0].Predicates}}
+	if _, err := Bind(ft, reqs); err == nil {
 		t.Error("bad measure accepted")
 	}
 	// State count is checked per call.
-	fused, err := BindFusedScan(ft, []ScanRequest{{Op: AggCount}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fused.RangeInto(0, ft.Rows(), make([]FusedState, 2)); err == nil {
+	fused := bind1(t, ft, Member{ScanRequest: ScanRequest{Op: AggCount}})
+	if err := fused.RangeInto(0, ft.Rows(), make([]State, 2)); err == nil {
 		t.Error("wrong state count accepted")
 	}
-	if err := fused.RangeInto(-1, 3, make([]FusedState, 1)); err == nil {
+	if err := fused.RangeInto(-1, 3, make([]State, 1)); err == nil {
 		t.Error("negative lo accepted")
 	}
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // Benchmarks comparing the row-at-a-time reference kernel (ScanRange)
-// against the vectorized batch kernel ((*ScanPlan).Range) — the numbers
-// behind the "Vectorized execution" section of DESIGN.md and the
-// BENCH_scan.json baseline. The acceptance bar for this layer is the
+// against the vectorized batch kernel (a 1-member Plan's RangeInto, unless
+// a fanin= row says otherwise) — the numbers behind the "Vectorized
+// execution" section of DESIGN.md and the BENCH_scan.json baseline, and
+// the A/B for kernel edits (`make bench-kernels`). The acceptance bar for this layer is the
 // rows=10M/preds=3/sel=10pct pair: vectorized must run >= 1.5x faster
 // than reference with 0 allocs/op.
 
@@ -67,20 +68,41 @@ func runReference(b *testing.B, ft *FactTable, req ScanRequest) {
 	b.SetBytes(int64(ft.Rows()) * 4) // first predicate column traffic
 }
 
-func runVectorized(b *testing.B, ft *FactTable, req ScanRequest) {
+// runVectorized times one whole-table pass of the members' plan at the
+// given batch size. States are reset between passes inside the timed
+// region: a K-element clear is noise against a million rows.
+func runVectorized(b *testing.B, ft *FactTable, batch int, members ...Member) {
 	b.Helper()
-	plan, err := BindScan(ft, req)
+	plan, err := Bind(ft, members)
 	if err != nil {
 		b.Fatal(err)
 	}
+	states := make([]State, len(members))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Range(0, ft.Rows()); err != nil {
+		clear(states)
+		if err := plan.rangeBatch(0, ft.Rows(), states, batch); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.SetBytes(int64(ft.Rows()) * 4)
+}
+
+// fanInMembers derives k members of one fusion family from m: the same
+// columns, each member's intervals shifted by its index, ops cycling.
+func fanInMembers(m Member, k int) []Member {
+	out := make([]Member, k)
+	for mi := range out {
+		out[mi] = m
+		out[mi].Op = AggOp((int(m.Op) + mi) % 5)
+		out[mi].Predicates = append([]RangePredicate(nil), m.Predicates...)
+		for pi := range out[mi].Predicates {
+			out[mi].Predicates[pi].From += uint32(mi)
+			out[mi].Predicates[pi].To += uint32(mi)
+		}
+	}
+	return out
 }
 
 // BenchmarkScanKernels is the kernel comparison matrix. The headline pair
@@ -94,7 +116,7 @@ func BenchmarkScanKernels(b *testing.B) {
 	})
 	b.Run("rows=10M/preds=3/sel=10pct/kernel=vectorized", func(b *testing.B) {
 		ft := benchTable(b, 10_000_000)
-		runVectorized(b, ft, ScanRequest{Op: AggSum, Measure: 0, Predicates: predsForSelectivity(3, 46)})
+		runVectorized(b, ft, BatchSize, Member{ScanRequest: ScanRequest{Op: AggSum, Measure: 0, Predicates: predsForSelectivity(3, 46)}})
 	})
 
 	// Per-op comparison at 1M rows, one ~10% predicate.
@@ -106,7 +128,7 @@ func BenchmarkScanKernels(b *testing.B) {
 			runReference(b, benchTable(b, 1_000_000), req)
 		})
 		b.Run(fmt.Sprintf("rows=1M/op=%s/kernel=vectorized", op), func(b *testing.B) {
-			runVectorized(b, benchTable(b, 1_000_000), req)
+			runVectorized(b, benchTable(b, 1_000_000), BatchSize, Member{ScanRequest: req})
 		})
 	}
 
@@ -120,7 +142,7 @@ func BenchmarkScanKernels(b *testing.B) {
 			runReference(b, benchTable(b, 1_000_000), req)
 		})
 		b.Run(fmt.Sprintf("rows=1M/predsel=%.0fpct/kernel=vectorized", pct), func(b *testing.B) {
-			runVectorized(b, benchTable(b, 1_000_000), req)
+			runVectorized(b, benchTable(b, 1_000_000), BatchSize, Member{ScanRequest: req})
 		})
 	}
 
@@ -130,19 +152,17 @@ func BenchmarkScanKernels(b *testing.B) {
 		batch := batch
 		req := ScanRequest{Op: AggSum, Measure: 0, Predicates: predsForSelectivity(3, 46)}
 		b.Run(fmt.Sprintf("rows=1M/batch=%d/kernel=vectorized", batch), func(b *testing.B) {
-			ft := benchTable(b, 1_000_000)
-			plan, err := BindScan(ft, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.rangeBatch(ScanResult{}, 0, ft.Rows(), batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(ft.Rows()) * 4)
+			runVectorized(b, benchTable(b, 1_000_000), batch, Member{ScanRequest: req})
+		})
+	}
+
+	// Fan-in: the same pass shared by 1 and by 8 members of one family
+	// (ns/op is per pass; divide by the fan-in for the per-query cost).
+	for _, k := range []int{1, 8} {
+		k := k
+		m := Member{ScanRequest: ScanRequest{Op: AggSum, Measure: 0, Predicates: predsForSelectivity(3, 46)}}
+		b.Run(fmt.Sprintf("rows=1M/fanin=%d/kernel=vectorized", k), func(b *testing.B) {
+			runVectorized(b, benchTable(b, 1_000_000), BatchSize, fanInMembers(m, k)...)
 		})
 	}
 
@@ -165,14 +185,13 @@ func BenchmarkScanKernels(b *testing.B) {
 			runReference(b, benchTable(b, 1_000_000), req)
 		})
 		b.Run(fmt.Sprintf("rows=1M/shape=%s/kernel=vectorized", tc.name), func(b *testing.B) {
-			runVectorized(b, benchTable(b, 1_000_000), req)
+			runVectorized(b, benchTable(b, 1_000_000), BatchSize, Member{ScanRequest: req})
 		})
 	}
 }
 
 // BenchmarkGroupScanKernels compares the grouped kernels: reference
-// GroupScanRange (fresh map per stripe, merged) vs the bound plan's
-// RangeInto accumulating into one map.
+// GroupScanRange vs a plan whose members scatter by a GroupBy column.
 func BenchmarkGroupScanKernels(b *testing.B) {
 	req := GroupScanRequest{
 		ScanRequest: ScanRequest{Op: AggSum, Measure: 0, Predicates: predsForSelectivity(2, 46)},
@@ -188,18 +207,14 @@ func BenchmarkGroupScanKernels(b *testing.B) {
 			}
 		}
 	})
+	m := Member{ScanRequest: req.ScanRequest, GroupBy: req.GroupBy}
 	b.Run("rows=1M/kernel=vectorized", func(b *testing.B) {
-		ft := benchTable(b, 1_000_000)
-		plan, err := BindGroupScan(ft, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := plan.RangeInto(0, ft.Rows(), nil); err != nil {
-				b.Fatal(err)
-			}
-		}
+		runVectorized(b, benchTable(b, 1_000_000), BatchSize, m)
 	})
+	for _, k := range []int{1, 8} {
+		k := k
+		b.Run(fmt.Sprintf("rows=1M/fanin=%d/kernel=vectorized", k), func(b *testing.B) {
+			runVectorized(b, benchTable(b, 1_000_000), BatchSize, fanInMembers(m, k)...)
+		})
+	}
 }

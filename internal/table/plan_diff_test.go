@@ -1,0 +1,223 @@
+package table
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"hybridolap/internal/dict"
+)
+
+// TestPlanDifferential is the one table behind "K-member ≡ 1-member ≡
+// reference": every case — the BENCH_scan.json shapes, the degenerate
+// predicate sets and each kind of keyed member — is answered by the one
+// plan (a) alone, (b) as member i, for every i, of a K = 8 plan whose other
+// members differ in op, measure, intervals, shape and keying, and (c)
+// alone, chained through one state across three stripes bound separately;
+// each must equal the row-at-a-time reference over the same rows under
+// math.Float64bits.
+func TestPlanDifferential(t *testing.T) {
+	schema := benchSchema()
+	schema.Measures = append(schema.Measures, MeasureSpec{Name: "m2"})
+	schema.Texts = []TextSpec{{Name: "note"}}
+	pool := make([]string, 30)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("note-%02d", i)
+	}
+	ft, err := Generate(GenSpec{Schema: schema, Rows: 3*BatchSize + 213, Seed: 5, TextPools: [][]string{pool}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stripes []*FactTable
+	for _, cut := range [][2]int{{0, 700}, {700, 700 + BatchSize + 1}, {700 + BatchSize + 1, ft.Rows()}} {
+		s, err := Slice(ft, cut[0], cut[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripes = append(stripes, s)
+	}
+
+	scalar := func(op AggOp, preds ...RangePredicate) Member {
+		return Member{ScanRequest: ScanRequest{Op: op, Measure: 0, Predicates: preds}}
+	}
+	type planCase struct {
+		name string
+		m    Member
+	}
+	cases := []planCase{
+		{"sum 3-pred ~10% combined", scalar(AggSum, predsForSelectivity(3, 46)...)},
+	}
+	for _, op := range []AggOp{AggSum, AggCount, AggMin, AggMax, AggAvg} {
+		cases = append(cases, planCase{op.String() + " 1-pred 10%", scalar(op, predsForSelectivity(1, 10)...)})
+	}
+	for _, w := range []uint32{5, 46, 100} {
+		cases = append(cases, planCase{fmt.Sprintf("sum 3-pred %d%%/pred", w), scalar(AggSum, predsForSelectivity(3, w)...)})
+	}
+	grouped := scalar(AggAvg, predsForSelectivity(2, 46)...)
+	grouped.Measure = 1
+	byLevel, byText, cells := grouped, grouped, scalar(AggMin, predsForSelectivity(2, 79)...)
+	byLevel.GroupBy = []GroupCol{{Dim: 2, Level: 0}, {Dim: 0, Level: 0}}
+	byText.GroupBy = []GroupCol{{Text: true, TextIndex: 0}}
+	cells.Cells = true
+	cases = append(cases,
+		planCase{"sum or-list", scalar(AggSum, RangePredicate{Dim: 0, Level: 0, From: 10, To: 19,
+			Or: []CodeRange{{From: 40, To: 49}, {From: 70, To: 74}}})},
+		planCase{"sum point-list", scalar(AggSum, RangePredicate{Dim: 0, Level: 0, From: 7, To: 7,
+			Or: []CodeRange{{From: 21, To: 21}, {From: 56, To: 56}, {From: 83, To: 83}}})},
+		planCase{"max no predicate", scalar(AggMax)},
+		planCase{"count no predicate grouped by text", Member{ScanRequest: ScanRequest{Op: AggCount}, GroupBy: byText.GroupBy}},
+		planCase{"min inverted range", scalar(AggMin, RangePredicate{Dim: 1, Level: 0, From: 8, To: 7})},
+		planCase{"avg grouped by two levels", byLevel},
+		planCase{"avg grouped by a text column", byText},
+		planCase{"min cell-granted", cells},
+	)
+
+	// reference answers m alone, row at a time. A cell member's cells are
+	// a GROUP BY of its predicate columns in canonical order.
+	reference := func(m Member, keyed bool) State {
+		t.Helper()
+		if !keyed {
+			r, err := ScanRange(ft, m.ScanRequest, 0, ft.Rows())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return State{Scalar: r}
+		}
+		by := m.GroupBy
+		if len(by) == 0 {
+			for _, pi := range CanonicalPredOrder(m.Predicates) {
+				by = append(by, GroupCol{Dim: m.Predicates[pi].Dim, Level: m.Predicates[pi].Level})
+			}
+		}
+		g, err := GroupScanRange(ft, GroupScanRequest{ScanRequest: m.ScanRequest, GroupBy: by}, 0, ft.Rows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return State{Groups: g}
+	}
+	sameBits := func(a, b ScanResult) bool {
+		return a.Rows == b.Rows && math.Float64bits(a.Value) == math.Float64bits(b.Value)
+	}
+	check := func(what string, got, want State) {
+		t.Helper()
+		ok := sameBits(got.Scalar, want.Scalar) && len(got.Groups) == len(want.Groups)
+		for k, w := range want.Groups {
+			g, found := got.Groups[k]
+			ok = ok && found && sameBits(g, w)
+		}
+		if !ok {
+			t.Fatalf("%s:\nplan=%+v\nref =%+v", what, got, want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(8))
+	for _, c := range cases {
+		alone := bind1(t, ft, c.m)
+		keyed := alone.Keyed(0)
+		if keyed != (len(c.m.GroupBy) > 0 || c.m.Cells) {
+			t.Fatalf("%s: Keyed=%v", c.name, keyed)
+		}
+		want := reference(c.m, keyed)
+
+		// (a) alone.
+		got, err := rangeFrom(alone, State{}, 0, ft.Rows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c.name+" alone", got, want)
+
+		// (b) as member i of a K = 8 plan over the same columns.
+		for i := 0; i < 8; i++ {
+			members := make([]Member, 8)
+			for mi := range members {
+				if mi == i {
+					members[mi] = c.m
+					continue
+				}
+				o := Member{ScanRequest: ScanRequest{Op: AggOp(rng.Intn(5)), Measure: rng.Intn(2)}}
+				for _, p := range c.m.Predicates {
+					o.Predicates = append(o.Predicates, randPredOn(rng, fusedCol{dim: p.Dim, level: p.Level, card: benchCard}))
+				}
+				rng.Shuffle(len(o.Predicates), func(a, b int) {
+					o.Predicates[a], o.Predicates[b] = o.Predicates[b], o.Predicates[a]
+				})
+				switch rng.Intn(4) {
+				case 0:
+					o.Cells = true
+				case 1:
+					o.GroupBy = []GroupCol{{Dim: rng.Intn(3), Level: 0}}
+				}
+				members[mi] = o
+			}
+			pl, err := Bind(ft, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states := make([]State, len(members))
+			if err := pl.RangeInto(0, ft.Rows(), states); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s as member %d of 8", c.name, i), states[i], want)
+		}
+
+		// (c) chained through one state across three stripes.
+		got = State{}
+		for _, s := range stripes {
+			if got, err = rangeFrom(bind1(t, s, c.m), got, 0, s.Rows()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(c.name+" across three stripes", got, want)
+	}
+}
+
+// TestGroupKeyBudget pins the one 16-bit key budget: a column of up to
+// 65 536 distinct codes packs into a GroupKey component, a dimension level
+// and a text column alike, whether it is a GROUP BY column or a cell
+// coordinate.
+func TestGroupKeyBudget(t *testing.T) {
+	for _, tc := range []struct {
+		codes int
+		fits  bool
+	}{{0xFFFF, true}, {0x10000, true}, {0x10001, false}} {
+		if fitsGroupKey(tc.codes) != tc.fits {
+			t.Errorf("fitsGroupKey(%d) = %v", tc.codes, !tc.fits)
+		}
+		pool := make([]string, tc.codes)
+		for i := range pool {
+			pool[i] = fmt.Sprintf("s%05x", i)
+		}
+		d, err := dict.NewHash(pool) // fixed-width hex: sorted, unique
+		if err != nil {
+			t.Fatal(err)
+		}
+		dicts := dict.NewSet()
+		dicts.Put("s", d)
+		ft, err := FromColumns(Schema{
+			Dimensions: []DimensionSpec{{Name: "d", Levels: []LevelSpec{{Name: "l", Cardinality: tc.codes}}}},
+			Measures:   []MeasureSpec{{Name: "m"}},
+			Texts:      []TextSpec{{Name: "s"}},
+		}, [][]uint32{{0}}, [][]float64{{1}}, [][]uint32{{0}}, dicts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := ScanRequest{Op: AggCount}
+		for name, m := range map[string]Member{
+			"dimension level": {ScanRequest: count, GroupBy: []GroupCol{{Dim: 0, Level: 0}}},
+			"text column":     {ScanRequest: count, GroupBy: []GroupCol{{Text: true, TextIndex: 0}}},
+		} {
+			_, bindErr := Bind(ft, []Member{m})
+			_, refErr := GroupScanRange(ft, GroupScanRequest{ScanRequest: count, GroupBy: m.GroupBy}, 0, ft.Rows())
+			if (bindErr == nil) != tc.fits || (refErr == nil) != tc.fits {
+				t.Errorf("group by a %s of %d codes: Bind err %v, GroupScanRange err %v; want fits=%v",
+					name, tc.codes, bindErr, refErr, tc.fits)
+			}
+		}
+		cell := Member{Cells: true, ScanRequest: ScanRequest{Op: AggCount,
+			Predicates: []RangePredicate{{Dim: 0, Level: 0, From: 0, To: 3}}}}
+		if got := bind1(t, ft, cell).Keyed(0); got != tc.fits {
+			t.Errorf("cells on a level of %d codes: Keyed=%v want %v", tc.codes, got, tc.fits)
+		}
+	}
+}

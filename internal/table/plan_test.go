@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// The differential property suite: the vectorized ScanPlan/GroupScanPlan
-// kernels must agree *exactly* — bit-identical values, not epsilon-close —
-// with the row-at-a-time reference kernels, across random tables,
-// predicate shapes, ops and stripe boundaries. The kernels are built to
-// visit rows in the same order and accumulate floats in the same order,
-// so == comparison is the specification, not an approximation.
+// The differential property suite: the vectorized Plan must agree
+// *exactly* — bit-identical values, not epsilon-close — with the
+// row-at-a-time reference kernels, across random tables, predicate shapes,
+// ops, member counts and stripe boundaries. The kernel is built to visit
+// rows in the same order and accumulate floats in the same order, so ==
+// comparison is the specification, not an approximation.
 
 func diffSchema() Schema {
 	return Schema{
@@ -140,6 +140,23 @@ func randStripe(rng *rand.Rand, rows int) (int, int) {
 	}
 }
 
+// bind1 binds m as a 1-member plan.
+func bind1(t testing.TB, ft *FactTable, m Member) *Plan {
+	t.Helper()
+	pl, err := Bind(ft, []Member{m})
+	if err != nil {
+		t.Fatalf("Bind(%+v): %v", m, err)
+	}
+	return pl
+}
+
+// rangeFrom continues a 1-member plan's state over rows [lo, hi).
+func rangeFrom(pl *Plan, st State, lo, hi int) (State, error) {
+	states := []State{st}
+	err := pl.RangeInto(lo, hi, states)
+	return states[0], err
+}
+
 func TestScanPlanDifferential(t *testing.T) {
 	tables := diffTables(t)
 	rng := rand.New(rand.NewSource(42))
@@ -150,18 +167,14 @@ func TestScanPlanDifferential(t *testing.T) {
 		lo, hi := randStripe(rng, ft.Rows())
 
 		want, wantErr := ScanRange(ft, req, lo, hi)
-		plan, err := BindScan(ft, req)
-		if err != nil {
-			t.Fatalf("case %d: BindScan: %v", i, err)
-		}
-		got, gotErr := plan.Range(lo, hi)
+		got, gotErr := rangeFrom(bind1(t, ft, Member{ScanRequest: req}), State{}, lo, hi)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("case %d: error mismatch: ref=%v vec=%v", i, wantErr, gotErr)
 		}
 		if wantErr != nil {
 			continue
 		}
-		if got != want {
+		if got.Scalar != want || got.Groups != nil {
 			t.Fatalf("case %d: req=%+v stripe=[%d,%d) rows=%d\nref=%+v\nvec=%+v",
 				i, req, lo, hi, ft.Rows(), want, got)
 		}
@@ -183,28 +196,21 @@ func TestScanPlanMinMaxZeroMatchStripes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := BindScan(ft, req)
+		got, err := rangeFrom(bind1(t, ft, Member{ScanRequest: req}), State{}, 0, ft.Rows())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := plan.Range(0, ft.Rows())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want || got.Rows != 0 {
+		if got.Scalar != want || got.Scalar.Rows != 0 {
 			t.Fatalf("op %v zero-match: ref=%+v vec=%+v", op, want, got)
 		}
 		// And a zero-match stripe merged with a matching stripe.
 		req.Predicates[0] = RangePredicate{Dim: 0, Level: 1, From: 0, To: 0}
 		wantA, _ := ScanRange(ft, req, 0, 10)
-		planB, err := BindScan(ft, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotA, _ := planB.Range(0, 10)
+		planB := bind1(t, ft, Member{ScanRequest: req})
+		gotA, _ := rangeFrom(planB, State{}, 0, 10)
 		wantB, _ := ScanRange(ft, req, 10, ft.Rows())
-		gotB, _ := planB.Range(10, ft.Rows())
-		if Merge(op, wantA, wantB) != Merge(op, gotA, gotB) {
+		gotB, _ := rangeFrom(planB, State{}, 10, ft.Rows())
+		if Merge(op, wantA, wantB) != Merge(op, gotA.Scalar, gotB.Scalar) {
 			t.Fatalf("op %v stripe merge mismatch", op)
 		}
 	}
@@ -219,28 +225,27 @@ func TestScanPlanValidationMatchesReference(t *testing.T) {
 		{Op: AggSum, Predicates: []RangePredicate{{Text: true, TextIndex: 5}}},
 	}
 	for i, req := range bad {
-		if _, err := BindScan(ft, req); err == nil {
-			t.Errorf("bad request %d: BindScan accepted it", i)
+		if _, err := Bind(ft, []Member{{ScanRequest: req}}); err == nil {
+			t.Errorf("bad request %d: Bind accepted it", i)
 		}
 		if _, err := ScanRange(ft, req, 0, ft.Rows()); err == nil {
 			t.Errorf("bad request %d: ScanRange accepted it", i)
 		}
 	}
 	// Range bounds are checked per call, like ScanRange.
-	plan, err := BindScan(ft, ScanRequest{Op: AggCount})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.Range(-1, 3); err == nil {
+	plan := bind1(t, ft, Member{ScanRequest: ScanRequest{Op: AggCount}})
+	if _, err := rangeFrom(plan, State{}, -1, 3); err == nil {
 		t.Error("negative lo accepted")
 	}
-	if _, err := plan.Range(0, ft.Rows()+1); err == nil {
+	if _, err := rangeFrom(plan, State{}, 0, ft.Rows()+1); err == nil {
 		t.Error("hi past table accepted")
 	}
 }
 
 // TestScanPlanSelectivityOrdering checks the ordering rule: the most
-// selective predicate seeds the selection vector.
+// selective predicate seeds the selection vector (as the envelope, which
+// for a lone member's plain range is that predicate exactly, so it leaves
+// the residual list) and the rest refine it most selective first.
 func TestScanPlanSelectivityOrdering(t *testing.T) {
 	ft := diffTables(t)[3]
 	req := ScanRequest{
@@ -252,21 +257,16 @@ func TestScanPlanSelectivityOrdering(t *testing.T) {
 			{Dim: 2, Level: 0, From: 0, To: 8},  // ~90% of 10 categories
 		},
 	}
-	plan, err := BindScan(ft, req)
-	if err != nil {
-		t.Fatal(err)
+	plan := bind1(t, ft, Member{ScanRequest: req})
+	preds := plan.members[0].preds
+	if len(preds) != 2 {
+		t.Fatalf("%d residual predicates, want 2", len(preds))
 	}
-	if len(plan.preds) != 3 {
-		t.Fatalf("bound %d predicates", len(plan.preds))
+	if preds[0].sel > preds[1].sel {
+		t.Fatalf("residuals not selectivity-ordered: %v then %v", preds[0].sel, preds[1].sel)
 	}
-	for i := 1; i < len(plan.preds); i++ {
-		if plan.preds[i-1].sel > plan.preds[i].sel {
-			t.Fatalf("predicates not selectivity-ordered: %v then %v",
-				plan.preds[i-1].sel, plan.preds[i].sel)
-		}
-	}
-	if plan.preds[0].sel > 0.2 {
-		t.Fatalf("most selective predicate (10%%) should seed; got sel=%v", plan.preds[0].sel)
+	if !plan.sharedSet || plan.shared.sel > 0.2 || plan.shared.ref != (colRef{a: 1, b: 1}) {
+		t.Fatalf("most selective predicate (10%%) should seed; got %+v", plan.shared)
 	}
 }
 
@@ -307,25 +307,26 @@ func TestGroupScanPlanDifferential(t *testing.T) {
 		lo, hi := randStripe(rng, ft.Rows())
 
 		want, wantErr := GroupScanRange(ft, req, lo, hi)
-		plan, planErr := BindGroupScan(ft, req)
+		plan, planErr := Bind(ft, []Member{{ScanRequest: req.ScanRequest, GroupBy: req.GroupBy}})
 		if (wantErr == nil) != (planErr == nil) {
 			t.Fatalf("case %d: error mismatch: ref=%v bind=%v", i, wantErr, planErr)
 		}
 		if wantErr != nil {
 			continue
 		}
-		got, err := plan.RangeInto(lo, hi, nil)
+		st, err := rangeFrom(plan, State{}, lo, hi)
 		if err != nil {
 			t.Fatalf("case %d: RangeInto: %v", i, err)
 		}
-		if !groupsEqual(want, got) {
+		got := st.Groups
+		if !groupsEqual(want, got) || st.Scalar != (ScanResult{}) {
 			t.Fatalf("case %d: req=%+v stripe=[%d,%d)\nref=%v\nvec=%v", i, req, lo, hi, want, got)
 		}
 	}
 }
 
 // TestGroupScanPlanStripeAccumulation proves RangeInto over consecutive
-// stripes into one map is bit-identical to a single reference scan over
+// stripes into one state is bit-identical to a single reference scan over
 // their union — the substitution gpusim's per-SM loop makes. (It is NOT
 // compared against MergeGroups of per-stripe partials: merging partial
 // float sums rounds differently than one continuous accumulation, which
@@ -340,7 +341,7 @@ func TestGroupScanPlanStripeAccumulation(t *testing.T) {
 			continue
 		}
 		req := randGroupReq(rng, &schema)
-		plan, err := BindGroupScan(ft, req)
+		plan, err := Bind(ft, []Member{{ScanRequest: req.ScanRequest, GroupBy: req.GroupBy}})
 		if err != nil {
 			continue
 		}
@@ -355,13 +356,14 @@ func TestGroupScanPlanStripeAccumulation(t *testing.T) {
 				cuts[b-1], cuts[b] = cuts[b], cuts[b-1]
 			}
 		}
-		var acc Groups
+		var st State
 		for s := 1; s < len(cuts); s++ {
-			acc, err = plan.RangeInto(cuts[s-1], cuts[s], acc)
+			st, err = rangeFrom(plan, st, cuts[s-1], cuts[s])
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
+		acc := st.Groups
 		ref, err := GroupScanRange(ft, req, cuts[0], cuts[len(cuts)-1])
 		if err != nil {
 			t.Fatal(err)
@@ -378,34 +380,34 @@ func TestGroupScanPlanStripeAccumulation(t *testing.T) {
 var raceEnabled = false
 
 // TestScanPlanSteadyStateAllocs pins the zero-allocation property of the
-// vectorized scan loop (the pooled scratch makes Range allocation-free
-// after warmup).
+// vectorized scan loop for a scalar 1-member plan (the pooled scratch
+// makes RangeInto allocation-free after warmup) — on the seeded path and
+// on the dense-run path.
 func TestScanPlanSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	ft := diffTables(t)[6]
-	plan, err := BindScan(ft, ScanRequest{
-		Op:      AggSum,
-		Measure: 0,
-		Predicates: []RangePredicate{
+	for _, req := range []ScanRequest{
+		{Op: AggSum, Measure: 0, Predicates: []RangePredicate{
 			{Dim: 0, Level: 1, From: 0, To: 20},
 			{Dim: 1, Level: 1, From: 0, To: 30},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the scratch pool.
-	if _, err := plan.Range(0, ft.Rows()); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := plan.Range(0, ft.Rows()); err != nil {
+		}},
+		{Op: AggMin, Measure: 1},
+	} {
+		plan := bind1(t, ft, Member{ScanRequest: req})
+		states := make([]State, 1)
+		// Warm the scratch pool.
+		if err := plan.RangeInto(0, ft.Rows(), states); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Range allocates %v objects/op; want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := plan.RangeInto(0, ft.Rows(), states); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%+v: steady-state RangeInto allocates %v objects/op; want 0", req, allocs)
+		}
 	}
 }

@@ -101,9 +101,9 @@ func predCol(t *FactTable, p RangePredicate) []uint32 {
 
 // ScanRange runs the request sequentially over rows [lo, hi) and returns a
 // partial result. It is the row-at-a-time reference kernel the vectorized
-// ScanPlan is proven against; hot callers (the GPU simulator's per-stripe
-// blocks) go through BindScan + (*ScanPlan).Range instead, which validates
-// once per request rather than once per stripe.
+// Plan is proven against; hot callers (the GPU simulator's per-stripe
+// blocks) go through Bind + (*Plan).RangeInto instead, which validates
+// once per request rather than once per unit.
 func ScanRange(t *FactTable, req ScanRequest, lo, hi int) (ScanResult, error) {
 	if lo < 0 || hi > t.rows || lo > hi {
 		return ScanResult{}, fmt.Errorf("table: scan range [%d,%d) outside [0,%d)", lo, hi, t.rows)

@@ -116,7 +116,8 @@ func TestRegistrySchemaMismatch(t *testing.T) {
 }
 
 // TestRangeFromChaining: splitting a scan at arbitrary points and chaining
-// RangeFrom must be bit-identical to one Range over the whole span.
+// RangeInto through one state must be bit-identical to one RangeInto over
+// the whole span.
 func TestRangeFromChaining(t *testing.T) {
 	ft := stripeTable(t, 3*BatchSize+217, 7)
 	rng := rand.New(rand.NewSource(11))
@@ -128,14 +129,12 @@ func TestRangeFromChaining(t *testing.T) {
 		{Op: AggCount, Predicates: []RangePredicate{{Dim: 0, Level: 0, From: 1, To: 2}}},
 	}
 	for ri, req := range reqs {
-		pl, err := BindScan(ft, req)
+		pl := bind1(t, ft, Member{ScanRequest: req})
+		whole, err := rangeFrom(pl, State{}, 0, ft.Rows())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := pl.Range(0, ft.Rows())
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := whole.Scalar
 		for trial := 0; trial < 20; trial++ {
 			// Random sorted cut points, duplicates allowed (empty segments).
 			cuts := []int{0, ft.Rows()}
@@ -143,12 +142,13 @@ func TestRangeFromChaining(t *testing.T) {
 				cuts = append(cuts, rng.Intn(ft.Rows()+1))
 			}
 			sort.Ints(cuts)
-			acc := ScanResult{}
+			st := State{}
 			for i := 0; i+1 < len(cuts); i++ {
-				if acc, err = pl.RangeFrom(acc, cuts[i], cuts[i+1]); err != nil {
+				if st, err = rangeFrom(pl, st, cuts[i], cuts[i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
+			acc := st.Scalar
 			if acc.Rows != want.Rows || math.Float64bits(acc.Value) != math.Float64bits(want.Value) {
 				t.Fatalf("req %d trial %d: chained %+v != whole %+v", ri, trial, acc, want)
 			}

@@ -2,12 +2,13 @@ package table
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
-// BatchSize is the number of rows a vectorized kernel processes per step.
-// 1024 rows keep the selection vector (4 KiB) and the touched slice of
-// each predicate column (4 KiB) resident in L1 while amortising the
+// BatchSize is the number of rows the vectorized kernel processes per step.
+// 1024 rows keep the selection vectors (4 KiB each) and the touched slice
+// of each predicate column (4 KiB) resident in L1 while amortising the
 // per-batch dispatch over enough rows that the monomorphic inner loops
 // dominate.
 const BatchSize = 1024
@@ -17,33 +18,39 @@ const BatchSize = 1024
 // reallocating scratch.
 const maxBatchSize = 4096
 
-// scanScratch is the per-Range working set: one selection vector, reused
-// across batches. Pooled so the steady-state scan loop allocates nothing
-// per call — gpusim launches one Range per stripe per kernel, and the
-// paper's throughput tables run millions of them.
+// scanScratch is the per-RangeInto working set: the shared envelope
+// selection and the per-member refinement copy, reused across batches.
+// Pooled so the steady-state scan loop allocates nothing per call — gpusim
+// launches one RangeInto per unit per kernel, and the paper's throughput
+// tables run millions of them.
 type scanScratch struct {
-	sel []int32
+	shared []int32
+	member []int32
 }
 
 var scanScratchPool = sync.Pool{
-	New: func() any { return &scanScratch{sel: make([]int32, maxBatchSize)} },
+	New: func() any {
+		return &scanScratch{
+			shared: make([]int32, maxBatchSize),
+			member: make([]int32, maxBatchSize),
+		}
+	},
 }
 
 // --- filter kernels -------------------------------------------------------
 //
 // Each kernel is monomorphic over one predicate shape. A "seed" kernel
 // scans a whole batch and fills the selection vector with the in-batch
-// offsets of passing rows; a "refine" kernel compacts an existing
-// selection vector in place. Offsets are relative to the batch base so
-// the vector stays int32 regardless of table size.
+// offsets of rows passing the shared predicate; a "refine" kernel compacts
+// an existing selection vector in place. Offsets are relative to the batch
+// base so the vector stays int32 regardless of table size.
 
-// seedRange assumes from <= to (BindScan short-circuits inverted ranges
-// via ScanPlan.never before any kernel runs), so the two comparisons fuse
-// into one unsigned subtract-compare. The selection vector is built
-// branch-free: the candidate offset is stored unconditionally and the
-// write cursor advances only on a match, so a mispredicted row costs a
-// dead store instead of a pipeline flush — the MonetDB/X100 idiom the
-// motivation cites.
+// seedRange assumes from <= to (the envelope is a hull of accepted codes),
+// so the two comparisons fuse into one unsigned subtract-compare. The
+// selection vector is built branch-free: the candidate offset is stored
+// unconditionally and the write cursor advances only on a match, so a
+// mispredicted row costs a dead store instead of a pipeline flush — the
+// MonetDB/X100 idiom the motivation cites.
 //
 //olaplint:noalloc
 func seedRange(col []uint32, base, n int, from, to uint32, sel []int32) int {
@@ -82,18 +89,6 @@ func orMatches(v, from, to uint32, or []CodeRange) bool {
 		}
 	}
 	return false
-}
-
-//olaplint:noalloc
-func seedOr(col []uint32, base, n int, from, to uint32, or []CodeRange, sel []int32) int {
-	k := 0
-	for i := 0; i < n; i++ {
-		sel[k] = int32(i)
-		if orMatches(col[base+i], from, to, or) {
-			k++
-		}
-	}
-	return k
 }
 
 //olaplint:noalloc
@@ -142,18 +137,18 @@ func refinePoints(col []uint32, base int, points []uint32, sel []int32) int {
 	return k
 }
 
-// seed dispatches the shape once per batch (not once per row).
+// seed dispatches the shared predicate's shape once per batch (not once
+// per row): a plain range, or a lone member's own point list. Kept out of
+// line: inlined into the batch loop the seed kernel compiles 1.4-1.7x
+// slower (EXPERIMENTS.md, "One bound plan").
 //
 //olaplint:noalloc
+//go:noinline
 func (p *boundPred) seed(base, n int, sel []int32) int {
-	switch p.shape {
-	case shapePoints:
+	if p.shape == shapePoints {
 		return seedPoints(p.col, base, n, p.points, sel)
-	case shapeOr:
-		return seedOr(p.col, base, n, p.from, p.to, p.or, sel)
-	default:
-		return seedRange(p.col, base, n, p.from, p.to, sel)
 	}
+	return seedRange(p.col, base, n, p.from, p.to, sel)
 }
 
 // refine dispatches the shape once per batch over the surviving rows.
@@ -173,7 +168,7 @@ func (p *boundPred) refine(base int, sel []int32) int {
 // --- aggregation kernels --------------------------------------------------
 //
 // One loop per AggOp, over either a selection vector or a dense run (the
-// no-predicate case). Accumulation order matches ScanRange exactly — row
+// unfiltered case). Accumulation order matches ScanRange exactly — row
 // ascending, one float add per matching row — so results are bit-identical
 // to the reference kernel, not merely close.
 
@@ -239,92 +234,206 @@ func maxRun(acc float64, first bool, run []float64) float64 {
 	return acc
 }
 
-// Range runs the plan's vectorized kernel over rows [lo, hi) and returns
-// a partial result with the same pre-Finalize semantics as ScanRange.
-// Safe for concurrent use; allocates nothing in steady state.
-func (pl *ScanPlan) Range(lo, hi int) (ScanResult, error) {
-	return pl.rangeBatch(ScanResult{}, lo, hi, BatchSize)
+// fillDense seeds a dense selection of the first n in-batch offsets.
+//
+//olaplint:noalloc
+func fillDense(sel []int32, n int) {
+	for i := 0; i < n; i++ {
+		sel[i] = int32(i)
+	}
 }
 
-// RangeFrom is Range seeded with a prior partial result: it continues
-// accumulating into acc as if the rows of [lo, hi) immediately followed
-// the rows acc already covers. Chaining consecutive stripes through one
-// accumulator is therefore bit-identical to a single Range over their
-// concatenation (continuous accumulation rounds like one long scan, not
-// like Merge over partial sums) — the property snapshot scans rely on to
-// match a from-scratch rebuild exactly.
-func (pl *ScanPlan) RangeFrom(acc ScanResult, lo, hi int) (ScanResult, error) {
-	return pl.rangeBatch(acc, lo, hi, BatchSize)
+// accumulate folds the selected rows into the member's scalar partial:
+// row ascending, one float add per row, like ScanRange.
+//
+//olaplint:noalloc
+func (m *member) accumulate(st *ScanResult, base int, sel []int32) {
+	first := st.Rows == 0
+	st.Rows += int64(len(sel))
+	switch m.op {
+	case AggSum, AggAvg:
+		st.Value = sumSel(st.Value, m.meas, base, sel)
+	case AggMin:
+		st.Value = minSel(st.Value, first, m.meas, base, sel)
+	case AggMax:
+		st.Value = maxSel(st.Value, first, m.meas, base, sel)
+	}
 }
 
-// rangeBatch is RangeFrom with an explicit batch size (the
+// accumulateRun is accumulate over every row of [lo, hi): no selection
+// vector to build or chase.
+//
+//olaplint:noalloc
+func (m *member) accumulateRun(st *ScanResult, lo, hi int) {
+	first := st.Rows == 0
+	st.Rows += int64(hi - lo)
+	switch m.op {
+	case AggSum, AggAvg:
+		st.Value = sumRun(st.Value, m.meas[lo:hi])
+	case AggMin:
+		st.Value = minRun(st.Value, first, m.meas[lo:hi])
+	case AggMax:
+		st.Value = maxRun(st.Value, first, m.meas[lo:hi])
+	}
+}
+
+// key packs the member's key coordinates of row r.
+//
+//olaplint:noalloc
+func (m *member) key(r int) GroupKey {
+	var k GroupKey
+	for _, gc := range m.gcols {
+		k = k<<16 | GroupKey(gc[r]&0xFFFF)
+	}
+	return k
+}
+
+// scatter folds the selected rows into per-key accumulators. One loop per
+// op over the surviving rows: the op switch runs once per batch, not once
+// per row.
+func (m *member) scatter(dst Groups, base int, sel []int32) {
+	switch m.op {
+	case AggSum, AggAvg:
+		for _, i := range sel {
+			r := base + int(i)
+			key := m.key(r)
+			acc := dst[key]
+			acc.Rows++
+			acc.Value += m.meas[r]
+			dst[key] = acc
+		}
+	case AggCount:
+		for _, i := range sel {
+			key := m.key(base + int(i))
+			acc := dst[key]
+			acc.Rows++
+			dst[key] = acc
+		}
+	case AggMin:
+		for _, i := range sel {
+			r := base + int(i)
+			key := m.key(r)
+			acc := dst[key]
+			if acc.Rows == 0 || m.meas[r] < acc.Value {
+				acc.Value = m.meas[r]
+			}
+			acc.Rows++
+			dst[key] = acc
+		}
+	case AggMax:
+		for _, i := range sel {
+			r := base + int(i)
+			key := m.key(r)
+			acc := dst[key]
+			if acc.Rows == 0 || m.meas[r] > acc.Value {
+				acc.Value = m.meas[r]
+			}
+			acc.Rows++
+			dst[key] = acc
+		}
+	}
+}
+
+// State is one member's accumulation state of a pass, with the same
+// pre-Finalize semantics as ScanRange / GroupScanRange: a scalar partial
+// or, for a keyed member, per-key partials (allocated on the first
+// matching row).
+type State struct {
+	Scalar ScanResult
+	Groups Groups // nil for scalar members
+}
+
+// RangeInto runs the plan's kernel over rows [lo, hi), accumulating into
+// states (one per member, caller-owned). Chaining consecutive ranges
+// through the same states continues each accumulation as if the rows
+// immediately followed the ones already covered, so it is bit-identical to
+// a single reference scan over their concatenation (continuous
+// accumulation rounds like one long scan, not like Merge / MergeGroups
+// over partial sums) — what snapshot scans rely on to match a from-scratch
+// rebuild exactly, and why a simulated SM drains many units into one hash
+// table. Safe for concurrent use; allocates nothing in steady state.
+func (pl *Plan) RangeInto(lo, hi int, states []State) error {
+	return pl.rangeBatch(lo, hi, states, BatchSize)
+}
+
+// rangeBatch is RangeInto with an explicit batch size (the
 // microbenchmarks sweep it; production callers always pass BatchSize).
-func (pl *ScanPlan) rangeBatch(acc ScanResult, lo, hi, batch int) (ScanResult, error) {
+func (pl *Plan) rangeBatch(lo, hi int, states []State, batch int) error {
 	if lo < 0 || hi > pl.rows || lo > hi {
-		return ScanResult{}, fmt.Errorf("table: scan range [%d,%d) outside [0,%d)", lo, hi, pl.rows)
+		return fmt.Errorf("table: scan range [%d,%d) outside [0,%d)", lo, hi, pl.rows)
 	}
-	if batch < 1 {
-		batch = 1
+	if len(states) != len(pl.members) {
+		return fmt.Errorf("table: got %d states for %d members", len(states), len(pl.members))
 	}
-	if batch > maxBatchSize {
-		batch = maxBatchSize
+	if pl.last < 0 {
+		return nil
 	}
-	if pl.never {
-		return acc, nil
-	}
-	res := acc
-	if len(pl.preds) == 0 {
-		// No filtration: aggregate dense runs directly, no selection
-		// vector needed.
-		first := res.Rows == 0
-		res.Rows += int64(hi - lo)
-		switch pl.op {
-		case AggSum, AggAvg:
-			res.Value = sumRun(res.Value, pl.meas[lo:hi])
-		case AggMin:
-			res.Value = minRun(res.Value, first, pl.meas[lo:hi])
-		case AggMax:
-			res.Value = maxRun(res.Value, first, pl.meas[lo:hi])
-		}
-		return res, nil
-	}
-
+	batch = min(max(batch, 1), maxBatchSize)
 	sc := scanScratchPool.Get().(*scanScratch)
-	sel := sc.sel
-	first := res.Rows == 0
 	for base := lo; base < hi; base += batch {
-		n := hi - base
-		if n > batch {
-			n = batch
-		}
-		k := pl.preds[0].seed(base, n, sel)
-		for pi := 1; pi < len(pl.preds) && k > 0; pi++ {
-			k = pl.preds[pi].refine(base, sel[:k])
+		n := min(batch, hi-base)
+		k := n
+		if pl.sharedSet {
+			k = pl.shared.seed(base, n, sc.shared)
+		} else if pl.fill {
+			fillDense(sc.shared, n)
 		}
 		if k == 0 {
 			continue
 		}
-		res.Rows += int64(k)
-		switch pl.op {
-		case AggSum, AggAvg:
-			res.Value = sumSel(res.Value, pl.meas, base, sel[:k])
-		case AggMin:
-			res.Value = minSel(res.Value, first, pl.meas, base, sel[:k])
-		case AggMax:
-			res.Value = maxSel(res.Value, first, pl.meas, base, sel[:k])
+		for mi := range pl.members {
+			m := &pl.members[mi]
+			st := &states[mi]
+			switch {
+			case m.never:
+				continue
+			case m.dense:
+				m.accumulateRun(&st.Scalar, base, base+n)
+				continue
+			}
+			sel := sc.shared[:k]
+			if len(m.preds) > 0 {
+				// Everyone after this member reads the shared selection, so
+				// it refines a copy — unless it is the last.
+				if mi != pl.last {
+					sel = sc.member[:k]
+					copy(sel, sc.shared)
+				}
+				for pi := 0; pi < len(m.preds) && len(sel) > 0; pi++ {
+					sel = sel[:m.preds[pi].refine(base, sel)]
+				}
+				if len(sel) == 0 {
+					continue
+				}
+			}
+			if m.gcols == nil {
+				m.accumulate(&st.Scalar, base, sel)
+				continue
+			}
+			if st.Groups == nil {
+				st.Groups = make(Groups)
+			}
+			m.scatter(st.Groups, base, sel)
 		}
-		first = false
 	}
 	scanScratchPool.Put(sc)
-	return res, nil
+	return nil
 }
 
-// Scan executes the whole plan sequentially and finalises the result —
-// the vectorized counterpart of Scan.
-func (pl *ScanPlan) Scan() (ScanResult, error) {
-	res, err := pl.Range(0, pl.rows)
-	if err != nil {
-		return ScanResult{}, err
+// FoldCells folds every per-cell partial into one scalar partial, in
+// sorted key order (deterministic). For count the fold is exact integer
+// addition and for min/max an exact selection, so the folded partial is
+// bit-identical to the member's scalar accumulation over the same rows;
+// sum/avg members never carry cells (see CellShape).
+func FoldCells(op AggOp, cells Groups) ScanResult {
+	keys := make([]GroupKey, 0, len(cells))
+	for k := range cells {
+		keys = append(keys, k)
 	}
-	return Finalize(pl.op, res), nil
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var acc ScanResult
+	for _, k := range keys {
+		acc = Merge(op, acc, cells[k])
+	}
+	return acc
 }
