@@ -276,6 +276,8 @@ type cacheStats struct {
 	Misses             int64 `json:"misses"`
 	SubsumptionHits    int64 `json:"subsumption_hits"`
 	EpochInvalidations int64 `json:"epoch_invalidations"`
+	Carried            int64 `json:"carried"`
+	Dropped            int64 `json:"dropped"`
 	Stores             int64 `json:"stores"`
 	Evictions          int64 `json:"evictions"`
 }
@@ -332,6 +334,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Misses:             cs.Misses,
 		SubsumptionHits:    cs.SubsumptionHits,
 		EpochInvalidations: cs.EpochInvalidations,
+		Carried:            cs.Carried,
+		Dropped:            cs.Dropped,
 		Stores:             cs.Stores,
 		Evictions:          cs.Evictions,
 	}

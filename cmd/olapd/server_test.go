@@ -255,6 +255,39 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryServingPathAcrossIngest is the cache's carry seen over HTTP: a
+// cached count is still a cache answer after /ingest, with the new rows in
+// it, and /stats counts the entry as carried.
+func TestQueryServingPathAcrossIngest(t *testing.T) {
+	db, err := olap.Open(olap.Options{Rows: 2000, Seed: 5, Live: true, Fusion: true, ResultCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newMux(db))
+	t.Cleanup(func() {
+		ts.Close()
+		if err := db.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	const count = `{"sql":"SELECT count(*) WHERE time.day BETWEEN 0 AND 255"}`
+	var v queryResponse
+	if code := postQuery(t, ts, count, &v); code != 200 || v.Cached || *v.Rows != 2000 {
+		t.Fatalf("first count: %d %+v", code, v)
+	}
+	body := `{"rows":[{"coords":[0,0,0],"measures":[100,1],"texts":["ingested corp","metropolis"]}]}`
+	if code := post(t, ts, "/ingest", body, nil); code != 200 {
+		t.Fatalf("ingest = %d", code)
+	}
+	if code := postQuery(t, ts, count, &v); code != 200 || !v.Cached || *v.Rows != 2001 {
+		t.Fatalf("count after ingest: %d %+v, want a cached 2001", code, v)
+	}
+	var st statsResponse
+	if code := get(t, ts, "/stats", &st); code != 200 || st.Cache.Carried != 1 || st.Cache.Dropped != 0 {
+		t.Fatalf("stats: %d %+v", code, st.Cache)
+	}
+}
+
 func TestIngestNotLive(t *testing.T) {
 	ts := testServer(t)
 	code := post(t, ts, "/ingest", `{"rows":[]}`, nil)

@@ -1,10 +1,11 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -14,8 +15,8 @@ import (
 // high-QPS serving path. Two hit kinds:
 //
 //   - exact: the same translated request (canonical predicate order) at
-//     the cache's epoch replays the stored execution result verbatim —
-//     bit-for-bit the answer the producing partition computed, for any op;
+//     the cache's epoch replays the stored result verbatim — bit-for-bit
+//     the answer the producing partition computed, for any op;
 //   - subsumption: a request whose per-column intervals are contained in a
 //     cached entry's intervals is folded from the entry's per-cell
 //     aggregates. Served ONLY for count/min/max: their folds are exact
@@ -24,21 +25,62 @@ import (
 //     float additions in cell order instead of row order, so those ops are
 //     exact-match only — soundness beats hit rate.
 //
-// The cache owns exactly one epoch: the first lookup or store that
-// observes a newer pinned epoch wipes everything (ingest epoch publication
-// is the invalidation signal); lookups for older epochs miss without
-// wiping. Eviction is FIFO.
+// The cache owns one epoch at a time and CARRIES what it can to the next.
+// Ingest only appends and compaction preserves logical row order, so the
+// rows of epoch n are a prefix of the rows of every later epoch: the first
+// lookup or store that pins a newer snapshot advances the cache by scanning
+// only the tail rows [rows of the owned epoch, rows of the new one) — one
+// bound plan per fusion key, every surviving entry a member — and merging
+// the tail partials into copy-on-write successors:
+//
+//   - a cell-bearing entry (an anchor) merges the tail's cells into its own;
+//   - an exact count/min/max entry merges the tail's scalar partial, unless
+//     a carried anchor contains it (a fold then answers it anyway);
+//   - sum/avg entries are dropped: their float accumulation order follows
+//     the partition's unit cut, which an epoch changes.
+//
+// Bit-identity: a count over prefix ++ tail is the integer sum of the two
+// counts, and a min/max over it the selection between the two, whatever
+// order or unit cut either side was scanned in — so a carried entry holds
+// exactly the bits a from-scratch execution at the new epoch would store.
+// A compaction-only epoch has an empty tail and re-stamps the entries for
+// free. The tail is found by row range, never by stripe identity: a
+// compaction may have merged old and new deltas into one stripe.
+//
+// An advance is single-flight and runs outside the mutex (entries are
+// immutable; successors replace them): lookups pinned to the old epoch keep
+// hitting while it runs, callers at the new epoch wait for it to land, and
+// lookups for epochs older than the owned one miss without disturbing it.
+// One advance scans at most carryBudget member-rows, so after a long idle
+// gap it drops entries instead of stalling the lookup that found the gap.
+//
+// Eviction is FIFO over all entries, bounded by CacheMaxEntries. On a live
+// table the sum/avg entries leave at every epoch, so the anchors — stored
+// first, folded from ever after — stay ahead of the bound; on a static one
+// they are the first to go once CacheMaxEntries one-off answers have been
+// stored (ROADMAP item 3a: keeping them there doubles dashboard_hot's
+// answers, and the benchmark's per-answer sample log with them, past its
+// mem_mb bound).
 
 // DefaultCacheMaxEntries bounds the cache when Config.CacheMaxEntries is
 // zero.
 const DefaultCacheMaxEntries = 4096
 
+// carryBudget bounds the tail scan of one advance, in member-rows (carried
+// entries × tail rows): about 15 ms of keyed accumulation at worst, paid by
+// whichever lookup first sees the new epoch.
+const carryBudget = 1 << 18
+
 // CacheStats counts cache traffic.
 type CacheStats struct {
-	Hits               int64 // exact-key hits
-	Misses             int64
-	SubsumptionHits    int64
+	Hits            int64 // exact-key hits
+	Misses          int64
+	SubsumptionHits int64
+	// EpochInvalidations counts the epochs at which the advance dropped at
+	// least one entry; Carried and Dropped count the entries themselves.
 	EpochInvalidations int64
+	Carried            int64
+	Dropped            int64
 	Stores             int64
 	Evictions          int64
 }
@@ -47,51 +89,139 @@ type CacheStats struct {
 // column order.
 type cacheInterval struct{ from, to uint32 }
 
+// cacheEntry is one cached answer, immutable once stored. It keeps no copy
+// of its request: the key spells it out (requestOf), and at 4096 entries two
+// 64-byte predicates apiece would weigh as much as the rest of the cache.
 type cacheEntry struct {
 	key    string
-	sig    string
 	op     table.AggOp
 	result table.ScanResult
 	// queue is the placement that produced the stored bits; differential
 	// tests recompute on the same partition (unit cutting depends on SM
 	// width, so sum/avg bits are partition-specific).
 	queue sched.QueueRef
-	// hasCells + ivals + keys + vals make the entry subsumption-servable:
-	// per-cell partials keyed by packed predicate-column codes, and the
-	// entry's own intervals in the same canonical order. The cells are laid
-	// out as two aligned arrays sorted by key once at store time, so a fold
-	// is a binary search plus a contiguous array scan — no per-cell map
-	// lookup, no re-sort.
-	hasCells bool
-	ivals    []cacheInterval
-	keys     []table.GroupKey
-	vals     []table.ScanResult
+	// cells, when non-nil, makes the entry an anchor.
+	cells *cellSet
+}
+
+// cellSet is what subsumption folds from: an anchor's signature, its own
+// intervals in canonical column order, and its per-cell partials as a dense
+// row-major plane over those intervals (the last column's codes are
+// contiguous). A fold walks exactly the cells inside the request's box — no
+// key to decode, none to skip — and an advance copies 16 bytes a cell.
+type cellSet struct {
+	sig   string
+	ivals []cacheInterval
+	vals  []table.ScanResult
+}
+
+// maxPlaneCells bounds one anchor's plane (1 MB): a request whose box of
+// codes is larger caches exact-match only, and Serve asks no cell pass for
+// it.
+const maxPlaneCells = 1 << 16
+
+// planeCells returns the number of cells in the box of a cell-shaped
+// request's intervals, or 0 when the box is empty (an inverted interval) or
+// exceeds maxPlaneCells.
+func planeCells(ivals []cacheInterval) int {
+	n := int64(1)
+	for _, iv := range ivals {
+		if iv.from > iv.to {
+			return 0
+		}
+		if n *= int64(iv.to-iv.from) + 1; n > maxPlaneCells {
+			return 0
+		}
+	}
+	return int(n)
+}
+
+// at returns the plane position of the cell with the given codes, one per
+// column, each inside the anchor's interval on that column.
+func (cs *cellSet) at(codes []uint32) int {
+	i := 0
+	for c, iv := range cs.ivals {
+		i = i*int(iv.to-iv.from+1) + int(codes[c]-iv.from)
+	}
+	return i
+}
+
+// add merges per-cell partials into the plane. A key packs one 16-bit code
+// per column, first column highest; its codes lie inside the anchor's
+// intervals because its rows passed the anchor's predicates.
+func (cs *cellSet) add(op table.AggOp, cells table.Groups) {
+	var codes [table.MaxGroupCols]uint32
+	n := len(cs.ivals)
+	for k, v := range cells {
+		for c := n - 1; c >= 0; c-- {
+			codes[c] = uint32(k & 0xFFFF)
+			k >>= 16
+		}
+		i := cs.at(codes[:n])
+		cs.vals[i] = table.Merge(op, cs.vals[i], v)
+	}
+}
+
+// fold folds the cells inside the box `in`, which the anchor's intervals
+// contain, in row-major order — exact for count/min/max, the only ops that
+// reach it. An empty cell is the identity of every merge.
+func (cs *cellSet) fold(op table.AggOp, in []cacheInterval) table.ScanResult {
+	var acc table.ScanResult
+	var codes [table.MaxGroupCols]uint32 // the odometer: the box's current row
+	for c, iv := range in {
+		if iv.from > iv.to {
+			return acc // an inverted interval selects no cell
+		}
+		codes[c] = iv.from
+	}
+	last := len(in) - 1
+	run := int(in[last].to-in[last].from) + 1 // the last column is contiguous
+	for {
+		from := cs.at(codes[:len(in)])
+		for _, v := range cs.vals[from : from+run] {
+			acc = table.Merge(op, acc, v)
+		}
+		c := last - 1
+		for ; c >= 0 && codes[c] == in[c].to; c-- {
+			codes[c] = in[c].from
+		}
+		if c < 0 {
+			return acc
+		}
+		codes[c]++
+	}
 }
 
 type resultCache struct {
-	mu      sync.Mutex
-	max     int
-	epoch   uint64
+	mu  sync.Mutex
+	max int
+	// epoch is the owned epoch: written under mu, read without it by the
+	// hit path's is-there-a-newer-epoch check.
+	epoch atomic.Uint64
+	// rows is the owned epoch's row count whenever the cache holds an entry:
+	// where the next advance's tail begins.
+	rows    int
 	entries map[string]*cacheEntry
-	bySig   map[string][]*cacheEntry
-	order   []string // FIFO eviction order
-	stats   CacheStats
+	order   []*cacheEntry // every entry, oldest first: the eviction order
+	anchors []*cacheEntry // the cell-bearing ones of order, oldest first
+	// advancing is non-nil while an advance is in flight, closed when it
+	// lands.
+	advancing chan struct{}
+	stats     CacheStats
 }
 
 func newResultCache(max int) *resultCache {
 	if max <= 0 {
 		max = DefaultCacheMaxEntries
 	}
-	return &resultCache{
-		max:     max,
-		entries: make(map[string]*cacheEntry),
-		bySig:   make(map[string][]*cacheEntry),
-	}
+	return &resultCache{max: max, entries: make(map[string]*cacheEntry)}
 }
 
-// cacheSig is the subsumption signature: op, measure and the canonical
-// column list — everything but the intervals.
-func cacheSig(req *table.ScanRequest, order []int) string {
+// cacheKeys builds a request's two cache strings in one pass. sig is the
+// subsumption signature — op, measure and the canonical column list,
+// everything but the intervals — and key, the exact key, extends it with
+// every interval (and Or list) in canonical order.
+func cacheKeys(req *table.ScanRequest, order []int) (sig, key string) {
 	var b strings.Builder
 	b.WriteString(strconv.Itoa(int(req.Op)))
 	b.WriteByte(';')
@@ -109,14 +239,7 @@ func cacheSig(req *table.ScanRequest, order []int) string {
 			b.WriteString(strconv.Itoa(p.Level))
 		}
 	}
-	return b.String()
-}
-
-// cacheKey is the exact key: the signature plus every interval (and Or
-// list) in canonical order.
-func cacheKey(req *table.ScanRequest, order []int) string {
-	var b strings.Builder
-	b.WriteString(cacheSig(req, order))
+	n := b.Len()
 	for _, pi := range order {
 		p := &req.Predicates[pi]
 		b.WriteByte('|')
@@ -130,7 +253,53 @@ func cacheKey(req *table.ScanRequest, order []int) string {
 			b.WriteString(strconv.FormatUint(uint64(r.To), 10))
 		}
 	}
-	return b.String()
+	key = b.String()
+	return key[:n], key
+}
+
+// requestOf rebuilds the request a key was built from, predicates in
+// canonical order: what an advance binds against the tail rows. ok is false
+// for a string cacheKeys did not build.
+func requestOf(key string) (req table.ScanRequest, ok bool) {
+	ok = true
+	num := func(s string) int {
+		v, err := strconv.ParseUint(s, 10, 32)
+		ok = ok && err == nil
+		return int(v)
+	}
+	head, rest, _ := strings.Cut(key, "|")
+	cols := strings.Split(head, ";")
+	if len(cols) < 2 {
+		return req, false
+	}
+	req.Op, req.Measure = table.AggOp(num(cols[0])), num(cols[1])
+	if cols = cols[2:]; len(cols) == 0 {
+		return req, ok && rest == ""
+	}
+	ivals := strings.Split(rest, "|")
+	if len(ivals) != len(cols) {
+		return req, false
+	}
+	req.Predicates = make([]table.RangePredicate, len(cols))
+	for i, col := range cols {
+		p := &req.Predicates[i]
+		if text, isText := strings.CutPrefix(col, "t"); isText {
+			p.Text, p.TextIndex = true, num(text)
+		} else {
+			dim, level, _ := strings.Cut(strings.TrimPrefix(col, "d"), ".")
+			p.Dim, p.Level = num(dim), num(level)
+		}
+		for j, iv := range strings.Split(ivals[i], ",") {
+			from, to, _ := strings.Cut(iv, "-")
+			r := table.CodeRange{From: uint32(num(from)), To: uint32(num(to))}
+			if j == 0 {
+				p.From, p.To = r.From, r.To
+			} else {
+				p.Or = append(p.Or, r)
+			}
+		}
+	}
+	return req, ok
 }
 
 // cellIntervals returns a table.CellShape request's intervals in its
@@ -153,32 +322,199 @@ type cacheAnswer struct {
 	subsumed bool
 }
 
-// checkEpoch wipes the cache when a newer epoch is observed and reports
-// whether the given epoch is current. Callers hold c.mu.
-func (c *resultCache) checkEpoch(epoch uint64) bool {
-	if epoch > c.epoch {
-		if len(c.entries) > 0 {
-			c.stats.EpochInvalidations++
-		}
-		c.entries = make(map[string]*cacheEntry)
-		c.bySig = make(map[string][]*cacheEntry)
-		c.order = c.order[:0]
-		c.epoch = epoch
+// catchUp advances the cache until it owns snap's epoch or a newer one.
+// Callers do not hold c.mu.
+func (c *resultCache) catchUp(snap *table.Snapshot) {
+	for snap.Epoch() > c.epoch.Load() {
+		c.advance(snap)
 	}
-	return epoch == c.epoch
 }
 
-// lookup serves a request at the given pinned epoch. Subsumption folds
-// run OUTSIDE the cache mutex: entries are immutable once stored (eviction
-// only unlinks them), so concurrent lookups fold in parallel instead of
-// convoying every worker behind one fold.
-func (c *resultCache) lookup(req *table.ScanRequest, epoch uint64) (cacheAnswer, bool) {
+// advance carries the cache from the epoch it owns to snap's, or waits for
+// the advance already in flight (whose target may differ: catchUp looks
+// again). The tail scan and the cell merges run between the two critical
+// sections, never inside one.
+func (c *resultCache) advance(snap *table.Snapshot) {
+	c.mu.Lock()
+	if snap.Epoch() <= c.epoch.Load() {
+		c.mu.Unlock()
+		return
+	}
+	if landing := c.advancing; landing != nil {
+		c.mu.Unlock()
+		<-landing
+		return
+	}
+	landed := make(chan struct{})
+	c.advancing = landed
+	from := c.rows
+	held := slices.Clone(c.order)
+	c.mu.Unlock()
+
+	next := carry(snap, from, held)
+
+	c.mu.Lock()
+	c.order, c.anchors = next, nil
+	c.entries = make(map[string]*cacheEntry, len(next))
+	for _, e := range next {
+		c.entries[e.key] = e
+		if e.cells != nil {
+			c.anchors = append(c.anchors, e)
+		}
+	}
+	c.epoch.Store(snap.Epoch())
+	c.rows = snap.Rows()
+	c.stats.Carried += int64(len(next))
+	c.stats.Dropped += int64(len(held) - len(next))
+	if len(next) < len(held) {
+		c.stats.EpochInvalidations++
+	}
+	c.advancing = nil
+	c.mu.Unlock()
+	close(landed)
+}
+
+// orderFree reports whether partial results of op merge exactly whatever
+// order their rows were scanned in: the ops that carry across an epoch.
+func orderFree(op table.AggOp) bool {
+	return op == table.AggCount || op == table.AggMin || op == table.AggMax
+}
+
+// anchorFor returns the first anchor a request with the given signature
+// and cell intervals folds from, or nil.
+func anchorFor(anchors []*cacheEntry, sig string, ivals []cacheInterval) *cacheEntry {
+	for _, a := range anchors {
+		if a.cells.sig == sig && contains(a.cells.ivals, ivals) {
+			return a
+		}
+	}
+	return nil
+}
+
+// anchored reports whether some anchor contains the plain entry, so that a
+// fold answers its request without it. A key is its signature, then '|' and
+// the intervals of a request with predicates — which a cell-shaped one has —
+// and no signature holds a '|': the prefix test is signature equality.
+func anchored(anchors []*cacheEntry, e *cacheEntry) bool {
+	for _, a := range anchors {
+		if sig := a.cells.sig; len(e.key) <= len(sig) || e.key[len(sig)] != '|' || e.key[:len(sig)] != sig {
+			continue
+		}
+		req, ok := requestOf(e.key)
+		if !ok {
+			return false
+		}
+		if order, ok := table.CellShape(&req); ok && contains(a.cells.ivals, cellIntervals(&req, order)) {
+			return true
+		}
+	}
+	return false
+}
+
+// carry returns the successors, at snap's epoch, of the entries that
+// answer snap's first `from` rows, oldest first as they came: every anchor,
+// and every exact count/min/max entry no anchor contains, each merged with
+// its partial over the tail rows [from, snap.Rows()). Whatever does not fit
+// carryBudget is dropped — the exact entries first, then everything.
+func carry(snap *table.Snapshot, from int, held []*cacheEntry) []*cacheEntry {
+	tail := snap.Rows() - from
+	var anchors []*cacheEntry
+	for _, e := range held {
+		if e.cells != nil {
+			anchors = append(anchors, e)
+		}
+	}
+	if len(anchors)*tail > carryBudget {
+		return nil
+	}
+	var carriers []*cacheEntry
+	for _, e := range held {
+		if e.cells != nil || (orderFree(e.op) && !anchored(anchors, e)) {
+			carriers = append(carriers, e)
+		}
+	}
+	if len(carriers)*tail > carryBudget {
+		carriers = anchors
+	}
+	if tail == 0 {
+		return carriers
+	}
+
+	// One plan per fusion key: members of a plan must filter one column set.
+	reqs := make([]table.ScanRequest, len(carriers))
+	byKey := make(map[string][]int)
+	for i, e := range carriers {
+		var ok bool
+		if reqs[i], ok = requestOf(e.key); ok {
+			k := table.FusionKey(reqs[i])
+			byKey[k] = append(byKey[k], i)
+		}
+	}
+	next := make([]*cacheEntry, len(carriers)) // nil: dropped
+	for _, idx := range byKey {
+		// Every carrier is a scalar member, whose tail partial its answer
+		// merges; an anchor is a second, cell-granted one as well (the same
+		// request always is: one schema), whose tail cells its plane merges.
+		members := make([]table.Member, len(idx), 2*len(idx))
+		cellsAt := make([]int, len(idx)) // an anchor's cell member; 0, a scalar member's place, for none
+		for mi, i := range idx {
+			members[mi] = table.Member{ScanRequest: reqs[i]}
+			if carriers[i].cells != nil {
+				cellsAt[mi] = len(members)
+				members = append(members, table.Member{ScanRequest: reqs[i], Cells: true})
+			}
+		}
+		states := make([]table.State, len(members))
+		for mi, at := range cellsAt {
+			if at > 0 {
+				// Sized once: at most a cell per tail row, or the whole plane.
+				states[at].Groups = make(table.Groups, min(tail, len(carriers[idx[mi]].cells.vals)))
+			}
+		}
+		err := snap.RowRange(from, snap.Rows(), func(t *table.FactTable, lo, hi int) error {
+			pl, err := table.Bind(t, members)
+			if err != nil {
+				return err
+			}
+			return pl.RangeInto(lo, hi, states)
+		})
+		if err != nil {
+			continue // the plan's members are dropped; they re-enter by executing
+		}
+		for mi, i := range idx {
+			next[i] = carriers[i].merged(states[mi].Scalar, states[cellsAt[mi]].Groups)
+		}
+	}
+	return slices.DeleteFunc(next, func(e *cacheEntry) bool { return e == nil })
+}
+
+// merged returns the entry's successor: its answer merged with its scalar
+// partial over the tail rows and, for an anchor, its plane with the tail's
+// cells.
+func (e *cacheEntry) merged(tail table.ScanResult, cells table.Groups) *cacheEntry {
+	n := *e
+	n.result = table.Finalize(e.op, table.Merge(e.op, e.result, tail))
+	if e.cells != nil {
+		plane := *e.cells
+		plane.vals = slices.Clone(plane.vals)
+		plane.add(e.op, cells)
+		n.cells = &plane
+	}
+	return &n
+}
+
+// lookup serves a request at its pinned snapshot's epoch. Subsumption
+// folds run OUTSIDE the cache mutex: entries are immutable once stored
+// (eviction and advances only unlink them), so concurrent lookups fold in
+// parallel instead of convoying every worker behind one fold.
+func (c *resultCache) lookup(req *table.ScanRequest, snap *table.Snapshot) (cacheAnswer, bool) {
 	order, cellShaped := table.CellShape(req)
-	key := cacheKey(req, order)
+	sig, key := cacheKeys(req, order)
+	c.catchUp(snap)
 	var donor *cacheEntry
 	var ivals []cacheInterval
 	c.mu.Lock()
-	if !c.checkEpoch(epoch) {
+	if snap.Epoch() != c.epoch.Load() {
 		c.stats.Misses++
 		c.mu.Unlock()
 		return cacheAnswer{}, false
@@ -188,17 +524,13 @@ func (c *resultCache) lookup(req *table.ScanRequest, epoch uint64) (cacheAnswer,
 		c.mu.Unlock()
 		return cacheAnswer{result: e.result, queue: e.queue}, true
 	}
-	if cellShaped {
-		iv := cellIntervals(req, order)
-		for _, e := range c.bySig[cacheSig(req, order)] {
-			if e.hasCells && contains(e.ivals, iv) {
-				donor, ivals = e, iv
-				c.stats.SubsumptionHits++
-				break
-			}
-		}
+	if cellShaped && len(c.anchors) > 0 {
+		ivals = cellIntervals(req, order)
+		donor = anchorFor(c.anchors, sig, ivals)
 	}
-	if donor == nil {
+	if donor != nil {
+		c.stats.SubsumptionHits++
+	} else {
 		c.stats.Misses++
 	}
 	c.mu.Unlock()
@@ -206,7 +538,7 @@ func (c *resultCache) lookup(req *table.ScanRequest, epoch uint64) (cacheAnswer,
 		return cacheAnswer{}, false
 	}
 	return cacheAnswer{
-		result:   table.Finalize(req.Op, foldCellsWithin(req.Op, donor, ivals)),
+		result:   table.Finalize(req.Op, donor.cells.fold(req.Op, ivals)),
 		queue:    donor.queue,
 		subsumed: true,
 	}, true
@@ -226,96 +558,47 @@ func contains(outer, inner []cacheInterval) bool {
 	return true
 }
 
-// foldCellsWithin folds the entry's cells whose coordinates fall inside
-// ivals — exact for count/min/max, the only ops that reach it. The keys
-// were sorted at store time; since the first coordinate occupies the high
-// bits of the packed key, the candidates form one contiguous run that a
-// binary search finds without touching the rest of the cell set.
-func foldCellsWithin(op table.AggOp, e *cacheEntry, ivals []cacheInterval) table.ScanResult {
-	n := len(ivals)
-	headShift := uint(16 * (n - 1)) // first coordinate lives in the high bits
-	lo := sort.Search(len(e.keys), func(i int) bool {
-		return uint32(e.keys[i]>>headShift) >= ivals[0].from
-	})
-	var acc table.ScanResult
-	for ki := lo; ki < len(e.keys); ki++ {
-		k := e.keys[ki]
-		if uint32(k>>headShift) > ivals[0].to {
-			break
-		}
-		in := true
-		for i := n - 1; i >= 1; i-- {
-			c := uint32(k>>(uint(16*(n-1-i)))) & 0xFFFF
-			if c < ivals[i].from || c > ivals[i].to {
-				in = false
-				break
-			}
-		}
-		if in {
-			acc = table.Merge(op, acc, e.vals[ki])
-		}
-	}
-	return acc
-}
-
-// store records an executed answer at its pinned epoch. cells may be nil
-// (exact-match-only entry). Stale-epoch stores are dropped; an existing
-// entry is kept (first-stored bits win, so repeated executions on
-// different partitions never flap a cached sum's bits).
-func (c *resultCache) store(req *table.ScanRequest, epoch uint64, res table.ScanResult, cells table.Groups, queue sched.QueueRef) {
+// store records an executed answer at its pinned snapshot's epoch. cells
+// may be nil (exact-match-only entry). A store for any epoch but the owned
+// one — or for the owned one while an advance is closing it — is dropped;
+// an existing entry is kept (first-stored bits win, so repeated executions
+// on different partitions never flap a cached sum's bits).
+func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, res table.ScanResult, cells table.Groups, queue sched.QueueRef) {
 	order, cellShaped := table.CellShape(req)
-	key := cacheKey(req, order)
-	// Build the entry (including the potentially large key sort) before
-	// taking the lock; a stale-epoch or duplicate store wastes the work but
-	// never stalls concurrent lookups.
+	// Build the entry (including the plane) before taking the lock; a
+	// stale-epoch or duplicate store wastes the work but never stalls
+	// concurrent lookups.
+	sig, key := cacheKeys(req, order)
 	e := &cacheEntry{key: key, op: req.Op, result: res, queue: queue}
 	if cells != nil && cellShaped {
-		e.hasCells = true
-		e.ivals = cellIntervals(req, order)
-		e.sig = cacheSig(req, order)
-		e.keys = make([]table.GroupKey, 0, len(cells))
-		for k := range cells {
-			e.keys = append(e.keys, k)
-		}
-		sort.Slice(e.keys, func(i, j int) bool { return e.keys[i] < e.keys[j] })
-		e.vals = make([]table.ScanResult, len(e.keys))
-		for i, k := range e.keys {
-			e.vals[i] = cells[k]
+		ivals := cellIntervals(req, order)
+		if n := planeCells(ivals); n > 0 {
+			e.cells = &cellSet{sig: sig, ivals: ivals, vals: make([]table.ScanResult, n)}
+			e.cells.add(req.Op, cells)
 		}
 	}
+	c.catchUp(snap)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.checkEpoch(epoch) {
+	if snap.Epoch() != c.epoch.Load() || c.advancing != nil {
 		return
 	}
-	if _, ok := c.entries[key]; ok {
+	if _, ok := c.entries[e.key]; ok {
 		return
 	}
-	c.entries[key] = e
-	c.order = append(c.order, key)
-	if e.hasCells {
-		c.bySig[e.sig] = append(c.bySig[e.sig], e)
+	c.rows = snap.Rows()
+	c.entries[e.key] = e
+	c.order = append(c.order, e)
+	if e.cells != nil {
+		c.anchors = append(c.anchors, e)
 	}
 	c.stats.Stores++
-	for len(c.entries) > c.max {
+	for len(c.order) > c.max {
 		victim := c.order[0]
 		c.order = c.order[1:]
-		v, ok := c.entries[victim]
-		if !ok {
-			continue
-		}
-		delete(c.entries, victim)
-		if v.hasCells {
-			peers := c.bySig[v.sig]
-			for i, p := range peers {
-				if p == v {
-					c.bySig[v.sig] = append(peers[:i], peers[i+1:]...)
-					break
-				}
-			}
-			if len(c.bySig[v.sig]) == 0 {
-				delete(c.bySig, v.sig)
-			}
+		delete(c.entries, victim.key)
+		if victim.cells != nil {
+			c.anchors = c.anchors[1:] // both lists are oldest first
 		}
 		c.stats.Evictions++
 	}

@@ -1,0 +1,473 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"hybridolap/internal/ingest"
+	"hybridolap/internal/query"
+	"hybridolap/internal/sched"
+	"hybridolap/internal/table"
+)
+
+// TestServeCacheCarryDifferential is the carry's correctness net. Over 50+
+// epochs of interleaved ingest, compaction and serving it re-serves one
+// fixed pool of queries — all five ops; plain ranges, inverted ranges, text
+// equality, IN-lists and lexical ranges (Or-lists once translated), strings
+// first ingested mid-run; cube-answerable and GPU-bound — so that entries
+// stored at one epoch are looked up at later ones, and checks every answer:
+// count/min/max, cached or not, bit-identical to a from-scratch scan of the
+// snapshot pinned for that call; a sum/avg hit only ever within the epoch
+// that executed it, bit-identical to its partition's recompute.
+func TestServeCacheCarryDifferential(t *testing.T) {
+	s, err := Setup(SetupSpec{
+		Rows: 3000, Seed: 5, Live: true,
+		Fusion: true, FusionWindow: time.Millisecond, Cache: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Live().Close(); err != nil {
+			t.Errorf("closing live store: %v", err)
+		}
+	})
+	store := s.Live()
+
+	family := func(op table.AggOp, measure int, f0, t0, f1, t1 uint32) *query.Query {
+		return &query.Query{
+			Conditions: []query.Condition{
+				{Dim: 0, Level: 2, From: f0, To: t0},
+				{Dim: 1, Level: 2, From: f1, To: t1},
+			},
+			Measure: measure, Op: op,
+		}
+	}
+	text := func(op table.AggOp, measure int, tc query.TextCondition) *query.Query {
+		return &query.Query{TextConds: []query.TextCondition{tc}, Measure: measure, Op: op}
+	}
+	brand := func(op table.AggOp, from, to uint32) *query.Query {
+		return &query.Query{Conditions: []query.Condition{{Dim: 2, Level: 2, From: from, To: to}}, Op: op}
+	}
+	pool := []*query.Query{
+		// The anchors, then narrower members of their family: folds for
+		// count/min/max (an inverted range folds no cell), exact-only sum/avg.
+		family(table.AggCount, 0, 0, 255, 0, 127),
+		family(table.AggMin, 0, 0, 255, 0, 127),
+		family(table.AggMax, 1, 0, 255, 0, 127),
+		family(table.AggCount, 0, 17, 190, 5, 99),
+		family(table.AggMin, 0, 40, 41, 0, 127),
+		family(table.AggMax, 1, 0, 255, 64, 64),
+		family(table.AggCount, 0, 200, 100, 0, 127),
+		family(table.AggSum, 0, 17, 190, 5, 99),
+		family(table.AggAvg, 1, 3, 250, 1, 120),
+		family(table.AggMin, 1, 9, 99, 9, 99), // no anchor for min(quantity): an exact entry
+		// A column set without an anchor: exact entries, one of them inverted.
+		brand(table.AggCount, 10, 300),
+		brand(table.AggMax, 0, 511),
+		brand(table.AggMin, 400, 3),
+		brand(table.AggSum, 10, 300),
+		// Cube-answerable: stored by the attempt loop's CPU placement.
+		{Op: table.AggCount},
+		{Conditions: []query.Condition{{Dim: 0, Level: 1, From: 3, To: 20}}, Op: table.AggCount},
+		{Conditions: []query.Condition{{Dim: 1, Level: 0, From: 0, To: 1}}, Op: table.AggMax},
+		// Text predicates; the "late" strings enter the dictionaries mid-run.
+		text(table.AggMin, 1, query.TextCondition{Column: "customer_city", From: "live city 1", To: "live city 1"}),
+		text(table.AggCount, 0, query.TextCondition{Column: "store_name", In: []string{"live store #0", "live store #3", "late store #1"}}),
+		text(table.AggMax, 0, query.TextCondition{Column: "customer_city", From: "late city 0", To: "live city 9"}),
+		text(table.AggCount, 0, query.TextCondition{Column: "store_name", From: "late store #2", To: "late store #2"}),
+		text(table.AggAvg, 0, query.TextCondition{Column: "store_name", From: "live store #2", To: "live store #2"}),
+	}
+
+	rng := rand.New(rand.NewSource(21))
+	nextRow := 0
+	ingestBatch := func(late bool) {
+		t.Helper()
+		rows := make([]table.Row, 15+rng.Intn(30))
+		for i := range rows {
+			rows[i] = liveRow(nextRow)
+			if late && nextRow%2 == 0 {
+				rows[i].Texts = []string{fmt.Sprintf("late store #%d", nextRow%4), fmt.Sprintf("late city %d", nextRow%3)}
+			}
+			nextRow++
+		}
+		if _, err := s.Ingest(&ingest.Batch{Rows: rows}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compact := func() int {
+		t.Helper()
+		n, err := store.CompactOnce(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	// splits reports whether the row the cache has answered up to lies
+	// strictly inside a stripe of the current snapshot: the tail cannot be
+	// told from the stripe list.
+	splits := func() bool {
+		s.cache.mu.Lock()
+		rows := s.cache.rows
+		s.cache.mu.Unlock()
+		base := 0
+		for _, st := range s.pin().Stripes() {
+			if base < rows && rows < base+st.Rows() {
+				return true
+			}
+			base += st.Rows()
+		}
+		return false
+	}
+
+	// lastRun[i] is the epoch pool query i was last executed (not served
+	// from the cache) at.
+	lastRun := make([]uint64, len(pool))
+	var carriedHits, carriedFolds, split, restamps int
+	serve := func(qi int, q *query.Query) {
+		t.Helper()
+		snap := s.pin()
+		out, err := s.Serve(q)
+		if err != nil {
+			t.Fatalf("epoch %d query %d: %v", snap.Epoch(), qi, err)
+		}
+		want, err := s.ReferenceAt(q, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc := fmt.Sprintf("epoch %d query %d (%v, hit=%v subsumed=%v, queue %s)",
+			snap.Epoch(), qi, q.Op, out.CacheHit, out.Subsumed, out.Queue)
+		if orderFree(q.Op) {
+			if !resultBits(out.Result, want) {
+				t.Fatalf("%s: got (%v, %d), from-scratch scan (%v, %d)",
+					desc, out.Result.Value, out.Result.Rows, want.Value, want.Rows)
+			}
+		} else {
+			if out.Result.Rows != want.Rows || math.Abs(out.Result.Value-want.Value) > 1e-6*math.Abs(want.Value) {
+				t.Fatalf("%s: got (%v, %d), reference (%v, %d)",
+					desc, out.Result.Value, out.Result.Rows, want.Value, want.Rows)
+			}
+			if out.CacheHit {
+				if qi >= 0 && lastRun[qi] != snap.Epoch() {
+					t.Fatalf("%s: served across an epoch, last executed at %d", desc, lastRun[qi])
+				}
+				if again := faultFreeAt(t, s, q, out.Queue); !resultBits(out.Result, again) {
+					t.Fatalf("%s: hit (%v, %d) is not its partition's answer (%v, %d)",
+						desc, out.Result.Value, out.Result.Rows, again.Value, again.Rows)
+				}
+			}
+		}
+		if qi < 0 {
+			return
+		}
+		switch {
+		case !out.CacheHit:
+			if out.Attempts > 0 { // not the empty-translation short cut
+				lastRun[qi] = snap.Epoch()
+			}
+		case lastRun[qi] == snap.Epoch():
+		case out.Subsumed:
+			carriedFolds++
+		default:
+			carriedHits++
+		}
+	}
+	serveAll := func() {
+		t.Helper()
+		for qi, q := range pool {
+			serve(qi, q)
+		}
+		ops := []table.AggOp{table.AggCount, table.AggMin, table.AggMax, table.AggSum, table.AggAvg}
+		for i := 0; i < 4; i++ {
+			serve(-1, serveFamilyQuery(rng, ops[rng.Intn(len(ops))], rng.Intn(2)))
+		}
+	}
+
+	serveAll()
+	for round := 0; round < 24; round++ {
+		stale := s.pin()
+		ingestBatch(round >= 8)
+		switch round % 4 {
+		case 1:
+			// The cache takes the batch as a delta stripe of its own, then a
+			// compaction merges it with the next: the cache's row count ends
+			// up inside a stripe, and two epochs pass unseen.
+			serve(0, pool[0])
+			ingestBatch(round >= 8)
+			if compact() < 2 {
+				t.Fatalf("round %d: nothing to compact", round)
+			}
+			if splits() {
+				split++
+			}
+		case 2:
+			// Three epochs between two lookups.
+			ingestBatch(round >= 8)
+			ingestBatch(round >= 8)
+		case 3:
+			// A compaction-only epoch: no new row, every carrier re-stamped.
+			serve(0, pool[0])
+			before := s.CacheStats()
+			rows := s.pin().Rows()
+			if compact() < 2 {
+				t.Fatalf("round %d: nothing to compact", round)
+			}
+			serve(0, pool[0])
+			if after := s.CacheStats(); s.pin().Rows() == rows && after.Carried > before.Carried {
+				restamps++
+			}
+		}
+		serveAll()
+
+		// A reader still pinned to the epoch before this round: it misses,
+		// disturbs nothing, and what it executed is not stored.
+		probe := table.ScanRequest{Op: table.AggCount, Predicates: []table.RangePredicate{{Dim: 2, Level: 2, From: 10, To: 300}}}
+		if _, ok := s.cache.lookup(&probe, stale); ok {
+			t.Fatalf("round %d: a reader pinned at epoch %d hit the cache of epoch %d", round, stale.Epoch(), s.pin().Epoch())
+		}
+		if _, ok := s.cache.lookup(&probe, s.pin()); !ok {
+			t.Fatalf("round %d: the stale lookup cost the current epoch its entry", round)
+		}
+		bogus := table.ScanRequest{Op: table.AggCount, Predicates: []table.RangePredicate{{Dim: 2, Level: 3, From: uint32(round), To: 2000}}}
+		s.cache.store(&bogus, stale, table.ScanResult{Value: -1, Rows: -1}, nil, sched.QueueRef{})
+		if _, ok := s.cache.lookup(&bogus, s.pin()); ok {
+			t.Fatalf("round %d: a store pinned at epoch %d was kept", round, stale.Epoch())
+		}
+	}
+
+	cs := s.CacheStats()
+	t.Logf("%d epochs: %d carried exact hits, %d folds from carried anchors, %d split stripes, %d re-stamps, cache %+v",
+		s.pin().Epoch(), carriedHits, carriedFolds, split, restamps, cs)
+	if s.pin().Epoch() < 50 {
+		t.Fatalf("only %d epochs", s.pin().Epoch())
+	}
+	if carriedHits < 100 || carriedFolds < 50 || split == 0 || restamps == 0 {
+		t.Fatalf("the carry was not exercised: %d exact hits, %d folds, %d split stripes, %d re-stamps",
+			carriedHits, carriedFolds, split, restamps)
+	}
+	if cs.Carried == 0 || cs.Dropped == 0 || cs.EpochInvalidations == 0 {
+		t.Fatalf("cache stats: %+v", cs)
+	}
+}
+
+// TestServeCacheAdvanceRace races readers into the advance: a writer
+// publishes epochs while four readers serve an anchor and a query it
+// subsumes, so at every epoch one of them carries the cache and the others
+// wait for it to land or, pinned a moment earlier, keep hitting the old
+// epoch. A reader's full-domain count can only grow, and once the writer
+// is done the cache must hold the final row set's answers — a tail merged
+// twice, or not at all, would stay wrong for good.
+func TestServeCacheAdvanceRace(t *testing.T) {
+	const baseRows, batches, perBatch, readers = 2000, 40, 10, 4
+	s, err := Setup(SetupSpec{Rows: baseRows, Seed: 1, Live: true, Fusion: true, Cache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Live().Close(); err != nil {
+			t.Errorf("closing live store: %v", err)
+		}
+	})
+	family := func(f0, t0, f1, t1 uint32) *query.Query {
+		return &query.Query{Conditions: []query.Condition{
+			{Dim: 0, Level: 2, From: f0, To: t0},
+			{Dim: 1, Level: 2, From: f1, To: t1},
+		}, Op: table.AggCount}
+	}
+	anchor, narrow := family(0, 255, 0, 127), family(0, 200, 0, 100)
+	if _, err := s.Serve(anchor); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := 0; b < batches; b++ {
+			rows := make([]table.Row, perBatch)
+			for i := range rows {
+				rows[i] = liveRow(b*perBatch + i)
+			}
+			if _, err := s.Ingest(&ingest.Batch{Rows: rows}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var seen int64
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				all, err := s.Serve(anchor)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if all.Result.Rows < seen || all.Result.Rows > baseRows+batches*perBatch {
+					t.Errorf("full-domain count went from %d to %d", seen, all.Result.Rows)
+					return
+				}
+				seen = all.Result.Rows
+				if part, err := s.Serve(narrow); err != nil || part.Result.Rows > baseRows+batches*perBatch {
+					t.Errorf("narrow count %+v, %v", part.Result, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	<-done
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, q := range []*query.Query{anchor, narrow} {
+		out, err := s.Serve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.Reference(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.CacheHit || !resultBits(out.Result, want) {
+			t.Fatalf("after the race: %+v, want a cache hit equal to %+v", out, want)
+		}
+	}
+	if cs := s.CacheStats(); cs.Carried == 0 || cs.SubsumptionHits == 0 {
+		t.Fatalf("the anchor was never carried or never folded from: %+v", cs)
+	}
+}
+
+// TestServeWantCellsClampsIntervals pins the cell-pass gate on the two
+// intervals whose width a uint32 subtraction gets wrong: an inverted one
+// (which can match nothing) and one reaching past the level's last code.
+func TestServeWantCellsClampsIntervals(t *testing.T) {
+	s := testSystem(t, func(spec *SetupSpec) { spec.Cache = true })
+	req := func(f0, t0, f1, t1 uint32) *table.ScanRequest {
+		return &table.ScanRequest{Op: table.AggCount, Predicates: []table.RangePredicate{
+			{Dim: 0, Level: 2, From: f0, To: t0},
+			{Dim: 1, Level: 2, From: f1, To: t1},
+		}}
+	}
+	for _, c := range []struct {
+		name string
+		req  *table.ScanRequest
+		want bool
+	}{
+		{"full domain", req(0, 255, 0, 127), true},
+		{"near-full domain", req(2, 255, 0, 126), true},
+		{"half of one column", req(0, 127, 0, 127), false},
+		{"inverted", req(200, 100, 0, 127), false},
+		{"inverted by one", req(1, 0, 0, 127), false},
+		{"past the last code, full", req(0, 300, 0, 127), true},
+		{"a box beyond the plane budget", req(0, 100_000, 0, 127), false},
+		{"past the last code, half", req(128, 511, 0, 127), false},
+		{"wholly past the last code", req(256, 300, 0, 127), false},
+	} {
+		if got := s.wantCells(c.req); got != c.want {
+			t.Errorf("%s: wantCells = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestServeCacheKeyRoundTrip pins requestOf as the inverse of cacheKeys:
+// entries keep only the key, and an advance rebinds what it spells.
+func TestServeCacheKeyRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		req := table.ScanRequest{Op: table.AggOp(rng.Intn(5)), Measure: rng.Intn(2)}
+		for n := rng.Intn(4); n > 0; n-- {
+			p := table.RangePredicate{From: rng.Uint32(), To: rng.Uint32()}
+			if rng.Intn(3) == 0 {
+				p.Text, p.TextIndex = true, rng.Intn(2)
+			} else {
+				p.Dim, p.Level = rng.Intn(3), rng.Intn(4)
+			}
+			for o := rng.Intn(3); o > 0; o-- {
+				p.Or = append(p.Or, table.CodeRange{From: rng.Uint32(), To: rng.Uint32()})
+			}
+			req.Predicates = append(req.Predicates, p)
+		}
+		order := table.CanonicalPredOrder(req.Predicates)
+		_, key := cacheKeys(&req, order)
+		back, ok := requestOf(key)
+		if !ok {
+			t.Fatalf("key %q does not parse", key)
+		}
+		if back.Op != req.Op || back.Measure != req.Measure || len(back.Predicates) != len(req.Predicates) {
+			t.Fatalf("key %q: got %+v, want %+v", key, back, req)
+		}
+		for bi, pi := range order {
+			got, want := back.Predicates[bi], req.Predicates[pi]
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("key %q predicate %d: got %+v, want %+v", key, bi, got, want)
+			}
+		}
+	}
+	for _, bad := range []string{"", "1", "x;0", "1;0;d0.2", "1;0;d0.2|5", "1;0;d0.2|5-x", "1;0;q|1-2", "1;0;d0.2|1-2|3-4", "1;0|1-2"} {
+		if _, ok := requestOf(bad); ok {
+			t.Errorf("requestOf(%q) accepted a string cacheKeys cannot build", bad)
+		}
+	}
+}
+
+// BenchmarkCacheAdvance times what one ingest epoch costs the cache on the
+// dashboard's shape: five full-domain anchors of 256×128 cells and 64 exact
+// count/min/max entries of another column set carried over a 1000-row delta
+// stripe — two bound plans over the tail and five plane copies. The budget
+// is 1 ms an advance (µs/advance), against the ≈ 40 ms between epochs of
+// the ingest_live writer.
+func BenchmarkCacheAdvance(b *testing.B) {
+	base := genTable(b, 200_000, 1)
+	reg, err := table.NewRegistry(table.PaperSchema(), base, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := newResultCache(0)
+	store := func(req table.ScanRequest, cells bool) { storeScanned(b, c, base, reg.Current(), req, cells) }
+	for _, a := range []struct {
+		op      table.AggOp
+		measure int
+	}{
+		{table.AggCount, 0}, {table.AggMin, 0}, {table.AggMin, 1}, {table.AggMax, 0}, {table.AggMax, 1},
+	} {
+		store(table.ScanRequest{Op: a.op, Measure: a.measure, Predicates: []table.RangePredicate{
+			{Dim: 0, Level: 2, From: 0, To: 255}, {Dim: 1, Level: 2, From: 0, To: 127},
+		}}, true)
+	}
+	rng := rand.New(rand.NewSource(2))
+	ops := []table.AggOp{table.AggCount, table.AggMin, table.AggMax}
+	for i := 0; i < 64; i++ {
+		lo := uint32(rng.Intn(400))
+		store(table.ScanRequest{Op: ops[i%3], Measure: i % 2, Predicates: []table.RangePredicate{
+			{Dim: 2, Level: 2, From: lo, To: lo + uint32(rng.Intn(100))},
+		}}, false)
+	}
+	if len(c.anchors) != 5 || len(c.order) != 69 {
+		b.Fatalf("cache holds %d anchors among %d entries", len(c.anchors), len(c.order))
+	}
+	next, err := reg.Publish([]*table.FactTable{genTable(b, 1000, 2)}, table.StripeDelta, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if carried := carry(next, base.Rows(), c.order); len(carried) != 69 {
+			b.Fatalf("carried %d of 69 entries", len(carried))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/advance")
+}

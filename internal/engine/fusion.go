@@ -131,7 +131,7 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	}
 
 	if s.cache != nil {
-		if ans, ok := s.cache.lookup(&req, snap.Epoch()); ok {
+		if ans, ok := s.cache.lookup(&req, snap); ok {
 			return ServeOutcome{
 				Result: ans.result, Queue: ans.queue,
 				CacheHit: true, Subsumed: ans.subsumed,
@@ -182,20 +182,28 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 const cellCoverageFloor = 0.95
 
 // wantCells reports whether Serve should ask the fused kernel for
-// per-cell aggregates: the request must be subsumption-shaped AND cover
-// (nearly) its whole predicate domain — see cellCoverageFloor.
+// per-cell aggregates: the request must be subsumption-shaped, cover
+// (nearly) its whole predicate domain — see cellCoverageFloor — and span a
+// box of codes the cache keeps a plane for.
 func (s *System) wantCells(req *table.ScanRequest) bool {
 	if s.cache == nil {
 		return false
 	}
-	if _, ok := table.CellShape(req); !ok {
+	order, ok := table.CellShape(req)
+	if !ok || planeCells(cellIntervals(req, order)) == 0 {
 		return false
 	}
 	sc := s.cfg.Table.Schema()
 	coverage := 1.0
 	for _, p := range req.Predicates {
+		// The codes of [From, To] that exist: To past the level's last code
+		// covers nothing more, and an inverted interval covers nothing.
 		card := sc.LevelCardinality(p.Dim, p.Level)
-		coverage *= float64(p.To-p.From+1) / float64(card)
+		to := min(int64(p.To), int64(card)-1)
+		if int64(p.From) > to {
+			return false
+		}
+		coverage *= float64(to-int64(p.From)+1) / float64(card)
 	}
 	return coverage >= cellCoverageFloor
 }
@@ -218,7 +226,7 @@ func (s *System) serveAlone(q *query.Query, snap *table.Snapshot, est sched.Esti
 	}
 	// The loop has translated whatever Serve could not.
 	if req, empty, err := j.q.ToScanRequest(s.cfg.Table.Schema()); err == nil && !empty {
-		s.cache.store(&req, j.snap.Epoch(), r, nil, j.d.Queue)
+		s.cache.store(&req, j.snap, r, nil, j.d.Queue)
 	}
 	return out, nil
 }
@@ -324,7 +332,7 @@ func (s *System) executeFused(g *fusionGroup) {
 		// the kernel runs the unique request set.
 		ests[i] = m.est
 		deadline = min(deadline, m.deadline)
-		k := cacheKey(&m.req, table.CanonicalPredOrder(m.req.Predicates))
+		_, k := cacheKeys(&m.req, table.CanonicalPredOrder(m.req.Predicates))
 		if ui, ok := uniq[k]; ok {
 			rep[i] = ui
 			wantCells[ui] = wantCells[ui] || m.wantCells
@@ -366,7 +374,7 @@ func (s *System) executeFused(g *fusionGroup) {
 	}
 	if s.cache != nil {
 		for ui := range reqs {
-			s.cache.store(&reqs[ui], g.snap.Epoch(), answers[ui].Result, answers[ui].Cells, d.Queue)
+			s.cache.store(&reqs[ui], g.snap, answers[ui].Result, answers[ui].Cells, d.Queue)
 		}
 	}
 }

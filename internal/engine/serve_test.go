@@ -27,38 +27,89 @@ func cacheReq(op table.AggOp, from, to uint32) table.ScanRequest {
 	}}
 }
 
+// genTable generates a paper-schema fact table.
+func genTable(t testing.TB, rows int, seed int64) *table.FactTable {
+	t.Helper()
+	ft, err := table.Generate(table.GenSpec{Schema: table.PaperSchema(), Rows: rows, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
+}
+
+// cacheEpochs returns the snapshots of epochs 0..n of a registry over base:
+// one 50-row delta stripe per epoch after the first.
+func cacheEpochs(t testing.TB, base *table.FactTable, n int) []*table.Snapshot {
+	t.Helper()
+	reg, err := table.NewRegistry(table.PaperSchema(), base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := []*table.Snapshot{reg.Current()}
+	for e := 1; e <= n; e++ {
+		snap, err := reg.Publish([]*table.FactTable{genTable(t, 50, int64(e+1))}, table.StripeDelta, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	return snaps
+}
+
+// storeScanned answers req over ft with the bound plan — per cell when
+// cells is set — and stores the answer at the snapshot.
+func storeScanned(t testing.TB, c *resultCache, ft *table.FactTable, at *table.Snapshot, req table.ScanRequest, cells bool) {
+	t.Helper()
+	pl, err := table.Bind(ft, []table.Member{{ScanRequest: req, Cells: cells}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Keyed(0) != cells {
+		t.Fatalf("%v over %+v: cells granted = %v, want %v", req.Op, req.Predicates, pl.Keyed(0), cells)
+	}
+	st := make([]table.State, 1)
+	if err := pl.RangeInto(0, ft.Rows(), st); err != nil {
+		t.Fatal(err)
+	}
+	if cells {
+		st[0].Scalar = table.FoldCells(req.Op, st[0].Groups)
+	}
+	c.store(&req, at, table.Finalize(req.Op, st[0].Scalar), st[0].Groups, sched.QueueRef{Kind: sched.QueueGPU, Index: 1})
+}
+
 func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 	c := newResultCache(2)
+	at := cacheEpochs(t, genTable(t, 200, 1), 0)[0]
 	q1 := cacheReq(table.AggSum, 3, 9)
 	r1 := table.ScanResult{Value: 42.5, Rows: 7}
 	qr := sched.QueueRef{Kind: sched.QueueGPU, Index: 2}
-	c.store(&q1, 0, r1, nil, qr)
+	c.store(&q1, at, r1, nil, qr)
 
-	ans, ok := c.lookup(&q1, 0)
+	ans, ok := c.lookup(&q1, at)
 	if !ok || !resultBits(ans.result, r1) || ans.queue != qr || ans.subsumed {
 		t.Fatalf("exact lookup: ok=%v ans=%+v", ok, ans)
 	}
 
 	// A different interval on the same column is a different key.
 	q2 := cacheReq(table.AggSum, 3, 10)
-	if _, ok := c.lookup(&q2, 0); ok {
+	if _, ok := c.lookup(&q2, at); ok {
 		t.Fatal("different interval hit the cache")
 	}
 
 	// Keep-first: a second store under the same key must not flap the bits.
-	c.store(&q1, 0, table.ScanResult{Value: 99, Rows: 7}, nil, sched.QueueRef{Kind: sched.QueueGPU, Index: 5})
-	if ans, ok := c.lookup(&q1, 0); !ok || !resultBits(ans.result, r1) || ans.queue != qr {
+	c.store(&q1, at, table.ScanResult{Value: 99, Rows: 7}, nil, sched.QueueRef{Kind: sched.QueueGPU, Index: 5})
+	if ans, ok := c.lookup(&q1, at); !ok || !resultBits(ans.result, r1) || ans.queue != qr {
 		t.Fatalf("keep-first violated: %+v", ans)
 	}
 
 	// FIFO eviction at max=2: storing a third entry evicts q1.
-	c.store(&q2, 0, table.ScanResult{Value: 1, Rows: 1}, nil, qr)
+	c.store(&q2, at, table.ScanResult{Value: 1, Rows: 1}, nil, qr)
 	q3 := cacheReq(table.AggSum, 0, 1)
-	c.store(&q3, 0, table.ScanResult{Value: 2, Rows: 2}, nil, qr)
-	if _, ok := c.lookup(&q1, 0); ok {
+	c.store(&q3, at, table.ScanResult{Value: 2, Rows: 2}, nil, qr)
+	if _, ok := c.lookup(&q1, at); ok {
 		t.Fatal("FIFO eviction kept the oldest entry")
 	}
-	if _, ok := c.lookup(&q2, 0); !ok {
+	if _, ok := c.lookup(&q2, at); !ok {
 		t.Fatal("eviction dropped a younger entry")
 	}
 	st := c.snapshotStats()
@@ -67,43 +118,115 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 	}
 }
 
+// TestResultCacheEpochOwnership pins what an epoch does to the cache at the
+// unit level: older pinned epochs miss and cannot store, a newer one
+// carries count/min/max entries by a fold of the new rows only and drops
+// sum/avg.
 func TestResultCacheEpochOwnership(t *testing.T) {
 	c := newResultCache(0)
+	at := cacheEpochs(t, genTable(t, 200, 1), 3)
+	scan := func(q table.ScanRequest, snap *table.Snapshot) table.ScanResult {
+		t.Helper()
+		r, err := table.ScanSnapshot(snap, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	q := cacheReq(table.AggCount, 0, 5)
-	r := table.ScanResult{Value: 3, Rows: 3}
-	c.store(&q, 1, r, nil, sched.QueueRef{})
-	if _, ok := c.lookup(&q, 1); !ok {
+	c.store(&q, at[1], scan(q, at[1]), nil, sched.QueueRef{})
+	if _, ok := c.lookup(&q, at[1]); !ok {
 		t.Fatal("store at epoch 1 not visible")
 	}
 
-	// An older pinned epoch misses without wiping the current entries.
-	if _, ok := c.lookup(&q, 0); ok {
+	// An older pinned epoch misses without disturbing the current entries.
+	if _, ok := c.lookup(&q, at[0]); ok {
 		t.Fatal("stale-epoch lookup hit")
 	}
-	if _, ok := c.lookup(&q, 1); !ok {
+	if _, ok := c.lookup(&q, at[1]); !ok {
 		t.Fatal("stale-epoch lookup wiped current entries")
 	}
 	// A stale store is dropped.
 	q2 := cacheReq(table.AggCount, 0, 9)
-	c.store(&q2, 0, r, nil, sched.QueueRef{})
-	if _, ok := c.lookup(&q2, 1); ok {
+	c.store(&q2, at[0], scan(q2, at[0]), nil, sched.QueueRef{})
+	if _, ok := c.lookup(&q2, at[1]); ok {
 		t.Fatal("stale-epoch store was kept")
 	}
 
-	// A newer epoch wipes everything exactly once.
-	if _, ok := c.lookup(&q, 2); ok {
-		t.Fatal("entry survived epoch publication")
+	// A newer epoch carries the count and drops the sum, exactly once.
+	sum := cacheReq(table.AggSum, 0, 5)
+	c.store(&sum, at[1], scan(sum, at[1]), nil, sched.QueueRef{})
+	if ans, ok := c.lookup(&q, at[2]); !ok || !resultBits(ans.result, scan(q, at[2])) {
+		t.Fatalf("count not carried to epoch 2: ok=%v %+v, want %+v", ok, ans.result, scan(q, at[2]))
 	}
-	st := c.snapshotStats()
-	if st.EpochInvalidations != 1 {
-		t.Fatalf("EpochInvalidations = %d, want 1 (stats %+v)", st.EpochInvalidations, st)
+	if _, ok := c.lookup(&sum, at[2]); ok {
+		t.Fatal("sum survived epoch publication")
 	}
-	// Wiping an already-empty cache is not an invalidation.
-	if _, ok := c.lookup(&q, 3); ok {
-		t.Fatal("hit on empty cache")
+	if st := c.snapshotStats(); st.EpochInvalidations != 1 || st.Carried != 1 || st.Dropped != 1 {
+		t.Fatalf("after epoch 2: %+v, want 1 invalidation, 1 carried, 1 dropped", st)
 	}
-	if st := c.snapshotStats(); st.EpochInvalidations != 1 {
-		t.Fatalf("empty wipe counted as invalidation: %+v", st)
+	// The old epoch is now the stale one.
+	if _, ok := c.lookup(&q, at[1]); ok {
+		t.Fatal("lookup at the superseded epoch hit")
+	}
+	// An epoch that drops nothing is not an invalidation.
+	if ans, ok := c.lookup(&q, at[3]); !ok || !resultBits(ans.result, scan(q, at[3])) {
+		t.Fatalf("count not carried to epoch 3: ok=%v %+v", ok, ans.result)
+	}
+	if st := c.snapshotStats(); st.EpochInvalidations != 1 || st.Carried != 2 || st.Dropped != 1 {
+		t.Fatalf("after epoch 3: %+v, want 1 invalidation, 2 carried, 1 dropped", st)
+	}
+}
+
+// TestServeCacheEvictionUnlinksAnchor pins what FIFO eviction does to an
+// anchor: once it is the oldest entry past the bound it stops serving folds,
+// and a younger anchor of another signature keeps serving them.
+func TestServeCacheEvictionUnlinksAnchor(t *testing.T) {
+	ft := genTable(t, 2000, 3)
+	at := cacheEpochs(t, ft, 0)[0]
+	c := newResultCache(8)
+	month := func(op table.AggOp, from, to uint32) table.ScanRequest {
+		return table.ScanRequest{Op: op, Predicates: []table.RangePredicate{{Dim: 0, Level: 1, From: from, To: to}}}
+	}
+	storeAnchor := func(req table.ScanRequest) { storeScanned(t, c, ft, at, req, true) }
+	storePlain := func(n int) {
+		for i := 0; i < n; i++ {
+			q := cacheReq(table.AggSum, uint32(c.snapshotStats().Stores), 99)
+			c.store(&q, at, table.ScanResult{Rows: 1}, nil, sched.QueueRef{})
+		}
+	}
+	folds := func(req table.ScanRequest) bool {
+		t.Helper()
+		ans, ok := c.lookup(&req, at)
+		if !ok {
+			return false
+		}
+		want, err := table.Scan(ft, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ans.subsumed || !resultBits(ans.result, want) {
+			t.Fatalf("lookup %+v: %+v, want a fold equal to %+v", req.Predicates, ans, want)
+		}
+		return true
+	}
+
+	storeAnchor(month(table.AggCount, 0, 31))
+	storePlain(3)
+	storeAnchor(month(table.AggMax, 0, 31))
+	storePlain(3)
+	if !folds(month(table.AggCount, 4, 17)) || !folds(month(table.AggMax, 4, 17)) {
+		t.Fatal("an anchor inside the bound serves no fold")
+	}
+	storePlain(1) // the ninth entry: the count anchor is the oldest
+	if folds(month(table.AggCount, 4, 17)) {
+		t.Fatal("an evicted anchor still serves folds")
+	}
+	if !folds(month(table.AggMax, 4, 17)) {
+		t.Fatal("evicting the older anchor unlinked the younger one")
+	}
+	if st := c.snapshotStats(); st.Evictions != 1 || len(c.anchors) != 1 || len(c.order) != 8 {
+		t.Fatalf("after one eviction: %+v, %d anchors, %d entries", st, len(c.anchors), len(c.order))
 	}
 }
 
@@ -112,30 +235,17 @@ func TestResultCacheEpochOwnership(t *testing.T) {
 // intervals is folded from the entry's cells, bit-identical to scanning
 // the narrowed request directly; sum/avg never subsume.
 func TestResultCacheSubsumptionFold(t *testing.T) {
-	ft, err := table.Generate(table.GenSpec{Schema: table.PaperSchema(), Rows: 4000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft := genTable(t, 4000, 3)
+	at := cacheEpochs(t, ft, 0)[0]
 	rng := rand.New(rand.NewSource(17))
-	for _, op := range []table.AggOp{table.AggCount, table.AggMin, table.AggMax} {
+	shapes := [][]table.RangePredicate{
+		{{Dim: 0, Level: 1, From: 2, To: 29}, {Dim: 2, Level: 1, From: 1, To: 30}},
+		{{Dim: 0, Level: 1, From: 2, To: 29}, {Dim: 1, Level: 1, From: 0, To: 15}, {Dim: 2, Level: 0, From: 1, To: 3}},
+	}
+	for i, op := range []table.AggOp{table.AggCount, table.AggMin, table.AggMax, table.AggCount} {
 		c := newResultCache(0)
-		outer := table.ScanRequest{Op: op, Measure: 0, Predicates: []table.RangePredicate{
-			{Dim: 0, Level: 1, From: 2, To: 29},
-			{Dim: 2, Level: 1, From: 1, To: 30},
-		}}
-		pl, err := table.Bind(ft, []table.Member{{ScanRequest: outer, Cells: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pl.Keyed(0) {
-			t.Fatalf("op %v: cells not granted", op)
-		}
-		states := make([]table.State, 1)
-		if err := pl.RangeInto(0, ft.Rows(), states); err != nil {
-			t.Fatal(err)
-		}
-		stored := table.Finalize(op, table.FoldCells(op, states[0].Groups))
-		c.store(&outer, 0, stored, states[0].Groups, sched.QueueRef{Kind: sched.QueueGPU, Index: 1})
+		outer := table.ScanRequest{Op: op, Measure: 0, Predicates: shapes[i%len(shapes)]}
+		storeScanned(t, c, ft, at, outer, true)
 
 		for i := 0; i < 25; i++ {
 			inner := outer
@@ -147,7 +257,7 @@ func TestResultCacheSubsumptionFold(t *testing.T) {
 				hi := lo + uint32(rng.Intn(int(p.To-lo)+1))
 				p.From, p.To = lo, hi
 			}
-			ans, ok := c.lookup(&inner, 0)
+			ans, ok := c.lookup(&inner, at)
 			exact := true
 			for pi := range inner.Predicates {
 				if inner.Predicates[pi].From != outer.Predicates[pi].From ||
@@ -175,12 +285,12 @@ func TestResultCacheSubsumptionFold(t *testing.T) {
 		wide := outer
 		wide.Predicates = append([]table.RangePredicate(nil), outer.Predicates...)
 		wide.Predicates[0].From = 0
-		if _, ok := c.lookup(&wide, 0); ok {
+		if _, ok := c.lookup(&wide, at); ok {
 			t.Fatalf("op %v: non-contained interval subsumed", op)
 		}
 		sum := outer
 		sum.Op = table.AggSum
-		if _, ok := c.lookup(&sum, 0); ok {
+		if _, ok := c.lookup(&sum, at); ok {
 			t.Fatalf("sum lookup subsumed from %v cells", op)
 		}
 	}
@@ -396,9 +506,11 @@ func TestServeSubsumption(t *testing.T) {
 	}
 }
 
-// TestServeLiveEpochInvalidation pins the invalidation contract: ingest
-// epoch publication wipes the cache, and post-ingest serves see the new
-// rows instead of stale cached answers.
+// TestServeLiveEpochInvalidation pins the carry contract end to end: an
+// ingest epoch does not cost a cached count its entry — the post-ingest
+// serve is a cache hit that already sees the new rows, bit-equal to a
+// from-scratch scan of the pinned epoch — while a cached sum is executed
+// again.
 func TestServeLiveEpochInvalidation(t *testing.T) {
 	s, err := Setup(SetupSpec{
 		Rows: 2000, Seed: 1, Live: true,
@@ -422,19 +534,24 @@ func TestServeLiveEpochInvalidation(t *testing.T) {
 		},
 		Op: table.AggCount,
 	}
-	out1, err := s.Serve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out1.Result.Rows != 2000 {
-		t.Fatalf("pre-ingest count %d, want 2000", out1.Result.Rows)
-	}
-	out2, err := s.Serve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out2.CacheHit || !resultBits(out2.Result, out1.Result) {
-		t.Fatalf("re-serve not a cache hit: %+v", out2)
+	sum := q.Clone()
+	sum.Op = table.AggSum
+	sum.Conditions[0].To = 100
+	for _, first := range []*query.Query{q, sum} {
+		out, err := s.Serve(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.CacheHit {
+			t.Fatalf("first serve hit a cold cache: %+v", out)
+		}
+		again, err := s.Serve(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.CacheHit || !resultBits(again.Result, out.Result) {
+			t.Fatalf("re-serve not a cache hit: %+v", again)
+		}
 	}
 
 	rows := make([]table.Row, 12)
@@ -445,26 +562,27 @@ func TestServeLiveEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out3, err := s.Serve(q)
+	snap := s.pin()
+	out, err := s.Serve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out3.CacheHit {
-		t.Fatal("post-ingest serve answered from the stale epoch's cache")
-	}
-	if out3.Result.Rows != 2012 {
-		t.Fatalf("post-ingest count %d, want 2012", out3.Result.Rows)
-	}
-	cs := s.CacheStats()
-	if cs.EpochInvalidations == 0 {
-		t.Fatalf("no epoch invalidation recorded: %+v", cs)
-	}
-	out4, err := s.Serve(q)
+	want, err := s.ReferenceAt(q, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out4.CacheHit || !resultBits(out4.Result, out3.Result) {
-		t.Fatalf("new-epoch re-serve not a cache hit: %+v", out4)
+	if !out.CacheHit || out.Result.Rows != 2012 || !resultBits(out.Result, want) {
+		t.Fatalf("post-ingest count: %+v, want a cache hit of 2012 rows equal to %+v", out, want)
+	}
+	sumOut, err := s.Serve(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sumOut.CacheHit {
+		t.Fatalf("a cached sum was served across an epoch: %+v", sumOut)
+	}
+	if cs := s.CacheStats(); cs.EpochInvalidations != 1 || cs.Carried == 0 || cs.Dropped == 0 {
+		t.Fatalf("one epoch, a carried count and a dropped sum: %+v", cs)
 	}
 }
 

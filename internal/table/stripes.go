@@ -77,6 +77,26 @@ func (s *Snapshot) Stripes() []*Stripe { return s.stripes }
 // Rows returns the total visible row count.
 func (s *Snapshot) Rows() int { return s.rows }
 
+// RowRange calls fn for every stripe that holds rows of the logical range
+// [lo, hi), in row order, with the stripe's table and the part of the range
+// inside it in the stripe's own row numbers. Since every later epoch keeps
+// this epoch's rows as a prefix, RowRange(older.Rows(), Rows(), …) visits
+// exactly the rows published since the older epoch, however compaction has
+// regrouped them into stripes.
+func (s *Snapshot) RowRange(lo, hi int, fn func(t *FactTable, lo, hi int) error) error {
+	base := 0
+	for _, st := range s.stripes {
+		n := st.t.Rows()
+		if from, to := max(lo-base, 0), min(hi-base, n); from < to {
+			if err := fn(st.t, from, to); err != nil {
+				return err
+			}
+		}
+		base += n
+	}
+	return nil
+}
+
 // DeltaStripes counts the visible stripes of kind StripeDelta — the
 // compactor's trigger metric.
 func (s *Snapshot) DeltaStripes() int {
