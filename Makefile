@@ -70,9 +70,12 @@ test-chaos:
 # detector: a fusion-window leader sleeps on a channel, not a timer, and is
 # woken by the last Serve call that could have joined it. A lost wake-up is
 # not a wrong answer, only a rare FusionWindow-long stall, so no single run
-# of the plain suite would notice one. CI runs this beside test-chaos.
+# of the plain suite would notice one. -short leaves out the differentials'
+# 100K-row cases (they pin bits over several fold-grid blocks and cost a
+# table build each; `make test` and `make race` run them). CI runs this
+# beside test-chaos.
 test-serve-stress:
-	$(GO) test -race -count=20 -run 'Serv|Fus|Window' ./internal/engine ./internal/sched ./cmd/olapd
+	$(GO) test -race -short -count=20 -run 'Serv|Fus|Window' ./internal/engine ./internal/sched ./cmd/olapd
 
 race:
 	$(GO) test -race ./...

@@ -16,7 +16,7 @@ import (
 //
 //   - exact: the same translated request (canonical predicate order) at
 //     the cache's epoch replays the stored result verbatim — bit-for-bit
-//     the answer the producing partition computed, for any op;
+//     the answer the producing execution computed, for any op;
 //   - subsumption: a request whose per-column intervals are contained in a
 //     cached entry's intervals is folded from the entry's per-cell
 //     aggregates. Served ONLY for count/min/max: their folds are exact
@@ -36,13 +36,15 @@ import (
 //   - a cell-bearing entry (an anchor) merges the tail's cells into its own;
 //   - an exact count/min/max entry merges the tail's scalar partial, unless
 //     a carried anchor contains it (a fold then answers it anyway);
-//   - sum/avg entries are dropped: their float accumulation order follows
-//     the partition's unit cut, which an epoch changes.
+//   - sum/avg entries are dropped: an entry keeps one finalised scalar, and
+//     a float sum over prefix ++ tail is a fold of gpusim's per-block
+//     partials, not of that scalar and a tail. The full blocks' partials do
+//     stay valid across epochs; keeping them per entry is ROADMAP item 3 i.
 //
 // Bit-identity: a count over prefix ++ tail is the integer sum of the two
 // counts, and a min/max over it the selection between the two, whatever
-// order or unit cut either side was scanned in — so a carried entry holds
-// exactly the bits a from-scratch execution at the new epoch would store.
+// order either side was scanned in — so a carried entry holds exactly the
+// bits a from-scratch execution at the new epoch would store.
 // A compaction-only epoch has an empty tail and re-stamps the entries for
 // free. The tail is found by row range, never by stripe identity: a
 // compaction may have merged old and new deltas into one stripe.
@@ -96,9 +98,9 @@ type cacheEntry struct {
 	key    string
 	op     table.AggOp
 	result table.ScanResult
-	// queue is the placement that produced the stored bits; differential
-	// tests recompute on the same partition (unit cutting depends on SM
-	// width, so sum/avg bits are partition-specific).
+	// queue is the placement that produced the stored bits, reported with
+	// every hit. The bits depend on it only as CPU or GPU (a cube walk folds
+	// cells, a scan folds rows): every GPU partition answers alike.
 	queue sched.QueueRef
 	// cells, when non-nil, makes the entry an anchor.
 	cells *cellSet
@@ -471,7 +473,7 @@ func carry(snap *table.Snapshot, from int, held []*cacheEntry) []*cacheEntry {
 				states[at].Groups = make(table.Groups, min(tail, len(carriers[idx[mi]].cells.vals)))
 			}
 		}
-		err := snap.RowRange(from, snap.Rows(), func(t *table.FactTable, lo, hi int) error {
+		err := snap.RowRange(from, snap.Rows(), func(_ int, t *table.FactTable, lo, hi int) error {
 			pl, err := table.Bind(t, members)
 			if err != nil {
 				return err
@@ -561,8 +563,9 @@ func contains(outer, inner []cacheInterval) bool {
 // store records an executed answer at its pinned snapshot's epoch. cells
 // may be nil (exact-match-only entry). A store for any epoch but the owned
 // one — or for the owned one while an advance is closing it — is dropped;
-// an existing entry is kept (first-stored bits win, so repeated executions
-// on different partitions never flap a cached sum's bits).
+// an existing entry is kept (first stored wins: a later execution brings
+// the same bits unless it ran on the CPU and the first on the GPU, or the
+// reverse, and a cached sum must not change while its epoch lasts).
 func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, res table.ScanResult, cells table.Groups, queue sched.QueueRef) {
 	order, cellShaped := table.CellShape(req)
 	// Build the entry (including the plane) before taking the lock; a

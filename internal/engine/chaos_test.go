@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -11,10 +10,12 @@ import (
 	"hybridolap/internal/table"
 )
 
-// faultFreeAt recomputes a query fault-free on an explicit placement,
-// using a system with no fault plan installed. Partition reductions are
-// deterministic (per-unit partials merge in unit order), so this is the
-// bit-exact answer the same placement must produce in the chaos run.
+// faultFreeAt recomputes a query fault-free, using a system with no fault
+// plan installed: a CPU-placed answer on the CPU, a GPU-placed one on
+// partition 0 whichever partition queue names. A GPU answer is a function
+// of the snapshot's rows and the request alone (gpusim's fold grid;
+// TestPlacementFree), so this is the bit-exact answer every placement must
+// produce in the chaos run.
 func faultFreeAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef) table.ScanResult {
 	t.Helper()
 	q := q0.Clone()
@@ -28,7 +29,7 @@ func faultFreeAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef)
 	if queue.Kind == sched.QueueCPU {
 		r, err = s.AnswerOnCPUAt(q, s.pin())
 	} else {
-		r, err = s.AnswerOnGPUAt(q, queue.Index, s.pin())
+		r, err = s.AnswerOnGPUAt(q, 0, s.pin())
 	}
 	if err != nil {
 		t.Fatalf("fault-free recompute of query %d on %s: %v", q0.ID, queue, err)
@@ -51,11 +52,18 @@ func chaosWorkload(t *testing.T, s *System, seed int64, n int) []*query.Query {
 // failovers — never wrong answers.
 func TestChaosDifferentialRunReal(t *testing.T) {
 	const queries = 60
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+	// The last case is the only one whose table spans several blocks of
+	// gpusim's fold grid (three full ones and a short fourth), so that the
+	// partitions' fork/join and unit-order merge run under faults too.
+	for _, c := range []struct {
+		name string
+		seed int64
+		rows int
+	}{{"seed=1", 1, 4000}, {"seed=2", 2, 4000}, {"seed=3", 3, 4000}, {"rows=100000", 1, 100_000}} {
+		seed := c.seed
+		t.Run(c.name, func(t *testing.T) {
 			mutate := func(spec *SetupSpec) {
-				spec.Rows = 4000
+				spec.Rows = c.rows
 				spec.Seed = 7 // same table both runs
 				spec.QuarantineThreshold = 2
 				spec.ReprobeSeconds = 0.02
@@ -90,12 +98,14 @@ func TestChaosDifferentialRunReal(t *testing.T) {
 				t.Fatal("faults fired but nothing was retried or failed")
 			}
 			// Differential: every completed chaos query must return exactly
-			// what its final placement returns fault-free — bit-identical
-			// value, same rows. Different placements sum floats in different
-			// orders, so the bitwise comparison is placement-matched; row
-			// counts are integers and must also agree with the baseline run
-			// regardless of placement.
+			// the fault-free answer — bit-identical value, same rows. The CPU
+			// folds cube cells where the GPU scans rows, so the bitwise
+			// comparison is matched on CPU-or-GPU and on nothing finer: a
+			// retry that moved a query to another partition must not show.
+			// Row counts are integers and must also agree with the baseline
+			// run whatever the placement.
 			pristine := chaosWorkload(t, base, seed, queries)
+			moved := 0
 			for i, co := range chaosRes.Outcomes {
 				if co.Err != nil {
 					continue // a spent retry budget is legal; wrong answers are not
@@ -114,6 +124,16 @@ func TestChaosDifferentialRunReal(t *testing.T) {
 					t.Fatalf("query %d (queue %s, %d attempts): chaos result (%v, %d rows) != fault-free (%v, %d rows)",
 						co.ID, co.Queue, co.Attempts, co.Result.Value, co.Result.Rows, want.Value, want.Rows)
 				}
+				if co.Queue.Kind == sched.QueueGPU && bo.Queue.Kind == sched.QueueGPU && co.Queue != bo.Queue {
+					moved++
+					if math.Float64bits(co.Result.Value) != math.Float64bits(bo.Result.Value) {
+						t.Fatalf("query %d: %v on %s under chaos, %v on %s fault-free",
+							co.ID, co.Result.Value, co.Queue, bo.Result.Value, bo.Queue)
+					}
+				}
+			}
+			if moved == 0 {
+				t.Fatal("no query changed partitions under chaos; the placement-free check is vacuous")
 			}
 			st := chaosRes.SchedStats
 			if st.PartitionFailures == 0 {

@@ -24,8 +24,8 @@ import (
 // members' deadlines only bound the wait.
 //
 // Soundness is preserved at every turn: fused members get bit-identical
-// answers to solo execution on the same partition (the gpusim fused
-// kernels pin this), cache hits replay stored execution bits or exact
+// answers to solo execution on any partition (gpusim's fold grid and fused
+// kernel pin this), cache hits replay stored execution bits or exact
 // count/min/max folds, and a fused job failure sends every member through
 // the deadline-aware attempt loop individually, so fusion never reduces
 // fault tolerance. Whatever route answers, it answers the epoch pinned
@@ -317,8 +317,8 @@ func (s *System) joinWindow(snap *table.Snapshot, m *fusionMember) (*fusionGroup
 //
 // Identical members are coalesced first: a hot template arriving K times
 // in one window executes ONCE, and every duplicate receives the same
-// answer — trivially bit-identical (same partition, same bits), and the
-// kernel refines each distinct predicate set once instead of K times.
+// answer — trivially bit-identical (one execution, one set of bits), and
+// the kernel refines each distinct predicate set once instead of K times.
 func (s *System) executeFused(g *fusionGroup) {
 	members := g.members
 	rep := make([]int, len(members)) // member -> index into the unique set

@@ -361,9 +361,32 @@ func serveTogether(t *testing.T, s *System, qs []*query.Query) []ServeOutcome {
 // TestServeFusedDifferential is the serving-path soundness pin: K
 // compatible queries inside Serve together run as exactly one fused job
 // of fan-in K, and every answer — fused or cached — is bit-identical to a
-// fault-free recompute on the placement that produced it.
+// fault-free solo recompute on partition 0, whichever partition ran the
+// fused job. The 100K-row case spans several blocks of gpusim's fold grid,
+// so the shared scan's fork/join and unit-order merge are in the comparison.
 func TestServeFusedDifferential(t *testing.T) {
+	t.Run("rows=5000", func(t *testing.T) { serveFusedDifferential(t, 5000, 4) })
+	t.Run("rows=100000", func(t *testing.T) {
+		skipBlocksCaseIfShort(t)
+		serveFusedDifferential(t, 100_000, 2)
+	})
+}
+
+// skipBlocksCaseIfShort keeps the 100K-row cases out of `make
+// test-serve-stress`, which passes -short: it repeats the serving tests
+// twenty times under the race detector to catch a lost wake-up, and these
+// cases check bits over a table that costs ~0.3 s to set up each time. The
+// plain, -race and chaos suites run them.
+func skipBlocksCaseIfShort(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("-short: the several-block case runs in the plain and -race suites")
+	}
+}
+
+func serveFusedDifferential(t *testing.T, rows, rounds int) {
 	s := testSystem(t, func(spec *SetupSpec) {
+		spec.Rows = rows
 		spec.Fusion = true
 		spec.FusionWindow = time.Minute
 		spec.DeadlineSeconds = 60
@@ -372,7 +395,6 @@ func TestServeFusedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ops := []table.AggOp{table.AggSum, table.AggCount, table.AggMin, table.AggMax, table.AggAvg, table.AggCount}
 
-	const rounds = 4
 	for round := 0; round < rounds; round++ {
 		k := len(ops)
 		qs := make([]*query.Query, k)
@@ -405,10 +427,10 @@ func TestServeFusedDifferential(t *testing.T) {
 	}
 
 	st := s.Scheduler().Stats()
-	if st.FusedJobs != rounds || st.FusedMembers != int64(rounds*len(ops)) || st.PredictedLate != 0 {
+	if st.FusedJobs != int64(rounds) || st.FusedMembers != int64(rounds*len(ops)) || st.PredictedLate != 0 {
 		t.Fatalf("want %d fused jobs of %d members, none late: %+v", rounds, len(ops), st)
 	}
-	if cs := s.CacheStats(); cs.Hits != rounds || cs.Stores == 0 {
+	if cs := s.CacheStats(); cs.Hits != int64(rounds) || cs.Stores == 0 {
 		t.Fatalf("cache never engaged: %+v", cs)
 	}
 }
@@ -416,8 +438,7 @@ func TestServeFusedDifferential(t *testing.T) {
 // TestServeFusedFallbackKeepsDeadline pins what a failed shared scan costs
 // its members: each retries alone, re-booked against its own arrival + T_C
 // (a Resubmit) — not a fresh T_C (a Submit) that would forgive the window
-// wait and the failed scan — and answers exactly what its final placement
-// answers fault-free.
+// wait and the failed scan — and answers exactly the fault-free answer.
 func TestServeFusedFallbackKeepsDeadline(t *testing.T) {
 	const k = 5
 	mutate := func(spec *SetupSpec) {
@@ -590,7 +611,8 @@ func TestServeLiveEpochInvalidation(t *testing.T) {
 // GPU kernel aborts fail fused jobs into individual deadline-aware
 // retries, dictionary faults divert to the RunReal translation path, and
 // every query that completes must still return bits identical to a
-// fault-free recompute on its final placement.
+// fault-free recompute (on the CPU if that is where it ended up, on GPU
+// partition 0 otherwise).
 func TestChaosServeDifferential(t *testing.T) {
 	const queries = 48
 	const wave = 8

@@ -127,7 +127,9 @@ func Fig5(opts Options) (*Table, error) {
 // Fig8 reproduces "Tesla C2070 performance for query processing for 1, 2
 // and 4 SMs and for different number of searched columns": kernel time
 // versus C/C_TOT per partition width, on the functional simulator, with
-// the calibrated eq. 14 models alongside.
+// the calibrated eq. 14 models alongside. Both table sizes give the 4-SM
+// partition more fold-grid blocks than SMs; membench.GPUSweep refuses a
+// table that does not.
 func Fig8(opts Options) (*Table, error) {
 	rows := opts.pick(2_000_000, 200_000)
 	pts, err := membench.GPUSweep(rows, []int{1, 2, 4}, 12, 3, opts.seed())

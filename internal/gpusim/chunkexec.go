@@ -12,16 +12,15 @@ type ChunkRange struct {
 	Lo, Hi int // local row range [Lo, Hi) within the device's resident table
 }
 
-// gridUnits is the chunk-grid cut: one work unit per chunk, in chunk
-// order, over the resident snapshot's single stripe.
-func gridUnits(chunks []ChunkRange) func(*table.Snapshot) []workUnit {
-	return func(*table.Snapshot) []workUnit {
-		units := make([]workUnit, len(chunks))
-		for i, c := range chunks {
-			units[i] = workUnit{lo: c.Lo, hi: c.Hi}
-		}
-		return units
+// gridUnits is the caller's grid as work units: one per chunk, in chunk
+// order. The resident snapshot has one stripe, so a chunk's local rows are
+// its logical rows.
+func gridUnits(chunks []ChunkRange) []workUnit {
+	units := make([]workUnit, len(chunks))
+	for i, c := range chunks {
+		units[i] = workUnit{lo: c.Lo, hi: c.Hi}
 	}
+	return units
 }
 
 // ExecuteChunks scans the device's resident table over explicit chunk
@@ -34,7 +33,7 @@ func gridUnits(chunks []ChunkRange) func(*table.Snapshot) []workUnit {
 // across shard counts (a hierarchical per-shard pre-merge would change the
 // floating-point fold tree as N changes).
 func (p *Partition) ExecuteChunks(req table.ScanRequest, chunks []ChunkRange) ([]table.ScanResult, error) {
-	_, states, err := p.scan(p.dev.resident, []table.Member{{ScanRequest: req}}, gridUnits(chunks), false)
+	_, states, err := p.scan(p.dev.resident, []table.Member{{ScanRequest: req}}, gridUnits(chunks))
 	if err != nil {
 		return nil, err
 	}
@@ -43,10 +42,8 @@ func (p *Partition) ExecuteChunks(req table.ScanRequest, chunks []ChunkRange) ([
 
 // ExecuteGroupChunks is ExecuteChunks for grouped scans: one fresh
 // UNFINALIZED group map per chunk, in chunk order (nil for a chunk in
-// which no row matched). Unlike ExecuteGroup — whose per-SM hash tables accumulate
-// whichever units each SM happened to drain, making the merge tree depend
-// on goroutine interleaving — a chunk's map here is built by a single
-// RangeInto pass over exactly its rows, so the per-chunk maps (and the
+// which no row matched). As in ExecuteGroup, a unit's map is built by one
+// row-order pass over exactly its rows, so the per-chunk maps (and the
 // coordinator's chunk-order MergeGroups fold over them) are deterministic
 // for any shard count.
 func (p *Partition) ExecuteGroupChunks(req table.GroupScanRequest, chunks []ChunkRange) ([]table.Groups, error) {
@@ -54,7 +51,7 @@ func (p *Partition) ExecuteGroupChunks(req table.GroupScanRequest, chunks []Chun
 	if err != nil {
 		return nil, err
 	}
-	_, states, err := p.scan(p.dev.resident, []table.Member{m}, gridUnits(chunks), false)
+	_, states, err := p.scan(p.dev.resident, []table.Member{m}, gridUnits(chunks))
 	if err != nil {
 		return nil, err
 	}

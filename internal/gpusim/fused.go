@@ -16,11 +16,12 @@ type FusedAnswer struct {
 
 // ExecuteFused answers K compatible scan requests as ONE kernel over the
 // snapshot: each unit pass evaluates every member, and per-unit member
-// partials merge in unit order. Cut, cursor and reduction order are those
+// partials merge in unit order. Grid, cursor and reduction order are those
 // of Execute — which is this with K = 1 — so each member's answer is
-// bit-identical to running that member alone on the same partition and
-// snapshot: the property the engine's differential tests and the result
-// cache pin. wantCells, when non-nil, is each member's table.Member.Cells.
+// bit-identical to running that member alone on any partition over the
+// same snapshot rows: the property the engine's differential tests and the
+// result cache pin. wantCells, when non-nil, is each member's
+// table.Member.Cells.
 func (p *Partition) ExecuteFused(snap *table.Snapshot, reqs []table.ScanRequest, wantCells []bool) ([]FusedAnswer, error) {
 	if wantCells != nil && len(wantCells) != len(reqs) {
 		return nil, fmt.Errorf("gpusim: got %d cell flags for %d members", len(wantCells), len(reqs))
@@ -29,7 +30,7 @@ func (p *Partition) ExecuteFused(snap *table.Snapshot, reqs []table.ScanRequest,
 	for mi, req := range reqs {
 		members[mi] = table.Member{ScanRequest: req, Cells: wantCells != nil && wantCells[mi]}
 	}
-	plans, states, err := p.scan(snap, members, p.cut, false)
+	plans, states, err := p.scan(snap, members, blocks(snap))
 	if err != nil {
 		return nil, err
 	}

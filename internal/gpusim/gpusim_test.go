@@ -148,7 +148,7 @@ func TestExecuteAllOps(t *testing.T) {
 }
 
 func TestExecuteTinyTable(t *testing.T) {
-	// Fewer rows than units exercises the one-unit cut.
+	// A table shorter than one block is one short unit.
 	d, _ := NewDevice(TeslaC2070())
 	if err := d.LoadTable(testTable(t, 1)); err != nil {
 		t.Fatal(err)
@@ -265,8 +265,13 @@ func TestWiderPartitionsEstimateFaster(t *testing.T) {
 	}
 }
 
-func BenchmarkExecute4SM(b *testing.B) {
-	ft, err := table.Generate(table.GenSpec{Schema: table.PaperSchema(), Rows: 500_000, Seed: 9})
+// BenchmarkExecute puts the cost of the fold grid on record per partition
+// width: a scalar sum, a GROUP BY with 4 groups and one with up to 32 768
+// (one hash table per block, merged in block order), and a fused kernel
+// whose first member is a cell-granted anchor, at the benchmark's 1M rows
+// (31 blocks). EXPERIMENTS.md "One fold grid" has parent vs change.
+func BenchmarkExecute(b *testing.B) {
+	ft, err := table.Generate(table.GenSpec{Schema: table.PaperSchema(), Rows: 1_000_000, Seed: 9})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -274,19 +279,49 @@ func BenchmarkExecute4SM(b *testing.B) {
 	if err := d.LoadTable(ft); err != nil {
 		b.Fatal(err)
 	}
-	if err := d.Partition(PaperLayout()); err != nil {
+	if err := d.Partition([]int{1, 2, 4}); err != nil {
 		b.Fatal(err)
 	}
-	p := d.Partitions()[4]
-	req := table.ScanRequest{
+	sum := table.ScanRequest{
 		Predicates: []table.RangePredicate{{Dim: 0, Level: 1, From: 0, To: 11}},
 		Measure:    0, Op: table.AggSum,
 	}
-	b.SetBytes(int64(12 * ft.Rows()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Execute(d.Resident(), req); err != nil {
-			b.Fatal(err)
+	group := func(by ...table.GroupCol) table.GroupScanRequest {
+		return table.GroupScanRequest{ScanRequest: sum, GroupBy: by}
+	}
+	family := func(op table.AggOp, dayTo, stateTo uint32) table.ScanRequest {
+		return table.ScanRequest{Op: op, Measure: 0, Predicates: []table.RangePredicate{
+			{Dim: 0, Level: 2, From: 0, To: dayTo}, {Dim: 1, Level: 2, From: 0, To: stateTo},
+		}}
+	}
+	fused := []table.ScanRequest{family(table.AggCount, 255, 127), family(table.AggSum, 99, 63), family(table.AggMax, 200, 20)}
+	shapes := []struct {
+		name string
+		run  func(p *Partition) error
+	}{
+		{"sum", func(p *Partition) error { _, err := p.Execute(d.Resident(), sum); return err }},
+		{"groupby_region", func(p *Partition) error {
+			_, err := p.ExecuteGroup(d.Resident(), group(table.GroupCol{Dim: 1, Level: 0}))
+			return err
+		}},
+		{"groupby_day_state", func(p *Partition) error {
+			_, err := p.ExecuteGroup(d.Resident(), group(table.GroupCol{Dim: 0, Level: 2}, table.GroupCol{Dim: 1, Level: 2}))
+			return err
+		}},
+		{"fused_anchor", func(p *Partition) error {
+			_, err := p.ExecuteFused(d.Resident(), fused, []bool{true, false, false})
+			return err
+		}},
+	}
+	for _, p := range d.Partitions() {
+		for _, sh := range shapes {
+			b.Run(fmt.Sprintf("%dSM/%s", p.SMs(), sh.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := sh.run(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -8,10 +8,19 @@ import (
 	"hybridolap/internal/table"
 )
 
-// StripesPerSM controls how many row stripes each simulated SM consumes.
-// More stripes than SMs gives the same load-balancing slack real thread
-// blocks give hardware SMs.
-const StripesPerSM = 8
+// BlockRows is the length of one unit of the fold grid: unit k of a snapshot
+// is its logical rows [k·BlockRows, (k+1)·BlockRows), whatever partition
+// scans it and however the rows are grouped into stripes. A constant, not a
+// setting: every sum/avg's bits depend on it. 32 batches is the unit length
+// the 4-SM partitions' old width-dependent cut had at the benchmark's 1M
+// rows (31 units now, 32 then), and a 100K-row table still forks over four
+// units. BenchmarkExecute at 1M rows, blocks of 8 to 128 batches: the scalar
+// sum and the 4-group GROUP BY are flat at every width; the shapes that keep
+// one hash table per block (a 32 768-group GROUP BY, a cell-granted anchor)
+// cost about as much at 8 and 16 as at 32, and 25 % less at 64 and 40 % less
+// at 128, where a 1M-row table is 8 units and a 100K-row one a single unit
+// (EXPERIMENTS.md "One fold grid").
+const BlockRows = 32 * table.BatchSize
 
 // Partition is a disjoint group of SMs with concurrent-kernel access to
 // the whole device memory. Its five Execute* entry points are safe to call
@@ -25,18 +34,25 @@ const StripesPerSM = 8
 //	         (predicates resolved to columns and ordered by estimated
 //	         selectivity), so no unit re-validates — and an invalid
 //	         request fails the same way on empty and non-empty data;
-//	step 2 — parallel table scan: the row space is cut into work units
-//	         (cut: about SMs×StripesPerSM, never crossing a stripe; or the
-//	         caller's chunk grid) and one goroutine per SM drains units
-//	         from a shared cursor through the vectorized batch kernel
-//	         (steps 1 and 2 are scan, shared by all five);
-//	step 3 — reduction: the entry point's own — a fold of per-unit
-//	         partials in unit order everywhere except ExecuteGroup, so the
-//	         same request over the same snapshot on the same partition
-//	         returns bit-identical results no matter how the SMs
-//	         interleave (retries and chaos differentials depend on this);
+//	step 2 — parallel table scan: the snapshot's logical row space is cut
+//	         into work units on a grid that does not know the partition
+//	         (blocks: fixed BlockRows-long units; or the caller's chunk
+//	         grid) and one goroutine per SM drains units from a shared
+//	         cursor through the vectorized batch kernel, a unit that spans
+//	         stripes chaining one state through them in row order (steps 1
+//	         and 2 are scan, shared by all five);
+//	step 3 — reduction: a fold of per-unit partials in unit order (by the
+//	         caller, for the two chunk entry points);
 //	step 4 — final aggregation: the finalised aggregate returns to the
 //	         caller (the CPU side), and Completed advances by one.
+//
+// An Execute, ExecuteGroup or ExecuteFused answer therefore depends on the
+// snapshot's rows and the request and on nothing else: not the partition,
+// not how its SMs interleave, not how ingest or compaction grouped the rows
+// into stripes — every placement returns the same bits, and a snapshot's
+// full blocks are the same blocks, with the same partials, at every later
+// epoch. Retries, the result cache, fusion and the chaos differentials all
+// lean on this (TestPlacementFree pins it).
 //
 // A static system scans the device's resident one-stripe snapshot
 // (Device.Resident); a live one pins an epoch snapshot at bind time, so a
@@ -66,27 +82,19 @@ func (p *Partition) EstimateSeconds(cols, totalCols int) (float64, error) {
 	return p.dev.EstimateSeconds(p.sms, cols, totalCols)
 }
 
-// workUnit is one contiguous row range of one stripe: what an SM scans
-// between two visits to the shared cursor.
-type workUnit struct {
-	stripe int
-	lo, hi int
-}
+// workUnit is one contiguous range of the snapshot's logical row space:
+// what an SM scans between two visits to the shared cursor.
+type workUnit struct{ lo, hi int }
 
-// cut splits the snapshot's row space into about SMs×StripesPerSM
-// equal-length units that never cross a stripe boundary.
-func (p *Partition) cut(snap *table.Snapshot) []workUnit {
-	total := snap.Rows()
-	want := min(p.sms*StripesPerSM, total)
-	if want < 1 {
+// blocks is the fold grid of a snapshot: its row space in BlockRows-long
+// units, the last one short. A nil snapshot has none (scan reports it).
+func blocks(snap *table.Snapshot) []workUnit {
+	if snap == nil {
 		return nil
 	}
-	unitLen := (total + want - 1) / want
-	units := make([]workUnit, 0, want+len(snap.Stripes()))
-	for i, st := range snap.Stripes() {
-		for lo := 0; lo < st.Rows(); lo += unitLen {
-			units = append(units, workUnit{stripe: i, lo: lo, hi: min(lo+unitLen, st.Rows())})
-		}
+	units := make([]workUnit, 0, (snap.Rows()+BlockRows-1)/BlockRows)
+	for lo := 0; lo < snap.Rows(); lo += BlockRows {
+		units = append(units, workUnit{lo: lo, hi: min(lo+BlockRows, snap.Rows())})
 	}
 	return units
 }
@@ -111,8 +119,8 @@ func bindStripes(snap *table.Snapshot, members []table.Member) ([]*table.Plan, e
 // unit indices from a shared cursor and runs them until the units are
 // exhausted or its own run fails. Empty units are skipped (their slot in
 // the caller's partials stays zero). It returns the first error in SM
-// order; run(sm, i, u) may write only state owned by unit i or by SM sm.
-func (p *Partition) drain(units []workUnit, run func(sm, i int, u workUnit) error) error {
+// order; run(i, u) may write only state owned by unit i.
+func (p *Partition) drain(units []workUnit, run func(i int, u workUnit) error) error {
 	var (
 		mu   sync.Mutex
 		next int // shared unit cursor, under mu
@@ -134,7 +142,7 @@ func (p *Partition) drain(units []workUnit, run func(sm, i int, u workUnit) erro
 				if u.lo >= u.hi {
 					continue
 				}
-				if err := run(sm, i, u); err != nil {
+				if err := run(i, u); err != nil {
 					errs[sm] = err
 					return
 				}
@@ -151,38 +159,32 @@ func (p *Partition) drain(units []workUnit, run func(sm, i int, u workUnit) erro
 }
 
 // scan is what every entry point shares: cross the fault point, bind the
-// members once per stripe, cut the row space and drain the units through
-// the one vectorized kernel. states[i] holds the member states unit i
-// accumulated (nil for an empty unit, which never runs) — or, with perSM,
-// what SM i accumulated over every unit it drained. The kernel accumulates
-// strictly in row order, so a unit's bits depend only on the rows inside
-// it — not on which SM drained it. Completed advances only when every unit
-// ran.
-func (p *Partition) scan(snap *table.Snapshot, members []table.Member, cut func(*table.Snapshot) []workUnit,
-	perSM bool) (plans []*table.Plan, states [][]table.State, err error) {
+// members once per stripe and drain the units through the one vectorized
+// kernel. states[i] holds the member states unit i accumulated (nil for an
+// empty unit, which never runs). The kernel accumulates strictly in row
+// order and a unit's stripe segments chain through one state, so a unit's
+// bits depend only on the rows inside it — not on which SM drained it or on
+// where the stripe edges fall. Completed advances only when every unit ran.
+func (p *Partition) scan(snap *table.Snapshot, members []table.Member, units []workUnit) (plans []*table.Plan, states [][]table.State, err error) {
 	if err := p.dev.faultCheck(p.id); err != nil {
 		return nil, nil, err
 	}
 	if plans, err = bindStripes(snap, members); err != nil {
 		return nil, nil, err
 	}
-	units := cut(snap)
-	slots := len(units)
-	if perSM {
-		slots = p.sms
-	}
-	states = make([][]table.State, slots)
-	err = p.drain(units, func(sm, i int, u workUnit) error {
-		if perSM {
-			i = sm
+	states = make([][]table.State, len(units))
+	err = p.drain(units, func(i int, u workUnit) error {
+		if u.lo < 0 || u.hi > snap.Rows() {
+			return fmt.Errorf("gpusim: unit [%d,%d) outside the snapshot's rows [0,%d)", u.lo, u.hi, snap.Rows())
 		}
 		// Each SM allocates the states it fills: the kernel writes them
 		// once per batch, so neighbouring units' states stay off each
 		// other's cache lines.
-		if states[i] == nil {
-			states[i] = make([]table.State, len(members))
-		}
-		return plans[u.stripe].RangeInto(u.lo, u.hi, states[i])
+		st := make([]table.State, len(members))
+		states[i] = st
+		return snap.RowRange(u.lo, u.hi, func(stripe int, _ *table.FactTable, lo, hi int) error {
+			return plans[stripe].RangeInto(lo, hi, st)
+		})
 	})
 	if err != nil {
 		return nil, nil, err
@@ -217,7 +219,7 @@ func groups(states [][]table.State, mi int) []table.Groups {
 // Execute answers a scalar request over the snapshot: per-unit partials
 // merge in unit order.
 func (p *Partition) Execute(snap *table.Snapshot, req table.ScanRequest) (table.ScanResult, error) {
-	_, states, err := p.scan(snap, []table.Member{{ScanRequest: req}}, p.cut, false)
+	_, states, err := p.scan(snap, []table.Member{{ScanRequest: req}}, blocks(snap))
 	if err != nil {
 		return table.ScanResult{}, err
 	}
@@ -228,18 +230,16 @@ func (p *Partition) Execute(snap *table.Snapshot, req table.ScanRequest) (table.
 	return table.Finalize(req.Op, acc), nil
 }
 
-// ExecuteGroup answers a grouped request over the snapshot. The scan
-// builds one hash table per SM keyed by the packed group key, accumulated
-// across every unit that SM drains (not one per unit); the tables merge in
-// SM order and the finalised per-group rows return sorted by key. Which
-// units an SM drains depends on goroutine interleaving, so sum/avg are
-// only epsilon-close run to run; count/min/max are exact.
+// ExecuteGroup answers a grouped request over the snapshot: one hash table
+// per unit keyed by the packed group key, merged in unit order like every
+// other reduction — so sum/avg are bit-identical run to run and partition
+// to partition — and the finalised per-group rows return sorted by key.
 func (p *Partition) ExecuteGroup(snap *table.Snapshot, req table.GroupScanRequest) ([]table.GroupRow, error) {
 	m, err := table.GroupMember(req)
 	if err != nil {
 		return nil, err
 	}
-	_, states, err := p.scan(snap, []table.Member{m}, p.cut, true)
+	_, states, err := p.scan(snap, []table.Member{m}, blocks(snap))
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,30 @@ import (
 	"hybridolap/internal/table"
 )
 
+// sliceTable materialises rows [lo, hi) of whole as a table of its own,
+// sharing whole's dictionaries.
+func sliceTable(t testing.TB, whole *table.FactTable, lo, hi int) *table.FactTable {
+	t.Helper()
+	s := *whole.Schema()
+	coords := make([][]uint32, len(s.Dimensions))
+	for d, dim := range s.Dimensions {
+		coords[d] = whole.DimLevelColumn(d, dim.Finest())[lo:hi]
+	}
+	meas := make([][]float64, len(s.Measures))
+	for m := range meas {
+		meas[m] = whole.MeasureColumn(m)[lo:hi]
+	}
+	texts := make([][]uint32, len(s.Texts))
+	for x := range texts {
+		texts[x] = whole.TextColumn(x)[lo:hi]
+	}
+	ft, err := table.FromColumns(s, coords, meas, texts, whole.Dicts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
+}
+
 // testSnapshot splits one generated table into a base stripe plus delta
 // stripes (sharing the whole table's dictionaries), so snapshot answers
 // can be compared against whole-table answers.
@@ -15,25 +39,7 @@ func testSnapshot(t testing.TB, rows int, cuts []int) (*table.Snapshot, *table.F
 	t.Helper()
 	whole := testTable(t, rows)
 	s := *whole.Schema()
-	slice := func(lo, hi int) *table.FactTable {
-		coords := make([][]uint32, len(s.Dimensions))
-		for d, dim := range s.Dimensions {
-			coords[d] = whole.DimLevelColumn(d, dim.Finest())[lo:hi]
-		}
-		meas := make([][]float64, len(s.Measures))
-		for m := range meas {
-			meas[m] = whole.MeasureColumn(m)[lo:hi]
-		}
-		texts := make([][]uint32, len(s.Texts))
-		for x := range texts {
-			texts[x] = whole.TextColumn(x)[lo:hi]
-		}
-		ft, err := table.FromColumns(s, coords, meas, texts, whole.Dicts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ft
-	}
+	slice := func(lo, hi int) *table.FactTable { return sliceTable(t, whole, lo, hi) }
 	reg, err := table.NewRegistry(s, slice(0, cuts[0]), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +64,9 @@ func testSnapshot(t testing.TB, rows int, cuts []int) (*table.Snapshot, *table.F
 // (one-stripe) snapshot and a k-stripe snapshot of the same rows both
 // answer count/min/max exactly like the row-at-a-time table.Scan (sum/avg
 // within the fold-tree epsilon); a fused member answers bit-for-bit like
-// the same request run solo on the same partition and snapshot; and two
-// solo runs of a request on one partition are bit-identical.
+// the same request run solo; and two solo runs of a request are
+// bit-identical (TestPlacementFree pins the same across partitions and
+// stripings).
 func TestExecuteStripesDifferential(t *testing.T) {
 	const rows = 20000
 	d := newTestDevice(t, rows)
@@ -164,7 +171,7 @@ func TestExecuteSnapshotEdgeCases(t *testing.T) {
 	if _, err := p.ExecuteGroup(nil, table.GroupScanRequest{}); err == nil {
 		t.Fatal("nil snapshot accepted (grouped)")
 	}
-	// A tiny snapshot (fewer rows than SMs×stripes) must still answer.
+	// A tiny snapshot (one short block over three stripes) must still answer.
 	snap, whole := testSnapshot(t, 3, []int{1, 2})
 	got, err := p.Execute(snap, table.ScanRequest{Op: table.AggCount})
 	if err != nil {

@@ -9,6 +9,7 @@ package membench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hybridolap/internal/cube"
@@ -149,8 +150,14 @@ type GPUPoint struct {
 // simulator for queries touching 1..maxCols columns, per partition width.
 // The shape (linear growth with the number of columns scanned, smaller
 // slope for wider partitions) mirrors Fig. 8; absolute values are host CPU
-// times, not Tesla times.
+// times, not Tesla times. A table with fewer fold-grid blocks than the
+// widest partition has SMs is refused: its extra SMs would idle, and the
+// per-width fit would be fitting noise.
 func GPUSweep(rows int, widths []int, maxCols, reps int, seed int64) ([]GPUPoint, error) {
+	if len(widths) > 0 && rows < slices.Max(widths)*gpusim.BlockRows {
+		return nil, fmt.Errorf("membench: %d rows leave a %d-SM partition short of one %d-row block per SM",
+			rows, slices.Max(widths), gpusim.BlockRows)
+	}
 	ft, err := table.Generate(table.GenSpec{Schema: table.PaperSchema(), Rows: rows, Seed: seed})
 	if err != nil {
 		return nil, err

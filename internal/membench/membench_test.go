@@ -3,6 +3,7 @@ package membench
 import (
 	"testing"
 
+	"hybridolap/internal/gpusim"
 	"hybridolap/internal/perfmodel"
 )
 
@@ -76,7 +77,10 @@ func TestDictSweepLinearShape(t *testing.T) {
 }
 
 func TestGPUSweepShapes(t *testing.T) {
-	pts, err := GPUSweep(100_000, []int{1, 4}, 6, 2, 3)
+	if _, err := GPUSweep(4*gpusim.BlockRows-1, []int{1, 4}, 6, 2, 3); err == nil {
+		t.Fatal("a table with fewer blocks than the widest partition has SMs was swept")
+	}
+	pts, err := GPUSweep(4*gpusim.BlockRows, []int{1, 4}, 6, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ rowLoop:
 	return groups, nil
 }
 
-// MergeGroups folds partial grouped states (the per-SM reduction).
+// MergeGroups folds partial grouped states (the per-unit reduction).
 func MergeGroups(op AggOp, dst, src Groups) Groups {
 	if dst == nil {
 		dst = make(Groups, len(src))

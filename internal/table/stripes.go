@@ -78,21 +78,27 @@ func (s *Snapshot) Stripes() []*Stripe { return s.stripes }
 func (s *Snapshot) Rows() int { return s.rows }
 
 // RowRange calls fn for every stripe that holds rows of the logical range
-// [lo, hi), in row order, with the stripe's table and the part of the range
-// inside it in the stripe's own row numbers. Since every later epoch keeps
-// this epoch's rows as a prefix, RowRange(older.Rows(), Rows(), …) visits
-// exactly the rows published since the older epoch, however compaction has
-// regrouped them into stripes.
-func (s *Snapshot) RowRange(lo, hi int, fn func(t *FactTable, lo, hi int) error) error {
+// [lo, hi), in row order, with the stripe's index in Stripes(), its table
+// and the part of the range inside it in the stripe's own row numbers. It is
+// the one place a logical row range becomes stripe segments: an empty
+// stripe, an empty range and a stripe the range only touches at an edge are
+// never visited. Since every later epoch keeps this epoch's rows as a
+// prefix, RowRange(older.Rows(), Rows(), …) visits exactly the rows
+// published since the older epoch, however compaction has regrouped them
+// into stripes.
+func (s *Snapshot) RowRange(lo, hi int, fn func(stripe int, t *FactTable, lo, hi int) error) error {
 	base := 0
-	for _, st := range s.stripes {
+	for i, st := range s.stripes {
 		n := st.t.Rows()
 		if from, to := max(lo-base, 0), min(hi-base, n); from < to {
-			if err := fn(st.t, from, to); err != nil {
+			if err := fn(i, st.t, from, to); err != nil {
 				return err
 			}
 		}
 		base += n
+		if base >= hi {
+			break
+		}
 	}
 	return nil
 }

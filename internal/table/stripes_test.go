@@ -1,8 +1,10 @@
 package table
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -248,5 +250,61 @@ func TestScanSnapshotMatchesRebuild(t *testing.T) {
 				t.Fatalf("greq %d group %d: %+v != %+v", ri, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestSnapshotRowRange pins the one logical-row-range → stripe-segments
+// walker: segments come in row order with the right stripe index and
+// stripe-local rows; empty stripes, empty ranges and stripes the range only
+// touches at an edge are never visited.
+func TestSnapshotRowRange(t *testing.T) {
+	// Stripes of 10, 0, 5, 0 and 7 rows: logical edges 0, 10, 10, 15, 15, 22.
+	reg, err := NewRegistry(diffSchema(), stripeTable(t, 10, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rows := range []int{0, 5, 0, 7} {
+		if _, err := reg.Publish([]*FactTable{stripeTable(t, rows, int64(2+i))}, StripeDelta, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Current()
+	type seg struct{ stripe, lo, hi int }
+	cases := []struct {
+		name   string
+		lo, hi int
+		want   []seg
+	}{
+		{"everything", 0, 22, []seg{{0, 0, 10}, {2, 0, 5}, {4, 0, 7}}},
+		{"ends on a stripe edge", 3, 10, []seg{{0, 3, 10}}},
+		{"starts on a stripe edge", 10, 12, []seg{{2, 0, 2}}},
+		{"edge to edge across empty stripes", 10, 15, []seg{{2, 0, 5}}},
+		{"straddles two edges", 8, 17, []seg{{0, 8, 10}, {2, 0, 5}, {4, 0, 2}}},
+		{"lo == hi inside a stripe", 4, 4, nil},
+		{"lo == hi on an edge", 10, 10, nil},
+		{"lo == hi at the end", 22, 22, nil},
+		{"clamped to the snapshot", -3, 40, []seg{{0, 0, 10}, {2, 0, 5}, {4, 0, 7}}},
+	}
+	for _, c := range cases {
+		var got []seg
+		err := snap.RowRange(c.lo, c.hi, func(stripe int, ft *FactTable, lo, hi int) error {
+			if ft != snap.Stripes()[stripe].Table() {
+				t.Fatalf("%s: stripe %d came with another stripe's table", c.name, stripe)
+			}
+			got = append(got, seg{stripe, lo, hi})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Fatalf("%s: RowRange(%d, %d) visited %v, want %v", c.name, c.lo, c.hi, got, c.want)
+		}
+	}
+	// The first error stops the walk and is returned.
+	stop := errors.New("stop")
+	visits := 0
+	if err := snap.RowRange(0, 22, func(int, *FactTable, int, int) error { visits++; return stop }); !errors.Is(err, stop) || visits != 1 {
+		t.Fatalf("error after %d visits: %v", visits, err)
 	}
 }

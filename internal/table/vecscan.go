@@ -350,8 +350,9 @@ type State struct {
 // a single reference scan over their concatenation (continuous
 // accumulation rounds like one long scan, not like Merge / MergeGroups
 // over partial sums) — what snapshot scans rely on to match a from-scratch
-// rebuild exactly, and why a simulated SM drains many units into one hash
-// table. Safe for concurrent use; allocates nothing in steady state.
+// rebuild exactly, and a gpusim unit that spans stripes to answer like the
+// same rows in one stripe. Safe for concurrent use; allocates nothing in
+// steady state.
 func (pl *Plan) RangeInto(lo, hi int, states []State) error {
 	return pl.rangeBatch(lo, hi, states, BatchSize)
 }

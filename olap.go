@@ -87,9 +87,13 @@ type Options struct {
 	// range-sharded over that many simulated nodes, each with its own GPU
 	// device, cubes and scheduler, and a coordinator plans every shard
 	// sub-query with a link cost model folded into deadlines. Answers are
-	// bit-identical to Shards=1 for any shard count. Sharded databases are
-	// static: Live/WALPath are rejected, and Serve degrades to Run (no
-	// fusion or result cache across nodes).
+	// bit-identical across every shard count ≥ 2 (and to a one-shard
+	// cluster.New): partials fold on one global chunk grid. Shards <= 1
+	// opens the single-node engine instead, which folds gpusim's block
+	// grid: against it count/min/max are exact and sum/avg agree to
+	// rounding (TestShardsAnswerContract). Sharded databases are static:
+	// Live/WALPath are rejected, and Serve degrades to Run (no fusion or
+	// result cache across nodes).
 	Shards int
 	// Replication is how many nodes hold each shard (default min(2,
 	// Shards)); replicas serve failover when a node dies.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hybridolap/internal/cluster"
 	"hybridolap/internal/query"
 	"hybridolap/internal/table"
 )
@@ -213,5 +214,85 @@ func TestServeFacade(t *testing.T) {
 	}
 	if narrow.Value != refN.Value || narrow.Rows != refN.Rows {
 		t.Fatalf("subsumed (%v,%d) != run (%v,%d)", narrow.Value, narrow.Rows, refN.Value, refN.Rows)
+	}
+}
+
+// TestShardsAnswerContract pins what Options.Shards promises: every shard
+// count ≥ 2 answers bit-for-bit like every other and like a one-shard
+// cluster.New (one fixed global chunk grid), while a single-node DB — the
+// engine, folding its own block grid — agrees exactly on count/min/max and
+// to rounding on sum/avg.
+func TestShardsAnswerContract(t *testing.T) {
+	const rows, seed = 20_000, 3
+	ft, err := table.Generate(table.GenSpec{Schema: table.PaperSchema(), Rows: rows, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := cluster.New(ft, cluster.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	single, err := Open(Options{Rows: rows, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	sharded := make(map[int]*DB)
+	for _, n := range []int{2, 4, 8} {
+		db, err := Open(Options{Rows: rows, Seed: seed, Shards: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		sharded[n] = db
+	}
+
+	inexact := 0
+	for _, agg := range []string{"sum(sales)", "avg(quantity)", "count(*)", "min(sales)", "max(quantity)"} {
+		// brand is below the materialised cube levels: a scan on every side.
+		sql := "SELECT " + agg + " WHERE product.brand BETWEEN 10 AND 300 AND time.month BETWEEN 2 AND 29"
+		q, err := query.Parse(sql, single.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := one.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Rows == 0 {
+			t.Fatalf("fixture: %q matches nothing", sql)
+		}
+		for n, db := range sharded {
+			got, err := db.Run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Rows != ref.Rows || math.Float64bits(got.Value) != math.Float64bits(ref.Value) {
+				t.Fatalf("%s: Shards=%d answers (%v, %d), a one-shard cluster (%v, %d)", agg, n, got.Value, got.Rows, ref.Value, ref.Rows)
+			}
+		}
+		got, err := single.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch q.Op {
+		case table.AggSum, table.AggAvg:
+			if got.Rows != ref.Rows || math.Abs(got.Value-ref.Value) > 1e-12*math.Abs(ref.Value) {
+				t.Fatalf("%s: single-node (%v, %d), sharded (%v, %d)", agg, got.Value, got.Rows, ref.Value, ref.Rows)
+			}
+			if got.Value != ref.Value {
+				inexact++
+			}
+		default:
+			if got.Rows != ref.Rows || got.Value != ref.Value {
+				t.Fatalf("%s: single-node (%v, %d), sharded (%v, %d)", agg, got.Value, got.Rows, ref.Value, ref.Rows)
+			}
+		}
+	}
+	// If this starts failing the engine and the cluster fold one grid
+	// (ROADMAP item 4c): promise bit-identity in Options.Shards and pin it.
+	if inexact == 0 {
+		t.Fatal("single-node sum and avg matched the sharded bits; Options.Shards documents a weaker contract than holds")
 	}
 }
