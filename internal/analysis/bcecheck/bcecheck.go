@@ -24,6 +24,11 @@
 // cost of the coarser key is deliberate: moving a bounds check between
 // two lines of one function is invisible, adding one to a function is
 // not.
+//
+// A site is a source position: each diagnostic counts once however often
+// the compiler repeats it. It repeats one per stencil of a generic kernel
+// (the scan kernels are compiled once per code width), and the count must
+// say how many checks the source has, not how many widths there are.
 package bcecheck
 
 import (
@@ -157,11 +162,13 @@ func compilePkg(lp listedPkg, cfgPath, tmp, absDir string, counts map[string]int
 	if err != nil {
 		return err
 	}
+	seen := map[string]bool{} // diagnostics already counted: file:line:col and kind
 	for _, line := range strings.Split(out.String(), "\n") {
 		m := diagRe.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
+		if m == nil || seen[m[0]] {
 			continue
 		}
+		seen[m[0]] = true
 		file, lineno, kind := m[1], atoi(m[2]), m[3]
 		fn := funcs.enclosing(filepath.Base(file), lineno)
 		key := fmt.Sprintf("%s:%s %s", filepath.ToSlash(filepath.Join(relPkg, filepath.Base(file))), fn, kind)

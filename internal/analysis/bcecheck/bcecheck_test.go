@@ -3,6 +3,7 @@ package bcecheck
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -134,6 +135,47 @@ func TestNormalization(t *testing.T) {
 	}
 	if strings.Join(lines, "\n") != strings.Join(again, "\n") {
 		t.Errorf("comment-only edit changed the baseline:\nbefore: %v\nafter: %v", lines, again)
+	}
+}
+
+// TestGenericStencilsCountOnce pins what a site is: a bounds check in
+// generic code is one site whether the package instantiates it for one type
+// or for three. (The compiler repeats the diagnostic of a generic kernel
+// inlined into a generic caller once per stencil of the caller.)
+func TestGenericStencilsCountOnce(t *testing.T) {
+	const generic = `package kernel
+
+func pick[T uint8 | uint16 | uint32](xs []T, sel []int32) uint64 {
+	var acc uint64
+	for _, i := range sel {
+		acc += uint64(xs[i])
+	}
+	return acc
+}
+
+func twice[T uint8 | uint16 | uint32](xs []T, sel []int32) uint64 { return 2 * pick(xs, sel) }
+
+func Twice8(xs []uint8, sel []int32) uint64 { return twice(xs, sel) }
+`
+	const more = `
+func Twice16(xs []uint16, sel []int32) uint64 { return twice(xs, sel) }
+func Twice32(xs []uint32, sel []int32) uint64 { return twice(xs, sel) }
+`
+	sitesIn := func(src, fn string) []string {
+		t.Helper()
+		dir := t.TempDir()
+		writeKernelModule(t, dir, src)
+		lines, err := Run(dir, []string{"./kernel"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.DeleteFunc(lines, func(l string) bool { return !strings.HasPrefix(l, "kernel/kernel.go:"+fn+" ") })
+	}
+	for _, fn := range []string{"pick", "twice"} {
+		one, three := sitesIn(generic, fn), sitesIn(generic+more, fn)
+		if len(one) == 0 || !slices.Equal(one, three) {
+			t.Errorf("%s: %v with one instantiation, %v with three", fn, one, three)
+		}
 	}
 }
 

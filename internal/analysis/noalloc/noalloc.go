@@ -466,6 +466,11 @@ func boxes(t, target types.Type) bool {
 	if !types.IsInterface(target) || types.IsInterface(t) {
 		return false
 	}
+	if _, ok := target.(*types.TypeParam); ok {
+		// Its underlying type is its constraint, an interface, but a value
+		// of a type parameter is a value of the type argument: no box.
+		return false
+	}
 	if b, ok := t.(*types.Basic); ok && (b.Kind() == types.UntypedNil || b.Kind() == types.Invalid) {
 		return false
 	}

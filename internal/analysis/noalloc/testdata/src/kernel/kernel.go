@@ -95,6 +95,22 @@ func Boxing(v int64, p *int64) any {
 // sink consumes an interface; clean itself (no body constructs).
 func sink(any) {}
 
+// Narrow converts to a type parameter: its constraint is an interface, its
+// values are not, so nothing boxes — the shape of a kernel stencilled per
+// column width.
+//
+//olaplint:noalloc
+func Narrow[T uint8 | uint16 | uint32](col []T, from, to uint32) int {
+	n := 0
+	lo, span := T(from), T(to-from)
+	for _, v := range col {
+		if v-lo <= span {
+			n++
+		}
+	}
+	return n
+}
+
 // Literals hits composite literals and &composite.
 //
 //olaplint:noalloc

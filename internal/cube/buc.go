@@ -66,7 +66,7 @@ func BuildIceberg(ft *table.FactTable, level, measure, minSup int) (*Iceberg, er
 	rows := ft.Rows()
 	coords := make([][]uint32, nd)
 	for d := 0; d < nd; d++ {
-		coords[d] = ft.DimLevelColumn(d, lvl[d])
+		coords[d] = ft.DimLevelColumn(d, lvl[d]).AppendTo(make([]uint32, 0, rows))
 	}
 	meas := ft.MeasureColumn(measure)
 

@@ -256,13 +256,10 @@ func BuildFromTable(ft *table.FactTable, level, measure int, cfg Config) (*Cube,
 		workers = 1
 	}
 
-	// Per-dimension level index used for row coordinates.
-	lvlOf := make([]int, len(s.Dimensions))
+	// Per-dimension level column the row coordinates are read from.
+	cols := make([]table.Codes, len(s.Dimensions))
 	for d, dim := range s.Dimensions {
-		lvlOf[d] = level
-		if lvlOf[d] > dim.Finest() {
-			lvlOf[d] = dim.Finest()
-		}
+		cols[d] = ft.DimLevelColumn(d, min(level, dim.Finest()))
 	}
 	meas := ft.MeasureColumn(measure)
 
@@ -274,7 +271,7 @@ func BuildFromTable(ft *table.FactTable, level, measure int, cfg Config) (*Cube,
 		coords := make([]uint32, len(cards))
 		for r := lo; r < hi; r++ {
 			for d := range cards {
-				coords[d] = ft.CoordAt(r, d, lvlOf[d])
+				coords[d] = cols[d].At(r)
 			}
 			part.add(coords, meas[r])
 		}

@@ -56,17 +56,22 @@ import (
 // One advance scans at most carryBudget member-rows, so after a long idle
 // gap it drops entries instead of stalling the lookup that found the gap.
 //
-// Eviction is FIFO over all entries, bounded by CacheMaxEntries. On a live
-// table the sum/avg entries leave at every epoch, so the anchors — stored
-// first, folded from ever after — stay ahead of the bound; on a static one
-// they are the first to go once CacheMaxEntries one-off answers have been
-// stored (ROADMAP item 3a: keeping them there doubles dashboard_hot's
-// answers, and the benchmark's per-answer sample log with them, past its
-// mem_mb bound).
+// Eviction is FIFO within two classes. Plain entries are bounded by
+// CacheMaxEntries and evicted only by plain stores; anchors are bounded by
+// maxAnchors and evicted only by another anchor. An anchor is stored once
+// and folded from ever after, a plain entry is one answer: under one bound
+// CacheMaxEntries one-off answers push out the few entries that answer
+// whole families (on dashboard_hot the subsumed share fell from 0.54 to
+// 0.20 within ten seconds), under two they cannot.
 
 // DefaultCacheMaxEntries bounds the cache when Config.CacheMaxEntries is
 // zero.
 const DefaultCacheMaxEntries = 4096
+
+// maxAnchors bounds the cell-bearing entries: at most 16 planes of at most
+// maxPlaneCells 16-byte cells, 16 MB. A dashboard has a handful of
+// families; a seventeenth evicts the first.
+const maxAnchors = 16
 
 // carryBudget bounds the tail scan of one advance, in member-rows (carried
 // entries × tail rows): about 15 ms of keyed accumulation at worst, paid by
@@ -204,8 +209,9 @@ type resultCache struct {
 	// where the next advance's tail begins.
 	rows    int
 	entries map[string]*cacheEntry
-	order   []*cacheEntry // every entry, oldest first: the eviction order
-	anchors []*cacheEntry // the cell-bearing ones of order, oldest first
+	// The two eviction classes, each oldest first; every entry is in one.
+	plain   []*cacheEntry // no cells: at most max
+	anchors []*cacheEntry // cell-bearing: at most maxAnchors
 	// advancing is non-nil while an advance is in flight, closed when it
 	// lands.
 	advancing chan struct{}
@@ -350,19 +356,18 @@ func (c *resultCache) advance(snap *table.Snapshot) {
 	landed := make(chan struct{})
 	c.advancing = landed
 	from := c.rows
-	held := slices.Clone(c.order)
+	held := append(slices.Clone(c.anchors), c.plain...)
 	c.mu.Unlock()
 
 	next := carry(snap, from, held)
 
 	c.mu.Lock()
-	c.order, c.anchors = next, nil
+	c.plain, c.anchors = nil, nil
 	c.entries = make(map[string]*cacheEntry, len(next))
 	for _, e := range next {
 		c.entries[e.key] = e
-		if e.cells != nil {
-			c.anchors = append(c.anchors, e)
-		}
+		class, _ := c.classOf(e)
+		*class = append(*class, e)
 	}
 	c.epoch.Store(snap.Epoch())
 	c.rows = snap.Rows()
@@ -414,7 +419,8 @@ func anchored(anchors []*cacheEntry, e *cacheEntry) bool {
 }
 
 // carry returns the successors, at snap's epoch, of the entries that
-// answer snap's first `from` rows, oldest first as they came: every anchor,
+// answer snap's first `from` rows, in the order they came (which keeps each
+// class oldest first): every anchor,
 // and every exact count/min/max entry no anchor contains, each merged with
 // its partial over the tail rows [from, snap.Rows()). Whatever does not fit
 // carryBudget is dropped — the exact entries first, then everything.
@@ -591,20 +597,22 @@ func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, res ta
 	}
 	c.rows = snap.Rows()
 	c.entries[e.key] = e
-	c.order = append(c.order, e)
-	if e.cells != nil {
-		c.anchors = append(c.anchors, e)
-	}
+	class, bound := c.classOf(e)
+	*class = append(*class, e)
 	c.stats.Stores++
-	for len(c.order) > c.max {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, victim.key)
-		if victim.cells != nil {
-			c.anchors = c.anchors[1:] // both lists are oldest first
-		}
+	for len(*class) > bound {
+		delete(c.entries, (*class)[0].key)
+		*class = (*class)[1:]
 		c.stats.Evictions++
 	}
+}
+
+// classOf returns the eviction class an entry belongs to and its bound.
+func (c *resultCache) classOf(e *cacheEntry) (class *[]*cacheEntry, bound int) {
+	if e.cells != nil {
+		return &c.anchors, maxAnchors
+	}
+	return &c.plain, c.max
 }
 
 // snapshotStats copies the counters.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -25,20 +26,58 @@ import (
 // to a recompute on GPU partition 0 (or the CPU, if placed there), and a hit
 // only ever within the epoch that executed it. The 100K-row case starts
 // three blocks into gpusim's fold grid, so tails are merged onto answers
-// that were themselves unit-order folds.
+// that were themselves unit-order folds. The 200-row case starts with text
+// dictionaries below 256 strings and ingests 200 new store names, so its
+// snapshots hold one-byte and two-byte stripes of one column, before and
+// after the compactions that merge them; there every count/min/max is also
+// checked against the row-at-a-time scan, which shares no kernel with it.
 func TestServeCacheCarryDifferential(t *testing.T) {
 	t.Run("rows=3000", func(t *testing.T) {
-		serveCacheCarryDifferential(t, carryCase{rows: 3000, rounds: 24, epochs: 50, hits: 100, folds: 50})
+		serveCacheCarryDifferential(t, carryCase{rows: 3000, rounds: 24, lateStores: 4, epochs: 50, hits: 100, folds: 50})
 	})
 	t.Run("rows=100000", func(t *testing.T) {
 		skipBlocksCaseIfShort(t)
-		serveCacheCarryDifferential(t, carryCase{rows: 100_000, rounds: 4, epochs: 9, hits: 15, folds: 8})
+		serveCacheCarryDifferential(t, carryCase{rows: 100_000, rounds: 4, lateStores: 4, epochs: 9, hits: 15, folds: 8})
+	})
+	t.Run("rows=200/dictionary grows past 256", func(t *testing.T) {
+		serveCacheCarryDifferential(t, carryCase{rows: 200, rounds: 24, lateStores: 400, mixedWidths: true, epochs: 50, hits: 100, folds: 50})
 	})
 }
 
-// carryCase sizes one run — the base table and the rounds of ingest and
-// compaction — and says how much of the carry it must have exercised.
-type carryCase struct{ rows, rounds, epochs, hits, folds int }
+// carryCase sizes one run — the base table, the rounds of ingest and
+// compaction, the distinct store names first ingested mid-run — and says
+// how much of the carry it must have exercised, and whether a snapshot must
+// have held store_name stripes of two widths.
+type carryCase struct {
+	rows, rounds, lateStores int
+	mixedWidths              bool
+	epochs, hits, folds      int
+}
+
+// storeNameWidths returns the distinct widths, in bytes, the snapshot's
+// stripes store text column 0 (store_name) at.
+func storeNameWidths(snap *table.Snapshot) map[int]bool {
+	widths := make(map[int]bool)
+	for _, st := range snap.Stripes() {
+		widths[st.Table().TextColumn(0).Width()] = true
+	}
+	return widths
+}
+
+// rowAtATime answers an order-free request over the snapshot with the
+// reference kernel, stripe by stripe: exact under Merge for count/min/max.
+func rowAtATime(t *testing.T, snap *table.Snapshot, req table.ScanRequest) table.ScanResult {
+	t.Helper()
+	var acc table.ScanResult
+	for _, st := range snap.Stripes() {
+		part, err := table.ScanRange(st.Table(), req, 0, st.Rows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc = table.Merge(req.Op, acc, part)
+	}
+	return table.Finalize(req.Op, acc)
+}
 
 func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 	s, err := Setup(SetupSpec{
@@ -108,7 +147,7 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 		for i := range rows {
 			rows[i] = liveRow(nextRow)
 			if late && nextRow%2 == 0 {
-				rows[i].Texts = []string{fmt.Sprintf("late store #%d", nextRow%4), fmt.Sprintf("late city %d", nextRow%3)}
+				rows[i].Texts = []string{fmt.Sprintf("late store #%d", nextRow%c.lateStores), fmt.Sprintf("late city %d", nextRow%3)}
 			}
 			nextRow++
 		}
@@ -145,6 +184,7 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 	// from the cache) at.
 	lastRun := make([]uint64, len(pool))
 	var carriedHits, carriedFolds, split, restamps int
+	var mixedDeltas, mixedCompacted int // snapshots served with store_name at two widths
 	serve := func(qi int, q *query.Query) {
 		t.Helper()
 		snap := s.pin()
@@ -162,6 +202,20 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 			if !resultBits(out.Result, want) {
 				t.Fatalf("%s: got (%v, %d), from-scratch scan (%v, %d)",
 					desc, out.Result.Value, out.Result.Rows, want.Value, want.Rows)
+			}
+			if c.mixedWidths {
+				qq := q.Clone()
+				if _, err := query.Translate(qq, s.dicts()); err != nil {
+					t.Fatal(err)
+				}
+				req, empty, err := qq.ToScanRequest(s.cfg.Table.Schema())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref := rowAtATime(t, snap, req); !empty && !resultBits(want, ref) {
+					t.Fatalf("%s: from-scratch scan (%v, %d), row at a time (%v, %d)",
+						desc, want.Value, want.Rows, ref.Value, ref.Rows)
+				}
 			}
 		} else {
 			if out.Result.Rows != want.Rows || math.Abs(out.Result.Value-want.Value) > 1e-6*math.Abs(want.Value) {
@@ -195,6 +249,13 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 	}
 	serveAll := func() {
 		t.Helper()
+		if snap := s.pin(); len(storeNameWidths(snap)) > 1 {
+			if snap.DeltaStripes() > 0 {
+				mixedDeltas++
+			} else {
+				mixedCompacted++
+			}
+		}
 		for qi, q := range pool {
 			serve(qi, q)
 		}
@@ -268,6 +329,10 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 	}
 	if cs.Carried == 0 || cs.Dropped == 0 || cs.EpochInvalidations == 0 {
 		t.Fatalf("cache stats: %+v", cs)
+	}
+	if c.mixedWidths && (mixedDeltas == 0 || mixedCompacted == 0) {
+		t.Fatalf("store_name was served at two widths from %d snapshots with delta stripes and %d fully compacted ones; want both",
+			mixedDeltas, mixedCompacted)
 	}
 }
 
@@ -471,9 +536,10 @@ func BenchmarkCacheAdvance(b *testing.B) {
 			{Dim: 2, Level: 2, From: lo, To: lo + uint32(rng.Intn(100))},
 		}}, false)
 	}
-	if len(c.anchors) != 5 || len(c.order) != 69 {
-		b.Fatalf("cache holds %d anchors among %d entries", len(c.anchors), len(c.order))
+	if len(c.anchors) != 5 || len(c.plain) != 64 {
+		b.Fatalf("cache holds %d anchors and %d plain entries", len(c.anchors), len(c.plain))
 	}
+	held := append(slices.Clone(c.anchors), c.plain...)
 	next, err := reg.Publish([]*table.FactTable{genTable(b, 1000, 2)}, table.StripeDelta, nil, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -482,7 +548,7 @@ func BenchmarkCacheAdvance(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if carried := carry(next, base.Rows(), c.order); len(carried) != 69 {
+		if carried := carry(next, base.Rows(), held); len(carried) != 69 {
 			b.Fatalf("carried %d of 69 entries", len(carried))
 		}
 	}

@@ -178,30 +178,37 @@ func TestResultCacheEpochOwnership(t *testing.T) {
 	}
 }
 
-// TestServeCacheEvictionUnlinksAnchor pins what FIFO eviction does to an
-// anchor: once it is the oldest entry past the bound it stops serving folds,
-// and a younger anchor of another signature keeps serving them.
+// TestServeCacheEvictionUnlinksAnchor pins the two eviction classes: plain
+// stores, however many, evict only plain entries, so an anchor keeps
+// serving folds; only the anchor past maxAnchors evicts one — the oldest,
+// which stops serving folds while the younger ones go on; and an advance
+// puts every carried entry back in its own class.
 func TestServeCacheEvictionUnlinksAnchor(t *testing.T) {
 	ft := genTable(t, 2000, 3)
-	at := cacheEpochs(t, ft, 0)[0]
-	c := newResultCache(8)
+	snaps := cacheEpochs(t, ft, 1)
+	at := snaps[0]
+	const max = 8
+	c := newResultCache(max)
 	month := func(op table.AggOp, from, to uint32) table.ScanRequest {
 		return table.ScanRequest{Op: op, Predicates: []table.RangePredicate{{Dim: 0, Level: 1, From: from, To: to}}}
 	}
 	storeAnchor := func(req table.ScanRequest) { storeScanned(t, c, ft, at, req, true) }
 	storePlain := func(n int) {
 		for i := 0; i < n; i++ {
-			q := cacheReq(table.AggSum, uint32(c.snapshotStats().Stores), 99)
-			c.store(&q, at, table.ScanResult{Rows: 1}, nil, sched.QueueRef{})
+			// Counts over another column: no anchor contains them, and an
+			// advance carries them.
+			q := table.ScanRequest{Op: table.AggCount, Predicates: []table.RangePredicate{
+				{Dim: 2, Level: 2, From: uint32(c.snapshotStats().Stores), To: 511}}}
+			storeScanned(t, c, ft, at, q, false)
 		}
 	}
-	folds := func(req table.ScanRequest) bool {
+	folds := func(req table.ScanRequest, at *table.Snapshot) bool {
 		t.Helper()
 		ans, ok := c.lookup(&req, at)
 		if !ok {
 			return false
 		}
-		want, err := table.Scan(ft, req)
+		want, err := table.ScanSnapshot(at, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,21 +219,51 @@ func TestServeCacheEvictionUnlinksAnchor(t *testing.T) {
 	}
 
 	storeAnchor(month(table.AggCount, 0, 31))
-	storePlain(3)
-	storeAnchor(month(table.AggMax, 0, 31))
-	storePlain(3)
-	if !folds(month(table.AggCount, 4, 17)) || !folds(month(table.AggMax, 4, 17)) {
-		t.Fatal("an anchor inside the bound serves no fold")
+	storePlain(max + 100)
+	if st := c.snapshotStats(); st.Evictions != 100 || len(c.anchors) != 1 || len(c.plain) != max {
+		t.Fatalf("after %d plain stores: %+v, %d anchors, %d plain entries", max+100, st, len(c.anchors), len(c.plain))
 	}
-	storePlain(1) // the ninth entry: the count anchor is the oldest
-	if folds(month(table.AggCount, 4, 17)) {
+	if !folds(month(table.AggCount, 0, 17), at) {
+		t.Fatal("plain stores evicted the anchor")
+	}
+
+	// Anchors 2..16 fit beside the first; the 17th evicts it and nothing
+	// else. Anchor i covers months [i-1, 31]: only the first contains 0.
+	for i := uint32(1); i < maxAnchors; i++ {
+		storeAnchor(month(table.AggCount, i, 31))
+	}
+	if !folds(month(table.AggCount, 0, 17), at) {
+		t.Fatalf("the first of %d anchors serves no fold", maxAnchors)
+	}
+	storeAnchor(month(table.AggCount, maxAnchors, 31))
+	if folds(month(table.AggCount, 0, 17), at) {
 		t.Fatal("an evicted anchor still serves folds")
 	}
-	if !folds(month(table.AggMax, 4, 17)) {
-		t.Fatal("evicting the older anchor unlinked the younger one")
+	if !folds(month(table.AggCount, 1, 17), at) {
+		t.Fatal("evicting the oldest anchor unlinked a younger one")
 	}
-	if st := c.snapshotStats(); st.Evictions != 1 || len(c.anchors) != 1 || len(c.order) != 8 {
-		t.Fatalf("after one eviction: %+v, %d anchors, %d entries", st, len(c.anchors), len(c.order))
+	if st := c.snapshotStats(); st.Evictions != 101 || len(c.anchors) != maxAnchors || len(c.plain) != max {
+		t.Fatalf("after the 17th anchor: %+v, %d anchors, %d plain entries", st, len(c.anchors), len(c.plain))
+	}
+
+	// The next epoch: both lists are rebuilt, each entry in its class, and
+	// the classes still evict apart.
+	next := snaps[1]
+	if !folds(month(table.AggCount, 1, 17), next) {
+		t.Fatal("a carried anchor serves no fold")
+	}
+	if len(c.anchors) != maxAnchors || len(c.plain) != max || len(c.entries) != maxAnchors+max {
+		t.Fatalf("after the advance: %d anchors, %d plain entries, %d keys", len(c.anchors), len(c.plain), len(c.entries))
+	}
+	for _, e := range c.anchors {
+		if e.cells == nil {
+			t.Fatalf("plain entry %q among the anchors", e.key)
+		}
+	}
+	for _, e := range c.plain {
+		if e.cells != nil {
+			t.Fatalf("anchor %q among the plain entries", e.key)
+		}
 	}
 }
 

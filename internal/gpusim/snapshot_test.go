@@ -15,7 +15,7 @@ func sliceTable(t testing.TB, whole *table.FactTable, lo, hi int) *table.FactTab
 	s := *whole.Schema()
 	coords := make([][]uint32, len(s.Dimensions))
 	for d, dim := range s.Dimensions {
-		coords[d] = whole.DimLevelColumn(d, dim.Finest())[lo:hi]
+		coords[d] = whole.DimLevelColumn(d, dim.Finest()).AppendTo(nil)[lo:hi]
 	}
 	meas := make([][]float64, len(s.Measures))
 	for m := range meas {
@@ -23,7 +23,7 @@ func sliceTable(t testing.TB, whole *table.FactTable, lo, hi int) *table.FactTab
 	}
 	texts := make([][]uint32, len(s.Texts))
 	for x := range texts {
-		texts[x] = whole.TextColumn(x)[lo:hi]
+		texts[x] = whole.TextColumn(x).AppendTo(nil)[lo:hi]
 	}
 	ft, err := table.FromColumns(s, coords, meas, texts, whole.Dicts())
 	if err != nil {

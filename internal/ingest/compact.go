@@ -164,13 +164,13 @@ func (s *Store) CompactOnce(maxRun int) (int, error) {
 		removeIDs[i] = st.ID()
 		ft := st.Table()
 		for d := range coords {
-			coords[d] = append(coords[d], ft.DimLevelColumn(d, finest[d])...)
+			coords[d] = ft.DimLevelColumn(d, finest[d]).AppendTo(coords[d])
 		}
 		for m := range meas {
 			meas[m] = append(meas[m], ft.MeasureColumn(m)...)
 		}
 		for t := range texts {
-			texts[t] = append(texts[t], ft.TextColumn(t)...)
+			texts[t] = ft.TextColumn(t).AppendTo(texts[t])
 		}
 	}
 	merged, err := table.FromColumns(s.schema, coords, meas, texts, s.dicts)

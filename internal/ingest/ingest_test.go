@@ -98,7 +98,7 @@ func rebuild(t testing.TB, snap *table.Snapshot, s table.Schema) *table.FactTabl
 				row.Measures = append(row.Measures, ft.MeasureColumn(m)[r])
 			}
 			for x, ts := range s.Texts {
-				str, derr := ft.Dicts().Decode(ts.Name, ft.TextColumn(x)[r])
+				str, derr := ft.Dicts().Decode(ts.Name, ft.TextColumn(x).At(r))
 				if derr != nil {
 					t.Fatal(derr)
 				}
@@ -330,8 +330,8 @@ func TestWALRecovery(t *testing.T) {
 	checkEpoch(t, got, s)
 
 	for x := 0; x < got.Stripes()[1].Rows(); x++ {
-		a := want.Stripes()[1].Table().TextColumn(0)[x]
-		b := got.Stripes()[1].Table().TextColumn(0)[x]
+		a := want.Stripes()[1].Table().TextColumn(0).At(x)
+		b := got.Stripes()[1].Table().TextColumn(0).At(x)
 		if a != b {
 			t.Fatalf("row %d: recovered text code %d != original %d", x, b, a)
 		}

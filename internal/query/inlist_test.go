@@ -103,7 +103,7 @@ func TestInListScanMatchesBruteForce(t *testing.T) {
 	var want float64
 	var rows int64
 	for r := 0; r < ft.Rows(); r++ {
-		code := ft.TextColumn(0)[r]
+		code := ft.TextColumn(0).At(r)
 		if ft.CoordAt(r, 0, 0) <= 2 && (code == uint32(acme) || code == uint32(corner)) {
 			want += ft.MeasureColumn(0)[r]
 			rows++

@@ -247,7 +247,7 @@ func TestToScanRequestMatchesDirectScan(t *testing.T) {
 	d, _ := ft.Dicts().Get("store_name")
 	acme, _ := d.Lookup("acme")
 	for r := 0; r < ft.Rows(); r++ {
-		if ft.CoordAt(r, 0, 1) <= 17 && ft.TextColumn(0)[r] == uint32(acme) {
+		if ft.CoordAt(r, 0, 1) <= 17 && ft.TextColumn(0).At(r) == uint32(acme) {
 			want += ft.MeasureColumn(0)[r]
 			rows++
 		}

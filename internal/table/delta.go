@@ -19,11 +19,13 @@ func (t *FactTable) WithDicts(ds *dict.Set) *FactTable {
 // FromColumns materializes an immutable FactTable directly from columnar
 // data: finest-level coordinates per dimension, measure columns, and
 // pre-encoded text code columns referencing a shared (append-capable)
-// dictionary set. Coarser levels are derived by the same exact roll-up as
-// Builder.Build. This is the delta-stripe constructor — the ingest path
-// encodes text against the table's live dictionaries before materializing,
-// so every stripe of a registry shares one dictionary set and codes stay
-// comparable across stripes.
+// dictionary set. The inputs are full-width; the stored columns are built
+// at their own widths by the same levelColumns / textColumn as
+// Builder.Build (the coordinate and code slices are read, not kept). This
+// is the delta-stripe constructor — the ingest path encodes text against
+// the table's live dictionaries before materializing, so every stripe of a
+// registry shares one dictionary set and codes stay comparable across
+// stripes; a code the dictionary does not define is rejected.
 func FromColumns(schema Schema, coords [][]uint32, measures [][]float64, texts [][]uint32, dicts *dict.Set) (*FactTable, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
@@ -62,29 +64,23 @@ func FromColumns(schema Schema, coords [][]uint32, measures [][]float64, texts [
 		}
 	}
 
-	t := &FactTable{schema: schema, rows: rows, measures: measures, texts: texts, dicts: dicts}
-	t.dimLevels = make([][][]uint32, len(schema.Dimensions))
+	t := &FactTable{schema: schema, rows: rows, measures: measures, dicts: dicts}
+	t.dimLevels = make([][]Codes, len(schema.Dimensions))
 	for d, spec := range schema.Dimensions {
-		finest := spec.Finest()
-		finestCard := spec.Levels[finest].Cardinality
-		for _, c := range coords[d] {
-			if int(c) >= finestCard {
-				return nil, fmt.Errorf("table: dimension %q coordinate %d outside cardinality %d",
-					spec.Name, c, finestCard)
-			}
+		cols, err := levelColumns(spec, coords[d])
+		if err != nil {
+			return nil, err
 		}
-		t.dimLevels[d] = make([][]uint32, len(spec.Levels))
-		for l, lv := range spec.Levels {
-			if l == finest {
-				t.dimLevels[d][l] = coords[d]
-				continue
+		t.dimLevels[d] = cols
+	}
+	if len(texts) > 0 {
+		t.texts = make([]Codes, len(texts))
+		for i, spec := range schema.Texts {
+			col, err := textColumn(spec.Name, texts[i], dicts.DictLen(spec.Name))
+			if err != nil {
+				return nil, err
 			}
-			ratio := uint32(finestCard / lv.Cardinality)
-			col := make([]uint32, rows)
-			for i, c := range coords[d] {
-				col[i] = c / ratio
-			}
-			t.dimLevels[d][l] = col
+			t.texts[i] = col
 		}
 	}
 	return t, nil

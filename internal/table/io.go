@@ -11,7 +11,9 @@ import (
 // Persistence format: magic, version, schema, then per-dimension finest
 // coordinates (coarser levels are derived on load, exactly as Builder
 // derives them), measures, and per-text-column dictionary entries plus
-// code columns. A trailing CRC-32 guards the whole payload.
+// code columns. Codes are 32 bits on disk whatever their width in memory:
+// Save widens, Load validates and then narrows. A trailing CRC-32 guards
+// the whole payload.
 const (
 	tableMagic   = "HOLT"
 	tableVersion = 1
@@ -48,7 +50,7 @@ func (t *FactTable) Save(w io.Writer) error {
 	bw.U64(uint64(t.rows))
 	// Finest-level coordinates per dimension.
 	for d, dim := range s.Dimensions {
-		bw.U32s(t.dimLevels[d][dim.Finest()])
+		bw.U32s(t.dimLevels[d][dim.Finest()].AppendTo(make([]uint32, 0, t.rows)))
 	}
 	for m := range s.Measures {
 		bw.F64s(t.measures[m])
@@ -63,7 +65,7 @@ func (t *FactTable) Save(w io.Writer) error {
 			str, _ := d.Decode(dict.ID(id))
 			bw.String(str)
 		}
-		bw.U32s(t.texts[i])
+		bw.U32s(t.texts[i].AppendTo(make([]uint32, 0, t.rows)))
 	}
 	return bw.Sum()
 }
@@ -146,9 +148,8 @@ func Load(r io.Reader) (*FactTable, error) {
 	}
 
 	t := &FactTable{schema: s, rows: rows}
-	t.dimLevels = make([][][]uint32, nd)
+	t.dimLevels = make([][]Codes, nd)
 	for d, dim := range s.Dimensions {
-		finest := dim.Finest()
 		coords := br.U32s(rows)
 		if br.Err() != nil {
 			return nil, br.Err()
@@ -156,22 +157,11 @@ func Load(r io.Reader) (*FactTable, error) {
 		if len(coords) != rows {
 			return nil, fmt.Errorf("table: dimension %q has %d coords for %d rows", dim.Name, len(coords), rows)
 		}
-		card := uint32(dim.Levels[finest].Cardinality)
-		for _, c := range coords {
-			if c >= card {
-				return nil, fmt.Errorf("table: coordinate %d exceeds cardinality %d in %q", c, card, dim.Name)
-			}
+		cols, err := levelColumns(dim, coords)
+		if err != nil {
+			return nil, err
 		}
-		t.dimLevels[d] = make([][]uint32, len(dim.Levels))
-		t.dimLevels[d][finest] = coords
-		for l := 0; l < finest; l++ {
-			ratio := uint32(dim.Levels[finest].Cardinality / dim.Levels[l].Cardinality)
-			col := make([]uint32, rows)
-			for i, c := range coords {
-				col[i] = c / ratio
-			}
-			t.dimLevels[d][l] = col
-		}
+		t.dimLevels[d] = cols
 	}
 	t.measures = make([][]float64, nm)
 	for m := 0; m < nm; m++ {
@@ -185,7 +175,7 @@ func Load(r io.Reader) (*FactTable, error) {
 	}
 	if nt > 0 {
 		t.dicts = dict.NewSet()
-		t.texts = make([][]uint32, nt)
+		t.texts = make([]Codes, nt)
 		for i := 0; i < nt; i++ {
 			dl := int(br.U64())
 			if br.Err() != nil {
@@ -213,12 +203,9 @@ func Load(r io.Reader) (*FactTable, error) {
 			if len(codes) != rows {
 				return nil, fmt.Errorf("table: text column %q has %d codes for %d rows", s.Texts[i].Name, len(codes), rows)
 			}
-			for _, c := range codes {
-				if int(c) >= dl {
-					return nil, fmt.Errorf("table: code %d exceeds dictionary of %d in %q", c, dl, s.Texts[i].Name)
-				}
+			if t.texts[i], err = textColumn(s.Texts[i].Name, codes, dl); err != nil {
+				return nil, err
 			}
-			t.texts[i] = codes
 		}
 	}
 	if err := br.CheckSum(); err != nil {

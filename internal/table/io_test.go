@@ -44,7 +44,7 @@ func TestTableSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i := range s.Texts {
 		for r := 0; r < orig.Rows(); r++ {
-			if got.TextColumn(i)[r] != orig.TextColumn(i)[r] {
+			if got.TextColumn(i).At(r) != orig.TextColumn(i).At(r) {
 				t.Fatalf("text (%d,%d) differs", i, r)
 			}
 		}

@@ -12,6 +12,11 @@ import (
 // the A/B for kernel edits (`make bench-kernels`). The acceptance bar for this layer is the
 // rows=10M/preds=3/sel=10pct pair: vectorized must run >= 1.5x faster
 // than reference with 0 allocs/op.
+//
+// The benchmark schema's columns hold 100 codes, so they are stored in one
+// byte; a width=8|16|32 row runs the same table with its code columns
+// forced that wide (atWidth), which puts ns/row per kernel stencil on
+// record. width=32 is what every row measured before codes were narrow.
 
 // benchCard is the per-column cardinality of the benchmark schema; with
 // uniform codes, a predicate accepting w of benchCard codes has
@@ -30,21 +35,32 @@ func benchSchema() Schema {
 }
 
 // benchTables caches generated tables across sub-benchmarks (a 10M-row
-// table takes seconds to build; the scan under test takes milliseconds).
-var benchTables = map[int]*FactTable{}
+// table takes seconds to build; the scan under test takes milliseconds),
+// by rows and forced code width in bits (8: as narrow as they go).
+var benchTables = map[[2]int]*FactTable{}
 
-func benchTable(b *testing.B, rows int) *FactTable {
+func benchTable(b *testing.B, rows int) *FactTable { return benchTableAt(b, rows, 8) }
+
+func benchTableAt(b *testing.B, rows, bits int) *FactTable {
 	b.Helper()
-	if ft, ok := benchTables[rows]; ok {
+	if ft, ok := benchTables[[2]int{rows, bits}]; ok {
 		return ft
 	}
-	ft, err := Generate(GenSpec{Schema: benchSchema(), Rows: rows, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
+	var ft *FactTable
+	if bits == 8 {
+		var err error
+		if ft, err = Generate(GenSpec{Schema: benchSchema(), Rows: rows, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	} else {
+		ft = atWidth(benchTableAt(b, rows, 8), bits/8)
 	}
-	benchTables[rows] = ft
+	benchTables[[2]int{rows, bits}] = ft
 	return ft
 }
+
+// benchWidths is the width axis of the kernel matrix, in bits.
+var benchWidths = []int{8, 16, 32}
 
 // predsForSelectivity builds n predicates, each accepting `width` of the
 // benchCard codes on a distinct column.
@@ -65,8 +81,11 @@ func runReference(b *testing.B, ft *FactTable, req ScanRequest) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(ft.Rows()) * 4) // first predicate column traffic
+	b.SetBytes(firstColumnBytes(ft))
 }
+
+// firstColumnBytes is the first predicate column's traffic per pass.
+func firstColumnBytes(ft *FactTable) int64 { return ft.DimLevelColumn(0, 0).sizeBytes() }
 
 // runVectorized times one whole-table pass of the members' plan at the
 // given batch size. States are reset between passes inside the timed
@@ -86,7 +105,7 @@ func runVectorized(b *testing.B, ft *FactTable, batch int, members ...Member) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(ft.Rows()) * 4)
+	b.SetBytes(firstColumnBytes(ft))
 }
 
 // fanInMembers derives k members of one fusion family from m: the same
@@ -127,9 +146,12 @@ func BenchmarkScanKernels(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=1M/op=%s/kernel=reference", op), func(b *testing.B) {
 			runReference(b, benchTable(b, 1_000_000), req)
 		})
-		b.Run(fmt.Sprintf("rows=1M/op=%s/kernel=vectorized", op), func(b *testing.B) {
-			runVectorized(b, benchTable(b, 1_000_000), BatchSize, Member{ScanRequest: req})
-		})
+		for _, bits := range benchWidths {
+			bits := bits
+			b.Run(fmt.Sprintf("rows=1M/op=%s/width=%d/kernel=vectorized", op, bits), func(b *testing.B) {
+				runVectorized(b, benchTableAt(b, 1_000_000, bits), BatchSize, Member{ScanRequest: req})
+			})
+		}
 	}
 
 	// Per-selectivity comparison at 1M rows, 3 predicates; widths are the
@@ -141,9 +163,12 @@ func BenchmarkScanKernels(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=1M/predsel=%.0fpct/kernel=reference", pct), func(b *testing.B) {
 			runReference(b, benchTable(b, 1_000_000), req)
 		})
-		b.Run(fmt.Sprintf("rows=1M/predsel=%.0fpct/kernel=vectorized", pct), func(b *testing.B) {
-			runVectorized(b, benchTable(b, 1_000_000), BatchSize, Member{ScanRequest: req})
-		})
+		for _, bits := range benchWidths {
+			bits := bits
+			b.Run(fmt.Sprintf("rows=1M/predsel=%.0fpct/width=%d/kernel=vectorized", pct, bits), func(b *testing.B) {
+				runVectorized(b, benchTableAt(b, 1_000_000, bits), BatchSize, Member{ScanRequest: req})
+			})
+		}
 	}
 
 	// Batch-size sweep: the speedup at each batch size (the BatchSize
@@ -184,9 +209,12 @@ func BenchmarkScanKernels(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=1M/shape=%s/kernel=reference", tc.name), func(b *testing.B) {
 			runReference(b, benchTable(b, 1_000_000), req)
 		})
-		b.Run(fmt.Sprintf("rows=1M/shape=%s/kernel=vectorized", tc.name), func(b *testing.B) {
-			runVectorized(b, benchTable(b, 1_000_000), BatchSize, Member{ScanRequest: req})
-		})
+		for _, bits := range benchWidths {
+			bits := bits
+			b.Run(fmt.Sprintf("rows=1M/shape=%s/width=%d/kernel=vectorized", tc.name, bits), func(b *testing.B) {
+				runVectorized(b, benchTableAt(b, 1_000_000, bits), BatchSize, Member{ScanRequest: req})
+			})
+		}
 	}
 }
 
@@ -208,9 +236,12 @@ func BenchmarkGroupScanKernels(b *testing.B) {
 		}
 	})
 	m := Member{ScanRequest: req.ScanRequest, GroupBy: req.GroupBy}
-	b.Run("rows=1M/kernel=vectorized", func(b *testing.B) {
-		runVectorized(b, benchTable(b, 1_000_000), BatchSize, m)
-	})
+	for _, bits := range benchWidths {
+		bits := bits
+		b.Run(fmt.Sprintf("rows=1M/width=%d/kernel=vectorized", bits), func(b *testing.B) {
+			runVectorized(b, benchTableAt(b, 1_000_000, bits), BatchSize, m)
+		})
+	}
 	for _, k := range []int{1, 8} {
 		k := k
 		b.Run(fmt.Sprintf("rows=1M/fanin=%d/kernel=vectorized", k), func(b *testing.B) {

@@ -43,7 +43,7 @@ import (
 type Plan struct {
 	rows      int
 	shared    boundPred // envelope predicate (shapeRange), valid when sharedSet
-	sharedSet bool      // false: no usable shared column, the pass is unseeded
+	sharedSet bool      // false: no member filters any column, the pass is unseeded
 	fill      bool      // unseeded pass in which some member reads a dense selection
 	last      int       // last live member, -1 when every member matches nothing
 	members   []member
@@ -80,9 +80,9 @@ type member struct {
 	op    AggOp
 	meas  []float64 // nil for pure counts
 	preds []boundPred
-	never bool       // some predicate can match no row
-	dense bool       // unfiltered scalar member of an unseeded pass: aggregates dense runs
-	gcols [][]uint32 // key columns; nil for a scalar member
+	never bool    // some predicate can match no row
+	dense bool    // unfiltered scalar member of an unseeded pass: aggregates dense runs
+	gcols []Codes // key columns; nil for a scalar member
 }
 
 // predShape selects the monomorphic filter kernel for one predicate.
@@ -99,11 +99,14 @@ const (
 	shapePoints
 )
 
-// boundPred is one predicate of a plan: column resolved, shape chosen,
-// selectivity estimated.
+// boundPred is one predicate of a plan: column resolved, constants
+// narrowed to the column's width, shape chosen, selectivity estimated.
+// [from, to] and every or interval are non-empty and hold only codes the
+// column can store (bindPred), so a kernel may compare them in the
+// column's own type.
 type boundPred struct {
 	ref      colRef
-	col      []uint32
+	col      Codes
 	from, to uint32
 	or       []CodeRange
 	points   []uint32 // shapePoints: the accepted codes
@@ -139,23 +142,23 @@ func fitsGroupKey(card int) bool { return card <= 0x10000 }
 
 // validateGroupCol bounds-checks one grouping column and its 16-bit key
 // budget.
-func validateGroupCol(t *FactTable, g GroupCol) ([]uint32, error) {
+func validateGroupCol(t *FactTable, g GroupCol) (Codes, error) {
 	if g.Text {
 		if g.TextIndex < 0 || g.TextIndex >= len(t.texts) {
-			return nil, fmt.Errorf("table: group text column %d out of range", g.TextIndex)
+			return Codes{}, fmt.Errorf("table: group text column %d out of range", g.TextIndex)
 		}
 		if d := t.schema.Texts[g.TextIndex]; d.Name != "" {
 			if dd, ok := t.dicts.Get(d.Name); ok && !fitsGroupKey(dd.Len()) {
-				return nil, fmt.Errorf("table: text column %q has %d codes; grouping supports <= 65536", d.Name, dd.Len())
+				return Codes{}, fmt.Errorf("table: text column %q has %d codes; grouping supports <= 65536", d.Name, dd.Len())
 			}
 		}
 		return t.texts[g.TextIndex], nil
 	}
 	if g.Dim < 0 || g.Dim >= len(t.dimLevels) || g.Level < 0 || g.Level >= len(t.dimLevels[g.Dim]) {
-		return nil, fmt.Errorf("table: group column (%d,%d) out of range", g.Dim, g.Level)
+		return Codes{}, fmt.Errorf("table: group column (%d,%d) out of range", g.Dim, g.Level)
 	}
 	if card := t.schema.LevelCardinality(g.Dim, g.Level); !fitsGroupKey(card) {
-		return nil, fmt.Errorf("table: group level cardinality %d exceeds 65536", card)
+		return Codes{}, fmt.Errorf("table: group level cardinality %d exceeds 65536", card)
 	}
 	return t.dimLevels[g.Dim][g.Level], nil
 }
@@ -209,45 +212,55 @@ func estimateSelectivity(t *FactTable, p *RangePredicate) float64 {
 	return s
 }
 
-// bindPred resolves one predicate against the table and picks its kernel
-// shape.
-func bindPred(t *FactTable, p *RangePredicate) boundPred {
-	bp := boundPred{
-		ref:  colRefOf(p),
-		col:  predCol(t, *p),
-		from: p.From,
-		to:   p.To,
-		or:   p.Or,
-		sel:  estimateSelectivity(t, p),
+// narrowTo cuts an interval to the codes [0, top] a column can store;
+// ok=false when none is left (the interval is inverted, or wholly above).
+func narrowTo(r CodeRange, top uint32) (_ CodeRange, ok bool) {
+	return CodeRange{From: r.From, To: min(r.To, top)}, r.From <= r.To && r.From <= top
+}
+
+// bindPred resolves one predicate against the table, narrows its constants
+// to the column's width and picks its kernel shape; ok=false when no code
+// the column can hold passes. Narrowing lives here and nowhere else: an
+// interval that accepts no storable code is dropped, one straddling the
+// width is cut at the largest storable code — so what is left can be
+// compared in the column's own type and no constant is ever truncated into
+// a match. [from, to] is the first surviving interval.
+func bindPred(t *FactTable, p *RangePredicate) (bp boundPred, ok bool) {
+	bp = boundPred{ref: colRefOf(p), col: predCol(t, *p), sel: estimateSelectivity(t, p)}
+	top := bp.col.top()
+	base, ok := narrowTo(CodeRange{From: p.From, To: p.To}, top)
+	var or []CodeRange
+	for _, r := range p.Or {
+		if r, live := narrowTo(r, top); live {
+			or = append(or, r)
+		}
+	}
+	if !ok {
+		if len(or) == 0 {
+			return bp, false
+		}
+		base, or = or[0], or[1:]
+	}
+	bp.from, bp.to, bp.or = base.From, base.To, or
+	points := base.From == base.To // every surviving interval is a single code
+	for _, r := range or {
+		points = points && r.From == r.To
 	}
 	switch {
-	case len(p.Or) == 0:
+	case len(or) == 0:
 		bp.shape = shapeRange
+	case points:
+		// The translated IN-list shape: collect the codes into one flat
+		// list.
+		bp.shape = shapePoints
+		bp.points = append(make([]uint32, 0, 1+len(or)), base.From)
+		for _, r := range or {
+			bp.points = append(bp.points, r.From)
+		}
 	default:
-		// The translated IN-list shape: the base interval and every Or
-		// interval are single codes. Collect them into one flat list.
-		points := true
-		if p.From != p.To {
-			points = false
-		}
-		for _, r := range p.Or {
-			if r.From != r.To {
-				points = false
-				break
-			}
-		}
-		if points {
-			bp.shape = shapePoints
-			bp.points = make([]uint32, 0, len(p.Or)+1)
-			bp.points = append(bp.points, p.From)
-			for _, r := range p.Or {
-				bp.points = append(bp.points, r.From)
-			}
-		} else {
-			bp.shape = shapeOr
-		}
+		bp.shape = shapeOr
 	}
-	return bp
+	return bp, true
 }
 
 // colRef canonically identifies one predicate column: a (dim, level)
@@ -353,36 +366,13 @@ func CellShape(req *ScanRequest) (order []int, ok bool) {
 }
 
 // acceptedBounds returns the hull [lo, hi] of every code the bound
-// predicate accepts, or ok=false when it accepts nothing.
-func acceptedBounds(bp *boundPred) (lo, hi uint32, ok bool) {
-	if bp.shape == shapePoints {
-		for _, p := range bp.points {
-			if !ok || p < lo {
-				lo = p
-			}
-			if !ok || p > hi {
-				hi = p
-			}
-			ok = true
-		}
-		return lo, hi, ok
-	}
-	if bp.from <= bp.to {
-		lo, hi, ok = bp.from, bp.to, true
-	}
+// predicate accepts (it accepts at least [from, to]).
+func acceptedBounds(bp *boundPred) (lo, hi uint32) {
+	lo, hi = bp.from, bp.to
 	for _, r := range bp.or {
-		if r.From > r.To {
-			continue
-		}
-		if !ok || r.From < lo {
-			lo = r.From
-		}
-		if !ok || r.To > hi {
-			hi = r.To
-		}
-		ok = true
+		lo, hi = min(lo, r.From), max(hi, r.To)
 	}
-	return lo, hi, ok
+	return lo, hi
 }
 
 // acceptedWidth counts the codes a bound predicate accepts (Or overlaps
@@ -391,14 +381,9 @@ func acceptedWidth(bp *boundPred) int64 {
 	if bp.shape == shapePoints {
 		return int64(len(bp.points))
 	}
-	var w int64
-	if bp.from <= bp.to {
-		w += int64(bp.to-bp.from) + 1
-	}
+	w := int64(bp.to-bp.from) + 1
 	for _, r := range bp.or {
-		if r.From <= r.To {
-			w += int64(r.To-r.From) + 1
-		}
+		w += int64(r.To-r.From) + 1
 	}
 	return w
 }
@@ -420,11 +405,8 @@ func (m *member) bind(t *FactTable, req *Member) error {
 		if err := validatePred(t, p); err != nil {
 			return err
 		}
-		bp := bindPred(t, p)
-		if bp.from > bp.to && len(bp.or) == 0 {
-			// Inverted interval with no alternatives: nothing can pass.
-			m.never = true
-		}
+		bp, ok := bindPred(t, p)
+		m.never = m.never || !ok
 		m.preds = append(m.preds, bp)
 	}
 	if len(req.GroupBy) > MaxGroupCols {
@@ -445,12 +427,12 @@ func (m *member) bind(t *FactTable, req *Member) error {
 
 // cellCols resolves the key columns of a cell member — its predicate
 // columns in canonical order — or nil when cells cannot be granted.
-func cellCols(t *FactTable, req *ScanRequest) [][]uint32 {
+func cellCols(t *FactTable, req *ScanRequest) []Codes {
 	order, ok := CellShape(req)
 	if !ok {
 		return nil
 	}
-	cols := make([][]uint32, len(order))
+	cols := make([]Codes, len(order))
 	for i, pi := range order {
 		p := &req.Predicates[pi]
 		if !fitsGroupKey(t.schema.LevelCardinality(p.Dim, p.Level)) {
@@ -503,17 +485,14 @@ func Bind(t *FactTable, reqs []Member) (*Plan, error) {
 	}
 
 	// Pick the shared column: the one whose envelope (the hull of every
-	// live member's accepted interval) is estimated most selective. A
-	// column is unusable when some live member has no accepted codes on it
-	// to bound (degenerate Or lists); with no usable column the pass is
-	// unseeded and every predicate stays residual.
+	// live member's accepted interval) is estimated most selective. With
+	// no predicate column at all the pass is unseeded.
 	for ci, ref := range cols {
 		if ci > 0 && ref == cols[ci-1] {
 			continue
 		}
 		env := boundPred{ref: ref, shape: shapeRange}
 		var perCode float64
-		usable := true
 		first := true
 		for mi := range pl.members {
 			m := &pl.members[mi]
@@ -521,27 +500,15 @@ func Bind(t *FactTable, reqs []Member) (*Plan, error) {
 				continue
 			}
 			bp := m.on(ref)
-			lo, hi, ok := acceptedBounds(bp)
-			if !ok {
-				usable = false
-				break
-			}
-			if first || lo < env.from {
-				env.from = lo
-			}
-			if first || hi > env.to {
-				env.to = hi
-			}
-			if w := acceptedWidth(bp); w > 0 && perCode == 0 {
-				perCode = bp.sel / float64(w)
-			}
+			lo, hi := acceptedBounds(bp)
 			if first {
-				env.col = bp.col
+				env.col, env.from, env.to = bp.col, lo, hi
+			}
+			env.from, env.to = min(env.from, lo), max(env.to, hi)
+			if perCode == 0 {
+				perCode = bp.sel / float64(acceptedWidth(bp))
 			}
 			first = false
-		}
-		if !usable {
-			continue
 		}
 		env.sel = float64(int64(env.to-env.from)+1) * perCode
 		if !pl.sharedSet || env.sel < pl.shared.sel {

@@ -11,31 +11,43 @@ import (
 
 // TestPlanDifferential is the one table behind "K-member ≡ 1-member ≡
 // reference": every case — the BENCH_scan.json shapes, the degenerate
-// predicate sets and each kind of keyed member — is answered by the one
-// plan (a) alone, (b) as member i, for every i, of a K = 8 plan whose other
-// members differ in op, measure, intervals, shape and keying, and (c)
-// alone, chained through one state across three stripes bound separately;
-// each must equal the row-at-a-time reference over the same rows under
-// math.Float64bits.
+// predicate sets, constants beyond a column's width and each kind of keyed
+// member — is answered by the one plan (a) alone, (b) as member i, for
+// every i, of a K = 8 plan whose other members differ in op, measure,
+// intervals, shape and keying, and (c) alone, chained through one state
+// across three stripes bound separately; each must equal the row-at-a-time
+// reference over the same rows under math.Float64bits — with the code
+// columns stored as narrow as they go, and again forced to 16 and to 32
+// bits, so every kernel stencil answers every case.
 func TestPlanDifferential(t *testing.T) {
 	schema := benchSchema()
 	schema.Measures = append(schema.Measures, MeasureSpec{Name: "m2"})
 	schema.Texts = []TextSpec{{Name: "note"}}
-	pool := make([]string, 30)
+	pool := make([]string, 300)
 	for i := range pool {
-		pool[i] = fmt.Sprintf("note-%02d", i)
+		pool[i] = fmt.Sprintf("note-%03d", i)
 	}
-	ft, err := Generate(GenSpec{Schema: schema, Rows: 3*BatchSize + 213, Seed: 5, TextPools: [][]string{pool}})
+	gen, err := Generate(GenSpec{Schema: schema, Rows: 3*BatchSize + 213, Seed: 5, TextPools: [][]string{pool}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first stripe's rows hold only codes below 200, as if the strings
+	// above had first arrived later: built from its own rows that stripe
+	// stores the column in one byte, the other two and the whole table in
+	// two.
+	cuts := [][2]int{{0, 700}, {700, 700 + BatchSize + 1}, {700 + BatchSize + 1, gen.Rows()}}
+	note := gen.TextColumn(0).AppendTo(nil)
+	for r := range note[:cuts[0][1]] {
+		note[r] %= 200
+	}
+	gen.texts[0] = narrowed(2, note, 1)
+	ft := rowsOf(t, gen, 0, gen.Rows())
 	var stripes []*FactTable
-	for _, cut := range [][2]int{{0, 700}, {700, 700 + BatchSize + 1}, {700 + BatchSize + 1, ft.Rows()}} {
-		s, err := Slice(ft, cut[0], cut[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		stripes = append(stripes, s)
+	for _, cut := range cuts {
+		stripes = append(stripes, rowsOf(t, gen, cut[0], cut[1]))
+	}
+	if w0, w1 := stripes[0].TextColumn(0).Width(), stripes[1].TextColumn(0).Width(); w0 != 1 || w1 != 2 {
+		t.Fatalf("text column stored %d and %d bytes wide in stripes 0 and 1, want 1 and 2", w0, w1)
 	}
 
 	scalar := func(op AggOp, preds ...RangePredicate) Member {
@@ -68,6 +80,16 @@ func TestPlanDifferential(t *testing.T) {
 		planCase{"max no predicate", scalar(AggMax)},
 		planCase{"count no predicate grouped by text", Member{ScanRequest: ScanRequest{Op: AggCount}, GroupBy: byText.GroupBy}},
 		planCase{"min inverted range", scalar(AggMin, RangePredicate{Dim: 1, Level: 0, From: 8, To: 7})},
+		planCase{"sum range across 255|256", scalar(AggSum, RangePredicate{Dim: 0, Level: 0, From: 90, To: 300})},
+		planCase{"max range across 65535|65536", scalar(AggMax, RangePredicate{Dim: 0, Level: 0, From: 90, To: 70000})},
+		planCase{"count range wholly above 8 bits", scalar(AggCount, RangePredicate{Dim: 2, Level: 0, From: 256, To: 300})},
+		planCase{"sum or-list across both widths", scalar(AggSum, RangePredicate{Dim: 1, Level: 0, From: 300, To: 250,
+			Or: []CodeRange{{From: 256, To: 70000}, {From: 95, To: 65536}, {From: 3, To: 5}}})},
+		planCase{"avg point-list with members above the width", scalar(AggAvg, RangePredicate{Dim: 0, Level: 0, From: 256 + 7, To: 256 + 7,
+			Or: []CodeRange{{From: 21, To: 21}, {From: 65536 + 21, To: 65536 + 21}, {From: 83, To: 83}}})},
+		planCase{"count text IN with codes first seen in a later stripe", scalar(AggCount, RangePredicate{Text: true, From: 5, To: 5,
+			Or: []CodeRange{{From: 150, To: 150}, {From: 270, To: 270}, {From: 299, To: 299}}})},
+		planCase{"sum text range across 255|256", scalar(AggSum, RangePredicate{Text: true, From: 180, To: 280})},
 		planCase{"avg grouped by two levels", byLevel},
 		planCase{"avg grouped by a text column", byText},
 		planCase{"min cell-granted", cells},
@@ -113,62 +135,67 @@ func TestPlanDifferential(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(8))
 	for _, c := range cases {
-		alone := bind1(t, ft, c.m)
-		keyed := alone.Keyed(0)
+		keyed := bind1(t, ft, c.m).Keyed(0)
 		if keyed != (len(c.m.GroupBy) > 0 || c.m.Cells) {
 			t.Fatalf("%s: Keyed=%v", c.name, keyed)
 		}
 		want := reference(c.m, keyed)
 
-		// (a) alone.
-		got, err := rangeFrom(alone, State{}, 0, ft.Rows())
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(c.name+" alone", got, want)
+		for _, bits := range []int{8, 16, 32} {
+			name := fmt.Sprintf("%s, codes >= %d bits", c.name, bits)
+			ftw := atWidth(ft, bits/8)
 
-		// (b) as member i of a K = 8 plan over the same columns.
-		for i := 0; i < 8; i++ {
-			members := make([]Member, 8)
-			for mi := range members {
-				if mi == i {
-					members[mi] = c.m
-					continue
-				}
-				o := Member{ScanRequest: ScanRequest{Op: AggOp(rng.Intn(5)), Measure: rng.Intn(2)}}
-				for _, p := range c.m.Predicates {
-					o.Predicates = append(o.Predicates, randPredOn(rng, fusedCol{dim: p.Dim, level: p.Level, card: benchCard}))
-				}
-				rng.Shuffle(len(o.Predicates), func(a, b int) {
-					o.Predicates[a], o.Predicates[b] = o.Predicates[b], o.Predicates[a]
-				})
-				switch rng.Intn(4) {
-				case 0:
-					o.Cells = true
-				case 1:
-					o.GroupBy = []GroupCol{{Dim: rng.Intn(3), Level: 0}}
-				}
-				members[mi] = o
-			}
-			pl, err := Bind(ft, members)
+			// (a) alone.
+			got, err := rangeFrom(bind1(t, ftw, c.m), State{}, 0, ftw.Rows())
 			if err != nil {
 				t.Fatal(err)
 			}
-			states := make([]State, len(members))
-			if err := pl.RangeInto(0, ft.Rows(), states); err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("%s as member %d of 8", c.name, i), states[i], want)
-		}
+			check(name+" alone", got, want)
 
-		// (c) chained through one state across three stripes.
-		got = State{}
-		for _, s := range stripes {
-			if got, err = rangeFrom(bind1(t, s, c.m), got, 0, s.Rows()); err != nil {
-				t.Fatal(err)
+			// (b) as member i of a K = 8 plan over the same columns.
+			for i := 0; i < 8; i++ {
+				members := make([]Member, 8)
+				for mi := range members {
+					if mi == i {
+						members[mi] = c.m
+						continue
+					}
+					o := Member{ScanRequest: ScanRequest{Op: AggOp(rng.Intn(5)), Measure: rng.Intn(2)}}
+					for _, p := range c.m.Predicates {
+						o.Predicates = append(o.Predicates, randPredOn(rng, fusedCol{text: p.Text, dim: p.Dim, level: p.Level, card: benchCard}))
+					}
+					rng.Shuffle(len(o.Predicates), func(a, b int) {
+						o.Predicates[a], o.Predicates[b] = o.Predicates[b], o.Predicates[a]
+					})
+					switch rng.Intn(4) {
+					case 0:
+						o.Cells = true
+					case 1:
+						o.GroupBy = []GroupCol{{Dim: rng.Intn(3), Level: 0}}
+					}
+					members[mi] = o
+				}
+				pl, err := Bind(ftw, members)
+				if err != nil {
+					t.Fatal(err)
+				}
+				states := make([]State, len(members))
+				if err := pl.RangeInto(0, ftw.Rows(), states); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%s as member %d of 8", name, i), states[i], want)
 			}
+
+			// (c) chained through one state across three stripes.
+			got = State{}
+			for _, s := range stripes {
+				s = atWidth(s, bits/8)
+				if got, err = rangeFrom(bind1(t, s, c.m), got, 0, s.Rows()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(name+" across three stripes", got, want)
 		}
-		check(c.name+" across three stripes", got, want)
 	}
 }
 

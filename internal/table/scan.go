@@ -92,7 +92,7 @@ type ScanResult struct {
 }
 
 // predCol resolves the code column a predicate filters.
-func predCol(t *FactTable, p RangePredicate) []uint32 {
+func predCol(t *FactTable, p RangePredicate) Codes {
 	if p.Text {
 		return t.texts[p.TextIndex]
 	}
@@ -113,7 +113,7 @@ func ScanRange(t *FactTable, req ScanRequest, lo, hi int) (ScanResult, error) {
 			return ScanResult{}, fmt.Errorf("table: measure %d out of range", req.Measure)
 		}
 	}
-	cols := make([][]uint32, len(req.Predicates))
+	cols := make([]Codes, len(req.Predicates))
 	for i := range req.Predicates {
 		if err := validatePred(t, &req.Predicates[i]); err != nil {
 			return ScanResult{}, err
@@ -137,7 +137,7 @@ rowLoop:
 	for r := lo; r < hi; r++ {
 		for i := range req.Predicates {
 			p := &req.Predicates[i]
-			v := cols[i][r]
+			v := cols[i].At(r)
 			if len(p.Or) == 0 {
 				if v < p.From || v > p.To {
 					continue rowLoop

@@ -19,11 +19,11 @@ func Slice(t *FactTable, lo, hi int) (*FactTable, error) {
 		rows:   hi - lo,
 		dicts:  t.dicts,
 	}
-	s.dimLevels = make([][][]uint32, len(t.dimLevels))
+	s.dimLevels = make([][]Codes, len(t.dimLevels))
 	for d := range t.dimLevels {
-		s.dimLevels[d] = make([][]uint32, len(t.dimLevels[d]))
+		s.dimLevels[d] = make([]Codes, len(t.dimLevels[d]))
 		for l := range t.dimLevels[d] {
-			s.dimLevels[d][l] = t.dimLevels[d][l][lo:hi:hi]
+			s.dimLevels[d][l] = t.dimLevels[d][l].slice(lo, hi)
 		}
 	}
 	s.measures = make([][]float64, len(t.measures))
@@ -31,9 +31,9 @@ func Slice(t *FactTable, lo, hi int) (*FactTable, error) {
 		s.measures[m] = t.measures[m][lo:hi:hi]
 	}
 	if len(t.texts) > 0 {
-		s.texts = make([][]uint32, len(t.texts))
+		s.texts = make([]Codes, len(t.texts))
 		for i := range t.texts {
-			s.texts[i] = t.texts[i][lo:hi:hi]
+			s.texts[i] = t.texts[i].slice(lo, hi)
 		}
 	}
 	return s, nil

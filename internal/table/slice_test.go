@@ -27,7 +27,7 @@ func TestSlice(t *testing.T) {
 		if math.Float64bits(s.MeasureColumn(0)[r]) != math.Float64bits(ft.MeasureColumn(0)[250+r]) {
 			t.Fatalf("row %d: measure mismatch", r)
 		}
-		if s.TextColumn(0)[r] != ft.TextColumn(0)[250+r] {
+		if s.TextColumn(0).At(r) != ft.TextColumn(0).At(250+r) {
 			t.Fatalf("row %d: text code mismatch", r)
 		}
 	}

@@ -170,23 +170,7 @@ func TestScanSnapshotMatchesRebuild(t *testing.T) {
 	cuts := []int{0, 17, 17, BatchSize + 5, whole.Rows()}
 	var parts []*FactTable
 	for i := 0; i+1 < len(cuts); i++ {
-		lo, hi := cuts[i], cuts[i+1]
-		coords := make([][]uint32, len(schema.Dimensions))
-		for d, spec := range schema.Dimensions {
-			coords[d] = whole.DimLevelColumn(d, spec.Finest())[lo:hi]
-		}
-		meas := make([][]float64, len(schema.Measures))
-		for m := range schema.Measures {
-			meas[m] = whole.MeasureColumn(m)[lo:hi]
-		}
-		texts := make([][]uint32, len(schema.Texts))
-		for x := range schema.Texts {
-			texts[x] = whole.TextColumn(x)[lo:hi]
-		}
-		ft, err := FromColumns(schema, coords, meas, texts, whole.Dicts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		ft := rowsOf(t, whole, cuts[i], cuts[i+1])
 		parts = append(parts, ft)
 	}
 

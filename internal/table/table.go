@@ -6,8 +6,9 @@ import (
 	"hybridolap/internal/dict"
 )
 
-// FactTable is an immutable columnar fact table. All dimension-level and
-// text columns are uint32 codes; measures are float64. Columns are
+// FactTable is an immutable columnar fact table. Every dimension-level
+// and text column is a Codes column — integer codes in the 8, 16 or 32
+// bits its cardinality needs — and measures are float64. Columns are
 // contiguous slices — the 1-D per-column layout the paper uses for maximum
 // GPU memory bandwidth.
 type FactTable struct {
@@ -15,9 +16,9 @@ type FactTable struct {
 	rows   int
 
 	// dimLevels[d][l] is the code column of dimension d at level l.
-	dimLevels [][][]uint32
+	dimLevels [][]Codes
 	measures  [][]float64
-	texts     [][]uint32
+	texts     []Codes
 	dicts     *dict.Set
 }
 
@@ -32,7 +33,7 @@ func (t *FactTable) Rows() int { return t.rows }
 func (t *FactTable) Dicts() *dict.Set { return t.dicts }
 
 // DimLevelColumn returns the code column of (dimension, level).
-func (t *FactTable) DimLevelColumn(dim, lvl int) []uint32 {
+func (t *FactTable) DimLevelColumn(dim, lvl int) Codes {
 	return t.dimLevels[dim][lvl]
 }
 
@@ -40,15 +41,23 @@ func (t *FactTable) DimLevelColumn(dim, lvl int) []uint32 {
 func (t *FactTable) MeasureColumn(m int) []float64 { return t.measures[m] }
 
 // TextColumn returns the encoded codes of text column i.
-func (t *FactTable) TextColumn(i int) []uint32 { return t.texts[i] }
+func (t *FactTable) TextColumn(i int) Codes { return t.texts[i] }
 
-// SizeBytes returns the total size of all columns: 4 bytes per code cell
-// and 8 per measure cell. This is the table footprint that must fit in the
-// simulated GPU's global memory.
+// SizeBytes returns the bytes the columns actually store: each code
+// column at its own width and 8 per measure cell. This is the table
+// footprint that must fit in the simulated GPU's global memory, and what a
+// compaction or a shard repair moves.
 func (t *FactTable) SizeBytes() int64 {
-	codes := int64(t.schema.NumDimensionColumns()+len(t.schema.Texts)) * int64(t.rows) * 4
-	meas := int64(len(t.schema.Measures)) * int64(t.rows) * 8
-	return codes + meas
+	n := int64(len(t.measures)) * int64(t.rows) * 8
+	for _, levels := range t.dimLevels {
+		for _, col := range levels {
+			n += col.sizeBytes()
+		}
+	}
+	for _, col := range t.texts {
+		n += col.sizeBytes()
+	}
+	return n
 }
 
 // Builder assembles a FactTable row by row.
@@ -152,49 +161,40 @@ func grow[T any](s []T, n int) []T {
 	return append(make([]T, 0, len(s)+n), s...)
 }
 
-// Build freezes the builder: derives every coarser-level column from the
-// finest coordinates, builds per-column dictionaries (order-preserving
-// Sorted kind) and rewrites provisional text codes to final codes.
+// Build freezes the builder: derives every level column from the finest
+// coordinates, builds per-column dictionaries (order-preserving Sorted
+// kind) and rewrites provisional text codes to final codes.
 func (b *Builder) Build() (*FactTable, error) {
 	t := &FactTable{schema: b.schema, rows: b.rows}
-	t.dimLevels = make([][][]uint32, len(b.schema.Dimensions))
+	t.dimLevels = make([][]Codes, len(b.schema.Dimensions))
 	for d, spec := range b.schema.Dimensions {
-		finest := spec.Finest()
-		finestCard := spec.Levels[finest].Cardinality
-		t.dimLevels[d] = make([][]uint32, len(spec.Levels))
-		for l, lv := range spec.Levels {
-			if l == finest {
-				t.dimLevels[d][l] = b.dimCoord[d]
-				continue
-			}
-			// ratio rows of the finest level roll up into one coarse cell.
-			ratio := uint32(finestCard / lv.Cardinality)
-			col := make([]uint32, b.rows)
-			for i, c := range b.dimCoord[d] {
-				col[i] = c / ratio
-			}
-			t.dimLevels[d][l] = col
+		cols, err := levelColumns(spec, b.dimCoord[d])
+		if err != nil {
+			return nil, err
 		}
+		t.dimLevels[d] = cols
 	}
 	t.measures = b.measures
 	if len(b.schema.Texts) > 0 {
 		t.dicts = dict.NewSet()
-		t.texts = make([][]uint32, len(b.schema.Texts))
+		t.texts = make([]Codes, len(b.schema.Texts))
 		for i, spec := range b.schema.Texts {
 			d, remap, err := b.textBldr[i].Build(dict.KindSorted)
 			if err != nil {
 				return nil, err
 			}
 			t.dicts.Put(spec.Name, d)
-			col := make([]uint32, b.rows)
+			final := make([]uint32, b.rows)
 			for r, prov := range b.textProv[i] {
-				col[r] = uint32(remap[prov])
+				final[r] = remap[prov]
 			}
-			t.texts[i] = col
+			if t.texts[i], err = textColumn(spec.Name, final, d.Len()); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return t, nil
 }
 
 // CoordAt returns the coordinate of row r in dimension d at level l.
-func (t *FactTable) CoordAt(r, d, l int) uint32 { return t.dimLevels[d][l][r] }
+func (t *FactTable) CoordAt(r, d, l int) uint32 { return t.dimLevels[d][l].At(r) }

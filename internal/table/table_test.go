@@ -88,19 +88,19 @@ func TestBuilderRollup(t *testing.T) {
 		t.Fatalf("Rows = %d", ft.Rows())
 	}
 	// month 0,11 -> year 0; month 12,23 -> year 1 (ratio 24/2 = 12).
-	years := ft.DimLevelColumn(0, 0)
+	years := ft.DimLevelColumn(0, 0).AppendTo(nil)
 	want := []uint32{0, 0, 1, 1}
 	for i := range want {
 		if years[i] != want[i] {
 			t.Fatalf("year column %v, want %v", years, want)
 		}
 	}
-	months := ft.DimLevelColumn(0, 1)
+	months := ft.DimLevelColumn(0, 1).AppendTo(nil)
 	if months[1] != 11 || months[3] != 23 {
 		t.Fatalf("month column %v", months)
 	}
 	// Text codes: austin=0, boston=1, chicago=2 (sorted assignment).
-	codes := ft.TextColumn(0)
+	codes := ft.TextColumn(0).AppendTo(nil)
 	wantCodes := []uint32{1, 0, 1, 2}
 	for i := range wantCodes {
 		if codes[i] != wantCodes[i] {
@@ -175,13 +175,13 @@ func TestGenerateGrowIdentical(t *testing.T) {
 	if grown.Rows() != spec.Rows || plain.Rows() != spec.Rows {
 		t.Fatalf("rows: grown %d, plain %d, want %d", grown.Rows(), plain.Rows(), spec.Rows)
 	}
-	codes := func(name string, g, p []uint32) {
+	codes := func(name string, g, p Codes) {
 		t.Helper()
-		if !slices.Equal(g, p) {
+		if g.Width() != p.Width() || !slices.Equal(g.AppendTo(nil), p.AppendTo(nil)) {
 			t.Fatalf("%s differs with Grow", name)
 		}
-		if cap(g) != len(g) {
-			t.Fatalf("%s: cap %d != len %d", name, cap(g), len(g))
+		if c := cap(g.u8) + cap(g.u16) + cap(g.u32); c != g.Len() {
+			t.Fatalf("%s: cap %d != len %d", name, c, g.Len())
 		}
 	}
 	sc := grown.Schema()
@@ -242,12 +242,41 @@ func TestGenerateHierarchyConsistency(t *testing.T) {
 	}
 }
 
+// TestSizeBytes is the footprint floor: SizeBytes is the bytes the columns
+// actually store, and the paper's schema stores at most 38 of them a row
+// (8 level columns of one byte, 4 of two, two text columns of two, two
+// float64 measures: 36).
 func TestSizeBytes(t *testing.T) {
-	ft, _ := Generate(GenSpec{Schema: smallSchema(), Rows: 100, Seed: 1})
-	// 3 dim-level cols + 1 text col = 4 code columns * 4B + 1 measure * 8B.
-	want := int64(100 * (4*4 + 8))
-	if got := ft.SizeBytes(); got != want {
-		t.Fatalf("SizeBytes = %d, want %d", got, want)
+	ft, err := Generate(GenSpec{Schema: PaperSchema(), Rows: 100_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored int64
+	for d, dim := range ft.Schema().Dimensions {
+		for l := range dim.Levels {
+			c := ft.DimLevelColumn(d, l)
+			stored += int64(c.Len() * c.Width())
+		}
+	}
+	for x := range ft.Schema().Texts {
+		c := ft.TextColumn(x)
+		stored += int64(c.Len() * c.Width())
+	}
+	for m := range ft.Schema().Measures {
+		stored += int64(len(ft.MeasureColumn(m)) * 8)
+	}
+	if got := ft.SizeBytes(); got != stored {
+		t.Fatalf("SizeBytes = %d, columns store %d", got, stored)
+	}
+	if perRow := float64(stored) / float64(ft.Rows()); perRow > 38 {
+		t.Fatalf("PaperSchema stores %.1f B/row, want <= 38", perRow)
+	}
+	half, err := Slice(ft, 0, ft.Rows()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := half.SizeBytes(); got != stored/2 {
+		t.Fatalf("half-table view SizeBytes = %d, want %d", got, stored/2)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // BatchSize is the number of rows the vectorized kernel processes per step.
 // 1024 rows keep the selection vectors (4 KiB each) and the touched slice
-// of each predicate column (4 KiB) resident in L1 while amortising the
+// of each predicate column (1-4 KiB) resident in L1 while amortising the
 // per-batch dispatch over enough rows that the monomorphic inner loops
 // dominate.
 const BatchSize = 1024
@@ -19,13 +19,14 @@ const BatchSize = 1024
 const maxBatchSize = 4096
 
 // scanScratch is the per-RangeInto working set: the shared envelope
-// selection and the per-member refinement copy, reused across batches.
-// Pooled so the steady-state scan loop allocates nothing per call — gpusim
-// launches one RangeInto per unit per kernel, and the paper's throughput
-// tables run millions of them.
+// selection, the per-member refinement copy and a keyed member's packed
+// keys, reused across batches. Pooled so the steady-state scan loop
+// allocates nothing per call — gpusim launches one RangeInto per unit per
+// kernel, and the paper's throughput tables run millions of them.
 type scanScratch struct {
 	shared []int32
 	member []int32
+	keys   []GroupKey
 }
 
 var scanScratchPool = sync.Pool{
@@ -33,32 +34,36 @@ var scanScratchPool = sync.Pool{
 		return &scanScratch{
 			shared: make([]int32, maxBatchSize),
 			member: make([]int32, maxBatchSize),
+			keys:   make([]GroupKey, maxBatchSize),
 		}
 	},
 }
 
 // --- filter kernels -------------------------------------------------------
 //
-// Each kernel is monomorphic over one predicate shape. A "seed" kernel
-// scans a whole batch and fills the selection vector with the in-batch
-// offsets of rows passing the shared predicate; a "refine" kernel compacts
-// an existing selection vector in place. Offsets are relative to the batch
-// base so the vector stays int32 regardless of table size.
+// Each kernel is monomorphic over one predicate shape and one code width
+// (the compiler stencils a generic kernel once per width, so inside a loop
+// there is no width left to test). A "seed" kernel scans a whole batch and
+// fills the selection vector with the in-batch offsets of rows passing the
+// shared predicate; a "refine" kernel compacts an existing selection
+// vector in place. Both take the column already cut to the batch, so
+// offsets are relative to the batch base and the vector stays int32
+// regardless of table size.
 
-// seedRange assumes from <= to (the envelope is a hull of accepted codes),
-// so the two comparisons fuse into one unsigned subtract-compare. The
+// seedRange compares in the column's own type: bindPred has narrowed the
+// interval to codes the width can hold, so from <= from+span never wraps
+// and the two comparisons fuse into one unsigned subtract-compare. The
 // selection vector is built branch-free: the candidate offset is stored
 // unconditionally and the write cursor advances only on a match, so a
 // mispredicted row costs a dead store instead of a pipeline flush — the
 // MonetDB/X100 idiom the motivation cites.
 //
 //olaplint:noalloc
-func seedRange(col []uint32, base, n int, from, to uint32, sel []int32) int {
+func seedRange[T code](col []T, from, span T, sel []int32) int {
 	k := 0
-	span := to - from
-	for i := 0; i < n; i++ {
+	for i, v := range col {
 		sel[k] = int32(i)
-		if col[base+i]-from <= span {
+		if v-from <= span {
 			k++
 		}
 	}
@@ -66,12 +71,11 @@ func seedRange(col []uint32, base, n int, from, to uint32, sel []int32) int {
 }
 
 //olaplint:noalloc
-func refineRange(col []uint32, base int, from, to uint32, sel []int32) int {
+func refineRange[T code](col []T, from, span T, sel []int32) int {
 	k := 0
-	span := to - from
 	for _, i := range sel {
 		sel[k] = i
-		if col[base+int(i)]-from <= span {
+		if col[i]-from <= span {
 			k++
 		}
 	}
@@ -91,12 +95,15 @@ func orMatches(v, from, to uint32, or []CodeRange) bool {
 	return false
 }
 
+// refineOr and the point kernels widen each code to compare it with their
+// 32-bit constants: a zero-extending load, free.
+//
 //olaplint:noalloc
-func refineOr(col []uint32, base int, from, to uint32, or []CodeRange, sel []int32) int {
+func refineOr[T code](col []T, from, to uint32, or []CodeRange, sel []int32) int {
 	k := 0
 	for _, i := range sel {
 		sel[k] = i
-		if orMatches(col[base+int(i)], from, to, or) {
+		if orMatches(uint32(col[i]), from, to, or) {
 			k++
 		}
 	}
@@ -114,11 +121,11 @@ func pointMatches(v uint32, points []uint32) bool {
 }
 
 //olaplint:noalloc
-func seedPoints(col []uint32, base, n int, points []uint32, sel []int32) int {
+func seedPoints[T code](col []T, points []uint32, sel []int32) int {
 	k := 0
-	for i := 0; i < n; i++ {
+	for i, v := range col {
 		sel[k] = int32(i)
-		if pointMatches(col[base+i], points) {
+		if pointMatches(uint32(v), points) {
 			k++
 		}
 	}
@@ -126,42 +133,67 @@ func seedPoints(col []uint32, base, n int, points []uint32, sel []int32) int {
 }
 
 //olaplint:noalloc
-func refinePoints(col []uint32, base int, points []uint32, sel []int32) int {
+func refinePoints[T code](col []T, points []uint32, sel []int32) int {
 	k := 0
 	for _, i := range sel {
 		sel[k] = i
-		if pointMatches(col[base+int(i)], points) {
+		if pointMatches(uint32(col[i]), points) {
 			k++
 		}
 	}
 	return k
 }
 
-// seed dispatches the shared predicate's shape once per batch (not once
-// per row): a plain range, or a lone member's own point list. Kept out of
-// line: inlined into the batch loop the seed kernel compiles 1.4-1.7x
-// slower (EXPERIMENTS.md, "One bound plan").
+// seed dispatches the shared predicate's width and shape once per batch
+// (not once per row): a plain range, or a lone member's own point list.
+// Kept out of line: inlined into the batch loop the seed kernel compiles
+// 1.4-1.7x slower (EXPERIMENTS.md, "One bound plan").
 //
 //olaplint:noalloc
 //go:noinline
 func (p *boundPred) seed(base, n int, sel []int32) int {
-	if p.shape == shapePoints {
-		return seedPoints(p.col, base, n, p.points, sel)
+	switch {
+	case p.col.u8 != nil:
+		return seedShape(p, p.col.u8[base:base+n], sel)
+	case p.col.u16 != nil:
+		return seedShape(p, p.col.u16[base:base+n], sel)
+	default:
+		return seedShape(p, p.col.u32[base:base+n], sel)
 	}
-	return seedRange(p.col, base, n, p.from, p.to, sel)
 }
 
-// refine dispatches the shape once per batch over the surviving rows.
+//olaplint:noalloc
+func seedShape[T code](p *boundPred, col []T, sel []int32) int {
+	if p.shape == shapePoints {
+		return seedPoints(col, p.points, sel)
+	}
+	return seedRange(col, T(p.from), T(p.to-p.from), sel)
+}
+
+// refine dispatches width and shape once per batch over the surviving
+// rows.
 //
 //olaplint:noalloc
 func (p *boundPred) refine(base int, sel []int32) int {
+	switch {
+	case p.col.u8 != nil:
+		return refineShape(p, p.col.u8[base:], sel)
+	case p.col.u16 != nil:
+		return refineShape(p, p.col.u16[base:], sel)
+	default:
+		return refineShape(p, p.col.u32[base:], sel)
+	}
+}
+
+//olaplint:noalloc
+func refineShape[T code](p *boundPred, col []T, sel []int32) int {
 	switch p.shape {
 	case shapePoints:
-		return refinePoints(p.col, base, p.points, sel)
+		return refinePoints(col, p.points, sel)
 	case shapeOr:
-		return refineOr(p.col, base, p.from, p.to, p.or, sel)
+		return refineOr(col, p.from, p.to, p.or, sel)
 	default:
-		return refineRange(p.col, base, p.from, p.to, sel)
+		return refineRange(col, T(p.from), T(p.to-p.from), sel)
 	}
 }
 
@@ -277,59 +309,75 @@ func (m *member) accumulateRun(st *ScanResult, lo, hi int) {
 	}
 }
 
-// key packs the member's key coordinates of row r.
+// gatherKeys shifts the code of each selected row (base + its offset) into
+// the low 16 bits of its key; len(keys) == len(sel).
 //
 //olaplint:noalloc
-func (m *member) key(r int) GroupKey {
-	var k GroupKey
-	for _, gc := range m.gcols {
-		k = k<<16 | GroupKey(gc[r]&0xFFFF)
+func gatherKeys[T code](keys []GroupKey, col []T, base int, sel []int32) {
+	for j := range keys {
+		keys[j] = keys[j]<<16 | GroupKey(col[base+int(sel[j])])&0xFFFF
 	}
-	return k
 }
 
-// scatter folds the selected rows into per-key accumulators. One loop per
-// op over the surviving rows: the op switch runs once per batch, not once
-// per row.
-func (m *member) scatter(dst Groups, base int, sel []int32) {
+// keysOf packs the member's key coordinates of the selected rows into
+// keys[:len(sel)], a column at a time: each key column is read at its own
+// width, chosen once per batch.
+//
+//olaplint:noalloc
+func (m *member) keysOf(base int, sel []int32, keys []GroupKey) []GroupKey {
+	keys = keys[:len(sel)]
+	clear(keys)
+	for _, gc := range m.gcols {
+		switch {
+		case gc.u8 != nil:
+			gatherKeys(keys, gc.u8, base, sel)
+		case gc.u16 != nil:
+			gatherKeys(keys, gc.u16, base, sel)
+		default:
+			gatherKeys(keys, gc.u32, base, sel)
+		}
+	}
+	return keys
+}
+
+// scatter folds the selected rows into per-key accumulators, keys[j] the
+// packed key of row sel[j]. One loop per op over the surviving rows: the
+// op switch runs once per batch, not once per row.
+func (m *member) scatter(dst Groups, base int, sel []int32, keys []GroupKey) {
+	keys = keys[:len(sel)]
 	switch m.op {
 	case AggSum, AggAvg:
-		for _, i := range sel {
-			r := base + int(i)
-			key := m.key(r)
-			acc := dst[key]
+		for j, i := range sel {
+			acc := dst[keys[j]]
 			acc.Rows++
-			acc.Value += m.meas[r]
-			dst[key] = acc
+			acc.Value += m.meas[base+int(i)]
+			dst[keys[j]] = acc
 		}
 	case AggCount:
-		for _, i := range sel {
-			key := m.key(base + int(i))
+		for _, key := range keys {
 			acc := dst[key]
 			acc.Rows++
 			dst[key] = acc
 		}
 	case AggMin:
-		for _, i := range sel {
-			r := base + int(i)
-			key := m.key(r)
-			acc := dst[key]
-			if acc.Rows == 0 || m.meas[r] < acc.Value {
-				acc.Value = m.meas[r]
+		for j, i := range sel {
+			v := m.meas[base+int(i)]
+			acc := dst[keys[j]]
+			if acc.Rows == 0 || v < acc.Value {
+				acc.Value = v
 			}
 			acc.Rows++
-			dst[key] = acc
+			dst[keys[j]] = acc
 		}
 	case AggMax:
-		for _, i := range sel {
-			r := base + int(i)
-			key := m.key(r)
-			acc := dst[key]
-			if acc.Rows == 0 || m.meas[r] > acc.Value {
-				acc.Value = m.meas[r]
+		for j, i := range sel {
+			v := m.meas[base+int(i)]
+			acc := dst[keys[j]]
+			if acc.Rows == 0 || v > acc.Value {
+				acc.Value = v
 			}
 			acc.Rows++
-			dst[key] = acc
+			dst[keys[j]] = acc
 		}
 	}
 }
@@ -414,7 +462,7 @@ func (pl *Plan) rangeBatch(lo, hi int, states []State, batch int) error {
 			if st.Groups == nil {
 				st.Groups = make(Groups)
 			}
-			m.scatter(st.Groups, base, sel)
+			m.scatter(st.Groups, base, sel, m.keysOf(base, sel, sc.keys))
 		}
 	}
 	scanScratchPool.Put(sc)

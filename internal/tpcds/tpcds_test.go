@@ -89,7 +89,7 @@ func TestGenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 50; r++ {
-		if ft.TextColumn(0)[r] != ft2.TextColumn(0)[r] {
+		if ft.TextColumn(0).At(r) != ft2.TextColumn(0).At(r) {
 			t.Fatal("generation not deterministic")
 		}
 	}
