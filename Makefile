@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fix lint-fix-check bce-check bce-baseline test test-chaos test-serve-stress race bench bench-kernels bench-smoke bench-load bench-compare repro repro-quick examples clean
+.PHONY: all build vet lint lint-fix bce-check bce-baseline test test-chaos test-serve-stress race bench bench-kernels bench-smoke bench-load bench-compare repro repro-quick examples clean
 
 # Pre-merge checklist: `make all` runs build → vet → lint → bce-check →
 # test; run `make race` as well before merging scheduler or simulator
@@ -14,29 +14,24 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Custom static-analysis suite (cmd/olaplint): simclock, seededrand,
-# lockdiscipline, floateq, errdrop, unitsafety, clockowner, ctxleak,
-# the interprocedural wave — lockorder, epochpin, faultpoint, errcmp —
-# which shares one call graph and a post-pass Finish phase, and the
-# dataflow wave — noalloc, poolescape — built on the CFG/reaching-defs
-# engine in internal/analysis/dataflow. Findings are fixed, never
-# suppressed; see "Static analysis & determinism" in README.md and the
-# analyzer-authoring guide in DESIGN.md. Add -timing to see the shared
-# package load, per-analyzer cost and finding counts.
+# Custom static-analysis suite (cmd/olaplint), thirteen analyzers:
+# simclock, seededrand, lockdiscipline, floateq, errdrop, unitsafety,
+# clockowner, the interprocedural wave — lockorder, epochpin, faultpoint,
+# errcmp — which shares one call graph and a post-pass Finish phase, and
+# the kernel pair noalloc, poolescape. Findings are fixed, never
+# suppressed; see "Static analysis & determinism" in README.md and, for
+# the rule that decides which analyzers stay, "Which analyzers stay" in
+# DESIGN.md. Add -timing to see the shared package load, per-analyzer
+# cost and finding counts.
 lint:
 	$(GO) run ./cmd/olaplint ./...
 
 # Apply every suggested fix in place (clockwriter directives, unit
-# conversions, missing channel closes), then rerun lint to show what
-# remains.
+# conversions, errors.Is rewrites, a missing defer Put), then rerun lint
+# to show what remains.
 lint-fix:
 	$(GO) run ./cmd/olaplint -fix ./...
 	$(GO) run ./cmd/olaplint ./...
-
-# Assert the tree carries no unapplied suggested fixes: -diff prints the
-# pending edits and exits non-zero if there are any. CI runs this.
-lint-fix-check:
-	$(GO) run ./cmd/olaplint -diff ./...
 
 # Compiler-assisted bounds-check gate: recompile the kernel packages
 # with -d=ssa/check_bce and diff the per-function bounds-check profile

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	olap "hybridolap"
+	"hybridolap/internal/cluster"
+	"hybridolap/internal/engine"
 	"hybridolap/internal/ingest"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -204,23 +206,6 @@ func (s *server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-type ingestStats struct {
-	Epoch            uint64 `json:"epoch"`
-	Stripes          int    `json:"stripes"`
-	DeltaStripes     int    `json:"delta_stripes"`
-	Rows             int    `json:"rows"`
-	Batches          int64  `json:"batches"`
-	IngestedRows     int64  `json:"ingested_rows"`
-	ReplayedBatches  int64  `json:"replayed_batches"`
-	Compactions      int64  `json:"compactions"`
-	CompactedStripes int64  `json:"compacted_stripes"`
-	CompactedRows    int64  `json:"compacted_rows"`
-	WALRecords       int64  `json:"wal_records"`
-	WALBytes         int64  `json:"wal_bytes"`
-	Degraded         bool   `json:"degraded"`
-	CompactFailures  int64  `json:"compaction_failures"`
-}
-
 type fusionStats struct {
 	FusedJobs    int64    `json:"fused_jobs"`
 	FusedMembers int64    `json:"fused_members"`
@@ -229,80 +214,31 @@ type fusionStats struct {
 	FanIn        []int64  `json:"fan_in"`
 }
 
-// clusterNodeStats is one node's row of the cluster /stats section.
-type clusterNodeStats struct {
-	Node            int      `json:"node"`
-	Shards          []int    `json:"shards"`
-	Health          string   `json:"health"`
-	Submitted       int64    `json:"submitted"`
-	ToCPU           int64    `json:"to_cpu"`
-	ToGPU           int64    `json:"to_gpu"`
-	PartitionHealth []string `json:"partition_health"`
-}
-
-// clusterStats is the /stats section a sharded server adds: coordinator
-// counters (sub-query routing, movement, failover, self-healing) plus
-// per-node health.
-type clusterStats struct {
-	Shards           int     `json:"shards"`
-	Replication      int     `json:"replication"`
-	Chunks           int     `json:"chunks"`
-	Queries          int64   `json:"queries"`
-	GroupQueries     int64   `json:"group_queries"`
-	SubQueries       int64   `json:"sub_queries"`
-	LocalSubQueries  int64   `json:"local_sub_queries"`
-	RemoteSubQueries int64   `json:"remote_sub_queries"`
-	BytesMoved       int64   `json:"bytes_moved"`
-	MoveSeconds      float64 `json:"move_seconds"`
-	NodeFailures     int64   `json:"node_failures"`
-	Failovers        int64   `json:"failovers"`
-	NodeQuarantines  int64   `json:"node_quarantines"`
-	NodeReprobes     int64   `json:"node_reprobes"`
-	// Self-healing: the under-replicated gauge is the /healthz degraded
-	// signal; the repair counters trace the re-replication controller.
-	NodesEvicted          int64              `json:"nodes_evicted"`
-	UnderReplicatedShards int                `json:"under_replicated_shards"`
-	RepairsStarted        int64              `json:"repairs_started"`
-	RepairsCompleted      int64              `json:"repairs_completed"`
-	RepairsFailed         int64              `json:"repairs_failed"`
-	RepairBytesMoved      int64              `json:"repair_bytes_moved"`
-	RepairSeconds         float64            `json:"repair_seconds"`
-	PartialAnswers        int64              `json:"partial_answers"`
-	Nodes                 []clusterNodeStats `json:"nodes"`
-}
-
-type cacheStats struct {
-	Hits               int64 `json:"hits"`
-	Misses             int64 `json:"misses"`
-	SubsumptionHits    int64 `json:"subsumption_hits"`
-	EpochInvalidations int64 `json:"epoch_invalidations"`
-	Carried            int64 `json:"carried"`
-	Dropped            int64 `json:"dropped"`
-	Stores             int64 `json:"stores"`
-	Evictions          int64 `json:"evictions"`
-}
-
+// statsResponse is the /stats body. The cache, ingest and cluster
+// sections are the layers' own snapshot types: their JSON tags are the
+// wire names, and a sharded server fills only Cluster (per-query
+// scheduler counters live on each node).
 type statsResponse struct {
-	Submitted         int64         `json:"submitted"`
-	Resubmitted       int64         `json:"resubmitted"`
-	ToCPU             int64         `json:"to_cpu"`
-	ToGPU             []int64       `json:"to_gpu"`
-	Translated        int64         `json:"translated"`
-	PredictedLate     int64         `json:"predicted_late"`
-	MaintenanceJobs   int64         `json:"maintenance_jobs"`
-	PartitionFailures int64         `json:"partition_failures"`
-	Quarantines       int64         `json:"quarantines"`
-	Reprobes          int64         `json:"reprobes"`
-	PartitionHealth   []string      `json:"partition_health"`
-	Fusion            fusionStats   `json:"fusion"`
-	Cache             cacheStats    `json:"cache"`
-	Ingest            *ingestStats  `json:"ingest,omitempty"`
-	Cluster           *clusterStats `json:"cluster,omitempty"`
+	Submitted         int64             `json:"submitted"`
+	Resubmitted       int64             `json:"resubmitted"`
+	ToCPU             int64             `json:"to_cpu"`
+	ToGPU             []int64           `json:"to_gpu"`
+	Translated        int64             `json:"translated"`
+	PredictedLate     int64             `json:"predicted_late"`
+	MaintenanceJobs   int64             `json:"maintenance_jobs"`
+	PartitionFailures int64             `json:"partition_failures"`
+	Quarantines       int64             `json:"quarantines"`
+	Reprobes          int64             `json:"reprobes"`
+	PartitionHealth   []string          `json:"partition_health"`
+	Fusion            fusionStats       `json:"fusion"`
+	Cache             engine.CacheStats `json:"cache"`
+	Ingest            *ingest.Stats     `json:"ingest,omitempty"`
+	Cluster           *cluster.Stats    `json:"cluster,omitempty"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.db.Clustered() {
-		s.handleClusterStats(w)
+	if cs, ok := s.db.ClusterStats(); ok {
+		writeJSON(w, http.StatusOK, statsResponse{Cluster: &cs})
 		return
 	}
 	st := s.db.System().Scheduler().Stats()
@@ -328,77 +264,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		FanInLabels:  sched.FanInBucketLabels,
 		FanIn:        st.FusionFanIn,
 	}
-	cs := s.db.CacheStats()
-	resp.Cache = cacheStats{
-		Hits:               cs.Hits,
-		Misses:             cs.Misses,
-		SubsumptionHits:    cs.SubsumptionHits,
-		EpochInvalidations: cs.EpochInvalidations,
-		Carried:            cs.Carried,
-		Dropped:            cs.Dropped,
-		Stores:             cs.Stores,
-		Evictions:          cs.Evictions,
-	}
+	resp.Cache = s.db.CacheStats()
 	if s.db.System().Live() != nil {
 		ist := s.db.IngestStats()
-		resp.Ingest = &ingestStats{
-			Epoch:            ist.Epoch,
-			Stripes:          ist.Stripes,
-			DeltaStripes:     ist.DeltaStripes,
-			Rows:             ist.Rows,
-			Batches:          ist.Batches,
-			IngestedRows:     ist.IngestedRows,
-			ReplayedBatches:  ist.ReplayedBatches,
-			Compactions:      ist.Compactions,
-			CompactedStripes: ist.CompactedStripes,
-			CompactedRows:    ist.CompactedRows,
-			WALRecords:       ist.WALRecords,
-			WALBytes:         ist.WALBytes,
-			Degraded:         ist.Degraded,
-			CompactFailures:  ist.CompactionFailures,
-		}
+		resp.Ingest = &ist
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleClusterStats serves /stats for a sharded server: per-query
-// scheduler counters live on each node, so the response is the
-// coordinator snapshot plus one row per node.
-func (s *server) handleClusterStats(w http.ResponseWriter) {
-	cs, _ := s.db.ClusterStats()
-	out := &clusterStats{
-		Shards:           cs.Shards,
-		Replication:      cs.Replication,
-		Chunks:           cs.Chunks,
-		Queries:          cs.Queries,
-		GroupQueries:     cs.GroupQueries,
-		SubQueries:       cs.SubQueries,
-		LocalSubQueries:  cs.LocalSubQueries,
-		RemoteSubQueries: cs.RemoteSubQueries,
-		BytesMoved:       cs.BytesMoved,
-		MoveSeconds:      cs.MoveSeconds,
-		NodeFailures:     cs.NodeFailures,
-		Failovers:        cs.Failovers,
-		NodeQuarantines:  cs.NodeQuarantines,
-		NodeReprobes:     cs.NodeReprobes,
-
-		NodesEvicted:          cs.NodesEvicted,
-		UnderReplicatedShards: cs.UnderReplicatedShards,
-		RepairsStarted:        cs.RepairsStarted,
-		RepairsCompleted:      cs.RepairsCompleted,
-		RepairsFailed:         cs.RepairsFailed,
-		RepairBytesMoved:      cs.RepairBytesMoved,
-		RepairSeconds:         cs.RepairSeconds,
-		PartialAnswers:        cs.PartialAnswers,
-	}
-	for _, ns := range cs.PerNode {
-		out.Nodes = append(out.Nodes, clusterNodeStats{
-			Node: ns.Node, Shards: ns.Shards, Health: ns.Health,
-			Submitted: ns.Submitted, ToCPU: ns.ToCPU, ToGPU: ns.ToGPU,
-			PartitionHealth: ns.Partition,
-		})
-	}
-	writeJSON(w, http.StatusOK, statsResponse{Cluster: out})
 }
 
 type ingestRow struct {

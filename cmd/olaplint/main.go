@@ -13,8 +13,7 @@
 // Flags:
 //
 //	-list        print the registered analyzers and their docs, then exit
-//	-only names  comma-separated analyzer names to run (default: all);
-//	             -run is the older spelling of the same flag
+//	-only names  comma-separated analyzer names to run (default: all)
 //	-skip names  comma-separated analyzer names to exclude from the run
 //	-fix         apply each diagnostic's first suggested fix in place
 //	-diff        print the suggested fixes as a unified diff, apply nothing
@@ -37,8 +36,7 @@
 //
 // Fix application is deterministic: diagnostics are processed in position
 // order, duplicate edits collapse, and conflicting overlaps are an error.
-// After -fix, rerunning olaplint must be clean — CI's lint-fix-check job
-// asserts exactly that with -diff.
+// Fixes ride on diagnostics, so a clean run implies an empty -diff.
 package main
 
 import (
@@ -57,7 +55,6 @@ import (
 	"hybridolap/internal/analysis"
 	"hybridolap/internal/analysis/bcecheck"
 	"hybridolap/internal/analysis/clockowner"
-	"hybridolap/internal/analysis/ctxleak"
 	"hybridolap/internal/analysis/epochpin"
 	"hybridolap/internal/analysis/errcmp"
 	"hybridolap/internal/analysis/errdrop"
@@ -82,7 +79,6 @@ func registry() []*analysis.Analyzer {
 		errdrop.Analyzer,
 		unitsafety.Analyzer,
 		clockowner.Analyzer,
-		ctxleak.Analyzer,
 		lockorder.Analyzer,
 		epochpin.Analyzer,
 		faultpoint.Analyzer,
@@ -94,7 +90,6 @@ func registry() []*analysis.Analyzer {
 
 func main() {
 	list := flag.Bool("list", false, "list registered analyzers and exit")
-	runNames := flag.String("run", "", "comma-separated analyzer names to run (default: all; older spelling of -only)")
 	onlyNames := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	skipNames := flag.String("skip", "", "comma-separated analyzer names to exclude")
 	fix := flag.Bool("fix", false, "apply suggested fixes in place")
@@ -119,15 +114,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *runNames != "" && *onlyNames != "" {
-		fmt.Fprintln(os.Stderr, "olaplint: -run and -only are the same flag; pass one")
-		os.Exit(2)
-	}
-	only := *onlyNames
-	if only == "" {
-		only = *runNames
-	}
-	analyzers, err := selectAnalyzers(only, *skipNames)
+	analyzers, err := selectAnalyzers(*onlyNames, *skipNames)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "olaplint:", err)
 		os.Exit(2)
@@ -181,9 +168,9 @@ func runBCE(update bool, patterns []string) int {
 	return 0
 }
 
-// selectAnalyzers resolves the -only (né -run) and -skip lists against
-// the registry. An empty only-list selects everything; skip subtracts
-// from whatever only selected. Unknown names error in either list, and
+// selectAnalyzers resolves the -only and -skip lists against the
+// registry. An empty only-list selects everything; skip subtracts from
+// whatever only selected. Unknown names error in either list, and
 // so does a selection that skips itself empty — a lint run that checks
 // nothing should never look like a clean one.
 func selectAnalyzers(only, skip string) ([]*analysis.Analyzer, error) {
@@ -259,7 +246,7 @@ type jsonDiag struct {
 // single `go list -export` + type-check — runs the analyzers and returns
 // the count that should drive the exit status: findings in report modes
 // (every finding counts, whether or not it carries a suggested fix), or
-// pending edits in -diff mode (so a dirty tree fails CI's fix check).
+// pending edits in -diff mode.
 // A non-nil timingW receives the load time, per-analyzer wall times and
 // finding counts, and a total line.
 func lint(w, timingW io.Writer, dir string, patterns []string, analyzers []*analysis.Analyzer, mode lintMode, asJSON bool) (int, error) {

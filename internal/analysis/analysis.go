@@ -30,7 +30,7 @@ import (
 // Analyzer describes one static check.
 type Analyzer struct {
 	// Name is a short lower-case identifier used in diagnostics and for
-	// -run filtering in the driver.
+	// -only/-skip filtering in the driver.
 	Name string
 	// Doc is a one-paragraph description shown by `olaplint -list`.
 	Doc string

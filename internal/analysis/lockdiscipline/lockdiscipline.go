@@ -4,17 +4,13 @@
 // The scheduler's partition queues (T_Q clocks, completion counters,
 // feedback corrections) are mutated from worker goroutines; the paper's
 // queue-clock update rule (eq. 17-18) is only correct if every read and
-// update happens under the same lock. Two classes of bugs defeat that
-// silently:
+// update happens under the same lock. A Lock() whose Unlock() is missing,
+// or skipped on an early return, deadlocks the queue the first time the
+// error path is taken: the analyzer flags Lock()/RLock() calls without a
+// pairing defer Unlock()/RUnlock() or an unlock on every return path.
 //
-//  1. copying a sync.Mutex/sync.RWMutex by value forks the lock, so two
-//     goroutines each lock their own copy and exclusion evaporates;
-//  2. a Lock() whose Unlock() is missing, or skipped on an early return,
-//     deadlocks the queue the first time the error path is taken.
-//
-// The analyzer flags value copies of locker-bearing types (parameters,
-// results, receivers, plain assignments) and Lock()/RLock() calls without
-// a pairing defer Unlock()/RUnlock() or an unlock on every return path.
+// Copying a mutex by value — the other way to lose exclusion — is `go
+// vet`'s copylocks, which `make vet` and CI run before this suite.
 package lockdiscipline
 
 import (
@@ -27,8 +23,8 @@ import (
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
-	Doc: "flag sync.Mutex/sync.RWMutex value copies and Lock() calls " +
-		"without a pairing defer Unlock() or an unlock on every return path",
+	Doc: "flag sync.Mutex/sync.RWMutex Lock() calls without a pairing " +
+		"defer Unlock() or an unlock on every return path",
 	Run: run,
 }
 
@@ -65,21 +61,11 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		switch n := n.(type) {
 		case *ast.FuncDecl:
-			c.checkSignature(n.Recv, n.Type)
 			if n.Body != nil {
 				c.checkBody(n.Body)
 			}
 		case *ast.FuncLit:
-			c.checkSignature(nil, n.Type)
 			c.checkBody(n.Body)
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				c.checkCopy(rhs)
-			}
-		case *ast.ValueSpec:
-			for _, v := range n.Values {
-				c.checkCopy(v)
-			}
 		}
 		return true
 	})
@@ -113,79 +99,6 @@ func (c *checker) recordBinding(lhs ast.Expr, rhs ast.Expr) {
 		return
 	}
 	c.closureBindings[obj] = rhs
-}
-
-// containsLocker reports whether t holds a sync.Mutex or sync.RWMutex by
-// value (directly, or inside a struct or array).
-func containsLocker(t types.Type) bool {
-	return containsLockerSeen(t, make(map[types.Type]bool))
-}
-
-func containsLockerSeen(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-			return true
-		}
-		return containsLockerSeen(named.Underlying(), seen)
-	}
-	switch t := t.(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if containsLockerSeen(t.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockerSeen(t.Elem(), seen)
-	}
-	return false
-}
-
-// checkSignature flags by-value locker types in receivers, parameters and
-// results: callers would pass or receive a copy of the lock.
-func (c *checker) checkSignature(recv *ast.FieldList, ftype *ast.FuncType) {
-	lists := []*ast.FieldList{recv, ftype.Params, ftype.Results}
-	for _, fl := range lists {
-		if fl == nil {
-			continue
-		}
-		for _, field := range fl.List {
-			t := c.pass.TypesInfo.TypeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				continue
-			}
-			if containsLocker(t) {
-				c.pass.Reportf(field.Type.Pos(),
-					"%s passed by value copies its lock: use a pointer", types.TypeString(t, nil))
-			}
-		}
-	}
-}
-
-// checkCopy flags assignments that copy an existing locker-bearing value.
-// Composite literals and function calls construct fresh values and are
-// fine; reading a variable, field or dereference forks a live lock.
-func (c *checker) checkCopy(rhs ast.Expr) {
-	switch ast.Unparen(rhs).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return
-	}
-	t := c.pass.TypesInfo.TypeOf(rhs)
-	if t == nil || !containsLocker(t) {
-		return
-	}
-	c.pass.Reportf(rhs.Pos(),
-		"assignment copies lock value: %s contains a mutex; use a pointer", types.TypeString(t, nil))
 }
 
 // lockCall classifies a statement as a Lock/Unlock call on a mutex-typed

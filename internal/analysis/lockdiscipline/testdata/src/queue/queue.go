@@ -1,7 +1,6 @@
-// Package queue is a fixture for lock discipline: missing unlocks,
-// returns inside critical sections and mutex value copies must be
-// reported; the defer and explicit-unlock-on-every-path patterns must
-// not.
+// Package queue is a fixture for lock discipline: missing unlocks and
+// returns inside critical sections must be reported; the defer and
+// explicit-unlock-on-every-path patterns must not.
 package queue
 
 import "sync"
@@ -80,17 +79,6 @@ func (r *RWDiscipline) ReadOK() int {
 func (r *RWDiscipline) WriteLeak() {
 	r.mu.Lock() // want `r\.mu locked but never Unlocked`
 	r.n++
-}
-
-// ByValue receives the lock-bearing struct by value: reported.
-func ByValue(q Q) float64 { // want `passed by value copies its lock`
-	return q.tq
-}
-
-// CopyAssign copies a live lock via assignment: reported.
-func CopyAssign(q *Q) float64 {
-	snapshot := *q // want `assignment copies lock value`
-	return snapshot.tq
 }
 
 // ByPointer is the correct calling convention: allowed.

@@ -1,592 +1,120 @@
-// Package poolescape enforces the sync.Pool discipline the scan and
-// aggregation hot paths depend on. The pools exist to make the
-// steady-state kernels allocation-free (the noalloc contract); every
-// violation of the Get/Put protocol silently converts a pooled buffer
-// back into garbage-collector load or, worse, shares one buffer between
-// two goroutines:
+// Package poolescape keeps the sync.Pool discipline of the scan and
+// aggregation kernels true by construction: every Get in non-test code
+// reads
 //
-//   - a Get whose value is not Put on some path (an early error return,
-//     a panic unwinding past a missing defer, the function falling off
-//     its end) leaks the buffer — the pool refills through New and the
-//     "allocates nothing in steady state" comment on the kernel becomes
-//     a lie under exactly the inputs that take the early path
-//   - a use after Put reads a buffer another goroutine may already own
-//   - a double Put inserts the same buffer twice, handing it to two
-//     future Gets concurrently
-//   - a pooled value stored into a struct field, a global, a container
-//     element, a channel, or a capturing closure outlives its Put
+//	v := pool.Get().(*T)
+//	defer pool.Put(v)
 //
-// The check is intra-procedural and path-sensitive over the dataflow
-// CFG: each pooled variable is simulated through {unheld, held, put,
-// defer-covered} states, joined per block to a fixpoint, so loops,
-// branches and labeled continues are handled exactly rather than by a
-// linear source walk. A `defer pool.Put(v)` (directly or inside a
-// deferred closure) covers every exit downstream of the defer —
-// including explicit panics — matching the runtime's unwind guarantee.
-//
-// Deliberate under-approximations: returning the pooled value
-// transfers ownership to the caller (the Get-wrapper constructor
-// pattern) and is not a leak; Put through an alias or a field
-// (pool.Put(s.buf)) participates in no path state; implicit runtime
-// panics (index out of range) produce no CFG edge, so only explicit
-// panic statements are checked against missing defers.
+// — bound to a local, the next statement the deferred Put of that local
+// into that pool, and no other Put of it. In that shape the value goes
+// back on every path, panics included, exactly once, and is never used
+// after its Put, so the rule is syntactic. A value stored somewhere that
+// outlives the function is two scans sharing a scratch buffer — a data
+// race, left to the -race suites (DESIGN.md "Which analyzers stay").
 package poolescape
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
-	"go/printer"
-	"go/token"
 	"go/types"
 	"strings"
 
 	"hybridolap/internal/analysis"
-	"hybridolap/internal/analysis/dataflow"
 )
 
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolescape",
-	Doc: "sync.Pool values must be Put on every path (early returns and " +
-		"panics included), never used after Put, never Put twice, and " +
-		"never stored anywhere that outlives the Put",
-	Run: run,
-}
-
-// state is one point in the per-variable lattice, encoded as bits so a
-// set of states fits in one byte (2^3 possible states).
-type state uint8
-
-const (
-	held     state = 1 << iota // Get executed, Put still owed
-	put                        // directly Put; the buffer is gone
-	deferred                   // a defer covering this variable has run
-)
-
-// getSite is one `v := pool.Get()` (possibly type-asserted) assignment.
-type getSite struct {
-	assign *ast.AssignStmt
-	pool   ast.Expr // receiver expression of the Get call
-	// blockLevel marks an assignment that is a direct statement of a
-	// block (not an if/for/switch init), where a defer can be inserted
-	// right after it.
-	blockLevel bool
-}
-
-// putSite is one direct (non-deferred) pool.Put(v) statement.
-type putSite struct {
-	call *ast.CallExpr
+	Doc:  "a sync.Pool Get is bound to a local and followed at once by `defer samePool.Put(thatLocal)`, its only Put",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || pass.IsTestFile(fd.Pos()) {
-				continue
+		if pass.IsTestFile(f.Pos()) {
+			continue
+		}
+		bound := map[*ast.CallExpr]bool{} // Gets bound to a local, and the defer Puts that follow them
+		pooled := map[*types.Var]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var list []ast.Stmt
+			switch n := n.(type) {
+			case *ast.BlockStmt:
+				list = n.List
+			case *ast.CaseClause:
+				list = n.Body
+			case *ast.CommClause:
+				list = n.Body
 			}
-			checkFunc(pass, fd)
+			for i, s := range list {
+				get, v := boundGet(pass, s)
+				if get == nil {
+					continue
+				}
+				bound[get], pooled[v] = true, true
+				pool := types.ExprString(ast.Unparen(get.Fun).(*ast.SelectorExpr).X)
+				want := fmt.Sprintf("defer %s.Put(%s)", pool, v.Name())
+				if i+1 < len(list) {
+					if d, ok := list[i+1].(*ast.DeferStmt); ok && "defer "+types.ExprString(d.Call) == want {
+						bound[d.Call] = true
+						continue
+					}
+				}
+				insert := "\n" + strings.Repeat("\t", pass.Fset.Position(s.Pos()).Column-1) + want
+				pass.ReportWithFix(s.Pos(),
+					fmt.Sprintf("sync.Pool value %s must be followed at once by %s", v.Name(), want),
+					analysis.SuggestedFix{
+						Message:   "insert " + want + " after the Get",
+						TextEdits: []analysis.TextEdit{{Pos: s.End(), End: s.End(), NewText: insert}},
+					})
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || bound[call] {
+				return true
+			}
+			switch poolMethod(pass, call) {
+			case "Get":
+				pass.Reportf(call.Pos(), "sync.Pool Get must be bound to a local variable by a statement of its own, followed by defer Put")
+			case "Put":
+				id, _ := ast.Unparen(call.Args[0]).(*ast.Ident)
+				if v, _ := pass.TypesInfo.Uses[id].(*types.Var); pooled[v] {
+					pass.Reportf(call.Pos(), "sync.Pool value %s has a Put other than the defer after its Get", v.Name())
+				}
+			}
+			return true
+		})
+	}
+	return nil, nil
+}
+
+// boundGet matches `v := pool.Get()` or `v = pool.Get()`, through a type
+// assertion, where v is a local variable.
+func boundGet(pass *analysis.Pass, s ast.Stmt) (*ast.CallExpr, *types.Var) {
+	as, ok := s.(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil, nil
+	}
+	e := ast.Unparen(as.Rhs[0])
+	if ta, ok := e.(*ast.TypeAssertExpr); ok {
+		e = ast.Unparen(ta.X)
+	}
+	call, ok := e.(*ast.CallExpr)
+	id, isIdent := as.Lhs[0].(*ast.Ident)
+	if ok && isIdent && poolMethod(pass, call) == "Get" {
+		if v, _ := pass.TypesInfo.ObjectOf(id).(*types.Var); v != nil && v.Parent() != pass.Pkg.Scope() {
+			return call, v
 		}
 	}
 	return nil, nil
 }
 
-// checkFunc runs the whole discipline over one declaration.
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	gets := collectGets(pass, fd)
-	if len(gets) == 0 {
-		return
+// poolMethod names the sync.Pool method call invokes, "" for any other call.
+func poolMethod(pass *analysis.Pass, call *ast.CallExpr) string {
+	if fn := pass.PkgFunc(call); fn != nil && strings.HasPrefix(fn.FullName(), "(*sync.Pool).") {
+		return fn.Name()
 	}
-	g := dataflow.New(fd.Body)
-	esc := dataflow.Escape(fd.Body, pass.TypesInfo)
-
-	for v, sites := range gets {
-		checkEscapes(pass, v, esc)
-		simulate(pass, fd, g, v, sites)
-	}
-}
-
-// collectGets finds every pooled variable of the function: a variable
-// directly assigned from a (*sync.Pool).Get call.
-func collectGets(pass *analysis.Pass, fd *ast.FuncDecl) map[*types.Var][]getSite {
-	// blockLevel records the direct statements of every block-like
-	// body, so the fix knows where a defer can be inserted.
-	blockLevel := map[ast.Stmt]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BlockStmt:
-			for _, s := range n.List {
-				blockLevel[s] = true
-			}
-		case *ast.CaseClause:
-			for _, s := range n.Body {
-				blockLevel[s] = true
-			}
-		case *ast.CommClause:
-			for _, s := range n.Body {
-				blockLevel[s] = true
-			}
-		}
-		return true
-	})
-
-	gets := map[*types.Var][]getSite{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, pool := getCall(pass, as.Rhs[0])
-		if call == nil {
-			return true
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v := identVar(pass.TypesInfo, id)
-		if v == nil {
-			return true
-		}
-		gets[v] = append(gets[v], getSite{assign: as, pool: pool, blockLevel: blockLevel[as]})
-		return true
-	})
-	return gets
-}
-
-// getCall unwraps e (through parens and a type assertion) to a
-// (*sync.Pool).Get call, returning the call and its receiver expression.
-func getCall(pass *analysis.Pass, e ast.Expr) (*ast.CallExpr, ast.Expr) {
-	e = ast.Unparen(e)
-	if ta, ok := e.(*ast.TypeAssertExpr); ok {
-		e = ast.Unparen(ta.X)
-	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return nil, nil
-	}
-	name, pool := poolMethod(pass, call)
-	if name != "Get" {
-		return nil, nil
-	}
-	return call, pool
-}
-
-// poolMethod reports which sync.Pool method (if any) a call invokes and
-// the receiver expression it is invoked on.
-func poolMethod(pass *analysis.Pass, call *ast.CallExpr) (string, ast.Expr) {
-	fn := pass.PkgFunc(call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", nil
-	}
-	recv := sig.Recv().Type()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Name() != "Pool" {
-		return "", nil
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", nil
-	}
-	return fn.Name(), sel.X
-}
-
-// identVar resolves an identifier to its variable object (through
-// either a definition or a use).
-func identVar(info *types.Info, id *ast.Ident) *types.Var {
-	if v, ok := info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	v, _ := info.Uses[id].(*types.Var)
-	return v
-}
-
-// checkEscapes reports stores of the pooled value that outlive its Put.
-// Returning the value transfers ownership (the Get-wrapper pattern);
-// a closure that exists to Put the value (a deferred cleanup literal)
-// is exempt.
-func checkEscapes(pass *analysis.Pass, v *types.Var, esc *dataflow.EscapeInfo) {
-	for _, s := range esc.Sites(v) {
-		var what string
-		switch s.Kind {
-		case dataflow.EscapeField:
-			what = "a struct field"
-		case dataflow.EscapeGlobal:
-			what = "a global"
-		case dataflow.EscapeElem:
-			what = "a container element"
-		case dataflow.EscapeChan:
-			what = "a channel"
-		case dataflow.EscapeClosure:
-			if s.FuncLit != nil && closurePuts(pass, s.FuncLit, v) {
-				continue // the deferred-cleanup literal: captures v to Put it
-			}
-			what = "a captured closure"
-		default:
-			continue // EscapeReturn: ownership transfer
-		}
-		pass.Reportf(s.Pos, "sync.Pool value %s escapes into %s; pooled buffers must not outlive their Put", v.Name(), what)
-	}
-}
-
-// closurePuts reports whether the literal's body Puts v back into a
-// pool.
-func closurePuts(pass *analysis.Pass, lit *ast.FuncLit, v *types.Var) bool {
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if name, _ := poolMethod(pass, call); name == "Put" && callArgIs(pass.TypesInfo, call, v) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// callArgIs reports whether the call's single argument is the variable.
-func callArgIs(info *types.Info, call *ast.CallExpr, v *types.Var) bool {
-	if len(call.Args) != 1 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	return ok && identVar(info, id) == v
-}
-
-// simulate runs the per-variable state machine over the CFG to a
-// fixpoint, then replays each block once against its converged entry
-// states to report.
-func simulate(pass *analysis.Pass, fd *ast.FuncDecl, g *dataflow.Graph, v *types.Var, sites []getSite) {
-	// Entry-state sets per block, as bitsets over the 8 possible state
-	// values.
-	in := make([]uint16, len(g.Blocks))
-	setBit := func(set *uint16, s state) bool {
-		bit := uint16(1) << s
-		if *set&bit != 0 {
-			return false
-		}
-		*set |= bit
-		return true
-	}
-
-	in[g.Entry.Index] = 1 << state(0)
-	work := []*dataflow.Block{g.Entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := transfer(pass, blk, v, in[blk.Index], nil)
-		for _, succ := range blk.Succs {
-			changed := false
-			for s := state(0); s < 8; s++ {
-				if out&(1<<uint16(s)) != 0 && setBit(&in[succ.Index], s) {
-					changed = true
-				}
-			}
-			if changed {
-				work = append(work, succ)
-			}
-		}
-	}
-
-	// Is the variable ever covered at all? With no Put, no defer and no
-	// ownership-transferring return the per-path reports would repeat
-	// at every exit; one finding at the Get (with a fix) says it
-	// better. A `return v` counts as coverage so the Get-wrapper
-	// pattern falls through to the per-path replay, which then flags
-	// only the exits that neither Put nor hand the value off.
-	covered := false
-	for _, blk := range g.Blocks {
-		for _, s := range blk.Stmts {
-			if directPut(pass, s, v) != nil || deferCovers(pass, s, v) {
-				covered = true
-			}
-			if ret, ok := s.(*ast.ReturnStmt); ok && returnsVar(pass.TypesInfo, ret, v) {
-				covered = true
-			}
-		}
-	}
-	if !covered {
-		site := sites[0]
-		msg := fmt.Sprintf("sync.Pool value %s obtained here is never returned with Put", v.Name())
-		if site.blockLevel {
-			pass.ReportWithFix(site.assign.Pos(), msg, deferPutFix(pass, site, v))
-		} else {
-			pass.Reportf(site.assign.Pos(), msg)
-		}
-		// Use-after-put and double-put are impossible without a Put;
-		// nothing left to replay.
-		return
-	}
-
-	rep := reporter{pass: pass, v: v, end: fd.Body.Rbrace, seen: map[token.Pos]bool{}}
-	for _, blk := range g.Blocks {
-		transfer(pass, blk, v, in[blk.Index], &rep)
-	}
-}
-
-// reporter deduplicates diagnostics across the states replayed through
-// one block (several entry states can hit the same violation).
-type reporter struct {
-	pass *analysis.Pass
-	v    *types.Var
-	// end is the body's closing brace: the position for fall-off-the-
-	// end leaks, where no statement carries the exit.
-	end  token.Pos
-	seen map[token.Pos]bool
-}
-
-func (r *reporter) report(pos token.Pos, format string, args ...any) {
-	if r.seen[pos] {
-		return
-	}
-	r.seen[pos] = true
-	r.pass.Reportf(pos, format, args...)
-}
-
-// transfer pushes the entry-state set through one block's statements
-// and returns the exit set. With a non-nil reporter it also emits the
-// violations each state encounters, including the leak check against
-// the Exit edge.
-func transfer(pass *analysis.Pass, blk *dataflow.Block, v *types.Var, inSet uint16, rep *reporter) uint16 {
-	exitBound := false
-	for _, s := range blk.Succs {
-		if s.Kind == "exit" {
-			exitBound = true
-		}
-	}
-
-	var out uint16
-	for s := state(0); s < 8; s++ {
-		if inSet&(1<<uint16(s)) == 0 {
-			continue
-		}
-		cur := s
-		for _, stmt := range blk.Stmts {
-			cur = step(pass, stmt, v, cur, rep)
-		}
-		// Leak check: a block flowing to Exit ends the function, either
-		// through its last statement (return / explicit panic) or by
-		// falling off the end.
-		if exitBound && rep != nil && cur&held != 0 && cur&deferred == 0 {
-			last := lastStmt(blk)
-			switch ls := last.(type) {
-			case *ast.ReturnStmt:
-				if !returnsVar(pass.TypesInfo, ls, v) {
-					rep.report(ls.Pos(), "sync.Pool value %s is not returned with Put on this return path", v.Name())
-				}
-			default:
-				switch {
-				case last != nil && isPanicStmt(last):
-					rep.report(last.Pos(), "sync.Pool value %s is not returned with Put when this panic unwinds", v.Name())
-				case last != nil:
-					rep.report(last.End(), "sync.Pool value %s is not returned with Put before the function ends", v.Name())
-				default:
-					rep.report(rep.end, "sync.Pool value %s is not returned with Put before the function ends", v.Name())
-				}
-			}
-		}
-		out |= 1 << uint16(cur)
-	}
-	return out
-}
-
-// step applies one statement to one state.
-func step(pass *analysis.Pass, stmt ast.Stmt, v *types.Var, cur state, rep *reporter) state {
-	// Re-acquisition.
-	if as, ok := stmt.(*ast.AssignStmt); ok && len(as.Rhs) == 1 {
-		if call, _ := getCall(pass, as.Rhs[0]); call != nil {
-			if id, ok := as.Lhs[0].(*ast.Ident); ok && identVar(pass.TypesInfo, id) == v {
-				return (cur &^ put) | held
-			}
-		}
-	}
-	// Deferred coverage (direct defer Put or deferred closure).
-	if deferCovers(pass, stmt, v) {
-		return cur | deferred
-	}
-	// Direct Put.
-	if call := directPut(pass, stmt, v); call != nil {
-		if rep != nil && cur&put != 0 {
-			rep.report(call.Pos(), "sync.Pool value %s may be returned with Put twice", v.Name())
-		}
-		if rep != nil && cur&deferred != 0 {
-			rep.report(call.Pos(), "sync.Pool value %s is returned with Put here and again by the earlier defer", v.Name())
-		}
-		return (cur &^ held) | put
-	}
-	// Any other statement: a read of the variable after Put is a
-	// use-after-free against the pool.
-	if rep != nil && cur&put != 0 {
-		if pos, used := usesVar(pass.TypesInfo, stmt, v); used {
-			rep.report(pos, "use of %s after it was returned to the pool with Put", v.Name())
-		}
-	}
-	return cur
-}
-
-// directPut matches an expression statement pool.Put(v).
-func directPut(pass *analysis.Pass, stmt ast.Stmt, v *types.Var) *ast.CallExpr {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return nil
-	}
-	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	if name, _ := poolMethod(pass, call); name != "Put" || !callArgIs(pass.TypesInfo, call, v) {
-		return nil
-	}
-	return call
-}
-
-// deferCovers matches `defer pool.Put(v)` and `defer func() { ...
-// pool.Put(v) ... }()`.
-func deferCovers(pass *analysis.Pass, stmt ast.Stmt, v *types.Var) bool {
-	ds, ok := stmt.(*ast.DeferStmt)
-	if !ok {
-		return false
-	}
-	if name, _ := poolMethod(pass, ds.Call); name == "Put" && callArgIs(pass.TypesInfo, ds.Call, v) {
-		return true
-	}
-	if lit, ok := ast.Unparen(ds.Call.Fun).(*ast.FuncLit); ok {
-		return closurePuts(pass, lit, v)
-	}
-	return false
-}
-
-// returnsVar reports whether the return hands the variable itself to
-// the caller (ownership transfer).
-func returnsVar(info *types.Info, ret *ast.ReturnStmt, v *types.Var) bool {
-	for _, res := range ret.Results {
-		if id, ok := ast.Unparen(res).(*ast.Ident); ok && identVar(info, id) == v {
-			return true
-		}
-	}
-	return false
-}
-
-// usesVar reports whether the statement reads the variable, looking
-// only at the expressions that evaluate in this block (nested bodies of
-// control statements live in other blocks) and skipping function-
-// literal bodies (captures are the escape check's concern) and plain
-// assignments to the variable (writes, not reads).
-func usesVar(info *types.Info, stmt ast.Stmt, v *types.Var) (token.Pos, bool) {
-	var exprs []ast.Expr
-	switch s := stmt.(type) {
-	case *ast.IfStmt:
-		exprs = []ast.Expr{s.Cond}
-	case *ast.ForStmt:
-		if s.Cond != nil {
-			exprs = []ast.Expr{s.Cond}
-		}
-	case *ast.RangeStmt:
-		exprs = []ast.Expr{s.X}
-	case *ast.SwitchStmt:
-		if s.Tag != nil {
-			exprs = []ast.Expr{s.Tag}
-		}
-	case *ast.TypeSwitchStmt, *ast.SelectStmt:
-		// The assign/comm statements are recorded separately in their
-		// own blocks.
-	case *ast.AssignStmt:
-		exprs = append(exprs, s.Rhs...)
-		for _, lhs := range s.Lhs {
-			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && identVar(info, id) == v {
-				continue // write
-			}
-			exprs = append(exprs, lhs)
-		}
-	default:
-		var pos token.Pos
-		found := false
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			if found {
-				return false
-			}
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			if id, ok := n.(*ast.Ident); ok && identVar(info, id) == v {
-				pos, found = id.Pos(), true
-			}
-			return true
-		})
-		return pos, found
-	}
-	for _, e := range exprs {
-		var pos token.Pos
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if found {
-				return false
-			}
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			if id, ok := n.(*ast.Ident); ok && identVar(info, id) == v {
-				pos, found = id.Pos(), true
-			}
-			return true
-		})
-		if found {
-			return pos, true
-		}
-	}
-	return token.NoPos, false
-}
-
-// lastStmt returns the final statement of a block, nil for empty
-// blocks.
-func lastStmt(blk *dataflow.Block) ast.Stmt {
-	if len(blk.Stmts) == 0 {
-		return nil
-	}
-	return blk.Stmts[len(blk.Stmts)-1]
-}
-
-// isPanicStmt mirrors the CFG builder's syntactic panic test.
-func isPanicStmt(s ast.Stmt) bool {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	return ok && id.Name == "panic"
-}
-
-// deferPutFix builds the `defer pool.Put(v)` insertion right after the
-// Get assignment.
-func deferPutFix(pass *analysis.Pass, site getSite, v *types.Var) analysis.SuggestedFix {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, site.pool); err != nil {
-		buf.Reset()
-		buf.WriteString("pool")
-	}
-	col := pass.Fset.Position(site.assign.Pos()).Column
-	indent := strings.Repeat("\t", col-1)
-	text := fmt.Sprintf("\n%sdefer %s.Put(%s)", indent, buf.String(), v.Name())
-	return analysis.SuggestedFix{
-		Message: fmt.Sprintf("insert defer %s.Put(%s) after the Get", buf.String(), v.Name()),
-		TextEdits: []analysis.TextEdit{{
-			Pos:     site.assign.End(),
-			End:     site.assign.End(),
-			NewText: text,
-		}},
-	}
+	return ""
 }

@@ -7,11 +7,11 @@ import (
 	"hybridolap/internal/analysis/poolescape"
 )
 
-// TestFixture runs the analyzer over a single-package module split by
-// bug class — fixme.go (never-Put leaks, with the defer-insertion fix
-// checked against its golden), paths.go (path-sensitive leaks and the
-// clean disciplines), misuse.go (use-after-Put, double Put), escape.go
-// (stores that outlive the Put, including through an alias).
+// TestFixture runs the analyzer over a single-package module: fixme.go
+// holds the Gets with no matching defer next (none, late, wrong local,
+// wrong pool), with the defer-insertion fix checked against its golden;
+// shapes.go the second Put, the Gets bound to no local, and the three
+// production shapes, which are clean.
 func TestFixture(t *testing.T) {
 	analysistest.RunWithFixes(t, "testdata", poolescape.Analyzer)
 }

@@ -1,4 +1,4 @@
-// Package pool declares the shared scratch pool the fixture's files
+// Package pool declares the shared scratch pools the fixture's files
 // exercise.
 package pool
 
@@ -10,6 +10,10 @@ var scratchPool = sync.Pool{
 	New: func() any { return new(scratch) },
 }
 
-var errFail error
+var otherPool = sync.Pool{
+	New: func() any { return new(scratch) },
+}
+
+var errNegative error
 
 func use(*scratch) {}

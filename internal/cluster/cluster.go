@@ -232,7 +232,7 @@ type Stats struct {
 	// completeness mask because a shard had no live holder.
 	PartialAnswers int64 `json:"partial_answers"`
 	// PerNode snapshots each node (filled by Stats()).
-	PerNode []NodeStats `json:"per_node"`
+	PerNode []NodeStats `json:"nodes"`
 }
 
 // ErrConfig is the sentinel every Config-validation failure wraps;

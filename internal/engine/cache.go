@@ -80,16 +80,16 @@ const carryBudget = 1 << 18
 
 // CacheStats counts cache traffic.
 type CacheStats struct {
-	Hits            int64 // exact-key hits
-	Misses          int64
-	SubsumptionHits int64
+	Hits            int64 `json:"hits"` // exact-key hits
+	Misses          int64 `json:"misses"`
+	SubsumptionHits int64 `json:"subsumption_hits"`
 	// EpochInvalidations counts the epochs at which the advance dropped at
 	// least one entry; Carried and Dropped count the entries themselves.
-	EpochInvalidations int64
-	Carried            int64
-	Dropped            int64
-	Stores             int64
-	Evictions          int64
+	EpochInvalidations int64 `json:"epoch_invalidations"`
+	Carried            int64 `json:"carried"`
+	Dropped            int64 `json:"dropped"`
+	Stores             int64 `json:"stores"`
+	Evictions          int64 `json:"evictions"`
 }
 
 // cacheInterval is one predicate's [from, to] code interval, canonical

@@ -419,6 +419,7 @@ func (pl *Plan) rangeBatch(lo, hi int, states []State, batch int) error {
 	}
 	batch = min(max(batch, 1), maxBatchSize)
 	sc := scanScratchPool.Get().(*scanScratch)
+	defer scanScratchPool.Put(sc)
 	for base := lo; base < hi; base += batch {
 		n := min(batch, hi-base)
 		k := n
@@ -465,7 +466,6 @@ func (pl *Plan) rangeBatch(lo, hi int, states []State, batch int) error {
 			m.scatter(st.Groups, base, sel, m.keysOf(base, sel, sc.keys))
 		}
 	}
-	scanScratchPool.Put(sc)
 	return nil
 }
 
