@@ -220,8 +220,8 @@ func printStats(db *olap.DB) {
 		fmt.Println()
 	}
 	if cs := db.CacheStats(); cs != (engine.CacheStats{}) {
-		fmt.Printf("cache: hits %d  misses %d  subsumption-hits %d  epoch-invalidations %d  carried %d  dropped %d  stores %d  evictions %d\n",
-			cs.Hits, cs.Misses, cs.SubsumptionHits, cs.EpochInvalidations, cs.Carried, cs.Dropped, cs.Stores, cs.Evictions)
+		fmt.Printf("cache: hits %d  misses %d  subsumption-hits %d  epoch-invalidations %d  carried %d  dropped %d  expired %d  stores %d  evictions %d\n",
+			cs.Hits, cs.Misses, cs.SubsumptionHits, cs.EpochInvalidations, cs.Carried, cs.Dropped, cs.Expired, cs.Stores, cs.Evictions)
 	}
 	if db.System().Live() != nil {
 		ist := db.IngestStats()

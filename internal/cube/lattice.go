@@ -56,10 +56,14 @@ func BuildLattice(ft *table.FactTable, level, measure int, cfg Config) (*Lattice
 	full := uint8(1<<nd - 1)
 	base := make(map[uint64]Agg)
 	meas := ft.MeasureColumn(measure)
+	cols := make([]table.Codes, nd)
+	for d := range cols {
+		cols[d] = ft.DimLevelColumn(d, lvl[d])
+	}
 	for r := 0; r < ft.Rows(); r++ {
 		var key uint64
 		for d := 0; d < nd; d++ {
-			key = key<<16 | uint64(ft.CoordAt(r, d, lvl[d])&0xFFFF)
+			key = key<<16 | uint64(cols[d].At(r)&0xFFFF)
 		}
 		var c Cell
 		c.add(meas[r])

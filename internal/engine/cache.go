@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"cmp"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"hybridolap/internal/gpusim"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
 )
@@ -30,31 +32,41 @@ import (
 // rows of epoch n are a prefix of the rows of every later epoch: the first
 // lookup or store that pins a newer snapshot advances the cache by scanning
 // only the tail rows [rows of the owned epoch, rows of the new one) — one
-// bound plan per fusion key, every surviving entry a member — and merging
-// the tail partials into copy-on-write successors:
+// bound plan per fusion key, every carried entry a member — and continuing
+// each entry's fold (gpusim.Fold) over them into a copy-on-write successor:
 //
-//   - a cell-bearing entry (an anchor) merges the tail's cells into its own;
-//   - an exact count/min/max entry merges the tail's scalar partial, unless
-//     a carried anchor contains it (a fold then answers it anyway);
-//   - sum/avg entries are dropped: an entry keeps one finalised scalar, and
-//     a float sum over prefix ++ tail is a fold of gpusim's per-block
-//     partials, not of that scalar and a tail. The full blocks' partials do
-//     stay valid across epochs; keeping them per entry is ROADMAP item 3 i.
+//   - a GPU-fused scalar answer of any op, sum and avg included, stores the
+//     fold of the fold grid it was finalised from — its complete blocks'
+//     partials folded, and its open last block's running state — and the
+//     carry continues it exactly as gpusim.Execute would fold the new
+//     epoch: the open block chained through the tail, every block the tail
+//     completes merged in, a trailing short block left open;
+//   - any other count/min/max answer (a cube walk, a solo attempt, an
+//     anchor's scalar) is its own fold's Full: a count over prefix ++ tail
+//     is the integer sum of the two counts, and a min/max over it the
+//     selection between the two, whatever order either side was scanned in;
+//   - an anchor also merges the tail's cells into its plane; a plain
+//     count/min/max entry that a carried anchor contains is not carried (a
+//     fold answers it anyway);
+//   - what has no fold is lost: a sum/avg answered by a cube walk or by the
+//     attempt loop (its float bits are not a continuable fold).
 //
-// Bit-identity: a count over prefix ++ tail is the integer sum of the two
-// counts, and a min/max over it the selection between the two, whatever
-// order either side was scanned in — so a carried entry holds exactly the
-// bits a from-scratch execution at the new epoch would store.
-// A compaction-only epoch has an empty tail and re-stamps the entries for
-// free. The tail is found by row range, never by stripe identity: a
-// compaction may have merged old and new deltas into one stripe.
+// Bit-identity: either way a carried entry holds exactly the bits a
+// from-scratch execution at the new epoch would store. A compaction-only
+// epoch has an empty tail and re-stamps the entries for free. The tail is
+// found by row range, never by stripe identity: a compaction may have
+// merged old and new deltas into one stripe.
 //
 // An advance is single-flight and runs outside the mutex (entries are
-// immutable; successors replace them): lookups pinned to the old epoch keep
-// hitting while it runs, callers at the new epoch wait for it to land, and
-// lookups for epochs older than the owned one miss without disturbing it.
-// One advance scans at most carryBudget member-rows, so after a long idle
-// gap it drops entries instead of stalling the lookup that found the gap.
+// immutable but for their use stamps, which only c.mu holders touch;
+// successors replace them): lookups pinned to the old epoch keep hitting
+// while it runs, callers at the new epoch wait for it to land, and lookups
+// for epochs older than the owned one miss without disturbing it. One
+// advance scans at most carryBudget member-rows, so after a long idle gap
+// it loses entries instead of stalling the lookup that found the gap. It
+// picks in a fixed order until the budget is spent: the anchors, then the
+// other entries most recently used (hit, folded from or stored) first — a
+// burst of one-off stores cannot push the hot entries out.
 //
 // Eviction is FIFO within two classes. Plain entries are bounded by
 // CacheMaxEntries and evicted only by plain stores; anchors are bounded by
@@ -83,11 +95,15 @@ type CacheStats struct {
 	Hits            int64 `json:"hits"` // exact-key hits
 	Misses          int64 `json:"misses"`
 	SubsumptionHits int64 `json:"subsumption_hits"`
-	// EpochInvalidations counts the epochs at which the advance dropped at
-	// least one entry; Carried and Dropped count the entries themselves.
+	// An advance carries an entry (Carried) or loses it. A lost entry that
+	// had been used — hit or folded from — since it was stored or last
+	// carried counts as Dropped, one that had not as Expired (most are cut
+	// by the carry budget). EpochInvalidations counts the epochs at which
+	// the advance dropped at least one used entry.
 	EpochInvalidations int64 `json:"epoch_invalidations"`
 	Carried            int64 `json:"carried"`
 	Dropped            int64 `json:"dropped"`
+	Expired            int64 `json:"expired"`
 	Stores             int64 `json:"stores"`
 	Evictions          int64 `json:"evictions"`
 }
@@ -103,12 +119,21 @@ type cacheEntry struct {
 	key    string
 	op     table.AggOp
 	result table.ScanResult
+	// fold is what result was finalised from, and what an advance
+	// continues; nil for an entry that cannot be carried.
+	fold *gpusim.Fold
 	// queue is the placement that produced the stored bits, reported with
 	// every hit. The bits depend on it only as CPU or GPU (a cube walk folds
 	// cells, a scan folds rows): every GPU partition answers alike.
 	queue sched.QueueRef
 	// cells, when non-nil, makes the entry an anchor.
 	cells *cellSet
+	// last is the cache's use sequence number at the entry's last hit, fold
+	// or store, and used whether one of the first two happened since it was
+	// stored or carried: what an advance picks carriers by and counts losses
+	// by. Written and read under the cache's mu only.
+	last uint64
+	used bool
 }
 
 // cellSet is what subsumption folds from: an anchor's signature, its own
@@ -215,7 +240,9 @@ type resultCache struct {
 	// advancing is non-nil while an advance is in flight, closed when it
 	// lands.
 	advancing chan struct{}
-	stats     CacheStats
+	// uses numbers hits, folds and stores (cacheEntry.last).
+	uses  uint64
+	stats CacheStats
 }
 
 func newResultCache(max int) *resultCache {
@@ -357,32 +384,45 @@ func (c *resultCache) advance(snap *table.Snapshot) {
 	c.advancing = landed
 	from := c.rows
 	held := append(slices.Clone(c.anchors), c.plain...)
+	stamps := make([]uint64, len(held))
+	for i, e := range held {
+		stamps[i] = e.last
+	}
 	c.mu.Unlock()
 
-	next := carry(snap, from, held)
+	next := carry(snap, from, held, stamps)
 
 	c.mu.Lock()
 	c.plain, c.anchors = nil, nil
-	c.entries = make(map[string]*cacheEntry, len(next))
-	for _, e := range next {
-		c.entries[e.key] = e
-		class, _ := c.classOf(e)
-		*class = append(*class, e)
+	c.entries = make(map[string]*cacheEntry, len(held))
+	lostUsed := false
+	for i, e := range held { // each class stays oldest first
+		switch n := next[i]; {
+		case n != nil:
+			n.last, n.used = e.last, false
+			c.entries[n.key] = n
+			class, _ := c.classOf(n)
+			*class = append(*class, n)
+			c.stats.Carried++
+		case e.used:
+			c.stats.Dropped++
+			lostUsed = true
+		default:
+			c.stats.Expired++
+		}
+	}
+	if lostUsed {
+		c.stats.EpochInvalidations++
 	}
 	c.epoch.Store(snap.Epoch())
 	c.rows = snap.Rows()
-	c.stats.Carried += int64(len(next))
-	c.stats.Dropped += int64(len(held) - len(next))
-	if len(next) < len(held) {
-		c.stats.EpochInvalidations++
-	}
 	c.advancing = nil
 	c.mu.Unlock()
 	close(landed)
 }
 
 // orderFree reports whether partial results of op merge exactly whatever
-// order their rows were scanned in: the ops that carry across an epoch.
+// order their rows were scanned in: the ops whose answer is its own fold.
 func orderFree(op table.AggOp) bool {
 	return op == table.AggCount || op == table.AggMin || op == table.AggMax
 }
@@ -418,98 +458,118 @@ func anchored(anchors []*cacheEntry, e *cacheEntry) bool {
 	return false
 }
 
-// carry returns the successors, at snap's epoch, of the entries that
-// answer snap's first `from` rows, in the order they came (which keeps each
-// class oldest first): every anchor,
-// and every exact count/min/max entry no anchor contains, each merged with
-// its partial over the tail rows [from, snap.Rows()). Whatever does not fit
-// carryBudget is dropped — the exact entries first, then everything.
-func carry(snap *table.Snapshot, from int, held []*cacheEntry) []*cacheEntry {
+// carry returns, parallel to held (anchors first), the successors at
+// snap's epoch of the entries that answer snap's first `from` rows: each
+// carried entry's fold continued over the tail rows [from, snap.Rows()),
+// nil for an entry lost. stamps[i] is held[i].last. Carriers are picked in
+// a fixed order while they fit carryBudget — the anchors in held's order,
+// then the other entries most recently used first — skipping an entry
+// without a fold and a plain entry that a picked anchor contains.
+func carry(snap *table.Snapshot, from int, held []*cacheEntry, stamps []uint64) []*cacheEntry {
+	next := make([]*cacheEntry, len(held))
 	tail := snap.Rows() - from
+	room := len(held)
+	if tail > 0 {
+		room = min(room, carryBudget/tail)
+	}
+	order := make([]int, len(held))
+	for i := range order {
+		order[i] = i
+	}
+	nAnchors := 0
+	for nAnchors < len(held) && held[nAnchors].cells != nil {
+		nAnchors++
+	}
+	slices.SortStableFunc(order[nAnchors:], func(a, b int) int { return cmp.Compare(stamps[b], stamps[a]) })
 	var anchors []*cacheEntry
-	for _, e := range held {
+	var picked []int
+	for _, i := range order {
+		if len(picked) == room {
+			break
+		}
+		e := held[i]
+		if e.fold == nil || (e.cells == nil && anchored(anchors, e)) {
+			continue
+		}
 		if e.cells != nil {
 			anchors = append(anchors, e)
 		}
-	}
-	if len(anchors)*tail > carryBudget {
-		return nil
-	}
-	var carriers []*cacheEntry
-	for _, e := range held {
-		if e.cells != nil || (orderFree(e.op) && !anchored(anchors, e)) {
-			carriers = append(carriers, e)
-		}
-	}
-	if len(carriers)*tail > carryBudget {
-		carriers = anchors
+		picked = append(picked, i)
 	}
 	if tail == 0 {
-		return carriers
+		for _, i := range picked {
+			next[i] = held[i]
+		}
+		return next
 	}
 
 	// One plan per fusion key: members of a plan must filter one column set.
-	reqs := make([]table.ScanRequest, len(carriers))
+	reqs := make(map[int]table.ScanRequest, len(picked))
 	byKey := make(map[string][]int)
-	for i, e := range carriers {
-		var ok bool
-		if reqs[i], ok = requestOf(e.key); ok {
-			k := table.FusionKey(reqs[i])
+	for _, i := range picked {
+		if req, ok := requestOf(held[i].key); ok {
+			reqs[i] = req
+			k := table.FusionKey(req)
 			byKey[k] = append(byKey[k], i)
 		}
 	}
-	next := make([]*cacheEntry, len(carriers)) // nil: dropped
 	for _, idx := range byKey {
-		// Every carrier is a scalar member, whose tail partial its answer
-		// merges; an anchor is a second, cell-granted one as well (the same
-		// request always is: one schema), whose tail cells its plane merges.
+		// Every carrier is a scalar member continuing a copy of its fold; an
+		// anchor is a second, cell-granted one as well (the same request
+		// always is: one schema), whose tail cells its plane merges.
 		members := make([]table.Member, len(idx), 2*len(idx))
+		folds := make([]*gpusim.Fold, len(idx), 2*len(idx))
 		cellsAt := make([]int, len(idx)) // an anchor's cell member; 0, a scalar member's place, for none
 		for mi, i := range idx {
 			members[mi] = table.Member{ScanRequest: reqs[i]}
-			if carriers[i].cells != nil {
+			f := *held[i].fold
+			folds[mi] = &f
+			if held[i].cells != nil {
 				cellsAt[mi] = len(members)
 				members = append(members, table.Member{ScanRequest: reqs[i], Cells: true})
+				folds = append(folds, nil)
 			}
 		}
 		states := make([]table.State, len(members))
 		for mi, at := range cellsAt {
 			if at > 0 {
 				// Sized once: at most a cell per tail row, or the whole plane.
-				states[at].Groups = make(table.Groups, min(tail, len(carriers[idx[mi]].cells.vals)))
+				states[at].Groups = make(table.Groups, min(tail, len(held[idx[mi]].cells.vals)))
 			}
 		}
-		err := snap.RowRange(from, snap.Rows(), func(_ int, t *table.FactTable, lo, hi int) error {
-			pl, err := table.Bind(t, members)
-			if err != nil {
-				return err
-			}
-			return pl.RangeInto(lo, hi, states)
-		})
-		if err != nil {
-			continue // the plan's members are dropped; they re-enter by executing
+		if err := gpusim.Continue(snap, from, members, folds, states); err != nil {
+			continue // the plan's members are lost; they re-enter by executing
 		}
 		for mi, i := range idx {
-			next[i] = carriers[i].merged(states[mi].Scalar, states[cellsAt[mi]].Groups)
+			next[i] = held[i].successor(folds[mi], states[cellsAt[mi]].Groups, snap.Rows())
 		}
 	}
-	return slices.DeleteFunc(next, func(e *cacheEntry) bool { return e == nil })
+	return next
 }
 
-// merged returns the entry's successor: its answer merged with its scalar
-// partial over the tail rows and, for an anchor, its plane with the tail's
-// cells.
-func (e *cacheEntry) merged(tail table.ScanResult, cells table.Groups) *cacheEntry {
-	n := *e
-	n.result = table.Finalize(e.op, table.Merge(e.op, e.result, tail))
+// successor returns the entry carried to a snapshot of the given rows: its
+// fold continued to f, its answer f's and, for an anchor, its plane merged
+// with the tail's cells. Built field by field: the use stamps are the
+// cache's to set.
+func (e *cacheEntry) successor(f *gpusim.Fold, cells table.Groups, rows int) *cacheEntry {
+	n := &cacheEntry{key: e.key, op: e.op, result: f.Answer(e.op, rows), fold: f, queue: e.queue}
 	if e.cells != nil {
 		plane := *e.cells
 		plane.vals = slices.Clone(plane.vals)
 		plane.add(e.op, cells)
 		n.cells = &plane
 	}
-	return &n
+	return n
 }
+
+// tick returns the next use sequence number. Callers hold c.mu.
+func (c *resultCache) tick() uint64 {
+	c.uses++
+	return c.uses
+}
+
+// use stamps an entry as just used (a hit or a fold). Callers hold c.mu.
+func (c *resultCache) use(e *cacheEntry) { e.last, e.used = c.tick(), true }
 
 // lookup serves a request at its pinned snapshot's epoch. Subsumption
 // folds run OUTSIDE the cache mutex: entries are immutable once stored
@@ -529,6 +589,7 @@ func (c *resultCache) lookup(req *table.ScanRequest, snap *table.Snapshot) (cach
 	}
 	if e, ok := c.entries[key]; ok {
 		c.stats.Hits++
+		c.use(e)
 		c.mu.Unlock()
 		return cacheAnswer{result: e.result, queue: e.queue}, true
 	}
@@ -538,6 +599,7 @@ func (c *resultCache) lookup(req *table.ScanRequest, snap *table.Snapshot) (cach
 	}
 	if donor != nil {
 		c.stats.SubsumptionHits++
+		c.use(donor)
 	} else {
 		c.stats.Misses++
 	}
@@ -566,20 +628,25 @@ func contains(outer, inner []cacheInterval) bool {
 	return true
 }
 
-// store records an executed answer at its pinned snapshot's epoch. cells
-// may be nil (exact-match-only entry). A store for any epoch but the owned
-// one — or for the owned one while an advance is closing it — is dropped;
-// an existing entry is kept (first stored wins: a later execution brings
-// the same bits unless it ran on the CPU and the first on the GPU, or the
+// store records an executed answer at its pinned snapshot's epoch: its
+// result and, when the execution has them, its cells (an anchor) and its
+// fold. An answer without a fold is its own if its op is order-free, and
+// otherwise cannot be carried. A store for any epoch but the owned one —
+// or for the owned one while an advance is closing it — is dropped; an
+// existing entry is kept (first stored wins: a later execution brings the
+// same bits unless it ran on the CPU and the first on the GPU, or the
 // reverse, and a cached sum must not change while its epoch lasts).
-func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, res table.ScanResult, cells table.Groups, queue sched.QueueRef) {
+func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, ans gpusim.FusedAnswer, queue sched.QueueRef) {
 	order, cellShaped := table.CellShape(req)
 	// Build the entry (including the plane) before taking the lock; a
 	// stale-epoch or duplicate store wastes the work but never stalls
 	// concurrent lookups.
 	sig, key := cacheKeys(req, order)
-	e := &cacheEntry{key: key, op: req.Op, result: res, queue: queue}
-	if cells != nil && cellShaped {
+	e := &cacheEntry{key: key, op: req.Op, result: ans.Result, fold: ans.Fold, queue: queue}
+	if e.fold == nil && orderFree(req.Op) {
+		e.fold = &gpusim.Fold{Full: ans.Result}
+	}
+	if cells := ans.Cells; cells != nil && cellShaped {
 		ivals := cellIntervals(req, order)
 		if n := planeCells(ivals); n > 0 {
 			e.cells = &cellSet{sig: sig, ivals: ivals, vals: make([]table.ScanResult, n)}
@@ -596,6 +663,7 @@ func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, res ta
 		return
 	}
 	c.rows = snap.Rows()
+	e.last = c.tick()
 	c.entries[e.key] = e
 	class, bound := c.classOf(e)
 	*class = append(*class, e)

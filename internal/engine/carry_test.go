@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hybridolap/internal/gpusim"
 	"hybridolap/internal/ingest"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
@@ -23,10 +24,14 @@ import (
 // stored at one epoch are looked up at later ones, and checks every answer:
 // count/min/max, cached or not, bit-identical to a from-scratch scan of the
 // snapshot pinned for that call; a sum/avg, executed or hit, bit-identical
-// to a recompute on GPU partition 0 (or the CPU, if placed there), and a hit
-// only ever within the epoch that executed it. The 100K-row case starts
-// three blocks into gpusim's fold grid, so tails are merged onto answers
-// that were themselves unit-order folds. The 200-row case starts with text
+// to a recompute on GPU partition 0 (or the CPU, if placed there) — a
+// fused sum/avg carried to later epochs by continuing its fold — and a
+// sum/avg the attempt loop answered (a cube-answerable one, used every
+// epoch) hit only within the epoch that executed it, and counted as
+// dropped at the next. The 100K-row case starts three blocks into gpusim's
+// fold grid, so tails continue folds of several blocks; the 32 668-row
+// case starts 100 rows short of a block edge, so some tail completes the
+// open block and opens the next. The 200-row case starts with text
 // dictionaries below 256 strings and ingests 200 new store names, so its
 // snapshots hold one-byte and two-byte stripes of one column, before and
 // after the compactions that merge them; there every count/min/max is also
@@ -39,6 +44,9 @@ func TestServeCacheCarryDifferential(t *testing.T) {
 		skipBlocksCaseIfShort(t)
 		serveCacheCarryDifferential(t, carryCase{rows: 100_000, rounds: 4, lateStores: 4, epochs: 9, hits: 15, folds: 8})
 	})
+	t.Run("rows=32668/tails cross a block edge", func(t *testing.T) {
+		serveCacheCarryDifferential(t, carryCase{rows: gpusim.BlockRows - 100, rounds: 8, lateStores: 4, crosses: true, epochs: 17, hits: 30, folds: 15})
+	})
 	t.Run("rows=200/dictionary grows past 256", func(t *testing.T) {
 		serveCacheCarryDifferential(t, carryCase{rows: 200, rounds: 24, lateStores: 400, mixedWidths: true, epochs: 50, hits: 100, folds: 50})
 	})
@@ -46,11 +54,12 @@ func TestServeCacheCarryDifferential(t *testing.T) {
 
 // carryCase sizes one run — the base table, the rounds of ingest and
 // compaction, the distinct store names first ingested mid-run — and says
-// how much of the carry it must have exercised, and whether a snapshot must
-// have held store_name stripes of two widths.
+// how much of the carry it must have exercised, whether a snapshot must
+// have held store_name stripes of two widths and whether a carry must have
+// crossed a block edge of gpusim's fold grid.
 type carryCase struct {
 	rows, rounds, lateStores int
-	mixedWidths              bool
+	mixedWidths, crosses     bool
 	epochs, hits, folds      int
 }
 
@@ -137,7 +146,11 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 		text(table.AggMax, 0, query.TextCondition{Column: "customer_city", From: "late city 0", To: "live city 9"}),
 		text(table.AggCount, 0, query.TextCondition{Column: "store_name", From: "late store #2", To: "late store #2"}),
 		text(table.AggAvg, 0, query.TextCondition{Column: "store_name", From: "live store #2", To: "live store #2"}),
+		// Cube-answerable sum: the attempt loop's answer has no fold, so no
+		// epoch carries it. Served twice an epoch: a used entry, dropped.
+		{Conditions: []query.Condition{{Dim: 0, Level: 1, From: 3, To: 20}}, Op: table.AggSum},
 	}
+	soloSum := len(pool) - 1
 
 	rng := rand.New(rand.NewSource(21))
 	nextRow := 0
@@ -183,7 +196,7 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 	// lastRun[i] is the epoch pool query i was last executed (not served
 	// from the cache) at.
 	lastRun := make([]uint64, len(pool))
-	var carriedHits, carriedFolds, split, restamps int
+	var carriedHits, carriedSums, carriedFolds, split, restamps, crossed, soloSumUsed int
 	var mixedDeltas, mixedCompacted int // snapshots served with store_name at two widths
 	serve := func(qi int, q *query.Query) {
 		t.Helper()
@@ -222,8 +235,8 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 				t.Fatalf("%s: got (%v, %d), reference (%v, %d)",
 					desc, out.Result.Value, out.Result.Rows, want.Value, want.Rows)
 			}
-			if out.CacheHit && qi >= 0 && lastRun[qi] != snap.Epoch() {
-				t.Fatalf("%s: served across an epoch, last executed at %d", desc, lastRun[qi])
+			if out.CacheHit && qi >= 0 && lastRun[qi] != snap.Epoch() && (qi == soloSum || out.Queue.Kind == sched.QueueCPU) {
+				t.Fatalf("%s: an answer without a fold served across an epoch, last executed at %d", desc, lastRun[qi])
 			}
 			if out.CacheHit || out.Attempts > 0 { // not the empty-translation short cut
 				if again := faultFreeAt(t, s, q, out.Queue); !resultBits(out.Result, again) {
@@ -245,6 +258,9 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 			carriedFolds++
 		default:
 			carriedHits++
+			if !orderFree(q.Op) {
+				carriedSums++
+			}
 		}
 	}
 	serveAll := func() {
@@ -256,8 +272,20 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 				mixedCompacted++
 			}
 		}
+		s.cache.mu.Lock()
+		from := s.cache.rows
+		s.cache.mu.Unlock()
 		for qi, q := range pool {
 			serve(qi, q)
+		}
+		if to := s.pin().Rows(); from > 0 && from/gpusim.BlockRows != to/gpusim.BlockRows {
+			crossed++ // this serveAll's first serve carried the cache over an edge
+		}
+		again := s.pin()
+		if out, err := s.Serve(pool[soloSum]); err != nil {
+			t.Fatal(err)
+		} else if out.CacheHit && lastRun[soloSum] == again.Epoch() {
+			soloSumUsed++
 		}
 		ops := []table.AggOp{table.AggCount, table.AggMin, table.AggMax, table.AggSum, table.AggAvg}
 		for i := 0; i < 4; i++ {
@@ -311,23 +339,31 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 			t.Fatalf("round %d: the stale lookup cost the current epoch its entry", round)
 		}
 		bogus := table.ScanRequest{Op: table.AggCount, Predicates: []table.RangePredicate{{Dim: 2, Level: 3, From: uint32(round), To: 2000}}}
-		s.cache.store(&bogus, stale, table.ScanResult{Value: -1, Rows: -1}, nil, sched.QueueRef{})
+		s.cache.store(&bogus, stale, gpusim.FusedAnswer{Result: table.ScanResult{Value: -1, Rows: -1}}, sched.QueueRef{})
 		if _, ok := s.cache.lookup(&bogus, s.pin()); ok {
 			t.Fatalf("round %d: a store pinned at epoch %d was kept", round, stale.Epoch())
 		}
 	}
 
 	cs := s.CacheStats()
-	t.Logf("%d epochs: %d carried exact hits, %d folds from carried anchors, %d split stripes, %d re-stamps, cache %+v",
-		s.pin().Epoch(), carriedHits, carriedFolds, split, restamps, cs)
+	t.Logf("%d epochs: %d carried exact hits (%d sum/avg), %d folds from carried anchors, %d split stripes, %d re-stamps, %d block edges crossed, cache %+v",
+		s.pin().Epoch(), carriedHits, carriedSums, carriedFolds, split, restamps, crossed, cs)
 	if s.pin().Epoch() < uint64(c.epochs) {
 		t.Fatalf("only %d epochs", s.pin().Epoch())
 	}
-	if carriedHits < c.hits || carriedFolds < c.folds || split == 0 || restamps == 0 {
-		t.Fatalf("the carry was not exercised: %d exact hits, %d folds, %d split stripes, %d re-stamps",
-			carriedHits, carriedFolds, split, restamps)
+	if carriedHits < c.hits || carriedSums < c.hits/5 || carriedFolds < c.folds || split == 0 || restamps == 0 {
+		t.Fatalf("the carry was not exercised: %d exact hits (%d sum/avg), %d folds, %d split stripes, %d re-stamps",
+			carriedHits, carriedSums, carriedFolds, split, restamps)
 	}
-	if cs.Carried == 0 || cs.Dropped == 0 || cs.EpochInvalidations == 0 {
+	if c.crosses && crossed == 0 {
+		t.Fatalf("no carry crossed a block edge of the fold grid")
+	}
+	// The solo sum was used at every serveAll but the first and lost at the
+	// next advance: each use but the last is a drop.
+	if soloSumUsed < c.rounds || cs.Dropped < int64(soloSumUsed-1) || cs.EpochInvalidations < int64(soloSumUsed-1) {
+		t.Fatalf("the cube-answered sum was used in %d epochs; cache stats %+v", soloSumUsed, cs)
+	}
+	if cs.Carried == 0 {
 		t.Fatalf("cache stats: %+v", cs)
 	}
 	if c.mixedWidths && (mixedDeltas == 0 || mixedCompacted == 0) {
@@ -504,53 +540,160 @@ func TestServeCacheKeyRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkCacheAdvance times what one ingest epoch costs the cache on the
-// dashboard's shape: five full-domain anchors of 256×128 cells and 64 exact
-// count/min/max entries of another column set carried over a 1000-row delta
-// stripe — two bound plans over the tail and five plane copies. The budget
-// is 1 ms an advance (µs/advance), against the ≈ 40 ms between epochs of
-// the ingest_live writer.
-func BenchmarkCacheAdvance(b *testing.B) {
-	base := genTable(b, 200_000, 1)
-	reg, err := table.NewRegistry(table.PaperSchema(), base, nil)
+// TestResultCacheCarryBudget pins the order an advance picks carriers in
+// when they do not all fit carryBudget: a 16 384-row tail leaves room for
+// 16 entries, and two anchors and 30 plain sum/count entries (another
+// column: no anchor contains them) compete for it. The anchors survive,
+// then the plain entries most recently used — ten hit late, two hit early,
+// then the two stored last — and the other 16, never used, are Expired,
+// not Dropped: the epoch lost nothing anyone had asked for twice. Every
+// survivor answers the new epoch with the bits a fresh store there holds.
+func TestResultCacheCarryBudget(t *testing.T) {
+	const tail = 1 << 14
+	if room := carryBudget / tail; room != 16 {
+		t.Fatalf("a %d-row tail leaves room for %d carriers, the test assumes 16", tail, room)
+	}
+	reg, err := table.NewRegistry(table.PaperSchema(), genTable(t, 500, 1), nil)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
+	}
+	at := reg.Current()
+	next, err := reg.Publish([]*table.FactTable{genTable(t, tail, 2)}, table.StripeDelta, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor := func(op table.AggOp) table.ScanRequest {
+		return table.ScanRequest{Op: op, Predicates: []table.RangePredicate{
+			{Dim: 0, Level: 2, From: 0, To: 255}, {Dim: 1, Level: 2, From: 0, To: 127}}}
+	}
+	plain := func(i int) table.ScanRequest {
+		return table.ScanRequest{Op: []table.AggOp{table.AggSum, table.AggCount, table.AggAvg}[i%3], Measure: i % 2,
+			Predicates: []table.RangePredicate{{Dim: 2, Level: 2, From: uint32(i), To: 511}}}
 	}
 	c := newResultCache(0)
-	store := func(req table.ScanRequest, cells bool) { storeScanned(b, c, base, reg.Current(), req, cells) }
-	for _, a := range []struct {
-		op      table.AggOp
-		measure int
-	}{
-		{table.AggCount, 0}, {table.AggMin, 0}, {table.AggMin, 1}, {table.AggMax, 0}, {table.AggMax, 1},
-	} {
-		store(table.ScanRequest{Op: a.op, Measure: a.measure, Predicates: []table.RangePredicate{
-			{Dim: 0, Level: 2, From: 0, To: 255}, {Dim: 1, Level: 2, From: 0, To: 127},
-		}}, true)
+	var reqs []table.ScanRequest
+	for _, op := range []table.AggOp{table.AggCount, table.AggMax} {
+		reqs = append(reqs, anchor(op))
+		storeScanned(t, c, at, reqs[len(reqs)-1], true)
 	}
-	rng := rand.New(rand.NewSource(2))
-	ops := []table.AggOp{table.AggCount, table.AggMin, table.AggMax}
-	for i := 0; i < 64; i++ {
-		lo := uint32(rng.Intn(400))
-		store(table.ScanRequest{Op: ops[i%3], Measure: i % 2, Predicates: []table.RangePredicate{
-			{Dim: 2, Level: 2, From: lo, To: lo + uint32(rng.Intn(100))},
-		}}, false)
+	for i := 0; i < 30; i++ {
+		reqs = append(reqs, plain(i))
+		storeScanned(t, c, at, reqs[len(reqs)-1], false)
 	}
-	if len(c.anchors) != 5 || len(c.plain) != 64 {
-		b.Fatalf("cache holds %d anchors and %d plain entries", len(c.anchors), len(c.plain))
-	}
-	held := append(slices.Clone(c.anchors), c.plain...)
-	next, err := reg.Publish([]*table.FactTable{genTable(b, 1000, 2)}, table.StripeDelta, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if carried := carry(next, base.Rows(), held); len(carried) != 69 {
-			b.Fatalf("carried %d of 69 entries", len(carried))
+	hit := func(i int) {
+		t.Helper()
+		if _, ok := c.lookup(&reqs[2+i], at); !ok {
+			t.Fatalf("plain entry %d not stored", i)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/advance")
+	hit(3)
+	hit(7)
+	for i := 20; i < 30; i++ {
+		hit(i)
+	}
+	survive := map[int]bool{0: true, 1: true, 2 + 3: true, 2 + 7: true, 2 + 18: true, 2 + 19: true}
+	for i := 20; i < 30; i++ {
+		survive[2+i] = true
+	}
+
+	fresh := newResultCache(0)
+	for i, req := range reqs {
+		got, ok := c.lookup(&req, next)
+		if ok != survive[i] {
+			t.Fatalf("entry %d (%v over %+v): carried = %v, want %v", i, req.Op, req.Predicates, ok, survive[i])
+		}
+		if !ok {
+			continue
+		}
+		storeScanned(t, fresh, next, req, i < 2)
+		want, _ := fresh.lookup(&req, next)
+		if !resultBits(got.result, want.result) {
+			t.Fatalf("entry %d (%v): carried (%v, %d), stored at the new epoch (%v, %d)",
+				i, req.Op, got.result.Value, got.result.Rows, want.result.Value, want.result.Rows)
+		}
+	}
+	if st := c.snapshotStats(); st.Carried != 16 || st.Expired != 16 || st.Dropped != 0 || st.EpochInvalidations != 0 {
+		t.Fatalf("after the advance: %+v, want 16 carried, 16 expired, none dropped", st)
+	}
+}
+
+// BenchmarkCacheAdvance times what one ingest epoch costs the cache on the
+// dashboard's shape: five full-domain anchors of 256×128 cells and, beside
+// them, either 64 exact count/min/max entries of another column set or 100
+// sum/avg entries of the anchors' own family — every entry used — carried
+// over a 1000-row delta stripe: a bound plan or two over the tail, the
+// folds continued and five plane copies. The budget is 1 ms an advance
+// (µs/advance), against the ≈ 50 ms between epochs of the ingest_live
+// writer.
+func BenchmarkCacheAdvance(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	family := func(op table.AggOp, measure int, f0, t0, f1, t1 uint32) table.ScanRequest {
+		return table.ScanRequest{Op: op, Measure: measure, Predicates: []table.RangePredicate{
+			{Dim: 0, Level: 2, From: f0, To: t0}, {Dim: 1, Level: 2, From: f1, To: t1},
+		}}
+	}
+	countMinMax := func(i int) table.ScanRequest {
+		lo := uint32(rng.Intn(400))
+		return table.ScanRequest{Op: []table.AggOp{table.AggCount, table.AggMin, table.AggMax}[i%3], Measure: i % 2,
+			Predicates: []table.RangePredicate{{Dim: 2, Level: 2, From: lo, To: lo + uint32(rng.Intn(100))}}}
+	}
+	sumAvg := func(i int) table.ScanRequest {
+		f0, f1 := uint32(rng.Intn(256)), uint32(rng.Intn(128))
+		return family([]table.AggOp{table.AggSum, table.AggAvg}[i%2], i%2, f0, f0+uint32(rng.Intn(256-int(f0))), f1, f1+uint32(rng.Intn(128-int(f1))))
+	}
+	for _, c := range []struct {
+		name    string
+		entries int
+		entry   func(i int) table.ScanRequest
+	}{
+		{"entries=count-min-max", 64, countMinMax},
+		{"entries=sum-avg", 100, sumAvg},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			base := genTable(b, 200_000, 1)
+			reg, err := table.NewRegistry(table.PaperSchema(), base, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			at := reg.Current()
+			cache := newResultCache(0)
+			for _, a := range []struct {
+				op      table.AggOp
+				measure int
+			}{
+				{table.AggCount, 0}, {table.AggMin, 0}, {table.AggMin, 1}, {table.AggMax, 0}, {table.AggMax, 1},
+			} {
+				storeScanned(b, cache, at, family(a.op, a.measure, 0, 255, 0, 127), true)
+			}
+			for i := 0; i < c.entries; i++ {
+				req := c.entry(i)
+				storeScanned(b, cache, at, req, false)
+				if _, ok := cache.lookup(&req, at); !ok {
+					b.Fatalf("entry %d not stored", i)
+				}
+			}
+			if len(cache.anchors) != 5 || len(cache.plain) != c.entries {
+				b.Fatalf("cache holds %d anchors and %d plain entries", len(cache.anchors), len(cache.plain))
+			}
+			held := append(slices.Clone(cache.anchors), cache.plain...)
+			stamps := make([]uint64, len(held))
+			for i, e := range held {
+				stamps[i] = e.last
+			}
+			next, err := reg.Publish([]*table.FactTable{genTable(b, 1000, 2)}, table.StripeDelta, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				carried := carry(next, base.Rows(), held, stamps)
+				if n := len(carried) - len(slices.DeleteFunc(carried, func(e *cacheEntry) bool { return e == nil })); n > 0 {
+					b.Fatalf("lost %d of %d entries", n, len(held))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/advance")
+		})
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"hybridolap/internal/gpusim"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -226,7 +227,7 @@ func (s *System) serveAlone(q *query.Query, snap *table.Snapshot, est sched.Esti
 	}
 	// The loop has translated whatever Serve could not.
 	if req, empty, err := j.q.ToScanRequest(s.cfg.Table.Schema()); err == nil && !empty {
-		s.cache.store(&req, j.snap, r, nil, j.d.Queue)
+		s.cache.store(&req, j.snap, gpusim.FusedAnswer{Result: r}, j.d.Queue)
 	}
 	return out, nil
 }
@@ -374,7 +375,7 @@ func (s *System) executeFused(g *fusionGroup) {
 	}
 	if s.cache != nil {
 		for ui := range reqs {
-			s.cache.store(&reqs[ui], g.snap, answers[ui].Result, answers[ui].Cells, d.Queue)
+			s.cache.store(&reqs[ui], g.snap, answers[ui], d.Queue)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hybridolap/internal/fault"
+	"hybridolap/internal/gpusim"
 	"hybridolap/internal/ingest"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
@@ -56,25 +57,34 @@ func cacheEpochs(t testing.TB, base *table.FactTable, n int) []*table.Snapshot {
 	return snaps
 }
 
-// storeScanned answers req over ft with the bound plan — per cell when
-// cells is set — and stores the answer at the snapshot.
-func storeScanned(t testing.TB, c *resultCache, ft *table.FactTable, at *table.Snapshot, req table.ScanRequest, cells bool) {
+// storeScanned answers req over the snapshot — per cell when cells is set,
+// and otherwise as the fold grid folds it (gpusim.Continue from row 0
+// continues an empty fold over every row: ExecuteFused's fold) — and
+// stores the answer there, as a fused job would.
+func storeScanned(t testing.TB, c *resultCache, at *table.Snapshot, req table.ScanRequest, cells bool) {
 	t.Helper()
-	pl, err := table.Bind(ft, []table.Member{{ScanRequest: req, Cells: cells}})
+	m := table.Member{ScanRequest: req, Cells: cells}
+	pl, err := table.Bind(at.Stripes()[0].Table(), []table.Member{m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.Keyed(0) != cells {
 		t.Fatalf("%v over %+v: cells granted = %v, want %v", req.Op, req.Predicates, pl.Keyed(0), cells)
 	}
+	var ans gpusim.FusedAnswer
+	if !cells {
+		ans.Fold = new(gpusim.Fold)
+	}
 	st := make([]table.State, 1)
-	if err := pl.RangeInto(0, ft.Rows(), st); err != nil {
+	if err := gpusim.Continue(at, 0, []table.Member{m}, []*gpusim.Fold{ans.Fold}, st); err != nil {
 		t.Fatal(err)
 	}
 	if cells {
-		st[0].Scalar = table.FoldCells(req.Op, st[0].Groups)
+		ans.Cells, ans.Result = st[0].Groups, table.Finalize(req.Op, table.FoldCells(req.Op, st[0].Groups))
+	} else {
+		ans.Result = ans.Fold.Answer(req.Op, at.Rows())
 	}
-	c.store(&req, at, table.Finalize(req.Op, st[0].Scalar), st[0].Groups, sched.QueueRef{Kind: sched.QueueGPU, Index: 1})
+	c.store(&req, at, ans, sched.QueueRef{Kind: sched.QueueGPU, Index: 1})
 }
 
 func TestResultCacheExactKeepFirstEviction(t *testing.T) {
@@ -83,7 +93,7 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 	q1 := cacheReq(table.AggSum, 3, 9)
 	r1 := table.ScanResult{Value: 42.5, Rows: 7}
 	qr := sched.QueueRef{Kind: sched.QueueGPU, Index: 2}
-	c.store(&q1, at, r1, nil, qr)
+	c.store(&q1, at, gpusim.FusedAnswer{Result: r1}, qr)
 
 	ans, ok := c.lookup(&q1, at)
 	if !ok || !resultBits(ans.result, r1) || ans.queue != qr || ans.subsumed {
@@ -97,15 +107,15 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 	}
 
 	// Keep-first: a second store under the same key must not flap the bits.
-	c.store(&q1, at, table.ScanResult{Value: 99, Rows: 7}, nil, sched.QueueRef{Kind: sched.QueueGPU, Index: 5})
+	c.store(&q1, at, gpusim.FusedAnswer{Result: table.ScanResult{Value: 99, Rows: 7}}, sched.QueueRef{Kind: sched.QueueGPU, Index: 5})
 	if ans, ok := c.lookup(&q1, at); !ok || !resultBits(ans.result, r1) || ans.queue != qr {
 		t.Fatalf("keep-first violated: %+v", ans)
 	}
 
 	// FIFO eviction at max=2: storing a third entry evicts q1.
-	c.store(&q2, at, table.ScanResult{Value: 1, Rows: 1}, nil, qr)
+	c.store(&q2, at, gpusim.FusedAnswer{Result: table.ScanResult{Value: 1, Rows: 1}}, qr)
 	q3 := cacheReq(table.AggSum, 0, 1)
-	c.store(&q3, at, table.ScanResult{Value: 2, Rows: 2}, nil, qr)
+	c.store(&q3, at, gpusim.FusedAnswer{Result: table.ScanResult{Value: 2, Rows: 2}}, qr)
 	if _, ok := c.lookup(&q1, at); ok {
 		t.Fatal("FIFO eviction kept the oldest entry")
 	}
@@ -120,8 +130,8 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 
 // TestResultCacheEpochOwnership pins what an epoch does to the cache at the
 // unit level: older pinned epochs miss and cannot store, a newer one
-// carries count/min/max entries by a fold of the new rows only and drops
-// sum/avg.
+// carries a count/min/max entry by a fold of the new rows only and drops a
+// sum/avg stored without a fold (as the CPU stores it).
 func TestResultCacheEpochOwnership(t *testing.T) {
 	c := newResultCache(0)
 	at := cacheEpochs(t, genTable(t, 200, 1), 3)
@@ -134,7 +144,7 @@ func TestResultCacheEpochOwnership(t *testing.T) {
 		return r
 	}
 	q := cacheReq(table.AggCount, 0, 5)
-	c.store(&q, at[1], scan(q, at[1]), nil, sched.QueueRef{})
+	c.store(&q, at[1], gpusim.FusedAnswer{Result: scan(q, at[1])}, sched.QueueRef{})
 	if _, ok := c.lookup(&q, at[1]); !ok {
 		t.Fatal("store at epoch 1 not visible")
 	}
@@ -148,21 +158,25 @@ func TestResultCacheEpochOwnership(t *testing.T) {
 	}
 	// A stale store is dropped.
 	q2 := cacheReq(table.AggCount, 0, 9)
-	c.store(&q2, at[0], scan(q2, at[0]), nil, sched.QueueRef{})
+	c.store(&q2, at[0], gpusim.FusedAnswer{Result: scan(q2, at[0])}, sched.QueueRef{})
 	if _, ok := c.lookup(&q2, at[1]); ok {
 		t.Fatal("stale-epoch store was kept")
 	}
 
-	// A newer epoch carries the count and drops the sum, exactly once.
+	// A newer epoch carries the count and drops the sum, used once,
+	// exactly once.
 	sum := cacheReq(table.AggSum, 0, 5)
-	c.store(&sum, at[1], scan(sum, at[1]), nil, sched.QueueRef{})
+	c.store(&sum, at[1], gpusim.FusedAnswer{Result: scan(sum, at[1])}, sched.QueueRef{})
+	if _, ok := c.lookup(&sum, at[1]); !ok {
+		t.Fatal("sum not stored")
+	}
 	if ans, ok := c.lookup(&q, at[2]); !ok || !resultBits(ans.result, scan(q, at[2])) {
 		t.Fatalf("count not carried to epoch 2: ok=%v %+v, want %+v", ok, ans.result, scan(q, at[2]))
 	}
 	if _, ok := c.lookup(&sum, at[2]); ok {
 		t.Fatal("sum survived epoch publication")
 	}
-	if st := c.snapshotStats(); st.EpochInvalidations != 1 || st.Carried != 1 || st.Dropped != 1 {
+	if st := c.snapshotStats(); st.EpochInvalidations != 1 || st.Carried != 1 || st.Dropped != 1 || st.Expired != 0 {
 		t.Fatalf("after epoch 2: %+v, want 1 invalidation, 1 carried, 1 dropped", st)
 	}
 	// The old epoch is now the stale one.
@@ -192,14 +206,14 @@ func TestServeCacheEvictionUnlinksAnchor(t *testing.T) {
 	month := func(op table.AggOp, from, to uint32) table.ScanRequest {
 		return table.ScanRequest{Op: op, Predicates: []table.RangePredicate{{Dim: 0, Level: 1, From: from, To: to}}}
 	}
-	storeAnchor := func(req table.ScanRequest) { storeScanned(t, c, ft, at, req, true) }
+	storeAnchor := func(req table.ScanRequest) { storeScanned(t, c, at, req, true) }
 	storePlain := func(n int) {
 		for i := 0; i < n; i++ {
 			// Counts over another column: no anchor contains them, and an
 			// advance carries them.
 			q := table.ScanRequest{Op: table.AggCount, Predicates: []table.RangePredicate{
 				{Dim: 2, Level: 2, From: uint32(c.snapshotStats().Stores), To: 511}}}
-			storeScanned(t, c, ft, at, q, false)
+			storeScanned(t, c, at, q, false)
 		}
 	}
 	folds := func(req table.ScanRequest, at *table.Snapshot) bool {
@@ -282,7 +296,7 @@ func TestResultCacheSubsumptionFold(t *testing.T) {
 	for i, op := range []table.AggOp{table.AggCount, table.AggMin, table.AggMax, table.AggCount} {
 		c := newResultCache(0)
 		outer := table.ScanRequest{Op: op, Measure: 0, Predicates: shapes[i%len(shapes)]}
-		storeScanned(t, c, ft, at, outer, true)
+		storeScanned(t, c, at, outer, true)
 
 		for i := 0; i < 25; i++ {
 			inner := outer
@@ -567,8 +581,10 @@ func TestServeSubsumption(t *testing.T) {
 // TestServeLiveEpochInvalidation pins the carry contract end to end: an
 // ingest epoch does not cost a cached count its entry — the post-ingest
 // serve is a cache hit that already sees the new rows, bit-equal to a
-// from-scratch scan of the pinned epoch — while a cached sum is executed
-// again.
+// from-scratch scan of the pinned epoch — nor does it cost a GPU-fused sum
+// its entry: the carry continues the sum's fold over the new rows, so its
+// post-ingest hit is bit-equal to a recompute on GPU partition 0 at the
+// new epoch. Nothing used is lost, so the epoch invalidates nothing.
 func TestServeLiveEpochInvalidation(t *testing.T) {
 	s, err := Setup(SetupSpec{
 		Rows: 2000, Seed: 1, Live: true,
@@ -636,11 +652,15 @@ func TestServeLiveEpochInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sumOut.CacheHit {
-		t.Fatalf("a cached sum was served across an epoch: %+v", sumOut)
+	if sumOut.Queue.Kind != sched.QueueGPU || !sumOut.CacheHit {
+		t.Fatalf("post-ingest sum: %+v, want a cache hit of a GPU answer", sumOut)
 	}
-	if cs := s.CacheStats(); cs.EpochInvalidations != 1 || cs.Carried == 0 || cs.Dropped == 0 {
-		t.Fatalf("one epoch, a carried count and a dropped sum: %+v", cs)
+	if want := faultFreeAt(t, s, sum, sumOut.Queue); !resultBits(sumOut.Result, want) {
+		t.Fatalf("carried sum (%v, %d) != recompute at the new epoch (%v, %d)",
+			sumOut.Result.Value, sumOut.Result.Rows, want.Value, want.Rows)
+	}
+	if cs := s.CacheStats(); cs.EpochInvalidations != 0 || cs.Carried != 2 || cs.Dropped != 0 {
+		t.Fatalf("one epoch, a carried count and a carried sum: %+v", cs)
 	}
 }
 

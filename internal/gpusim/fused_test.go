@@ -84,3 +84,108 @@ func TestExecuteFusedValidation(t *testing.T) {
 		t.Error("nil snapshot accepted")
 	}
 }
+
+// TestFoldContinuation pins what the result cache's carry stands on: the
+// folds ExecuteFused returns at r0 rows, continued over the rows appended
+// since (Continue: RangeInto over the tail, Open chained, ended into Full at
+// each block edge), are the folds — and finalise to the answers —
+// ExecuteFused returns at r1 rows, bit for bit, for every op. The tail
+// arrives as two stripes, and block 2 of the table holds only time.hour
+// 0..3, so the month-filtered members match no row of it.
+func TestFoldContinuation(t *testing.T) {
+	const B = BlockRows
+	base := testTable(t, 4*B+321)
+	s := *base.Schema()
+	coords := make([][]uint32, len(s.Dimensions))
+	for d, dim := range s.Dimensions {
+		coords[d] = base.DimLevelColumn(d, dim.Finest()).AppendTo(nil)
+	}
+	for r := 2 * B; r < 3*B; r++ {
+		coords[0][r] %= 4
+	}
+	meas := [][]float64{base.MeasureColumn(0), base.MeasureColumn(1)}
+	texts := [][]uint32{base.TextColumn(0).AppendTo(nil), base.TextColumn(1).AppendTo(nil)}
+	rows := func(lo, hi int) *table.FactTable {
+		t.Helper()
+		cut := func(cols [][]uint32) [][]uint32 {
+			out := make([][]uint32, len(cols))
+			for i, c := range cols {
+				out[i] = c[lo:hi]
+			}
+			return out
+		}
+		ft, err := table.FromColumns(s, cut(coords), [][]float64{meas[0][lo:hi], meas[1][lo:hi]}, cut(texts), base.Dicts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ft
+	}
+	empty := func(op table.AggOp, measure int) table.ScanRequest {
+		return table.ScanRequest{Op: op, Measure: measure, Predicates: []table.RangePredicate{
+			{Dim: 0, Level: 1, From: 1, To: 31},
+			{Dim: 2, Level: 0, From: 0, To: 3},
+		}}
+	}
+	reqs := append(fusedReqs(), empty(table.AggSum, 0), empty(table.AggMin, 1), empty(table.AggMax, 0), empty(table.AggAvg, 1))
+	members := make([]table.Member, len(reqs))
+	for mi, req := range reqs {
+		members[mi] = table.Member{ScanRequest: req}
+	}
+	p := newTestDevice(t, 1000).Partitions()[1]
+	for r, want := range map[[2]int]bool{{2 * B, 3 * B}: false, {B, 2 * B}: true} {
+		got, err := table.ScanRange(rows(r[0], r[1]), empty(table.AggCount, 0), 0, r[1]-r[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (got.Rows > 0) != want {
+			t.Fatalf("the month-filtered members match %d rows of [%d, %d)", got.Rows, r[0], r[1])
+		}
+	}
+
+	for _, c := range []struct {
+		name   string
+		r0, r1 int
+	}{
+		{"tail inside the open block", B + 100, B + 900},
+		{"tail ends on a block edge", B + 100, 2 * B},
+		{"r0 on a block edge", 2 * B, 2*B + 700},
+		{"tail spans blocks, one matching nothing", B + 100, 4*B + 321},
+		{"from an empty block's edge over it", 2 * B, 3*B + 5},
+	} {
+		reg, err := table.NewRegistry(s, rows(0, c.r0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at0 := reg.Current()
+		mid := (c.r0 + c.r1) / 2
+		if _, err := reg.Publish([]*table.FactTable{rows(c.r0, mid), rows(mid, c.r1)}, table.StripeDelta, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		at1 := reg.Current()
+		before, err := p.ExecuteFused(at0, reqs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := p.ExecuteFused(at1, reqs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		folds := make([]*Fold, len(reqs))
+		for mi := range reqs {
+			f := *before[mi].Fold
+			folds[mi] = &f
+		}
+		if err := Continue(at1, c.r0, members, folds, make([]table.State, len(members))); err != nil {
+			t.Fatal(err)
+		}
+		for mi, req := range reqs {
+			want := after[mi].Fold
+			if !bitsEqual(folds[mi].Full, want.Full) || !bitsEqual(folds[mi].Open, want.Open) {
+				t.Fatalf("%s, %v member %d: continued fold %+v, fold at %d rows %+v", c.name, req.Op, mi, *folds[mi], c.r1, *want)
+			}
+			if got := folds[mi].Answer(req.Op, c.r1); !bitsEqual(got, after[mi].Result) {
+				t.Fatalf("%s, %v member %d: continued answer %+v, answer at %d rows %+v", c.name, req.Op, mi, got, c.r1, after[mi].Result)
+			}
+		}
+	}
+}

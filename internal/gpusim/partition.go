@@ -217,17 +217,14 @@ func groups(states [][]table.State, mi int) []table.Groups {
 }
 
 // Execute answers a scalar request over the snapshot: per-unit partials
-// merge in unit order.
+// merge in unit order (foldOf), and the fold is finalised.
 func (p *Partition) Execute(snap *table.Snapshot, req table.ScanRequest) (table.ScanResult, error) {
-	_, states, err := p.scan(snap, []table.Member{{ScanRequest: req}}, blocks(snap))
+	units := blocks(snap)
+	_, states, err := p.scan(snap, []table.Member{{ScanRequest: req}}, units)
 	if err != nil {
 		return table.ScanResult{}, err
 	}
-	var acc table.ScanResult
-	for _, part := range scalars(states, 0) {
-		acc = table.Merge(req.Op, acc, part)
-	}
-	return table.Finalize(req.Op, acc), nil
+	return foldOf(req.Op, units, states, 0).Answer(req.Op, snap.Rows()), nil
 }
 
 // ExecuteGroup answers a grouped request over the snapshot: one hash table

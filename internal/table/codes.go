@@ -5,11 +5,11 @@ import (
 	"math/bits"
 )
 
-// Codes is one code column of a fact table — a dimension level's
+// Codes is one code column of a fact table — a dimension's finest-level
 // coordinates or a text column's dictionary codes — stored in the
 // narrowest of 8, 16 or 32 bits that holds every code of the column.
 // Exactly one of the three slices is set. The width is never chosen by a
-// caller: a dimension level takes it from its schema cardinality, a text
+// caller: a dimension takes it from its finest cardinality, a text
 // column from the largest code the stripe holds (codeWidth), so a
 // dictionary that outgrows a width widens only the stripes built after it
 // did.
@@ -114,8 +114,8 @@ func (c Codes) slice(lo, hi int) Codes {
 }
 
 // narrowed stores src[i]/div in a fresh column of the given width. Every
-// quotient must fit it; the two callers below check that first.
-func narrowed(width int, src []uint32, div uint32) Codes {
+// quotient must fit it; the callers check that first.
+func narrowed[S code](width int, src []S, div uint32) Codes {
 	switch width {
 	case 1:
 		return Codes{u8: divided[uint8](src, div)}
@@ -126,7 +126,7 @@ func narrowed(width int, src []uint32, div uint32) Codes {
 	}
 }
 
-func divided[T code](src []uint32, div uint32) []T {
+func divided[T, S code](src []S, div uint32) []T {
 	dst := make([]T, len(src))
 	if div&(div-1) == 0 {
 		// A power of two — 1 for the finest level and for text codes, and
@@ -139,30 +139,69 @@ func divided[T code](src []uint32, div uint32) []T {
 		return dst
 	}
 	for i, v := range src {
-		dst[i] = T(v / div)
+		dst[i] = T(uint32(v) / div)
 	}
 	return dst
 }
 
-// levelColumns builds every level column of one dimension from its
-// finest-level coordinates: each at the width its cardinality needs,
-// coarser levels by the exact integer roll-up (ratio finest coordinates
-// per coarse cell). It is the one place a coordinate becomes stored
-// columns — Builder, FromColumns and Load all end here — and rejects a
-// coordinate outside the finest cardinality.
-func levelColumns(spec DimensionSpec, finest []uint32) ([]Codes, error) {
+// rolledUp stores the column's codes divided by div in a fresh column of
+// the given width, read at the column's own width.
+func (c Codes) rolledUp(width int, div uint32) Codes {
+	switch {
+	case c.u8 != nil:
+		return narrowed(width, c.u8, div)
+	case c.u16 != nil:
+		return narrowed(width, c.u16, div)
+	default:
+		return narrowed(width, c.u32, div)
+	}
+}
+
+// finestColumn stores one dimension's finest-level coordinates, at the
+// width the finest cardinality needs: the dimension's one stored column,
+// every coarser level being derived from it (levelOf). It is the one place
+// a coordinate becomes a stored column — Builder, FromColumns and Load all
+// end here — and rejects a coordinate outside the finest cardinality.
+func finestColumn(spec DimensionSpec, finest []uint32) (Codes, error) {
 	card := spec.Levels[spec.Finest()].Cardinality
 	for _, c := range finest {
 		if int(c) >= card {
-			return nil, fmt.Errorf("table: dimension %q coordinate %d outside cardinality %d",
+			return Codes{}, fmt.Errorf("table: dimension %q coordinate %d outside cardinality %d",
 				spec.Name, c, card)
 		}
 	}
-	cols := make([]Codes, 0, len(spec.Levels))
-	for _, lv := range spec.Levels {
-		cols = append(cols, narrowed(codeWidth(lv.Cardinality), finest, uint32(card/lv.Cardinality)))
-	}
-	return cols, nil
+	return narrowed(codeWidth(card), finest, 1), nil
+}
+
+// levelCol is one dimension level, or a text column, as a view of a stored
+// column: the code of row r is col.At(r) / div. A level's div is its
+// fanout — the finest codes per code of the level, exact because every
+// finer cardinality is a multiple of its parent's — and a text column's and
+// a finest level's is 1. shift is log2(div) when div is a power of two
+// (every fanout of PaperSchema), so a key gather shifts instead of
+// dividing.
+type levelCol struct {
+	col   Codes
+	div   uint32
+	shift uint8
+}
+
+func viewOf(col Codes, div uint32) levelCol {
+	return levelCol{col: col, div: div, shift: uint8(bits.TrailingZeros32(div))}
+}
+
+// at returns the level's code of row r.
+func (v levelCol) at(r int) uint32 { return v.col.At(r) / v.div }
+
+// fanout returns the finest codes per code of dimension d's level l.
+func (s *Schema) fanout(d, l int) uint32 {
+	dim := &s.Dimensions[d]
+	return uint32(dim.Levels[dim.Finest()].Cardinality / dim.Levels[l].Cardinality)
+}
+
+// levelOf returns the view of dimension d's level l over its stored column.
+func (t *FactTable) levelOf(d, l int) levelCol {
+	return viewOf(t.dims[d], t.schema.fanout(d, l))
 }
 
 // textColumn stores a text column's codes at the width of the largest code

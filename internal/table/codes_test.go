@@ -14,11 +14,9 @@ import (
 func atWidth(ft *FactTable, width int) *FactTable {
 	widen := func(c Codes) Codes { return narrowed(max(width, c.Width()), c.AppendTo(nil), 1) }
 	out := *ft
-	out.dimLevels = make([][]Codes, len(ft.dimLevels))
-	for d, levels := range ft.dimLevels {
-		for _, c := range levels {
-			out.dimLevels[d] = append(out.dimLevels[d], widen(c))
-		}
+	out.dims = nil
+	for _, c := range ft.dims {
+		out.dims = append(out.dims, widen(c))
 	}
 	out.texts = nil
 	for _, c := range ft.texts {

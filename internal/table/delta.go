@@ -20,7 +20,7 @@ func (t *FactTable) WithDicts(ds *dict.Set) *FactTable {
 // data: finest-level coordinates per dimension, measure columns, and
 // pre-encoded text code columns referencing a shared (append-capable)
 // dictionary set. The inputs are full-width; the stored columns are built
-// at their own widths by the same levelColumns / textColumn as
+// at their own widths by the same finestColumn / textColumn as
 // Builder.Build (the coordinate and code slices are read, not kept). This
 // is the delta-stripe constructor — the ingest path encodes text against
 // the table's live dictionaries before materializing, so every stripe of a
@@ -65,13 +65,13 @@ func FromColumns(schema Schema, coords [][]uint32, measures [][]float64, texts [
 	}
 
 	t := &FactTable{schema: schema, rows: rows, measures: measures, dicts: dicts}
-	t.dimLevels = make([][]Codes, len(schema.Dimensions))
+	t.dims = make([]Codes, len(schema.Dimensions))
 	for d, spec := range schema.Dimensions {
-		cols, err := levelColumns(spec, coords[d])
+		col, err := finestColumn(spec, coords[d])
 		if err != nil {
 			return nil, err
 		}
-		t.dimLevels[d] = cols
+		t.dims[d] = col
 	}
 	if len(texts) > 0 {
 		t.texts = make([]Codes, len(texts))

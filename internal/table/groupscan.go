@@ -81,14 +81,14 @@ func GroupScanRange(t *FactTable, req GroupScanRequest, lo, hi int) (Groups, err
 			return nil, fmt.Errorf("table: measure %d out of range", req.Measure)
 		}
 	}
-	pcols := make([]Codes, len(req.Predicates))
+	pcols := make([]levelCol, len(req.Predicates))
 	for i := range req.Predicates {
 		if err := validatePred(t, &req.Predicates[i]); err != nil {
 			return nil, err
 		}
 		pcols[i] = predCol(t, req.Predicates[i])
 	}
-	gcols := make([]Codes, len(req.GroupBy))
+	gcols := make([]levelCol, len(req.GroupBy))
 	for i, g := range req.GroupBy {
 		col, err := validateGroupCol(t, g)
 		if err != nil {
@@ -106,7 +106,7 @@ rowLoop:
 	for r := lo; r < hi; r++ {
 		for i := range req.Predicates {
 			p := &req.Predicates[i]
-			v := pcols[i].At(r)
+			v := pcols[i].at(r)
 			if len(p.Or) == 0 {
 				if v < p.From || v > p.To {
 					continue rowLoop
@@ -117,7 +117,7 @@ rowLoop:
 		}
 		var key GroupKey
 		for _, gc := range gcols {
-			key = key<<16 | GroupKey(gc.At(r)&0xFFFF)
+			key = key<<16 | GroupKey(gc.at(r)&0xFFFF)
 		}
 		acc := groups[key]
 		first := acc.Rows == 0

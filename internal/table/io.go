@@ -9,8 +9,8 @@ import (
 )
 
 // Persistence format: magic, version, schema, then per-dimension finest
-// coordinates (coarser levels are derived on load, exactly as Builder
-// derives them), measures, and per-text-column dictionary entries plus
+// coordinates (the one column a dimension stores; coarser levels are
+// derived from it), measures, and per-text-column dictionary entries plus
 // code columns. Codes are 32 bits on disk whatever their width in memory:
 // Save widens, Load validates and then narrows. A trailing CRC-32 guards
 // the whole payload.
@@ -49,8 +49,8 @@ func (t *FactTable) Save(w io.Writer) error {
 
 	bw.U64(uint64(t.rows))
 	// Finest-level coordinates per dimension.
-	for d, dim := range s.Dimensions {
-		bw.U32s(t.dimLevels[d][dim.Finest()].AppendTo(make([]uint32, 0, t.rows)))
+	for d := range s.Dimensions {
+		bw.U32s(t.dims[d].AppendTo(make([]uint32, 0, t.rows)))
 	}
 	for m := range s.Measures {
 		bw.F64s(t.measures[m])
@@ -148,7 +148,7 @@ func Load(r io.Reader) (*FactTable, error) {
 	}
 
 	t := &FactTable{schema: s, rows: rows}
-	t.dimLevels = make([][]Codes, nd)
+	t.dims = make([]Codes, nd)
 	for d, dim := range s.Dimensions {
 		coords := br.U32s(rows)
 		if br.Err() != nil {
@@ -157,11 +157,11 @@ func Load(r io.Reader) (*FactTable, error) {
 		if len(coords) != rows {
 			return nil, fmt.Errorf("table: dimension %q has %d coords for %d rows", dim.Name, len(coords), rows)
 		}
-		cols, err := levelColumns(dim, coords)
+		col, err := finestColumn(dim, coords)
 		if err != nil {
 			return nil, err
 		}
-		t.dimLevels[d] = cols
+		t.dims[d] = col
 	}
 	t.measures = make([][]float64, nm)
 	for m := 0; m < nm; m++ {

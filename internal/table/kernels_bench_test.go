@@ -84,8 +84,9 @@ func runReference(b *testing.B, ft *FactTable, req ScanRequest) {
 	b.SetBytes(firstColumnBytes(ft))
 }
 
-// firstColumnBytes is the first predicate column's traffic per pass.
-func firstColumnBytes(ft *FactTable) int64 { return ft.DimLevelColumn(0, 0).sizeBytes() }
+// firstColumnBytes is the first predicate column's traffic per pass: the
+// stored column of dimension 0, whichever of its levels the predicate names.
+func firstColumnBytes(ft *FactTable) int64 { return ft.dims[0].sizeBytes() }
 
 // runVectorized times one whole-table pass of the members' plan at the
 // given batch size. States are reset between passes inside the timed
@@ -215,6 +216,42 @@ func BenchmarkScanKernels(b *testing.B) {
 				runVectorized(b, benchTableAt(b, 1_000_000, bits), BatchSize, Member{ScanRequest: req})
 			})
 		}
+	}
+}
+
+// paperBench caches the 1M-row PaperSchema table of the coarse= rows.
+var paperBench *FactTable
+
+// BenchmarkScanKernelsCoarse runs the dashboard family's predicate pair —
+// time.day × geo.state, two coarse levels — and the same selectivity on
+// the finest levels (time.hour × geo.city) over a 1M-row PaperSchema
+// table: a coarse predicate reads its dimension's finest column, bound to
+// the finest codes its interval covers.
+func BenchmarkScanKernelsCoarse(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		preds []RangePredicate
+	}{
+		{"coarse", []RangePredicate{{Dim: 0, Level: 2, From: 40, To: 200}, {Dim: 1, Level: 2, From: 10, To: 100}}},
+		{"finest", []RangePredicate{{Dim: 0, Level: 3, From: 160, To: 803}, {Dim: 1, Level: 3, From: 40, To: 403}}},
+	} {
+		req := ScanRequest{Op: AggSum, Measure: 0, Predicates: tc.preds}
+		ft := func(b *testing.B) *FactTable {
+			b.Helper()
+			if paperBench == nil {
+				var err error
+				if paperBench, err = Generate(GenSpec{Schema: PaperSchema(), Rows: 1_000_000, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return paperBench
+		}
+		b.Run(fmt.Sprintf("rows=1M/levels=%s/kernel=reference", tc.name), func(b *testing.B) {
+			runReference(b, ft(b), req)
+		})
+		b.Run(fmt.Sprintf("rows=1M/levels=%s/kernel=vectorized", tc.name), func(b *testing.B) {
+			runVectorized(b, ft(b), BatchSize, Member{ScanRequest: req})
+		})
 	}
 }
 

@@ -81,8 +81,8 @@ type member struct {
 	meas  []float64 // nil for pure counts
 	preds []boundPred
 	never bool    // some predicate can match no row
-	dense bool    // unfiltered scalar member of an unseeded pass: aggregates dense runs
-	gcols []Codes // key columns; nil for a scalar member
+	dense bool       // unfiltered scalar member of an unseeded pass: aggregates dense runs
+	gcols []levelCol // key columns; nil for a scalar member
 }
 
 // predShape selects the monomorphic filter kernel for one predicate.
@@ -100,10 +100,12 @@ const (
 )
 
 // boundPred is one predicate of a plan: column resolved, constants
-// narrowed to the column's width, shape chosen, selectivity estimated.
-// [from, to] and every or interval are non-empty and hold only codes the
-// column can store (bindPred), so a kernel may compare them in the
-// column's own type.
+// mapped to the stored column's codes and narrowed to its width, shape
+// chosen, selectivity estimated. [from, to] and every or interval are
+// non-empty and hold only codes the column can store (bindPred), so a
+// kernel may compare them in the column's own type. A predicate on a
+// coarse level filters the dimension's finest column: its intervals are
+// the finest codes the level's codes cover.
 type boundPred struct {
 	ref      colRef
 	col      Codes
@@ -127,10 +129,10 @@ func validatePred(t *FactTable, p *RangePredicate) error {
 		}
 		return nil
 	}
-	if p.Dim < 0 || p.Dim >= len(t.dimLevels) {
+	if p.Dim < 0 || p.Dim >= len(t.dims) {
 		return fmt.Errorf("table: dimension %d out of range", p.Dim)
 	}
-	if p.Level < 0 || p.Level >= len(t.dimLevels[p.Dim]) {
+	if p.Level < 0 || p.Level >= len(t.schema.Dimensions[p.Dim].Levels) {
 		return fmt.Errorf("table: level %d out of range for dimension %d", p.Level, p.Dim)
 	}
 	return nil
@@ -142,25 +144,25 @@ func fitsGroupKey(card int) bool { return card <= 0x10000 }
 
 // validateGroupCol bounds-checks one grouping column and its 16-bit key
 // budget.
-func validateGroupCol(t *FactTable, g GroupCol) (Codes, error) {
+func validateGroupCol(t *FactTable, g GroupCol) (levelCol, error) {
 	if g.Text {
 		if g.TextIndex < 0 || g.TextIndex >= len(t.texts) {
-			return Codes{}, fmt.Errorf("table: group text column %d out of range", g.TextIndex)
+			return levelCol{}, fmt.Errorf("table: group text column %d out of range", g.TextIndex)
 		}
 		if d := t.schema.Texts[g.TextIndex]; d.Name != "" {
 			if dd, ok := t.dicts.Get(d.Name); ok && !fitsGroupKey(dd.Len()) {
-				return Codes{}, fmt.Errorf("table: text column %q has %d codes; grouping supports <= 65536", d.Name, dd.Len())
+				return levelCol{}, fmt.Errorf("table: text column %q has %d codes; grouping supports <= 65536", d.Name, dd.Len())
 			}
 		}
-		return t.texts[g.TextIndex], nil
+		return viewOf(t.texts[g.TextIndex], 1), nil
 	}
-	if g.Dim < 0 || g.Dim >= len(t.dimLevels) || g.Level < 0 || g.Level >= len(t.dimLevels[g.Dim]) {
-		return Codes{}, fmt.Errorf("table: group column (%d,%d) out of range", g.Dim, g.Level)
+	if g.Dim < 0 || g.Dim >= len(t.dims) || g.Level < 0 || g.Level >= len(t.schema.Dimensions[g.Dim].Levels) {
+		return levelCol{}, fmt.Errorf("table: group column (%d,%d) out of range", g.Dim, g.Level)
 	}
 	if card := t.schema.LevelCardinality(g.Dim, g.Level); !fitsGroupKey(card) {
-		return Codes{}, fmt.Errorf("table: group level cardinality %d exceeds 65536", card)
+		return levelCol{}, fmt.Errorf("table: group level cardinality %d exceeds 65536", card)
 	}
-	return t.dimLevels[g.Dim][g.Level], nil
+	return t.levelOf(g.Dim, g.Level), nil
 }
 
 // predCardinality returns the number of distinct codes the predicate's
@@ -218,20 +220,38 @@ func narrowTo(r CodeRange, top uint32) (_ CodeRange, ok bool) {
 	return CodeRange{From: r.From, To: min(r.To, top)}, r.From <= r.To && r.From <= top
 }
 
-// bindPred resolves one predicate against the table, narrows its constants
-// to the column's width and picks its kernel shape; ok=false when no code
-// the column can hold passes. Narrowing lives here and nowhere else: an
-// interval that accepts no storable code is dropped, one straddling the
-// width is cut at the largest storable code — so what is left can be
-// compared in the column's own type and no constant is ever truncated into
-// a match. [from, to] is the first surviving interval.
+// finestRange maps an interval of a level's codes to the finest codes they
+// cover, [from·fanout, to·fanout + fanout−1], cut at the finest level's
+// last code; ok=false when it covers none (it is inverted, or starts past
+// the level's last code). In 64 bits: to·fanout overflows 32 for a To near
+// the top of uint32. A finest-level interval (fanout 1) is only cut.
+func finestRange(r CodeRange, fanout uint32, last uint64) (_ CodeRange, ok bool) {
+	f := uint64(fanout)
+	lo, hi := uint64(r.From)*f, min(uint64(r.To)*f+f-1, last)
+	return CodeRange{From: uint32(lo), To: uint32(hi)}, r.From <= r.To && lo <= hi
+}
+
+// bindPred resolves one predicate against the table, maps its constants to
+// the stored column's codes and picks its kernel shape; ok=false when no
+// code the column holds passes. Mapping lives here and nowhere else: a
+// dimension predicate's intervals become finest codes (finestRange), a text
+// predicate's are narrowed to the column's width; an interval that accepts
+// no stored code is dropped, one straddling the last storable code is cut
+// there — so what is left can be compared in the column's own type and no
+// constant is ever truncated into a match. [from, to] is the first
+// surviving interval.
 func bindPred(t *FactTable, p *RangePredicate) (bp boundPred, ok bool) {
-	bp = boundPred{ref: colRefOf(p), col: predCol(t, *p), sel: estimateSelectivity(t, p)}
-	top := bp.col.top()
-	base, ok := narrowTo(CodeRange{From: p.From, To: p.To}, top)
+	v := predCol(t, *p)
+	bp = boundPred{ref: colRefOf(p), col: v.col, sel: estimateSelectivity(t, p)}
+	stored := func(r CodeRange) (CodeRange, bool) { return narrowTo(r, bp.col.top()) }
+	if !p.Text {
+		last := uint64(t.schema.LevelCardinality(p.Dim, t.schema.Dimensions[p.Dim].Finest())) - 1
+		stored = func(r CodeRange) (CodeRange, bool) { return finestRange(r, v.div, last) }
+	}
+	base, ok := stored(CodeRange{From: p.From, To: p.To})
 	var or []CodeRange
 	for _, r := range p.Or {
-		if r, live := narrowTo(r, top); live {
+		if r, live := stored(r); live {
 			or = append(or, r)
 		}
 	}
@@ -427,18 +447,18 @@ func (m *member) bind(t *FactTable, req *Member) error {
 
 // cellCols resolves the key columns of a cell member — its predicate
 // columns in canonical order — or nil when cells cannot be granted.
-func cellCols(t *FactTable, req *ScanRequest) []Codes {
+func cellCols(t *FactTable, req *ScanRequest) []levelCol {
 	order, ok := CellShape(req)
 	if !ok {
 		return nil
 	}
-	cols := make([]Codes, len(order))
+	cols := make([]levelCol, len(order))
 	for i, pi := range order {
 		p := &req.Predicates[pi]
 		if !fitsGroupKey(t.schema.LevelCardinality(p.Dim, p.Level)) {
 			return nil
 		}
-		cols[i] = t.dimLevels[p.Dim][p.Level]
+		cols[i] = t.levelOf(p.Dim, p.Level)
 	}
 	return cols
 }

@@ -11,8 +11,12 @@ import (
 
 // TestPlanDifferential is the one table behind "K-member ≡ 1-member ≡
 // reference": every case — the BENCH_scan.json shapes, the degenerate
-// predicate sets, constants beyond a column's width and each kind of keyed
-// member — is answered by the one plan (a) alone, (b) as member i, for
+// predicate sets, constants beyond a column's width, each kind of keyed
+// member, and predicates, Or-lists, GROUP BY and cell keys on coarse
+// levels that the table derives from its finest column (fanouts that shift
+// and fanouts that divide, a To past the level's last code or near the top
+// of uint32, coarse and finest levels of one dimension in one request) —
+// is answered by the one plan (a) alone, (b) as member i, for
 // every i, of a K = 8 plan whose other members differ in op, measure,
 // intervals, shape and keying, and (c) alone, chained through one state
 // across three stripes bound separately; each must equal the row-at-a-time
@@ -23,6 +27,13 @@ func TestPlanDifferential(t *testing.T) {
 	schema := benchSchema()
 	schema.Measures = append(schema.Measures, MeasureSpec{Name: "m2"})
 	schema.Texts = []TextSpec{{Name: "note"}}
+	// Two hierarchies whose coarse levels are derived: fanouts 256 and 32
+	// (shifts) over a two-byte finest column, and 100 and 20 (divisions).
+	schema.Dimensions = append(schema.Dimensions,
+		DimensionSpec{Name: "when", Levels: []LevelSpec{{Name: "year", Cardinality: 4}, {Name: "month", Cardinality: 32}, {Name: "hour", Cardinality: 1024}}},
+		DimensionSpec{Name: "where", Levels: []LevelSpec{{Name: "zone", Cardinality: 3}, {Name: "area", Cardinality: 15}, {Name: "site", Cardinality: 300}}},
+	)
+	const when, where = 3, 4
 	pool := make([]string, 300)
 	for i := range pool {
 		pool[i] = fmt.Sprintf("note-%03d", i)
@@ -94,6 +105,38 @@ func TestPlanDifferential(t *testing.T) {
 		planCase{"avg grouped by a text column", byText},
 		planCase{"min cell-granted", cells},
 	)
+	coarse := func(dim, level int, from, to uint32, or ...CodeRange) RangePredicate {
+		return RangePredicate{Dim: dim, Level: level, From: from, To: to, Or: or}
+	}
+	byCoarse := scalar(AggAvg, coarse(when, 1, 2, 29), coarse(where, 1, 1, 13))
+	byCoarse.GroupBy = []GroupCol{{Dim: when, Level: 1}, {Dim: where, Level: 0}, {Dim: when, Level: 0}}
+	byMixed := scalar(AggSum, coarse(where, 0, 0, 1))
+	byMixed.GroupBy = []GroupCol{{Dim: where, Level: 1}, {Dim: where, Level: 2}}
+	coarseCells := scalar(AggMax, coarse(when, 1, 0, 31), coarse(where, 1, 2, 14))
+	coarseCells.Cells = true
+	mixedCells := scalar(AggCount, coarse(when, 0, 1, 3), coarse(when, 2, 100, 900))
+	mixedCells.Cells = true
+	cases = append(cases,
+		planCase{"sum coarse range (shift)", scalar(AggSum, coarse(when, 1, 3, 20))},
+		planCase{"avg coarse range (division)", scalar(AggAvg, coarse(where, 1, 4, 9))},
+		planCase{"count coarse range past the level's last code", scalar(AggCount, coarse(when, 0, 2, 1000))},
+		planCase{"min coarse range to the top of uint32", scalar(AggMin, coarse(where, 0, 1, math.MaxUint32))},
+		planCase{"max coarse range wholly past the last code", scalar(AggMax, coarse(where, 1, 15, 20))},
+		planCase{"sum coarse or-list", scalar(AggSum, coarse(where, 1, 1, 2,
+			CodeRange{From: 5, To: 5}, CodeRange{From: 9, To: 14}, CodeRange{From: 13, To: 99}, CodeRange{From: 7, To: 6}))},
+		planCase{"avg coarse point-list", scalar(AggAvg, coarse(when, 1, 3, 3,
+			CodeRange{From: 7, To: 7}, CodeRange{From: 31, To: 31}, CodeRange{From: 40, To: 40}))},
+		planCase{"count coarse or-list past the last code", scalar(AggCount, coarse(when, 0, 9, 12,
+			CodeRange{From: 3, To: math.MaxUint32}))},
+		planCase{"sum coarse and finest of one dimension", scalar(AggSum,
+			coarse(when, 0, 1, 2), coarse(when, 2, 300, 900), coarse(where, 2, 50, 280), coarse(where, 0, 0, 1))},
+		planCase{"min coarse, coarser and finest of one dimension", scalar(AggMin,
+			coarse(where, 0, 1, 2), coarse(where, 1, 4, 12, CodeRange{From: 0, To: 0}), coarse(where, 2, 0, 250))},
+		planCase{"avg grouped by coarse levels", byCoarse},
+		planCase{"sum grouped by coarse and finest of one dimension", byMixed},
+		planCase{"max cell-granted on coarse levels", coarseCells},
+		planCase{"count cell-granted on coarse and finest of one dimension", mixedCells},
+	)
 
 	// reference answers m alone, row at a time. A cell member's cells are
 	// a GROUP BY of its predicate columns in canonical order.
@@ -162,7 +205,11 @@ func TestPlanDifferential(t *testing.T) {
 					}
 					o := Member{ScanRequest: ScanRequest{Op: AggOp(rng.Intn(5)), Measure: rng.Intn(2)}}
 					for _, p := range c.m.Predicates {
-						o.Predicates = append(o.Predicates, randPredOn(rng, fusedCol{text: p.Text, dim: p.Dim, level: p.Level, card: benchCard}))
+						card := benchCard
+						if !p.Text {
+							card = schema.LevelCardinality(p.Dim, p.Level)
+						}
+						o.Predicates = append(o.Predicates, randPredOn(rng, fusedCol{text: p.Text, dim: p.Dim, level: p.Level, card: card}))
 					}
 					rng.Shuffle(len(o.Predicates), func(a, b int) {
 						o.Predicates[a], o.Predicates[b] = o.Predicates[b], o.Predicates[a]

@@ -91,12 +91,12 @@ type ScanResult struct {
 	Rows  int64
 }
 
-// predCol resolves the code column a predicate filters.
-func predCol(t *FactTable, p RangePredicate) Codes {
+// predCol resolves the column view a predicate filters.
+func predCol(t *FactTable, p RangePredicate) levelCol {
 	if p.Text {
-		return t.texts[p.TextIndex]
+		return viewOf(t.texts[p.TextIndex], 1)
 	}
-	return t.dimLevels[p.Dim][p.Level]
+	return t.levelOf(p.Dim, p.Level)
 }
 
 // ScanRange runs the request sequentially over rows [lo, hi) and returns a
@@ -113,7 +113,7 @@ func ScanRange(t *FactTable, req ScanRequest, lo, hi int) (ScanResult, error) {
 			return ScanResult{}, fmt.Errorf("table: measure %d out of range", req.Measure)
 		}
 	}
-	cols := make([]Codes, len(req.Predicates))
+	cols := make([]levelCol, len(req.Predicates))
 	for i := range req.Predicates {
 		if err := validatePred(t, &req.Predicates[i]); err != nil {
 			return ScanResult{}, err
@@ -137,7 +137,7 @@ rowLoop:
 	for r := lo; r < hi; r++ {
 		for i := range req.Predicates {
 			p := &req.Predicates[i]
-			v := cols[i].At(r)
+			v := cols[i].at(r)
 			if len(p.Or) == 0 {
 				if v < p.From || v > p.To {
 					continue rowLoop

@@ -2,16 +2,19 @@
 // hybrid OLAP system operates on (paper Fig. 6): a 1-D array memory
 // structure "placing all columns of the table one after another", holding
 //
-//   - dimension columns — one integer column per (dimension, level) pair,
-//     used for filtration during query processing;
+//   - dimension columns — one integer column per dimension, its finest
+//     level's coordinates, used for filtration during query processing;
 //   - data columns — the measures that get aggregated;
 //   - text columns — dictionary-encoded to integer codes so no string ever
 //     reaches GPU memory (Sec. III-F).
 //
-// Every level of a dimension hierarchy (e.g. year → month → day → hour) is
-// its own column, so a condition C_L(f, t, l_K) addresses exactly one
-// column, and the number of conditions in a decomposed query Q_D equals the
-// number of columns the scan must read (eq. 12).
+// A coarser level of a dimension hierarchy (e.g. year → month → day → hour)
+// is not stored: its code is the finest code divided by the level's fanout,
+// so a condition C_L(f, t, l_K) on any level reads the dimension's one
+// column, bound to the finest codes [f, t] covers. The cost model keeps the
+// paper's count — one column per condition (eq. 12), every (dimension,
+// level) pair in C_TOTAL (eq. 13) — so its estimates do not depend on this
+// storage choice.
 package table
 
 import (

@@ -19,12 +19,9 @@ func Slice(t *FactTable, lo, hi int) (*FactTable, error) {
 		rows:   hi - lo,
 		dicts:  t.dicts,
 	}
-	s.dimLevels = make([][]Codes, len(t.dimLevels))
-	for d := range t.dimLevels {
-		s.dimLevels[d] = make([]Codes, len(t.dimLevels[d]))
-		for l := range t.dimLevels[d] {
-			s.dimLevels[d][l] = t.dimLevels[d][l].slice(lo, hi)
-		}
+	s.dims = make([]Codes, len(t.dims))
+	for d, col := range t.dims {
+		s.dims[d] = col.slice(lo, hi)
 	}
 	s.measures = make([][]float64, len(t.measures))
 	for m := range t.measures {

@@ -6,20 +6,23 @@ import (
 	"hybridolap/internal/dict"
 )
 
-// FactTable is an immutable columnar fact table. Every dimension-level
-// and text column is a Codes column — integer codes in the 8, 16 or 32
-// bits its cardinality needs — and measures are float64. Columns are
-// contiguous slices — the 1-D per-column layout the paper uses for maximum
-// GPU memory bandwidth.
+// FactTable is an immutable columnar fact table. Each dimension stores one
+// Codes column, its finest level's coordinates, and each text column one
+// of dictionary codes — integer codes in the 8, 16 or 32 bits the
+// cardinality needs; measures are float64. A coarser level is not stored:
+// its code is the finest code divided by the level's fanout, so a plan
+// binds a coarse predicate to the finest codes it covers and divides
+// group and cell keys (levelOf). Columns are contiguous slices — the 1-D
+// per-column layout the paper uses for maximum GPU memory bandwidth.
 type FactTable struct {
 	schema Schema
 	rows   int
 
-	// dimLevels[d][l] is the code column of dimension d at level l.
-	dimLevels [][]Codes
-	measures  [][]float64
-	texts     []Codes
-	dicts     *dict.Set
+	// dims[d] is the finest-level code column of dimension d.
+	dims     []Codes
+	measures [][]float64
+	texts    []Codes
+	dicts    *dict.Set
 }
 
 // Schema returns the table's schema.
@@ -32,9 +35,16 @@ func (t *FactTable) Rows() int { return t.rows }
 // the table has no text columns).
 func (t *FactTable) Dicts() *dict.Set { return t.dicts }
 
-// DimLevelColumn returns the code column of (dimension, level).
+// DimLevelColumn returns the code column of (dimension, level). The finest
+// level's is the stored column; a coarser level's is derived into a fresh
+// column at the width its cardinality needs — a copy per call, for cold
+// readers (cube builds) that walk a level row by row.
 func (t *FactTable) DimLevelColumn(dim, lvl int) Codes {
-	return t.dimLevels[dim][lvl]
+	v := t.levelOf(dim, lvl)
+	if v.div == 1 {
+		return v.col
+	}
+	return v.col.rolledUp(codeWidth(t.schema.LevelCardinality(dim, lvl)), v.div)
 }
 
 // MeasureColumn returns the data column of measure m.
@@ -49,10 +59,8 @@ func (t *FactTable) TextColumn(i int) Codes { return t.texts[i] }
 // compaction or a shard repair moves.
 func (t *FactTable) SizeBytes() int64 {
 	n := int64(len(t.measures)) * int64(t.rows) * 8
-	for _, levels := range t.dimLevels {
-		for _, col := range levels {
-			n += col.sizeBytes()
-		}
+	for _, col := range t.dims {
+		n += col.sizeBytes()
 	}
 	for _, col := range t.texts {
 		n += col.sizeBytes()
@@ -97,7 +105,7 @@ type Row struct {
 }
 
 // Append adds one tuple. Coarser-level coordinates are derived from the
-// finest coordinate at build time (exact roll-up by integer division).
+// finest coordinate when read (exact roll-up by integer division).
 func (b *Builder) Append(r Row) error {
 	if len(r.Coords) != len(b.schema.Dimensions) {
 		return fmt.Errorf("table: row has %d coords, schema has %d dimensions",
@@ -161,18 +169,18 @@ func grow[T any](s []T, n int) []T {
 	return append(make([]T, 0, len(s)+n), s...)
 }
 
-// Build freezes the builder: derives every level column from the finest
-// coordinates, builds per-column dictionaries (order-preserving Sorted
-// kind) and rewrites provisional text codes to final codes.
+// Build freezes the builder: stores each dimension's finest coordinates,
+// builds per-column dictionaries (order-preserving Sorted kind) and
+// rewrites provisional text codes to final codes.
 func (b *Builder) Build() (*FactTable, error) {
 	t := &FactTable{schema: b.schema, rows: b.rows}
-	t.dimLevels = make([][]Codes, len(b.schema.Dimensions))
+	t.dims = make([]Codes, len(b.schema.Dimensions))
 	for d, spec := range b.schema.Dimensions {
-		cols, err := levelColumns(spec, b.dimCoord[d])
+		col, err := finestColumn(spec, b.dimCoord[d])
 		if err != nil {
 			return nil, err
 		}
-		t.dimLevels[d] = cols
+		t.dims[d] = col
 	}
 	t.measures = b.measures
 	if len(b.schema.Texts) > 0 {
@@ -197,4 +205,4 @@ func (b *Builder) Build() (*FactTable, error) {
 }
 
 // CoordAt returns the coordinate of row r in dimension d at level l.
-func (t *FactTable) CoordAt(r, d, l int) uint32 { return t.dimLevels[d][l].At(r) }
+func (t *FactTable) CoordAt(r, d, l int) uint32 { return t.levelOf(d, l).at(r) }

@@ -243,9 +243,10 @@ func TestGenerateHierarchyConsistency(t *testing.T) {
 }
 
 // TestSizeBytes is the footprint floor: SizeBytes is the bytes the columns
-// actually store, and the paper's schema stores at most 38 of them a row
-// (8 level columns of one byte, 4 of two, two text columns of two, two
-// float64 measures: 36).
+// actually store — one finest-level column per dimension, coarser levels
+// derived — and the paper's schema stores at most 27 of them a row (three
+// finest columns of two bytes, two text columns of two, two float64
+// measures: 26).
 func TestSizeBytes(t *testing.T) {
 	ft, err := Generate(GenSpec{Schema: PaperSchema(), Rows: 100_000, Seed: 1})
 	if err != nil {
@@ -253,10 +254,8 @@ func TestSizeBytes(t *testing.T) {
 	}
 	var stored int64
 	for d, dim := range ft.Schema().Dimensions {
-		for l := range dim.Levels {
-			c := ft.DimLevelColumn(d, l)
-			stored += int64(c.Len() * c.Width())
-		}
+		c := ft.DimLevelColumn(d, dim.Finest())
+		stored += int64(c.Len() * c.Width())
 	}
 	for x := range ft.Schema().Texts {
 		c := ft.TextColumn(x)
@@ -268,8 +267,8 @@ func TestSizeBytes(t *testing.T) {
 	if got := ft.SizeBytes(); got != stored {
 		t.Fatalf("SizeBytes = %d, columns store %d", got, stored)
 	}
-	if perRow := float64(stored) / float64(ft.Rows()); perRow > 38 {
-		t.Fatalf("PaperSchema stores %.1f B/row, want <= 38", perRow)
+	if perRow := float64(stored) / float64(ft.Rows()); perRow > 27 {
+		t.Fatalf("PaperSchema stores %.1f B/row, want <= 27", perRow)
 	}
 	half, err := Slice(ft, 0, ft.Rows()/2)
 	if err != nil {

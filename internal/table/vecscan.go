@@ -309,32 +309,54 @@ func (m *member) accumulateRun(st *ScanResult, lo, hi int) {
 	}
 }
 
-// gatherKeys shifts the code of each selected row (base + its offset) into
-// the low 16 bits of its key; len(keys) == len(sel).
+// gatherKeys shifts the level code of each selected row (base + its
+// offset), the stored code >> shift, into the low 16 bits of its key;
+// len(keys) == len(sel).
 //
 //olaplint:noalloc
-func gatherKeys[T code](keys []GroupKey, col []T, base int, sel []int32) {
+func gatherKeys[T code](keys []GroupKey, col []T, base int, sel []int32, shift uint8) {
 	for j := range keys {
-		keys[j] = keys[j]<<16 | GroupKey(col[base+int(sel[j])])&0xFFFF
+		keys[j] = keys[j]<<16 | GroupKey(col[base+int(sel[j])]>>shift)&0xFFFF
+	}
+}
+
+// gatherKeysDiv is gatherKeys for a fanout that is not a power of two.
+//
+//olaplint:noalloc
+func gatherKeysDiv[T code](keys []GroupKey, col []T, base int, sel []int32, div T) {
+	for j := range keys {
+		keys[j] = keys[j]<<16 | GroupKey(col[base+int(sel[j])]/div)&0xFFFF
+	}
+}
+
+// gather dispatches one key column's fanout once per batch.
+//
+//olaplint:noalloc
+func gather[T code](keys []GroupKey, col []T, base int, sel []int32, gc *levelCol) {
+	if gc.div == 1<<gc.shift {
+		gatherKeys(keys, col, base, sel, gc.shift)
+	} else {
+		gatherKeysDiv(keys, col, base, sel, T(gc.div))
 	}
 }
 
 // keysOf packs the member's key coordinates of the selected rows into
 // keys[:len(sel)], a column at a time: each key column is read at its own
-// width, chosen once per batch.
+// width and divided by its own fanout, both chosen once per batch.
 //
 //olaplint:noalloc
 func (m *member) keysOf(base int, sel []int32, keys []GroupKey) []GroupKey {
 	keys = keys[:len(sel)]
 	clear(keys)
-	for _, gc := range m.gcols {
+	for i := range m.gcols {
+		gc := &m.gcols[i]
 		switch {
-		case gc.u8 != nil:
-			gatherKeys(keys, gc.u8, base, sel)
-		case gc.u16 != nil:
-			gatherKeys(keys, gc.u16, base, sel)
+		case gc.col.u8 != nil:
+			gather(keys, gc.col.u8, base, sel, gc)
+		case gc.col.u16 != nil:
+			gather(keys, gc.col.u16, base, sel, gc)
 		default:
-			gatherKeys(keys, gc.u32, base, sel)
+			gather(keys, gc.col.u32, base, sel, gc)
 		}
 	}
 	return keys
