@@ -81,12 +81,16 @@ bench:
 # The A/B for an edit to the vectorized kernels or the one batch loop
 # (internal/table/vecscan.go): every BENCH_scan.json shape, the batch-size
 # sweep that justifies BatchSize, the grouped kernel and fan-in 1 vs 8,
-# each against the row-at-a-time reference. Run it on the parent commit
-# and on the change, alternating (or build both with `go test -c` and
-# alternate the binaries), and compare per sub-benchmark; EXPERIMENTS.md
-# "One bound plan" shows the form.
+# each against the row-at-a-time reference. Then the cube fold
+# (internal/cube/aggregate.go) per box shape — whole, partly covered and
+# compressed chunks, one and two group keys — in MB/s of the box's
+# logical bytes, to read against a stream-triad bandwidth. Run it on the
+# parent commit and on the change, alternating (or build both with `go
+# test -c` and alternate the binaries), and compare per sub-benchmark;
+# EXPERIMENTS.md "One bound plan" shows the form.
 bench-kernels:
 	$(GO) test ./internal/table -run '^$$' -bench 'ScanKernels|GroupScanKernels' -benchtime 20x -count 5
+	$(GO) test ./internal/cube -run '^$$' -bench 'CubeFold' -benchtime 20x -count 5
 
 # One iteration of every benchmark — catches bitrot in benchmark code
 # (compile errors, renamed kernels, broken fixtures) without paying for a

@@ -84,14 +84,12 @@ type Config struct {
 	QuarantineThreshold int
 	ReprobeSeconds      float64
 	// EvictThreshold escalates the health machine: a node quarantined
-	// this many times within EvictWindowSeconds is declared dead (its
+	// this many times within 60 s is declared dead (its
 	// shards become under-replicated and the repair controller takes
 	// over). 0 — the default — disables escalation, preserving the PR-9
 	// behaviour where a flapping node only ever cycles through
 	// quarantine.
 	EvictThreshold int
-	// EvictWindowSeconds is the escalation window (default 60).
-	EvictWindowSeconds float64
 	// KillGraceSeconds declares a killed node dead once it has been down
 	// this long: KillNode models a transient crash, the grace period is
 	// what turns it into a permanent loss. 0 — the default — means kills
@@ -305,7 +303,7 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 		// olaplint:seededrand repair backoff jitter (deterministic drills)
 		repairRng: rand.New(rand.NewSource(cfg.RepairSeed*2_000_033 + 17)),
 	}
-	c.health.SetEviction(cfg.EvictThreshold, cfg.EvictWindowSeconds)
+	c.health.SetEviction(cfg.EvictThreshold, 0) // the tracker's 60 s window
 	for i := range c.killedAt {
 		c.killedAt[i] = -1
 	}

@@ -162,17 +162,7 @@ func (c *Cluster) answerOnNodeCPU(nd *node, s int, sp subQuerySpec, op table.Agg
 	if err != nil {
 		return table.ScanResult{}, err
 	}
-	if op == table.AggCount {
-		return table.ScanResult{Rows: agg.Count}, nil
-	}
-	if agg.Count == 0 {
-		return table.ScanResult{}, nil
-	}
-	v := agg.Min
-	if op == table.AggMax {
-		v = agg.Max
-	}
-	return table.ScanResult{Value: v, Rows: agg.Count}, nil
+	return agg.Result(op), nil
 }
 
 // Query answers a scalar query across every shard: translate once at the

@@ -25,16 +25,6 @@ type subQuerySpec struct {
 	boxEmpty  bool
 }
 
-// cpuSafeOp reports whether the op's partials are fold-order-insensitive,
-// so a shard-total cube answer can stand in for the shard's chunk-order
-// partials without changing a single bit: counts are integers, min/max
-// select an existing value. Sum and avg accumulate floats and MUST go
-// through the chunk grid, or the answer would depend on which shards took
-// the CPU path.
-func cpuSafeOp(op table.AggOp) bool {
-	return op == table.AggCount || op == table.AggMin || op == table.AggMax
-}
-
 // specFor derives the sub-query spec from a translated query.
 func (c *Cluster) specFor(q *query.Query, req table.ScanRequest, groupCols int) subQuerySpec {
 	sp := subQuerySpec{
@@ -43,7 +33,9 @@ func (c *Cluster) specFor(q *query.Query, req table.ScanRequest, groupCols int) 
 		needsMeas: req.Op != table.AggCount,
 		groupCols: groupCols,
 	}
-	if groupCols == 0 && cpuSafeOp(q.Op) && !q.GPUOnly() && (q.Op == table.AggCount || q.Measure == 0) {
+	// A shard-total cube answer stands in for the shard's chunk partials
+	// bit for bit only for an order-free op; sum and avg take the grid.
+	if groupCols == 0 && q.Op.OrderFree() && !q.GPUOnly() && (q.Op == table.AggCount || q.Measure == 0) {
 		r := q.Resolution()
 		box, empty, err := q.Box(c.schema, r)
 		if err == nil {

@@ -3,66 +3,118 @@ package cube
 import (
 	"runtime"
 	"sync"
+
+	"hybridolap/internal/table"
 )
 
 // Aggregate folds every cell of the box (in this cube's level coordinates)
-// into a single Agg. workers <= 1 runs sequentially; otherwise the chunks
-// intersecting the box are statically partitioned across workers — the
-// parallel OpenMP loop of the paper, expressed as a goroutine fork/join.
+// into a single Agg: the fold with no group key.
 //
 // The returned Agg answers sum, count, avg, min and max simultaneously.
 func (c *Cube) Aggregate(box Box, workers int) (Agg, error) {
+	f, err := c.fold(box, nil, workers)
+	return f.agg, err
+}
+
+// fold is the one CPU driver behind Aggregate and AggregateGroups. The
+// chunks intersecting the box are statically partitioned across workers —
+// the parallel OpenMP loop of the paper, expressed as a goroutine
+// fork/join — and the partials merge in worker order. workers <= 0 means
+// GOMAXPROCS; 1 runs on the caller's goroutine. The answer depends on the
+// box and the worker count only, never on scheduling.
+func (c *Cube) fold(box Box, specs []GroupSpec, workers int) (cubeFold, error) {
 	if err := box.validate(c.cards); err != nil {
-		return Agg{}, err
+		return cubeFold{}, err
 	}
 	sc := aggScratchPool.Get().(*aggScratch)
 	defer aggScratchPool.Put(sc)
 	items := c.intersectingChunks(box, sc)
-	if len(items) == 0 {
-		return Agg{}, nil
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(items) {
 		workers = len(items)
 	}
-	if workers == 1 {
-		var acc Agg
-		for i := range items {
-			acc = acc.Merge(c.aggregateChunk(items[i]))
-		}
-		return acc, nil
+	if workers <= 1 {
+		return c.foldItems(items, specs), nil
 	}
 
-	partials := make([]Agg, workers)
+	partials := make([]cubeFold, workers)
 	var wg sync.WaitGroup
 	stripe := (len(items) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := w * stripe
-		hi := lo + stripe
-		if hi > len(items) {
-			hi = len(items)
-		}
+		hi := min(lo+stripe, len(items))
 		if lo >= hi {
 			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int, chunks []workItem) {
 			defer wg.Done()
-			var acc Agg
-			for i := lo; i < hi; i++ {
-				acc = acc.Merge(c.aggregateChunk(items[i]))
-			}
-			partials[w] = acc
-		}(w, lo, hi)
+			partials[w] = c.foldItems(chunks, specs)
+		}(w, items[lo:hi])
 	}
 	wg.Wait()
-	var acc Agg
-	for _, p := range partials {
-		acc = acc.Merge(p)
+	f := partials[0]
+	for _, p := range partials[1:] {
+		f.merge(p)
 	}
-	return acc, nil
+	return f, nil
+}
+
+// cubeFold is one worker's accumulator. Without group specs it is a scalar
+// fold: each chunk's cells fold into a chunk partial, which merges into
+// agg. With specs, cells fold straight into groups under their packed key.
+type cubeFold struct {
+	c      *Cube
+	specs  []GroupSpec
+	agg    Agg
+	groups map[table.GroupKey]Agg
+}
+
+// foldItems folds one worker's stripe of chunks into a fresh partial.
+func (c *Cube) foldItems(items []workItem, specs []GroupSpec) cubeFold {
+	f := cubeFold{c: c, specs: specs}
+	if len(specs) > 0 {
+		f.groups = make(map[table.GroupKey]Agg)
+	}
+	for i := range items {
+		f.chunk(items[i])
+	}
+	return f
+}
+
+// merge folds a later worker's partial into f.
+func (f *cubeFold) merge(p cubeFold) {
+	f.agg = f.agg.Merge(p.agg)
+	for k, v := range p.groups {
+		f.groups[k] = f.groups[k].Merge(v)
+	}
+}
+
+// chunk folds one chunk's overlap with the box. A scalar fold takes a
+// whole chunk in one run kernel — the cells array of a compressed chunk
+// stores filled cells only, and a dense chunk's occupancy says whether the
+// per-cell Count != 0 test can drop out — and walks a partly covered one.
+// A grouped fold walks every chunk.
+func (f *cubeFold) chunk(it workItem) {
+	ch := f.c.chunks[it.chunkIdx]
+	if f.groups != nil {
+		f.walk(it, ch)
+		return
+	}
+	var part Agg
+	switch {
+	case !it.whole:
+		part = f.walk(it, ch)
+	case !ch.isDense():
+		part.foldRunFull(ch.cells)
+	case ch.filled == len(ch.dense):
+		part.foldRunFull(ch.dense)
+	default:
+		part.foldRun(ch.dense)
+	}
+	f.agg = f.agg.Merge(part)
 }
 
 // workItem pairs a chunk index with the box↔chunk overlap in chunk-local
@@ -80,10 +132,10 @@ type workItem struct {
 // chunks per query at millions of queries, so the steady-state enumeration
 // now draws everything from this pool and allocates nothing.
 type aggScratch struct {
-	items      []workItem
-	locals     []Range // slab: items[i].local = locals[i*n : (i+1)*n]
-	gFrom, gTo []int
-	gc         []int
+	items  []workItem
+	locals []Range // slab: items[i].local = locals[i*n : (i+1)*n]
+	span   Box     // the chunk-grid box the box intersects
+	gc     []int
 }
 
 var aggScratchPool = sync.Pool{New: func() any { return new(aggScratch) }}
@@ -101,25 +153,25 @@ func grow(s []int, n int) []int {
 // pooled again; callers must not retain it).
 func (c *Cube) intersectingChunks(box Box, sc *aggScratch) []workItem {
 	n := len(c.cards)
-	sc.gFrom = grow(sc.gFrom, n)
-	sc.gTo = grow(sc.gTo, n)
+	if cap(sc.span) < n {
+		sc.span = make(Box, n)
+	}
 	sc.gc = grow(sc.gc, n)
-	gFrom, gTo, gc := sc.gFrom, sc.gTo, sc.gc
+	span, gc := sc.span[:n], sc.gc
 	// The grid sub-box is known up front, so the locals slab can be sized
 	// exactly: no append ever reallocates it mid-enumeration (items alias
 	// into it, so a reallocation would orphan earlier boxes).
 	nChunks := 1
 	for d, r := range box {
-		gFrom[d] = int(r.From) / c.side
-		gTo[d] = int(r.To) / c.side
-		nChunks *= gTo[d] - gFrom[d] + 1
+		span[d] = Range{From: r.From / uint32(c.side), To: r.To / uint32(c.side)}
+		gc[d] = int(span[d].From)
+		nChunks *= int(span[d].Width())
 	}
 	if cap(sc.locals) < nChunks*n {
 		sc.locals = make([]Range, 0, nChunks*n)
 	}
 	sc.locals = sc.locals[:0]
 	sc.items = sc.items[:0]
-	copy(gc, gFrom)
 	for {
 		idx := 0
 		whole := true
@@ -152,113 +204,134 @@ func (c *Cube) intersectingChunks(box Box, sc *aggScratch) []workItem {
 		} else {
 			sc.locals = sc.locals[:off] // chunk empty: hand the slab space back
 		}
-		// Odometer increment over [gFrom, gTo].
-		d := n - 1
-		for d >= 0 {
-			gc[d]++
-			if gc[d] <= gTo[d] {
-				break
-			}
-			gc[d] = gFrom[d]
-			d--
-		}
-		if d < 0 {
-			break
+		if !step(gc, span) {
+			return sc.items
 		}
 	}
-	return sc.items
 }
 
-// aggregateChunk folds the overlap region of one chunk.
-func (c *Cube) aggregateChunk(it workItem) Agg {
-	ch := c.chunks[it.chunkIdx]
-	var acc Agg
-	if ch == nil {
-		return acc
-	}
+// walk visits the overlap of one chunk: a dense chunk one contiguous run
+// along the last dimension at a time, a compressed chunk one stored offset
+// at a time. A scalar fold's visits fold into the chunk partial it returns
+// (dense runs of a fully occupied chunk skip the occupancy test), a grouped
+// fold's into the group map.
+func (f *cubeFold) walk(it workItem, ch *chunk) (part Agg) {
+	c := f.c
+	grouped := f.groups != nil
 	n := len(c.cards)
-	if !ch.isDense() {
-		// Compressed chunk. Entirely-contained chunks fold every entry —
-		// the cells array stores filled cells only, so the full-run kernel
-		// applies with no occupancy test. A partial overlap decodes each
-		// offset and tests membership.
-		if it.whole {
-			acc.foldRunFull(ch.cells)
-			return acc
+	last := n - 1
+	// origin is the chunk's first cell in cube coordinates (a grouped
+	// fold's keys need it), at the visited run's first cell in chunk
+	// coordinates. The fixed backing array keeps both on the stack for every
+	// realistic dimensionality.
+	var buf [16]int
+	coords := buf[:]
+	if 2*n > len(buf) {
+		coords = make([]int, 2*n)
+	}
+	origin, at := coords[:n], coords[n:2*n]
+	if grouped {
+		ci := it.chunkIdx
+		for d := len(origin) - 1; d >= 0; d-- {
+			origin[d] = ci % c.grid[d] * c.side
+			ci /= c.grid[d]
 		}
+	}
+	if !ch.isDense() {
 		for k, off := range ch.offsets {
 			o := int(off)
 			inside := true
 			// Decode local coords last-dimension-first.
-			for d := n - 1; d >= 0; d-- {
-				x := uint32(o % c.side)
+			for d := len(at) - 1; d >= 0; d-- {
+				x := o % c.side
 				o /= c.side
-				if x < it.local[d].From || x > it.local[d].To {
+				if x < int(it.local[d].From) || x > int(it.local[d].To) {
 					inside = false
 					break
 				}
+				at[d] = x
 			}
-			if inside {
-				acc.fold(ch.cells[k])
+			switch {
+			case !inside:
+			case grouped:
+				f.groupRun(origin, at, ch.cells[k:k+1])
+			default:
+				part.fold(ch.cells[k])
 			}
 		}
-		return acc
+		return part
 	}
 
-	// Dense chunk: stream contiguous runs along the last dimension. When
-	// occupancy metadata says every cell is filled, the per-cell
-	// Count != 0 test drops out of the run kernel entirely.
+	runLen := int(it.local[last].To-it.local[last].From) + 1
+	for d := range at {
+		at[d] = int(it.local[d].From)
+	}
+	outer := at[:last]
+	// The fold of a run stays inline in each loop: a call anywhere in the
+	// scalar loop would spill its running partial around every run.
+	if grouped {
+		for ok := true; ok; ok = step(outer, it.local) {
+			base := c.runOffset(at)
+			f.groupRun(origin, at, ch.dense[base:base+runLen])
+		}
+		return part
+	}
 	full := ch.filled == len(ch.dense)
-	if it.whole {
+	for ok := true; ok; ok = step(outer, it.local) {
+		base := c.runOffset(at)
 		if full {
-			acc.foldRunFull(ch.dense)
+			part.foldRunFull(ch.dense[base : base+runLen])
 		} else {
-			acc.foldRun(ch.dense)
+			part.foldRun(ch.dense[base : base+runLen])
 		}
-		return acc
 	}
-	last := n - 1
-	runFrom := int(it.local[last].From)
-	runLen := int(it.local[last].To) - runFrom + 1
-	// Odometer over the outer dimensions. The fixed backing array keeps
-	// the odometer on the stack for every realistic dimensionality.
-	var outerBuf [8]int
-	outer := outerBuf[:0]
-	if last > len(outerBuf) {
-		outer = make([]int, last)
-	} else {
-		outer = outerBuf[:last]
+	return part
+}
+
+// runOffset returns the chunk offset of the cell at chunk coordinates at.
+func (c *Cube) runOffset(at []int) int {
+	off := 0
+	for _, x := range at {
+		off = off*c.side + x
 	}
-	for d := 0; d < last; d++ {
-		outer[d] = int(it.local[d].From)
+	return off
+}
+
+// step advances the odometer at through bounds, the last dimension
+// fastest: at[d] ranges over bounds[d] for every d < len(at). It reports
+// false, with at back at the first corner, once every position has been
+// visited. The chunk enumeration steps the chunk grid with it, and the
+// dense walk the outer dimensions of a chunk's overlap, one run apiece.
+func step(at []int, bounds Box) bool {
+	for d := len(at) - 1; d >= 0; d-- {
+		at[d]++
+		if at[d] <= int(bounds[d].To) {
+			return true
+		}
+		at[d] = int(bounds[d].From)
 	}
-	for {
-		base := 0
-		for d := 0; d < last; d++ {
-			base = base*c.side + outer[d]
+	return false
+}
+
+// groupRun folds one run of cells — consecutive along the last dimension,
+// the first at chunk coordinates at — into the group map, keyed by
+// table.PackKey order over the group coordinates in spec order.
+func (f *cubeFold) groupRun(origin, at []int, run []Cell) {
+	last := len(at) - 1
+	for i := range run {
+		if run[i].Count == 0 {
+			continue
 		}
-		base = base*c.side + runFrom
-		run := ch.dense[base : base+runLen]
-		if full {
-			acc.foldRunFull(run)
-		} else {
-			acc.foldRun(run)
-		}
-		if last == 0 {
-			break
-		}
-		d := last - 1
-		for d >= 0 {
-			outer[d]++
-			if outer[d] <= int(it.local[d].To) {
-				break
+		var k table.GroupKey
+		for _, sp := range f.specs {
+			x := origin[sp.Dim] + at[sp.Dim]
+			if sp.Dim == last {
+				x += i
 			}
-			outer[d] = int(it.local[d].From)
-			d--
+			k = k<<16 | table.GroupKey(uint32(x)/sp.Ratio&0xFFFF)
 		}
-		if d < 0 {
-			break
-		}
+		a := f.groups[k]
+		a.fold(run[i])
+		f.groups[k] = a
 	}
-	return acc
 }

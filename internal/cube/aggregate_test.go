@@ -154,3 +154,34 @@ func TestAggregateSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state sequential Aggregate allocates %v objects/op; want 0", allocs)
 	}
 }
+
+// TestAggregateGroupsAllocsFlatInChunks pins the grouped walk's
+// allocation profile: a sequential AggregateGroups allocates for its group
+// map, never per chunk, so a 64-chunk box costs what a 4-chunk box with the
+// same groups costs.
+func TestAggregateGroupsAllocsFlatInChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c, err := BuildSynthetic(0, []int{64, 64}, 0.7, 3, Config{ChunkSide: 8, Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ratio 64 folds either box into the one group (0, 0).
+	specs := []GroupSpec{{Dim: 0, Ratio: 64}, {Dim: 1, Ratio: 64}}
+	allocs := func(box Box) float64 {
+		if _, err := c.AggregateGroups(box, specs, 1); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := c.AggregateGroups(box, specs, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := allocs(Box{{From: 0, To: 15}, {From: 0, To: 15}})
+	large := allocs(Box{{From: 0, To: 63}, {From: 0, To: 63}})
+	if large != small {
+		t.Fatalf("sequential AggregateGroups allocates %v objects/op over 64 chunks, %v over 4; want the same", large, small)
+	}
+}

@@ -11,7 +11,11 @@
 // statically across workers.
 package cube
 
-import "fmt"
+import (
+	"fmt"
+
+	"hybridolap/internal/table"
+)
 
 // Cell is one aggregate cell of the cube. It carries enough state to answer
 // sum, count, avg, min and max queries exactly, matching what a fact-table
@@ -132,24 +136,8 @@ func (a *Agg) foldRunFull(run []Cell) {
 
 // Merge combines two partial aggregates.
 func (a Agg) Merge(b Agg) Agg {
-	var out Agg
-	switch {
-	case a.Count == 0:
-		return b
-	case b.Count == 0:
-		return a
-	}
-	out.Sum = a.Sum + b.Sum
-	out.Count = a.Count + b.Count
-	out.Min = a.Min
-	if b.Min < out.Min {
-		out.Min = b.Min
-	}
-	out.Max = a.Max
-	if b.Max > out.Max {
-		out.Max = b.Max
-	}
-	return out
+	a.fold(Cell(b))
+	return a
 }
 
 // Avg returns Sum/Count (0 for an empty aggregate).
@@ -158,6 +146,23 @@ func (a Agg) Avg() float64 {
 		return 0
 	}
 	return a.Sum / float64(a.Count)
+}
+
+// Result is the answer to op in the pre-finalise form of a scan partial:
+// sum and avg carry the raw sum, min and max the selected value, count the
+// row count alone. table.Finalize (or FinalizeGroups) completes it, and
+// table.Merge combines it with other partials of the same op.
+func (a Agg) Result(op table.AggOp) table.ScanResult {
+	r := table.ScanResult{Rows: a.Count}
+	switch op {
+	case table.AggSum, table.AggAvg:
+		r.Value = a.Sum
+	case table.AggMin:
+		r.Value = a.Min
+	case table.AggMax:
+		r.Value = a.Max
+	}
+	return r
 }
 
 // Range is an inclusive coordinate interval in one dimension, the paper's

@@ -2,7 +2,6 @@ package cube
 
 import (
 	"fmt"
-	"sync"
 
 	"hybridolap/internal/table"
 )
@@ -16,13 +15,10 @@ type GroupSpec struct {
 }
 
 // AggregateGroups folds every cell of the box into per-group aggregates,
-// keyed by table.PackKey over the group coordinates in spec order. The
-// same chunk partitioning as Aggregate drives the parallelism; each worker
-// accumulates a private map and the maps merge at the barrier.
+// keyed by table.PackKey over the group coordinates in spec order. It is
+// Aggregate's driver with a group key: each worker accumulates a private
+// map and the maps merge in worker order.
 func (c *Cube) AggregateGroups(box Box, specs []GroupSpec, workers int) (map[table.GroupKey]Agg, error) {
-	if err := box.validate(c.cards); err != nil {
-		return nil, err
-	}
 	if len(specs) == 0 || len(specs) > table.MaxGroupCols {
 		return nil, fmt.Errorf("cube: need 1..%d group specs, got %d", table.MaxGroupCols, len(specs))
 	}
@@ -37,128 +33,8 @@ func (c *Cube) AggregateGroups(box Box, specs []GroupSpec, workers int) (map[tab
 			return nil, fmt.Errorf("cube: %d groups in dimension %d exceeds 65536", groups, sp.Dim)
 		}
 	}
-	sc := aggScratchPool.Get().(*aggScratch)
-	defer aggScratchPool.Put(sc)
-	items := c.intersectingChunks(box, sc)
-	if len(items) == 0 {
-		return map[table.GroupKey]Agg{}, nil
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers == 1 {
-		acc := make(map[table.GroupKey]Agg)
-		for _, it := range items {
-			c.groupChunk(it, specs, acc)
-		}
-		return acc, nil
-	}
-	partials := make([]map[table.GroupKey]Agg, workers)
-	var wg sync.WaitGroup
-	stripe := (len(items) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*stripe, (w+1)*stripe
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := make(map[table.GroupKey]Agg)
-			for i := lo; i < hi; i++ {
-				c.groupChunk(items[i], specs, acc)
-			}
-			partials[w] = acc
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	acc := make(map[table.GroupKey]Agg)
-	for _, p := range partials {
-		for k, v := range p {
-			acc[k] = acc[k].Merge(v)
-		}
-	}
-	return acc, nil
-}
-
-// groupChunk folds one chunk's overlap into the group map.
-func (c *Cube) groupChunk(it workItem, specs []GroupSpec, acc map[table.GroupKey]Agg) {
-	ch := c.chunks[it.chunkIdx]
-	if ch == nil {
-		return
-	}
-	n := len(c.cards)
-	// Chunk grid coordinates → base global coordinates.
-	base := make([]uint32, n)
-	ci := it.chunkIdx
-	for d := n - 1; d >= 0; d-- {
-		base[d] = uint32(ci%c.grid[d]) * uint32(c.side)
-		ci /= c.grid[d]
-	}
-	keyOf := func(local []uint32) table.GroupKey {
-		var k table.GroupKey
-		for _, sp := range specs {
-			g := (base[sp.Dim] + local[sp.Dim]) / sp.Ratio
-			k = k<<16 | table.GroupKey(g&0xFFFF)
-		}
-		return k
-	}
-	fold := func(local []uint32, cell Cell) {
-		k := keyOf(local)
-		a := acc[k]
-		a.fold(cell)
-		acc[k] = a
-	}
-	local := make([]uint32, n)
-	if !ch.isDense() {
-		for i, off := range ch.offsets {
-			o := int(off)
-			inside := true
-			for d := n - 1; d >= 0; d-- {
-				x := uint32(o % c.side)
-				o /= c.side
-				local[d] = x
-				if x < it.local[d].From || x > it.local[d].To {
-					inside = false
-				}
-			}
-			if inside {
-				fold(local, ch.cells[i])
-			}
-		}
-		return
-	}
-	// Dense: odometer over the local overlap.
-	for d := 0; d < n; d++ {
-		local[d] = it.local[d].From
-	}
-	for {
-		off := 0
-		for d := 0; d < n; d++ {
-			off = off*c.side + int(local[d])
-		}
-		if cell := ch.dense[off]; cell.Count != 0 {
-			fold(local, cell)
-		}
-		d := n - 1
-		for d >= 0 {
-			local[d]++
-			if local[d] <= it.local[d].To {
-				break
-			}
-			local[d] = it.local[d].From
-			d--
-		}
-		if d < 0 {
-			break
-		}
-	}
+	f, err := c.fold(box, specs, workers)
+	return f.groups, err
 }
 
 // GroupLevel names a grouping column at the query level: dimension Dim
@@ -174,19 +50,9 @@ type GroupLevel struct {
 func (s *Set) AggregateGroups(box Box, r int, groups []GroupLevel, workers int) (map[table.GroupKey]Agg, error) {
 	need := r
 	for _, g := range groups {
-		if g.Level > need {
-			need = g.Level
-		}
+		need = max(need, g.Level)
 	}
-	l, ok := s.PickLevel(need)
-	if !ok {
-		return nil, fmt.Errorf("cube: no stored cube at level >= %d", need)
-	}
-	c, ok := s.cubes[l]
-	if !ok {
-		return nil, fmt.Errorf("cube: level %d is virtual (estimation only)", l)
-	}
-	eb, err := s.ExpandBox(box, r, l)
+	c, eb, err := s.pick(box, r, need)
 	if err != nil {
 		return nil, err
 	}
@@ -195,18 +61,7 @@ func (s *Set) AggregateGroups(box Box, r int, groups []GroupLevel, workers int) 
 		if g.Dim < 0 || g.Dim >= len(s.schema.Dimensions) {
 			return nil, fmt.Errorf("cube: group dimension %d out of range", g.Dim)
 		}
-		dim := s.schema.Dimensions[g.Dim]
-		gl, cl := g.Level, l
-		if gl > dim.Finest() {
-			gl = dim.Finest()
-		}
-		if cl > dim.Finest() {
-			cl = dim.Finest()
-		}
-		specs[i] = GroupSpec{
-			Dim:   g.Dim,
-			Ratio: uint32(dim.Levels[cl].Cardinality / dim.Levels[gl].Cardinality),
-		}
+		specs[i] = GroupSpec{Dim: g.Dim, Ratio: s.ratio(g.Dim, g.Level, c.Level())}
 	}
 	return c.AggregateGroups(eb, specs, workers)
 }

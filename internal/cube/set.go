@@ -125,18 +125,19 @@ func (s *Set) ExpandBox(box Box, fromLevel, toLevel int) (Box, error) {
 		return nil, fmt.Errorf("cube: cannot answer level-%d query at coarser level %d", fromLevel, toLevel)
 	}
 	out := make(Box, len(box))
-	for d, dim := range s.schema.Dimensions {
-		fl, cl := fromLevel, toLevel
-		if fl > dim.Finest() {
-			fl = dim.Finest()
-		}
-		if cl > dim.Finest() {
-			cl = dim.Finest()
-		}
-		ratio := uint32(dim.Levels[cl].Cardinality / dim.Levels[fl].Cardinality)
+	for d := range out {
+		ratio := s.ratio(d, fromLevel, toLevel)
 		out[d] = Range{From: box[d].From * ratio, To: (box[d].To+1)*ratio - 1}
 	}
 	return out, nil
+}
+
+// ratio is how many toLevel coordinates of dimension d one fromLevel
+// coordinate spans; both levels clamp at the dimension's finest.
+func (s *Set) ratio(d, fromLevel, toLevel int) uint32 {
+	dim := &s.schema.Dimensions[d]
+	fl, tl := min(fromLevel, dim.Finest()), min(toLevel, dim.Finest())
+	return uint32(dim.Levels[tl].Cardinality / dim.Levels[fl].Cardinality)
 }
 
 // SubCubeBytes estimates the sub-cube size (eq. 3) a query at resolution r
@@ -160,15 +161,7 @@ func (s *Set) SubCubeBytes(box Box, r int) (int64, bool) {
 // parallel) aggregation. It fails when the picked level is virtual. The
 // chosen cube is returned for telemetry.
 func (s *Set) Aggregate(box Box, r, workers int) (Agg, *Cube, error) {
-	l, ok := s.PickLevel(r)
-	if !ok {
-		return Agg{}, nil, fmt.Errorf("cube: no stored cube at level >= %d", r)
-	}
-	c, ok := s.cubes[l]
-	if !ok {
-		return Agg{}, nil, fmt.Errorf("cube: level %d is virtual (estimation only)", l)
-	}
-	eb, err := s.ExpandBox(box, r, l)
+	c, eb, err := s.pick(box, r, r)
 	if err != nil {
 		return Agg{}, nil, err
 	}
@@ -177,6 +170,24 @@ func (s *Set) Aggregate(box Box, r, workers int) (Agg, *Cube, error) {
 		return Agg{}, nil, err
 	}
 	return agg, c, nil
+}
+
+// pick returns the stored cube at the coarsest level >= need and the box,
+// given at resolution r, expanded into that cube's coordinates.
+func (s *Set) pick(box Box, r, need int) (*Cube, Box, error) {
+	l, ok := s.PickLevel(need)
+	if !ok {
+		return nil, nil, fmt.Errorf("cube: no stored cube at level >= %d", need)
+	}
+	c, ok := s.cubes[l]
+	if !ok {
+		return nil, nil, fmt.Errorf("cube: level %d is virtual (estimation only)", l)
+	}
+	eb, err := s.ExpandBox(box, r, l)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, eb, nil
 }
 
 // TotalStorageBytes sums the in-memory footprint of all materialised cubes

@@ -421,12 +421,6 @@ func (c *resultCache) advance(snap *table.Snapshot) {
 	close(landed)
 }
 
-// orderFree reports whether partial results of op merge exactly whatever
-// order their rows were scanned in: the ops whose answer is its own fold.
-func orderFree(op table.AggOp) bool {
-	return op == table.AggCount || op == table.AggMin || op == table.AggMax
-}
-
 // anchorFor returns the first anchor a request with the given signature
 // and cell intervals folds from, or nil.
 func anchorFor(anchors []*cacheEntry, sig string, ivals []cacheInterval) *cacheEntry {
@@ -643,7 +637,7 @@ func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, ans gp
 	// concurrent lookups.
 	sig, key := cacheKeys(req, order)
 	e := &cacheEntry{key: key, op: req.Op, result: ans.Result, fold: ans.Fold, queue: queue}
-	if e.fold == nil && orderFree(req.Op) {
+	if e.fold == nil && req.Op.OrderFree() {
 		e.fold = &gpusim.Fold{Full: ans.Result}
 	}
 	if cells := ans.Cells; cells != nil && cellShaped {

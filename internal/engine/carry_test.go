@@ -211,7 +211,7 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 		}
 		desc := fmt.Sprintf("epoch %d query %d (%v, hit=%v subsumed=%v, queue %s)",
 			snap.Epoch(), qi, q.Op, out.CacheHit, out.Subsumed, out.Queue)
-		if orderFree(q.Op) {
+		if q.Op.OrderFree() {
 			if !resultBits(out.Result, want) {
 				t.Fatalf("%s: got (%v, %d), from-scratch scan (%v, %d)",
 					desc, out.Result.Value, out.Result.Rows, want.Value, want.Rows)
@@ -258,7 +258,7 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 			carriedFolds++
 		default:
 			carriedHits++
-			if !orderFree(q.Op) {
+			if !q.Op.OrderFree() {
 				carriedSums++
 			}
 		}

@@ -233,7 +233,7 @@ func (s *System) Estimate(q *query.Query) (sched.Estimates, error) {
 		est.TransSeconds = s.cfg.Estimator.TransTime(lens)
 	}
 
-	if s.cfg.Cubes != nil && s.cpuCanAnswer(q) {
+	if s.cfg.Cubes != nil && cpuCanAnswer(q, s.cfg.Cubes) {
 		if bytes, ok := q.SubCubeBytes(s.cfg.Cubes); ok {
 			mb := float64(bytes) / (1 << 20)
 			t, err := s.cfg.Estimator.CPUTime(s.cfg.CPUThreads, mb)
@@ -255,32 +255,6 @@ func (s *System) Estimate(q *query.Query) (sched.Estimates, error) {
 		est.GPUSeconds[i] = t
 	}
 	return est, nil
-}
-
-// aggValue extracts the requested aggregate from a cube Agg.
-func aggValue(op table.AggOp, a cube.Agg) (float64, int64) {
-	switch op {
-	case table.AggSum:
-		return a.Sum, a.Count
-	case table.AggCount:
-		return float64(a.Count), a.Count
-	case table.AggMin:
-		return a.Min, a.Count
-	case table.AggMax:
-		return a.Max, a.Count
-	case table.AggAvg:
-		return a.Avg(), a.Count
-	default:
-		return 0, a.Count
-	}
-}
-
-// cpuCanAnswer reports whether the cube set can answer the query at all:
-// no text predicates (cubes aggregate over hierarchies only) and the
-// query's measure is the one the cubes aggregate (count queries read no
-// measure, so any cube set works).
-func (s *System) cpuCanAnswer(q *query.Query) bool {
-	return s.cpuCanAnswerWith(q, s.cfg.Cubes)
 }
 
 // AnswerOnCPU answers a query from the cube set (the CPU partition's

@@ -161,7 +161,7 @@ func TestCPUAndGPUAgreeOnEveryQuery(t *testing.T) {
 	checked := 0
 	for i := 0; i < 60; i++ {
 		q := g.Next()
-		if q.Resolution() > 1 || !s.cpuCanAnswer(q) {
+		if q.Resolution() > 1 || !cpuCanAnswer(q, s.cfg.Cubes) {
 			continue // not cube-answerable in this setup
 		}
 		ref, err := s.Reference(q)

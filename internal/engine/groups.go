@@ -16,25 +16,14 @@ func (s *System) AnswerGroupsOnCPU(q *query.Query) ([]table.GroupRow, error) {
 }
 
 // answerGroupsOnCPUAt answers a grouped query from the cube set riding
-// the given epoch snapshot (nil means the static configuration).
+// the given epoch snapshot.
 func (s *System) answerGroupsOnCPUAt(q *query.Query, snap *table.Snapshot) ([]table.GroupRow, error) {
-	cs := s.cubesAt(snap)
-	if cs == nil {
-		return nil, fmt.Errorf("engine: no cube set configured")
-	}
 	if !q.Grouped() {
 		return nil, fmt.Errorf("engine: query %d has no GROUP BY", q.ID)
 	}
-	if !s.cpuCanAnswerWith(q, cs) {
-		return nil, fmt.Errorf("engine: grouped query %d cannot be answered from the cube set", q.ID)
-	}
-	r := q.Resolution()
-	box, empty, err := q.Box(cs.Schema(), r)
-	if err != nil {
+	cs, box, r, empty, err := s.cpuBox(q, snap)
+	if err != nil || empty {
 		return nil, err
-	}
-	if empty {
-		return nil, nil
 	}
 	groups, err := q.CubeGroupLevels()
 	if err != nil {
@@ -44,19 +33,9 @@ func (s *System) answerGroupsOnCPUAt(q *query.Query, snap *table.Snapshot) ([]ta
 	if err != nil {
 		return nil, err
 	}
-	// Convert cube aggregates to finalised group rows.
 	acc := make(table.Groups, len(m))
 	for k, agg := range m {
-		v, _ := aggValue(q.Op, agg)
-		switch q.Op {
-		case table.AggAvg:
-			// Finalize divides; hand it the raw sum.
-			acc[k] = table.ScanResult{Value: agg.Sum, Rows: agg.Count}
-		case table.AggCount:
-			acc[k] = table.ScanResult{Rows: agg.Count}
-		default:
-			acc[k] = table.ScanResult{Value: v, Rows: agg.Count}
-		}
+		acc[k] = agg.Result(q.Op)
 	}
 	return table.FinalizeGroups(q.Op, acc, len(q.GroupBy)), nil
 }

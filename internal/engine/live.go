@@ -52,8 +52,11 @@ func (s *System) cubesAt(snap *table.Snapshot) *cube.Set {
 	return s.cfg.Cubes
 }
 
-// cpuCanAnswerWith is cpuCanAnswer against an explicit cube set.
-func (s *System) cpuCanAnswerWith(q *query.Query, cs *cube.Set) bool {
+// cpuCanAnswer reports whether the cube set can answer the query at all:
+// no text predicates (cubes aggregate over hierarchies only) and the
+// query's measure is the one the cubes aggregate (count queries read no
+// measure, so any cube set works).
+func cpuCanAnswer(q *query.Query, cs *cube.Set) bool {
 	if q.GPUOnly() {
 		return false
 	}
@@ -63,28 +66,32 @@ func (s *System) cpuCanAnswerWith(q *query.Query, cs *cube.Set) bool {
 // AnswerOnCPUAt answers a query from the cube set riding the given pinned
 // epoch snapshot.
 func (s *System) AnswerOnCPUAt(q *query.Query, snap *table.Snapshot) (table.ScanResult, error) {
-	cs := s.cubesAt(snap)
-	if cs == nil {
-		return table.ScanResult{}, fmt.Errorf("engine: no cube set configured")
-	}
-	if !s.cpuCanAnswerWith(q, cs) {
-		return table.ScanResult{}, fmt.Errorf("engine: query %d (measure %d, %d text predicates) cannot be answered from the cube set",
-			q.ID, q.Measure, len(q.TextConds))
-	}
-	r := q.Resolution()
-	box, empty, err := q.Box(cs.Schema(), r)
-	if err != nil {
+	cs, box, r, empty, err := s.cpuBox(q, snap)
+	if err != nil || empty {
 		return table.ScanResult{}, err
-	}
-	if empty {
-		return table.ScanResult{}, nil
 	}
 	agg, _, err := cs.Aggregate(box, r, s.cfg.CPUThreads)
 	if err != nil {
 		return table.ScanResult{}, err
 	}
-	v, rows := aggValue(q.Op, agg)
-	return table.ScanResult{Value: v, Rows: rows}, nil
+	return table.Finalize(q.Op, agg.Result(q.Op)), nil
+}
+
+// cpuBox opens both CPU answerers: the cube set riding the epoch, the
+// check that it can answer q, and q's box at q's resolution r. empty
+// reports a box no cell falls in.
+func (s *System) cpuBox(q *query.Query, snap *table.Snapshot) (cs *cube.Set, box cube.Box, r int, empty bool, err error) {
+	cs = s.cubesAt(snap)
+	if cs == nil {
+		return nil, nil, 0, false, fmt.Errorf("engine: no cube set configured")
+	}
+	if !cpuCanAnswer(q, cs) {
+		return nil, nil, 0, false, fmt.Errorf("engine: query %d (measure %d, %d text predicates) cannot be answered from the cube set",
+			q.ID, q.Measure, len(q.TextConds))
+	}
+	r = q.Resolution()
+	box, empty, err = q.Box(cs.Schema(), r)
+	return cs, box, r, empty, err
 }
 
 // AnswerOnGPUAt answers a (translated) query on a GPU partition over the

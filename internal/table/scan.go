@@ -212,6 +212,14 @@ func Merge(op AggOp, a, b ScanResult) ScanResult {
 	return out
 }
 
+// OrderFree reports whether partial results of op merge exactly whatever
+// order their rows were folded in: counts are integers and min/max select
+// an existing value, so their answer is its own fold. Sum and avg
+// accumulate floats, and their bits depend on the fold tree.
+func (op AggOp) OrderFree() bool {
+	return op == AggCount || op == AggMin || op == AggMax
+}
+
 // Finalize completes an aggregate: for avg it divides the accumulated sum
 // by the row count; for count it reports the row count as the value.
 //

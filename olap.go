@@ -62,8 +62,6 @@ type Options struct {
 	// WALPath persists ingested batches to a crash-recoverable append log
 	// (implies Live); intact batches replay on Open.
 	WALPath string
-	// NoCompactor disables the background compactor in live mode.
-	NoCompactor bool
 	// FaultPlan installs a seeded chaos plan across the whole stack (GPU
 	// kernels, translation, WAL, compaction). Nil runs fault-free.
 	FaultPlan *fault.Plan
@@ -166,7 +164,7 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if store := sys.Live(); store != nil && !opts.NoCompactor {
+	if store := sys.Live(); store != nil {
 		store.StartCompactor(ingest.CompactorConfig{})
 	}
 	return &DB{sys: sys}, nil
