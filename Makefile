@@ -14,9 +14,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Custom static-analysis suite (cmd/olaplint), thirteen analyzers:
+# Custom static-analysis suite (cmd/olaplint), twelve analyzers:
 # simclock, seededrand, lockdiscipline, floateq, errdrop, unitsafety,
-# clockowner, the interprocedural wave — lockorder, epochpin, faultpoint,
+# the interprocedural wave — lockorder, epochpin, faultpoint,
 # errcmp — which shares one call graph and a post-pass Finish phase, and
 # the kernel pair noalloc, poolescape. Findings are fixed, never
 # suppressed; see "Static analysis & determinism" in README.md and, for
@@ -26,8 +26,8 @@ vet:
 lint:
 	$(GO) run ./cmd/olaplint ./...
 
-# Apply every suggested fix in place (clockwriter directives, unit
-# conversions, errors.Is rewrites, a missing defer Put), then rerun lint
+# Apply every suggested fix in place (unit conversions, errors.Is
+# rewrites, a missing defer Put), then rerun lint
 # to show what remains.
 lint-fix:
 	$(GO) run ./cmd/olaplint -fix ./...

@@ -54,7 +54,6 @@ import (
 
 	"hybridolap/internal/analysis"
 	"hybridolap/internal/analysis/bcecheck"
-	"hybridolap/internal/analysis/clockowner"
 	"hybridolap/internal/analysis/epochpin"
 	"hybridolap/internal/analysis/errcmp"
 	"hybridolap/internal/analysis/errdrop"
@@ -78,7 +77,6 @@ func registry() []*analysis.Analyzer {
 		floateq.Analyzer,
 		errdrop.Analyzer,
 		unitsafety.Analyzer,
-		clockowner.Analyzer,
 		lockorder.Analyzer,
 		epochpin.Analyzer,
 		faultpoint.Analyzer,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"hybridolap/internal/cube"
@@ -112,25 +113,21 @@ func (c *Cluster) repairShard(now float64, s int, wait func(time.Duration)) (flo
 
 	c.mu.Lock()
 	c.stats.RepairsStarted++
-	src := -1
-	for _, h := range c.holders[s] {
-		if !c.down[h] {
-			src = h
-			break
-		}
+	lost := !slices.ContainsFunc(c.holders[s], func(h int) bool { return !c.down[h] })
+	target := -1
+	if !lost {
+		target = c.pickTargetLocked(now, s, bytes, chunks)
 	}
-	if src < 0 {
-		c.stats.RepairsFailed++
-		c.mu.Unlock()
-		return 0, fmt.Errorf("%w (shard %d)", ErrShardLost, s)
-	}
-	target := c.pickTargetLocked(now, s, bytes, chunks)
 	if target < 0 {
 		c.stats.RepairsFailed++
-		c.mu.Unlock()
-		return 0, fmt.Errorf("cluster: shard %d: no live non-holder to replicate onto", s)
 	}
 	c.mu.Unlock()
+	if lost {
+		return 0, fmt.Errorf("%w (shard %d)", ErrShardLost, s)
+	}
+	if target < 0 {
+		return 0, fmt.Errorf("cluster: shard %d: no live non-holder to replicate onto", s)
+	}
 
 	// Stream with retries. Every attempt books the full transfer on the
 	// target's ingress link clock — a stream that dies at 90% still
@@ -185,25 +182,28 @@ func (c *Cluster) repairShard(now float64, s int, wait func(time.Duration)) (flo
 	// residency in one critical section, so a concurrent placement sees
 	// the new replica fully or not at all.
 	c.mu.Lock()
-	if c.dead[target] || c.down[target] {
+	died := c.dead[target] || c.down[target]
+	if died {
 		// The target died while we were streaming: drop the work.
 		c.stats.RepairsFailed++
-		c.mu.Unlock()
+	} else {
+		if !c.isHolder(s, target) {
+			c.holders[s] = append(c.holders[s], target)
+		}
+		c.stats.RepairsCompleted++
+		c.stats.RepairBytesMoved += bytes
+		c.stats.RepairSeconds += xfer
+		nd := c.nodes[target]
+		nd.mu.Lock()
+		nd.devs[s] = dev
+		nd.cubes[s] = cs
+		nd.resident[s] = true
+		nd.mu.Unlock()
+	}
+	c.mu.Unlock()
+	if died {
 		return 0, fmt.Errorf("cluster: repair target node %d died mid-transfer (shard %d)", target, s)
 	}
-	if !c.isHolder(s, target) {
-		c.holders[s] = append(c.holders[s], target)
-	}
-	c.stats.RepairsCompleted++
-	c.stats.RepairBytesMoved += bytes
-	c.stats.RepairSeconds += xfer
-	nd := c.nodes[target]
-	nd.mu.Lock()
-	nd.devs[s] = dev
-	nd.cubes[s] = cs
-	nd.resident[s] = true
-	nd.mu.Unlock()
-	c.mu.Unlock()
 	return done, nil
 }
 

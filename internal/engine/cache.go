@@ -370,25 +370,32 @@ func (c *resultCache) catchUp(snap *table.Snapshot) {
 // again). The tail scan and the cell merges run between the two critical
 // sections, never inside one.
 func (c *resultCache) advance(snap *table.Snapshot) {
+	var landing, landed chan struct{}
+	var from int
+	var held []*cacheEntry
+	var stamps []uint64
 	c.mu.Lock()
-	if snap.Epoch() <= c.epoch.Load() {
-		c.mu.Unlock()
+	owned := snap.Epoch() <= c.epoch.Load()
+	if !owned {
+		if landing = c.advancing; landing == nil {
+			landed = make(chan struct{})
+			c.advancing = landed
+			from = c.rows
+			held = append(slices.Clone(c.anchors), c.plain...)
+			stamps = make([]uint64, len(held))
+			for i, e := range held {
+				stamps[i] = e.last
+			}
+		}
+	}
+	c.mu.Unlock()
+	if owned {
 		return
 	}
-	if landing := c.advancing; landing != nil {
-		c.mu.Unlock()
+	if landing != nil {
 		<-landing
 		return
 	}
-	landed := make(chan struct{})
-	c.advancing = landed
-	from := c.rows
-	held := append(slices.Clone(c.anchors), c.plain...)
-	stamps := make([]uint64, len(held))
-	for i, e := range held {
-		stamps[i] = e.last
-	}
-	c.mu.Unlock()
 
 	next := carry(snap, from, held, stamps)
 
@@ -573,31 +580,31 @@ func (c *resultCache) lookup(req *table.ScanRequest, snap *table.Snapshot) (cach
 	order, cellShaped := table.CellShape(req)
 	sig, key := cacheKeys(req, order)
 	c.catchUp(snap)
-	var donor *cacheEntry
+	var hit, donor *cacheEntry
 	var ivals []cacheInterval
 	c.mu.Lock()
 	if snap.Epoch() != c.epoch.Load() {
 		c.stats.Misses++
-		c.mu.Unlock()
-		return cacheAnswer{}, false
-	}
-	if e, ok := c.entries[key]; ok {
+	} else if e, ok := c.entries[key]; ok {
 		c.stats.Hits++
 		c.use(e)
-		c.mu.Unlock()
-		return cacheAnswer{result: e.result, queue: e.queue}, true
-	}
-	if cellShaped && len(c.anchors) > 0 {
-		ivals = cellIntervals(req, order)
-		donor = anchorFor(c.anchors, sig, ivals)
-	}
-	if donor != nil {
-		c.stats.SubsumptionHits++
-		c.use(donor)
+		hit = e
 	} else {
-		c.stats.Misses++
+		if cellShaped && len(c.anchors) > 0 {
+			ivals = cellIntervals(req, order)
+			donor = anchorFor(c.anchors, sig, ivals)
+		}
+		if donor != nil {
+			c.stats.SubsumptionHits++
+			c.use(donor)
+		} else {
+			c.stats.Misses++
+		}
 	}
 	c.mu.Unlock()
+	if hit != nil {
+		return cacheAnswer{result: hit.result, queue: hit.queue}, true
+	}
 	if donor == nil {
 		return cacheAnswer{}, false
 	}

@@ -258,23 +258,29 @@ func (s *System) settle() {
 func (s *System) holdWindow(g *fusionGroup) {
 	s.holding.Add(1)
 	defer s.holding.Add(-1)
-	s.fusionMu.Lock()
-	for s.arriving.Load() > 0 && !g.fired {
-		left := g.fireBy - s.nowS()
-		if left <= 0 {
-			break
-		}
-		s.fusionMu.Unlock()
+	for left := s.holdLeft(g); left > 0; left = s.holdLeft(g) {
 		timer := time.AfterFunc(time.Duration(left*float64(time.Second)), g.nudge)
 		<-g.wake
 		timer.Stop()
-		s.fusionMu.Lock()
+	}
+}
+
+// holdLeft is one look of holdWindow's under fusionMu: how long the leader
+// may still hold g open, or 0 once it may not, in which case it has closed
+// the window.
+func (s *System) holdLeft(g *fusionGroup) float64 {
+	s.fusionMu.Lock()
+	defer s.fusionMu.Unlock()
+	if s.arriving.Load() > 0 && !g.fired {
+		if left := g.fireBy - s.nowS(); left > 0 {
+			return left
+		}
 	}
 	if !g.fired {
 		g.fired = true
 		delete(s.fusionGroups, g.key)
 	}
-	s.fusionMu.Unlock()
+	return 0
 }
 
 // joinWindow adds a member to the open window of its compatibility key,

@@ -1,6 +1,10 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+
+	"hybridolap/internal/sched/tq"
+)
 
 // BatchFlavor selects a batch-mode mapping heuristic from the comparison
 // study the paper builds its scheduling survey on (Braun et al. [2]).
@@ -79,7 +83,7 @@ func (s *Scheduler) PlanBatch(now float64, ests []Estimates, flavor BatchFlavor)
 			}
 		}
 		if est.CPUOK {
-			start := clamp(s.tqCPU, now)
+			start := s.clocks.Start(tq.CPU, now)
 			consider(Decision{Queue: QueueRef{Kind: QueueCPU}, Start: start, End: start + est.CPUSeconds})
 		}
 		for g := range s.cfg.GPUWidths {

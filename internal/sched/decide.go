@@ -1,6 +1,10 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+
+	"hybridolap/internal/sched/tq"
+)
 
 // Submit runs the configured policy for one query arriving at time now
 // (seconds on the engine's clock) with the given step-2 estimates, commits
@@ -74,7 +78,7 @@ func (s *Scheduler) submit(now, deadline float64, est Estimates, counter *int64)
 // the P_BD scan, the CPU-vs-GPU speed test and the min-|slack| fallback.
 func (s *Scheduler) decidePaper(now, deadline float64, est Estimates) (Decision, error) {
 	// Step 3: response times for all partitions.
-	cpuStart := clamp(s.tqCPU, now)
+	cpuStart := s.clocks.Start(tq.CPU, now)
 	cpuEnd := cpuStart + est.CPUSeconds
 
 	n := len(s.cfg.GPUWidths)
@@ -220,7 +224,7 @@ func (s *Scheduler) decideCPUOnly(now, _ float64, est Estimates) (Decision, erro
 	if !est.CPUOK {
 		return Decision{}, ErrUnanswerable
 	}
-	start := clamp(s.tqCPU, now)
+	start := s.clocks.Start(tq.CPU, now)
 	d := Decision{Queue: QueueRef{Kind: QueueCPU}, Start: start, End: start + est.CPUSeconds}
 	s.commitCPU(&d)
 	return d, nil
@@ -231,7 +235,7 @@ func (s *Scheduler) decideMCT(now, _ float64, est Estimates) (Decision, error) {
 	n := len(s.cfg.GPUWidths)
 	elig, _ := s.eligibleSet(now)
 	bestIdx := -1
-	cpuStart := clamp(s.tqCPU, now)
+	cpuStart := s.clocks.Start(tq.CPU, now)
 	best := infOr(cpuStart+est.CPUSeconds, !est.CPUOK)
 	type cand struct{ transStart, transEnd, start, end float64 }
 	gpu := make([]cand, n)
@@ -276,7 +280,7 @@ func (s *Scheduler) decideMET(now, _ float64, est Estimates) (Decision, error) {
 		if !est.CPUOK {
 			return Decision{}, ErrUnanswerable
 		}
-		start := clamp(s.tqCPU, now)
+		start := s.clocks.Start(tq.CPU, now)
 		d := Decision{Queue: QueueRef{Kind: QueueCPU}, Start: start, End: start + est.CPUSeconds}
 		s.commitCPU(&d)
 		return d, nil
@@ -302,7 +306,7 @@ func (s *Scheduler) decideRoundRobin(now, _ float64, est Estimates) (Decision, e
 				continue
 			}
 			s.rrNext = (slot + 1) % slots
-			start := clamp(s.tqCPU, now)
+			start := s.clocks.Start(tq.CPU, now)
 			d := Decision{Queue: QueueRef{Kind: QueueCPU}, Start: start, End: start + est.CPUSeconds}
 			s.commitCPU(&d)
 			return d, nil

@@ -1,6 +1,10 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+
+	"hybridolap/internal/sched/tq"
+)
 
 // HealthState is one execution unit's standing with a health tracker. The
 // paper's Fig. 10 assumes every partition always completes its work; the
@@ -259,16 +263,13 @@ func (t *HealthTracker) Clone() *HealthTracker {
 // are being re-placed through the retry path, so leaving their estimates
 // on the clock would charge phantom work to a dead partition and poison
 // every later comparison against it.
-// olaplint:clockwriter: sanctioned queue-clock mutation.
 func (s *Scheduler) ReportFailure(ref QueueRef, now float64) {
 	if ref.Kind != QueueGPU || ref.Index < 0 || ref.Index >= s.health.Len() {
 		return
 	}
 	s.stats.PartitionFailures++
 	if s.health.Failure(ref.Index, now) {
-		if s.tqGPU[ref.Index] > now {
-			s.tqGPU[ref.Index] = now
-		}
+		s.clocks.Drop(tq.Lane(ref.Index), now)
 		s.stats.Quarantines++
 	}
 }

@@ -149,7 +149,7 @@ func TestProbationFailureRequarantinesImmediately(t *testing.T) {
 
 func TestAllQuarantinedFallsBackToCPU(t *testing.T) {
 	s := newPaper(t, paperCfg())
-	for i := range s.tqGPU {
+	for i := range s.cfg.GPUWidths {
 		failGPU(s, i, 0)
 	}
 	est := Estimates{CPUOK: true, CPUSeconds: 0.5, GPUSeconds: flatGPU(0.001, 0.001, 0.001)}
@@ -164,7 +164,7 @@ func TestAllQuarantinedFallsBackToCPU(t *testing.T) {
 
 func TestAllQuarantinedGPUOnlyQueryErrors(t *testing.T) {
 	s := newPaper(t, paperCfg())
-	for i := range s.tqGPU {
+	for i := range s.cfg.GPUWidths {
 		failGPU(s, i, 0)
 	}
 	est := Estimates{GPUSeconds: flatGPU(0.001, 0.001, 0.001), NeedsTranslation: true, TransSeconds: 0.001}

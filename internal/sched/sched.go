@@ -12,6 +12,8 @@ package sched
 import (
 	"fmt"
 	"math"
+
+	"hybridolap/internal/sched/tq"
 )
 
 // QueueKind distinguishes the scheduler's target queues.
@@ -217,15 +219,13 @@ type Stats struct {
 	FusionFanIn  []int64
 }
 
-// Scheduler owns the queue clocks and applies the configured policy. It is
-// not safe for concurrent use; the engine serialises submissions, exactly
-// like the paper's single scheduler thread.
+// Scheduler applies the configured policy over the queue clocks it holds.
+// It is not safe for concurrent use; the engine serialises submissions,
+// exactly like the paper's single scheduler thread.
 type Scheduler struct {
 	cfg Config
 
-	tqCPU   float64
-	tqTrans float64
-	tqGPU   []float64
+	clocks tq.Clocks
 
 	health *HealthTracker
 
@@ -248,7 +248,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		cfg:    cfg,
-		tqGPU:  make([]float64, len(cfg.GPUWidths)),
+		clocks: tq.New(len(cfg.GPUWidths)),
 		health: NewHealthTracker(len(cfg.GPUWidths), cfg.QuarantineThreshold, cfg.ReprobeSeconds),
 	}
 	s.stats.ToGPU = make([]int64, len(cfg.GPUWidths))
@@ -271,41 +271,33 @@ func (s *Scheduler) Stats() Stats {
 // and telemetry). The translation queue is addressed as kind QueueCPU with
 // index -1.
 func (s *Scheduler) QueueClock(ref QueueRef) float64 {
+	return s.clocks.Get(lane(ref))
+}
+
+// lane maps a queue reference to its clock lane.
+func lane(ref QueueRef) tq.Lane {
 	if ref.Kind == QueueCPU {
 		if ref.Index == -1 {
-			return s.tqTrans
+			return tq.Trans
 		}
-		return s.tqCPU
+		return tq.CPU
 	}
-	return s.tqGPU[ref.Index]
+	return tq.Lane(ref.Index)
 }
 
 // Feedback applies the paper's estimation correction: "the real processing
 // time is compared with estimated processing time. The difference of these
 // two times [is] used to update the value T_Q of the queue". delta is
-// actual − estimated seconds; now clamps the clock.
-// olaplint:clockwriter: sanctioned queue-clock mutation.
+// actual − estimated seconds; now clamps the clock. A GPU reference out
+// of range is ignored.
 func (s *Scheduler) Feedback(ref QueueRef, delta, now float64) {
 	if s.cfg.DisableFeedback {
 		return
 	}
-	adjust := func(tq *float64) {
-		*tq += delta
-		if *tq < now {
-			*tq = now
-		}
-	}
-	if ref.Kind == QueueCPU {
-		if ref.Index == -1 {
-			adjust(&s.tqTrans)
-			return
-		}
-		adjust(&s.tqCPU)
+	if ref.Kind == QueueGPU && (ref.Index < 0 || ref.Index >= len(s.cfg.GPUWidths)) {
 		return
 	}
-	if ref.Index >= 0 && ref.Index < len(s.tqGPU) {
-		adjust(&s.tqGPU[ref.Index])
-	}
+	s.clocks.Shift(lane(ref), delta, now)
 }
 
 // SubmitMaintenance books a background maintenance job (delta-stripe
@@ -315,14 +307,13 @@ func (s *Scheduler) Feedback(ref QueueRef, delta, now float64) {
 // CPU placement made while a compaction runs would be optimistically
 // wrong. The caller reports actual-vs-estimated time through Feedback,
 // closing the same correction loop queries use.
-// olaplint:clockwriter: sanctioned queue-clock mutation.
 func (s *Scheduler) SubmitMaintenance(now, estSeconds float64) (start, end float64) {
 	if estSeconds < 0 {
 		estSeconds = 0
 	}
-	start = clamp(s.tqCPU, now)
+	start = s.clocks.Start(tq.CPU, now)
 	end = start + estSeconds
-	s.tqCPU = end
+	s.clocks.Book(tq.CPU, end)
 	s.stats.MaintenanceJobs++
 	return start, end
 }
@@ -332,12 +323,10 @@ func (s *Scheduler) SubmitMaintenance(now, estSeconds float64) (start, end float
 // It powers EXPLAIN-style introspection.
 func (s *Scheduler) Peek(now float64, est Estimates) (Decision, error) {
 	cp := &Scheduler{
-		cfg:     s.cfg,
-		tqCPU:   s.tqCPU,
-		tqTrans: s.tqTrans,
-		tqGPU:   append([]float64(nil), s.tqGPU...),
-		health:  s.health.Clone(),
-		rrNext:  s.rrNext,
+		cfg:    s.cfg,
+		clocks: s.clocks.Clone(),
+		health: s.health.Clone(),
+		rrNext: s.rrNext,
 	}
 	cp.stats.ToGPU = make([]int64, len(s.cfg.GPUWidths))
 	return cp.Submit(now, est)
@@ -347,25 +336,18 @@ func (s *Scheduler) Peek(now float64, est Estimates) (Decision, error) {
 // example PolicyCPUOnly with a GPU-only query).
 var ErrUnanswerable = fmt.Errorf("sched: no partition can answer this query")
 
-func clamp(v, lo float64) float64 {
-	if v < lo {
-		return lo
-	}
-	return v
-}
-
 // responseGPU computes step 3's T_R|GPUi for partition i, returning the
 // translation window and processing window.
 func (s *Scheduler) responseGPU(i int, now float64, est Estimates) (transStart, transEnd, start, end float64) {
-	g := clamp(s.tqGPU[i], now)
+	g := s.clocks.Start(tq.Lane(i), now)
 	if !est.NeedsTranslation {
 		return 0, 0, g, g + est.GPUSeconds[i]
 	}
 	switch s.cfg.Translation {
 	case TransOnCPUQueue:
-		transStart = clamp(s.tqCPU, now)
+		transStart = s.clocks.Start(tq.CPU, now)
 	default:
-		transStart = clamp(s.tqTrans, now)
+		transStart = s.clocks.Start(tq.Trans, now)
 	}
 	transEnd = transStart + est.TransSeconds
 	start = math.Max(g, transEnd)
@@ -373,24 +355,22 @@ func (s *Scheduler) responseGPU(i int, now float64, est Estimates) (transStart, 
 }
 
 // commitGPU updates the queue clocks for a GPU placement.
-// olaplint:clockwriter: sanctioned queue-clock mutation.
 func (s *Scheduler) commitGPU(i int, d *Decision, est Estimates) {
 	if est.NeedsTranslation {
 		switch s.cfg.Translation {
 		case TransOnCPUQueue:
-			s.tqCPU = d.TransEnd
+			s.clocks.Book(tq.CPU, d.TransEnd)
 		default:
-			s.tqTrans = d.TransEnd
+			s.clocks.Book(tq.Trans, d.TransEnd)
 		}
 		s.stats.Translated++
 	}
-	s.tqGPU[i] = d.End
+	s.clocks.Book(tq.Lane(i), d.End)
 	s.stats.ToGPU[i]++
 }
 
 // commitCPU updates the CPU queue clock.
-// olaplint:clockwriter: sanctioned queue-clock mutation.
 func (s *Scheduler) commitCPU(d *Decision) {
-	s.tqCPU = d.End
+	s.clocks.Book(tq.CPU, d.End)
 	s.stats.ToCPU++
 }
