@@ -6,7 +6,9 @@ package olap
 // reproduction with paper-vs-measured output.
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -180,6 +182,46 @@ func BenchmarkServeCPUBypass(b *testing.B) {
 			b.Fatalf("want a CPU bypass, got %+v", out)
 		}
 	}
+}
+
+// BenchmarkOpen measures what a start costs before the first query:
+// Open with olapd's serving defaults (fusion with a 1 ms window and
+// fan-in 64, result cache on) — generating the fact table and its
+// dictionaries, building the level-0/1 cube set and loading the device.
+// The live arm opens 500K rows over a fresh WAL each iteration, so it
+// reads Open's live setup without any replay. Reports ms/op beside
+// allocs/op.
+func BenchmarkOpen(b *testing.B) {
+	serving := Options{Seed: 1, Fusion: true, FusionWindow: time.Millisecond,
+		FusionMaxFanIn: 64, ResultCache: true}
+	b.Run("rows=1M", func(b *testing.B) {
+		opts := serving
+		opts.Rows = 1_000_000
+		benchOpen(b, func(int) Options { return opts })
+	})
+	b.Run("rows=500K/live-wal", func(b *testing.B) {
+		dir := b.TempDir()
+		benchOpen(b, func(i int) Options {
+			opts := serving
+			opts.Rows = 500_000
+			opts.WALPath = filepath.Join(dir, fmt.Sprintf("wal-%d", i))
+			return opts
+		})
+	})
+}
+
+func benchOpen(b *testing.B, opts func(i int) Options) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		db, err := Open(opts(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 }
 
 // BenchmarkModelEngine10k measures the discrete-event system model:

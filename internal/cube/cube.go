@@ -154,6 +154,11 @@ func (c *Cube) Get(coords []uint32) Cell {
 // chunk on demand (and decompressing if needed).
 func (c *Cube) add(coords []uint32, v float64) {
 	ci, off := c.chunkOf(coords)
+	c.addAt(ci, off, v)
+}
+
+// addAt folds a measure value into the cell at (chunk, local offset).
+func (c *Cube) addAt(ci int, off uint32, v float64) {
 	ch := c.chunks[ci]
 	if ch == nil || !ch.isDense() {
 		ch = ch.decompress(c.vol)
@@ -166,6 +171,30 @@ func (c *Cube) add(coords []uint32, v float64) {
 	}
 	cell.add(v)
 	c.rows++
+}
+
+// addrTerm is one finest code's share of a cube cell's address: the chunk
+// grid index and the in-chunk offset are each a sum of one term per
+// dimension.
+type addrTerm struct{ chunk, off uint32 }
+
+// addrTerms returns dimension d's terms indexed by finest code: the code
+// rolled up to the cube's level by the fanout, then split by the chunk side
+// and weighted by the dimension's row-major strides — chunkOf's div/mod
+// and Horner steps, paid once per code instead of once per row.
+func (c *Cube) addrTerms(finestCard, d int) []addrTerm {
+	fanout := finestCard / c.cards[d]
+	chunkStride, offStride := 1, 1
+	for e := d + 1; e < len(c.cards); e++ {
+		chunkStride *= c.grid[e]
+		offStride *= c.side
+	}
+	terms := make([]addrTerm, finestCard)
+	for x := range terms {
+		y := x / fanout
+		terms[x] = addrTerm{chunk: uint32(y / c.side * chunkStride), off: uint32(y % c.side * offStride)}
+	}
+	return terms
 }
 
 // compressAll applies the 40% rule to every chunk.
@@ -256,76 +285,74 @@ func BuildFromTable(ft *table.FactTable, level, measure int, cfg Config) (*Cube,
 		workers = 1
 	}
 
-	// Per-dimension level column the row coordinates are read from.
-	cols := make([]table.Codes, len(s.Dimensions))
-	for d, dim := range s.Dimensions {
-		cols[d] = ft.DimLevelColumn(d, min(level, dim.Finest()))
-	}
 	meas := ft.MeasureColumn(measure)
-
 	buildPart := func(lo, hi int) (*Cube, error) {
 		part, err := newCube(level, cards, cfg.ChunkSide)
 		if err != nil {
 			return nil, err
 		}
-		coords := make([]uint32, len(cards))
-		for r := lo; r < hi; r++ {
-			for d := range cards {
-				coords[d] = cols[d].At(r)
+		terms := make([][]addrTerm, len(cards))
+		for d, dim := range s.Dimensions {
+			terms[d] = part.addrTerms(dim.Levels[dim.Finest()].Cardinality, d)
+		}
+		// A batch of rows at a time: each dimension's stored finest codes
+		// are read at their own width (AppendTo of a row view) and summed
+		// into the rows' cell addresses, which then fold in row order. No
+		// rolled-up column is made.
+		var addr [4096]addrTerm
+		codes := make([]uint32, 0, len(addr))
+		for b := lo; b < hi; b += len(addr) {
+			a := addr[:min(len(addr), hi-b)]
+			clear(a)
+			view, err := table.Slice(ft, b, b+len(a))
+			if err != nil {
+				return nil, err
 			}
-			part.add(coords, meas[r])
+			for d, dim := range s.Dimensions {
+				tm := terms[d]
+				codes = view.DimLevelColumn(d, dim.Finest()).AppendTo(codes[:0])
+				for i, x := range codes[:len(a)] {
+					t := tm[x]
+					a[i].chunk += t.chunk
+					a[i].off += t.off
+				}
+			}
+			for i, t := range a {
+				part.addAt(int(t.chunk), t.off, meas[b+i])
+			}
 		}
 		return part, nil
 	}
 
-	if workers == 1 {
-		c, err := buildPart(0, ft.Rows())
-		if err != nil {
-			return nil, err
-		}
-		c.measure = measure
-		c.compressAll()
-		return c, nil
-	}
-
+	// Worker 0 always builds a part, empty when the table is, so the merge
+	// starts from it.
 	parts := make([]*Cube, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	stripe := (ft.Rows() + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * stripe
-		hi := lo + stripe
-		if hi > ft.Rows() {
-			hi = ft.Rows()
-		}
-		if lo >= hi {
+	for w := range parts {
+		lo, hi := w*stripe, min((w+1)*stripe, ft.Rows())
+		if lo >= hi && w > 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			parts[w], errs[w] = buildPart(lo, hi)
-		}(w, lo, hi)
+		}()
 	}
 	wg.Wait()
-	var out *Cube
-	for w := 0; w < workers; w++ {
+	out := parts[0]
+	for w, part := range parts {
 		if errs[w] != nil {
 			return nil, errs[w]
 		}
-		if parts[w] == nil {
+		if w == 0 || part == nil {
 			continue
 		}
-		if out == nil {
-			out = parts[w]
-			continue
-		}
-		if err := out.mergeFrom(parts[w]); err != nil {
+		if err := out.mergeFrom(part); err != nil {
 			return nil, err
 		}
-	}
-	if out == nil {
-		out, _ = newCube(level, cards, cfg.ChunkSide)
 	}
 	out.measure = measure
 	out.compressAll()

@@ -611,6 +611,7 @@ func BenchmarkBuildFromTable1W(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ft.Rows()), "ns/row")
 }
 
 func BenchmarkBuildFromTable8W(b *testing.B) {

@@ -15,9 +15,10 @@ import (
 // did.
 //
 // Readers outside the vectorized kernels go through At (a row at a time:
-// the reference scans) or AppendTo (a whole column, widened: cube builds
-// and compaction); only the kernels of vecscan.go see the typed slices,
-// and they pick the width once per batch.
+// the reference scans) or AppendTo (a column widened: compaction, and a
+// cube build's row batches, read through Slice views); only the kernels
+// of vecscan.go see the typed slices, and they pick the width once per
+// batch.
 type Codes struct {
 	u8  []uint8
 	u16 []uint16

@@ -3,6 +3,8 @@ package table
 import (
 	"fmt"
 	"math/rand"
+
+	"hybridolap/internal/dict"
 )
 
 // GenSpec configures the deterministic synthetic fact-table generator.
@@ -24,63 +26,105 @@ const DefaultPoolSize = 1000
 // Generate builds a synthetic fact table: uniform coordinates at each
 // dimension's finest level, uniform measures in [0, MeasureMax), and text
 // values drawn from the pools. The same spec always yields the same table.
+//
+// It works a column at a time. One pass over the rows makes each row's
+// draws in a fixed order — a coordinate per dimension, a measure per
+// measure column, a pool index per text column — straight into the
+// columns. Each text dictionary is then built once from the distinct
+// strings drawn and the pool indices rewritten to codes, so duplicate pool
+// strings share one code and no string is hashed per row; the columns end
+// in FromColumns like every other table.
 func Generate(spec GenSpec) (*FactTable, error) {
 	if spec.Rows < 0 {
 		return nil, fmt.Errorf("table: negative row count %d", spec.Rows)
 	}
-	b, err := NewBuilder(spec.Schema)
-	if err != nil {
+	s := spec.Schema
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	b.Grow(spec.Rows)
-	if err := generateInto(b, spec); err != nil {
-		return nil, err
+	if spec.TextPools != nil && len(spec.TextPools) < len(s.Texts) {
+		return nil, fmt.Errorf("table: no text pool for column %q (%d pools, %d text columns)",
+			s.Texts[len(spec.TextPools)].Name, len(spec.TextPools), len(s.Texts))
 	}
-	return b.Build()
-}
-
-// generateInto appends spec's rows to b (any capacity: the rows depend on
-// the seed alone).
-func generateInto(b *Builder, spec GenSpec) error {
-	rng := rand.New(rand.NewSource(spec.Seed))
 	max := spec.MeasureMax
 	if max <= 0 {
 		max = 1000
 	}
-	pools := spec.TextPools
-	if pools == nil && len(spec.Schema.Texts) > 0 {
-		pools = make([][]string, len(spec.Schema.Texts))
-	}
-	for i := range pools {
+	pools := make([][]string, len(s.Texts))
+	copy(pools, spec.TextPools)
+	for i, ts := range s.Texts {
 		if len(pools[i]) == 0 {
-			pool := make([]string, DefaultPoolSize)
-			for j := range pool {
-				pool[j] = fmt.Sprintf("%s-%06d", spec.Schema.Texts[i].Name, j)
+			pools[i] = make([]string, DefaultPoolSize)
+			for j := range pools[i] {
+				pools[i][j] = fmt.Sprintf("%s-%06d", ts.Name, j)
 			}
-			pools[i] = pool
 		}
 	}
 
-	row := Row{
-		Coords:   make([]int, len(spec.Schema.Dimensions)),
-		Measures: make([]float64, len(spec.Schema.Measures)),
-		Texts:    make([]string, len(spec.Schema.Texts)),
+	cards := make([]int, len(s.Dimensions))
+	for d, dim := range s.Dimensions {
+		cards[d] = dim.Levels[dim.Finest()].Cardinality
 	}
+	coords := columns[uint32](len(s.Dimensions), spec.Rows)
+	measures := columns[float64](len(s.Measures), spec.Rows)
+	texts := columns[uint32](len(s.Texts), spec.Rows)
+	rng := rand.New(rand.NewSource(spec.Seed))
 	for r := 0; r < spec.Rows; r++ {
-		for d, dim := range spec.Schema.Dimensions {
-			row.Coords[d] = rng.Intn(dim.Levels[dim.Finest()].Cardinality)
+		for d, card := range cards {
+			coords[d][r] = uint32(rng.Intn(card))
 		}
-		for m := range row.Measures {
-			row.Measures[m] = rng.Float64() * max
+		for m := range measures {
+			measures[m][r] = rng.Float64() * max
 		}
-		for i := range row.Texts {
-			row.Texts[i] = pools[i][rng.Intn(len(pools[i]))]
-		}
-		if err := b.Append(row); err != nil {
-			return err
+		for i, pool := range pools {
+			texts[i][r] = uint32(rng.Intn(len(pool)))
 		}
 	}
-	return nil
+
+	bldrs := make([]*dict.Builder, len(s.Texts))
+	for i := range bldrs {
+		var err error
+		if bldrs[i], err = drawn(pools[i], texts[i]); err != nil {
+			return nil, err
+		}
+	}
+	dicts, err := textDicts(s.Texts, bldrs, texts)
+	if err != nil {
+		return nil, err
+	}
+	return FromColumns(s, coords, measures, texts, dicts)
+}
+
+// columns returns n zeroed columns of rows values each.
+func columns[T any](n, rows int) [][]T {
+	cols := make([][]T, n)
+	for i := range cols {
+		cols[i] = make([]T, rows)
+	}
+	return cols
+}
+
+// drawn returns a dictionary builder holding the distinct pool strings col
+// draws, in pool order, and rewrites col's pool indices, in place, to the
+// builder's provisional codes.
+func drawn(pool []string, col []uint32) (*dict.Builder, error) {
+	prov := make([]dict.ID, len(pool))
+	for _, j := range col {
+		prov[j] = 1 // drawn: replaced by its provisional code below
+	}
+	b := dict.NewBuilder()
+	for j, str := range pool {
+		if prov[j] != 0 {
+			var err error
+			if prov[j], err = b.Add(str); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for r, j := range col {
+		col[r] = prov[j]
+	}
+	return b, nil
 }
 
 // PaperSchema returns the evaluation configuration of Sec. IV: "the GPU has

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 
 	"hybridolap/internal/dict"
 )
@@ -38,7 +39,9 @@ func (t *FactTable) Dicts() *dict.Set { return t.dicts }
 // DimLevelColumn returns the code column of (dimension, level). The finest
 // level's is the stored column; a coarser level's is derived into a fresh
 // column at the width its cardinality needs — a copy per call, for cold
-// readers (cube builds) that walk a level row by row.
+// readers (the lattice and iceberg builds) that walk a level row by row.
+// A cube build reads the finest column and rolls up through a per-code
+// table instead.
 func (t *FactTable) DimLevelColumn(dim, lvl int) Codes {
 	v := t.levelOf(dim, lvl)
 	if v.div == 1 {
@@ -144,64 +147,40 @@ func (b *Builder) Append(r Row) error {
 // Rows returns the number of tuples appended so far.
 func (b *Builder) Rows() int { return b.rows }
 
-// Grow reserves room for n more rows in every column. A builder told its
-// final row count up front never regrows a column, so the built table's
-// columns end with cap == len instead of carrying append's spare capacity
-// for the life of the table.
-func (b *Builder) Grow(n int) {
-	for d := range b.dimCoord {
-		b.dimCoord[d] = grow(b.dimCoord[d], n)
-	}
-	for m := range b.measures {
-		b.measures[m] = grow(b.measures[m], n)
-	}
-	for i := range b.textProv {
-		b.textProv[i] = grow(b.textProv[i], n)
-	}
-}
-
-// grow returns s with room for exactly n more elements (make, not append:
-// append rounds the capacity up to a size class).
-func grow[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	return append(make([]T, 0, len(s)+n), s...)
-}
-
-// Build freezes the builder: stores each dimension's finest coordinates,
-// builds per-column dictionaries (order-preserving Sorted kind) and
-// rewrites provisional text codes to final codes.
+// Build stores the rows appended so far as a table: each text column gets
+// its order-preserving Sorted dictionary and final codes (textDicts), and
+// the columns go through FromColumns. The builder stays usable.
 func (b *Builder) Build() (*FactTable, error) {
-	t := &FactTable{schema: b.schema, rows: b.rows}
-	t.dims = make([]Codes, len(b.schema.Dimensions))
-	for d, spec := range b.schema.Dimensions {
-		col, err := finestColumn(spec, b.dimCoord[d])
+	texts := make([][]uint32, len(b.textProv))
+	for i, prov := range b.textProv {
+		texts[i] = slices.Clone(prov)
+	}
+	dicts, err := textDicts(b.schema.Texts, b.textBldr, texts)
+	if err != nil {
+		return nil, err
+	}
+	return FromColumns(b.schema, b.dimCoord, b.measures, texts, dicts)
+}
+
+// textDicts freezes each text column's dictionary builder into a Sorted
+// dictionary and rewrites the column's provisional codes, in place, to
+// final ones; nil when the schema has no text columns.
+func textDicts(specs []TextSpec, bldrs []*dict.Builder, texts [][]uint32) (*dict.Set, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	ds := dict.NewSet()
+	for i, spec := range specs {
+		d, remap, err := bldrs[i].Build(dict.KindSorted)
 		if err != nil {
 			return nil, err
 		}
-		t.dims[d] = col
-	}
-	t.measures = b.measures
-	if len(b.schema.Texts) > 0 {
-		t.dicts = dict.NewSet()
-		t.texts = make([]Codes, len(b.schema.Texts))
-		for i, spec := range b.schema.Texts {
-			d, remap, err := b.textBldr[i].Build(dict.KindSorted)
-			if err != nil {
-				return nil, err
-			}
-			t.dicts.Put(spec.Name, d)
-			final := make([]uint32, b.rows)
-			for r, prov := range b.textProv[i] {
-				final[r] = remap[prov]
-			}
-			if t.texts[i], err = textColumn(spec.Name, final, d.Len()); err != nil {
-				return nil, err
-			}
+		ds.Put(spec.Name, d)
+		for r, prov := range texts[i] {
+			texts[i][r] = remap[prov]
 		}
 	}
-	return t, nil
+	return ds, nil
 }
 
 // CoordAt returns the coordinate of row r in dimension d at level l.

@@ -1,8 +1,11 @@
 package table
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -151,75 +154,126 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateGrowIdentical pins the preallocation contract: Grow changes
-// capacities only. A table generated into a pre-sized builder has the same
-// columns and dictionaries as one whose columns were append-grown, and
-// none of its columns carries spare capacity.
-func TestGenerateGrowIdentical(t *testing.T) {
-	spec := GenSpec{Schema: PaperSchema(), Rows: 3001, Seed: 7}
-	grown, err := Generate(spec)
-	if err != nil {
-		t.Fatal(err)
+// TestGenerateMatchesBuilder pins the column-at-a-time generator to the
+// row-at-a-time reference: replaying Generate's draws row by row through
+// Builder.Append builds the same columns, at the same widths, and the same
+// dictionaries, and no generated column carries spare capacity.
+func TestGenerateMatchesBuilder(t *testing.T) {
+	pools := [][]string{{"oslo", "lima", "oslo", "baku"}, nil}
+	for _, spec := range []GenSpec{
+		{Schema: PaperSchema(), Rows: 3001, Seed: 7},
+		{Schema: PaperSchema(), Rows: 500, Seed: 2, TextPools: pools, MeasureMax: 3},
+		{Schema: smallSchema(), Rows: 0, Seed: 1},
+	} {
+		grown, err := Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := generateRows(t, spec)
+		if grown.Rows() != spec.Rows || plain.Rows() != spec.Rows {
+			t.Fatalf("rows: generated %d, appended %d, want %d", grown.Rows(), plain.Rows(), spec.Rows)
+		}
+		codes := func(name string, g, p Codes) {
+			t.Helper()
+			if g.Width() != p.Width() || !slices.Equal(g.AppendTo(nil), p.AppendTo(nil)) {
+				t.Fatalf("%s differs from the row-built table", name)
+			}
+			if c := cap(g.u8) + cap(g.u16) + cap(g.u32); c != g.Len() {
+				t.Fatalf("%s: cap %d != len %d", name, c, g.Len())
+			}
+		}
+		sc := grown.Schema()
+		for d, dim := range sc.Dimensions {
+			for l := range dim.Levels {
+				codes(dim.Name+"."+dim.Levels[l].Name, grown.DimLevelColumn(d, l), plain.DimLevelColumn(d, l))
+			}
+		}
+		for m, ms := range sc.Measures {
+			g, p := grown.MeasureColumn(m), plain.MeasureColumn(m)
+			for r := range g {
+				if math.Float64bits(g[r]) != math.Float64bits(p[r]) {
+					t.Fatalf("measure %s row %d differs from the row-built table", ms.Name, r)
+				}
+			}
+			if len(g) != len(p) || cap(g) != len(g) {
+				t.Fatalf("measure %s: len %d/%d cap %d", ms.Name, len(g), len(p), cap(g))
+			}
+		}
+		for i, ts := range sc.Texts {
+			codes(ts.Name, grown.TextColumn(i), plain.TextColumn(i))
+			n := grown.Dicts().DictLen(ts.Name)
+			if n != plain.Dicts().DictLen(ts.Name) || (n == 0) != (spec.Rows == 0) {
+				t.Fatalf("dictionary %s: %d vs %d entries", ts.Name, n, plain.Dicts().DictLen(ts.Name))
+			}
+			for id := 0; id < n; id++ {
+				gs, err := grown.Dicts().Decode(ts.Name, dict.ID(id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ps, err := plain.Dicts().Decode(ts.Name, dict.ID(id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gs != ps {
+					t.Fatalf("dictionary %s id %d: %q vs %q", ts.Name, id, gs, ps)
+				}
+			}
+		}
 	}
+}
+
+// generateRows is the row-at-a-time reference for Generate: the same
+// draws in the same order, each row appended to a Builder.
+func generateRows(t *testing.T, spec GenSpec) *FactTable {
+	t.Helper()
 	b, err := NewBuilder(spec.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := generateInto(b, spec); err != nil {
-		t.Fatal(err)
+	max := spec.MeasureMax
+	if max <= 0 {
+		max = 1000
 	}
-	plain, err := b.Build()
+	pools := make([][]string, len(spec.Schema.Texts))
+	for i, ts := range spec.Schema.Texts {
+		if spec.TextPools != nil {
+			pools[i] = spec.TextPools[i]
+		}
+		if len(pools[i]) == 0 {
+			for j := 0; j < DefaultPoolSize; j++ {
+				pools[i] = append(pools[i], fmt.Sprintf("%s-%06d", ts.Name, j))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(spec.Seed))
+	for r := 0; r < spec.Rows; r++ {
+		row := Row{}
+		for _, dim := range spec.Schema.Dimensions {
+			row.Coords = append(row.Coords, rng.Intn(dim.Levels[dim.Finest()].Cardinality))
+		}
+		for range spec.Schema.Measures {
+			row.Measures = append(row.Measures, rng.Float64()*max)
+		}
+		for _, pool := range pools {
+			row.Texts = append(row.Texts, pool[rng.Intn(len(pool))])
+		}
+		if err := b.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ft, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grown.Rows() != spec.Rows || plain.Rows() != spec.Rows {
-		t.Fatalf("rows: grown %d, plain %d, want %d", grown.Rows(), plain.Rows(), spec.Rows)
-	}
-	codes := func(name string, g, p Codes) {
-		t.Helper()
-		if g.Width() != p.Width() || !slices.Equal(g.AppendTo(nil), p.AppendTo(nil)) {
-			t.Fatalf("%s differs with Grow", name)
-		}
-		if c := cap(g.u8) + cap(g.u16) + cap(g.u32); c != g.Len() {
-			t.Fatalf("%s: cap %d != len %d", name, c, g.Len())
-		}
-	}
-	sc := grown.Schema()
-	for d, dim := range sc.Dimensions {
-		for l := range dim.Levels {
-			codes(dim.Name+"."+dim.Levels[l].Name, grown.DimLevelColumn(d, l), plain.DimLevelColumn(d, l))
-		}
-	}
-	for m, ms := range sc.Measures {
-		g, p := grown.MeasureColumn(m), plain.MeasureColumn(m)
-		for r := range g {
-			if math.Float64bits(g[r]) != math.Float64bits(p[r]) {
-				t.Fatalf("measure %s row %d differs with Grow", ms.Name, r)
-			}
-		}
-		if len(g) != len(p) || cap(g) != len(g) {
-			t.Fatalf("measure %s: len %d/%d cap %d", ms.Name, len(g), len(p), cap(g))
-		}
-	}
-	for i, ts := range sc.Texts {
-		codes(ts.Name, grown.TextColumn(i), plain.TextColumn(i))
-		n := grown.Dicts().DictLen(ts.Name)
-		if n == 0 || n != plain.Dicts().DictLen(ts.Name) {
-			t.Fatalf("dictionary %s: %d vs %d entries", ts.Name, n, plain.Dicts().DictLen(ts.Name))
-		}
-		for id := 0; id < n; id++ {
-			gs, err := grown.Dicts().Decode(ts.Name, dict.ID(id))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps, err := plain.Dicts().Decode(ts.Name, dict.ID(id))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gs != ps {
-				t.Fatalf("dictionary %s id %d: %q vs %q", ts.Name, id, gs, ps)
-			}
-		}
+	return ft
+}
+
+// TestGenerateTooFewPools: a spec with fewer text pools than text columns
+// is an error that names the first column without one, not a panic.
+func TestGenerateTooFewPools(t *testing.T) {
+	_, err := Generate(GenSpec{Schema: PaperSchema(), Rows: 10, TextPools: [][]string{{"a", "b"}}})
+	if err == nil || !strings.Contains(err.Error(), `"customer_city"`) {
+		t.Fatalf("err = %v, want one naming customer_city", err)
 	}
 }
 
