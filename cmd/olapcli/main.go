@@ -266,23 +266,18 @@ func runQuery(db *olap.DB, sql string) {
 		fmt.Println("error:", err)
 		return
 	}
-	if q.Grouped() {
-		rows, route, err := db.QueryGroups(sql)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		for _, r := range rows {
-			fmt.Printf("  %-40s %.4f  (%d rows)\n", strings.Join(r.Labels, ", "), r.Value, r.Rows)
-		}
-		fmt.Printf("%d groups via %s%s\n", len(rows), route.Kind, partialSuffix(route))
-		return
-	}
-	// The serving path: repeated queries come back from the result cache
-	// and the route string says so.
+	// The serving path: repeated scalar queries come back from the result
+	// cache and the route string says so.
 	res, err := db.Serve(q)
 	if err != nil {
 		fmt.Println("error:", err)
+		return
+	}
+	if q.Grouped() {
+		for _, r := range res.Groups {
+			fmt.Printf("  %-40s %.4f  (%d rows)\n", strings.Join(r.Labels, ", "), r.Value, r.Rows)
+		}
+		fmt.Printf("%d groups via %s%s\n", len(res.Groups), res.Route.Kind, partialSuffix(res.Route))
 		return
 	}
 	fmt.Printf("%.4f  (%d rows, via %s, %v)%s\n", res.Value, res.Rows, res.Route.Kind, res.Latency, partialSuffix(res.Route))

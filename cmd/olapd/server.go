@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	olap "hybridolap"
 	"hybridolap/internal/cluster"
@@ -431,36 +430,28 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	t0 := time.Now()
-	if q.Grouped() {
-		rows, route, err := s.db.QueryGroups(req.SQL)
-		if err != nil {
-			writeErr(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		resp := queryResponse{Route: route.Kind, Partial: partialOf(route), LatencyMS: time.Since(t0).Seconds() * 1000}
-		for _, g := range rows {
-			resp.Groups = append(resp.Groups, groupRow{Labels: g.Labels, Value: g.Value, Rows: g.Rows})
-		}
-		writeJSON(w, statusFor(resp.Partial), resp)
-		return
-	}
-	// Scalar queries take the serving path: concurrent compatible requests
-	// admitted by the semaphore fuse into shared scans, and repeated
-	// requests are answered from the result cache. With -fusion=false and
-	// -cache=false this is equivalent to Run.
+	// Every query takes the serving path: concurrent compatible scalar
+	// requests admitted by the semaphore fuse into shared scans, and
+	// repeated ones are answered from the result cache. With -fusion=false
+	// and -cache=false this is equivalent to Run.
 	res, err := s.db.Serve(q)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	resp := queryResponse{
-		Value: &res.Value, Rows: &res.Rows,
 		Route: res.Route.Kind,
 		Fused: res.Route.Fused, FanIn: res.Route.FanIn,
 		Cached: res.Route.Cached, Subsumed: res.Route.Subsumed,
 		Partial:   partialOf(res.Route),
 		LatencyMS: res.Latency.Seconds() * 1000,
+	}
+	if q.Grouped() {
+		for _, g := range res.Groups {
+			resp.Groups = append(resp.Groups, groupRow{Labels: g.Labels, Value: g.Value, Rows: g.Rows})
+		}
+	} else {
+		resp.Value, resp.Rows = &res.Value, &res.Rows
 	}
 	writeJSON(w, statusFor(resp.Partial), resp)
 }

@@ -17,9 +17,8 @@ type GroupRow struct {
 	Rows   int64
 }
 
-// QueryGroups parses and runs a grouped query (SELECT ... GROUP BY ...),
-// scheduling it with the Fig. 10 algorithm and executing it on the chosen
-// partition. Rows come back sorted by group key.
+// QueryGroups parses a grouped query (SELECT ... GROUP BY ...) and
+// answers it through Serve. Rows come back sorted by group key.
 func (db *DB) QueryGroups(sql string) ([]GroupRow, Route, error) {
 	q, err := db.Parse(sql)
 	if err != nil {
@@ -28,29 +27,19 @@ func (db *DB) QueryGroups(sql string) ([]GroupRow, Route, error) {
 	if !q.Grouped() {
 		return nil, Route{}, fmt.Errorf("olap: query has no GROUP BY (use Query)")
 	}
-	if db.cl != nil {
-		rows, cp, _, err := db.cl.QueryGroups(q)
-		if err != nil {
-			return nil, Route{}, err
-		}
-		out := db.labelGroupRows(q, rows)
-		route := Route{Kind: fmt.Sprintf("cluster[%d]", db.cl.Shards()), Translated: q.GPUOnly(), Partial: cp}
-		return out, route, nil
-	}
-	rows, queue, err := db.sys.RunGrouped(q)
-	if err != nil {
-		return nil, Route{}, err
-	}
-	out := db.labelGroupRows(q, rows)
-	route := Route{Kind: queue, Translated: q.GPUOnly()}
-	return out, route, nil
+	res, err := db.Serve(q)
+	return res.Groups, res.Route, err
 }
 
 // labelGroupRows renders raw group keys into human-readable labels:
 // dimension keys as "dim.level=coordinate", text keys decoded through the
 // column's dictionary (live systems decode through the growing append
-// dictionaries, so freshly ingested strings label correctly).
+// dictionaries, so freshly ingested strings label correctly). A scalar
+// query has no rows to label.
 func (db *DB) labelGroupRows(q *query.Query, rows []table.GroupRow) []GroupRow {
+	if !q.Grouped() {
+		return nil
+	}
 	out := make([]GroupRow, len(rows))
 	s := db.Schema()
 	dicts := db.dicts()

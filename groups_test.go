@@ -1,6 +1,8 @@
 package olap
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,5 +93,50 @@ func TestScalarPathRejectsGroupedQuery(t *testing.T) {
 	}
 	if _, err := db.Batch([]*query.Query{q}); err == nil {
 		t.Fatal("Batch accepted a grouped query")
+	}
+}
+
+// TestServeGroupedMatchesQueryGroups: Serve answers a grouped query with
+// the same labelled rows QueryGroups returns, on a single-node and on a
+// 2-shard database. The ops are placement-free (count and max are exact on
+// the CPU, and a text grouping only runs on a GPU partition), so the two
+// calls agree bit for bit wherever each one is placed.
+func TestServeGroupedMatchesQueryGroups(t *testing.T) {
+	queries := []string{
+		"SELECT count(*) GROUP BY time.year",
+		"SELECT sum(sales) WHERE time.year BETWEEN 0 AND 3 GROUP BY store_name",
+		"SELECT max(sales) WHERE geo.region = 1 GROUP BY time.year, product.sector",
+	}
+	for _, shards := range []int{1, 2} {
+		db, err := Open(Options{Rows: 4000, Seed: 2, Shards: shards, Fusion: true, ResultCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range queries {
+			res, err := db.ServeQuery(sql)
+			if err != nil {
+				t.Fatalf("shards=%d %q: %v", shards, sql, err)
+			}
+			rows, route, err := db.QueryGroups(sql)
+			if err != nil {
+				t.Fatalf("shards=%d %q: %v", shards, sql, err)
+			}
+			if len(rows) == 0 || len(res.Groups) != len(rows) {
+				t.Fatalf("shards=%d %q: Serve %d groups, QueryGroups %d", shards, sql, len(res.Groups), len(rows))
+			}
+			for i, r := range rows {
+				g := res.Groups[i]
+				if !slices.Equal(g.Labels, r.Labels) || g.Rows != r.Rows ||
+					math.Float64bits(g.Value) != math.Float64bits(r.Value) {
+					t.Fatalf("shards=%d %q row %d: Serve %+v, QueryGroups %+v", shards, sql, i, g, r)
+				}
+			}
+			if res.Value != 0 || res.Rows != 0 || res.Route.Translated != route.Translated {
+				t.Fatalf("shards=%d %q: Serve result %+v, QueryGroups route %+v", shards, sql, res, route)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

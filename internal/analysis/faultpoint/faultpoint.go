@@ -18,7 +18,7 @@
 //     Reported at the call site. The check is flow-insensitive: it
 //     proves the path is instrumented, not that the check precedes the
 //     operation.
-//  2. Must-cross entry points — all five gpusim Partition Execute*
+//  2. Must-cross entry points — all four gpusim Partition Execute*
 //     methods and (*ingest.Store).CompactOnce — must themselves cross
 //     their point (GPUExec, Compaction). Reported at the declaration.
 //
@@ -76,12 +76,11 @@ var guarded = map[key]string{
 
 // mustCross maps each entry point to the Point it must itself cross.
 var mustCross = map[key]string{
-	{"gpusim", "m.Partition.Execute"}:            "GPUExec",
-	{"gpusim", "m.Partition.ExecuteGroup"}:       "GPUExec",
-	{"gpusim", "m.Partition.ExecuteFused"}:       "GPUExec",
-	{"gpusim", "m.Partition.ExecuteChunks"}:      "GPUExec",
-	{"gpusim", "m.Partition.ExecuteGroupChunks"}: "GPUExec",
-	{"ingest", "m.Store.CompactOnce"}:            "Compaction",
+	{"gpusim", "m.Partition.Execute"}:       "GPUExec",
+	{"gpusim", "m.Partition.ExecuteGroup"}:  "GPUExec",
+	{"gpusim", "m.Partition.ExecuteFused"}:  "GPUExec",
+	{"gpusim", "m.Partition.ExecuteChunks"}: "GPUExec",
+	{"ingest", "m.Store.CompactOnce"}:       "Compaction",
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -1,4 +1,4 @@
-// Package gpusim mirrors the simulated accelerator: all five Execute*
+// Package gpusim mirrors the simulated accelerator: all four Execute*
 // entry points must cross fault.GPUExec, normally through the device's
 // faultCheck wrapper.
 package gpusim
@@ -36,10 +36,5 @@ func (p *Partition) ExecuteChunks() error { return p.launch() }
 
 // ExecuteFused drops its crossing.
 func (p *Partition) ExecuteFused() error { // want `gpusim\.Partition\.ExecuteFused must cross the fault\.GPUExec injection point but never does`
-	return nil
-}
-
-// ExecuteGroupChunks drops its crossing too.
-func (p *Partition) ExecuteGroupChunks() error { // want `gpusim\.Partition\.ExecuteGroupChunks must cross the fault\.GPUExec injection point but never does`
 	return nil
 }

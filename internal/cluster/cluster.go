@@ -51,8 +51,6 @@ type Config struct {
 	// total row count, so shard boundaries nest into the grid and the
 	// coordinator's chunk-order fold is identical for every shard count.
 	Chunks int
-	// Layout is each node's GPU partition layout (default PaperLayout).
-	Layout []int
 	// CPUThreads selects each node's CPU aggregation model (default 8).
 	CPUThreads int
 	// CubeLevels are materialised per shard on every holder (default
@@ -61,8 +59,6 @@ type Config struct {
 	CubeLevels []int
 	// DeadlineSeconds is T_C for every shard sub-query (default 1.0).
 	DeadlineSeconds float64
-	// Estimator supplies the performance models (default paper models).
-	Estimator *perfmodel.Estimator
 	// Link prices inter-node movement (default PaperLink: gigabit
 	// Ethernet). The zero value selects the default; a genuinely free
 	// link is not expressible (it would make placement movement-blind —
@@ -78,11 +74,11 @@ type Config struct {
 	// MaxRetries bounds failover attempts per shard sub-query (default 2;
 	// negative disables retries).
 	MaxRetries int
-	// QuarantineThreshold and ReprobeSeconds configure node health
-	// tracking (defaults: 3 consecutive failures, 5 s), the same state
-	// machine the scheduler runs over GPU partitions.
+	// QuarantineThreshold configures node health tracking (default 3
+	// consecutive failures; a quarantined node re-probes after the health
+	// tracker's 5 s), the same state machine the scheduler runs over GPU
+	// partitions.
 	QuarantineThreshold int
-	ReprobeSeconds      float64
 	// EvictThreshold escalates the health machine: a node quarantined
 	// this many times within 60 s is declared dead (its
 	// shards become under-replicated and the repair controller takes
@@ -152,7 +148,8 @@ type Cluster struct {
 	shardTables []*table.FactTable    // shard views sharing the parent's dictionaries
 	holders     [][]int               // per-shard holder nodes, primary first
 	nodes       []*node
-	est         *perfmodel.Estimator
+	layout      []int                // every node's GPU partition layout: PaperLayout
+	est         *perfmodel.Estimator // PaperEstimator
 	link        perfmodel.LinkModel
 	start       time.Time
 
@@ -265,9 +262,6 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 	if cfg.RepairDeadlineSeconds == 0 {
 		cfg.RepairDeadlineSeconds = 30
 	}
-	if cfg.Layout == nil {
-		cfg.Layout = gpusim.PaperLayout()
-	}
 	if cfg.CPUThreads == 0 {
 		cfg.CPUThreads = 8
 	}
@@ -276,9 +270,6 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 	}
 	if cfg.DeadlineSeconds == 0 {
 		cfg.DeadlineSeconds = 1.0
-	}
-	if cfg.Estimator == nil {
-		cfg.Estimator = perfmodel.PaperEstimator()
 	}
 	link := cfg.Link
 	if link == (perfmodel.LinkModel{}) {
@@ -292,10 +283,11 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 		ft:        ft,
 		schema:    ft.Schema(),
 		totalCols: ft.Schema().TotalColumns(),
-		est:       cfg.Estimator,
+		layout:    gpusim.PaperLayout(),
+		est:       perfmodel.PaperEstimator(),
 		link:      link,
 		start:     time.Now(),
-		health:    sched.NewHealthTracker(n, cfg.QuarantineThreshold, cfg.ReprobeSeconds),
+		health:    sched.NewHealthTracker(n, cfg.QuarantineThreshold, 0),
 		down:      make([]bool, n),
 		dead:      make([]bool, n),
 		killedAt:  make([]float64, n),
@@ -356,10 +348,9 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 			resident: make(map[int]bool),
 		}
 		sc, err := sched.New(sched.Config{
-			GPUWidths:           append([]int(nil), cfg.Layout...),
+			GPUWidths:           gpusim.PaperLayout(),
 			DeadlineSeconds:     cfg.DeadlineSeconds,
 			QuarantineThreshold: cfg.QuarantineThreshold,
-			ReprobeSeconds:      cfg.ReprobeSeconds,
 		})
 		if err != nil {
 			return nil, err
@@ -396,7 +387,7 @@ func (c *Cluster) buildDevice(s int) (*gpusim.Device, error) {
 	if err := dev.LoadTable(c.shardTables[s]); err != nil {
 		return nil, err
 	}
-	if err := dev.Partition(c.cfg.Layout); err != nil {
+	if err := dev.Partition(c.layout); err != nil {
 		return nil, err
 	}
 	dev.SetFaults(c.cfg.Faults)

@@ -80,14 +80,14 @@ func runAll(t *testing.T, c *Cluster, scalars, groups []*query.Query) ([]Result,
 	}
 	gs := make([][]table.GroupRow, len(groups))
 	for i, q := range groups {
-		rows, cp, _, err := c.QueryGroups(q)
+		r, err := c.Query(q)
 		if err != nil {
 			t.Fatalf("group query %d: %v", q.ID, err)
 		}
-		if cp != nil {
-			t.Fatalf("group query %d: unexpected partial answer %+v", q.ID, cp)
+		if r.Partial != nil {
+			t.Fatalf("group query %d: unexpected partial answer %+v", q.ID, r.Partial)
 		}
-		gs[i] = rows
+		gs[i] = r.Groups
 	}
 	return rs, gs
 }
@@ -239,12 +239,12 @@ func TestChaosClusterDifferential(t *testing.T) {
 							}
 						}
 						for i, q := range groups {
-							rows, _, _, err := c.QueryGroups(q)
+							r, err := c.Query(q)
 							if err != nil {
 								errCh <- fmt.Errorf("group query %d: %w", q.ID, err)
 								return
 							}
-							if !sameGroups(rows, refG[i]) {
+							if !sameGroups(r.Groups, refG[i]) {
 								errCh <- fmt.Errorf("group query %d: rows differ under faults", q.ID)
 							}
 						}

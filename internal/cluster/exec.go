@@ -30,13 +30,17 @@ type Completeness struct {
 	MissingShards []int `json:"missing_shards"`
 }
 
-// Result is one scalar cluster answer.
+// Result is one cluster answer: Value and Rows for a scalar query, Groups
+// for a grouped one.
 type Result struct {
-	Value   float64
-	Rows    int64
+	Value float64
+	Rows  int64
+	// Groups holds a grouped query's rows, sorted by key; Value and Rows
+	// are then zero.
+	Groups  []table.GroupRow
 	Latency time.Duration
 	// Partial is non-nil when AllowPartial skipped unavailable shards:
-	// Value/Rows then cover only the chunks the mask claims.
+	// the answer then covers only the chunks the mask claims.
 	Partial *Completeness
 }
 
@@ -63,39 +67,37 @@ func (c *Cluster) translate(q *query.Query) error {
 	}
 }
 
-// execShard runs one shard sub-query with deadline-aware failover: plan a
+// execShard runs shard s's sub-query with deadline-aware failover: plan a
 // node, cross the NodeExec fault point (the simulated crash), execute,
-// and on failure re-plan with the ORIGINAL absolute deadline so the retry
-// competes for whatever slack remains — the engine's Resubmit semantics
-// lifted to nodes. The failed node is excluded from the re-plan (place
-// falls back to it only when nothing else is alive).
-func execShard[T any](c *Cluster, s int, sp subQuerySpec, run func(placement) (T, error)) (T, error) {
-	var zero T
-	deadline := c.nowS() + c.deadlineSeconds()
+// and on failure re-plan against the query's absolute deadline so the
+// retry competes for whatever slack remains — the engine's Resubmit
+// semantics lifted to nodes. The failed node is excluded from the re-plan
+// (place falls back to it only when nothing else is alive).
+func (c *Cluster) execShard(s int, deadline float64, sp subQuerySpec, m table.Member) ([]table.State, error) {
 	tried := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
 		pl, err := c.place(c.nowS(), deadline, s, sp, tried, attempt > 0)
 		if err != nil {
-			return zero, err
+			return nil, err
 		}
 		if ferr := c.cfg.Faults.Check(fault.NodeExec, pl.node); ferr != nil {
 			willRetry := attempt < c.maxRetries()
 			c.noteFailure(pl, willRetry)
 			tried[pl.node] = true
 			if !willRetry {
-				return zero, ferr
+				return nil, ferr
 			}
 			continue
 		}
 		t0 := time.Now()
-		out, err := run(pl)
+		out, err := c.runShard(pl, sp, m)
 		act := time.Since(t0).Seconds()
 		if err != nil {
 			willRetry := attempt < c.maxRetries()
 			c.noteExecFailure(pl, willRetry)
 			tried[pl.node] = true
 			if !willRetry {
-				return zero, err
+				return nil, err
 			}
 			continue
 		}
@@ -123,25 +125,25 @@ func (c *Cluster) deviceFor(nd *node, s int) (*gpusim.Device, error) {
 	return dev, nil
 }
 
-// runScalar executes a placed scalar sub-query and returns shard s's
-// partials in chunk order. The CPU path answers from the node's shard
-// cube set — permitted only for fold-order-insensitive ops, so the single
-// shard-total partial it returns merges into the coordinator's chunk fold
-// without perturbing a bit.
-func (c *Cluster) runScalar(pl placement, sp subQuerySpec, req table.ScanRequest) ([]table.ScanResult, error) {
+// runShard executes a placed sub-query and returns shard s's chunk
+// states in chunk order. The CPU path answers a scalar member from the
+// node's shard cube set — permitted only for fold-order-insensitive ops,
+// so the single shard-total state it returns merges into the
+// coordinator's chunk fold without perturbing a bit.
+func (c *Cluster) runShard(pl placement, sp subQuerySpec, m table.Member) ([]table.State, error) {
 	nd := c.nodes[pl.node]
 	if pl.dec.Queue.Kind == sched.QueueCPU {
-		r, err := c.answerOnNodeCPU(nd, pl.shard, sp, req.Op)
+		r, err := c.answerOnNodeCPU(nd, pl.shard, sp, m.Op)
 		if err != nil {
 			return nil, err
 		}
-		return []table.ScanResult{r}, nil
+		return []table.State{{Scalar: r}}, nil
 	}
 	dev, err := c.deviceFor(nd, pl.shard)
 	if err != nil {
 		return nil, err
 	}
-	return dev.Partitions()[pl.dec.Queue.Index].ExecuteChunks(req, c.shardChunks[pl.shard])
+	return dev.Partitions()[pl.dec.Queue.Index].ExecuteChunks(m, c.shardChunks[pl.shard])
 }
 
 // answerOnNodeCPU answers a count/min/max sub-query from the node's
@@ -165,43 +167,47 @@ func (c *Cluster) answerOnNodeCPU(nd *node, s int, sp subQuerySpec, op table.Agg
 	return agg.Result(op), nil
 }
 
-// Query answers a scalar query across every shard: translate once at the
-// coordinator, fan the sub-query out (placement and failover per shard),
-// then fold ALL chunk partials flat in global chunk order — shard 0's
-// chunks, then shard 1's, ... — and finalize. The fold tree is identical
-// for every shard count, replica choice and failover history, so the
-// answer is bit-identical to the N=1 cluster on the same table.
+// Query answers a query across every shard: translate once at the
+// coordinator, fan the sub-query out (placement and failover per shard,
+// all against the one T_D stamped on arrival), then fold ALL chunk
+// states flat in global chunk order — shard 0's chunks, then shard 1's,
+// ... — and finalize: Merge/Finalize for a scalar query, MergeGroups/
+// FinalizeGroups into key-sorted rows for a grouped one (per-key fold
+// order is the merge-call order, so map iteration order is irrelevant).
+// The fold tree is identical for every shard count, replica choice and
+// failover history, so the answer is bit-identical to the N=1 cluster on
+// the same table.
 func (c *Cluster) Query(q0 *query.Query) (Result, error) {
-	if q0.Grouped() {
-		return Result{}, fmt.Errorf("cluster: query %d has GROUP BY; use QueryGroups", q0.ID)
-	}
 	started := time.Now()
+	deadline := c.nowS() + c.deadlineSeconds()
 	q := q0.Clone()
 	if err := c.translate(q); err != nil {
 		return Result{}, err
 	}
-	req, empty, err := q.ToScanRequest(c.schema)
+	m, empty, err := c.memberOf(q)
 	if err != nil {
 		return Result{}, err
 	}
 	c.mu.Lock()
-	c.stats.Queries++
+	if q.Grouped() {
+		c.stats.GroupQueries++
+	} else {
+		c.stats.Queries++
+	}
 	c.mu.Unlock()
 	if empty {
 		return Result{Latency: time.Since(started)}, nil
 	}
-	sp := c.specFor(q, req, 0)
+	sp := c.specFor(q, m)
 
-	partials := make([][]table.ScanResult, len(c.nodes))
+	partials := make([][]table.State, len(c.nodes))
 	errs := make([]error, len(c.nodes))
 	var wg sync.WaitGroup
 	for s := range c.nodes {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			partials[s], errs[s] = execShard(c, s, sp, func(pl placement) ([]table.ScanResult, error) {
-				return c.runScalar(pl, sp, req)
-			})
+			partials[s], errs[s] = c.execShard(s, deadline, sp, m)
 		}(s)
 	}
 	wg.Wait()
@@ -210,14 +216,39 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 		return Result{}, err
 	}
 
-	var acc table.ScanResult
-	for s := range partials {
-		for _, p := range partials[s] {
-			acc = table.Merge(req.Op, acc, p)
+	res := Result{Partial: cp}
+	if q.Grouped() {
+		var acc table.Groups
+		for _, part := range partials {
+			for _, st := range part {
+				acc = table.MergeGroups(m.Op, acc, st.Groups)
+			}
 		}
+		res.Groups = table.FinalizeGroups(m.Op, acc, len(m.GroupBy))
+	} else {
+		var acc table.ScanResult
+		for _, part := range partials {
+			for _, st := range part {
+				acc = table.Merge(m.Op, acc, st.Scalar)
+			}
+		}
+		r := table.Finalize(m.Op, acc)
+		res.Value, res.Rows = r.Value, r.Rows
 	}
-	res := table.Finalize(req.Op, acc)
-	return Result{Value: res.Value, Rows: res.Rows, Latency: time.Since(started), Partial: cp}, nil
+	res.Latency = time.Since(started)
+	return res, nil
+}
+
+// memberOf is a translated query as the one plan member every shard
+// scans: keyed by its GROUP BY columns, scalar without. empty reports a
+// text predicate that matches nothing.
+func (c *Cluster) memberOf(q *query.Query) (m table.Member, empty bool, err error) {
+	if !q.Grouped() {
+		m.ScanRequest, empty, err = q.ToScanRequest(c.schema)
+		return m, empty, err
+	}
+	greq, empty, err := q.ToGroupScanRequest(c.schema)
+	return table.Member{ScanRequest: greq.ScanRequest, GroupBy: greq.GroupBy}, empty, err
 }
 
 // degrade inspects the per-shard fan-out errors. Without AllowPartial
@@ -255,64 +286,4 @@ func (c *Cluster) degrade(errs []error) (*Completeness, error) {
 		ChunksTotal:    c.cfg.Chunks,
 		MissingShards:  missing,
 	}, nil
-}
-
-// QueryGroups answers a grouped query across every shard. Each chunk
-// contributes a fresh group map built by one pass over its rows; the
-// coordinator merges the maps in global chunk order (per-key fold order
-// is the merge-call order, so map iteration order is irrelevant) and
-// finalizes into key-sorted rows — bit-identical across shard counts by
-// the same argument as Query. The *Completeness is nil for a full
-// answer and the degraded-read mask under AllowPartial.
-func (c *Cluster) QueryGroups(q0 *query.Query) ([]table.GroupRow, *Completeness, time.Duration, error) {
-	if !q0.Grouped() {
-		return nil, nil, 0, fmt.Errorf("cluster: query %d has no GROUP BY; use Query", q0.ID)
-	}
-	started := time.Now()
-	q := q0.Clone()
-	if err := c.translate(q); err != nil {
-		return nil, nil, 0, err
-	}
-	greq, empty, err := q.ToGroupScanRequest(c.schema)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	c.mu.Lock()
-	c.stats.GroupQueries++
-	c.mu.Unlock()
-	if empty {
-		return nil, nil, time.Since(started), nil
-	}
-	sp := c.specFor(q, greq.ScanRequest, len(greq.GroupBy))
-
-	partials := make([][]table.Groups, len(c.nodes))
-	errs := make([]error, len(c.nodes))
-	var wg sync.WaitGroup
-	for s := range c.nodes {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			partials[s], errs[s] = execShard(c, s, sp, func(pl placement) ([]table.Groups, error) {
-				dev, err := c.deviceFor(c.nodes[pl.node], pl.shard)
-				if err != nil {
-					return nil, err
-				}
-				return dev.Partitions()[pl.dec.Queue.Index].ExecuteGroupChunks(greq, c.shardChunks[pl.shard])
-			})
-		}(s)
-	}
-	wg.Wait()
-	cp, err := c.degrade(errs)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-
-	var acc table.Groups
-	for s := range partials {
-		for _, g := range partials[s] {
-			acc = table.MergeGroups(greq.Op, acc, g)
-		}
-	}
-	rows := table.FinalizeGroups(greq.Op, acc, len(greq.GroupBy))
-	return rows, cp, time.Since(started), nil
 }

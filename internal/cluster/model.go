@@ -108,26 +108,14 @@ func (c *Cluster) RunModel(mc ModelConfig) (ModelResult, error) {
 		now := free[cl]
 		q := modelQuery(rng, int64(i), mc.Grouped)
 
-		var sp subQuerySpec
-		if mc.Grouped {
-			greq, empty, err := q.ToGroupScanRequest(c.schema)
-			if err != nil {
-				return ModelResult{}, err
-			}
-			if empty {
-				continue
-			}
-			sp = c.specFor(q, greq.ScanRequest, len(greq.GroupBy))
-		} else {
-			req, empty, err := q.ToScanRequest(c.schema)
-			if err != nil {
-				return ModelResult{}, err
-			}
-			if empty {
-				continue
-			}
-			sp = c.specFor(q, req, 0)
+		m, empty, err := c.memberOf(q)
+		if err != nil {
+			return ModelResult{}, err
 		}
+		if empty {
+			continue
+		}
+		sp := c.specFor(q, m)
 
 		completion := now
 		for s := 0; s < c.cfg.Shards; s++ {

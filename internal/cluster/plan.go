@@ -25,8 +25,10 @@ type subQuerySpec struct {
 	boxEmpty  bool
 }
 
-// specFor derives the sub-query spec from a translated query.
-func (c *Cluster) specFor(q *query.Query, req table.ScanRequest, groupCols int) subQuerySpec {
+// specFor derives the sub-query spec from a translated query and its
+// plan member.
+func (c *Cluster) specFor(q *query.Query, m table.Member) subQuerySpec {
+	req, groupCols := m.ScanRequest, len(m.GroupBy)
 	sp := subQuerySpec{
 		cols:      req.ColumnsAccessed() + groupCols,
 		intCols:   len(req.Predicates) + groupCols,
@@ -79,8 +81,8 @@ type placement struct {
 // no cubes), and only get GPU estimates after pricing the fetch.
 func (c *Cluster) estimatesOn(nd *node, s int, sp subQuerySpec, resident bool, aware bool) (est sched.Estimates, linkSeconds float64, moveBytes int64, err error) {
 	frac := float64(c.shardTables[s].Rows()) / float64(c.ft.Rows())
-	est.GPUSeconds = make([]float64, len(c.cfg.Layout))
-	for i, w := range c.cfg.Layout {
+	est.GPUSeconds = make([]float64, len(c.layout))
+	for i, w := range c.layout {
 		t, err := c.est.GPUTime(w, sp.cols, c.totalCols)
 		if err != nil {
 			return sched.Estimates{}, 0, 0, err

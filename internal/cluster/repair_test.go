@@ -94,16 +94,16 @@ func TestChaosRepairDifferential(t *testing.T) {
 							}
 						}
 						for i, q := range groups {
-							rows, cp, _, err := c.QueryGroups(q)
+							r, err := c.Query(q)
 							if err != nil {
 								errCh <- fmt.Errorf("group query %d during repair: %w", q.ID, err)
 								return
 							}
-							if cp != nil {
-								errCh <- fmt.Errorf("group query %d: unexpected partial %+v", q.ID, cp)
+							if r.Partial != nil {
+								errCh <- fmt.Errorf("group query %d: unexpected partial %+v", q.ID, r.Partial)
 								return
 							}
-							if !sameGroups(rows, refG[i]) {
+							if !sameGroups(r.Groups, refG[i]) {
 								errCh <- fmt.Errorf("group query %d: rows differ during repair", q.ID)
 							}
 						}
@@ -196,11 +196,12 @@ func TestClusterPartialAnswer(t *testing.T) {
 
 	// Grouped path: same mask, and the group row counts sum to the same
 	// live-shard total.
-	rows, cp, _, err := c.QueryGroups(&query.Query{Op: table.AggCount,
+	gr, err := c.Query(&query.Query{Op: table.AggCount,
 		GroupBy: []query.GroupRef{{Dim: 0, Level: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, cp := gr.Groups, gr.Partial
 	if cp == nil || cp.ChunksAnswered != wantChunks || len(cp.MissingShards) != 1 || cp.MissingShards[0] != 2 {
 		t.Fatalf("grouped mask = %+v, want %d/%d missing [2]", cp, wantChunks, c.cfg.Chunks)
 	}

@@ -37,6 +37,28 @@ func faultFreeAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef)
 	return r
 }
 
+// faultFreeGroupsAt is faultFreeAt for a grouped query.
+func faultFreeGroupsAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef) []table.GroupRow {
+	t.Helper()
+	q := q0.Clone()
+	if q.NeedsTranslation() {
+		if _, err := query.Translate(q, s.Dicts()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rows []table.GroupRow
+	var err error
+	if queue.Kind == sched.QueueCPU {
+		rows, err = s.answerGroupsOnCPUAt(q, s.pin())
+	} else {
+		rows, err = s.AnswerGroupsOnGPUAt(q, 0, s.pin())
+	}
+	if err != nil {
+		t.Fatalf("fault-free recompute of grouped query %d on %s: %v", q0.ID, queue, err)
+	}
+	return rows
+}
+
 // chaosWorkload regenerates the identical query stream for one seed:
 // queries are mutated in place by translation, so each run gets a fresh
 // copy from the same generator seed.

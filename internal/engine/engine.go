@@ -13,8 +13,8 @@
 //   - The real path executes every query for real: actual cubes are
 //     aggregated, actual dictionaries translated and the actual fact table
 //     scanned, at laptop scale on the wall clock. One inline attempt loop
-//     (real.go) carries a query from booking to answer; RunReal, RunGrouped
-//     and Serve are its entry points. It exists to prove functional
+//     (real.go) carries a query from booking to answer; RunReal and Serve
+//     are its entry points. It exists to prove functional
 //     correctness end to end: both paths return identical answers.
 package engine
 
@@ -107,8 +107,8 @@ type System struct {
 	schedMu sync.Mutex
 
 	// start anchors nowS, the one clock every real-path scheduler call
-	// reads, so bookings from concurrent Run, Serve and grouped calls
-	// compare consistently against the queue clocks and T_Q drains.
+	// reads, so bookings from concurrent Run and Serve calls compare
+	// consistently against the queue clocks and T_Q drains.
 	start time.Time
 
 	// cache is the epoch-keyed result cache (nil when disabled).

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
 	"time"
@@ -12,10 +11,12 @@ import (
 	"hybridolap/internal/table"
 )
 
-// Serve is the high-QPS serving path: one scalar query in, one answer
-// out, with the result cache consulted first and compatible concurrent
-// GPU-bound queries fused into shared scans.
+// Serve is the high-QPS serving path: one query in, one answer out. A
+// scalar query consults the result cache first, and compatible concurrent
+// GPU-bound scalar queries fuse into shared scans; a grouped query goes
+// straight to the attempt loop.
 //
+//	GROUP BY → attempt loop (cube walk / grouped scan)
 //	pin epoch → translate → cache lookup → estimate
 //	  ├── CPU-answerable or fusion off → attempt loop (cube walk / solo scan)
 //	  └── GPU-bound → fusion window → ONE fused job for K members
@@ -33,6 +34,9 @@ import (
 // here.
 type ServeOutcome struct {
 	Result table.ScanResult
+	// Groups holds a grouped query's rows, sorted by key; Result is then
+	// zero.
+	Groups []table.GroupRow
 	// Queue is the placement that produced the answer (for cache hits,
 	// the placement that produced the stored entry).
 	Queue sched.QueueRef
@@ -86,15 +90,22 @@ func (g *fusionGroup) nudge() {
 
 // nowS is the real path's one scheduler clock: seconds since system
 // construction, the monotone origin every Submit, Feedback and health
-// report of Run, Serve, grouped queries and maintenance shares.
+// report of Run, Serve and maintenance shares.
 func (s *System) nowS() float64 { return time.Since(s.start).Seconds() }
 
-// Serve answers one scalar query through the cache + fusion serving path.
-// Safe for concurrent use; concurrency is what fills fusion windows.
+// Serve answers one query through the serving path. Safe for concurrent
+// use; concurrency is what fills fusion windows.
 func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	started := time.Now()
 	if q0.Grouped() {
-		return ServeOutcome{}, fmt.Errorf("engine: query %d has GROUP BY; Serve answers scalar queries", q0.ID)
+		// No cache entry and no window, so it never counts as arriving:
+		// priced with its grouping columns in C_QD, then the attempt loop.
+		j, err := s.newJob(q0)
+		if err != nil {
+			return ServeOutcome{}, err
+		}
+		rows, err := run(s, &j, grouped)
+		return ServeOutcome{Groups: rows, Queue: j.d.Queue, Attempts: j.attempts, Latency: time.Since(started)}, err
 	}
 	// This call may still join a window until it does, bypasses or
 	// returns; leaders hold their windows only while such calls exist.
@@ -127,8 +138,8 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	}
 	if empty {
 		// A predicate names a string no dictionary knows: no row can match
-		// at any epoch.
-		return ServeOutcome{Latency: time.Since(started)}, nil
+		// at any epoch, and translation was the only step that ran.
+		return ServeOutcome{Queue: transQueue, Latency: time.Since(started)}, nil
 	}
 
 	if s.cache != nil {

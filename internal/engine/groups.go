@@ -51,20 +51,3 @@ func (s *System) AnswerGroupsOnGPU(q *query.Query, partition int) ([]table.Group
 func (s *System) ReferenceGroups(q *query.Query) ([]table.GroupRow, error) {
 	return s.ReferenceGroupsAt(q, s.pin())
 }
-
-// RunGrouped schedules one grouped query with the Fig. 10 algorithm (its
-// estimates already include the grouping columns in C_QD) and takes it
-// through the attempt loop on the caller's goroutine. Grouped queries are
-// interactive drill-downs, so the synchronous call matches how they are
-// used.
-func (s *System) RunGrouped(q *query.Query) ([]table.GroupRow, string, error) {
-	j, err := s.newJob(q)
-	if err != nil {
-		return nil, "", err
-	}
-	rows, err := run(s, &j, grouped)
-	if err != nil {
-		return nil, "", err
-	}
-	return rows, j.d.Queue.String(), nil
-}

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"hybridolap/internal/ingest"
 	"hybridolap/internal/query"
+	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
 )
 
@@ -151,26 +154,26 @@ func TestRunGroupedSchedules(t *testing.T) {
 		GroupBy:    []query.GroupRef{{Dim: 0, Level: 0}},
 		Measure:    0, Op: table.AggSum,
 	}
-	rows, queue, err := s.RunGrouped(q)
+	out, err := s.Serve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if queue != "cpu" {
+	if queue := out.Queue.String(); queue != "cpu" {
 		t.Fatalf("queue = %s, want cpu", queue)
 	}
 	ref, _ := s.ReferenceGroups(q)
-	groupRowsEqual(t, rows, ref, "scheduled")
+	groupRowsEqual(t, out.Groups, ref, "scheduled")
 
 	// A text-grouped query routes to a GPU partition.
 	qt := &query.Query{
 		GroupBy: []query.GroupRef{{Text: true, Column: "customer_city"}},
 		Measure: 0, Op: table.AggCount,
 	}
-	_, queue, err = s.RunGrouped(qt)
+	out, err = s.Serve(qt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if queue == "cpu" {
+	if out.Queue.String() == "cpu" {
 		t.Fatal("text-grouped query scheduled to CPU")
 	}
 	// The caller's query must stay untranslated.
@@ -219,5 +222,113 @@ func TestGroupedEstimatePicksFineCube(t *testing.T) {
 	}
 	if _, err := s.AnswerGroupsOnCPU(q); err == nil {
 		t.Fatal("AnswerGroupsOnCPU should fail for too-fine grouping")
+	}
+}
+
+// groupRowsBits is groupRowsEqual without a tolerance: same keys, same
+// row counts, same value bits.
+func groupRowsBits(t *testing.T, got, want []table.GroupRow, label string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d groups, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !slices.Equal(g.Keys, w.Keys) || g.Rows != w.Rows ||
+			math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+			t.Fatalf("%s group %d: %v (%v, %d) vs %v (%v, %d)",
+				label, i, g.Keys, g.Value, g.Rows, w.Keys, w.Value, w.Rows)
+		}
+	}
+}
+
+// TestServeGroupedMatchesReference takes grouped queries through Serve:
+// on the CPU, on a GPU partition (text grouping), with a predicate that
+// needs translation and at a live epoch after ingest, each answer is the
+// sequential reference scan's, bit for bit (max on the CPU selects stored
+// values; a GPU scan of fewer than BlockRows rows is one row-order fold).
+// Grouped queries neither store cache entries nor join fusion windows.
+func TestServeGroupedMatchesReference(t *testing.T) {
+	s, err := Setup(SetupSpec{Rows: 5000, Seed: 1, Live: true, Fusion: true, Cache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Live().Close(); err != nil {
+			t.Errorf("closing live store: %v", err)
+		}
+	})
+	store, err := s.Dicts().Decode("store_name", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := s.Config().Table.Schema()
+	parse := func(sql string) *query.Query {
+		q, err := query.Parse(sql, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	cases := []struct {
+		name   string
+		q      *query.Query
+		kind   sched.QueueKind
+		ingest bool // ingest a batch first: the answer is a later epoch's
+	}{
+		{"cpu", parse("SELECT max(sales) WHERE time.year BETWEEN 0 AND 3 GROUP BY time.year"), sched.QueueCPU, false},
+		{"gpu text-grouped", parse("SELECT sum(sales) GROUP BY customer_city"), sched.QueueGPU, false},
+		{"translated predicate", parse("SELECT avg(sales) WHERE store_name = '" + store + "' GROUP BY geo.region"), sched.QueueGPU, false},
+		{"live epoch", parse("SELECT sum(sales) GROUP BY store_name"), sched.QueueGPU, true},
+	}
+	stores := s.CacheStats().Stores
+	before := s.Scheduler().Stats()
+	for _, c := range cases {
+		if c.ingest {
+			rows := make([]table.Row, 10)
+			for i := range rows {
+				rows[i] = liveRow(i)
+			}
+			if _, err := s.Ingest(&ingest.Batch{Rows: rows}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := s.Serve(c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if out.Queue.Kind != c.kind || out.Attempts != 1 || out.Fused || out.CacheHit {
+			t.Fatalf("%s: outcome %+v, want one attempt on a %v queue", c.name, out, c.kind)
+		}
+		if c.q.TextConds != nil && c.q.TextConds[0].Translated {
+			t.Fatalf("%s: Serve translated the caller's query", c.name)
+		}
+		ref, err := s.ReferenceGroups(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref) == 0 {
+			t.Fatalf("%s: the reference has no groups; the comparison is vacuous", c.name)
+		}
+		groupRowsBits(t, out.Groups, ref, c.name)
+		if c.ingest {
+			var n int64
+			for _, g := range out.Groups {
+				n += g.Rows
+			}
+			if n != 5010 {
+				t.Fatalf("%s: groups cover %d rows, want the base 5000 + 10 ingested", c.name, n)
+			}
+		}
+	}
+	if got := s.CacheStats().Stores; got != stores {
+		t.Fatalf("grouped serves stored %d cache entries", got-stores)
+	}
+	after := s.Scheduler().Stats()
+	if after.FusedJobs != before.FusedJobs || after.FusedMembers != before.FusedMembers {
+		t.Fatalf("grouped serves joined fusion windows: %+v -> %+v", before, after)
+	}
+	if after.Submitted-before.Submitted != int64(len(cases)) {
+		t.Fatalf("%d bookings for %d grouped serves", after.Submitted-before.Submitted, len(cases))
 	}
 }

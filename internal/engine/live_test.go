@@ -87,7 +87,7 @@ func TestLiveIngestVisibleToRunReal(t *testing.T) {
 		GroupBy:    []query.GroupRef{{Dim: 0, Level: 0}},
 		Measure:    0, Op: table.AggSum,
 	}
-	got, _, err := s.RunGrouped(gq)
+	got, err := s.Serve(gq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestLiveIngestVisibleToRunReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groupRowsEqual(t, got, ref, "live-grouped")
+	groupRowsEqual(t, got.Groups, ref, "live-grouped")
 }
 
 // TestLiveConcurrentIngestQueryCompact drives writers, scalar, grouped and
@@ -188,7 +188,7 @@ func TestLiveConcurrentIngestQueryCompact(t *testing.T) {
 					t.Errorf("count = %d outside [%d, %d]", o.Result.Rows, baseRows, total)
 					return
 				}
-				if _, _, err := s.RunGrouped(gq.Clone()); err != nil {
+				if _, err := s.Serve(gq.Clone()); err != nil {
 					t.Error(err)
 					return
 				}

@@ -208,14 +208,14 @@ func (s *System) RunModel(queries []*query.Query, opts ModelOptions) (*ModelResu
 					// processing server, where it contends with cube
 					// aggregation.
 					srv := transSrv
-					transQueue := sched.QueueRef{Kind: sched.QueueCPU, Index: -1}
+					trans := transQueue
 					if s.cfg.Sched.Translation == sched.TransOnCPUQueue {
 						srv = cpuSrv
-						transQueue = sched.QueueRef{Kind: sched.QueueCPU}
+						trans = sched.QueueRef{Kind: sched.QueueCPU}
 					}
 					gate = srv.Submit(sim.FromSeconds(actTr), func(f sim.Time) {
 						s.schedMu.Lock()
-						s.scheduler.Feedback(transQueue, actTr-estTr, sim.Seconds(f))
+						s.scheduler.Feedback(trans, actTr-estTr, sim.Seconds(f))
 						s.schedMu.Unlock()
 					})
 				}

@@ -93,6 +93,9 @@ type free struct{}
 func (free) Lock()   {}
 func (free) Unlock() {}
 
+// transQueue is the text-to-integer translation partition.
+var transQueue = sched.QueueRef{Kind: sched.QueueCPU, Index: -1}
+
 // lane indexes lanes: the CPU partition is queue index 0, translation −1.
 func lane(ref sched.QueueRef) int {
 	if ref.Kind == sched.QueueGPU {
@@ -166,12 +169,11 @@ func (s *System) translate(q *query.Query) error {
 // the dictionary cannot implicate.
 func attempt[T any](s *System, j *job, l lanes, by answerer[T]) (out T, err error) {
 	if j.q.NeedsTranslation() {
-		trans := sched.QueueRef{Kind: sched.QueueCPU, Index: -1}
-		mu := l.of(trans)
+		mu := l.of(transQueue)
 		mu.Lock()
 		t0 := time.Now()
 		err = s.translate(j.q)
-		s.feedback(trans, time.Since(t0).Seconds()-j.est.TransSeconds)
+		s.feedback(transQueue, time.Since(t0).Seconds()-j.est.TransSeconds)
 		mu.Unlock()
 		if err != nil {
 			j.estS, j.actS = j.est.TransSeconds, 0
@@ -255,7 +257,7 @@ func (s *System) RunReal(queries []*query.Query) (*RealResult, error) {
 	var submitErr error
 	for slot, q := range queries {
 		if q.Grouped() {
-			submitErr = fmt.Errorf("engine: query %d has GROUP BY; use RunGrouped", q.ID)
+			submitErr = fmt.Errorf("engine: query %d has GROUP BY; use Serve", q.ID)
 			break
 		}
 		j, err := s.newJob(q)

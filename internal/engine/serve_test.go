@@ -745,8 +745,56 @@ func TestChaosServeDifferential(t *testing.T) {
 						outs[i].Result.Value, outs[i].Result.Rows, want.Value, want.Rows)
 				}
 			}
-			t.Logf("seed %d: fired=%d failed=%d fused=%d cached=%d sched=%+v cache=%+v",
-				seed, plan.TotalFired(), failed, fused, cached,
+
+			// The grouped wave runs after every scalar query, so the scalar
+			// arm above sees the fault stream it always did. Groupings
+			// alternate between a dimension level (CPU or GPU) and a text
+			// column (GPU only).
+			groupedWork := func(s *System) []*query.Query {
+				qs := chaosWorkload(t, s, seed+100, 2*wave)
+				for i, q := range qs {
+					q.GroupBy = []query.GroupRef{{Dim: 2, Level: 0}}
+					if i%2 == 1 {
+						q.GroupBy = []query.GroupRef{{Text: true, Column: "customer_city"}}
+					}
+				}
+				return qs
+			}
+			gwork := groupedWork(chaos)
+			gouts := make([]ServeOutcome, len(gwork))
+			gerrs := make([]error, len(gwork))
+			for lo := 0; lo < len(gwork); lo += wave {
+				var wg sync.WaitGroup
+				for i := lo; i < lo+wave; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						gouts[i], gerrs[i] = chaos.Serve(gwork[i])
+					}(i)
+				}
+				wg.Wait()
+			}
+			gpristine := groupedWork(base)
+			gdone, gretried, gcpu := 0, 0, 0
+			for i, o := range gouts {
+				if gerrs[i] != nil {
+					continue // a spent retry budget is legal; wrong answers are not
+				}
+				gdone++
+				if o.Attempts > 1 {
+					gretried++
+				}
+				if o.Queue.Kind == sched.QueueCPU {
+					gcpu++
+				}
+				want := faultFreeGroupsAt(t, base, gpristine[i], o.Queue)
+				groupRowsBits(t, o.Groups, want, fmt.Sprintf("grouped query %d (queue %s, %d attempts)", i, o.Queue, o.Attempts))
+			}
+			if gdone == 0 {
+				t.Fatal("no grouped query completed under chaos; the grouped differential is vacuous")
+			}
+			t.Logf("seed %d: fired=%d failed=%d fused=%d cached=%d grouped=%d/%d (retried %d, cpu %d) sched=%+v cache=%+v",
+				seed, plan.TotalFired(), failed, fused, cached, gdone, len(gwork), gretried, gcpu,
 				chaos.Scheduler().Stats().FusedJobs, chaos.CacheStats())
 		})
 	}

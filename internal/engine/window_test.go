@@ -184,8 +184,8 @@ func TestServeBypassIsInline(t *testing.T) {
 			}
 			return err
 		},
-		"Serve":      func(s *System) error { _, err := s.Serve(q); return err },
-		"RunGrouped": func(s *System) error { _, _, err := s.RunGrouped(grouped); return err },
+		"Serve":         func(s *System) error { _, err := s.Serve(q); return err },
+		"Serve grouped": func(s *System) error { _, err := s.Serve(grouped); return err },
 	}
 	var first sched.Stats
 	for name, enter := range entries {
@@ -246,8 +246,8 @@ func TestServeHeapNoHigherThanParent(t *testing.T) {
 	}
 }
 
-// TestOneClockQueuesDrain is the time-base regression: Serve, RunReal and
-// RunGrouped book and report on the one system clock, so 3000 sequential
+// TestOneClockQueuesDrain is the time-base regression: Serve (scalar and
+// grouped) and RunReal book and report on the one system clock, so 3000 sequential
 // queries at a 50 ms deadline never see a queue that failed to drain —
 // none is predicted late, and once idle no T_Q lies in the future.
 func TestOneClockQueuesDrain(t *testing.T) {
@@ -262,7 +262,7 @@ func TestOneClockQueuesDrain(t *testing.T) {
 		switch i % 3 {
 		case 0:
 			q.GroupBy = []query.GroupRef{{Dim: 2, Level: 0}}
-			_, _, err = s.RunGrouped(q)
+			_, err = s.Serve(q)
 		case 1:
 			_, err = s.Serve(q)
 		default:

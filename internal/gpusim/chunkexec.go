@@ -24,36 +24,26 @@ func gridUnits(chunks []ChunkRange) []workUnit {
 }
 
 // ExecuteChunks scans the device's resident table over explicit chunk
-// ranges and returns one UNFINALIZED partial per chunk, in chunk order
-// (see scan: a chunk's bits depend only on the rows inside it — not
-// on how many chunks the call received or how the device is partitioned).
-// The reduction moves up to the caller: the cluster coordinator folds
-// every shard's chunk partials in global chunk order, and that flat,
-// fixed-grid reduction is what keeps distributed answers bit-identical
-// across shard counts (a hierarchical per-shard pre-merge would change the
-// floating-point fold tree as N changes).
-func (p *Partition) ExecuteChunks(req table.ScanRequest, chunks []ChunkRange) ([]table.ScanResult, error) {
-	_, states, err := p.scan(p.dev.resident, []table.Member{{ScanRequest: req}}, gridUnits(chunks))
-	if err != nil {
-		return nil, err
-	}
-	return scalars(states, 0), nil
-}
-
-// ExecuteGroupChunks is ExecuteChunks for grouped scans: one fresh
-// UNFINALIZED group map per chunk, in chunk order (nil for a chunk in
-// which no row matched). As in ExecuteGroup, a unit's map is built by one
-// row-order pass over exactly its rows, so the per-chunk maps (and the
-// coordinator's chunk-order MergeGroups fold over them) are deterministic
-// for any shard count.
-func (p *Partition) ExecuteGroupChunks(req table.GroupScanRequest, chunks []ChunkRange) ([]table.Groups, error) {
-	m, err := table.GroupMember(req)
-	if err != nil {
-		return nil, err
-	}
+// ranges for one member — scalar, or keyed by its GroupBy columns — and
+// returns its UNFINALIZED state per chunk, in chunk order (the zero State
+// for an empty chunk; a nil Groups map where no row matched). See scan: a
+// chunk's bits depend only on the rows inside it — not on how many chunks
+// the call received or how the device is partitioned. The reduction moves
+// up to the caller: the cluster coordinator folds every shard's chunk
+// states in global chunk order, and that flat, fixed-grid reduction is
+// what keeps distributed answers bit-identical across shard counts (a
+// hierarchical per-shard pre-merge would change the floating-point fold
+// tree as N changes).
+func (p *Partition) ExecuteChunks(m table.Member, chunks []ChunkRange) ([]table.State, error) {
 	_, states, err := p.scan(p.dev.resident, []table.Member{m}, gridUnits(chunks))
 	if err != nil {
 		return nil, err
 	}
-	return groups(states, 0), nil
+	out := make([]table.State, len(states))
+	for i, st := range states {
+		if st != nil {
+			out[i] = st[0]
+		}
+	}
+	return out, nil
 }

@@ -26,7 +26,7 @@ func TestExecuteChunksDeterminism(t *testing.T) {
 		Measure:    0, Op: table.AggSum,
 	}
 	grid := fixedGrid(rows, 16)
-	first, err := p.ExecuteChunks(req, grid)
+	first, err := p.ExecuteChunks(table.Member{ScanRequest: req}, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +37,13 @@ func TestExecuteChunksDeterminism(t *testing.T) {
 	// runs — and runs on a different partition width — are bit-identical.
 	for run := 0; run < 3; run++ {
 		p2 := d.Partitions()[run%len(d.Partitions())]
-		again, err := p2.ExecuteChunks(req, grid)
+		again, err := p2.ExecuteChunks(table.Member{ScanRequest: req}, grid)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range first {
-			if first[i].Rows != again[i].Rows ||
-				math.Float64bits(first[i].Value) != math.Float64bits(again[i].Value) {
+			if first[i].Scalar.Rows != again[i].Scalar.Rows ||
+				math.Float64bits(first[i].Scalar.Value) != math.Float64bits(again[i].Scalar.Value) {
 				t.Fatalf("run %d chunk %d: partial drifted", run, i)
 			}
 		}
@@ -53,7 +53,7 @@ func TestExecuteChunksDeterminism(t *testing.T) {
 	// the count is exact).
 	var acc table.ScanResult
 	for _, part := range first {
-		acc = table.Merge(req.Op, acc, part)
+		acc = table.Merge(req.Op, acc, part.Scalar)
 	}
 	ft := testTable(t, rows)
 	want, err := table.Scan(ft, req)
@@ -77,18 +77,22 @@ func TestExecuteGroupChunksDeterminism(t *testing.T) {
 		GroupBy:     []table.GroupCol{{Dim: 0, Level: 0}},
 	}
 	grid := fixedGrid(rows, 8)
-	first, err := p.ExecuteGroupChunks(req, grid)
+	m, err := table.GroupMember(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := d.Partitions()[1].ExecuteGroupChunks(req, grid)
+	first, err := p.ExecuteChunks(m, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := d.Partitions()[1].ExecuteChunks(m, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b table.Groups
 	for i := range first {
-		a = table.MergeGroups(req.Op, a, first[i])
-		b = table.MergeGroups(req.Op, b, again[i])
+		a = table.MergeGroups(req.Op, a, first[i].Groups)
+		b = table.MergeGroups(req.Op, b, again[i].Groups)
 	}
 	ra := table.FinalizeGroups(req.Op, a, len(req.GroupBy))
 	rb := table.FinalizeGroups(req.Op, b, len(req.GroupBy))
@@ -106,13 +110,13 @@ func TestExecuteChunksEmptyAndErrors(t *testing.T) {
 	const rows = 1_000
 	d := newTestDevice(t, rows)
 	p := d.Partitions()[0]
-	req := table.ScanRequest{Op: table.AggCount}
+	req := table.Member{ScanRequest: table.ScanRequest{Op: table.AggCount}}
 	// Empty chunks contribute zero partials; out-of-range chunks error.
 	parts, err := p.ExecuteChunks(req, []ChunkRange{{Lo: 10, Hi: 10}, {Lo: 0, Hi: rows}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts[0].Rows != 0 || parts[1].Rows != int64(rows) {
+	if parts[0].Scalar.Rows != 0 || parts[1].Scalar.Rows != int64(rows) {
 		t.Fatalf("partials %+v", parts)
 	}
 	if _, err := p.ExecuteChunks(req, []ChunkRange{{Lo: 0, Hi: rows + 1}}); err == nil {

@@ -9,12 +9,13 @@ import (
 	"hybridolap/internal/table"
 )
 
-// TestEntryPointContract pins what every one of the five kernel entry
-// points owes its caller, on every partition width: an injected
-// fault.GPUExec aborts the launch with the injected error and no
-// accounting; a fault-free launch advances Completed by exactly one
-// whatever the unit count (zero, one, many); and a failing unit surfaces
-// as an error — never a panic, a partial answer or a completed kernel.
+// TestEntryPointContract pins what every one of the four kernel entry
+// points owes its caller (ExecuteChunks once with a scalar and once with a
+// keyed member), on every partition width: an injected fault.GPUExec
+// aborts the launch with the injected error and no accounting; a
+// fault-free launch advances Completed by exactly one whatever the unit
+// count (zero, one, many); and a failing unit surfaces as an error — never
+// a panic, a partial answer or a completed kernel.
 func TestEntryPointContract(t *testing.T) {
 	const rows = 5000
 	scalar := table.ScanRequest{Op: table.AggSum, Measure: 0,
@@ -64,11 +65,15 @@ func TestEntryPointContract(t *testing.T) {
 			return len(got), err
 		}},
 		{"ExecuteChunks", true, func(p *Partition, w work) (int, error) {
-			got, err := p.ExecuteChunks(scalar, w.chunks)
+			got, err := p.ExecuteChunks(table.Member{ScanRequest: scalar}, w.chunks)
 			return len(got), err
 		}},
 		{"ExecuteGroupChunks", true, func(p *Partition, w work) (int, error) {
-			got, err := p.ExecuteGroupChunks(grouped, w.chunks)
+			m, err := table.GroupMember(grouped)
+			if err != nil {
+				return 0, err
+			}
+			got, err := p.ExecuteChunks(m, w.chunks)
 			return len(got), err
 		}},
 	}

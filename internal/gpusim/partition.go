@@ -23,7 +23,7 @@ import (
 const BlockRows = 32 * table.BatchSize
 
 // Partition is a disjoint group of SMs with concurrent-kernel access to
-// the whole device memory. Its five Execute* entry points are safe to call
+// the whole device memory. Its four Execute* entry points are safe to call
 // concurrently on different partitions (Fermi-style concurrent kernel
 // execution); each call runs its own fork/join over the partition's SMs.
 //
@@ -40,9 +40,9 @@ const BlockRows = 32 * table.BatchSize
 //	         grid) and one goroutine per SM drains units from a shared
 //	         cursor through the vectorized batch kernel, a unit that spans
 //	         stripes chaining one state through them in row order (steps 1
-//	         and 2 are scan, shared by all five);
+//	         and 2 are scan, shared by all four);
 //	step 3 — reduction: a fold of per-unit partials in unit order (by the
-//	         caller, for the two chunk entry points);
+//	         caller, for the chunk entry point);
 //	step 4 — final aggregation: the finalised aggregate returns to the
 //	         caller (the CPU side), and Completed advances by one.
 //

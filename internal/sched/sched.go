@@ -44,9 +44,13 @@ type QueueRef struct {
 	Index int
 }
 
-// String renders "cpu" or "gpu[i]".
+// String renders "cpu", "trans" (the translation partition, CPU index
+// −1) or "gpu[i]".
 func (q QueueRef) String() string {
 	if q.Kind == QueueCPU {
+		if q.Index == -1 {
+			return "trans"
+		}
 		return "cpu"
 	}
 	return fmt.Sprintf("gpu[%d]", q.Index)

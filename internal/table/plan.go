@@ -80,7 +80,7 @@ type member struct {
 	op    AggOp
 	meas  []float64 // nil for pure counts
 	preds []boundPred
-	never bool    // some predicate can match no row
+	never bool       // some predicate can match no row
 	dense bool       // unfiltered scalar member of an unseeded pass: aggregates dense runs
 	gcols []levelCol // key columns; nil for a scalar member
 }

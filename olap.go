@@ -90,8 +90,8 @@ type Options struct {
 	// opens the single-node engine instead, which folds gpusim's block
 	// grid: against it count/min/max are exact and sum/avg agree to
 	// rounding (TestShardsAnswerContract). Sharded databases are static:
-	// Live/WALPath are rejected, and Serve degrades to Run (no fusion or
-	// result cache across nodes).
+	// Live/WALPath are rejected, and Serve answers through the coordinator
+	// (no fusion or result cache across nodes).
 	Shards int
 	// Replication is how many nodes hold each shard (default min(2,
 	// Shards)); replicas serve failover when a node dies.
@@ -355,6 +355,9 @@ type Result struct {
 	// Rows is the number of fact rows (or cube cells' source rows) that
 	// matched the predicates.
 	Rows int64
+	// Groups holds a grouped query's labelled rows (Serve only), sorted by
+	// group key; Value and Rows are then zero.
+	Groups []GroupRow
 	// Route identifies the partition that produced the answer.
 	Route Route
 	// Latency is the wall-clock time from submission to answer.
@@ -381,23 +384,17 @@ func (db *DB) Query(sql string) (Result, error) {
 	return db.Run(q)
 }
 
-// Run schedules and executes an already-built scalar query. Grouped
-// queries (GROUP BY) go through QueryGroups instead.
+// Run schedules and executes an already-built scalar query, uncached.
+// Grouped queries (GROUP BY) go through Serve or QueryGroups instead.
 func (db *DB) Run(q *query.Query) (Result, error) {
-	if err := q.Validate(db.Schema()); err != nil {
-		return Result{}, err
-	}
 	if q.Grouped() {
 		return Result{}, fmt.Errorf("olap: query %d has GROUP BY; use QueryGroups", q.ID)
 	}
 	if db.cl != nil {
-		r, err := db.cl.Query(q)
-		if err != nil {
-			return Result{}, err
-		}
-		res := newResult(q, r.Value, r.Rows, fmt.Sprintf("cluster[%d]", db.cl.Shards()), r.Latency)
-		res.Route.Partial = r.Partial
-		return res, nil
+		return db.Serve(q)
+	}
+	if err := q.Validate(db.Schema()); err != nil {
+		return Result{}, err
 	}
 	res, err := db.sys.RunReal([]*query.Query{q})
 	if err != nil {
@@ -410,19 +407,27 @@ func (db *DB) Run(q *query.Query) (Result, error) {
 	return newResult(q, o.Result.Value, o.Result.Rows, o.Queue.String(), o.Latency), nil
 }
 
-// Serve answers one scalar query through the high-QPS serving path: the
-// epoch-keyed result cache is consulted first (Options.ResultCache) and
-// compatible concurrent GPU-bound queries fuse into shared scans
-// (Options.Fusion). With both disabled it is equivalent to Run. Safe for
-// concurrent use — concurrency is what fills fusion windows.
+// Serve answers one query through the high-QPS serving path. A scalar
+// query consults the epoch-keyed result cache first (Options.ResultCache)
+// and fuses with compatible concurrent GPU-bound queries into shared scans
+// (Options.Fusion); with both disabled it is equivalent to Run. A grouped
+// query is scheduled and executed uncached, its rows in Result.Groups.
+// Safe for concurrent use — concurrency is what fills fusion windows.
 func (db *DB) Serve(q *query.Query) (Result, error) {
+	if err := q.Validate(db.Schema()); err != nil {
+		return Result{}, err
+	}
 	if db.cl != nil {
 		// Fusion windows and the result cache are single-node machinery;
 		// a sharded database serves through the coordinator directly.
-		return db.Run(q)
-	}
-	if err := q.Validate(db.Schema()); err != nil {
-		return Result{}, err
+		r, err := db.cl.Query(q)
+		if err != nil {
+			return Result{}, err
+		}
+		res := newResult(q, r.Value, r.Rows, fmt.Sprintf("cluster[%d]", db.cl.Shards()), r.Latency)
+		res.Groups = db.labelGroupRows(q, r.Groups)
+		res.Route.Partial = r.Partial
+		return res, nil
 	}
 	o, err := db.sys.Serve(q)
 	if err != nil {
@@ -438,13 +443,14 @@ func (db *DB) Serve(q *query.Query) (Result, error) {
 		kind = "fused " + kind
 	}
 	res := newResult(q, o.Result.Value, o.Result.Rows, kind, o.Latency)
+	res.Groups = db.labelGroupRows(q, o.Groups)
 	res.Route.Fused, res.Route.FanIn = o.Fused, o.FanIn
 	res.Route.Cached, res.Route.Subsumed = o.CacheHit, o.Subsumed
 	return res, nil
 }
 
-// ServeQuery parses one SQL-like scalar query and answers it through the
-// Serve path.
+// ServeQuery parses one SQL-like query and answers it through the Serve
+// path.
 func (db *DB) ServeQuery(sql string) (Result, error) {
 	q, err := query.Parse(sql, db.Schema())
 	if err != nil {

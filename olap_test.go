@@ -296,3 +296,21 @@ func TestShardsAnswerContract(t *testing.T) {
 		t.Fatal("single-node sum and avg matched the sharded bits; Options.Shards documents a weaker contract than holds")
 	}
 }
+
+// TestServeEmptyTranslationRoute: a text predicate naming a string no
+// dictionary knows is answered by translation alone — nothing executes —
+// so the route names the translation partition, not the CPU (which cannot
+// answer a text predicate at all).
+func TestServeEmptyTranslationRoute(t *testing.T) {
+	db, err := Open(Options{Rows: 4000, Fusion: true, ResultCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.ServeQuery("SELECT count(*) WHERE store_name = 'no-such-store'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Route.Kind != "trans" || !res.Route.Translated || res.Rows != 0 {
+		t.Fatalf("empty translation answered as %+v", res)
+	}
+}
