@@ -67,10 +67,11 @@ test-chaos:
 # not a wrong answer, only a rare FusionWindow-long stall, so no single run
 # of the plain suite would notice one. -short leaves out the differentials'
 # 100K-row cases (they pin bits over several fold-grid blocks and cost a
-# table build each; `make test` and `make race` run them). CI runs this
-# beside test-chaos.
+# table build each; `make test` and `make race` run them). The root
+# package's Serve and Batch tests put the facade's one-goroutine-per-query
+# Batch under the same stress. CI runs this beside test-chaos.
 test-serve-stress:
-	$(GO) test -race -short -count=20 -run 'Serv|Fus|Window' ./internal/engine ./internal/sched ./cmd/olapd
+	$(GO) test -race -short -count=20 -run 'Serv|Fus|Window|Batch' . ./internal/engine ./internal/sched ./cmd/olapd
 
 race:
 	$(GO) test -race ./...

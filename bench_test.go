@@ -92,8 +92,9 @@ func BenchmarkBatchHeuristics(b *testing.B) { benchExperiment(b, "batch-heuristi
 func BenchmarkTranslationAlgorithms(b *testing.B) { benchExperiment(b, "translation-algos") }
 
 // BenchmarkRealEngineBatch measures the real-execution engine end to end:
-// 64 mixed queries scheduled and answered on actual cubes, dictionaries
-// and simulated-GPU scans.
+// 64 mixed queries answered as one Batch — 64 concurrent Serve calls,
+// scheduled and answered on actual cubes, dictionaries and simulated-GPU
+// scans.
 func BenchmarkRealEngineBatch(b *testing.B) {
 	sys, err := engine.Setup(engine.SetupSpec{Rows: 20_000, Seed: 1})
 	if err != nil {
@@ -112,14 +113,11 @@ func BenchmarkRealEngineBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	qs := gen.Batch(64)
+	db := FromSystem(sys)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.RunReal(qs)
-		if err != nil {
+		if _, err := db.Batch(qs); err != nil {
 			b.Fatal(err)
-		}
-		if res.Failed != 0 {
-			b.Fatalf("%d queries failed", res.Failed)
 		}
 	}
 }

@@ -58,8 +58,8 @@ func ExampleDB_QueryGroups() {
 	// Output: 4 geo.region=0
 }
 
-// ExampleDB_Batch runs a generated workload concurrently across all
-// partitions.
+// ExampleDB_Batch runs a generated workload as concurrent Serve calls, one
+// per query.
 func ExampleDB_Batch() {
 	db, err := olap.Open(olap.Options{Rows: 5_000, Seed: 1})
 	if err != nil {

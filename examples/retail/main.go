@@ -83,8 +83,7 @@ func main() {
 			sql, res.Value, res.Rows, res.Route.Kind, res.Latency)
 	}
 
-	// 4. A burst of 200 generated queries, concurrently across all
-	//    partitions.
+	// 4. A burst of 200 generated queries, one concurrent Serve each.
 	gen, err := db.NewGenerator(query.GenConfig{
 		Seed: 11, TextProb: 0.4, TextRangeProb: 0.2,
 		LevelWeights:  []float64{0.3, 0.3, 0.4},
@@ -100,12 +99,15 @@ func main() {
 		log.Fatal(err)
 	}
 	byRoute := map[string]int{}
+	translated := 0
 	for _, r := range results {
 		byRoute[r.Route.Kind]++
+		if r.Route.Translated {
+			translated++
+		}
 	}
 	fmt.Printf("\nburst of %d queries, placement by the Fig. 10 scheduler:\n", len(results))
-	st := sys.Scheduler().Stats()
-	fmt.Printf("  cpu: %d   translated: %d\n", byRoute["cpu"], st.Translated)
+	fmt.Printf("  cpu: %d   translated: %d\n", byRoute["cpu"], translated)
 	for i := range sys.Config().Device.Partitions() {
 		key := fmt.Sprintf("gpu[%d]", i)
 		fmt.Printf("  %s (%d SM): %d\n", key, sys.Config().Device.Partitions()[i].SMs(), byRoute[key])

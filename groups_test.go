@@ -82,23 +82,9 @@ func TestQueryGroupsErrors(t *testing.T) {
 	}
 }
 
-func TestScalarPathRejectsGroupedQuery(t *testing.T) {
-	db := openSmall(t)
-	if _, err := db.Query("SELECT sum(sales) GROUP BY time.year"); err == nil {
-		t.Fatal("scalar Query accepted a grouped query")
-	}
-	q, err := db.Parse("SELECT sum(sales) GROUP BY time.year")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Batch([]*query.Query{q}); err == nil {
-		t.Fatal("Batch accepted a grouped query")
-	}
-}
-
-// TestServeGroupedMatchesQueryGroups: Serve answers a grouped query with
-// the same labelled rows QueryGroups returns, on a single-node and on a
-// 2-shard database. The ops are placement-free (count and max are exact on
+// TestServeGroupedMatchesQueryGroups: Serve, Query and Batch answer a
+// grouped query with the same labelled rows QueryGroups returns, on a
+// single-node and on a 2-shard database. The ops are placement-free (count and max are exact on
 // the CPU, and a text grouping only runs on a GPU partition), so the two
 // calls agree bit for bit wherever each one is placed.
 func TestServeGroupedMatchesQueryGroups(t *testing.T) {
@@ -112,27 +98,47 @@ func TestServeGroupedMatchesQueryGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sql := range queries {
-			res, err := db.ServeQuery(sql)
-			if err != nil {
-				t.Fatalf("shards=%d %q: %v", shards, sql, err)
+		qs := make([]*query.Query, len(queries))
+		for i, sql := range queries {
+			if qs[i], err = db.Parse(sql); err != nil {
+				t.Fatal(err)
 			}
+		}
+		batch, err := db.Batch(qs)
+		if err != nil {
+			t.Fatalf("shards=%d Batch: %v", shards, err)
+		}
+		for k, sql := range queries {
 			rows, route, err := db.QueryGroups(sql)
 			if err != nil {
 				t.Fatalf("shards=%d %q: %v", shards, sql, err)
 			}
-			if len(rows) == 0 || len(res.Groups) != len(rows) {
-				t.Fatalf("shards=%d %q: Serve %d groups, QueryGroups %d", shards, sql, len(res.Groups), len(rows))
+			served, err := db.ServeQuery(sql)
+			if err != nil {
+				t.Fatalf("shards=%d %q: %v", shards, sql, err)
 			}
-			for i, r := range rows {
-				g := res.Groups[i]
-				if !slices.Equal(g.Labels, r.Labels) || g.Rows != r.Rows ||
-					math.Float64bits(g.Value) != math.Float64bits(r.Value) {
-					t.Fatalf("shards=%d %q row %d: Serve %+v, QueryGroups %+v", shards, sql, i, g, r)
+			queried, err := db.Query(sql)
+			if err != nil {
+				t.Fatalf("shards=%d %q: %v", shards, sql, err)
+			}
+			for _, e := range []struct {
+				entry string
+				res   Result
+			}{{"Serve", served}, {"Query", queried}, {"Batch", batch[k]}} {
+				res := e.res
+				if len(rows) == 0 || len(res.Groups) != len(rows) {
+					t.Fatalf("shards=%d %q: %s %d groups, QueryGroups %d", shards, sql, e.entry, len(res.Groups), len(rows))
 				}
-			}
-			if res.Value != 0 || res.Rows != 0 || res.Route.Translated != route.Translated {
-				t.Fatalf("shards=%d %q: Serve result %+v, QueryGroups route %+v", shards, sql, res, route)
+				for i, r := range rows {
+					g := res.Groups[i]
+					if !slices.Equal(g.Labels, r.Labels) || g.Rows != r.Rows ||
+						math.Float64bits(g.Value) != math.Float64bits(r.Value) {
+						t.Fatalf("shards=%d %q row %d: %s %+v, QueryGroups %+v", shards, sql, i, e.entry, g, r)
+					}
+				}
+				if res.Value != 0 || res.Rows != 0 || res.Route.Translated != route.Translated {
+					t.Fatalf("shards=%d %q: %s result %+v, QueryGroups route %+v", shards, sql, e.entry, res, route)
+				}
 			}
 		}
 		if err := db.Close(); err != nil {

@@ -69,9 +69,9 @@ func chaosWorkload(t *testing.T, s *System, seed int64, n int) []*query.Query {
 
 // TestChaosDifferentialRunReal is the tentpole invariant: under an
 // injected fault plan (GPU kernel aborts + dictionary miss storms), every
-// query that completes returns a result bit-identical to the fault-free
-// run of the same workload. Faults may cost retries, quarantines and
-// failovers — never wrong answers.
+// query of a concurrent batch of Serve calls that completes returns a
+// result bit-identical to the fault-free run of the same workload. Faults
+// may cost retries, quarantines and failovers — never wrong answers.
 func TestChaosDifferentialRunReal(t *testing.T) {
 	const queries = 60
 	// The last case is the only one whose table spans several blocks of
@@ -92,12 +92,9 @@ func TestChaosDifferentialRunReal(t *testing.T) {
 			}
 
 			base := testSystem(t, mutate)
-			baseRes, err := base.RunReal(chaosWorkload(t, base, seed, queries))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if baseRes.Failed != 0 {
-				t.Fatalf("fault-free run failed %d queries", baseRes.Failed)
+			baseRes := serveAll(base, chaosWorkload(t, base, seed, queries))
+			if failed, _ := tally(baseRes); failed != 0 {
+				t.Fatalf("fault-free run failed %d queries", failed)
 			}
 
 			plan := fault.NewPlan(fault.PlanConfig{Seed: seed, Points: map[fault.Point]fault.PointConfig{
@@ -108,15 +105,13 @@ func TestChaosDifferentialRunReal(t *testing.T) {
 				mutate(spec)
 				spec.Faults = plan
 			})
-			chaosRes, err := chaos.RunReal(chaosWorkload(t, chaos, seed, queries))
-			if err != nil {
-				t.Fatal(err)
-			}
+			chaosRes := serveAll(chaos, chaosWorkload(t, chaos, seed, queries))
 
 			if plan.TotalFired() == 0 {
 				t.Fatal("fault plan never fired; the differential is vacuous")
 			}
-			if chaosRes.Retried == 0 && chaosRes.Failed == 0 {
+			failed, retried := tally(chaosRes)
+			if retried == 0 && failed == 0 {
 				t.Fatal("faults fired but nothing was retried or failed")
 			}
 			// Differential: every completed chaos query must return exactly
@@ -128,11 +123,11 @@ func TestChaosDifferentialRunReal(t *testing.T) {
 			// run whatever the placement.
 			pristine := chaosWorkload(t, base, seed, queries)
 			moved := 0
-			for i, co := range chaosRes.Outcomes {
+			for i, co := range chaosRes {
 				if co.Err != nil {
 					continue // a spent retry budget is legal; wrong answers are not
 				}
-				bo := baseRes.Outcomes[i]
+				bo := baseRes[i]
 				if co.ID != bo.ID {
 					t.Fatalf("workload diverged at slot %d: id %d vs %d", i, co.ID, bo.ID)
 				}
@@ -157,12 +152,12 @@ func TestChaosDifferentialRunReal(t *testing.T) {
 			if moved == 0 {
 				t.Fatal("no query changed partitions under chaos; the placement-free check is vacuous")
 			}
-			st := chaosRes.SchedStats
+			st := chaos.Scheduler().Stats()
 			if st.PartitionFailures == 0 {
 				t.Fatal("no partition failures recorded despite fired GPU faults")
 			}
 			t.Logf("seed %d: fired=%d retried=%d failed=%d resubmitted=%d quarantines=%d reprobes=%d",
-				seed, plan.TotalFired(), chaosRes.Retried, chaosRes.Failed,
+				seed, plan.TotalFired(), retried, failed,
 				st.Resubmitted, st.Quarantines, st.Reprobes)
 		})
 	}
@@ -184,10 +179,7 @@ func TestChaosTotalGPUFailover(t *testing.T) {
 	// No text predicates: the point here is the CPU/cube failover, and
 	// cubes cannot answer text queries at all.
 	base := testSystem(t, mutate)
-	baseRes, err := base.RunReal(testGen(t, base, 11, 0).Batch(queries))
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseRes := serveAll(base, testGen(t, base, 11, 0).Batch(queries))
 
 	plan := fault.NewPlan(fault.PlanConfig{Seed: 11, Points: map[fault.Point]fault.PointConfig{
 		fault.GPUExec: {Rate: 1},
@@ -196,19 +188,16 @@ func TestChaosTotalGPUFailover(t *testing.T) {
 		mutate(spec)
 		spec.Faults = plan
 	})
-	chaosRes, err := chaos.RunReal(testGen(t, chaos, 11, 0).Batch(queries))
-	if err != nil {
-		t.Fatal(err)
-	}
+	chaosRes := serveAll(chaos, testGen(t, chaos, 11, 0).Batch(queries))
 
 	pristine := testGen(t, base, 11, 0).Batch(queries)
 	completed := 0
-	for i, co := range chaosRes.Outcomes {
+	for i, co := range chaosRes {
 		if co.Err != nil {
 			continue
 		}
 		completed++
-		bo := baseRes.Outcomes[i]
+		bo := baseRes[i]
 		if co.Result.Rows != bo.Result.Rows {
 			t.Fatalf("query %d: failover matched %d rows, fault-free %d", co.ID, co.Result.Rows, bo.Result.Rows)
 		}
@@ -221,7 +210,8 @@ func TestChaosTotalGPUFailover(t *testing.T) {
 	if completed == 0 {
 		t.Fatal("no query survived total GPU failure; CPU failover is broken")
 	}
-	if chaosRes.SchedStats.Quarantines == 0 {
+	st := chaos.Scheduler().Stats()
+	if st.Quarantines == 0 {
 		t.Fatal("total GPU failure quarantined nothing")
 	}
 	states := chaos.Scheduler().HealthStates()
@@ -235,5 +225,5 @@ func TestChaosTotalGPUFailover(t *testing.T) {
 		t.Fatalf("health states %v: expected quarantined partitions", states)
 	}
 	t.Logf("completed=%d/%d failed=%d quarantines=%d states=%v",
-		completed, queries, chaosRes.Failed, chaosRes.SchedStats.Quarantines, states)
+		completed, queries, queries-completed, st.Quarantines, states)
 }

@@ -13,9 +13,10 @@
 //   - The real path executes every query for real: actual cubes are
 //     aggregated, actual dictionaries translated and the actual fact table
 //     scanned, at laptop scale on the wall clock. One inline attempt loop
-//     (real.go) carries a query from booking to answer; RunReal and Serve
-//     are its entry points. It exists to prove functional
-//     correctness end to end: both paths return identical answers.
+//     (real.go) carries a query from booking to answer, and Serve is its
+//     one entry point: a batch is N concurrent Serve calls. It exists to
+//     prove functional correctness end to end: both paths return
+//     identical answers.
 package engine
 
 import (
@@ -57,7 +58,7 @@ type Config struct {
 	// translation-time estimation — the dictionary analogue of virtual
 	// cube levels, letting the system model carry paper-scale dictionaries
 	// (hundreds of thousands of entries) over a laptop-scale table. Only
-	// estimation consults it; RunReal translates against the real
+	// estimation consults it; Serve translates against the real
 	// dictionaries. Columns not present fall back to the real length.
 	VirtualDictLens map[string]int
 	// Live attaches a streaming ingest store: queries pin an epoch
@@ -107,8 +108,8 @@ type System struct {
 	schedMu sync.Mutex
 
 	// start anchors nowS, the one clock every real-path scheduler call
-	// reads, so bookings from concurrent Run and Serve calls compare
-	// consistently against the queue clocks and T_Q drains.
+	// reads, so bookings from concurrent Serve calls compare consistently
+	// against the queue clocks and T_Q drains.
 	start time.Time
 
 	// cache is the epoch-keyed result cache (nil when disabled).

@@ -90,7 +90,7 @@ func (g *fusionGroup) nudge() {
 
 // nowS is the real path's one scheduler clock: seconds since system
 // construction, the monotone origin every Submit, Feedback and health
-// report of Run, Serve and maintenance shares.
+// report of Serve and maintenance shares.
 func (s *System) nowS() float64 { return time.Since(s.start).Seconds() }
 
 // Serve answers one query through the serving path. Safe for concurrent

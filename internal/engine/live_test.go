@@ -62,19 +62,15 @@ func TestLiveIngestVisibleToRunReal(t *testing.T) {
 	}
 
 	// The string is novel, so only the ingested rows can match; the text
-	// predicate exercises append-dictionary translation inside RunReal.
+	// predicate exercises append-dictionary translation inside Serve.
 	q, err := query.Parse("SELECT sum(sales) WHERE store_name = 'live store #0'",
 		s.Config().Table.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunReal([]*query.Query{q})
+	o, err := s.Serve(q)
 	if err != nil {
 		t.Fatal(err)
-	}
-	o := res.Outcomes[0]
-	if o.Err != nil {
-		t.Fatal(o.Err)
 	}
 	if o.Result.Rows != wantRows || math.Abs(o.Result.Value-want) > 1e-9 {
 		t.Fatalf("got (%v, %d), want (%v, %d)", o.Result.Value, o.Result.Rows, want, wantRows)
@@ -98,7 +94,7 @@ func TestLiveIngestVisibleToRunReal(t *testing.T) {
 	groupRowsEqual(t, got.Groups, ref, "live-grouped")
 }
 
-// TestLiveConcurrentIngestQueryCompact drives writers, scalar, grouped and
+// TestLiveConcurrentIngestQueryCompact drives writers, scalar and grouped
 // Serve readers (fusion and cache on), and the background compactor
 // against one live system; run with -race this is the engine-level
 // concurrency check for the write path — and for the cache's advance, which
@@ -172,14 +168,9 @@ func TestLiveConcurrentIngestQueryCompact(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				res, err := s.RunReal([]*query.Query{q})
+				o, err := s.Serve(q)
 				if err != nil {
 					t.Error(err)
-					return
-				}
-				o := res.Outcomes[0]
-				if o.Err != nil {
-					t.Error(o.Err)
 					return
 				}
 				// Each query pins one epoch: it sees at least the base
@@ -233,12 +224,8 @@ func TestLiveConcurrentIngestQueryCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunReal([]*query.Query{q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o := res.Outcomes[0]; o.Err != nil || o.Result.Rows != total {
-		t.Fatalf("final count = (%d, %v), want %d", o.Result.Rows, o.Err, total)
+	if o, err := s.Serve(q); err != nil || o.Result.Rows != total {
+		t.Fatalf("final count = (%d, %v), want %d", o.Result.Rows, err, total)
 	}
 
 	// Serve caches what it answered under the epoch it pinned and carries it

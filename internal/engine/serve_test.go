@@ -666,7 +666,7 @@ func TestServeLiveEpochInvalidation(t *testing.T) {
 
 // TestChaosServeDifferential runs the serving path under the chaos plan:
 // GPU kernel aborts fail fused jobs into individual deadline-aware
-// retries, dictionary faults divert to the RunReal translation path, and
+// retries, dictionary faults divert to the attempt loop's translation, and
 // every query that completes must still return bits identical to a
 // fault-free recompute (on the CPU if that is where it ended up, on GPU
 // partition 0 otherwise).

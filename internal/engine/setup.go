@@ -22,7 +22,7 @@ type SetupSpec struct {
 	// CubeLevels are materialised (default {0, 1}); real cells, answerable.
 	CubeLevels []int
 	// VirtualLevels are registered for estimation only (use with RunModel;
-	// never with RunReal, which must answer on real cells).
+	// never with Serve, which must answer on real cells).
 	VirtualLevels []int
 	// CPUThreads selects the CPU performance model: 1, 4 or 8 (default 8).
 	CPUThreads int

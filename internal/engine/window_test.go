@@ -142,7 +142,7 @@ func TestServeCacheHitSkipsWindow(t *testing.T) {
 // the caller's goroutine. A cube-answerable Serve — the bypass — allocates
 // no more than 30 times (58 through the per-call worker mesh it replaced)
 // and leaves no goroutine behind, and the same query books and reports
-// identically whichever entry point brings it to the loop.
+// identically whichever shape brings it to the loop.
 func TestServeBypassIsInline(t *testing.T) {
 	q := &query.Query{
 		Conditions: []query.Condition{{Dim: 0, Level: 1, From: 2, To: 9}},
@@ -177,13 +177,6 @@ func TestServeBypassIsInline(t *testing.T) {
 	grouped := q.Clone()
 	grouped.GroupBy = []query.GroupRef{{Dim: 2, Level: 0}}
 	entries := map[string]func(*System) error{
-		"RunReal": func(s *System) error {
-			res, err := s.RunReal([]*query.Query{q})
-			if err == nil {
-				err = res.Outcomes[0].Err
-			}
-			return err
-		},
 		"Serve":         func(s *System) error { _, err := s.Serve(q); return err },
 		"Serve grouped": func(s *System) error { _, err := s.Serve(grouped); return err },
 	}
@@ -200,7 +193,7 @@ func TestServeBypassIsInline(t *testing.T) {
 		if first.Submitted == 0 {
 			first = st
 		} else if !reflect.DeepEqual(st, first) {
-			t.Fatalf("%s left %+v, another entry point %+v", name, st, first)
+			t.Fatalf("%s left %+v, another shape %+v", name, st, first)
 		}
 		if tq := s.Scheduler().QueueClock(sched.QueueRef{Kind: sched.QueueCPU}); tq > s.nowS() {
 			t.Fatalf("%s returned with the CPU queue booked %.6fs ahead of the clock", name, tq-s.nowS())
@@ -246,10 +239,10 @@ func TestServeHeapNoHigherThanParent(t *testing.T) {
 	}
 }
 
-// TestOneClockQueuesDrain is the time-base regression: Serve (scalar and
-// grouped) and RunReal book and report on the one system clock, so 3000 sequential
-// queries at a 50 ms deadline never see a queue that failed to drain —
-// none is predicted late, and once idle no T_Q lies in the future.
+// TestOneClockQueuesDrain is the time-base regression: Serve books and
+// reports scalar and grouped queries on the one system clock, so 3000
+// sequential queries at a 50 ms deadline never see a queue that failed to
+// drain — none is predicted late, and once idle no T_Q lies in the future.
 func TestOneClockQueuesDrain(t *testing.T) {
 	s := testSystem(t, func(spec *SetupSpec) {
 		spec.DeadlineSeconds = 0.05
@@ -258,17 +251,10 @@ func TestOneClockQueuesDrain(t *testing.T) {
 	gen := testGen(t, s, 9, 0.3)
 	for i := 0; i < 3000; i++ {
 		q := gen.Next()
-		var err error
-		switch i % 3 {
-		case 0:
+		if i%3 == 0 {
 			q.GroupBy = []query.GroupRef{{Dim: 2, Level: 0}}
-			_, err = s.Serve(q)
-		case 1:
-			_, err = s.Serve(q)
-		default:
-			_, err = s.RunReal([]*query.Query{q})
 		}
-		if err != nil {
+		if _, err := s.Serve(q); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}

@@ -156,6 +156,9 @@ func (q *Query) Validate(s *table.Schema) error {
 			return fmt.Errorf("query: inverted text range [%q,%q] on %q", tc.From, tc.To, tc.Column)
 		}
 	}
+	if q.Op < table.AggSum || q.Op > table.AggAvg {
+		return fmt.Errorf("query: unknown aggregate op %v", q.Op)
+	}
 	if q.Op != table.AggCount {
 		if q.Measure < 0 || q.Measure >= len(s.Measures) {
 			return fmt.Errorf("query: measure %d out of range", q.Measure)

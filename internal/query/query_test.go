@@ -64,6 +64,9 @@ func TestValidate(t *testing.T) {
 		{TextConds: []TextCondition{{Column: "nope", From: "a", To: "a"}}},
 		{TextConds: []TextCondition{{Column: "store_name", From: "z", To: "a"}}},
 		{Measure: 9, Op: table.AggSum},
+		{Op: table.AggOp(-1)},
+		{Op: table.AggOp(5)},
+		{Op: table.AggOp(42)},
 	}
 	for i, q := range bad {
 		if err := q.Validate(&s); err == nil {

@@ -26,6 +26,7 @@ package olap
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,7 +69,7 @@ type Options struct {
 	// MaxRetries bounds re-booking of failed GPU attempts (default 2;
 	// negative disables retries).
 	MaxRetries int
-	// Fusion enables the Serve fusion window: compatible GPU-bound queries
+	// Fusion enables the fusion window: compatible GPU-bound scalar queries
 	// that are inside Serve together are executed as one shared scan of up
 	// to FusionMaxFanIn members (default 64). FusionWindow (default 1ms) is
 	// an upper bound on how long the first arrival holds the window, not a
@@ -77,8 +78,8 @@ type Options struct {
 	Fusion         bool
 	FusionWindow   time.Duration
 	FusionMaxFanIn int
-	// ResultCache enables the epoch-keyed result cache consulted by Serve;
-	// CacheMaxEntries bounds it (default 4096).
+	// ResultCache enables the epoch-keyed result cache every scalar query
+	// consults; CacheMaxEntries bounds it (default 4096).
 	ResultCache     bool
 	CacheMaxEntries int
 	// Shards > 1 opens a distributed database: the fact table is
@@ -90,8 +91,8 @@ type Options struct {
 	// opens the single-node engine instead, which folds gpusim's block
 	// grid: against it count/min/max are exact and sum/avg agree to
 	// rounding (TestShardsAnswerContract). Sharded databases are static:
-	// Live/WALPath are rejected, and Serve answers through the coordinator
-	// (no fusion or result cache across nodes).
+	// Live/WALPath are rejected, and every query answers through the
+	// coordinator (no fusion or result cache across nodes).
 	Shards int
 	// Replication is how many nodes hold each shard (default min(2,
 	// Shards)); replicas serve failover when a node dies.
@@ -328,15 +329,15 @@ func (db *DB) Schema() *table.Schema {
 
 // Route says which partition answered a query.
 type Route struct {
-	// Kind is "cpu" or "gpu[i]" for a directly executed query; Serve
-	// additionally reports "fused gpu[i]" for shared-scan members and
-	// "cache gpu[i]" / "cache+fold gpu[i]" for exact and interval-subsumed
-	// cache answers (the queue is the placement that produced the bits).
+	// Kind is "cpu" or "gpu[i]" for a directly executed query,
+	// "fused gpu[i]" for shared-scan members and "cache gpu[i]" /
+	// "cache+fold gpu[i]" for exact and interval-subsumed cache answers
+	// (the queue is the placement that produced the bits).
 	Kind string
 	// Translated reports whether text-to-integer translation ran.
 	Translated bool
 	// Fused/FanIn report shared-scan execution; Cached/Subsumed report
-	// result-cache answers. Only Serve sets these.
+	// result-cache answers.
 	Fused    bool
 	FanIn    int
 	Cached   bool
@@ -355,8 +356,8 @@ type Result struct {
 	// Rows is the number of fact rows (or cube cells' source rows) that
 	// matched the predicates.
 	Rows int64
-	// Groups holds a grouped query's labelled rows (Serve only), sorted by
-	// group key; Value and Rows are then zero.
+	// Groups holds a grouped query's labelled rows, sorted by group key;
+	// Value and Rows are then zero.
 	Groups []GroupRow
 	// Route identifies the partition that produced the answer.
 	Route Route
@@ -364,8 +365,8 @@ type Result struct {
 	Latency time.Duration
 }
 
-// newResult builds the answer every scalar entry point returns; kind names
-// the partition (see Route.Kind).
+// newResult builds the answer Serve returns; kind names the partition (see
+// Route.Kind).
 func newResult(q *query.Query, value float64, rows int64, kind string, latency time.Duration) Result {
 	return Result{
 		Value: value, Rows: rows, Latency: latency,
@@ -373,46 +374,26 @@ func newResult(q *query.Query, value float64, rows int64, kind string, latency t
 	}
 }
 
-// Query parses one SQL-like query, schedules it with the paper's algorithm
-// and executes it on the chosen partition for real. Grouped queries
-// (GROUP BY) go through QueryGroups. See query.Parse for the grammar.
+// Query parses one SQL-like query (scalar or GROUP BY) and answers it
+// through Serve: scheduled with the paper's algorithm and executed on the
+// chosen partition for real, unless the result cache answers it or it
+// joins a shared scan. See query.Parse for the grammar.
 func (db *DB) Query(sql string) (Result, error) {
-	q, err := query.Parse(sql, db.Schema())
+	q, err := db.Parse(sql)
 	if err != nil {
 		return Result{}, err
 	}
-	return db.Run(q)
-}
-
-// Run schedules and executes an already-built scalar query, uncached.
-// Grouped queries (GROUP BY) go through Serve or QueryGroups instead.
-func (db *DB) Run(q *query.Query) (Result, error) {
-	if q.Grouped() {
-		return Result{}, fmt.Errorf("olap: query %d has GROUP BY; use QueryGroups", q.ID)
-	}
-	if db.cl != nil {
-		return db.Serve(q)
-	}
-	if err := q.Validate(db.Schema()); err != nil {
-		return Result{}, err
-	}
-	res, err := db.sys.RunReal([]*query.Query{q})
-	if err != nil {
-		return Result{}, err
-	}
-	o := res.Outcomes[0]
-	if o.Err != nil {
-		return Result{}, o.Err
-	}
-	return newResult(q, o.Result.Value, o.Result.Rows, o.Queue.String(), o.Latency), nil
+	return db.Serve(q)
 }
 
 // Serve answers one query through the high-QPS serving path. A scalar
 // query consults the epoch-keyed result cache first (Options.ResultCache)
 // and fuses with compatible concurrent GPU-bound queries into shared scans
-// (Options.Fusion); with both disabled it is equivalent to Run. A grouped
-// query is scheduled and executed uncached, its rows in Result.Groups.
-// Safe for concurrent use — concurrency is what fills fusion windows.
+// (Options.Fusion); with both disabled it is scheduled and executed alone.
+// A grouped query is scheduled and executed uncached, its rows in
+// Result.Groups. Every entry point (Query, ServeQuery, QueryGroups, Batch)
+// answers through it. Safe for concurrent use — concurrency is what fills
+// fusion windows.
 func (db *DB) Serve(q *query.Query) (Result, error) {
 	if err := q.Validate(db.Schema()); err != nil {
 		return Result{}, err
@@ -449,15 +430,8 @@ func (db *DB) Serve(q *query.Query) (Result, error) {
 	return res, nil
 }
 
-// ServeQuery parses one SQL-like query and answers it through the Serve
-// path.
-func (db *DB) ServeQuery(sql string) (Result, error) {
-	q, err := query.Parse(sql, db.Schema())
-	if err != nil {
-		return Result{}, err
-	}
-	return db.Serve(q)
-}
+// ServeQuery is Query under the serving path's name.
+func (db *DB) ServeQuery(sql string) (Result, error) { return db.Query(sql) }
 
 // CacheStats reports the result-cache counters (zero value when the cache
 // is disabled or the database is sharded).
@@ -468,35 +442,26 @@ func (db *DB) CacheStats() engine.CacheStats {
 	return db.sys.CacheStats()
 }
 
-// Batch schedules and executes a set of scalar queries concurrently
-// across all partitions, returning per-query results in input order.
+// Batch answers a set of queries concurrently, one Serve per query on its
+// own goroutine, and returns the results in input order; on failure, the
+// first error in input order. Members of one batch can share scans in a
+// fusion window (Options.Fusion).
 func (db *DB) Batch(qs []*query.Query) ([]Result, error) {
-	for _, q := range qs {
-		if q.Grouped() {
-			return nil, fmt.Errorf("olap: query %d has GROUP BY; use QueryGroups", q.ID)
-		}
+	out := make([]Result, len(qs))
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = db.Serve(q)
+		}()
 	}
-	if db.cl != nil {
-		out := make([]Result, len(qs))
-		for i, q := range qs {
-			r, err := db.Run(q)
-			if err != nil {
-				return nil, fmt.Errorf("olap: query %d: %w", q.ID, err)
-			}
-			out[i] = r
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("olap: query %d: %w", qs[i].ID, err)
 		}
-		return out, nil
-	}
-	res, err := db.sys.RunReal(qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(res.Outcomes))
-	for i, o := range res.Outcomes {
-		if o.Err != nil {
-			return nil, fmt.Errorf("olap: query %d: %w", o.ID, o.Err)
-		}
-		out[i] = newResult(qs[i], o.Result.Value, o.Result.Rows, o.Queue.String(), o.Latency)
 	}
 	return out, nil
 }

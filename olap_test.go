@@ -129,11 +129,26 @@ func TestGPUOnlyOption(t *testing.T) {
 	}
 }
 
+// TestRunValidates: Serve and Batch refuse a query the schema cannot
+// answer with an error, not a panic or a zero answer — a condition on a
+// dimension the schema lacks, or an aggregate op outside sum…avg on a
+// cube-answerable and on a GPU-bound query.
 func TestRunValidates(t *testing.T) {
 	db := openSmall(t)
-	bad := &query.Query{Conditions: []query.Condition{{Dim: 9}}, Op: table.AggSum}
-	if _, err := db.Run(bad); err == nil {
-		t.Fatal("invalid query accepted")
+	bad := []*query.Query{{Conditions: []query.Condition{{Dim: 9}}, Op: table.AggSum}}
+	for _, op := range []table.AggOp{-1, 5, 42} {
+		// time.year is a materialised cube level; time.day is no cube's.
+		bad = append(bad,
+			&query.Query{Conditions: []query.Condition{{Dim: 0, Level: 0, From: 0, To: 3}}, Op: op},
+			&query.Query{Conditions: []query.Condition{{Dim: 0, Level: 2, From: 0, To: 99}}, Op: op})
+	}
+	for i, q := range bad {
+		if r, err := db.Serve(q); err == nil {
+			t.Errorf("Serve accepted invalid query %d (op %v): %+v", i, q.Op, r)
+		}
+		if rs, err := db.Batch([]*query.Query{q}); err == nil {
+			t.Errorf("Batch accepted invalid query %d (op %v): %+v", i, q.Op, rs)
+		}
 	}
 }
 
@@ -184,12 +199,22 @@ func TestServeFacade(t *testing.T) {
 	if res.Rows != 3000 || res.Route.Cached {
 		t.Fatalf("first serve: %+v", res)
 	}
-	ref, err := db.Query(sql)
-	if err != nil {
-		t.Fatal(err)
+	// The oracle is an uncached sequential scan of the current epoch.
+	reference := func(sql string) table.ScanResult {
+		t.Helper()
+		q, err := db.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := db.System().Reference(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref
 	}
+	ref := reference(sql)
 	if res.Value != ref.Value || res.Rows != ref.Rows {
-		t.Fatalf("serve (%v,%d) != run (%v,%d)", res.Value, res.Rows, ref.Value, ref.Rows)
+		t.Fatalf("serve (%v,%d) != reference (%v,%d)", res.Value, res.Rows, ref.Value, ref.Rows)
 	}
 	again, err := db.ServeQuery(sql)
 	if err != nil {
@@ -208,12 +233,9 @@ func TestServeFacade(t *testing.T) {
 	if !narrow.Route.Subsumed {
 		t.Fatalf("narrowed count not subsumed: %+v", narrow)
 	}
-	refN, err := db.Query("SELECT count(*) WHERE time.day BETWEEN 10 AND 90")
-	if err != nil {
-		t.Fatal(err)
-	}
+	refN := reference("SELECT count(*) WHERE time.day BETWEEN 10 AND 90")
 	if narrow.Value != refN.Value || narrow.Rows != refN.Rows {
-		t.Fatalf("subsumed (%v,%d) != run (%v,%d)", narrow.Value, narrow.Rows, refN.Value, refN.Rows)
+		t.Fatalf("subsumed (%v,%d) != reference (%v,%d)", narrow.Value, narrow.Rows, refN.Value, refN.Rows)
 	}
 }
 
@@ -264,7 +286,7 @@ func TestShardsAnswerContract(t *testing.T) {
 			t.Fatalf("fixture: %q matches nothing", sql)
 		}
 		for n, db := range sharded {
-			got, err := db.Run(q)
+			got, err := db.Serve(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +294,7 @@ func TestShardsAnswerContract(t *testing.T) {
 				t.Fatalf("%s: Shards=%d answers (%v, %d), a one-shard cluster (%v, %d)", agg, n, got.Value, got.Rows, ref.Value, ref.Rows)
 			}
 		}
-		got, err := single.Run(q)
+		got, err := single.Serve(q)
 		if err != nil {
 			t.Fatal(err)
 		}
