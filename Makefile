@@ -105,14 +105,16 @@ bench-smoke:
 	$(GO) run ./cmd/olapbench -quick -experiment ingest
 
 # Two seconds each of the repo's end-to-end benchmark (BENCHMARK.json,
-# cmd/olapload/README.md) on its GPU-bound workload and on paper_mix,
-# the one gated workload whose CPU-placed third and GROUP BYs go through
-# the engine's attempt loop: catches a change that breaks what the
-# benchmark drives — SQL in, verified answer out — without paying for a
-# measurement run. Builds into .bench_build/.
+# cmd/olapload/README.md) on its GPU-bound workload, on paper_mix, the one
+# gated workload whose CPU-placed third and GROUP BYs go through the
+# engine's attempt loop, and on dashboard_hot, whose answers mostly come
+# from the result cache (the SQL front end and the hit path): catches a
+# change that breaks what the benchmark drives — SQL in, verified answer
+# out — without paying for a measurement run. Builds into .bench_build/.
 bench-load:
 	bash cmd/olapload/bench.sh --workload scan_cold --seed 1 --seconds 2 --trace 0
 	bash cmd/olapload/bench.sh --workload paper_mix --seed 1 --seconds 2 --trace 0
+	bash cmd/olapload/bench.sh --workload dashboard_hot --seed 1 --seconds 2 --trace 0
 
 # Benchmark regression gate: fresh quick runs (in a scratch directory) of
 # scan-kernels, ingest, fusion and cluster, diffed against the committed

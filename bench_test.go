@@ -261,3 +261,47 @@ func BenchmarkModelEngine10k(b *testing.B) {
 	}
 	_ = sched.PolicyPaper
 }
+
+// BenchmarkServeHit measures a cache hit end to end, from SQL text to
+// Result through DB.ServeQuery: parse, validate, translate, the cache's key
+// and lookup, and the Result. exact replays a stored answer; the subsumed
+// arms fold a count from a full-range anchor's cells over a 4×4 and a
+// 200×100 box of (time.day, geo.state) codes, so they add the fold's cost
+// per cell. Serving defaults (fusion, 1 ms window, result cache), 100K rows:
+// the hit path does not depend on the table's size.
+func BenchmarkServeHit(b *testing.B) {
+	db, err := Open(Options{Rows: 100_000, Seed: 1, Fusion: true,
+		FusionWindow: time.Millisecond, FusionMaxFanIn: 64, ResultCache: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.ServeQuery("SELECT count(*) WHERE time.day BETWEEN 0 AND 255 AND geo.state BETWEEN 0 AND 127"); err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name, sql string
+		subsumed  bool
+	}{
+		{"exact", "SELECT sum(sales) WHERE time.day BETWEEN 17 AND 140 AND geo.state BETWEEN 3 AND 90", false},
+		{"subsumed=4x4", "SELECT count(*) WHERE time.day BETWEEN 40 AND 43 AND geo.state BETWEEN 10 AND 13", true},
+		{"subsumed=200x100", "SELECT count(*) WHERE time.day BETWEEN 20 AND 219 AND geo.state BETWEEN 5 AND 104", true},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			if _, err := db.ServeQuery(arm.sql); err != nil { // stores the exact arm's entry
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := db.ServeQuery(arm.sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Route.Cached || res.Route.Subsumed != arm.subsumed {
+					b.Fatalf("want a cache hit (subsumed %v), got %+v", arm.subsumed, res.Route)
+				}
+			}
+		})
+	}
+}

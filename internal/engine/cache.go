@@ -252,44 +252,123 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, entries: make(map[string]*cacheEntry)}
 }
 
-// cacheKeys builds a request's two cache strings in one pass. sig is the
-// subsumption signature — op, measure and the canonical column list,
-// everything but the intervals — and key, the exact key, extends it with
-// every interval (and Or list) in canonical order.
+// inlinePreds and keyBufLen size the stack buffers a lookup orders a
+// request's predicates and builds its key in; a request past either (many
+// predicates, long Or lists) spills to the heap.
+const (
+	inlinePreds = 8
+	keyBufLen   = 256
+)
+
+// cacheKeys returns a request's two cache strings, what an entry keeps:
+// see putKey.
 func cacheKeys(req *table.ScanRequest, order []int) (sig, key string) {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(int(req.Op)))
-	b.WriteByte(';')
-	b.WriteString(strconv.Itoa(req.Measure))
+	var buf [keyBufLen]byte
+	k, sigLen := keyBytes(buf[:], req, order)
+	key = string(k)
+	return key[:sigLen], key
+}
+
+// keyBytes returns a request's exact key and its signature's length, built
+// in buf when it fits and on the heap otherwise. A lookup passes a stack
+// array: probing c.entries[string(key)] copies nothing.
+func keyBytes(buf []byte, req *table.ScanRequest, order []int) (key []byte, sigLen int) {
+	n, sigLen := putKey(buf, req, order)
+	if n > len(buf) {
+		buf = make([]byte, n)
+		putKey(buf, req, order)
+	}
+	return buf[:n], sigLen
+}
+
+// putKey writes a request's exact key into buf as far as it fits and
+// returns the key's whole length n (the key is buf[:n] when n <= len(buf))
+// and the length of its prefix sig, the subsumption signature. sig is op,
+// measure and the canonical column list — everything but the intervals —
+// and the key extends it with every interval (and Or list) in canonical
+// order: "op;measure;d<dim>.<level>;t<text>|from-to,from-to|from-to".
+//
+//olaplint:noalloc
+func putKey(buf []byte, req *table.ScanRequest, order []int) (n, sigLen int) {
+	w := keyWriter{buf: buf}
+	w.putInt(int(req.Op))
+	w.putByte(';')
+	w.putInt(req.Measure)
 	for _, pi := range order {
 		p := &req.Predicates[pi]
-		b.WriteByte(';')
+		w.putByte(';')
 		if p.Text {
-			b.WriteByte('t')
-			b.WriteString(strconv.Itoa(p.TextIndex))
+			w.putByte('t')
+			w.putInt(p.TextIndex)
 		} else {
-			b.WriteByte('d')
-			b.WriteString(strconv.Itoa(p.Dim))
-			b.WriteByte('.')
-			b.WriteString(strconv.Itoa(p.Level))
+			w.putByte('d')
+			w.putInt(p.Dim)
+			w.putByte('.')
+			w.putInt(p.Level)
 		}
 	}
-	n := b.Len()
+	sigLen = w.n
 	for _, pi := range order {
 		p := &req.Predicates[pi]
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatUint(uint64(p.From), 10))
-		b.WriteByte('-')
-		b.WriteString(strconv.FormatUint(uint64(p.To), 10))
+		w.putByte('|')
+		w.putRange(p.From, p.To)
 		for _, r := range p.Or {
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatUint(uint64(r.From), 10))
-			b.WriteByte('-')
-			b.WriteString(strconv.FormatUint(uint64(r.To), 10))
+			w.putByte(',')
+			w.putRange(r.From, r.To)
 		}
 	}
-	key = b.String()
-	return key[:n], key
+	return w.n, sigLen
+}
+
+// keyWriter writes a key into buf while it fits, and counts every byte.
+type keyWriter struct {
+	buf []byte
+	n   int
+}
+
+//olaplint:noalloc
+func (w *keyWriter) putByte(c byte) {
+	if w.n < len(w.buf) {
+		w.buf[w.n] = c
+	}
+	w.n++
+}
+
+// putUint writes v in decimal.
+//
+//olaplint:noalloc
+func (w *keyWriter) putUint(v uint64) {
+	var digits [20]byte
+	i := len(digits)
+	for {
+		i--
+		digits[i] = byte('0' + v%10)
+		if v /= 10; v == 0 {
+			break
+		}
+	}
+	for _, c := range digits[i:] {
+		w.putByte(c)
+	}
+}
+
+// putInt writes v in decimal, as strconv.Itoa spells it.
+//
+//olaplint:noalloc
+func (w *keyWriter) putInt(v int) {
+	if v < 0 {
+		w.putByte('-')
+		w.putUint(uint64(-int64(v)))
+		return
+	}
+	w.putUint(uint64(v))
+}
+
+//olaplint:noalloc
+func (w *keyWriter) putRange(from, to uint32) {
+	w.putUint(uint64(from))
+	w.putByte('-')
+	w.putUint(uint64(to))
 }
 
 // requestOf rebuilds the request a key was built from, predicates in
@@ -342,10 +421,11 @@ func requestOf(key string) (req table.ScanRequest, ok bool) {
 // produce) per-cell aggregates is table.CellShape's call — the rule a plan
 // member's cell grant follows too — and the cardinality gate lives in the
 // table layer as well; the engine trusts the granted cells' presence.
-func cellIntervals(req *table.ScanRequest, order []int) []cacheInterval {
-	ivals := make([]cacheInterval, len(order))
-	for i, pi := range order {
-		ivals[i] = cacheInterval{from: req.Predicates[pi].From, to: req.Predicates[pi].To}
+// The intervals go into buf's storage when it has room.
+func cellIntervals(req *table.ScanRequest, order []int, buf []cacheInterval) []cacheInterval {
+	ivals := buf[:0]
+	for _, pi := range order {
+		ivals = append(ivals, cacheInterval{from: req.Predicates[pi].From, to: req.Predicates[pi].To})
 	}
 	return ivals
 }
@@ -430,9 +510,9 @@ func (c *resultCache) advance(snap *table.Snapshot) {
 
 // anchorFor returns the first anchor a request with the given signature
 // and cell intervals folds from, or nil.
-func anchorFor(anchors []*cacheEntry, sig string, ivals []cacheInterval) *cacheEntry {
+func anchorFor(anchors []*cacheEntry, sig []byte, ivals []cacheInterval) *cacheEntry {
 	for _, a := range anchors {
-		if a.cells.sig == sig && contains(a.cells.ivals, ivals) {
+		if a.cells.sig == string(sig) && contains(a.cells.ivals, ivals) {
 			return a
 		}
 	}
@@ -452,7 +532,7 @@ func anchored(anchors []*cacheEntry, e *cacheEntry) bool {
 		if !ok {
 			return false
 		}
-		if order, ok := table.CellShape(&req); ok && contains(a.cells.ivals, cellIntervals(&req, order)) {
+		if order, ok := table.CellShape(&req, nil); ok && contains(a.cells.ivals, cellIntervals(&req, order, nil)) {
 			return true
 		}
 	}
@@ -576,23 +656,30 @@ func (c *resultCache) use(e *cacheEntry) { e.last, e.used = c.tick(), true }
 // folds run OUTSIDE the cache mutex: entries are immutable once stored
 // (eviction and advances only unlink them), so concurrent lookups fold in
 // parallel instead of convoying every worker behind one fold.
+//
+// A hit allocates nothing: the order, the key and the fold's intervals are
+// built in stack buffers (for up to inlinePreds predicates and keyBufLen
+// key bytes), and the key is materialised as a string only by store.
 func (c *resultCache) lookup(req *table.ScanRequest, snap *table.Snapshot) (cacheAnswer, bool) {
-	order, cellShaped := table.CellShape(req)
-	sig, key := cacheKeys(req, order)
+	var orderBuf [inlinePreds]int
+	var keyBuf [keyBufLen]byte
+	var ivalBuf [table.MaxGroupCols]cacheInterval
+	order, cellShaped := table.CellShape(req, orderBuf[:])
+	key, sigLen := keyBytes(keyBuf[:], req, order)
 	c.catchUp(snap)
 	var hit, donor *cacheEntry
 	var ivals []cacheInterval
 	c.mu.Lock()
 	if snap.Epoch() != c.epoch.Load() {
 		c.stats.Misses++
-	} else if e, ok := c.entries[key]; ok {
+	} else if e, ok := c.entries[string(key)]; ok {
 		c.stats.Hits++
 		c.use(e)
 		hit = e
 	} else {
 		if cellShaped && len(c.anchors) > 0 {
-			ivals = cellIntervals(req, order)
-			donor = anchorFor(c.anchors, sig, ivals)
+			ivals = cellIntervals(req, order, ivalBuf[:])
+			donor = anchorFor(c.anchors, key[:sigLen], ivals)
 		}
 		if donor != nil {
 			c.stats.SubsumptionHits++
@@ -638,7 +725,7 @@ func contains(outer, inner []cacheInterval) bool {
 // same bits unless it ran on the CPU and the first on the GPU, or the
 // reverse, and a cached sum must not change while its epoch lasts).
 func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, ans gpusim.FusedAnswer, queue sched.QueueRef) {
-	order, cellShaped := table.CellShape(req)
+	order, cellShaped := table.CellShape(req, nil)
 	// Build the entry (including the plane) before taking the lock; a
 	// stale-epoch or duplicate store wastes the work but never stalls
 	// concurrent lookups.
@@ -648,7 +735,7 @@ func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, ans gp
 		e.fold = &gpusim.Fold{Full: ans.Result}
 	}
 	if cells := ans.Cells; cells != nil && cellShaped {
-		ivals := cellIntervals(req, order)
+		ivals := cellIntervals(req, order, nil)
 		if n := planeCells(ivals); n > 0 {
 			e.cells = &cellSet{sig: sig, ivals: ivals, vals: make([]table.ScanResult, n)}
 			e.cells.add(req.Op, cells)

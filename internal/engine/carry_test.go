@@ -517,7 +517,7 @@ func TestServeCacheKeyRoundTrip(t *testing.T) {
 			}
 			req.Predicates = append(req.Predicates, p)
 		}
-		order := table.CanonicalPredOrder(req.Predicates)
+		order := table.CanonicalPredOrder(req.Predicates, nil)
 		_, key := cacheKeys(&req, order)
 		back, ok := requestOf(key)
 		if !ok {

@@ -118,7 +118,10 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 		}
 	}
 	defer settle()
-	q := q0.Clone()
+	q := q0
+	if q.NeedsTranslation() {
+		q = q0.Clone() // translation writes codes into its text conditions
+	}
 	snap := s.pin()
 
 	// Translate before the window: fused members must already be integer
@@ -201,8 +204,8 @@ func (s *System) wantCells(req *table.ScanRequest) bool {
 	if s.cache == nil {
 		return false
 	}
-	order, ok := table.CellShape(req)
-	if !ok || planeCells(cellIntervals(req, order)) == 0 {
+	order, ok := table.CellShape(req, nil)
+	if !ok || planeCells(cellIntervals(req, order, nil)) == 0 {
 		return false
 	}
 	sc := s.cfg.Table.Schema()
@@ -350,7 +353,7 @@ func (s *System) executeFused(g *fusionGroup) {
 		// the kernel runs the unique request set.
 		ests[i] = m.est
 		deadline = min(deadline, m.deadline)
-		_, k := cacheKeys(&m.req, table.CanonicalPredOrder(m.req.Predicates))
+		_, k := cacheKeys(&m.req, table.CanonicalPredOrder(m.req.Predicates, nil))
 		if ui, ok := uniq[k]; ok {
 			rep[i] = ui
 			wantCells[ui] = wantCells[ui] || m.wantCells

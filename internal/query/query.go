@@ -126,8 +126,7 @@ func (q *Query) ColumnsAccessed() int {
 
 // Validate checks the query against a schema.
 func (q *Query) Validate(s *table.Schema) error {
-	seen := make(map[[2]int]bool)
-	for _, c := range q.Conditions {
+	for i, c := range q.Conditions {
 		if c.Dim < 0 || c.Dim >= len(s.Dimensions) {
 			return fmt.Errorf("query: dimension %d out of range", c.Dim)
 		}
@@ -142,11 +141,13 @@ func (q *Query) Validate(s *table.Schema) error {
 			return fmt.Errorf("query: range [%d,%d] exceeds cardinality %d of %q.%q",
 				c.From, c.To, dim.Levels[c.Level].Cardinality, dim.Name, dim.Levels[c.Level].Name)
 		}
-		key := [2]int{c.Dim, c.Level}
-		if seen[key] {
-			return fmt.Errorf("query: duplicate condition on dimension %q level %d", dim.Name, c.Level)
+		// The scan stops at the first repeat, so it is bounded by the
+		// schema's (dimension, level) pairs, not by the query.
+		for _, prev := range q.Conditions[:i] {
+			if prev.Dim == c.Dim && prev.Level == c.Level {
+				return fmt.Errorf("query: duplicate condition on dimension %q level %d", dim.Name, c.Level)
+			}
 		}
-		seen[key] = true
 	}
 	for _, tc := range q.TextConds {
 		if s.TextIndex(tc.Column) < 0 {
@@ -237,6 +238,7 @@ func (q *Query) SubCubeBytes(cs *cube.Set) (int64, bool) {
 func (q *Query) ToScanRequest(s *table.Schema) (req table.ScanRequest, emptyResult bool, err error) {
 	req.Measure = q.Measure
 	req.Op = q.Op
+	req.Predicates = make([]table.RangePredicate, 0, len(q.Conditions)+len(q.TextConds))
 	for _, c := range q.Conditions {
 		req.Predicates = append(req.Predicates, table.RangePredicate{
 			Dim: c.Dim, Level: c.Level, From: c.From, To: c.To,

@@ -45,7 +45,8 @@ type QueueRef struct {
 }
 
 // String renders "cpu", "trans" (the translation partition, CPU index
-// −1) or "gpu[i]".
+// −1) or "gpu[i]". The GPU names of the first NamedGPUQueues partitions
+// are spelled once, so naming a queue on the serving path builds no string.
 func (q QueueRef) String() string {
 	if q.Kind == QueueCPU {
 		if q.Index == -1 {
@@ -53,8 +54,22 @@ func (q QueueRef) String() string {
 		}
 		return "cpu"
 	}
+	if q.Index >= 0 && q.Index < NamedGPUQueues {
+		return gpuQueueNames[q.Index]
+	}
 	return fmt.Sprintf("gpu[%d]", q.Index)
 }
+
+// NamedGPUQueues is how many GPU partition names are spelled ahead of
+// time: the paper's layout has six partitions.
+const NamedGPUQueues = 16
+
+var gpuQueueNames = func() (names [NamedGPUQueues]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("gpu[%d]", i)
+	}
+	return names
+}()
 
 // Policy selects the scheduling algorithm.
 type Policy int

@@ -198,7 +198,7 @@ func TestFusedScanCellsSubInterval(t *testing.T) {
 			t.Fatal(err)
 		}
 		cells := st.Groups
-		order := CanonicalPredOrder(req.Predicates)
+		order := CanonicalPredOrder(req.Predicates, nil)
 		for trial := 0; trial < 40; trial++ {
 			// Narrow each predicate interval to a random sub-interval.
 			sub := req
@@ -279,7 +279,7 @@ func TestFusedScanCellsEligibility(t *testing.T) {
 			Predicates: []RangePredicate{{Dim: 0, Level: 0, From: 0, To: 2}, {Dim: 0, Level: 0, From: 1, To: 3}}}, false},
 	}
 	for _, c := range cases {
-		if _, got := CellShape(&c.req); got != c.want {
+		if _, got := CellShape(&c.req, nil); got != c.want {
 			t.Errorf("%s: CellShape=%v want %v", c.name, got, c.want)
 		}
 		if got := bind1(t, ft, Member{ScanRequest: c.req, Cells: true}).Keyed(0); got != c.want {

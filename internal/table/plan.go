@@ -316,18 +316,21 @@ func (c colRef) String() string {
 
 // CanonicalPredOrder returns the indices of preds sorted by canonical
 // column identity (dimension columns by (dim, level), then text columns by
-// index; stable for duplicates). A member's cell accumulators and the
-// engine's result cache both key cell coordinates in this order, so they
-// agree without sharing state.
-func CanonicalPredOrder(preds []RangePredicate) []int {
-	idx := make([]int, len(preds))
-	for i := range idx {
-		idx[i] = i
+// index; stable for duplicates), in buf's storage when it has room: a
+// caller that passes a large enough buffer allocates nothing. A member's
+// cell accumulators and the engine's result cache both key cell
+// coordinates in this order, so they agree without sharing state.
+func CanonicalPredOrder(preds []RangePredicate, buf []int) []int {
+	order := buf[:0]
+	for i := range preds {
+		// Insertion sort: a request has a handful of predicates, and
+		// stepping past strictly greater columns only keeps it stable.
+		order = append(order, i)
+		for j := i; j > 0 && colRefLess(colRefOf(&preds[order[j]]), colRefOf(&preds[order[j-1]])); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
 	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		return colRefLess(colRefOf(&preds[idx[x]]), colRefOf(&preds[idx[y]]))
-	})
-	return idx
+	return order
 }
 
 // FusionKey returns the canonical predicate-column-set signature of a
@@ -354,17 +357,17 @@ func sortedRefs(preds []RangePredicate) []colRef {
 	return refs
 }
 
-// CellShape returns CanonicalPredOrder of the request's predicates and
-// reports whether sub-ranges of the request can soundly be served from
-// per-cell aggregates keyed by its predicate columns' codes in that
-// order. The op's fold must be order-insensitive (count) or selection-
-// exact (min/max) — never sum/avg, whose float accumulation is rounding-
-// order-sensitive — and the predicates must be 1 to MaxGroupCols plain
-// ranges on distinct dimension columns (an inverted range is one: its
-// cells are simply none). The one rule behind a member's cell grant and
-// the engine's subsumption cache.
-func CellShape(req *ScanRequest) (order []int, ok bool) {
-	order = CanonicalPredOrder(req.Predicates)
+// CellShape returns CanonicalPredOrder of the request's predicates (in
+// buf's storage) and reports whether sub-ranges of the request can soundly
+// be served from per-cell aggregates keyed by its predicate columns' codes
+// in that order. The op's fold must be order-insensitive (count) or
+// selection-exact (min/max) — never sum/avg, whose float accumulation is
+// rounding-order-sensitive — and the predicates must be 1 to MaxGroupCols
+// plain ranges on distinct dimension columns (an inverted range is one:
+// its cells are simply none). The one rule behind a member's cell grant
+// and the engine's subsumption cache.
+func CellShape(req *ScanRequest, buf []int) (order []int, ok bool) {
+	order = CanonicalPredOrder(req.Predicates, buf)
 	switch req.Op {
 	case AggCount, AggMin, AggMax:
 	default:
@@ -448,7 +451,7 @@ func (m *member) bind(t *FactTable, req *Member) error {
 // cellCols resolves the key columns of a cell member — its predicate
 // columns in canonical order — or nil when cells cannot be granted.
 func cellCols(t *FactTable, req *ScanRequest) []levelCol {
-	order, ok := CellShape(req)
+	order, ok := CellShape(req, nil)
 	if !ok {
 		return nil
 	}

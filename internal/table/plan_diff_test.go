@@ -151,7 +151,7 @@ func TestPlanDifferential(t *testing.T) {
 		}
 		by := m.GroupBy
 		if len(by) == 0 {
-			for _, pi := range CanonicalPredOrder(m.Predicates) {
+			for _, pi := range CanonicalPredOrder(m.Predicates, nil) {
 				by = append(by, GroupCol{Dim: m.Predicates[pi].Dim, Level: m.Predicates[pi].Level})
 			}
 		}

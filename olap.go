@@ -365,6 +365,44 @@ type Result struct {
 	Latency time.Duration
 }
 
+// How the serving path answered, the prefix of Route.Kind.
+const (
+	routeAlone  = iota // "": executed on its own
+	routeFused         // "fused ": a member of a shared scan
+	routeCached        // "cache ": an exact cache hit
+	routeFolded        // "cache+fold ": folded from a cached anchor
+	numRoutes
+)
+
+var routePrefixes = [numRoutes]string{"", "fused ", "cache ", "cache+fold "}
+
+// routeKinds spells Route.Kind ahead of time for every route from the
+// queues cpu, trans and the named GPU partitions, so answering builds no
+// string.
+var routeKinds = func() map[sched.QueueRef][numRoutes]string {
+	queues := []sched.QueueRef{{Kind: sched.QueueCPU}, {Kind: sched.QueueCPU, Index: -1}}
+	for i := 0; i < sched.NamedGPUQueues; i++ {
+		queues = append(queues, sched.QueueRef{Kind: sched.QueueGPU, Index: i})
+	}
+	kinds := make(map[sched.QueueRef][numRoutes]string, len(queues))
+	for _, q := range queues {
+		var k [numRoutes]string
+		for r, prefix := range routePrefixes {
+			k[r] = prefix + q.String()
+		}
+		kinds[q] = k
+	}
+	return kinds
+}()
+
+// routeKind returns the Route.Kind of an answer by route from queue q.
+func routeKind(route int, q sched.QueueRef) string {
+	if k, ok := routeKinds[q]; ok {
+		return k[route]
+	}
+	return routePrefixes[route] + q.String()
+}
+
 // newResult builds the answer Serve returns; kind names the partition (see
 // Route.Kind).
 func newResult(q *query.Query, value float64, rows int64, kind string, latency time.Duration) Result {
@@ -383,7 +421,7 @@ func (db *DB) Query(sql string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return db.Serve(q)
+	return db.serve(q) // Parse validated it
 }
 
 // Serve answers one query through the high-QPS serving path. A scalar
@@ -398,6 +436,11 @@ func (db *DB) Serve(q *query.Query) (Result, error) {
 	if err := q.Validate(db.Schema()); err != nil {
 		return Result{}, err
 	}
+	return db.serve(q)
+}
+
+// serve is Serve for a query already validated against the schema.
+func (db *DB) serve(q *query.Query) (Result, error) {
 	if db.cl != nil {
 		// Fusion windows and the result cache are single-node machinery;
 		// a sharded database serves through the coordinator directly.
@@ -414,16 +457,16 @@ func (db *DB) Serve(q *query.Query) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	kind := o.Queue.String()
+	route := routeAlone
 	switch {
 	case o.Subsumed:
-		kind = "cache+fold " + kind
+		route = routeFolded
 	case o.CacheHit:
-		kind = "cache " + kind
+		route = routeCached
 	case o.Fused:
-		kind = "fused " + kind
+		route = routeFused
 	}
-	res := newResult(q, o.Result.Value, o.Result.Rows, kind, o.Latency)
+	res := newResult(q, o.Result.Value, o.Result.Rows, routeKind(route, o.Queue), o.Latency)
 	res.Groups = db.labelGroupRows(q, o.Groups)
 	res.Route.Fused, res.Route.FanIn = o.Fused, o.FanIn
 	res.Route.Cached, res.Route.Subsumed = o.CacheHit, o.Subsumed
