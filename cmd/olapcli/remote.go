@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"hybridolap/internal/cluster"
 )
 
 // remote answers every REPL command by calling a running olapd. Errors
@@ -81,13 +83,9 @@ type remoteQueryResponse struct {
 		Value  float64  `json:"value"`
 		Rows   int64    `json:"rows"`
 	} `json:"groups"`
-	Route   string `json:"route"`
-	Partial *struct {
-		ChunksAnswered int   `json:"chunks_answered"`
-		ChunksTotal    int   `json:"chunks_total"`
-		MissingShards  []int `json:"missing_shards"`
-	} `json:"partial"`
-	LatencyMS float64 `json:"latency_ms"`
+	Route     string                `json:"route"`
+	Partial   *cluster.Completeness `json:"partial"`
+	LatencyMS float64               `json:"latency_ms"`
 }
 
 // partialNote marks degraded answers (olapd status 206) at the prompt.

@@ -333,15 +333,6 @@ type groupRow struct {
 	Rows   int64    `json:"rows"`
 }
 
-// partialBlock reports a degraded answer's completeness mask (sharded
-// servers with -allow-partial): which slice of the global chunk grid
-// the answer covers and which shards were unavailable.
-type partialBlock struct {
-	ChunksAnswered int   `json:"chunks_answered"`
-	ChunksTotal    int   `json:"chunks_total"`
-	MissingShards  []int `json:"missing_shards"`
-}
-
 type queryResponse struct {
 	Value  *float64   `json:"value,omitempty"`
 	Rows   *int64     `json:"rows,omitempty"`
@@ -352,23 +343,12 @@ type queryResponse struct {
 	FanIn    int  `json:"fan_in,omitempty"`
 	Cached   bool `json:"cached,omitempty"`
 	Subsumed bool `json:"subsumed,omitempty"`
-	// Partial is present exactly when the answer is degraded; such
-	// responses are served with status 206 instead of 200.
-	Partial   *partialBlock `json:"partial,omitempty"`
-	LatencyMS float64       `json:"latency_ms"`
-}
-
-// partialOf converts a route's completeness mask into the response
-// block (nil for full answers).
-func partialOf(route olap.Route) *partialBlock {
-	if route.Partial == nil {
-		return nil
-	}
-	return &partialBlock{
-		ChunksAnswered: route.Partial.ChunksAnswered,
-		ChunksTotal:    route.Partial.ChunksTotal,
-		MissingShards:  route.Partial.MissingShards,
-	}
+	// Partial is present exactly when the answer is degraded (sharded
+	// servers with -allow-partial): which slice of the global chunk grid
+	// the answer covers and which shards were unavailable. Such responses
+	// are served with status 206 instead of 200.
+	Partial   *cluster.Completeness `json:"partial,omitempty"`
+	LatencyMS float64               `json:"latency_ms"`
 }
 
 type explainResponse struct {
@@ -443,7 +423,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Route: res.Route.Kind,
 		Fused: res.Route.Fused, FanIn: res.Route.FanIn,
 		Cached: res.Route.Cached, Subsumed: res.Route.Subsumed,
-		Partial:   partialOf(res.Route),
+		Partial:   res.Route.Partial,
 		LatencyMS: res.Latency.Seconds() * 1000,
 	}
 	if q.Grouped() {
@@ -459,7 +439,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // statusFor picks the query status code: a degraded answer is served —
 // it is still an answer — but as 206 Partial Content, so clients that
 // only check the status cannot mistake it for a complete one.
-func statusFor(p *partialBlock) int {
+func statusFor(p *cluster.Completeness) int {
 	if p != nil {
 		return http.StatusPartialContent
 	}

@@ -74,16 +74,6 @@ func (d *Append) Len() int {
 	return d.nbase + len(d.tail)
 }
 
-// BaseLen returns the frozen base's entry count (tail codes start here).
-func (d *Append) BaseLen() int { return d.nbase }
-
-// AppendedLen returns the number of tail entries added so far.
-func (d *Append) AppendedLen() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.tail)
-}
-
 // GetOrAdd returns the code for s, appending it with the next
 // arrival-order code when absent. added reports whether a new entry was
 // created.

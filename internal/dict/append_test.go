@@ -43,8 +43,8 @@ func TestAppendStableCodes(t *testing.T) {
 	if err != nil || added || id != 3 {
 		t.Fatalf("re-GetOrAdd(banana) = (%d, %v, %v)", id, added, err)
 	}
-	if d.Len() != 5 || d.BaseLen() != 3 || d.AppendedLen() != 2 {
-		t.Fatalf("Len=%d BaseLen=%d AppendedLen=%d", d.Len(), d.BaseLen(), d.AppendedLen())
+	if d.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", d.Len())
 	}
 	for want, s := range map[ID]string{0: "apple", 2: "plum", 3: "banana", 4: "aardvark"} {
 		if got, ok := d.Decode(want); !ok || got != s {

@@ -68,8 +68,6 @@ func (b *Builder) Build(kind Kind) (Dictionary, []ID, error) {
 		d, err = NewTrie(sorted)
 	case KindLinear:
 		d, err = NewLinear(sorted)
-	case KindFrontCoded:
-		d, err = NewFrontCoded(sorted)
 	default:
 		return nil, nil, errUnknownKind(kind)
 	}

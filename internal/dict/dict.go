@@ -67,7 +67,6 @@ const (
 	KindHash
 	KindTrie
 	KindLinear
-	KindFrontCoded
 )
 
 // String returns the kind's name.
@@ -81,8 +80,6 @@ func (k Kind) String() string {
 		return "trie"
 	case KindLinear:
 		return "linear"
-	case KindFrontCoded:
-		return "front-coded"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}

@@ -38,9 +38,6 @@ func buildAll(t *testing.T, sorted []string) map[Kind]Dictionary {
 	if out[KindLinear], err = NewLinear(sorted); err != nil {
 		t.Fatalf("NewLinear: %v", err)
 	}
-	if out[KindFrontCoded], err = NewFrontCoded(sorted); err != nil {
-		t.Fatalf("NewFrontCoded: %v", err)
-	}
 	return out
 }
 
@@ -148,43 +145,6 @@ func TestSortedLookupRange(t *testing.T) {
 	}
 }
 
-func TestSortedLookupPrefix(t *testing.T) {
-	d, _ := NewSorted([]string{"car", "card", "care", "cat", "dog"})
-	lo, hi, ok := d.LookupPrefix("car")
-	if !ok || lo != 0 || hi != 2 {
-		t.Fatalf("LookupPrefix(car) = (%d,%d,%v), want (0,2,true)", lo, hi, ok)
-	}
-	lo, hi, ok = d.LookupPrefix("ca")
-	if !ok || lo != 0 || hi != 3 {
-		t.Fatalf("LookupPrefix(ca) = (%d,%d,%v), want (0,3,true)", lo, hi, ok)
-	}
-	if _, _, ok = d.LookupPrefix("x"); ok {
-		t.Fatal("LookupPrefix(x) should fail")
-	}
-	lo, hi, ok = d.LookupPrefix("")
-	if !ok || lo != 0 || hi != 4 {
-		t.Fatalf("LookupPrefix('') = (%d,%d,%v), want (0,4,true)", lo, hi, ok)
-	}
-}
-
-func TestTrieLookupPrefix(t *testing.T) {
-	d, err := NewTrie([]string{"car", "card", "care", "cat", "dog"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi, ok := d.LookupPrefix("car")
-	if !ok || lo != 0 || hi != 2 {
-		t.Fatalf("trie LookupPrefix(car) = (%d,%d,%v), want (0,2,true)", lo, hi, ok)
-	}
-	lo, hi, ok = d.LookupPrefix("")
-	if !ok || lo != 0 || hi != 4 {
-		t.Fatalf("trie LookupPrefix('') = (%d,%d,%v)", lo, hi, ok)
-	}
-	if _, _, ok = d.LookupPrefix("carz"); ok {
-		t.Fatal("trie LookupPrefix(carz) should fail")
-	}
-}
-
 func TestBuilderDedupAndRemap(t *testing.T) {
 	b := NewBuilder()
 	input := []string{"cherry", "apple", "cherry", "banana", "apple"}
@@ -224,7 +184,7 @@ func TestBuilderDedupAndRemap(t *testing.T) {
 }
 
 func TestBuilderAllKinds(t *testing.T) {
-	for _, kind := range []Kind{KindSorted, KindHash, KindTrie, KindLinear, KindFrontCoded} {
+	for _, kind := range []Kind{KindSorted, KindHash, KindTrie, KindLinear} {
 		b := NewBuilder()
 		for _, s := range sampleWords {
 			if _, err := b.Add(s); err != nil {
@@ -253,8 +213,29 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// perColumnSet builds one dictionary of the given kind per column, each
+// holding only that column's distinct values.
+func perColumnSet(t *testing.T, columns map[string][]string, kind Kind) (*Set, error) {
+	t.Helper()
+	s := NewSet()
+	for col, values := range columns {
+		b := NewBuilder()
+		for _, v := range values {
+			if _, err := b.Add(v); err != nil {
+				return nil, err
+			}
+		}
+		d, _, err := b.Build(kind)
+		if err != nil {
+			return nil, err
+		}
+		s.Put(col, d)
+	}
+	return s, nil
+}
+
 func TestSetTranslate(t *testing.T) {
-	s, err := PerColumnSet(map[string][]string{
+	s, err := perColumnSet(t, map[string][]string{
 		"city": {"boston", "austin", "boston", "chicago"},
 		"name": {"ann", "bob"},
 	}, KindSorted)
@@ -294,7 +275,7 @@ func TestSetTranslate(t *testing.T) {
 }
 
 func TestSetTranslateRange(t *testing.T) {
-	s, _ := PerColumnSet(map[string][]string{
+	s, _ := perColumnSet(t, map[string][]string{
 		"city": {"austin", "boston", "chicago", "denver"},
 	}, KindSorted)
 	lo, hi, empty, err := s.TranslateRange("city", "b", "d")
@@ -306,39 +287,13 @@ func TestSetTranslateRange(t *testing.T) {
 		t.Fatalf("empty TranslateRange = (empty=%v, err=%v), want empty", empty, err)
 	}
 	// Hash dictionaries are not order-preserving.
-	hs, _ := PerColumnSet(map[string][]string{"city": {"a", "b"}}, KindHash)
+	hs, _ := perColumnSet(t, map[string][]string{"city": {"a", "b"}}, KindHash)
 	if _, _, _, err := hs.TranslateRange("city", "a", "b"); err == nil {
 		t.Fatal("TranslateRange on hash dict should fail")
 	}
 }
 
-func TestGlobalSetSharesOneDictionary(t *testing.T) {
-	cols := map[string][]string{
-		"city": {"austin", "boston"},
-		"name": {"ann", "bob", "boston"}, // "boston" shared across columns
-	}
-	g, err := GlobalSet(cols, KindSorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Union has 4 distinct strings; both columns see D_L = 4.
-	if g.DictLen("city") != 4 || g.DictLen("name") != 4 {
-		t.Fatalf("global D_L = (%d,%d), want (4,4)", g.DictLen("city"), g.DictLen("name"))
-	}
-	// The per-column set keeps them small: 2 and 3.
-	p, _ := PerColumnSet(cols, KindSorted)
-	if p.DictLen("city") != 2 || p.DictLen("name") != 3 {
-		t.Fatalf("per-column D_L = (%d,%d), want (2,3)", p.DictLen("city"), p.DictLen("name"))
-	}
-	// Shared string translates to the same id from either column.
-	a, _ := g.Translate("city", "boston")
-	b, _ := g.Translate("name", "boston")
-	if a != b {
-		t.Fatalf("global set: boston ids differ (%d vs %d)", a, b)
-	}
-}
-
-// Property: for random string sets, all four kinds agree with each other on
+// Property: for random string sets, all kinds agree with each other on
 // every lookup and round-trip every stored string.
 func TestKindsEquivalenceProperty(t *testing.T) {
 	f := func(raw []string, probe string) bool {
@@ -359,8 +314,7 @@ func TestKindsEquivalenceProperty(t *testing.T) {
 		dh, err2 := NewHash(sorted)
 		dt, err3 := NewTrie(sorted)
 		dl, err4 := NewLinear(sorted)
-		df, err5 := NewFrontCoded(sorted)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
+		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return false
 		}
 		check := func(s string) bool {
@@ -368,9 +322,8 @@ func TestKindsEquivalenceProperty(t *testing.T) {
 			i2, o2 := dh.Lookup(s)
 			i3, o3 := dt.Lookup(s)
 			i4, o4 := dl.Lookup(s)
-			i5, o5 := df.Lookup(s)
-			return o1 == o2 && o2 == o3 && o3 == o4 && o4 == o5 &&
-				i1 == i2 && i2 == i3 && i3 == i4 && i4 == i5
+			return o1 == o2 && o2 == o3 && o3 == o4 &&
+				i1 == i2 && i2 == i3 && i3 == i4
 		}
 		for _, s := range sorted {
 			if !check(s) {

@@ -160,47 +160,3 @@ func (s *Set) Decode(column string, id ID) (string, error) {
 	}
 	return str, nil
 }
-
-// GlobalSet builds the ablation variant the paper argues against: a single
-// shared dictionary for all text columns. Every column reports the same
-// D_L (the union size), so translation-time estimates are loose. Returned
-// as a Set so it is a drop-in replacement in experiments.
-func GlobalSet(columns map[string][]string, kind Kind) (*Set, error) {
-	b := NewBuilder()
-	for _, values := range columns {
-		for _, v := range values {
-			if _, err := b.Add(v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	d, _, err := b.Build(kind)
-	if err != nil {
-		return nil, err
-	}
-	s := NewSet()
-	for col := range columns {
-		s.Put(col, d)
-	}
-	return s, nil
-}
-
-// PerColumnSet builds the paper's preferred arrangement: an independent
-// dictionary per column, each holding only that column's distinct values.
-func PerColumnSet(columns map[string][]string, kind Kind) (*Set, error) {
-	s := NewSet()
-	for col, values := range columns {
-		b := NewBuilder()
-		for _, v := range values {
-			if _, err := b.Add(v); err != nil {
-				return nil, err
-			}
-		}
-		d, _, err := b.Build(kind)
-		if err != nil {
-			return nil, err
-		}
-		s.Put(col, d)
-	}
-	return s, nil
-}

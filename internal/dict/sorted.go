@@ -69,26 +69,3 @@ func (d *Sorted) LookupRange(from, to string) (lo, hi ID, ok bool) {
 	}
 	return ID(i), ID(j - 1), true
 }
-
-// LookupPrefix returns the code interval of all stored strings having the
-// given prefix. ok is false when none do.
-func (d *Sorted) LookupPrefix(prefix string) (lo, hi ID, ok bool) {
-	i := sort.SearchStrings(d.entries, prefix)
-	j := sort.Search(len(d.entries), func(k int) bool {
-		return !hasPrefix(d.entries[k], prefix) && d.entries[k] > prefix
-	})
-	// Narrow j down: entries in [i, j) all have the prefix by construction
-	// of the search predicate only if the set is contiguous, which it is
-	// for lexicographic order.
-	for j > i && !hasPrefix(d.entries[j-1], prefix) {
-		j--
-	}
-	if i >= j {
-		return 0, 0, false
-	}
-	return ID(i), ID(j - 1), true
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-}

@@ -111,52 +111,3 @@ func (t *Trie) Decode(id ID) (string, bool) {
 
 // Len implements Dictionary.
 func (t *Trie) Len() int { return len(t.entries) }
-
-// LookupPrefix returns the code interval of stored strings with the given
-// prefix. Because codes are lexicographically assigned, the interval is
-// contiguous; ok is false when no stored string has the prefix.
-func (t *Trie) LookupPrefix(prefix string) (lo, hi ID, ok bool) {
-	cur := int32(0)
-	for i := 0; i < len(prefix); i++ {
-		cur = t.child(cur, prefix[i])
-		if cur < 0 {
-			return 0, 0, false
-		}
-	}
-	lo, okLo := t.minID(cur)
-	hi, okHi := t.maxID(cur)
-	if !okLo || !okHi {
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
-
-// minID returns the smallest code in the subtree rooted at node.
-func (t *Trie) minID(node int32) (ID, bool) {
-	for {
-		n := &t.nodes[node]
-		if n.terminal {
-			return n.id, true
-		}
-		if len(n.children) == 0 {
-			return 0, false
-		}
-		node = n.children[0]
-	}
-}
-
-// maxID returns the largest code in the subtree rooted at node.
-func (t *Trie) maxID(node int32) (ID, bool) {
-	best := ID(0)
-	found := false
-	for {
-		n := &t.nodes[node]
-		if n.terminal {
-			best, found = n.id, true
-		}
-		if len(n.children) == 0 {
-			return best, found
-		}
-		node = n.children[len(n.children)-1]
-	}
-}

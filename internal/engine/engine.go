@@ -161,6 +161,9 @@ func New(cfg Config) (*System, error) {
 	widths := make([]int, len(parts))
 	for i, p := range parts {
 		widths[i] = p.SMs()
+		if _, ok := cfg.Estimator.GPU[widths[i]]; !ok {
+			return nil, fmt.Errorf("engine: estimator has no GPU model for the %d-SM partition %d", widths[i], i)
+		}
 	}
 	if cfg.Live != nil {
 		ls := cfg.Live.Schema()
@@ -249,7 +252,7 @@ func (s *System) Estimate(q *query.Query) (sched.Estimates, error) {
 	cols := q.ColumnsAccessed()
 	est.GPUSeconds = make([]float64, len(s.widths))
 	for i, w := range s.widths {
-		t, err := s.cfg.Device.EstimateSeconds(w, cols, s.totalCols)
+		t, err := s.cfg.Estimator.GPUTime(w, cols, s.totalCols)
 		if err != nil {
 			return sched.Estimates{}, err
 		}

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"encoding/json"
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
+	"hybridolap/internal/perfmodel"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -101,6 +103,46 @@ func TestNewValidation(t *testing.T) {
 	bad.CPUThreads = 3
 	if _, err := New(bad); err == nil {
 		t.Fatal("CPUThreads=3 accepted with paper estimator")
+	}
+	// An estimator that cannot price one of the layout's partition widths.
+	bad = cfg
+	paper := perfmodel.PaperEstimator()
+	bad.Estimator = &perfmodel.Estimator{CPU: paper.CPU, GPU: maps.Clone(paper.GPU), Dict: paper.Dict}
+	delete(bad.Estimator.GPU, 2)
+	if _, err := New(bad); err == nil {
+		t.Fatal("estimator without a 2-SM GPU model accepted")
+	}
+}
+
+// TestEstimateUsesConfiguredGPUModel: T_GPU comes from Config.Estimator,
+// the same model the cluster and the advisor price the GPU with.
+func TestEstimateUsesConfiguredGPUModel(t *testing.T) {
+	q := &query.Query{
+		ID:         1,
+		Conditions: []query.Condition{{Dim: 0, Level: 3, From: 0, To: 100}},
+		Measure:    0, Op: table.AggSum,
+	}
+	base, err := testSystem(t, nil).Estimate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := perfmodel.PaperEstimator()
+	m := est.GPU[4]
+	m.Slope *= 10
+	m.Intercept *= 10
+	est.GPU[4] = m
+	scaled, err := testSystem(t, func(sp *SetupSpec) { sp.Estimator = est }).Estimate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range []int{1, 1, 2, 2, 4, 4} {
+		want := base.GPUSeconds[i]
+		if w == 4 {
+			want *= 10
+		}
+		if math.Abs(scaled.GPUSeconds[i]-want) > 1e-12 {
+			t.Fatalf("partition %d (%d SMs): GPUSeconds = %v, want %v", i, w, scaled.GPUSeconds[i], want)
+		}
 	}
 }
 

@@ -11,10 +11,9 @@
 //     table, with one goroutine per simulated SM. Results are bit-exact
 //     with a sequential scan.
 //
-//  2. Timing behaviour — query service times come from the calibrated
-//     partition performance models P_GPU(C/C_TOT, n_SM) (eqs. 14–15),
-//     the same functions the paper measured on real hardware, so the
-//     scheduler sees the same cost landscape.
+//  2. No timing model — what a kernel is expected to cost, P_GPU(C/C_TOT,
+//     n_SM) of eqs. 14–15, is the estimator's (perfmodel.Estimator.GPU),
+//     the one model every scheduler prices the GPU with.
 //
 // The device supports the paper's static partitioning: disjoint groups of
 // SMs, each with its own queue, all sharing the full global memory and
@@ -25,7 +24,6 @@ import (
 	"fmt"
 
 	"hybridolap/internal/fault"
-	"hybridolap/internal/perfmodel"
 	"hybridolap/internal/table"
 )
 
@@ -34,18 +32,15 @@ type DeviceSpec struct {
 	Name           string
 	SMs            int
 	GlobalMemBytes int64
-	// Models maps partition SM count to its performance function.
-	Models map[int]perfmodel.GPUModel
 }
 
-// TeslaC2070 returns the paper's accelerator: 14 active SMs, 6 GB GDDR5,
-// and the published partition models.
+// TeslaC2070 returns the paper's accelerator: 14 active SMs and 6 GB
+// GDDR5.
 func TeslaC2070() DeviceSpec {
 	return DeviceSpec{
 		Name:           "Tesla C2070 (simulated)",
 		SMs:            14,
 		GlobalMemBytes: 6 << 30,
-		Models:         perfmodel.PaperGPUModels(),
 	}
 }
 
@@ -70,9 +65,6 @@ func NewDevice(spec DeviceSpec) (*Device, error) {
 	}
 	if spec.GlobalMemBytes <= 0 {
 		return nil, fmt.Errorf("gpusim: device needs positive global memory")
-	}
-	if len(spec.Models) == 0 {
-		return nil, fmt.Errorf("gpusim: device needs at least one performance model")
 	}
 	return &Device{spec: spec}, nil
 }
@@ -110,8 +102,7 @@ func (d *Device) Table() *table.FactTable {
 }
 
 // Partition installs a static layout: one partition per entry, holding
-// that many SMs. The layout must fit the device and every width must have
-// a performance model.
+// that many SMs. The layout must fit the device.
 func (d *Device) Partition(layout []int) error {
 	if len(layout) == 0 {
 		return fmt.Errorf("gpusim: empty partition layout")
@@ -120,9 +111,6 @@ func (d *Device) Partition(layout []int) error {
 	for i, sms := range layout {
 		if sms <= 0 {
 			return fmt.Errorf("gpusim: partition %d has %d SMs", i, sms)
-		}
-		if _, ok := d.spec.Models[sms]; !ok {
-			return fmt.Errorf("gpusim: no performance model for %d-SM partition", sms)
 		}
 		total += sms
 	}
@@ -149,17 +137,4 @@ func (d *Device) SetFaults(p *fault.Plan) { d.faults = p }
 // to the engine's retry path exactly like a real execution failure.
 func (d *Device) faultCheck(partition int) error {
 	return d.faults.Check(fault.GPUExec, partition)
-}
-
-// EstimateSeconds evaluates P_GPU for a partition width: the estimated
-// service time of a query touching cols of totalCols columns.
-func (d *Device) EstimateSeconds(sms, cols, totalCols int) (float64, error) {
-	m, ok := d.spec.Models[sms]
-	if !ok {
-		return 0, fmt.Errorf("gpusim: no performance model for %d SMs", sms)
-	}
-	if totalCols <= 0 {
-		return 0, fmt.Errorf("gpusim: totalCols must be positive")
-	}
-	return m.Eval(float64(cols) / float64(totalCols)), nil
 }

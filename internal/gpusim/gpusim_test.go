@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"hybridolap/internal/perfmodel"
 	"hybridolap/internal/table"
 )
 
@@ -36,9 +35,8 @@ func newTestDevice(t testing.TB, rows int) *Device {
 
 func TestNewDeviceValidation(t *testing.T) {
 	bad := []DeviceSpec{
-		{SMs: 0, GlobalMemBytes: 1, Models: perfmodel.PaperGPUModels()},
-		{SMs: 14, GlobalMemBytes: 0, Models: perfmodel.PaperGPUModels()},
-		{SMs: 14, GlobalMemBytes: 1},
+		{SMs: 0, GlobalMemBytes: 1},
+		{SMs: 14, GlobalMemBytes: 0},
 	}
 	for i, spec := range bad {
 		if _, err := NewDevice(spec); err == nil {
@@ -77,7 +75,6 @@ func TestPartitionValidation(t *testing.T) {
 	cases := [][]int{
 		{},           // empty
 		{0},          // zero width
-		{3},          // no model for 3 SMs
 		{4, 4, 4, 4}, // 16 > 14 SMs
 	}
 	for i, layout := range cases {
@@ -222,46 +219,6 @@ func TestConcurrentKernelExecution(t *testing.T) {
 		if d.Partitions()[i].Completed() != 5 {
 			t.Fatalf("partition %d completed %d kernels, want 5", i, d.Partitions()[i].Completed())
 		}
-	}
-}
-
-func TestEstimateSeconds(t *testing.T) {
-	d := newTestDevice(t, 100)
-	// 4-SM partition, half the columns: eq. (14).
-	got, err := d.EstimateSeconds(4, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.0008*0.5 + 0.0065
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("estimate = %v, want %v", got, want)
-	}
-	// Partition-level call agrees.
-	p := d.Partitions()[4] // 4 SM
-	pg, err := p.EstimateSeconds(8, 16)
-	if err != nil || pg != got {
-		t.Fatalf("partition estimate = (%v,%v)", pg, err)
-	}
-	if _, err := d.EstimateSeconds(3, 1, 16); err == nil {
-		t.Fatal("unknown SM width accepted")
-	}
-	if _, err := d.EstimateSeconds(4, 1, 0); err == nil {
-		t.Fatal("zero totalCols accepted")
-	}
-}
-
-func TestWiderPartitionsEstimateFaster(t *testing.T) {
-	d := newTestDevice(t, 100)
-	prev := math.Inf(1)
-	for _, sms := range []int{1, 2, 4, 14} {
-		est, err := d.EstimateSeconds(sms, 8, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est >= prev {
-			t.Fatalf("%d SMs not faster than narrower partition", sms)
-		}
-		prev = est
 	}
 }
 

@@ -76,12 +76,6 @@ func (p *Partition) SMs() int { return p.sms }
 // Completed returns the number of kernels this partition has finished.
 func (p *Partition) Completed() int64 { return p.completed.Load() }
 
-// EstimateSeconds evaluates this partition's P_GPU for a query touching
-// cols of totalCols columns.
-func (p *Partition) EstimateSeconds(cols, totalCols int) (float64, error) {
-	return p.dev.EstimateSeconds(p.sms, cols, totalCols)
-}
-
 // workUnit is one contiguous range of the snapshot's logical row space:
 // what an SM scans between two visits to the shared cursor.
 type workUnit struct{ lo, hi int }

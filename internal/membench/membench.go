@@ -189,10 +189,16 @@ func GPUSweep(rows int, widths []int, maxCols, reps int, seed int64) ([]GPUPoint
 		}
 	}
 
+	est := perfmodel.PaperEstimator()
 	var out []GPUPoint
 	for _, p := range dev.Partitions() {
 		for nc := 1; nc <= maxCols && nc <= len(preds); nc++ {
 			req := table.ScanRequest{Predicates: preds[:nc], Measure: 0, Op: table.AggSum}
+			cols := req.ColumnsAccessed()
+			estd, err := est.GPUTime(p.SMs(), cols, total)
+			if err != nil {
+				return nil, err
+			}
 			best := time.Duration(1<<62 - 1)
 			for r := 0; r < reps; r++ {
 				t0 := time.Now()
@@ -203,8 +209,6 @@ func GPUSweep(rows int, widths []int, maxCols, reps int, seed int64) ([]GPUPoint
 					best = d
 				}
 			}
-			cols := req.ColumnsAccessed()
-			estd, _ := p.EstimateSeconds(cols, total)
 			out = append(out, GPUPoint{
 				SMs:       p.SMs(),
 				Columns:   cols,

@@ -116,6 +116,47 @@ func TestEstimator(t *testing.T) {
 	}
 }
 
+func TestEstimateSeconds(t *testing.T) {
+	e := PaperEstimator()
+	// 4-SM partition, half the columns: eq. (14).
+	got, err := e.GPUTime(4, 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0008*0.5 + 0.0065
+	if math.Abs(got-want) > 1e-12 {
+		t.Fatalf("estimate = %v, want %v", got, want)
+	}
+	// Every partition width answers with its own eq. (14) model.
+	for sms, m := range PaperGPUModels() {
+		est, err := e.GPUTime(sms, 8, 16)
+		if err != nil || est != m.Eval(0.5) {
+			t.Fatalf("%d SMs: estimate = (%v,%v), want %v", sms, est, err, m.Eval(0.5))
+		}
+	}
+	if _, err := e.GPUTime(3, 1, 16); err == nil {
+		t.Fatal("unknown SM width accepted")
+	}
+	if _, err := e.GPUTime(4, 1, 0); err == nil {
+		t.Fatal("zero totalCols accepted")
+	}
+}
+
+func TestWiderPartitionsEstimateFaster(t *testing.T) {
+	e := PaperEstimator()
+	prev := math.Inf(1)
+	for _, sms := range []int{1, 2, 4, 14} {
+		est, err := e.GPUTime(sms, 8, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est >= prev {
+			t.Fatalf("%d SMs not faster than narrower partition", sms)
+		}
+		prev = est
+	}
+}
+
 func TestBandwidthMBs(t *testing.T) {
 	if got := BandwidthMBs(1024, 2); got != 512 {
 		t.Fatalf("BandwidthMBs = %v", got)

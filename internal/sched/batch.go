@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"hybridolap/internal/sched/tq"
-)
+import "fmt"
 
 // BatchFlavor selects a batch-mode mapping heuristic from the comparison
 // study the paper builds its scheduling survey on (Braun et al. [2]).
@@ -44,78 +40,45 @@ func (f BatchFlavor) String() string {
 // each were submitted in the heuristic's order. Decisions are returned in
 // input order. All estimates are priced at time `now`.
 //
-// The heuristic respects the same structural rules as Fig. 10: CPU is
-// eligible only when CPUOK, and translated queries gate their GPU start on
-// the translation queue.
+// The heuristic ranks the same candidate sets Fig. 10 picks from, so it
+// respects the same structural rules: CPU is eligible only when CPUOK,
+// quarantined partitions take no work, and translated queries gate their
+// GPU start on the translation queue.
 func (s *Scheduler) PlanBatch(now float64, ests []Estimates, flavor BatchFlavor) ([]Decision, error) {
 	for i := range ests {
-		if len(ests[i].GPUSeconds) != len(s.cfg.GPUWidths) {
-			return nil, fmt.Errorf("sched: batch item %d has %d GPU estimates for %d partitions",
-				i, len(ests[i].GPUSeconds), len(s.cfg.GPUWidths))
-		}
-		if ests[i].NeedsTranslation && ests[i].CPUOK {
-			return nil, fmt.Errorf("sched: batch item %d both needs translation and is CPU-answerable", i)
+		if err := s.check(ests[i]); err != nil {
+			return nil, fmt.Errorf("%w (batch item %d)", err, i)
 		}
 	}
+	deadline := now + s.cfg.DeadlineSeconds
 	decisions := make([]Decision, len(ests))
 	assigned := make([]bool, len(ests))
-	remaining := len(ests)
-
-	// bestFor prices the unassigned task i against every eligible queue
-	// under the *current* clocks and returns its best decision plus the
-	// second-best completion time (for sufferage).
-	bestFor := func(i int) (Decision, float64, bool) {
-		est := ests[i]
-		best := Decision{}
-		second := inf
-		found := false
-		consider := func(d Decision) {
-			if !found || d.End < best.End {
-				if found {
-					second = best.End
-				}
-				best = d
-				found = true
-				return
-			}
-			if d.End < second {
-				second = d.End
-			}
-		}
-		if est.CPUOK {
-			start := s.clocks.Start(tq.CPU, now)
-			consider(Decision{Queue: QueueRef{Kind: QueueCPU}, Start: start, End: start + est.CPUSeconds})
-		}
-		for g := range s.cfg.GPUWidths {
-			ts, te, st, en := s.responseGPU(g, now, est)
-			consider(Decision{
-				Queue:      QueueRef{Kind: QueueGPU, Index: g},
-				TransStart: ts, TransEnd: te, Start: st, End: en,
-			})
-		}
-		return best, second, found
-	}
-
-	for remaining > 0 {
-		pick := -1
-		var pickD Decision
-		var pickScore float64
+	for remaining := len(ests); remaining > 0; remaining-- {
+		// Price every unassigned task against every eligible queue under
+		// the *current* clocks: its earliest completion, and the
+		// runner-up's for sufferage.
+		pick, pickQ, pickScore := -1, 0, 0.0
 		for i := range ests {
 			if assigned[i] {
 				continue
 			}
-			d, second, ok := bestFor(i)
+			c, err := s.candidates(now, deadline, ests[i])
+			if err != nil {
+				return nil, err
+			}
+			q, second, ok := c.earliest()
 			if !ok {
 				return nil, ErrUnanswerable
 			}
+			end := c.decision(q).End
 			var score float64
 			switch flavor {
 			case MinMin:
-				score = -d.End // smallest completion wins
+				score = -end // smallest completion wins
 			case MaxMin:
-				score = d.End // largest completion wins
+				score = end // largest completion wins
 			case Sufferage:
-				score = second - d.End // biggest regret wins
+				score = second - end // biggest regret wins
 				if second >= inf {
 					score = inf // only one option: map it now
 				}
@@ -123,27 +86,16 @@ func (s *Scheduler) PlanBatch(now float64, ests []Estimates, flavor BatchFlavor)
 				return nil, fmt.Errorf("sched: unknown batch flavor %v", flavor)
 			}
 			if pick < 0 || score > pickScore {
-				pick = i
-				pickD = d
-				pickScore = score
+				pick, pickQ, pickScore = i, q, score
 			}
 		}
-		// Commit the picked assignment.
-		d := pickD
-		d.Deadline = now + s.cfg.DeadlineSeconds
-		d.MeetsDeadline = d.End <= d.Deadline
-		if d.Queue.Kind == QueueCPU {
-			s.commitCPU(&d)
-		} else {
-			s.commitGPU(d.Queue.Index, &d, ests[pick])
-		}
-		s.stats.Submitted++
-		if !d.MeetsDeadline {
-			s.stats.PredictedLate++
+		d, err := s.submit(now, deadline, ests[pick], &s.stats.Submitted,
+			func(*Config, *candidates) (int, error) { return pickQ, nil })
+		if err != nil {
+			return nil, err
 		}
 		decisions[pick] = d
 		assigned[pick] = true
-		remaining--
 	}
 	return decisions, nil
 }

@@ -86,6 +86,31 @@ func TestPlanBatchRespectsCPUEligibility(t *testing.T) {
 	}
 }
 
+// TestPlanBatchSkipsQuarantined: a batch ranks the same candidate sets
+// Fig. 10 picks from, so a quarantined partition takes no batch work —
+// not even when, as here, it is the fastest and its clock was just
+// dropped to idle.
+func TestPlanBatchSkipsQuarantined(t *testing.T) {
+	for _, flavor := range []BatchFlavor{MinMin, MaxMin, Sufferage} {
+		s := newPaper(t, paperCfg())
+		failGPU(s, 4, 0)
+		failGPU(s, 5, 0)
+		ests := make([]Estimates, 12)
+		for i := range ests {
+			ests[i] = Estimates{GPUSeconds: flatGPU(0.4, 0.2, 0.1)}
+		}
+		ds, err := s.PlanBatch(0.1, ests, flavor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range ds {
+			if d.Queue.Kind == QueueGPU && d.Queue.Index >= 4 {
+				t.Fatalf("%v: task %d placed on quarantined %v", flavor, i, d.Queue)
+			}
+		}
+	}
+}
+
 func TestPlanBatchLoadBalances(t *testing.T) {
 	// Many identical tasks spread across all six queues instead of piling
 	// onto one.

@@ -68,7 +68,7 @@ func (s *Scheduler) SubmitFused(now, deadline float64, members []Estimates) (Dec
 	for i := range combined.GPUSeconds {
 		combined.GPUSeconds[i] += overhead
 	}
-	d, err := s.submit(now, deadline, combined, &s.stats.Submitted)
+	d, err := s.submit(now, deadline, combined, &s.stats.Submitted, s.pick)
 	if err != nil {
 		return Decision{}, err
 	}

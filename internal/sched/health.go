@@ -208,18 +208,31 @@ func (t *HealthTracker) Revive(i int) {
 // a side effect, so the next placement scan may send exactly the probe
 // traffic the state machine wants.
 func (t *HealthTracker) Eligible(i int, now float64) bool {
-	h := &t.units[i]
-	if h.state == Evicted {
+	ok := t.admits(i, now)
+	if ok && t.units[i].state == Quarantined {
+		t.units[i].state = Probation
+	}
+	return ok
+}
+
+// admits is Eligible without the promotion: whether a placement scan at
+// now may offer unit i work.
+func (t *HealthTracker) admits(i int, now float64) bool {
+	switch h := &t.units[i]; h.state {
+	case Evicted:
 		return false
+	case Quarantined:
+		return now >= h.reprobeAt
 	}
-	if h.state != Quarantined {
-		return true
+	return true
+}
+
+// promote applies Eligible's promotion to every unit: each Quarantined
+// unit whose re-probe is due at now moves to Probation.
+func (t *HealthTracker) promote(now float64) {
+	for i := range t.units {
+		t.Eligible(i, now)
 	}
-	if now >= h.reprobeAt {
-		h.state = Probation
-		return true
-	}
-	return false
 }
 
 // State returns unit i's current state and, when quarantined, the
@@ -238,22 +251,6 @@ func (t *HealthTracker) States() []HealthState {
 		out[i] = t.units[i].state
 	}
 	return out
-}
-
-// Clone returns an independent copy, for hypothetical evaluation (Peek)
-// that must not leak Eligible's probation side effect into live state.
-func (t *HealthTracker) Clone() *HealthTracker {
-	units := append([]partitionHealth(nil), t.units...)
-	for i := range units {
-		units[i].quarantinedAt = append([]float64(nil), units[i].quarantinedAt...)
-	}
-	return &HealthTracker{
-		units:          units,
-		threshold:      t.threshold,
-		reprobe:        t.reprobe,
-		evictThreshold: t.evictThreshold,
-		evictWindow:    t.evictWindow,
-	}
 }
 
 // ReportFailure records a failed job on a queue at virtual time now. CPU
@@ -283,24 +280,6 @@ func (s *Scheduler) ReportSuccess(ref QueueRef) {
 	if s.health.Success(ref.Index) {
 		s.stats.Reprobes++
 	}
-}
-
-// quarantineThreshold exposes the tracker's resolved consecutive-failure
-// threshold (used by tests).
-func (s *Scheduler) quarantineThreshold() int { return s.health.threshold }
-
-// eligibleSet evaluates eligibility for every GPU partition once per
-// submission (Eligible mutates state, so each decide* calls this exactly
-// once and shares the result).
-func (s *Scheduler) eligibleSet(now float64) (elig []bool, any bool) {
-	elig = make([]bool, s.health.Len())
-	for i := range elig {
-		if s.health.Eligible(i, now) {
-			elig[i] = true
-			any = true
-		}
-	}
-	return elig, any
 }
 
 // Health returns partition i's current state and, when quarantined, the

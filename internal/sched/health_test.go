@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ import (
 // default threshold.
 func failGPU(s *Scheduler, i int, now float64) {
 	ref := QueueRef{Kind: QueueGPU, Index: i}
-	for k := 0; k < s.quarantineThreshold(); k++ {
+	for k := 0; k < s.health.threshold; k++ {
 		s.ReportFailure(ref, now)
 	}
 }
@@ -240,19 +241,56 @@ func TestResubmitUsesExplicitDeadline(t *testing.T) {
 	}
 }
 
+// TestPeekDoesNotMutateHealth: Peek decides what Submit would and books
+// none of it — no probation promotion, no queue clock, no round-robin
+// cursor step and no counter.
 func TestPeekDoesNotMutateHealth(t *testing.T) {
 	cfg := paperCfg()
 	cfg.ReprobeSeconds = 1
+	cfg.Placement = PlaceRoundRobin
 	s := newPaper(t, cfg)
 	failGPU(s, 0, 0)
-	est := Estimates{GPUSeconds: flatGPU(0.01, 0.01, 0.01)}
-	// Peek past the re-probe time: the copy transitions to probation, the
-	// original must not.
-	if _, err := s.Peek(2.0, est); err != nil {
+	if _, err := s.Submit(0.5, Estimates{GPUSeconds: flatGPU(0.2, 0.1, 0.05)}); err != nil {
+		t.Fatal(err)
+	}
+	refs := []QueueRef{{Kind: QueueCPU}, {Kind: QueueCPU, Index: -1}}
+	for i := range cfg.GPUWidths {
+		refs = append(refs, QueueRef{Kind: QueueGPU, Index: i})
+	}
+	clocks := func() []float64 {
+		var out []float64
+		for _, r := range refs {
+			out = append(out, s.QueueClock(r))
+		}
+		return out
+	}
+	beforeClocks, beforeStats, beforeRR := clocks(), s.Stats(), s.rrNext
+	// Peek past the re-probe time with a translated, link-priced query
+	// that places on a GPU partition.
+	est := Estimates{GPUSeconds: flatGPU(0.01, 0.01, 0.01), NeedsTranslation: true,
+		TransSeconds: 0.01, LinkSeconds: 0.01}
+	peeked, err := s.Peek(2.0, est)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := s.Health(0); st != Quarantined {
 		t.Fatalf("Peek mutated health: state = %v", st)
+	}
+	if got := clocks(); !reflect.DeepEqual(got, beforeClocks) {
+		t.Fatalf("Peek moved queue clocks: %v, want %v", got, beforeClocks)
+	}
+	if s.rrNext != beforeRR {
+		t.Fatalf("Peek advanced the round-robin cursor: %d, want %d", s.rrNext, beforeRR)
+	}
+	if got := s.Stats(); !reflect.DeepEqual(got, beforeStats) {
+		t.Fatalf("Peek moved counters: %+v, want %+v", got, beforeStats)
+	}
+	if est.GPUSeconds[0] != 0.01 {
+		t.Fatal("Peek scaled the caller's estimates")
+	}
+	// Submit then decides exactly what Peek said it would.
+	if d, err := s.Submit(2.0, est); err != nil || d != peeked {
+		t.Fatalf("Submit = %+v, %v; Peek said %+v", d, err, peeked)
 	}
 }
 

@@ -50,13 +50,6 @@ func TestHealthTrackerUnit(t *testing.T) {
 		t.Fatal("reprobe clock not refreshed by in-quarantine failure")
 	}
 
-	// Clone is independent.
-	c := h.Clone()
-	c.Failure(0, 0)
-	c.Failure(0, 0)
-	if st, _ := h.State(0); st != Healthy {
-		t.Fatal("clone mutation leaked into the original")
-	}
 	states := h.States()
 	if len(states) != 2 || states[0] != Healthy || states[1] != Quarantined {
 		t.Fatalf("States = %v", states)
@@ -159,24 +152,4 @@ func TestHealthTrackerEvictionThenRevive(t *testing.T) {
 	// Out-of-range revive is a no-op, not a panic.
 	h.Revive(-1)
 	h.Revive(99)
-}
-
-// TestHealthTrackerCloneDeepCopiesHistory guards the Peek path: a clone
-// must own its quarantine-event history, or hypothetical failures would
-// append into the live tracker's escalation window.
-func TestHealthTrackerCloneDeepCopiesHistory(t *testing.T) {
-	h := NewHealthTracker(1, 1, 1)
-	h.SetEviction(3, 100)
-	h.Failure(0, 0) // one recorded quarantine event
-	c := h.Clone()
-	c.Eligible(0, 2)
-	c.Failure(0, 3) // second event on the CLONE only
-	c.Eligible(0, 5)
-	c.Failure(0, 6) // third event: clone evicts
-	if st, _ := c.State(0); st != Evicted {
-		t.Fatalf("clone state = %v, want evicted", st)
-	}
-	if st, _ := h.State(0); st == Evicted {
-		t.Fatal("clone's quarantine history leaked into the original")
-	}
 }

@@ -11,7 +11,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"hybridolap/internal/sched/tq"
 )
@@ -248,7 +247,9 @@ type Scheduler struct {
 
 	health *HealthTracker
 
-	rrNext int // round-robin cursor (policy and placement variants)
+	pick   pickFunc   // the policy's steps 4–6
+	cand   candidates // scratch: the candidate set of the query being placed
+	rrNext int        // round-robin cursor (policy and placement variants)
 	stats  Stats
 }
 
@@ -269,6 +270,7 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg:    cfg,
 		clocks: tq.New(len(cfg.GPUWidths)),
 		health: NewHealthTracker(len(cfg.GPUWidths), cfg.QuarantineThreshold, cfg.ReprobeSeconds),
+		pick:   policyPick(cfg.Policy),
 	}
 	s.stats.ToGPU = make([]int64, len(cfg.GPUWidths))
 	s.stats.FusionFanIn = make([]int64, len(FanInBucketLabels))
@@ -337,59 +339,6 @@ func (s *Scheduler) SubmitMaintenance(now, estSeconds float64) (start, end float
 	return start, end
 }
 
-// Peek runs the policy for a hypothetical submission without committing
-// any queue-clock updates or statistics — what Submit *would* decide now.
-// It powers EXPLAIN-style introspection.
-func (s *Scheduler) Peek(now float64, est Estimates) (Decision, error) {
-	cp := &Scheduler{
-		cfg:    s.cfg,
-		clocks: s.clocks.Clone(),
-		health: s.health.Clone(),
-		rrNext: s.rrNext,
-	}
-	cp.stats.ToGPU = make([]int64, len(s.cfg.GPUWidths))
-	return cp.Submit(now, est)
-}
-
 // ErrUnanswerable is returned when the policy cannot place the query (for
 // example PolicyCPUOnly with a GPU-only query).
 var ErrUnanswerable = fmt.Errorf("sched: no partition can answer this query")
-
-// responseGPU computes step 3's T_R|GPUi for partition i, returning the
-// translation window and processing window.
-func (s *Scheduler) responseGPU(i int, now float64, est Estimates) (transStart, transEnd, start, end float64) {
-	g := s.clocks.Start(tq.Lane(i), now)
-	if !est.NeedsTranslation {
-		return 0, 0, g, g + est.GPUSeconds[i]
-	}
-	switch s.cfg.Translation {
-	case TransOnCPUQueue:
-		transStart = s.clocks.Start(tq.CPU, now)
-	default:
-		transStart = s.clocks.Start(tq.Trans, now)
-	}
-	transEnd = transStart + est.TransSeconds
-	start = math.Max(g, transEnd)
-	return transStart, transEnd, start, start + est.GPUSeconds[i]
-}
-
-// commitGPU updates the queue clocks for a GPU placement.
-func (s *Scheduler) commitGPU(i int, d *Decision, est Estimates) {
-	if est.NeedsTranslation {
-		switch s.cfg.Translation {
-		case TransOnCPUQueue:
-			s.clocks.Book(tq.CPU, d.TransEnd)
-		default:
-			s.clocks.Book(tq.Trans, d.TransEnd)
-		}
-		s.stats.Translated++
-	}
-	s.clocks.Book(tq.Lane(i), d.End)
-	s.stats.ToGPU[i]++
-}
-
-// commitCPU updates the CPU queue clock.
-func (s *Scheduler) commitCPU(d *Decision) {
-	s.clocks.Book(tq.CPU, d.End)
-	s.stats.ToCPU++
-}

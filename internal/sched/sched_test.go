@@ -578,3 +578,28 @@ func TestSubmitMaintenance(t *testing.T) {
 		t.Fatalf("clock after feedback = %v, want 1.31", got)
 	}
 }
+
+// TestPlacementAllocs pins the cost of one placement: the candidate set
+// lives in the scheduler's scratch and a pick is a plain function, so
+// neither Peek nor Submit allocates, with or without translation and a
+// link cost.
+func TestPlacementAllocs(t *testing.T) {
+	for p := PolicyPaper; p <= PolicyRoundRobin; p++ {
+		cfg := paperCfg()
+		cfg.Policy = p
+		cfg.Placement = PlaceRoundRobin
+		s := newPaper(t, cfg)
+		for _, est := range []Estimates{
+			{CPUOK: true, CPUSeconds: 0.01, GPUSeconds: flatGPU(0.03, 0.015, 0.007)},
+			{NeedsTranslation: true, TransSeconds: 0.001, GPUSeconds: flatGPU(0.03, 0.015, 0.007), LinkSeconds: 0.002},
+		} {
+			now := 0.0
+			peek := testing.AllocsPerRun(50, func() { _, _ = s.Peek(now, est) })
+			submit := testing.AllocsPerRun(50, func() { now += 0.01; _, _ = s.Submit(now, est) })
+			if peek != 0 || submit != 0 {
+				t.Errorf("%v, translation %v: Peek %v allocs, Submit %v, want 0 and 0",
+					p, est.NeedsTranslation, peek, submit)
+			}
+		}
+	}
+}

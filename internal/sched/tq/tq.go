@@ -6,8 +6,6 @@
 // writes the compiler lets through.
 package tq
 
-import "slices"
-
 // Lane addresses one queue: a GPU partition by its index (0, 1, …), or
 // the CPU processing or translation partition.
 type Lane int
@@ -71,9 +69,4 @@ func (c *Clocks) Drop(l Lane, now float64) {
 	if tq := c.at(l); *tq > now {
 		*tq = now
 	}
-}
-
-// Clone returns an independent copy, for what-if placement.
-func (c *Clocks) Clone() Clocks {
-	return Clocks{cpu: c.cpu, trans: c.trans, gpu: slices.Clone(c.gpu)}
 }
