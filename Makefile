@@ -116,7 +116,7 @@ bench-load:
 	bash cmd/olapload/bench.sh --workload paper_mix --seed 1 --seconds 2 --trace 0
 	bash cmd/olapload/bench.sh --workload dashboard_hot --seed 1 --seconds 2 --trace 0
 
-# Benchmark regression gate: fresh quick runs (in a scratch directory) of
+# Benchmark regression gate: fresh quick runs (which write no file) of
 # scan-kernels, ingest, fusion and cluster, diffed against the committed
 # BENCH_*.json baselines. Every gated headline is a within-run ratio, so
 # machine speed divides out; fails on a >15% regression. Refresh a stale

@@ -10,6 +10,10 @@
 //	olapbench -seed 7                  # reseed the synthetic workloads
 //	olapbench -compare                 # quick re-run vs committed BENCH_*.json;
 //	                                   # exit 1 on >15% headline regression
+//
+// A full-scale run of a gated experiment (scan-kernels, ingest, fusion,
+// cluster, repair) also refreshes its BENCH_*.json baseline in the current
+// directory; a -quick run writes no file.
 package main
 
 import (
@@ -70,6 +74,16 @@ func main() {
 
 	opts := experiments.Options{Quick: *quick, Seed: *seed}
 	emit := func(t *experiments.Table) {
+		if !*quick && t.Baseline != nil {
+			buf, err := json.MarshalIndent(t.Baseline, "", "  ")
+			if err == nil {
+				err = os.WriteFile(t.Baseline.File(), append(buf, '\n'), 0o644)
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "olapbench: writing %s: %v\n", t.Baseline.File(), err)
+				os.Exit(1)
+			}
+		}
 		if *asJSON {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")

@@ -1,6 +1,6 @@
-// Package gpusim mirrors the simulated accelerator: all four Execute*
-// entry points must cross fault.GPUExec, normally through the device's
-// faultCheck wrapper.
+// Package gpusim mirrors the simulated accelerator: both entry points,
+// Execute and ExecuteChunks, must cross fault.GPUExec, normally through the
+// device's faultCheck wrapper.
 package gpusim
 
 import "fix/fault"
@@ -20,11 +20,8 @@ type Partition struct {
 	id  int
 }
 
-// Execute crosses gpu-exec through the device wrapper: fine.
-func (p *Partition) Execute() error { return p.dev.faultCheck(p.id) }
-
-// ExecuteGroup skips the wrapper.
-func (p *Partition) ExecuteGroup() error { // want `gpusim\.Partition\.ExecuteGroup must cross the fault\.GPUExec injection point but never does`
+// Execute drops its crossing.
+func (p *Partition) Execute() error { // want `gpusim\.Partition\.Execute must cross the fault\.GPUExec injection point but never does`
 	return nil
 }
 
@@ -33,8 +30,3 @@ func (p *Partition) launch() error { return p.dev.faultCheck(p.id) }
 
 // ExecuteChunks crosses through the shared head: fine.
 func (p *Partition) ExecuteChunks() error { return p.launch() }
-
-// ExecuteFused drops its crossing.
-func (p *Partition) ExecuteFused() error { // want `gpusim\.Partition\.ExecuteFused must cross the fault\.GPUExec injection point but never does`
-	return nil
-}

@@ -184,7 +184,7 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 	if err := c.translate(q); err != nil {
 		return Result{}, err
 	}
-	m, empty, err := c.memberOf(q)
+	m, empty, err := q.Member(c.schema)
 	if err != nil {
 		return Result{}, err
 	}
@@ -237,18 +237,6 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 	}
 	res.Latency = time.Since(started)
 	return res, nil
-}
-
-// memberOf is a translated query as the one plan member every shard
-// scans: keyed by its GROUP BY columns, scalar without. empty reports a
-// text predicate that matches nothing.
-func (c *Cluster) memberOf(q *query.Query) (m table.Member, empty bool, err error) {
-	if !q.Grouped() {
-		m.ScanRequest, empty, err = q.ToScanRequest(c.schema)
-		return m, empty, err
-	}
-	greq, empty, err := q.ToGroupScanRequest(c.schema)
-	return table.Member{ScanRequest: greq.ScanRequest, GroupBy: greq.GroupBy}, empty, err
 }
 
 // degrade inspects the per-shard fan-out errors. Without AllowPartial

@@ -108,7 +108,7 @@ func (c *Cluster) RunModel(mc ModelConfig) (ModelResult, error) {
 		now := free[cl]
 		q := modelQuery(rng, int64(i), mc.Grouped)
 
-		m, empty, err := c.memberOf(q)
+		m, empty, err := q.Member(c.schema)
 		if err != nil {
 			return ModelResult{}, err
 		}

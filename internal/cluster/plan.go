@@ -30,7 +30,7 @@ type subQuerySpec struct {
 func (c *Cluster) specFor(q *query.Query, m table.Member) subQuerySpec {
 	req, groupCols := m.ScanRequest, len(m.GroupBy)
 	sp := subQuerySpec{
-		cols:      req.ColumnsAccessed() + groupCols,
+		cols:      m.ColumnsAccessed(),
 		intCols:   len(req.Predicates) + groupCols,
 		needsMeas: req.Op != table.AggCount,
 		groupCols: groupCols,

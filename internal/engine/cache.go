@@ -724,7 +724,7 @@ func contains(outer, inner []cacheInterval) bool {
 // existing entry is kept (first stored wins: a later execution brings the
 // same bits unless it ran on the CPU and the first on the GPU, or the
 // reverse, and a cached sum must not change while its epoch lasts).
-func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, ans gpusim.FusedAnswer, queue sched.QueueRef) {
+func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, ans gpusim.Answer, queue sched.QueueRef) {
 	order, cellShaped := table.CellShape(req, nil)
 	// Build the entry (including the plane) before taking the lock; a
 	// stale-epoch or duplicate store wastes the work but never stalls

@@ -239,7 +239,7 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 				t.Fatalf("%s: an answer without a fold served across an epoch, last executed at %d", desc, lastRun[qi])
 			}
 			if out.CacheHit || out.Attempts > 0 { // not the empty-translation short cut
-				if again := faultFreeAt(t, s, q, out.Queue); !resultBits(out.Result, again) {
+				if again := faultFreeAt(t, s, q, out.Queue).Result; !resultBits(out.Result, again) {
 					t.Fatalf("%s: (%v, %d) is not the recomputed answer (%v, %d)",
 						desc, out.Result.Value, out.Result.Rows, again.Value, again.Rows)
 				}
@@ -339,7 +339,7 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 			t.Fatalf("round %d: the stale lookup cost the current epoch its entry", round)
 		}
 		bogus := table.ScanRequest{Op: table.AggCount, Predicates: []table.RangePredicate{{Dim: 2, Level: 3, From: uint32(round), To: 2000}}}
-		s.cache.store(&bogus, stale, gpusim.FusedAnswer{Result: table.ScanResult{Value: -1, Rows: -1}}, sched.QueueRef{})
+		s.cache.store(&bogus, stale, gpusim.Answer{Result: table.ScanResult{Value: -1, Rows: -1}}, sched.QueueRef{})
 		if _, ok := s.cache.lookup(&bogus, s.pin()); ok {
 			t.Fatalf("round %d: a store pinned at epoch %d was kept", round, stale.Epoch())
 		}

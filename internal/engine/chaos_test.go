@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"hybridolap/internal/fault"
+	"hybridolap/internal/gpusim"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
-	"hybridolap/internal/table"
 )
 
 // faultFreeAt recomputes a query fault-free, using a system with no fault
@@ -16,7 +16,7 @@ import (
 // of the snapshot's rows and the request alone (gpusim's fold grid;
 // TestPlacementFree), so this is the bit-exact answer every placement must
 // produce in the chaos run.
-func faultFreeAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef) table.ScanResult {
+func faultFreeAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef) gpusim.Answer {
 	t.Helper()
 	q := q0.Clone()
 	if q.NeedsTranslation() {
@@ -24,39 +24,17 @@ func faultFreeAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef)
 			t.Fatal(err)
 		}
 	}
-	var r table.ScanResult
+	var a gpusim.Answer
 	var err error
 	if queue.Kind == sched.QueueCPU {
-		r, err = s.AnswerOnCPUAt(q, s.pin())
+		a, err = s.cpuAnswer(q, s.pin())
 	} else {
-		r, err = s.AnswerOnGPUAt(q, 0, s.pin())
+		a, err = s.gpuAnswer(q, 0, s.pin())
 	}
 	if err != nil {
 		t.Fatalf("fault-free recompute of query %d on %s: %v", q0.ID, queue, err)
 	}
-	return r
-}
-
-// faultFreeGroupsAt is faultFreeAt for a grouped query.
-func faultFreeGroupsAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef) []table.GroupRow {
-	t.Helper()
-	q := q0.Clone()
-	if q.NeedsTranslation() {
-		if _, err := query.Translate(q, s.Dicts()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var rows []table.GroupRow
-	var err error
-	if queue.Kind == sched.QueueCPU {
-		rows, err = s.answerGroupsOnCPUAt(q, s.pin())
-	} else {
-		rows, err = s.AnswerGroupsOnGPUAt(q, 0, s.pin())
-	}
-	if err != nil {
-		t.Fatalf("fault-free recompute of grouped query %d on %s: %v", q0.ID, queue, err)
-	}
-	return rows
+	return a
 }
 
 // chaosWorkload regenerates the identical query stream for one seed:
@@ -135,7 +113,7 @@ func TestChaosDifferentialRunReal(t *testing.T) {
 					t.Fatalf("query %d: chaos run matched %d rows, fault-free %d",
 						co.ID, co.Result.Rows, bo.Result.Rows)
 				}
-				want := faultFreeAt(t, base, pristine[i], co.Queue)
+				want := faultFreeAt(t, base, pristine[i], co.Queue).Result
 				if math.Float64bits(co.Result.Value) != math.Float64bits(want.Value) ||
 					co.Result.Rows != want.Rows {
 					t.Fatalf("query %d (queue %s, %d attempts): chaos result (%v, %d rows) != fault-free (%v, %d rows)",
@@ -201,7 +179,7 @@ func TestChaosTotalGPUFailover(t *testing.T) {
 		if co.Result.Rows != bo.Result.Rows {
 			t.Fatalf("query %d: failover matched %d rows, fault-free %d", co.ID, co.Result.Rows, bo.Result.Rows)
 		}
-		want := faultFreeAt(t, base, pristine[i], co.Queue)
+		want := faultFreeAt(t, base, pristine[i], co.Queue).Result
 		if math.Float64bits(co.Result.Value) != math.Float64bits(want.Value) || co.Result.Rows != want.Rows {
 			t.Fatalf("query %d: failover result (%v, %d) != fault-free (%v, %d)",
 				co.ID, co.Result.Value, co.Result.Rows, want.Value, want.Rows)

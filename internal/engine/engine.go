@@ -261,21 +261,29 @@ func (s *System) Estimate(q *query.Query) (sched.Estimates, error) {
 	return est, nil
 }
 
-// AnswerOnCPU answers a query from the cube set (the CPU partition's
-// work) at the current epoch, using the configured aggregation
+// AnswerOnCPU answers a scalar query from the cube set (the CPU
+// partition's work) at the current epoch, using the configured aggregation
 // parallelism.
 func (s *System) AnswerOnCPU(q *query.Query) (table.ScanResult, error) {
-	return s.AnswerOnCPUAt(q, s.pin())
+	a, err := s.cpuAnswer(q, s.pin())
+	return a.Result, err
 }
 
-// AnswerOnGPU answers a (translated) query on a specific GPU partition at
-// the current epoch.
+// AnswerOnGPU answers a (translated) scalar query on a specific GPU
+// partition at the current epoch.
 func (s *System) AnswerOnGPU(q *query.Query, partition int) (table.ScanResult, error) {
-	return s.AnswerOnGPUAt(q, partition, s.pin())
+	a, err := s.gpuAnswer(q, partition, s.pin())
+	return a.Result, err
 }
 
 // Reference answers a query by a sequential full scan of the current
 // epoch — the ground truth both partitions must agree with.
 func (s *System) Reference(q *query.Query) (table.ScanResult, error) {
 	return s.ReferenceAt(q, s.pin())
+}
+
+// ReferenceGroups answers a grouped query by a sequential scan — the
+// ground truth both paths must match.
+func (s *System) ReferenceGroups(q *query.Query) ([]table.GroupRow, error) {
+	return s.ReferenceGroupsAt(q, s.pin())
 }

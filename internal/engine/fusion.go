@@ -53,9 +53,10 @@ type ServeOutcome struct {
 
 // fusionMember is one query waiting in a fusion window.
 type fusionMember struct {
-	req       table.ScanRequest
-	est       sched.Estimates
-	wantCells bool
+	// member is the query's scalar request; Cells asks the kernel for an
+	// anchor's per-cell aggregates (wantCells).
+	member table.Member
+	est    sched.Estimates
 	// deadline is the member's absolute T_D on the nowS clock: its arrival
 	// at Serve + T_C, so window time is charged against T_C.
 	deadline float64
@@ -104,8 +105,8 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 		if err != nil {
 			return ServeOutcome{}, err
 		}
-		rows, err := run(s, &j, grouped)
-		return ServeOutcome{Groups: rows, Queue: j.d.Queue, Attempts: j.attempts, Latency: time.Since(started)}, err
+		a, err := s.run(&j)
+		return ServeOutcome{Groups: a.Groups, Queue: j.d.Queue, Attempts: j.attempts, Latency: time.Since(started)}, err
 	}
 	// This call may still join a window until it does, bypasses or
 	// returns; leaders hold their windows only while such calls exist.
@@ -167,7 +168,7 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	}
 
 	m := &fusionMember{
-		req: req, est: est, wantCells: s.wantCells(&req),
+		member: table.Member{ScanRequest: req, Cells: s.wantCells(&req)}, est: est,
 		deadline: started.Sub(s.start).Seconds() + s.cfg.Sched.DeadlineSeconds,
 	}
 	g, leader := s.joinWindow(snap, m)
@@ -231,9 +232,9 @@ func (s *System) wantCells(req *table.ScanRequest) bool {
 // stays on the stack.
 func (s *System) serveAlone(q *query.Query, snap *table.Snapshot, est sched.Estimates, deadline float64, started time.Time) (ServeOutcome, error) {
 	j := &job{q: q.Clone(), snap: snap, est: est, d: sched.Decision{Deadline: deadline}}
-	r, err := run(s, j, scalar)
+	a, err := s.run(j)
 	out := ServeOutcome{
-		Result: r, Queue: j.d.Queue,
+		Result: a.Result, Queue: j.d.Queue,
 		Attempts: j.attempts, Latency: time.Since(started),
 	}
 	if err != nil || s.cache == nil {
@@ -241,7 +242,7 @@ func (s *System) serveAlone(q *query.Query, snap *table.Snapshot, est sched.Esti
 	}
 	// The loop has translated whatever Serve could not.
 	if req, empty, err := j.q.ToScanRequest(s.cfg.Table.Schema()); err == nil && !empty {
-		s.cache.store(&req, j.snap, gpusim.FusedAnswer{Result: r}, j.d.Queue)
+		s.cache.store(&req, j.snap, gpusim.Answer{Result: a.Result}, j.d.Queue)
 	}
 	return out, nil
 }
@@ -300,7 +301,7 @@ func (s *System) holdLeft(g *fusionGroup) float64 {
 // joinWindow adds a member to the open window of its compatibility key,
 // creating one (and making the caller its leader) when none is open.
 func (s *System) joinWindow(snap *table.Snapshot, m *fusionMember) (*fusionGroup, bool) {
-	key := strconv.FormatUint(snap.Epoch(), 10) + "/" + table.FusionKey(m.req)
+	key := strconv.FormatUint(snap.Epoch(), 10) + "/" + table.FusionKey(m.member.ScanRequest)
 	fireBy := m.deadline - slices.Min(m.est.GPUSeconds)
 	s.fusionMu.Lock()
 	defer s.fusionMu.Unlock()
@@ -345,24 +346,22 @@ func (s *System) executeFused(g *fusionGroup) {
 	rep := make([]int, len(members)) // member -> index into the unique set
 	uniq := make(map[string]int, len(members))
 	ests := make([]sched.Estimates, len(members))
-	var reqs []table.ScanRequest
-	var wantCells []bool
+	var kernel []table.Member       // the unique set
 	deadline := members[0].deadline // the job's T_D is its earliest member's
 	for i, m := range members {
 		// The scheduler books the served fan-in (every member pays its ε);
 		// the kernel runs the unique request set.
 		ests[i] = m.est
 		deadline = min(deadline, m.deadline)
-		_, k := cacheKeys(&m.req, table.CanonicalPredOrder(m.req.Predicates, nil))
+		_, k := cacheKeys(&m.member.ScanRequest, table.CanonicalPredOrder(m.member.Predicates, nil))
 		if ui, ok := uniq[k]; ok {
 			rep[i] = ui
-			wantCells[ui] = wantCells[ui] || m.wantCells
+			kernel[ui].Cells = kernel[ui].Cells || m.member.Cells
 			continue
 		}
-		uniq[k] = len(reqs)
-		rep[i] = len(reqs)
-		reqs = append(reqs, m.req)
-		wantCells = append(wantCells, m.wantCells)
+		uniq[k] = len(kernel)
+		rep[i] = len(kernel)
+		kernel = append(kernel, m.member)
 	}
 	s.schedMu.Lock()
 	d, err := s.scheduler.SubmitFused(s.nowS(), deadline, ests)
@@ -376,7 +375,7 @@ func (s *System) executeFused(g *fusionGroup) {
 	}
 	part := s.cfg.Device.Partitions()[d.Queue.Index]
 	t0 := time.Now()
-	answers, execErr := part.ExecuteFused(g.snap, reqs, wantCells)
+	answers, execErr := part.Execute(g.snap, kernel)
 	act := time.Since(t0).Seconds()
 	s.reportGPU(d.Queue, act-(d.End-d.Start), execErr)
 	if execErr != nil {
@@ -394,8 +393,8 @@ func (s *System) executeFused(g *fusionGroup) {
 		}
 	}
 	if s.cache != nil {
-		for ui := range reqs {
-			s.cache.store(&reqs[ui], g.snap, answers[ui], d.Queue)
+		for ui := range kernel {
+			s.cache.store(&kernel[ui].ScanRequest, g.snap, answers[ui], d.Queue)
 		}
 	}
 }

@@ -52,13 +52,13 @@ func TestGroupedCPUAndGPUAgree(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("reference produced no groups")
 	}
-	cpu, err := s.AnswerGroupsOnCPU(q)
+	cpu, err := cpuGroups(s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	groupRowsEqual(t, cpu, ref, "cpu")
 	for p := 0; p < 6; p++ {
-		gpu, err := s.AnswerGroupsOnGPU(q.Clone(), p)
+		gpu, err := gpuGroups(s, q.Clone(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,12 +78,12 @@ func TestGroupedAllOpsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpu, err := s.AnswerGroupsOnCPU(q)
+		cpu, err := cpuGroups(s, q)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
 		groupRowsEqual(t, cpu, ref, op.String()+"/cpu")
-		gpu, err := s.AnswerGroupsOnGPU(q.Clone(), 4)
+		gpu, err := gpuGroups(s, q.Clone(), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,14 +100,14 @@ func TestGroupedTextGPUOnly(t *testing.T) {
 	if !q.GPUOnly() {
 		t.Fatal("text grouping should be GPU-only")
 	}
-	if _, err := s.AnswerGroupsOnCPU(q); err == nil {
+	if _, err := cpuGroups(s, q); err == nil {
 		t.Fatal("CPU answered a text-grouped query")
 	}
 	ref, err := s.ReferenceGroups(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpu, err := s.AnswerGroupsOnGPU(q.Clone(), 0)
+	gpu, err := gpuGroups(s, q.Clone(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestGroupedWithTranslatedPredicate(t *testing.T) {
 	if _, err := query.Translate(qq, s.Config().Table.Dicts()); err != nil {
 		t.Fatal(err)
 	}
-	gpu, err := s.AnswerGroupsOnGPU(qq, 2)
+	gpu, err := gpuGroups(s, qq, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +220,22 @@ func TestGroupedEstimatePicksFineCube(t *testing.T) {
 	if est.CPUOK {
 		t.Fatal("level-2 grouping should not be CPU-answerable with cubes {0,1}")
 	}
-	if _, err := s.AnswerGroupsOnCPU(q); err == nil {
-		t.Fatal("AnswerGroupsOnCPU should fail for too-fine grouping")
+	if _, err := cpuGroups(s, q); err == nil {
+		t.Fatal("the CPU should fail for too-fine grouping")
 	}
+}
+
+// cpuGroups answers a grouped query by a cube walk at the current epoch.
+func cpuGroups(s *System, q *query.Query) ([]table.GroupRow, error) {
+	a, err := s.cpuAnswer(q, s.pin())
+	return a.Groups, err
+}
+
+// gpuGroups answers a (translated) grouped query on one GPU partition at
+// the current epoch.
+func gpuGroups(s *System, q *query.Query, partition int) ([]table.GroupRow, error) {
+	a, err := s.gpuAnswer(q, partition, s.pin())
+	return a.Groups, err
 }
 
 // groupRowsBits is groupRowsEqual without a tolerance: same keys, same

@@ -6,6 +6,7 @@ import (
 
 	"hybridolap/internal/cube"
 	"hybridolap/internal/dict"
+	"hybridolap/internal/gpusim"
 	"hybridolap/internal/ingest"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
@@ -63,52 +64,61 @@ func cpuCanAnswer(q *query.Query, cs *cube.Set) bool {
 	return q.Op == table.AggCount || q.Measure == cs.Measure()
 }
 
-// AnswerOnCPUAt answers a query from the cube set riding the given pinned
-// epoch snapshot.
-func (s *System) AnswerOnCPUAt(q *query.Query, snap *table.Snapshot) (table.ScanResult, error) {
-	cs, box, r, empty, err := s.cpuBox(q, snap)
-	if err != nil || empty {
-		return table.ScanResult{}, err
-	}
-	agg, _, err := cs.Aggregate(box, r, s.cfg.CPUThreads)
-	if err != nil {
-		return table.ScanResult{}, err
-	}
-	return table.Finalize(q.Op, agg.Result(q.Op)), nil
-}
-
-// cpuBox opens both CPU answerers: the cube set riding the epoch, the
-// check that it can answer q, and q's box at q's resolution r. empty
-// reports a box no cell falls in.
-func (s *System) cpuBox(q *query.Query, snap *table.Snapshot) (cs *cube.Set, box cube.Box, r int, empty bool, err error) {
-	cs = s.cubesAt(snap)
+// cpuAnswer is the CPU side of Fig. 10 for a query of either shape: a
+// walk of the cube set riding the pinned epoch, into one aggregate or one
+// per group.
+func (s *System) cpuAnswer(q *query.Query, snap *table.Snapshot) (gpusim.Answer, error) {
+	cs := s.cubesAt(snap)
 	if cs == nil {
-		return nil, nil, 0, false, fmt.Errorf("engine: no cube set configured")
+		return gpusim.Answer{}, fmt.Errorf("engine: no cube set configured")
 	}
 	if !cpuCanAnswer(q, cs) {
-		return nil, nil, 0, false, fmt.Errorf("engine: query %d (measure %d, %d text predicates) cannot be answered from the cube set",
+		return gpusim.Answer{}, fmt.Errorf("engine: query %d (measure %d, %d text predicates) cannot be answered from the cube set",
 			q.ID, q.Measure, len(q.TextConds))
 	}
-	r = q.Resolution()
-	box, empty, err = q.Box(cs.Schema(), r)
-	return cs, box, r, empty, err
+	r := q.Resolution()
+	box, empty, err := q.Box(cs.Schema(), r)
+	if err != nil || empty {
+		return gpusim.Answer{}, err
+	}
+	if !q.Grouped() {
+		agg, _, err := cs.Aggregate(box, r, s.cfg.CPUThreads)
+		if err != nil {
+			return gpusim.Answer{}, err
+		}
+		return gpusim.Answer{Result: table.Finalize(q.Op, agg.Result(q.Op))}, nil
+	}
+	groups, err := q.CubeGroupLevels()
+	if err != nil {
+		return gpusim.Answer{}, err
+	}
+	m, err := cs.AggregateGroups(box, r, groups, s.cfg.CPUThreads)
+	if err != nil {
+		return gpusim.Answer{}, err
+	}
+	acc := make(table.Groups, len(m))
+	for k, agg := range m {
+		acc[k] = agg.Result(q.Op)
+	}
+	return gpusim.Answer{Groups: table.FinalizeGroups(q.Op, acc, len(q.GroupBy))}, nil
 }
 
-// AnswerOnGPUAt answers a (translated) query on a GPU partition over the
-// given pinned epoch snapshot.
-func (s *System) AnswerOnGPUAt(q *query.Query, partition int, snap *table.Snapshot) (table.ScanResult, error) {
+// gpuAnswer is the GPU side of Fig. 10 for a (translated) query of either
+// shape: its one member, alone on one partition, over the pinned epoch.
+func (s *System) gpuAnswer(q *query.Query, partition int, snap *table.Snapshot) (gpusim.Answer, error) {
 	parts := s.cfg.Device.Partitions()
 	if partition < 0 || partition >= len(parts) {
-		return table.ScanResult{}, fmt.Errorf("engine: partition %d out of range", partition)
+		return gpusim.Answer{}, fmt.Errorf("engine: partition %d out of range", partition)
 	}
-	req, empty, err := q.ToScanRequest(s.cfg.Table.Schema())
+	m, empty, err := q.Member(s.cfg.Table.Schema())
+	if err != nil || empty {
+		return gpusim.Answer{}, err
+	}
+	ans, err := parts[partition].Execute(snap, []table.Member{m})
 	if err != nil {
-		return table.ScanResult{}, err
+		return gpusim.Answer{}, err
 	}
-	if empty {
-		return table.ScanResult{}, nil
-	}
-	return parts[partition].Execute(snap, req)
+	return ans[0], nil
 }
 
 // ReferenceAt answers a query by a sequential scan of the given pinned
@@ -138,23 +148,6 @@ func (s *System) ReferenceAt(q *query.Query, snap *table.Snapshot) (table.ScanRe
 	return table.ScanSnapshot(snap, req)
 }
 
-// AnswerGroupsOnGPUAt answers a (translated) grouped query on a GPU
-// partition over the given epoch snapshot.
-func (s *System) AnswerGroupsOnGPUAt(q *query.Query, partition int, snap *table.Snapshot) ([]table.GroupRow, error) {
-	parts := s.cfg.Device.Partitions()
-	if partition < 0 || partition >= len(parts) {
-		return nil, fmt.Errorf("engine: partition %d out of range", partition)
-	}
-	req, empty, err := q.ToGroupScanRequest(s.cfg.Table.Schema())
-	if err != nil {
-		return nil, err
-	}
-	if empty {
-		return nil, nil
-	}
-	return parts[partition].ExecuteGroup(snap, req)
-}
-
 // ReferenceGroupsAt answers a grouped query by a sequential scan of the
 // given pinned epoch snapshot (row-at-a-time on a static system, like
 // ReferenceAt).
@@ -169,17 +162,14 @@ func (s *System) ReferenceGroupsAt(q *query.Query, snap *table.Snapshot) ([]tabl
 			return nil, err
 		}
 	}
-	req, empty, err := qq.ToGroupScanRequest(s.cfg.Table.Schema())
-	if err != nil {
+	m, empty, err := qq.Member(s.cfg.Table.Schema())
+	if err != nil || empty {
 		return nil, err
 	}
-	if empty {
-		return nil, nil
-	}
 	if s.cfg.Live == nil {
-		return table.GroupScan(s.cfg.Table, req)
+		return table.GroupScan(s.cfg.Table, m)
 	}
-	return table.GroupScanSnapshot(snap, req)
+	return table.GroupScanSnapshot(snap, m)
 }
 
 // Ingest forwards a batch to the live store and returns the first epoch

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hybridolap/internal/fault"
+	"hybridolap/internal/gpusim"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -35,18 +36,6 @@ func (s *System) newJob(q *query.Query) (job, error) {
 	est, err := s.Estimate(qq)
 	return job{q: qq, snap: s.pin(), est: est}, err
 }
-
-// answerer is how one kind of query is answered on either side, over a
-// pinned epoch; the GPU side takes the partition index.
-type answerer[T any] struct {
-	cpu func(*System, *query.Query, *table.Snapshot) (T, error)
-	gpu func(*System, *query.Query, int, *table.Snapshot) (T, error)
-}
-
-var (
-	scalar  = answerer[table.ScanResult]{(*System).AnswerOnCPUAt, (*System).AnswerOnGPUAt}
-	grouped = answerer[[]table.GroupRow]{(*System).answerGroupsOnCPUAt, (*System).AnswerGroupsOnGPUAt}
-)
 
 // transQueue is the text-to-integer translation partition.
 var transQueue = sched.QueueRef{Kind: sched.QueueCPU, Index: -1}
@@ -107,7 +96,7 @@ func (s *System) translate(q *query.Query) error {
 // partition — and feeds what each step took back to the scheduler. A
 // failed translation spends retry budget but never partition health, which
 // the dictionary cannot implicate.
-func attempt[T any](s *System, j *job, by answerer[T]) (out T, err error) {
+func (s *System) attempt(j *job) (out gpusim.Answer, err error) {
 	if j.q.NeedsTranslation() {
 		t0 := time.Now()
 		err = s.translate(j.q)
@@ -119,10 +108,10 @@ func attempt[T any](s *System, j *job, by answerer[T]) (out T, err error) {
 	ref := j.d.Queue
 	t0 := time.Now()
 	if ref.Kind == sched.QueueCPU {
-		out, err = by.cpu(s, j.q, j.snap)
+		out, err = s.cpuAnswer(j.q, j.snap)
 		s.feedback(ref, time.Since(t0).Seconds()-j.est.CPUSeconds)
 	} else {
-		out, err = by.gpu(s, j.q, ref.Index, j.snap)
+		out, err = s.gpuAnswer(j.q, ref.Index, j.snap)
 		s.reportGPU(ref, time.Since(t0).Seconds()-j.est.GPUSeconds[ref.Index], err)
 	}
 	return out, err
@@ -137,14 +126,13 @@ func attempt[T any](s *System, j *job, by answerer[T]) (out T, err error) {
 // fails (every GPU partition quarantined under a GPU-only query) or on the
 // CPU, whose failures are deterministic: a query the cube set cannot
 // answer fails the same way every time.
-func run[T any](s *System, j *job, by answerer[T]) (T, error) {
-	var zero T
+func (s *System) run(j *job) (gpusim.Answer, error) {
 	if err := s.book(j); err != nil {
-		return zero, err
+		return gpusim.Answer{}, err
 	}
 	for {
 		j.attempts++
-		out, err := attempt(s, j, by)
+		out, err := s.attempt(j)
 		if err == nil || j.d.Queue.Kind == sched.QueueCPU || j.attempts > s.cfg.MaxRetries {
 			return out, err
 		}
@@ -155,7 +143,7 @@ func run[T any](s *System, j *job, by answerer[T]) (T, error) {
 			j.est.TransSeconds = 0
 		}
 		if err := s.book(j); err != nil {
-			return zero, fmt.Errorf("engine: rescheduling query %d after failed attempt %d: %w", j.q.ID, j.attempts, err)
+			return gpusim.Answer{}, fmt.Errorf("engine: rescheduling query %d after failed attempt %d: %w", j.q.ID, j.attempts, err)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func storeScanned(t testing.TB, c *resultCache, at *table.Snapshot, req table.Sc
 	if pl.Keyed(0) != cells {
 		t.Fatalf("%v over %+v: cells granted = %v, want %v", req.Op, req.Predicates, pl.Keyed(0), cells)
 	}
-	var ans gpusim.FusedAnswer
+	var ans gpusim.Answer
 	if !cells {
 		ans.Fold = new(gpusim.Fold)
 	}
@@ -93,7 +93,7 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 	q1 := cacheReq(table.AggSum, 3, 9)
 	r1 := table.ScanResult{Value: 42.5, Rows: 7}
 	qr := sched.QueueRef{Kind: sched.QueueGPU, Index: 2}
-	c.store(&q1, at, gpusim.FusedAnswer{Result: r1}, qr)
+	c.store(&q1, at, gpusim.Answer{Result: r1}, qr)
 
 	ans, ok := c.lookup(&q1, at)
 	if !ok || !resultBits(ans.result, r1) || ans.queue != qr || ans.subsumed {
@@ -107,15 +107,15 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 	}
 
 	// Keep-first: a second store under the same key must not flap the bits.
-	c.store(&q1, at, gpusim.FusedAnswer{Result: table.ScanResult{Value: 99, Rows: 7}}, sched.QueueRef{Kind: sched.QueueGPU, Index: 5})
+	c.store(&q1, at, gpusim.Answer{Result: table.ScanResult{Value: 99, Rows: 7}}, sched.QueueRef{Kind: sched.QueueGPU, Index: 5})
 	if ans, ok := c.lookup(&q1, at); !ok || !resultBits(ans.result, r1) || ans.queue != qr {
 		t.Fatalf("keep-first violated: %+v", ans)
 	}
 
 	// FIFO eviction at max=2: storing a third entry evicts q1.
-	c.store(&q2, at, gpusim.FusedAnswer{Result: table.ScanResult{Value: 1, Rows: 1}}, qr)
+	c.store(&q2, at, gpusim.Answer{Result: table.ScanResult{Value: 1, Rows: 1}}, qr)
 	q3 := cacheReq(table.AggSum, 0, 1)
-	c.store(&q3, at, gpusim.FusedAnswer{Result: table.ScanResult{Value: 2, Rows: 2}}, qr)
+	c.store(&q3, at, gpusim.Answer{Result: table.ScanResult{Value: 2, Rows: 2}}, qr)
 	if _, ok := c.lookup(&q1, at); ok {
 		t.Fatal("FIFO eviction kept the oldest entry")
 	}
@@ -144,7 +144,7 @@ func TestResultCacheEpochOwnership(t *testing.T) {
 		return r
 	}
 	q := cacheReq(table.AggCount, 0, 5)
-	c.store(&q, at[1], gpusim.FusedAnswer{Result: scan(q, at[1])}, sched.QueueRef{})
+	c.store(&q, at[1], gpusim.Answer{Result: scan(q, at[1])}, sched.QueueRef{})
 	if _, ok := c.lookup(&q, at[1]); !ok {
 		t.Fatal("store at epoch 1 not visible")
 	}
@@ -158,7 +158,7 @@ func TestResultCacheEpochOwnership(t *testing.T) {
 	}
 	// A stale store is dropped.
 	q2 := cacheReq(table.AggCount, 0, 9)
-	c.store(&q2, at[0], gpusim.FusedAnswer{Result: scan(q2, at[0])}, sched.QueueRef{})
+	c.store(&q2, at[0], gpusim.Answer{Result: scan(q2, at[0])}, sched.QueueRef{})
 	if _, ok := c.lookup(&q2, at[1]); ok {
 		t.Fatal("stale-epoch store was kept")
 	}
@@ -166,7 +166,7 @@ func TestResultCacheEpochOwnership(t *testing.T) {
 	// A newer epoch carries the count and drops the sum, used once,
 	// exactly once.
 	sum := cacheReq(table.AggSum, 0, 5)
-	c.store(&sum, at[1], gpusim.FusedAnswer{Result: scan(sum, at[1])}, sched.QueueRef{})
+	c.store(&sum, at[1], gpusim.Answer{Result: scan(sum, at[1])}, sched.QueueRef{})
 	if _, ok := c.lookup(&sum, at[1]); !ok {
 		t.Fatal("sum not stored")
 	}
@@ -458,7 +458,7 @@ func serveFusedDifferential(t *testing.T, rows, rounds int) {
 			if !outs[i].Fused || outs[i].FanIn != k || outs[i].Queue != outs[0].Queue {
 				t.Fatalf("round %d member %d: not one fused job of %d: %+v", round, i, k, outs[i])
 			}
-			want := faultFreeAt(t, s, qs[i], outs[i].Queue)
+			want := faultFreeAt(t, s, qs[i], outs[i].Queue).Result
 			if !resultBits(outs[i].Result, want) {
 				t.Fatalf("round %d member %d (op %v, queue %s): got (%v, %d), want (%v, %d)",
 					round, i, ops[i], outs[i].Queue,
@@ -521,7 +521,7 @@ func TestServeFusedFallbackKeepsDeadline(t *testing.T) {
 		if out.Fused || out.Attempts != 1 {
 			t.Fatalf("member %d did not retry alone, once: %+v", i, out)
 		}
-		if want := faultFreeAt(t, base, qs[i], out.Queue); !resultBits(out.Result, want) {
+		if want := faultFreeAt(t, base, qs[i], out.Queue).Result; !resultBits(out.Result, want) {
 			t.Fatalf("member %d on %s: got (%v, %d), want (%v, %d)",
 				i, out.Queue, out.Result.Value, out.Result.Rows, want.Value, want.Rows)
 		}
@@ -655,7 +655,7 @@ func TestServeLiveEpochInvalidation(t *testing.T) {
 	if sumOut.Queue.Kind != sched.QueueGPU || !sumOut.CacheHit {
 		t.Fatalf("post-ingest sum: %+v, want a cache hit of a GPU answer", sumOut)
 	}
-	if want := faultFreeAt(t, s, sum, sumOut.Queue); !resultBits(sumOut.Result, want) {
+	if want := faultFreeAt(t, s, sum, sumOut.Queue).Result; !resultBits(sumOut.Result, want) {
 		t.Fatalf("carried sum (%v, %d) != recompute at the new epoch (%v, %d)",
 			sumOut.Result.Value, sumOut.Result.Rows, want.Value, want.Rows)
 	}
@@ -738,7 +738,7 @@ func TestChaosServeDifferential(t *testing.T) {
 					}
 					continue
 				}
-				want := faultFreeAt(t, base, pristine[i], outs[i].Queue)
+				want := faultFreeAt(t, base, pristine[i], outs[i].Queue).Result
 				if !resultBits(outs[i].Result, want) {
 					t.Fatalf("query %d (queue %s, fused=%v cache=%v/%v, %d attempts): chaos (%v, %d) != fault-free (%v, %d)",
 						i, outs[i].Queue, outs[i].Fused, outs[i].CacheHit, outs[i].Subsumed, outs[i].Attempts,
@@ -787,7 +787,7 @@ func TestChaosServeDifferential(t *testing.T) {
 				if o.Queue.Kind == sched.QueueCPU {
 					gcpu++
 				}
-				want := faultFreeGroupsAt(t, base, gpristine[i], o.Queue)
+				want := faultFreeAt(t, base, gpristine[i], o.Queue).Groups
 				groupRowsBits(t, o.Groups, want, fmt.Sprintf("grouped query %d (queue %s, %d attempts)", i, o.Queue, o.Attempts))
 			}
 			if gdone == 0 {

@@ -37,7 +37,7 @@ func TestServeSolitaryMissFiresAtOnce(t *testing.T) {
 	if took >= 50*time.Millisecond {
 		t.Fatalf("solitary miss took %v with a 200ms window: the leader waited for nobody", took)
 	}
-	if !resultBits(out.Result, faultFreeAt(t, s, q, out.Queue)) {
+	if !resultBits(out.Result, faultFreeAt(t, s, q, out.Queue).Result) {
 		t.Fatalf("wrong answer: %+v", out)
 	}
 }
@@ -58,7 +58,7 @@ func TestServeWindowCappedByDeadline(t *testing.T) {
 	// The hold itself, on a member whose estimates leave 0.1 s of slack.
 	arrival := s.nowS()
 	m := &fusionMember{
-		req:      table.ScanRequest{Op: table.AggCount},
+		member:   table.Member{ScanRequest: table.ScanRequest{Op: table.AggCount}},
 		est:      sched.Estimates{GPUSeconds: []float64{0.8, 0.8, 0.4, 0.4, 0.2, 0.2}},
 		deadline: arrival + tc,
 	}

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"hybridolap/internal/cluster"
 	"hybridolap/internal/perfmodel"
@@ -140,12 +138,6 @@ func ClusterScaling(opts Options) (*Table, error) {
 		}
 	}
 
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(clusterFile, append(buf, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: writing %s: %w", clusterFile, err)
-	}
+	t.Baseline = &report
 	return t, nil
 }

@@ -10,13 +10,24 @@ import (
 )
 
 // Benchmark regression gate: `olapbench -compare` re-runs the benchmark
-// experiments at quick scale in a scratch directory and diffs each fresh
-// headline metric against the committed BENCH_*.json baselines in the
-// invocation directory. Every gated metric is a WITHIN-RUN ratio (kernel
-// speedup, WAL overhead, serving-on/off QPS) — machine speed divides out,
-// so a quick run on a slower box still reproduces the committed ratio —
-// and the scalar compared is a geometric mean across cases, which damps
-// single-case noise enough for a meaningful tolerance.
+// experiments at quick scale and diffs each fresh headline metric against
+// the committed BENCH_*.json baselines in the invocation directory. Every
+// gated metric is a WITHIN-RUN ratio (kernel speedup, WAL overhead,
+// serving-on/off QPS) — machine speed divides out, so a quick run on a
+// slower box still reproduces the committed ratio — and the scalar
+// compared is a geometric mean across cases, which damps single-case noise
+// enough for a meaningful tolerance.
+
+// A Baseline is the machine-readable record of an experiment the gate
+// covers. An experiment only returns it, on its Table: olapbench writes it
+// to File after a full-scale run, and Compare reads the committed file
+// back into a fresh record to compare headlines with a quick run's.
+type Baseline interface {
+	// File is the record's file name.
+	File() string
+	// headline is the gated metric.
+	headline() (float64, error)
+}
 
 // DefaultCompareTolerance is the relative regression that fails the gate:
 // a fresh headline below (1 - tolerance) x committed is an error.
@@ -32,13 +43,13 @@ type ComparisonRow struct {
 	OK         bool    `json:"ok"`
 }
 
-// compareSpec ties one experiment to its baseline file and headline.
+// compareSpec ties one experiment to its headline and to an empty record
+// of its baseline.
 type compareSpec struct {
-	id      string
-	file    string
-	metric  string
-	quick   bool // rerun at quick scale (full when the headline is scale-sensitive)
-	extract func(raw []byte) (float64, error)
+	id     string
+	metric string
+	quick  bool // rerun at quick scale (full when the headline is scale-sensitive)
+	record func() Baseline
 }
 
 // geomean returns the geometric mean of xs (which must be positive).
@@ -56,13 +67,15 @@ func geomean(xs []float64) (float64, error) {
 	return math.Exp(sum / float64(len(xs))), nil
 }
 
-// scanHeadline is the geometric mean of the vectorized-vs-reference
-// speedup across every kernel case.
-func scanHeadline(raw []byte) (float64, error) {
-	var r scanKernelsReport
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return 0, err
-	}
+func (*scanKernelsReport) File() string { return scanKernelsFile }
+func (*ingestReport) File() string      { return ingestFile }
+func (*fusionReport) File() string      { return fusionFile }
+func (*repairReport) File() string      { return repairFile }
+func (*clusterReport) File() string     { return clusterFile }
+
+// headline is the geometric mean of the vectorized-vs-reference speedup
+// across every kernel case.
+func (r *scanKernelsReport) headline() (float64, error) {
 	var sp []float64
 	for _, c := range r.Results {
 		sp = append(sp, c.Speedup)
@@ -70,13 +83,9 @@ func scanHeadline(raw []byte) (float64, error) {
 	return geomean(sp)
 }
 
-// ingestHeadline is the WAL overhead ratio: wal-on / wal-off ingest
-// throughput at batch=1000 (higher is better, 1.0 = free WAL).
-func ingestHeadline(raw []byte) (float64, error) {
-	var r ingestReport
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return 0, err
-	}
+// headline is the WAL overhead ratio: wal-on / wal-off ingest throughput
+// at batch=1000 (higher is better, 1.0 = free WAL).
+func (r *ingestReport) headline() (float64, error) {
 	var on, off float64
 	for _, c := range r.Results {
 		switch c.Case {
@@ -92,13 +101,9 @@ func ingestHeadline(raw []byte) (float64, error) {
 	return on / off, nil
 }
 
-// fusionHeadline is the geometric mean of the serving-on-vs-off QPS
-// speedup across every fan-in.
-func fusionHeadline(raw []byte) (float64, error) {
-	var r fusionReport
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return 0, err
-	}
+// headline is the geometric mean of the serving-on-vs-off QPS speedup
+// across every fan-in.
+func (r *fusionReport) headline() (float64, error) {
 	var sp []float64
 	for _, c := range r.Results {
 		if c.Serving && c.SpeedupVsOff > 0 {
@@ -108,14 +113,10 @@ func fusionHeadline(raw []byte) (float64, error) {
 	return geomean(sp)
 }
 
-// repairHeadline is the slow-link/fast-link recovery-time ratio of the
+// headline is the slow-link/fast-link recovery-time ratio of the
 // fault-free re-replication sweep (a pure virtual-clock quantity: the
 // repair model is deterministic, so the ratio reproduces exactly).
-func repairHeadline(raw []byte) (float64, error) {
-	var r repairReport
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return 0, err
-	}
+func (r *repairReport) headline() (float64, error) {
 	for _, c := range r.Results {
 		if !c.Faulty && c.SlowOverFastRecovery > 0 {
 			return c.SlowOverFastRecovery, nil
@@ -124,14 +125,10 @@ func repairHeadline(raw []byte) (float64, error) {
 	return 0, fmt.Errorf("no fault-free slow/fast recovery ratio recorded")
 }
 
-// clusterHeadline is the geometric mean of the movement-aware vs
-// movement-blind QPS ratio across every multi-node case (a pure
-// virtual-clock quantity: machine speed never enters).
-func clusterHeadline(raw []byte) (float64, error) {
-	var r clusterReport
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return 0, err
-	}
+// headline is the geometric mean of the movement-aware vs movement-blind
+// QPS ratio across every multi-node case (a pure virtual-clock quantity:
+// machine speed never enters).
+func (r *clusterReport) headline() (float64, error) {
 	var sp []float64
 	for _, c := range r.Results {
 		if c.MovementAware && c.Nodes > 1 && c.AwareOverBlindQPS > 0 {
@@ -147,66 +144,49 @@ func clusterHeadline(raw []byte) (float64, error) {
 // scale — the WAL overhead ratio is scale-sensitive (fsync cost amortises
 // over the ingested volume) and the full run is only seconds.
 var compareSpecs = []compareSpec{
-	{"scan-kernels", scanKernelsFile, "geomean kernel speedup", true, scanHeadline},
-	{"ingest", ingestFile, "wal-on/off throughput", false, ingestHeadline},
-	{"fusion", fusionFile, "geomean serving on/off QPS", true, fusionHeadline},
-	{"cluster", clusterFile, "geomean aware/blind QPS", true, clusterHeadline},
-	{"repair", repairFile, "slow/fast recovery ratio", true, repairHeadline},
+	{"scan-kernels", "geomean kernel speedup", true, func() Baseline { return new(scanKernelsReport) }},
+	{"ingest", "wal-on/off throughput", false, func() Baseline { return new(ingestReport) }},
+	{"fusion", "geomean serving on/off QPS", true, func() Baseline { return new(fusionReport) }},
+	{"cluster", "geomean aware/blind QPS", true, func() Baseline { return new(clusterReport) }},
+	{"repair", "slow/fast recovery ratio", true, func() Baseline { return new(repairReport) }},
 }
 
 // Compare runs the benchmark regression gate. Committed baselines are read
-// from baseDir (normally the repo root olapbench was invoked from); fresh
-// quick runs execute in a scratch directory so the committed files are
-// never touched. A baseline file that does not exist is skipped with a
-// note (the experiment has no committed baseline yet); any fresh headline
-// below (1 - tolerance) x committed after one retry makes the returned
-// failed count non-zero.
+// from baseDir (normally the repo root olapbench was invoked from); the
+// fresh quick runs write nothing. A baseline file that does not exist is
+// skipped (the experiment has no committed baseline yet); any fresh
+// headline below (1 - tolerance) x committed after one retry makes the
+// returned failed count non-zero.
 func Compare(baseDir string, seed int64, tolerance float64) ([]ComparisonRow, int, error) {
 	if tolerance <= 0 {
 		tolerance = DefaultCompareTolerance
 	}
-	scratch, err := os.MkdirTemp("", "olapbench-compare-*")
-	if err != nil {
-		return nil, 0, err
-	}
-	defer os.RemoveAll(scratch)
-	cwd, err := os.Getwd()
-	if err != nil {
-		return nil, 0, err
-	}
-	// Experiments write their BENCH files into the working directory; run
-	// them from the scratch directory so a compare run never overwrites
-	// the committed baselines it is gating against.
-	if err := os.Chdir(scratch); err != nil {
-		return nil, 0, err
-	}
-	defer os.Chdir(cwd)
-
 	var rows []ComparisonRow
 	failed := 0
 	for _, sp := range compareSpecs {
-		committed, err := os.ReadFile(filepath.Join(baseDir, sp.file))
+		rec := sp.record()
+		committed, err := os.ReadFile(filepath.Join(baseDir, rec.File()))
 		if os.IsNotExist(err) {
 			continue
 		}
 		if err != nil {
 			return rows, failed, err
 		}
-		base, err := sp.extract(committed)
+		if err := json.Unmarshal(committed, rec); err != nil {
+			return rows, failed, fmt.Errorf("%s: committed %s: %w", sp.id, rec.File(), err)
+		}
+		base, err := rec.headline()
 		if err != nil {
-			return rows, failed, fmt.Errorf("%s: committed %s: %w", sp.id, sp.file, err)
+			return rows, failed, fmt.Errorf("%s: committed %s: %w", sp.id, rec.File(), err)
 		}
 		run := func(seed int64) (float64, error) {
-			if _, err := Run(sp.id, Options{Quick: sp.quick, Seed: seed}); err != nil {
+			t, err := Run(sp.id, Options{Quick: sp.quick, Seed: seed})
+			if err != nil {
 				return 0, fmt.Errorf("%s: fresh run: %w", sp.id, err)
 			}
-			freshRaw, err := os.ReadFile(filepath.Join(scratch, sp.file))
+			fresh, err := t.Baseline.headline()
 			if err != nil {
-				return 0, fmt.Errorf("%s: fresh %s: %w", sp.id, sp.file, err)
-			}
-			fresh, err := sp.extract(freshRaw)
-			if err != nil {
-				return 0, fmt.Errorf("%s: fresh %s: %w", sp.id, sp.file, err)
+				return 0, fmt.Errorf("%s: fresh run: %w", sp.id, err)
 			}
 			return fresh, nil
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -22,30 +23,38 @@ func TestGeomean(t *testing.T) {
 	}
 }
 
+// headlineOf reads a committed record into rec and returns its headline.
+func headlineOf(rec Baseline, raw string) (float64, error) {
+	if err := json.Unmarshal([]byte(raw), rec); err != nil {
+		return 0, err
+	}
+	return rec.headline()
+}
+
 func TestCompareHeadlines(t *testing.T) {
-	scan := []byte(`{"results":[{"speedup":2.0},{"speedup":8.0}]}`)
-	if got, err := scanHeadline(scan); err != nil || math.Abs(got-4) > 1e-12 {
+	scan := `{"results":[{"speedup":2.0},{"speedup":8.0}]}`
+	if got, err := headlineOf(new(scanKernelsReport), scan); err != nil || math.Abs(got-4) > 1e-12 {
 		t.Fatalf("scanHeadline = %g, %v; want 4", got, err)
 	}
 
-	ingest := []byte(`{"results":[
+	ingest := `{"results":[
 		{"case":"ingest batch=1000 wal=off","rows_per_sec":1000},
 		{"case":"ingest batch=1000 wal=on","rows_per_sec":600},
-		{"case":"ingest batch=100 wal=off","rows_per_sec":1}]}`)
-	if got, err := ingestHeadline(ingest); err != nil || math.Abs(got-0.6) > 1e-12 {
+		{"case":"ingest batch=100 wal=off","rows_per_sec":1}]}`
+	if got, err := headlineOf(new(ingestReport), ingest); err != nil || math.Abs(got-0.6) > 1e-12 {
 		t.Fatalf("ingestHeadline = %g, %v; want 0.6", got, err)
 	}
-	if _, err := ingestHeadline([]byte(`{"results":[]}`)); err == nil {
+	if _, err := headlineOf(new(ingestReport), `{"results":[]}`); err == nil {
 		t.Fatal("ingestHeadline without batch=1000 cases: want error")
 	}
 
 	// Off rows carry no speedup and must not dilute the geomean.
-	fusion := []byte(`{"results":[
+	fusion := `{"results":[
 		{"serving":false,"fan_in":4},
 		{"serving":true,"fan_in":4,"speedup_vs_off":2.0},
 		{"serving":false,"fan_in":16},
-		{"serving":true,"fan_in":16,"speedup_vs_off":8.0}]}`)
-	if got, err := fusionHeadline(fusion); err != nil || math.Abs(got-4) > 1e-12 {
+		{"serving":true,"fan_in":16,"speedup_vs_off":8.0}]}`
+	if got, err := headlineOf(new(fusionReport), fusion); err != nil || math.Abs(got-4) > 1e-12 {
 		t.Fatalf("fusionHeadline = %g, %v; want 4", got, err)
 	}
 }

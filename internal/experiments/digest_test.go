@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"hash/fnv"
-	"os"
 	"testing"
 )
 
@@ -27,20 +26,6 @@ var modelledTables = []string{
 // reproduction report to the bytes recorded before the scheduler was
 // restructured.
 func TestModelledTablesDigest(t *testing.T) {
-	// cluster and repair drop BENCH_*.json in the working directory; run
-	// them from a scratch dir so the package tree stays clean.
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(wd); err != nil {
-			t.Fatal(err)
-		}
-	}()
 	h := fnv.New64a()
 	for _, id := range modelledTables {
 		tbl, err := Run(id, opts())

@@ -48,6 +48,9 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	// Baseline is the machine-readable record of an experiment that
+	// `olapbench -compare` gates; nil for every other experiment.
+	Baseline Baseline `json:"-"`
 }
 
 // Fprint renders the table with aligned columns.

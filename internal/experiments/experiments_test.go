@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -272,20 +270,6 @@ func TestScanKernelsShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kernel timing sweep in -short mode")
 	}
-	// The runner drops BENCH_scan.json in the working directory; run it
-	// from a scratch dir so the package tree stays clean.
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(wd); err != nil {
-			t.Fatal(err)
-		}
-	}()
 	tbl, err := ScanKernels(opts())
 	if err != nil {
 		t.Fatal(err)
@@ -293,14 +277,7 @@ func TestScanKernelsShape(t *testing.T) {
 	if len(tbl.Rows) < 8 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
-	buf, err := os.ReadFile(scanKernelsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report scanKernelsReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatal(err)
-	}
+	report := tbl.Baseline.(*scanKernelsReport)
 	if len(report.Results) != len(tbl.Rows) {
 		t.Fatalf("report has %d results, table %d rows", len(report.Results), len(tbl.Rows))
 	}

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -269,12 +267,6 @@ func MultiQueryFusion(opts Options) (*Table, error) {
 		}
 	}
 
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(fusionFile, append(buf, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: writing %s: %w", fusionFile, err)
-	}
+	t.Baseline = &report
 	return t, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -168,12 +167,6 @@ func IngestThroughput(opts Options) (*Table, error) {
 		return nil, err
 	}
 
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(ingestFile, append(buf, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: writing %s: %w", ingestFile, err)
-	}
+	t.Baseline = &report
 	return t, nil
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"hybridolap/internal/cluster"
 	"hybridolap/internal/fault"
@@ -151,12 +149,6 @@ func RepairRecovery(opts Options) (*Table, error) {
 		}
 	}
 
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(repairFile, append(buf, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: writing %s: %w", repairFile, err)
-	}
+	t.Baseline = &report
 	return t, nil
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"hybridolap/internal/table"
@@ -145,12 +143,6 @@ func ScanKernels(opts Options) (*Table, error) {
 		})
 	}
 
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(scanKernelsFile, append(buf, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("experiments: writing %s: %w", scanKernelsFile, err)
-	}
+	t.Baseline = &report
 	return t, nil
 }

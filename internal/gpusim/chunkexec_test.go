@@ -72,20 +72,16 @@ func TestExecuteGroupChunksDeterminism(t *testing.T) {
 	const rows = 30_000
 	d := newTestDevice(t, rows)
 	p := d.Partitions()[0]
-	req := table.GroupScanRequest{
+	req := table.Member{
 		ScanRequest: table.ScanRequest{Measure: 0, Op: table.AggCount},
 		GroupBy:     []table.GroupCol{{Dim: 0, Level: 0}},
 	}
 	grid := fixedGrid(rows, 8)
-	m, err := table.GroupMember(req)
+	first, err := p.ExecuteChunks(req, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := p.ExecuteChunks(m, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := d.Partitions()[1].ExecuteChunks(m, grid)
+	again, err := d.Partitions()[1].ExecuteChunks(req, grid)
 	if err != nil {
 		t.Fatal(err)
 	}

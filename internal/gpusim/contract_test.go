@@ -9,18 +9,20 @@ import (
 	"hybridolap/internal/table"
 )
 
-// TestEntryPointContract pins what every one of the four kernel entry
-// points owes its caller (ExecuteChunks once with a scalar and once with a
-// keyed member), on every partition width: an injected fault.GPUExec
-// aborts the launch with the injected error and no accounting; a
-// fault-free launch advances Completed by exactly one whatever the unit
-// count (zero, one, many); and a failing unit surfaces as an error — never
-// a panic, a partial answer or a completed kernel.
+// TestEntryPointContract pins what both kernel entry points owe their
+// caller, for every member shape each takes — Execute with a scalar
+// member ("Execute"), a GroupBy member ("ExecuteGroup") and two members
+// ("ExecuteFused"), ExecuteChunks with a scalar ("ExecuteChunks") and a
+// GroupBy member ("ExecuteGroupChunks") — on every partition width: an
+// injected fault.GPUExec aborts the launch with the injected error and no
+// accounting; a fault-free launch advances Completed by exactly one
+// whatever the unit count (zero, one, many); and a failing unit surfaces
+// as an error — never a panic, a partial answer or a completed kernel.
 func TestEntryPointContract(t *testing.T) {
 	const rows = 5000
 	scalar := table.ScanRequest{Op: table.AggSum, Measure: 0,
 		Predicates: []table.RangePredicate{{Dim: 0, Level: 0, From: 0, To: 3}}}
-	grouped := table.GroupScanRequest{ScanRequest: scalar, GroupBy: []table.GroupCol{{Dim: 1, Level: 0}}}
+	grouped := table.Member{ScanRequest: scalar, GroupBy: []table.GroupCol{{Dim: 1, Level: 0}}}
 
 	d, err := NewDevice(TeslaC2070())
 	if err != nil {
@@ -35,8 +37,8 @@ func TestEntryPointContract(t *testing.T) {
 	empty, _ := testSnapshot(t, 0, []int{0})
 	single, _ := testSnapshot(t, 1, []int{1})
 
-	// work is one launch's row source: a snapshot for the three snapshot
-	// entry points, a chunk grid over the resident table for the other two.
+	// work is one launch's row source: a snapshot for Execute, a chunk grid
+	// over the resident table for ExecuteChunks.
 	type work struct {
 		name   string
 		snap   *table.Snapshot
@@ -53,15 +55,15 @@ func TestEntryPointContract(t *testing.T) {
 		run    func(p *Partition, w work) (answers int, err error)
 	}{
 		{"Execute", false, func(p *Partition, w work) (int, error) {
-			_, err := p.Execute(w.snap, scalar)
+			_, err := execScalar(p, w.snap, scalar)
 			return 0, err
 		}},
 		{"ExecuteGroup", false, func(p *Partition, w work) (int, error) {
-			got, err := p.ExecuteGroup(w.snap, grouped)
+			got, err := execGroups(p, w.snap, grouped)
 			return len(got), err
 		}},
 		{"ExecuteFused", false, func(p *Partition, w work) (int, error) {
-			got, err := p.ExecuteFused(w.snap, []table.ScanRequest{scalar, scalar}, nil)
+			got, err := p.Execute(w.snap, cellMembers([]table.ScanRequest{scalar, scalar}, nil))
 			return len(got), err
 		}},
 		{"ExecuteChunks", true, func(p *Partition, w work) (int, error) {
@@ -69,11 +71,7 @@ func TestEntryPointContract(t *testing.T) {
 			return len(got), err
 		}},
 		{"ExecuteGroupChunks", true, func(p *Partition, w work) (int, error) {
-			m, err := table.GroupMember(grouped)
-			if err != nil {
-				return 0, err
-			}
-			got, err := p.ExecuteChunks(m, w.chunks)
+			got, err := p.ExecuteChunks(grouped, w.chunks)
 			return len(got), err
 		}},
 	}

@@ -6,15 +6,17 @@ import (
 	"hybridolap/internal/table"
 )
 
-// FusedAnswer is one member's answer from a fused kernel: the finalised
-// result plus, for cell-granted members, the pre-finalise per-cell
-// partials the result cache stores for interval subsumption, and for every
-// other member the fold the result was finalised from, which the cache
-// continues over rows ingested later.
-type FusedAnswer struct {
+// Answer is one member's answer from Execute: the finalised scalar Result,
+// or, for a member with GroupBy columns, its finalised Groups (Result then
+// zero). A cell-granted member also carries its pre-finalise per-cell
+// partials, which the result cache stores for interval subsumption, and
+// every other scalar member the fold its result was finalised from, which
+// the cache continues over rows ingested later.
+type Answer struct {
 	Result table.ScanResult
-	Cells  table.Groups // nil unless the plan granted cells
-	Fold   *Fold        // nil when the plan granted cells
+	Groups []table.GroupRow // sorted by key; nil unless the member has GroupBy columns
+	Cells  table.Groups     // nil unless the plan granted cells
+	Fold   *Fold            // nil for a keyed member
 }
 
 // Fold is a scalar answer as the fold grid holds it before finalising:
@@ -109,41 +111,42 @@ func foldOf(op table.AggOp, units []workUnit, states [][]table.State, mi int) *F
 	return f
 }
 
-// ExecuteFused answers K compatible scan requests as ONE kernel over the
-// snapshot: each unit pass evaluates every member, and per-unit member
-// partials merge in unit order. Grid, cursor and reduction order are those
-// of Execute — which is this with K = 1 — so each member's answer is
-// bit-identical to running that member alone on any partition over the
-// same snapshot rows: the property the engine's differential tests and the
-// result cache pin. wantCells, when non-nil, is each member's
-// table.Member.Cells.
-func (p *Partition) ExecuteFused(snap *table.Snapshot, reqs []table.ScanRequest, wantCells []bool) ([]FusedAnswer, error) {
-	if wantCells != nil && len(wantCells) != len(reqs) {
-		return nil, fmt.Errorf("gpusim: got %d cell flags for %d members", len(wantCells), len(reqs))
-	}
-	members := make([]table.Member, len(reqs))
-	for mi, req := range reqs {
-		members[mi] = table.Member{ScanRequest: req, Cells: wantCells != nil && wantCells[mi]}
-	}
+// Execute answers K compatible members — scalar, cell-granted or keyed by
+// GroupBy columns, in any mix — as ONE kernel over the snapshot: each unit
+// pass evaluates every member, and per-unit member partials merge in unit
+// order (a GroupBy member's one hash table per unit likewise), so sum/avg
+// are bit-identical run to run and partition to partition. A solo query
+// is K = 1, and since neither the grid, the cursor nor the reduction order
+// depends on the other members, each member's answer is bit-identical to
+// running that member alone on any partition over the same snapshot rows:
+// the property the engine's differential tests and the result cache pin.
+func (p *Partition) Execute(snap *table.Snapshot, members []table.Member) ([]Answer, error) {
 	units := blocks(snap)
 	plans, states, err := p.scan(snap, members, units)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]FusedAnswer, len(reqs))
-	for mi, req := range reqs {
-		// Every stripe's plan grants cells identically (same requests, same
+	out := make([]Answer, len(members))
+	for mi, m := range members {
+		// Every stripe's plan grants cells identically (same members, same
 		// schema); a stripeless snapshot has no plan and nothing to grant.
-		if len(plans) == 0 || !plans[0].Keyed(mi) {
-			f := foldOf(req.Op, units, states, mi)
-			out[mi] = FusedAnswer{Result: f.Answer(req.Op, snap.Rows()), Fold: f}
+		if len(m.GroupBy) == 0 && (len(plans) == 0 || !plans[0].Keyed(mi)) {
+			f := foldOf(m.Op, units, states, mi)
+			out[mi] = Answer{Result: f.Answer(m.Op, snap.Rows()), Fold: f}
 			continue
 		}
-		cells := make(table.Groups)
+		var acc table.Groups
 		for _, g := range groups(states, mi) {
-			cells = table.MergeGroups(req.Op, cells, g)
+			acc = table.MergeGroups(m.Op, acc, g)
 		}
-		out[mi] = FusedAnswer{Result: table.Finalize(req.Op, table.FoldCells(req.Op, cells)), Cells: cells}
+		if len(m.GroupBy) > 0 {
+			out[mi] = Answer{Groups: table.FinalizeGroups(m.Op, acc, len(m.GroupBy))}
+			continue
+		}
+		if acc == nil {
+			acc = make(table.Groups) // a rowless snapshot grants empty cells
+		}
+		out[mi] = Answer{Result: table.Finalize(m.Op, table.FoldCells(m.Op, acc)), Cells: acc}
 	}
 	return out, nil
 }

@@ -42,7 +42,7 @@ func TestExecuteFusedMatchesExecute(t *testing.T) {
 		wantCells[mi] = req.Op != table.AggSum && req.Op != table.AggAvg
 	}
 	for _, p := range d.Partitions() {
-		fused, err := p.ExecuteFused(d.Resident(), reqs, wantCells)
+		fused, err := p.Execute(d.Resident(), cellMembers(reqs, wantCells))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestExecuteFusedMatchesExecute(t *testing.T) {
 			t.Fatalf("partition %d: %d answers for %d members", p.ID(), len(fused), len(reqs))
 		}
 		for mi, req := range reqs {
-			want, err := p.Execute(d.Resident(), req)
+			want, err := execScalar(p, d.Resident(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,26 +70,26 @@ func TestExecuteFusedMatchesExecute(t *testing.T) {
 func TestExecuteFusedValidation(t *testing.T) {
 	d := newTestDevice(t, 1000)
 	p := d.Partitions()[0]
-	if _, err := p.ExecuteFused(d.Resident(), nil, nil); err == nil {
+	if _, err := p.Execute(d.Resident(), nil); err == nil {
 		t.Error("empty member set accepted")
 	}
 	incompatible := []table.ScanRequest{
 		{Op: table.AggCount, Predicates: []table.RangePredicate{{Dim: 0, Level: 0, From: 0, To: 1}}},
 		{Op: table.AggCount, Predicates: []table.RangePredicate{{Dim: 1, Level: 0, From: 0, To: 1}}},
 	}
-	if _, err := p.ExecuteFused(d.Resident(), incompatible, nil); err == nil {
+	if _, err := p.Execute(d.Resident(), cellMembers(incompatible, nil)); err == nil {
 		t.Error("incompatible members accepted")
 	}
-	if _, err := p.ExecuteFused(nil, fusedReqs(), nil); err == nil {
+	if _, err := p.Execute(nil, cellMembers(fusedReqs(), nil)); err == nil {
 		t.Error("nil snapshot accepted")
 	}
 }
 
 // TestFoldContinuation pins what the result cache's carry stands on: the
-// folds ExecuteFused returns at r0 rows, continued over the rows appended
+// folds Execute returns at r0 rows, continued over the rows appended
 // since (Continue: RangeInto over the tail, Open chained, ended into Full at
 // each block edge), are the folds — and finalise to the answers —
-// ExecuteFused returns at r1 rows, bit for bit, for every op. The tail
+// Execute returns at r1 rows, bit for bit, for every op. The tail
 // arrives as two stripes, and block 2 of the table holds only time.hour
 // 0..3, so the month-filtered members match no row of it.
 func TestFoldContinuation(t *testing.T) {
@@ -127,10 +127,7 @@ func TestFoldContinuation(t *testing.T) {
 		}}
 	}
 	reqs := append(fusedReqs(), empty(table.AggSum, 0), empty(table.AggMin, 1), empty(table.AggMax, 0), empty(table.AggAvg, 1))
-	members := make([]table.Member, len(reqs))
-	for mi, req := range reqs {
-		members[mi] = table.Member{ScanRequest: req}
-	}
+	members := cellMembers(reqs, nil)
 	p := newTestDevice(t, 1000).Partitions()[1]
 	for r, want := range map[[2]int]bool{{2 * B, 3 * B}: false, {B, 2 * B}: true} {
 		got, err := table.ScanRange(rows(r[0], r[1]), empty(table.AggCount, 0), 0, r[1]-r[0])
@@ -162,11 +159,11 @@ func TestFoldContinuation(t *testing.T) {
 			t.Fatal(err)
 		}
 		at1 := reg.Current()
-		before, err := p.ExecuteFused(at0, reqs, nil)
+		before, err := p.Execute(at0, members)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after, err := p.ExecuteFused(at1, reqs, nil)
+		after, err := p.Execute(at1, members)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,6 +33,34 @@ func newTestDevice(t testing.TB, rows int) *Device {
 	return d
 }
 
+// execScalar answers one scalar request alone.
+func execScalar(p *Partition, snap *table.Snapshot, req table.ScanRequest) (table.ScanResult, error) {
+	ans, err := p.Execute(snap, []table.Member{{ScanRequest: req}})
+	if err != nil {
+		return table.ScanResult{}, err
+	}
+	return ans[0].Result, nil
+}
+
+// execGroups answers one GroupBy member alone.
+func execGroups(p *Partition, snap *table.Snapshot, m table.Member) ([]table.GroupRow, error) {
+	ans, err := p.Execute(snap, []table.Member{m})
+	if err != nil {
+		return nil, err
+	}
+	return ans[0].Groups, nil
+}
+
+// cellMembers makes one member per request, member mi asking for cells
+// when cells[mi] is set (cells may be nil).
+func cellMembers(reqs []table.ScanRequest, cells []bool) []table.Member {
+	out := make([]table.Member, len(reqs))
+	for mi, req := range reqs {
+		out[mi] = table.Member{ScanRequest: req, Cells: cells != nil && cells[mi]}
+	}
+	return out
+}
+
 func TestNewDeviceValidation(t *testing.T) {
 	bad := []DeviceSpec{
 		{SMs: 0, GlobalMemBytes: 1},
@@ -112,7 +140,7 @@ func TestExecuteMatchesSequentialScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range d.Partitions() {
-		got, err := p.Execute(d.Resident(), req)
+		got, err := execScalar(p, d.Resident(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +162,7 @@ func TestExecuteAllOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.Partitions()[4].Execute(d.Resident(), req)
+		got, err := execScalar(d.Partitions()[4], d.Resident(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +181,7 @@ func TestExecuteTinyTable(t *testing.T) {
 	if err := d.Partition([]int{4}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Partitions()[0].Execute(d.Resident(), table.ScanRequest{Op: table.AggCount})
+	got, err := execScalar(d.Partitions()[0], d.Resident(), table.ScanRequest{Op: table.AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +198,7 @@ func TestExecuteWithoutTableFails(t *testing.T) {
 	if err := d.Partition([]int{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Partitions()[0].Execute(d.Resident(), table.ScanRequest{Op: table.AggCount}); err == nil {
+	if _, err := execScalar(d.Partitions()[0], d.Resident(), table.ScanRequest{Op: table.AggCount}); err == nil {
 		t.Fatal("execute without table accepted")
 	}
 }
@@ -178,7 +206,7 @@ func TestExecuteWithoutTableFails(t *testing.T) {
 func TestExecutePropagatesScanErrors(t *testing.T) {
 	d := newTestDevice(t, 1000)
 	req := table.ScanRequest{Measure: 99, Op: table.AggSum}
-	if _, err := d.Partitions()[0].Execute(d.Resident(), req); err == nil {
+	if _, err := execScalar(d.Partitions()[0], d.Resident(), req); err == nil {
 		t.Fatal("bad request accepted")
 	}
 }
@@ -201,7 +229,7 @@ func TestConcurrentKernelExecution(t *testing.T) {
 		go func(i int, p *Partition) {
 			defer wg.Done()
 			for k := 0; k < 5; k++ {
-				results[i], errs[i] = p.Execute(d.Resident(), req)
+				results[i], errs[i] = execScalar(p, d.Resident(), req)
 				if errs[i] != nil {
 					return
 				}
@@ -243,30 +271,31 @@ func BenchmarkExecute(b *testing.B) {
 		Predicates: []table.RangePredicate{{Dim: 0, Level: 1, From: 0, To: 11}},
 		Measure:    0, Op: table.AggSum,
 	}
-	group := func(by ...table.GroupCol) table.GroupScanRequest {
-		return table.GroupScanRequest{ScanRequest: sum, GroupBy: by}
+	group := func(by ...table.GroupCol) table.Member {
+		return table.Member{ScanRequest: sum, GroupBy: by}
 	}
 	family := func(op table.AggOp, dayTo, stateTo uint32) table.ScanRequest {
 		return table.ScanRequest{Op: op, Measure: 0, Predicates: []table.RangePredicate{
 			{Dim: 0, Level: 2, From: 0, To: dayTo}, {Dim: 1, Level: 2, From: 0, To: stateTo},
 		}}
 	}
-	fused := []table.ScanRequest{family(table.AggCount, 255, 127), family(table.AggSum, 99, 63), family(table.AggMax, 200, 20)}
+	fused := cellMembers([]table.ScanRequest{family(table.AggCount, 255, 127), family(table.AggSum, 99, 63), family(table.AggMax, 200, 20)},
+		[]bool{true, false, false})
 	shapes := []struct {
 		name string
 		run  func(p *Partition) error
 	}{
-		{"sum", func(p *Partition) error { _, err := p.Execute(d.Resident(), sum); return err }},
+		{"sum", func(p *Partition) error { _, err := execScalar(p, d.Resident(), sum); return err }},
 		{"groupby_region", func(p *Partition) error {
-			_, err := p.ExecuteGroup(d.Resident(), group(table.GroupCol{Dim: 1, Level: 0}))
+			_, err := execGroups(p, d.Resident(), group(table.GroupCol{Dim: 1, Level: 0}))
 			return err
 		}},
 		{"groupby_day_state", func(p *Partition) error {
-			_, err := p.ExecuteGroup(d.Resident(), group(table.GroupCol{Dim: 0, Level: 2}, table.GroupCol{Dim: 1, Level: 2}))
+			_, err := execGroups(p, d.Resident(), group(table.GroupCol{Dim: 0, Level: 2}, table.GroupCol{Dim: 1, Level: 2}))
 			return err
 		}},
 		{"fused_anchor", func(p *Partition) error {
-			_, err := p.ExecuteFused(d.Resident(), fused, []bool{true, false, false})
+			_, err := p.Execute(d.Resident(), fused)
 			return err
 		}},
 	}
@@ -285,7 +314,7 @@ func BenchmarkExecute(b *testing.B) {
 
 func TestExecuteGroupMatchesSequential(t *testing.T) {
 	d := newTestDevice(t, 15000)
-	req := table.GroupScanRequest{
+	req := table.Member{
 		ScanRequest: table.ScanRequest{
 			Predicates: []table.RangePredicate{{Dim: 0, Level: 0, From: 0, To: 5}},
 			Measure:    0, Op: table.AggSum,
@@ -297,7 +326,7 @@ func TestExecuteGroupMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range d.Partitions() {
-		got, err := p.ExecuteGroup(d.Resident(), req)
+		got, err := execGroups(p, d.Resident(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +343,7 @@ func TestExecuteGroupMatchesSequential(t *testing.T) {
 
 func TestExecuteGroupConcurrent(t *testing.T) {
 	d := newTestDevice(t, 20000)
-	req := table.GroupScanRequest{
+	req := table.Member{
 		ScanRequest: table.ScanRequest{Measure: 0, Op: table.AggCount},
 		GroupBy:     []table.GroupCol{{Dim: 2, Level: 0}},
 	}
@@ -326,7 +355,7 @@ func TestExecuteGroupConcurrent(t *testing.T) {
 		go func(i int, p *Partition) {
 			defer wg.Done()
 			for k := 0; k < 3; k++ {
-				got, err := p.ExecuteGroup(d.Resident(), req)
+				got, err := execGroups(p, d.Resident(), req)
 				if err != nil {
 					errs[i] = err
 					return
@@ -354,7 +383,7 @@ func TestExecuteGroupTinyTableAndErrors(t *testing.T) {
 	if err := d.Partition([]int{4}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := d.Partitions()[0].ExecuteGroup(d.Resident(), table.GroupScanRequest{
+	rows, err := execGroups(d.Partitions()[0], d.Resident(), table.Member{
 		ScanRequest: table.ScanRequest{Op: table.AggCount},
 		GroupBy:     []table.GroupCol{{Dim: 0, Level: 0}},
 	})
@@ -364,18 +393,17 @@ func TestExecuteGroupTinyTableAndErrors(t *testing.T) {
 	if len(rows) != 1 || rows[0].Rows != 1 {
 		t.Fatalf("rows = %+v", rows)
 	}
-	// No group columns is an error.
-	if _, err := d.Partitions()[0].ExecuteGroup(d.Resident(), table.GroupScanRequest{
-		ScanRequest: table.ScanRequest{Op: table.AggCount},
-	}); err == nil {
-		t.Fatal("empty group-by accepted")
+	// Without group columns a member is a scalar scan.
+	ans, err := d.Partitions()[0].Execute(d.Resident(), []table.Member{{ScanRequest: table.ScanRequest{Op: table.AggCount}}})
+	if err != nil || ans[0].Groups != nil || ans[0].Result.Rows != 1 {
+		t.Fatalf("member without group columns: %+v, %v", ans, err)
 	}
 	// No table loaded.
 	d2, _ := NewDevice(TeslaC2070())
 	if err := d2.Partition([]int{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d2.Partitions()[0].ExecuteGroup(d2.Resident(), table.GroupScanRequest{
+	if _, err := execGroups(d2.Partitions()[0], d2.Resident(), table.Member{
 		ScanRequest: table.ScanRequest{Op: table.AggCount},
 		GroupBy:     []table.GroupCol{{Dim: 0, Level: 0}},
 	}); err == nil {

@@ -23,11 +23,14 @@ import (
 const BlockRows = 32 * table.BatchSize
 
 // Partition is a disjoint group of SMs with concurrent-kernel access to
-// the whole device memory. Its four Execute* entry points are safe to call
-// concurrently on different partitions (Fermi-style concurrent kernel
-// execution); each call runs its own fork/join over the partition's SMs.
+// the whole device memory. It has one entry point per grid: Execute, on
+// the fold grid, for any mix of scalar, cell-granted and GroupBy members,
+// and ExecuteChunks, on the cluster's chunk grid, for one member. Both are
+// safe to call concurrently on different partitions (Fermi-style
+// concurrent kernel execution); each call runs its own fork/join over the
+// partition's SMs.
 //
-// Every entry point is the same pipeline:
+// Both entry points are the same pipeline:
 //
 //	step 1 — bind: after crossing the fault.GPUExec point, the request is
 //	         validated and bound once per stripe of the snapshot
@@ -40,16 +43,16 @@ const BlockRows = 32 * table.BatchSize
 //	         grid) and one goroutine per SM drains units from a shared
 //	         cursor through the vectorized batch kernel, a unit that spans
 //	         stripes chaining one state through them in row order (steps 1
-//	         and 2 are scan, shared by all four);
+//	         and 2 are scan, shared by both);
 //	step 3 — reduction: a fold of per-unit partials in unit order (by the
 //	         caller, for the chunk entry point);
 //	step 4 — final aggregation: the finalised aggregate returns to the
 //	         caller (the CPU side), and Completed advances by one.
 //
-// An Execute, ExecuteGroup or ExecuteFused answer therefore depends on the
-// snapshot's rows and the request and on nothing else: not the partition,
-// not how its SMs interleave, not how ingest or compaction grouped the rows
-// into stripes — every placement returns the same bits, and a snapshot's
+// An Execute answer therefore depends on the snapshot's rows and the member
+// and on nothing else: not the other members, not the partition, not how
+// its SMs interleave, not how ingest or compaction grouped the rows into
+// stripes — every placement returns the same bits, and a snapshot's
 // full blocks are the same blocks, with the same partials, at every later
 // epoch. Retries, the result cache, fusion and the chaos differentials all
 // lean on this (TestPlacementFree pins it).
@@ -208,37 +211,6 @@ func groups(states [][]table.State, mi int) []table.Groups {
 		}
 	}
 	return out
-}
-
-// Execute answers a scalar request over the snapshot: per-unit partials
-// merge in unit order (foldOf), and the fold is finalised.
-func (p *Partition) Execute(snap *table.Snapshot, req table.ScanRequest) (table.ScanResult, error) {
-	units := blocks(snap)
-	_, states, err := p.scan(snap, []table.Member{{ScanRequest: req}}, units)
-	if err != nil {
-		return table.ScanResult{}, err
-	}
-	return foldOf(req.Op, units, states, 0).Answer(req.Op, snap.Rows()), nil
-}
-
-// ExecuteGroup answers a grouped request over the snapshot: one hash table
-// per unit keyed by the packed group key, merged in unit order like every
-// other reduction — so sum/avg are bit-identical run to run and partition
-// to partition — and the finalised per-group rows return sorted by key.
-func (p *Partition) ExecuteGroup(snap *table.Snapshot, req table.GroupScanRequest) ([]table.GroupRow, error) {
-	m, err := table.GroupMember(req)
-	if err != nil {
-		return nil, err
-	}
-	_, states, err := p.scan(snap, []table.Member{m}, blocks(snap))
-	if err != nil {
-		return nil, err
-	}
-	var acc table.Groups
-	for _, g := range groups(states, 0) {
-		acc = table.MergeGroups(req.Op, acc, g)
-	}
-	return table.FinalizeGroups(req.Op, acc, len(req.GroupBy)), nil
 }
 
 func (p *Partition) done() { p.completed.Add(1) }

@@ -79,11 +79,35 @@ func groupsBitsEqual(a, b table.Groups) bool {
 	return true
 }
 
-// TestPlacementFree pins the contract of the fold grid: an Execute,
-// ExecuteGroup or ExecuteFused answer is a function of the snapshot's rows
-// and the request — every partition of the paper's layout, over every
-// striping of the same rows, returns the bits partition 0 returns on a
-// one-stripe rebuild, run after run.
+// rowsBitsEqual compares finalised group rows bit for bit.
+func rowsBitsEqual(a, b []table.GroupRow) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if table.PackKey(a[i].Keys) != table.PackKey(b[i].Keys) || a[i].Rows != b[i].Rows ||
+			math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// answerBitsEqual compares two answers bit for bit: result, group rows,
+// cells and fold.
+func answerBitsEqual(a, b Answer) bool {
+	if !bitsEqual(a.Result, b.Result) || !rowsBitsEqual(a.Groups, b.Groups) ||
+		(a.Cells == nil) != (b.Cells == nil) || !groupsBitsEqual(a.Cells, b.Cells) || (a.Fold == nil) != (b.Fold == nil) {
+		return false
+	}
+	return a.Fold == nil || bitsEqual(a.Fold.Full, b.Fold.Full) && bitsEqual(a.Fold.Open, b.Fold.Open)
+}
+
+// TestPlacementFree pins the contract of the fold grid: an Execute answer
+// is a function of the snapshot's rows and the member — every partition of
+// the paper's layout, over every striping of the same rows, returns the
+// bits partition 0 returns on a one-stripe rebuild, run after run, for a
+// member alone and for the same member among members of every other shape.
 func TestPlacementFree(t *testing.T) {
 	d := newTestDevice(t, placementRows)
 	snaps, earlier := placementSnapshots(t, d)
@@ -118,7 +142,7 @@ func TestPlacementFree(t *testing.T) {
 	for _, op := range ops {
 		for pi, pr := range preds {
 			req := table.ScanRequest{Op: op, Measure: 0, Predicates: pr}
-			want, err := ref.Execute(rebuild, req)
+			want, err := execScalar(ref, rebuild, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +150,7 @@ func TestPlacementFree(t *testing.T) {
 				t.Fatalf("fixture: %v predicate set %d matches nothing", op, pi)
 			}
 			each(func(where string, p *Partition, snap *table.Snapshot) {
-				got, err := p.Execute(snap, req)
+				got, err := execScalar(p, snap, req)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,8 +161,8 @@ func TestPlacementFree(t *testing.T) {
 			})
 		}
 		for card, by := range keys {
-			req := table.GroupScanRequest{ScanRequest: table.ScanRequest{Op: op, Measure: 1, Predicates: preds[1]}, GroupBy: by}
-			want, err := ref.ExecuteGroup(rebuild, req)
+			req := table.Member{ScanRequest: table.ScanRequest{Op: op, Measure: 1, Predicates: preds[1]}, GroupBy: by}
+			want, err := execGroups(ref, rebuild, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,45 +170,50 @@ func TestPlacementFree(t *testing.T) {
 				t.Fatalf("fixture: high-cardinality key has only %d groups", len(want))
 			}
 			each(func(where string, p *Partition, snap *table.Snapshot) {
-				got, err := p.ExecuteGroup(snap, req)
+				got, err := execGroups(p, snap, req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("ExecuteGroup %v %s-cardinality, %s: %d groups, want %d", op, card, where, len(got), len(want))
-				}
-				for i := range want {
-					if table.PackKey(got[i].Keys) != table.PackKey(want[i].Keys) || got[i].Rows != want[i].Rows ||
-						math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
-						t.Fatalf("ExecuteGroup %v %s-cardinality, %s, group %d: %+v, want %+v", op, card, where, i, got[i], want[i])
-					}
+				if !rowsBitsEqual(got, want) {
+					t.Fatalf("GroupBy %v %s-cardinality, %s: %d groups %+v, want %d %+v", op, card, where, len(got), got, len(want), want)
 				}
 			})
 		}
 	}
 
-	want, err := ref.ExecuteFused(rebuild, family, wantCells)
+	// One Execute of every member shape at once: the family's scalar and
+	// cell-granted members, each with its own predicates, beside a low- and
+	// a high-cardinality GroupBy member on different intervals of the same
+	// columns. Each member answers alone what it answers among the others,
+	// and every placement answers the mixed set as the reference does.
+	mixed := append(cellMembers(family, wantCells),
+		table.Member{ScanRequest: table.ScanRequest{Op: table.AggAvg, Measure: 1, Predicates: preds[1]}, GroupBy: keys["low"]},
+		table.Member{ScanRequest: family[0], GroupBy: keys["high"]})
+	want, err := ref.Execute(rebuild, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for mi, req := range family {
-		solo, err := ref.Execute(rebuild, req)
+	if n := len(want[len(mixed)-1].Groups); n < 1000 {
+		t.Fatalf("fixture: the mixed set's high-cardinality member has only %d groups", n)
+	}
+	for mi, m := range mixed {
+		solo, err := ref.Execute(rebuild, []table.Member{m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bitsEqual(want[mi].Result, solo) || (want[mi].Cells != nil) != wantCells[mi] {
-			t.Fatalf("fused member %d on the reference: %+v (cells %v), solo %+v", mi, want[mi].Result, want[mi].Cells != nil, solo)
+		if !answerBitsEqual(want[mi], solo[0]) || (want[mi].Cells != nil) != m.Cells {
+			t.Fatalf("mixed member %d on the reference: %+v (cells %v), alone %+v", mi, want[mi], want[mi].Cells != nil, solo[0])
 		}
 	}
 	each(func(where string, p *Partition, snap *table.Snapshot) {
-		got, err := p.ExecuteFused(snap, family, wantCells)
+		got, err := p.Execute(snap, mixed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for mi := range family {
-			if !bitsEqual(got[mi].Result, want[mi].Result) || !groupsBitsEqual(got[mi].Cells, want[mi].Cells) {
-				t.Fatalf("ExecuteFused member %d (%v, cells %v), %s: %+v, want %+v", mi, family[mi].Op, wantCells[mi], where,
-					got[mi].Result, want[mi].Result)
+		for mi, m := range mixed {
+			if !answerBitsEqual(got[mi], want[mi]) {
+				t.Fatalf("mixed member %d (%v, cells %v, %d group columns), %s: %+v, want %+v", mi, m.Op, m.Cells, len(m.GroupBy), where,
+					got[mi], want[mi])
 			}
 		}
 	})
@@ -201,12 +230,9 @@ func testBlockPrefix(t *testing.T, d *Device, older, newer *table.Snapshot) {
 	if full < 3 || older.Rows()%BlockRows == 0 || newer.Rows() <= older.Rows() {
 		t.Fatalf("fixture: %d rows then %d", older.Rows(), newer.Rows())
 	}
-	grouped, err := table.GroupMember(table.GroupScanRequest{
+	grouped := table.Member{
 		ScanRequest: table.ScanRequest{Op: table.AggAvg, Measure: 1, Predicates: fusedReqs()[0].Predicates},
 		GroupBy:     []table.GroupCol{{Dim: 0, Level: 2}, {Dim: 1, Level: 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	members := []table.Member{{ScanRequest: fusedReqs()[0]}, {ScanRequest: fusedReqs()[1], Cells: true}, grouped}
 	_, was, err := d.Partitions()[1].scan(older, members, blocks(older))

@@ -89,7 +89,7 @@ func TestExecuteStripesDifferential(t *testing.T) {
 	}{{"resident", d.Resident()}, {"striped", striped}}
 	for _, sn := range snaps {
 		for _, p := range d.Partitions() {
-			fused, err := p.ExecuteFused(sn.snap, family, wantCells)
+			fused, err := p.Execute(sn.snap, cellMembers(family, wantCells))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,11 +99,11 @@ func TestExecuteStripesDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				solo, err := p.Execute(sn.snap, req)
+				solo, err := execScalar(p, sn.snap, req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				again, err := p.Execute(sn.snap, req)
+				again, err := execScalar(p, sn.snap, req)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +131,7 @@ func TestExecuteStripesDifferential(t *testing.T) {
 func TestExecuteGroupSnapshotMatchesWholeTable(t *testing.T) {
 	d := newTestDevice(t, 64)
 	snap, whole := testSnapshot(t, 15000, []int{1, 5000, 5001, 11000})
-	reqs := []table.GroupScanRequest{
+	reqs := []table.Member{
 		{ScanRequest: table.ScanRequest{Op: table.AggSum, Measure: 0},
 			GroupBy: []table.GroupCol{{Dim: 0, Level: 0}}},
 		{ScanRequest: table.ScanRequest{Op: table.AggAvg, Measure: 1,
@@ -144,7 +144,7 @@ func TestExecuteGroupSnapshotMatchesWholeTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range d.Partitions() {
-			got, err := p.ExecuteGroup(snap, req)
+			got, err := execGroups(p, snap, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,15 +165,15 @@ func TestExecuteGroupSnapshotMatchesWholeTable(t *testing.T) {
 func TestExecuteSnapshotEdgeCases(t *testing.T) {
 	d := newTestDevice(t, 64)
 	p := d.Partitions()[0]
-	if _, err := p.Execute(nil, table.ScanRequest{Op: table.AggCount}); err == nil {
+	if _, err := execScalar(p, nil, table.ScanRequest{Op: table.AggCount}); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
-	if _, err := p.ExecuteGroup(nil, table.GroupScanRequest{}); err == nil {
+	if _, err := execGroups(p, nil, table.Member{}); err == nil {
 		t.Fatal("nil snapshot accepted (grouped)")
 	}
 	// A tiny snapshot (one short block over three stripes) must still answer.
 	snap, whole := testSnapshot(t, 3, []int{1, 2})
-	got, err := p.Execute(snap, table.ScanRequest{Op: table.AggCount})
+	got, err := execScalar(p, snap, table.ScanRequest{Op: table.AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestExecuteSnapshotEdgeCases(t *testing.T) {
 	}
 	// Scan errors must propagate, not panic.
 	bad := table.ScanRequest{Op: table.AggSum, Measure: 99}
-	if _, err := p.Execute(snap, bad); err == nil {
+	if _, err := execScalar(p, snap, bad); err == nil {
 		t.Fatal("bad measure accepted")
 	}
 	// ... identically on a snapshot whose only stripe has no rows: every
@@ -195,21 +195,15 @@ func TestExecuteSnapshotEdgeCases(t *testing.T) {
 	if empty.Rows() != 0 || len(empty.Stripes()) == 0 {
 		t.Fatalf("fixture: %d rows in %d stripes", empty.Rows(), len(empty.Stripes()))
 	}
-	if got, err := p.Execute(empty, table.ScanRequest{Op: table.AggCount}); err != nil || got != (table.ScanResult{}) {
+	if got, err := execScalar(p, empty, table.ScanRequest{Op: table.AggCount}); err != nil || got != (table.ScanResult{}) {
 		t.Fatalf("empty snapshot: got %+v, %v", got, err)
 	}
-	if _, err := p.Execute(empty, bad); err == nil {
+	if _, err := execScalar(p, empty, bad); err == nil {
 		t.Fatal("bad measure accepted on an empty snapshot")
 	}
-	if _, err := p.ExecuteGroup(empty, table.GroupScanRequest{
+	if _, err := execGroups(p, empty, table.Member{
 		ScanRequest: bad, GroupBy: []table.GroupCol{{Dim: 0, Level: 0}},
 	}); err == nil {
 		t.Fatal("bad measure accepted on an empty snapshot (grouped)")
-	}
-	if _, err := p.ExecuteFused(empty, []table.ScanRequest{bad}, nil); err == nil {
-		t.Fatal("bad measure accepted on an empty snapshot (fused)")
-	}
-	if _, err := p.ExecuteFused(empty, fusedReqs(), []bool{true}); err == nil {
-		t.Fatal("mismatched cell flags accepted on an empty snapshot (fused)")
 	}
 }

@@ -184,7 +184,7 @@ func checkEpoch(t testing.TB, snap *table.Snapshot, s table.Schema) {
 
 	// Grouped: dimension group keys are stable across rebuilds, so compare
 	// the finalised group lists directly.
-	greqs := []table.GroupScanRequest{
+	greqs := []table.Member{
 		{ScanRequest: table.ScanRequest{Op: table.AggSum, Measure: 0},
 			GroupBy: []table.GroupCol{{Dim: 0, Level: 0}}},
 		{ScanRequest: table.ScanRequest{Op: table.AggAvg, Measure: 1,
@@ -564,7 +564,7 @@ func TestConcurrentIngestCompactQuery(t *testing.T) {
 					errc <- fmt.Errorf("pinned snapshot count %d != %d", res.Rows, snap.Rows())
 					return
 				}
-				if _, err := table.GroupScanSnapshot(snap, table.GroupScanRequest{
+				if _, err := table.GroupScanSnapshot(snap, table.Member{
 					ScanRequest: table.ScanRequest{Op: table.AggSum},
 					GroupBy:     []table.GroupCol{{Dim: 0, Level: 0}},
 				}); err != nil {

@@ -193,8 +193,8 @@ func GPUSweep(rows int, widths []int, maxCols, reps int, seed int64) ([]GPUPoint
 	var out []GPUPoint
 	for _, p := range dev.Partitions() {
 		for nc := 1; nc <= maxCols && nc <= len(preds); nc++ {
-			req := table.ScanRequest{Predicates: preds[:nc], Measure: 0, Op: table.AggSum}
-			cols := req.ColumnsAccessed()
+			m := []table.Member{{ScanRequest: table.ScanRequest{Predicates: preds[:nc], Measure: 0, Op: table.AggSum}}}
+			cols := m[0].ColumnsAccessed()
 			estd, err := est.GPUTime(p.SMs(), cols, total)
 			if err != nil {
 				return nil, err
@@ -202,7 +202,7 @@ func GPUSweep(rows int, widths []int, maxCols, reps int, seed int64) ([]GPUPoint
 			best := time.Duration(1<<62 - 1)
 			for r := 0; r < reps; r++ {
 				t0 := time.Now()
-				if _, err := p.Execute(dev.Resident(), req); err != nil {
+				if _, err := p.Execute(dev.Resident(), m); err != nil {
 					return nil, err
 				}
 				if d := time.Since(t0); d < best {

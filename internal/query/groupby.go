@@ -64,30 +64,26 @@ func (q *Query) GroupByGPUOnly() bool {
 	return false
 }
 
-// ToGroupScanRequest decomposes a grouped query for the GPU path. Like
-// ToScanRequest, it requires translated text conditions; emptyResult
-// short-circuits provably empty predicates.
-func (q *Query) ToGroupScanRequest(s *table.Schema) (req table.GroupScanRequest, emptyResult bool, err error) {
-	if !q.Grouped() {
-		return table.GroupScanRequest{}, false, fmt.Errorf("query: not a grouped query")
+// Member decomposes the query for the GPU path as the one plan member
+// every layer below scans: its ToScanRequest, keyed by its GROUP BY columns
+// when it has any. Like ToScanRequest it requires translated text
+// conditions; empty short-circuits provably empty predicates.
+func (q *Query) Member(s *table.Schema) (m table.Member, empty bool, err error) {
+	if m.ScanRequest, empty, err = q.ToScanRequest(s); err != nil {
+		return table.Member{}, false, err
 	}
-	base, empty, err := q.ToScanRequest(s)
-	if err != nil {
-		return table.GroupScanRequest{}, false, err
-	}
-	req.ScanRequest = base
 	for _, g := range q.GroupBy {
 		if g.Text {
 			ti := s.TextIndex(g.Column)
 			if ti < 0 {
-				return table.GroupScanRequest{}, false, fmt.Errorf("query: unknown GROUP BY column %q", g.Column)
+				return table.Member{}, false, fmt.Errorf("query: unknown GROUP BY column %q", g.Column)
 			}
-			req.GroupBy = append(req.GroupBy, table.GroupCol{Text: true, TextIndex: ti})
+			m.GroupBy = append(m.GroupBy, table.GroupCol{Text: true, TextIndex: ti})
 			continue
 		}
-		req.GroupBy = append(req.GroupBy, table.GroupCol{Dim: g.Dim, Level: g.Level})
+		m.GroupBy = append(m.GroupBy, table.GroupCol{Dim: g.Dim, Level: g.Level})
 	}
-	return req, empty, nil
+	return m, empty, nil
 }
 
 // CubeGroupLevels converts the GROUP BY list for the cube path; it fails

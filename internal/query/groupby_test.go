@@ -93,7 +93,7 @@ func TestValidateGroupByLimits(t *testing.T) {
 	}
 }
 
-func TestToGroupScanRequest(t *testing.T) {
+func TestQueryMember(t *testing.T) {
 	ft := genTable(t, 300)
 	s := ft.Schema()
 	q := &Query{
@@ -101,7 +101,7 @@ func TestToGroupScanRequest(t *testing.T) {
 		GroupBy:    []GroupRef{{Dim: 1, Level: 0}, {Text: true, Column: "store_name"}},
 		Measure:    0, Op: table.AggSum,
 	}
-	req, empty, err := q.ToGroupScanRequest(s)
+	req, empty, err := q.Member(s)
 	if err != nil || empty {
 		t.Fatalf("err=%v empty=%v", err, empty)
 	}
@@ -116,9 +116,9 @@ func TestToGroupScanRequest(t *testing.T) {
 	if len(rows) == 0 {
 		t.Fatal("no groups")
 	}
-	// Ungrouped query refuses.
-	if _, _, err := (&Query{Op: table.AggCount}).ToGroupScanRequest(s); err == nil {
-		t.Fatal("ungrouped accepted")
+	// An ungrouped query is a scalar member.
+	if m, _, err := (&Query{Op: table.AggCount}).Member(s); err != nil || m.GroupBy != nil {
+		t.Fatalf("ungrouped: member %+v, err %v", m, err)
 	}
 	// Untranslated text condition propagates the error.
 	qt := &Query{
@@ -126,13 +126,13 @@ func TestToGroupScanRequest(t *testing.T) {
 		GroupBy:   []GroupRef{{Dim: 0, Level: 0}},
 		Op:        table.AggCount,
 	}
-	if _, _, err := qt.ToGroupScanRequest(s); err == nil {
+	if _, _, err := qt.Member(s); err == nil {
 		t.Fatal("untranslated accepted")
 	}
 	// Empty translated predicate propagates empty.
 	qt.TextConds[0].Translated = true
 	qt.TextConds[0].Empty = true
-	if _, empty, err := qt.ToGroupScanRequest(s); err != nil || !empty {
+	if _, empty, err := qt.Member(s); err != nil || !empty {
 		t.Fatalf("empty propagation: empty=%v err=%v", empty, err)
 	}
 }

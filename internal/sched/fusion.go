@@ -52,7 +52,11 @@ func (s *Scheduler) SubmitFused(now, deadline float64, members []Estimates) (Dec
 		eps = DefaultFusionEpsilonSeconds
 	}
 	n := len(s.cfg.GPUWidths)
-	combined := Estimates{GPUSeconds: make([]float64, n)}
+	if cap(s.fused) < n {
+		s.fused = make([]float64, n)
+	}
+	combined := Estimates{GPUSeconds: s.fused[:n]}
+	clear(combined.GPUSeconds)
 	for mi := range members {
 		if len(members[mi].GPUSeconds) != n {
 			return Decision{}, fmt.Errorf("sched: member %d has %d GPU estimates, want %d",

@@ -249,6 +249,7 @@ type Scheduler struct {
 
 	pick   pickFunc   // the policy's steps 4–6
 	cand   candidates // scratch: the candidate set of the query being placed
+	fused  []float64  // scratch: a fused job's combined GPU estimates
 	rrNext int        // round-robin cursor (policy and placement variants)
 	stats  Stats
 }

@@ -580,9 +580,9 @@ func TestSubmitMaintenance(t *testing.T) {
 }
 
 // TestPlacementAllocs pins the cost of one placement: the candidate set
-// lives in the scheduler's scratch and a pick is a plain function, so
-// neither Peek nor Submit allocates, with or without translation and a
-// link cost.
+// and a fused job's combined estimates live in the scheduler's scratch and
+// a pick is a plain function, so neither Peek, Submit nor SubmitFused
+// allocates, with or without translation and a link cost.
 func TestPlacementAllocs(t *testing.T) {
 	for p := PolicyPaper; p <= PolicyRoundRobin; p++ {
 		cfg := paperCfg()
@@ -596,9 +596,11 @@ func TestPlacementAllocs(t *testing.T) {
 			now := 0.0
 			peek := testing.AllocsPerRun(50, func() { _, _ = s.Peek(now, est) })
 			submit := testing.AllocsPerRun(50, func() { now += 0.01; _, _ = s.Submit(now, est) })
-			if peek != 0 || submit != 0 {
-				t.Errorf("%v, translation %v: Peek %v allocs, Submit %v, want 0 and 0",
-					p, est.NeedsTranslation, peek, submit)
+			members := []Estimates{est, est}
+			fused := testing.AllocsPerRun(50, func() { now += 0.01; _, _ = s.SubmitFused(now, now+1, members) })
+			if peek != 0 || submit != 0 || fused != 0 {
+				t.Errorf("%v, translation %v: Peek %v allocs, Submit %v, SubmitFused %v, want 0, 0 and 0",
+					p, est.NeedsTranslation, peek, submit, fused)
 			}
 		}
 	}

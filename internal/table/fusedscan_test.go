@@ -146,7 +146,7 @@ func TestFusedScanDifferential(t *testing.T) {
 					i, mi, m, lo, hi, hi, hi2, want, got, fused.Keyed(mi))
 			}
 			if len(m.GroupBy) > 0 {
-				want, err := GroupScanRange(ft, GroupScanRequest{ScanRequest: m.ScanRequest, GroupBy: m.GroupBy}, lo, hi2)
+				want, err := GroupScanRange(ft, m, lo, hi2)
 				if err != nil {
 					t.Fatal(err)
 				}

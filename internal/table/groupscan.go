@@ -18,20 +18,6 @@ type GroupCol struct {
 // (16 bits per component).
 const MaxGroupCols = 4
 
-// GroupScanRequest is a grouped table-scan aggregation: filter rows by the
-// predicates, then aggregate the measure per distinct combination of the
-// group columns.
-type GroupScanRequest struct {
-	ScanRequest
-	GroupBy []GroupCol
-}
-
-// ColumnsAccessed extends eq. (12): grouping columns are read from global
-// memory too.
-func (r GroupScanRequest) ColumnsAccessed() int {
-	return r.ScanRequest.ColumnsAccessed() + len(r.GroupBy)
-}
-
 // GroupKey packs up to MaxGroupCols 16-bit coordinates into a uint64.
 type GroupKey = uint64
 
@@ -64,9 +50,12 @@ type GroupRow struct {
 // Groups is a partial grouped aggregation state: group key → accumulator.
 type Groups map[GroupKey]ScanResult
 
-// GroupScanRange runs the grouped request over rows [lo, hi), returning
-// partial per-group accumulators (pre-Finalize semantics, as in ScanRange).
-func GroupScanRange(t *FactTable, req GroupScanRequest, lo, hi int) (Groups, error) {
+// GroupScanRange runs the grouped member over rows [lo, hi) — filter rows
+// by its predicates, then aggregate the measure per distinct combination of
+// its GroupBy columns — returning partial per-group accumulators
+// (pre-Finalize semantics, as in ScanRange). It rejects a member without
+// GroupBy columns.
+func GroupScanRange(t *FactTable, req Member, lo, hi int) (Groups, error) {
 	if len(req.GroupBy) == 0 {
 		return nil, fmt.Errorf("table: grouped scan needs at least one group column")
 	}
@@ -167,8 +156,8 @@ func FinalizeGroups(op AggOp, g Groups, nCols int) []GroupRow {
 	return out
 }
 
-// GroupScan runs a grouped request over the whole table sequentially.
-func GroupScan(t *FactTable, req GroupScanRequest) ([]GroupRow, error) {
+// GroupScan runs a grouped member over the whole table sequentially.
+func GroupScan(t *FactTable, req Member) ([]GroupRow, error) {
 	g, err := GroupScanRange(t, req, 0, t.rows)
 	if err != nil {
 		return nil, err

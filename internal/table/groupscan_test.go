@@ -38,7 +38,7 @@ func TestGroupScanMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := GroupScanRequest{
+	req := Member{
 		ScanRequest: ScanRequest{
 			Predicates: []RangePredicate{{Dim: 0, Level: 1, From: 0, To: 17}},
 			Measure:    0, Op: AggSum,
@@ -85,7 +85,7 @@ func TestGroupScanMatchesBruteForce(t *testing.T) {
 func TestGroupScanAllOps(t *testing.T) {
 	ft, _ := Generate(GenSpec{Schema: smallSchema(), Rows: 500, Seed: 42})
 	for _, op := range []AggOp{AggSum, AggCount, AggMin, AggMax, AggAvg} {
-		req := GroupScanRequest{
+		req := Member{
 			ScanRequest: ScanRequest{Measure: 0, Op: op},
 			GroupBy:     []GroupCol{{Dim: 1, Level: 0}},
 		}
@@ -117,7 +117,7 @@ func TestGroupScanByTextColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := GroupScanRequest{
+	req := Member{
 		ScanRequest: ScanRequest{Measure: 0, Op: AggCount},
 		GroupBy:     []GroupCol{{Text: true, TextIndex: 0}},
 	}
@@ -139,7 +139,7 @@ func TestGroupScanByTextColumn(t *testing.T) {
 
 func TestGroupScanStripeMergeEquivalence(t *testing.T) {
 	ft, _ := Generate(GenSpec{Schema: smallSchema(), Rows: 1500, Seed: 44})
-	req := GroupScanRequest{
+	req := Member{
 		ScanRequest: ScanRequest{Measure: 0, Op: AggAvg},
 		GroupBy:     []GroupCol{{Dim: 0, Level: 0}},
 	}
@@ -172,7 +172,7 @@ func TestGroupScanStripeMergeEquivalence(t *testing.T) {
 
 func TestGroupScanValidation(t *testing.T) {
 	ft, _ := Generate(GenSpec{Schema: smallSchema(), Rows: 10, Seed: 45})
-	bad := []GroupScanRequest{
+	bad := []Member{
 		{ScanRequest: ScanRequest{Op: AggCount}},                                          // no group cols
 		{ScanRequest: ScanRequest{Op: AggCount}, GroupBy: make([]GroupCol, 5)},            // too many
 		{ScanRequest: ScanRequest{Op: AggCount}, GroupBy: []GroupCol{{Dim: 9}}},           // bad dim
@@ -188,7 +188,7 @@ func TestGroupScanValidation(t *testing.T) {
 }
 
 func TestGroupColumnsAccessed(t *testing.T) {
-	req := GroupScanRequest{
+	req := Member{
 		ScanRequest: ScanRequest{
 			Predicates: []RangePredicate{{Dim: 0, Level: 0}},
 			Op:         AggSum,

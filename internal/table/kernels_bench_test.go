@@ -258,7 +258,7 @@ func BenchmarkScanKernelsCoarse(b *testing.B) {
 // BenchmarkGroupScanKernels compares the grouped kernels: reference
 // GroupScanRange vs a plan whose members scatter by a GroupBy column.
 func BenchmarkGroupScanKernels(b *testing.B) {
-	req := GroupScanRequest{
+	req := Member{
 		ScanRequest: ScanRequest{Op: AggSum, Measure: 0, Predicates: predsForSelectivity(2, 46)},
 		GroupBy:     []GroupCol{{Dim: 2, Level: 0}},
 	}
@@ -272,17 +272,16 @@ func BenchmarkGroupScanKernels(b *testing.B) {
 			}
 		}
 	})
-	m := Member{ScanRequest: req.ScanRequest, GroupBy: req.GroupBy}
 	for _, bits := range benchWidths {
 		bits := bits
 		b.Run(fmt.Sprintf("rows=1M/width=%d/kernel=vectorized", bits), func(b *testing.B) {
-			runVectorized(b, benchTableAt(b, 1_000_000, bits), BatchSize, m)
+			runVectorized(b, benchTableAt(b, 1_000_000, bits), BatchSize, req)
 		})
 	}
 	for _, k := range []int{1, 8} {
 		k := k
 		b.Run(fmt.Sprintf("rows=1M/fanin=%d/kernel=vectorized", k), func(b *testing.B) {
-			runVectorized(b, benchTable(b, 1_000_000), BatchSize, fanInMembers(m, k)...)
+			runVectorized(b, benchTable(b, 1_000_000), BatchSize, fanInMembers(req, k)...)
 		})
 	}
 }

@@ -64,13 +64,10 @@ type Member struct {
 	Cells bool
 }
 
-// GroupMember is a grouped request as a plan member. It rejects a request
-// without group columns, which as a Member would mean a scalar scan.
-func GroupMember(req GroupScanRequest) (Member, error) {
-	if len(req.GroupBy) == 0 {
-		return Member{}, fmt.Errorf("table: grouped scan needs at least one group column")
-	}
-	return Member{ScanRequest: req.ScanRequest, GroupBy: req.GroupBy}, nil
+// ColumnsAccessed extends eq. (12): grouping columns are read from global
+// memory too.
+func (m Member) ColumnsAccessed() int {
+	return m.ScanRequest.ColumnsAccessed() + len(m.GroupBy)
 }
 
 // member is one bound member: its residual predicates (selectivity-

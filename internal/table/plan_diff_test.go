@@ -155,7 +155,7 @@ func TestPlanDifferential(t *testing.T) {
 				by = append(by, GroupCol{Dim: m.Predicates[pi].Dim, Level: m.Predicates[pi].Level})
 			}
 		}
-		g, err := GroupScanRange(ft, GroupScanRequest{ScanRequest: m.ScanRequest, GroupBy: by}, 0, ft.Rows())
+		g, err := GroupScanRange(ft, Member{ScanRequest: m.ScanRequest, GroupBy: by}, 0, ft.Rows())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestGroupKeyBudget(t *testing.T) {
 			"text column":     {ScanRequest: count, GroupBy: []GroupCol{{Text: true, TextIndex: 0}}},
 		} {
 			_, bindErr := Bind(ft, []Member{m})
-			_, refErr := GroupScanRange(ft, GroupScanRequest{ScanRequest: count, GroupBy: m.GroupBy}, 0, ft.Rows())
+			_, refErr := GroupScanRange(ft, Member{ScanRequest: count, GroupBy: m.GroupBy}, 0, ft.Rows())
 			if (bindErr == nil) != tc.fits || (refErr == nil) != tc.fits {
 				t.Errorf("group by a %s of %d codes: Bind err %v, GroupScanRange err %v; want fits=%v",
 					name, tc.codes, bindErr, refErr, tc.fits)

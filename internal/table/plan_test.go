@@ -283,8 +283,8 @@ func groupsEqual(a, b Groups) bool {
 	return true
 }
 
-func randGroupReq(rng *rand.Rand, s *Schema) GroupScanRequest {
-	req := GroupScanRequest{ScanRequest: randScanReq(rng, s)}
+func randGroupReq(rng *rand.Rand, s *Schema) Member {
+	req := Member{ScanRequest: randScanReq(rng, s)}
 	n := rng.Intn(2) + 1
 	for i := 0; i < n; i++ {
 		if rng.Intn(4) == 0 {
@@ -307,7 +307,7 @@ func TestGroupScanPlanDifferential(t *testing.T) {
 		lo, hi := randStripe(rng, ft.Rows())
 
 		want, wantErr := GroupScanRange(ft, req, lo, hi)
-		plan, planErr := Bind(ft, []Member{{ScanRequest: req.ScanRequest, GroupBy: req.GroupBy}})
+		plan, planErr := Bind(ft, []Member{req})
 		if (wantErr == nil) != (planErr == nil) {
 			t.Fatalf("case %d: error mismatch: ref=%v bind=%v", i, wantErr, planErr)
 		}
@@ -341,7 +341,7 @@ func TestGroupScanPlanStripeAccumulation(t *testing.T) {
 			continue
 		}
 		req := randGroupReq(rng, &schema)
-		plan, err := Bind(ft, []Member{{ScanRequest: req.ScanRequest, GroupBy: req.GroupBy}})
+		plan, err := Bind(ft, []Member{req})
 		if err != nil {
 			continue
 		}

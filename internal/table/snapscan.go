@@ -1,5 +1,7 @@
 package table
 
+import "fmt"
+
 // Snapshot scans: the sequential reference kernels of the live table.
 // Each stripe is scanned with the vectorized plan, threading one running
 // State across stripes in logical row order, so the result is
@@ -30,17 +32,17 @@ func ScanSnapshot(snap *Snapshot, req ScanRequest) (ScanResult, error) {
 	return Finalize(req.Op, st.Scalar), err
 }
 
-// GroupScanSnapshot runs the grouped req over every stripe of the
+// GroupScanSnapshot runs the grouped member over every stripe of the
 // snapshot in order, accumulating into one destination map, and
-// finalises — equivalent to GroupScan over a from-scratch rebuild.
-func GroupScanSnapshot(snap *Snapshot, req GroupScanRequest) ([]GroupRow, error) {
-	m, err := GroupMember(req)
-	if err != nil {
-		return nil, err
+// finalises — equivalent to GroupScan over a from-scratch rebuild. It
+// rejects a member without GroupBy columns, which would mean a scalar scan.
+func GroupScanSnapshot(snap *Snapshot, m Member) ([]GroupRow, error) {
+	if len(m.GroupBy) == 0 {
+		return nil, fmt.Errorf("table: grouped scan needs at least one group column")
 	}
 	st, err := scanSnapshot(snap, m)
 	if err != nil {
 		return nil, err
 	}
-	return FinalizeGroups(req.Op, st.Groups, len(req.GroupBy)), nil
+	return FinalizeGroups(m.Op, st.Groups, len(m.GroupBy)), nil
 }

@@ -207,7 +207,7 @@ func TestScanSnapshotMatchesRebuild(t *testing.T) {
 		}
 	}
 
-	greqs := []GroupScanRequest{
+	greqs := []Member{
 		{ScanRequest: ScanRequest{Op: AggSum, Measure: 0},
 			GroupBy: []GroupCol{{Dim: 0, Level: 0}}},
 		{ScanRequest: ScanRequest{Op: AggAvg, Measure: 1,
