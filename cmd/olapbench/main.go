@@ -8,7 +8,7 @@
 //	olapbench -experiment table3       # one experiment
 //	olapbench -list                    # list experiment IDs
 //	olapbench -seed 7                  # reseed the synthetic workloads
-//	olapbench -compare                 # quick re-run vs committed BENCH_*.json;
+//	olapbench -compare                 # re-run vs committed BENCH_*.json;
 //	                                   # exit 1 on >15% headline regression
 //
 // A full-scale run of a gated experiment (scan-kernels, ingest, fusion,
@@ -32,7 +32,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "workload seed")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		asJSON     = flag.Bool("json", false, "emit results as JSON instead of text tables")
-		compare    = flag.Bool("compare", false, "diff a fresh quick run against the committed BENCH_*.json baselines in the current directory")
+		compare    = flag.Bool("compare", false, "diff fresh runs against the committed BENCH_*.json baselines in the current directory")
 		tolerance  = flag.Float64("tolerance", experiments.DefaultCompareTolerance, "relative regression that fails -compare")
 	)
 	flag.Parse()

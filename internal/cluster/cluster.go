@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"hybridolap/internal/cube"
+	"hybridolap/internal/engine"
 	"hybridolap/internal/fault"
 	"hybridolap/internal/gpusim"
 	"hybridolap/internal/perfmodel"
@@ -51,7 +52,8 @@ type Config struct {
 	// total row count, so shard boundaries nest into the grid and the
 	// coordinator's chunk-order fold is identical for every shard count.
 	Chunks int
-	// CPUThreads selects each node's CPU aggregation model (default 8).
+	// CPUThreads selects each node's CPU aggregation model (default 8);
+	// New rejects a count the estimator has no CPU model for.
 	CPUThreads int
 	// CubeLevels are materialised per shard on every holder (default
 	// {0, 1}), so the node CPU path can answer order-insensitive
@@ -137,10 +139,9 @@ type node struct {
 
 // Cluster is the coordinator plus its nodes.
 type Cluster struct {
-	cfg       Config
-	ft        *table.FactTable
-	schema    *table.Schema
-	totalCols int
+	cfg    Config
+	ft     *table.FactTable
+	schema *table.Schema
 
 	grid        []span                // global chunk boundaries, len = cfg.Chunks
 	shardSpans  []span                // per-shard global row range
@@ -148,8 +149,7 @@ type Cluster struct {
 	shardTables []*table.FactTable    // shard views sharing the parent's dictionaries
 	holders     [][]int               // per-shard holder nodes, primary first
 	nodes       []*node
-	layout      []int                // every node's GPU partition layout: PaperLayout
-	est         *perfmodel.Estimator // PaperEstimator
+	pricer      *engine.Pricer // every node's step 2; its widths are every node's GPU layout
 	link        perfmodel.LinkModel
 	start       time.Time
 
@@ -262,14 +262,15 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 	if cfg.RepairDeadlineSeconds == 0 {
 		cfg.RepairDeadlineSeconds = 30
 	}
-	if cfg.CPUThreads == 0 {
-		cfg.CPUThreads = 8
-	}
-	if cfg.CubeLevels == nil {
-		cfg.CubeLevels = []int{0, 1}
-	}
-	if cfg.DeadlineSeconds == 0 {
-		cfg.DeadlineSeconds = 1.0
+	var layout []int
+	var est *perfmodel.Estimator
+	engine.Defaults{
+		CPUThreads: &cfg.CPUThreads, CubeLevels: &cfg.CubeLevels, DeadlineSeconds: &cfg.DeadlineSeconds,
+		MaxRetries: &cfg.MaxRetries, Layout: &layout, Estimator: &est,
+	}.Fill()
+	pricer, err := engine.NewPricer(est, cfg.CPUThreads, layout, ft.Schema(), true)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	link := cfg.Link
 	if link == (perfmodel.LinkModel{}) {
@@ -282,9 +283,7 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 		cfg:       cfg,
 		ft:        ft,
 		schema:    ft.Schema(),
-		totalCols: ft.Schema().TotalColumns(),
-		layout:    gpusim.PaperLayout(),
-		est:       perfmodel.PaperEstimator(),
+		pricer:    pricer,
 		link:      link,
 		start:     time.Now(),
 		health:    sched.NewHealthTracker(n, cfg.QuarantineThreshold, 0),
@@ -348,7 +347,7 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 			resident: make(map[int]bool),
 		}
 		sc, err := sched.New(sched.Config{
-			GPUWidths:           gpusim.PaperLayout(),
+			GPUWidths:           layout,
 			DeadlineSeconds:     cfg.DeadlineSeconds,
 			QuarantineThreshold: cfg.QuarantineThreshold,
 		})
@@ -361,37 +360,16 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 	for s := 0; s < n; s++ {
 		for _, id := range c.holders[s] {
 			nd := c.nodes[id]
-			dev, err := c.buildDevice(s)
+			dev, cs, err := engine.NewNode(c.shardTables[s], layout, cfg.CubeLevels, cfg.Faults)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("cluster: building shard %d on node %d: %w", s, id, err)
 			}
 			nd.devs[s] = dev
-			cs, err := cube.BuildSet(c.shardTables[s], cfg.CubeLevels, 0, cube.Config{})
-			if err != nil {
-				return nil, fmt.Errorf("cluster: building shard %d cubes on node %d: %w", s, id, err)
-			}
 			nd.cubes[s] = cs
 			nd.resident[s] = true
 		}
 	}
 	return c, nil
-}
-
-// buildDevice loads shard s's table into a fresh simulated device with
-// the configured partition layout and fault plan.
-func (c *Cluster) buildDevice(s int) (*gpusim.Device, error) {
-	dev, err := gpusim.NewDevice(gpusim.TeslaC2070())
-	if err != nil {
-		return nil, err
-	}
-	if err := dev.LoadTable(c.shardTables[s]); err != nil {
-		return nil, err
-	}
-	if err := dev.Partition(c.layout); err != nil {
-		return nil, err
-	}
-	dev.SetFaults(c.cfg.Faults)
-	return dev, nil
 }
 
 // Config returns the resolved configuration.
@@ -411,9 +389,6 @@ func (c *Cluster) deadlineSeconds() float64 { return c.cfg.DeadlineSeconds }
 func (c *Cluster) maxRetries() int {
 	if c.cfg.MaxRetries < 0 {
 		return 0
-	}
-	if c.cfg.MaxRetries == 0 {
-		return 2
 	}
 	return c.cfg.MaxRetries
 }
@@ -544,13 +519,6 @@ func (c *Cluster) kickAutoRepair() {
 func (c *Cluster) Close() error {
 	c.repairWG.Wait()
 	return nil
-}
-
-// NodeHealth snapshots every node's coordinator-level health state.
-func (c *Cluster) NodeHealth() []sched.HealthState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.health.States()
 }
 
 // underReplicatedLocked lists shards whose holder set is below the

@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
+	"hybridolap/internal/engine"
 	"hybridolap/internal/fault"
+	"hybridolap/internal/gpusim"
 	"hybridolap/internal/query"
+	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
 )
 
@@ -340,6 +345,74 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 	if c.Shards() != 3 {
 		t.Fatalf("Shards = %d", c.Shards())
+	}
+	// A thread count the estimator has no CPU model for would price every
+	// shard GPU-only without a word; New rejects it as engine.New does.
+	if _, err := New(ft, Config{CPUThreads: 3}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("CPUThreads=3 with no 3-thread CPU model: err = %v, want ErrConfig", err)
+	}
+}
+
+// TestPriceMatchesEngine: the cluster prices a shard sub-query with the
+// engine's step 2, so a one-shard cluster — shard fraction 1, resident
+// shard — prices every query to the same bits as engine.Estimate: a
+// cube-answerable count (CPU offered), a text query (GPU-only) and a
+// GROUP BY finer than the cubes (GPU-only on both; the cluster never
+// offers the cube path to a grouped op).
+func TestPriceMatchesEngine(t *testing.T) {
+	ft := testTable(t, 4_000, 3)
+	c, err := New(ft, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, cs, err := engine.NewNode(ft, gpusim.PaperLayout(), []int{0, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := engine.New(engine.Config{Table: ft, Cubes: cs, Device: dev, Sched: sched.Config{DeadlineSeconds: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, err := ft.Dicts().Decode("store_name", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		q     *query.Query
+		cpuOK bool
+	}{
+		{"count", &query.Query{Op: table.AggCount,
+			Conditions: []query.Condition{{Dim: 0, Level: 1, From: 2, To: 9}}}, true},
+		{"text", &query.Query{Op: table.AggSum, Measure: 1,
+			TextConds: []query.TextCondition{{Column: "store_name", From: lit, To: lit}}}, false},
+		{"group-by", &query.Query{Op: table.AggMax,
+			Conditions: []query.Condition{{Dim: 1, Level: 0, From: 0, To: 3}},
+			GroupBy:    []query.GroupRef{{Dim: 0, Level: 2}}}, false},
+	}
+	for _, tc := range cases {
+		q := tc.q
+		if _, err := query.Translate(q, ft.Dicts()); err != nil {
+			t.Fatal(err)
+		}
+		m, empty, err := q.Member(ft.Schema())
+		if err != nil || empty {
+			t.Fatalf("%s: member (empty=%v): %v", tc.name, empty, err)
+		}
+		sq, err := c.subQueryFor(0, q, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sys.Estimate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sq.est, want) {
+			t.Errorf("%s: cluster prices %+v, engine %+v", tc.name, sq.est, want)
+		}
+		if sq.est.CPUOK != tc.cpuOK {
+			t.Errorf("%s: CPUOK = %v, want %v", tc.name, sq.est.CPUOK, tc.cpuOK)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"hybridolap/internal/engine"
 	"hybridolap/internal/fault"
 	"hybridolap/internal/gpusim"
 	"hybridolap/internal/query"
@@ -73,10 +74,14 @@ func (c *Cluster) translate(q *query.Query) error {
 // retry competes for whatever slack remains — the engine's Resubmit
 // semantics lifted to nodes. The failed node is excluded from the re-plan
 // (place falls back to it only when nothing else is alive).
-func (c *Cluster) execShard(s int, deadline float64, sp subQuerySpec, m table.Member) ([]table.State, error) {
+func (c *Cluster) execShard(s int, deadline float64, q *query.Query, m table.Member) ([]table.State, error) {
+	sq, err := c.subQueryFor(s, q, m)
+	if err != nil {
+		return nil, err
+	}
 	tried := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
-		pl, err := c.place(c.nowS(), deadline, s, sp, tried, attempt > 0)
+		pl, err := c.place(c.nowS(), deadline, sq, tried, attempt > 0)
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +95,7 @@ func (c *Cluster) execShard(s int, deadline float64, sp subQuerySpec, m table.Me
 			continue
 		}
 		t0 := time.Now()
-		out, err := c.runShard(pl, sp, m)
+		out, err := c.runShard(pl, q, m)
 		act := time.Since(t0).Seconds()
 		if err != nil {
 			willRetry := attempt < c.maxRetries()
@@ -117,7 +122,7 @@ func (c *Cluster) deviceFor(nd *node, s int) (*gpusim.Device, error) {
 	if dev, ok := nd.devs[s]; ok {
 		return dev, nil
 	}
-	dev, err := c.buildDevice(s)
+	dev, _, err := engine.NewNode(c.shardTables[s], c.pricer.Widths(), nil, c.cfg.Faults)
 	if err != nil {
 		return nil, err
 	}
@@ -126,45 +131,28 @@ func (c *Cluster) deviceFor(nd *node, s int) (*gpusim.Device, error) {
 }
 
 // runShard executes a placed sub-query and returns shard s's chunk
-// states in chunk order. The CPU path answers a scalar member from the
-// node's shard cube set — permitted only for fold-order-insensitive ops,
-// so the single shard-total state it returns merges into the
-// coordinator's chunk fold without perturbing a bit.
-func (c *Cluster) runShard(pl placement, sp subQuerySpec, m table.Member) ([]table.State, error) {
+// states in chunk order. The CPU path walks the node's shard cube set —
+// placed there only for fold-order-insensitive ops (counts are integers,
+// min/max select a stored value), so the single shard-total state it
+// returns merges into the coordinator's chunk fold without perturbing a
+// bit.
+func (c *Cluster) runShard(pl placement, q *query.Query, m table.Member) ([]table.State, error) {
 	nd := c.nodes[pl.node]
 	if pl.dec.Queue.Kind == sched.QueueCPU {
-		r, err := c.answerOnNodeCPU(nd, pl.shard, sp, m.Op)
+		nd.mu.Lock()
+		cs := nd.cubes[pl.shard]
+		nd.mu.Unlock()
+		st, err := engine.CubeWalk(q, cs, c.cfg.CPUThreads)
 		if err != nil {
 			return nil, err
 		}
-		return []table.State{{Scalar: r}}, nil
+		return []table.State{st}, nil
 	}
 	dev, err := c.deviceFor(nd, pl.shard)
 	if err != nil {
 		return nil, err
 	}
 	return dev.Partitions()[pl.dec.Queue.Index].ExecuteChunks(m, c.shardChunks[pl.shard])
-}
-
-// answerOnNodeCPU answers a count/min/max sub-query from the node's
-// resident cube set for the shard. Counts are integers; min/max SELECT a
-// stored value rather than accumulating — all three are bit-equal to the
-// scan over the same rows, which is what licenses the CPU shortcut.
-func (c *Cluster) answerOnNodeCPU(nd *node, s int, sp subQuerySpec, op table.AggOp) (table.ScanResult, error) {
-	nd.mu.Lock()
-	cs := nd.cubes[s]
-	nd.mu.Unlock()
-	if cs == nil {
-		return table.ScanResult{}, fmt.Errorf("cluster: node %d holds no cubes for shard %d", nd.id, s)
-	}
-	if sp.boxEmpty {
-		return table.ScanResult{}, nil
-	}
-	agg, _, err := cs.Aggregate(sp.box, sp.res, c.cfg.CPUThreads)
-	if err != nil {
-		return table.ScanResult{}, err
-	}
-	return agg.Result(op), nil
 }
 
 // Query answers a query across every shard: translate once at the
@@ -198,8 +186,6 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 	if empty {
 		return Result{Latency: time.Since(started)}, nil
 	}
-	sp := c.specFor(q, m)
-
 	partials := make([][]table.State, len(c.nodes))
 	errs := make([]error, len(c.nodes))
 	var wg sync.WaitGroup
@@ -207,7 +193,7 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			partials[s], errs[s] = c.execShard(s, deadline, sp, m)
+			partials[s], errs[s] = c.execShard(s, deadline, q, m)
 		}(s)
 	}
 	wg.Wait()

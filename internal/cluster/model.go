@@ -115,11 +115,13 @@ func (c *Cluster) RunModel(mc ModelConfig) (ModelResult, error) {
 		if empty {
 			continue
 		}
-		sp := c.specFor(q, m)
-
 		completion := now
 		for s := 0; s < c.cfg.Shards; s++ {
-			pl, err := c.place(now, now+deadline, s, sp, nil, false)
+			sq, err := c.subQueryFor(s, q, m)
+			if err != nil {
+				return ModelResult{}, err
+			}
+			pl, err := c.place(now, now+deadline, sq, nil, false)
 			if err != nil {
 				return ModelResult{}, fmt.Errorf("cluster model: query %d shard %d: %w", i, s, err)
 			}

@@ -10,54 +10,65 @@ import (
 	"hybridolap/internal/table"
 )
 
-// subQuerySpec is the scheduler-visible shape of one shard sub-query: the
-// column footprint (for the GPU models and the fetch price) plus the
-// CPU-path geometry, computed once per query and reused for every shard
-// and every failover attempt.
-type subQuerySpec struct {
-	cols      int  // C_QD of eq. 12 (incl. grouping columns)
-	intCols   int  // 4-byte code columns a fetch must move
-	needsMeas bool // 8-byte measure column moved too
-	groupCols int  // grouping columns (GPU-only path when > 0)
-	cpuOK     bool // op is fold-order-insensitive and cube-answerable
-	res       int  // cube resolution for the CPU path
-	box       cube.Box
-	boxEmpty  bool
+// subQuery is one shard's sub-query as place books it, priced once per
+// shard: its step-2 estimate on a holder of the shard and the fetch a
+// non-holder pays before it can scan.
+type subQuery struct {
+	shard       int
+	est         sched.Estimates // on a holder; a non-holder is offered no CPU path
+	moveBytes   int64           // the shard's scanned columns, moved to a non-holder
+	linkSeconds float64         // moveBytes priced by the link model
 }
 
-// specFor derives the sub-query spec from a translated query and its
-// plan member.
-func (c *Cluster) specFor(q *query.Query, m table.Member) subQuerySpec {
-	req, groupCols := m.ScanRequest, len(m.GroupBy)
-	sp := subQuerySpec{
-		cols:      m.ColumnsAccessed(),
-		intCols:   len(req.Predicates) + groupCols,
-		needsMeas: req.Op != table.AggCount,
-		groupCols: groupCols,
+// subQueryFor prices shard s's sub-query with the engine's step 2 over a
+// holder's cube set (every holder builds the same one). The CPU path is
+// offered only for an order-free, ungrouped op: a shard-total cube answer
+// stands in for the shard's chunk partials bit for bit only then, so sum
+// and avg take the grid. P_GPU is calibrated on the full table; a shard
+// scans its row fraction of it — the scale-out the cluster exists to buy.
+func (c *Cluster) subQueryFor(s int, q *query.Query, m table.Member) (subQuery, error) {
+	var cs *cube.Set
+	if !q.Grouped() && q.Op.OrderFree() {
+		cs = c.holderCubes(s)
 	}
-	// A shard-total cube answer stands in for the shard's chunk partials
-	// bit for bit only for an order-free op; sum and avg take the grid.
-	if groupCols == 0 && q.Op.OrderFree() && !q.GPUOnly() && (q.Op == table.AggCount || q.Measure == 0) {
-		r := q.Resolution()
-		box, empty, err := q.Box(c.schema, r)
-		if err == nil {
-			sp.cpuOK = true
-			sp.res = r
-			sp.box = box
-			sp.boxEmpty = empty
+	est, err := c.pricer.Price(q, cs)
+	if err != nil {
+		return subQuery{}, err
+	}
+	frac := float64(c.shardTables[s].Rows()) / float64(c.ft.Rows())
+	for i := range est.GPUSeconds {
+		est.GPUSeconds[i] *= frac
+	}
+	moveBytes := c.fetchBytes(s, m)
+	return subQuery{shard: s, est: est, moveBytes: moveBytes, linkSeconds: c.link.TransferSeconds(moveBytes)}, nil
+}
+
+// holderCubes returns shard s's cube set on its first holder, or nil when
+// no holder is left.
+func (c *Cluster) holderCubes(s int) *cube.Set {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, h := range c.holders[s] {
+		nd := c.nodes[h]
+		nd.mu.Lock()
+		cs := nd.cubes[s]
+		nd.mu.Unlock()
+		if cs != nil {
+			return cs
 		}
 	}
-	return sp
+	return nil
 }
 
 // fetchBytes prices moving shard s's scanned columns to a non-holder:
-// every referenced 4-byte code column plus the 8-byte measure, for each
-// of the shard's rows. This is the byte count LinkModel turns into
-// seconds and the movement-aware planner folds into deadlines.
-func (c *Cluster) fetchBytes(s int, sp subQuerySpec) int64 {
+// every referenced 4-byte code column (predicates and grouping columns)
+// plus the 8-byte measure, for each of the shard's rows. This is the byte
+// count LinkModel turns into seconds and the movement-aware planner folds
+// into deadlines.
+func (c *Cluster) fetchBytes(s int, m table.Member) int64 {
 	rows := int64(c.shardTables[s].Rows())
-	b := rows * int64(4*sp.intCols)
-	if sp.needsMeas {
+	b := rows * int64(4*(len(m.Predicates)+len(m.GroupBy)))
+	if m.Op != table.AggCount {
 		b += rows * 8
 	}
 	return b
@@ -76,60 +87,13 @@ type placement struct {
 	moveBytes   int64
 }
 
-// estimatesOn builds the scheduler estimates for running shard s's
-// sub-query on node nd. Non-residents never get the CPU path (they hold
-// no cubes), and only get GPU estimates after pricing the fetch.
-func (c *Cluster) estimatesOn(nd *node, s int, sp subQuerySpec, resident bool, aware bool) (est sched.Estimates, linkSeconds float64, moveBytes int64, err error) {
-	frac := float64(c.shardTables[s].Rows()) / float64(c.ft.Rows())
-	est.GPUSeconds = make([]float64, len(c.layout))
-	for i, w := range c.layout {
-		t, err := c.est.GPUTime(w, sp.cols, c.totalCols)
-		if err != nil {
-			return sched.Estimates{}, 0, 0, err
-		}
-		// P_GPU is calibrated on the full table; a shard scans its row
-		// fraction of it — the scale-out the cluster exists to buy.
-		est.GPUSeconds[i] = t * frac
-	}
-	if resident && sp.cpuOK {
-		if cs, ok := nd.cubes[s]; ok {
-			bytes, ok := subCubeBytes(cs, sp)
-			if ok {
-				mb := float64(bytes) / (1 << 20)
-				t, err := c.est.CPUTime(c.cfg.CPUThreads, mb)
-				if err == nil {
-					est.CPUOK = true
-					est.CPUSeconds = t
-				}
-			}
-		}
-	}
-	if !resident {
-		moveBytes = c.fetchBytes(s, sp)
-		linkSeconds = c.link.TransferSeconds(moveBytes)
-	}
-	if aware {
-		est.LinkSeconds = linkSeconds
-	}
-	return est, linkSeconds, moveBytes, nil
-}
-
-// subCubeBytes prices the CPU path's sub-cube stream for a spec.
-func subCubeBytes(cs *cube.Set, sp subQuerySpec) (int64, bool) {
-	if sp.boxEmpty {
-		_, ok := cs.PickLevel(sp.res)
-		return 0, ok
-	}
-	return cs.SubCubeBytes(sp.box, sp.res)
-}
-
 // ErrShardUnavailable is returned when no node can serve a shard: every
 // holder is down (or dead) and no live holder remains to fetch from.
 // With Config.AllowPartial the coordinator converts it into a degraded
 // answer instead of a failure; callers match it with errors.Is.
 var ErrShardUnavailable = errors.New("cluster: no live node can serve shard")
 
-// place chooses a node for shard s's sub-query and commits the booking
+// place chooses a node for a shard's sub-query and commits the booking
 // on that node's scheduler. Candidates are every eligible node: holders
 // serve their resident replica, non-holders pay the priced fetch from a
 // live holder. The movement-aware planner compares completion times WITH
@@ -139,7 +103,7 @@ var ErrShardUnavailable = errors.New("cluster: no live node can serve shard")
 // become candidates again (a transient fault on the only holder must be
 // retryable). resubmit re-books against the original absolute deadline,
 // so a failover competes for whatever slack remains.
-func (c *Cluster) place(now, deadline float64, s int, sp subQuerySpec, tried map[int]bool, resubmit bool) (placement, error) {
+func (c *Cluster) place(now, deadline float64, sq subQuery, tried map[int]bool, resubmit bool) (placement, error) {
 	// The grace sweep runs in its own critical section so the auto-repair
 	// kick happens with no lock held: the repair pass takes repairMu then
 	// c.mu, and kicking under c.mu would close a lock-order cycle.
@@ -152,7 +116,7 @@ func (c *Cluster) place(now, deadline float64, s int, sp subQuerySpec, tried map
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	aware := !c.cfg.MovementBlind
+	s := sq.shard
 
 	// A live holder must exist for anyone to serve the shard: holders
 	// serve themselves; non-holders fetch from one.
@@ -173,7 +137,7 @@ func (c *Cluster) place(now, deadline float64, s int, sp subQuerySpec, tried map
 		end float64
 	}
 	var best *scored
-	scan := func(skipTried, requireHealthy bool) error {
+	scan := func(skipTried, requireHealthy bool) {
 		for _, nd := range c.nodes {
 			if c.down[nd.id] || (skipTried && tried[nd.id]) {
 				continue
@@ -190,50 +154,39 @@ func (c *Cluster) place(now, deadline float64, s int, sp subQuerySpec, tried map
 			if requireHealthy && !c.health.Eligible(nd.id, now) {
 				continue
 			}
-			resident := c.isHolder(s, nd.id)
-			est, linkS, moveB, err := c.estimatesOn(nd, s, sp, resident, aware)
-			if err != nil {
-				return err
+			cand := scored{placement: placement{shard: s, node: nd.id, src: -1}, est: sq.est}
+			if !c.isHolder(s, nd.id) {
+				// A non-holder holds no cubes and scans only after the
+				// fetch; the movement-blind planner decides without it.
+				cand.est.CPUOK, cand.est.CPUSeconds = false, 0
+				cand.src, cand.moveBytes, cand.linkSeconds = src, sq.moveBytes, sq.linkSeconds
+				if !c.cfg.MovementBlind {
+					cand.est.LinkSeconds = sq.linkSeconds
+				}
 			}
 			nd.mu.Lock()
-			d, err := nd.sched.Peek(now, est)
+			d, err := nd.sched.Peek(now, cand.est)
 			nd.mu.Unlock()
 			if err != nil {
 				continue // e.g. every partition of this node quarantined
 			}
-			cand := scored{
-				placement: placement{
-					shard: s, node: nd.id, src: -1,
-					linkSeconds: linkS, moveBytes: moveB,
-				},
-				est: est, end: d.End,
-			}
-			if !resident {
-				cand.src = src
-			}
+			cand.end = d.End
 			if best == nil || cand.end < best.end || (cand.end == best.end && cand.node < best.node) {
 				best = &cand
 			}
 		}
-		return nil
 	}
-	if err := scan(true, true); err != nil {
-		return placement{}, err
-	}
+	scan(true, true)
 	if best == nil && len(tried) > 0 {
 		// Every untried node is dead or quarantined: allow re-trying
 		// previously failed nodes rather than failing the query outright.
-		if err := scan(false, true); err != nil {
-			return placement{}, err
-		}
+		scan(false, true)
 	}
 	if best == nil {
 		// Desperation: every live node is quarantined. A quarantined node
 		// is suspect, not dead (KillNode is how death is modelled) — trying
 		// it beats failing the query, and a success starts its recovery.
-		if err := scan(false, false); err != nil {
-			return placement{}, err
-		}
+		scan(false, false)
 	}
 	if best == nil {
 		return placement{}, fmt.Errorf("%w %d: no eligible node", ErrShardUnavailable, s)

@@ -6,7 +6,7 @@ import (
 	"slices"
 	"time"
 
-	"hybridolap/internal/cube"
+	"hybridolap/internal/engine"
 	"hybridolap/internal/fault"
 )
 
@@ -163,19 +163,12 @@ func (c *Cluster) repairShard(now float64, s int, wait func(time.Duration)) (flo
 
 	// Build the replica outside every lock: the shard view and its
 	// dictionaries are immutable, so this races with nothing.
-	dev, err := c.buildDevice(s)
+	dev, cs, err := engine.NewNode(c.shardTables[s], c.pricer.Widths(), c.cfg.CubeLevels, c.cfg.Faults)
 	if err != nil {
 		c.mu.Lock()
 		c.stats.RepairsFailed++
 		c.mu.Unlock()
-		return 0, err
-	}
-	cs, err := cube.BuildSet(c.shardTables[s], c.cfg.CubeLevels, 0, cube.Config{})
-	if err != nil {
-		c.mu.Lock()
-		c.stats.RepairsFailed++
-		c.mu.Unlock()
-		return 0, fmt.Errorf("cluster: building shard %d cubes on node %d: %w", s, target, err)
+		return 0, fmt.Errorf("cluster: building shard %d on node %d: %w", s, target, err)
 	}
 
 	// Atomic promotion: the target appears in the holder set and gains

@@ -11,7 +11,7 @@ import (
 // enumeration, no run kernels, no occupancy metadata.
 func cellwiseAgg(c *Cube, box Box) Agg {
 	var acc Agg
-	n := c.Dims()
+	n := len(c.Cards())
 	coords := make([]uint32, n)
 	for d := 0; d < n; d++ {
 		coords[d] = box[d].From

@@ -52,7 +52,7 @@ func buildDigest(t *testing.T) uint64 {
 					for _, card := range c.Cards() {
 						put(uint64(card))
 					}
-					coords := make([]uint32, c.Dims())
+					coords := make([]uint32, len(c.Cards()))
 					var walk func(d int)
 					walk = func(d int) {
 						if d == len(coords) {

@@ -84,9 +84,6 @@ func (c *Cube) Measure() int { return c.measure }
 // Cards returns the per-dimension cardinalities (do not modify).
 func (c *Cube) Cards() []int { return c.cards }
 
-// Dims returns the number of dimensions.
-func (c *Cube) Dims() int { return len(c.cards) }
-
 // FilledCells returns the number of non-empty cells.
 func (c *Cube) FilledCells() int64 { return c.filled }
 

@@ -58,12 +58,7 @@ func Advise(spec AdvisorSpec) (Advice, error) {
 	if spec.Selectivity <= 0 {
 		spec.Selectivity = 0.25
 	}
-	if spec.CPUThreads == 0 {
-		spec.CPUThreads = 8
-	}
-	if spec.Estimator == nil {
-		spec.Estimator = perfmodel.PaperEstimator()
-	}
+	Defaults{CPUThreads: &spec.CPUThreads, Estimator: &spec.Estimator}.Fill()
 	if spec.TypicalColumns <= 0 {
 		spec.TypicalColumns = 4
 	}

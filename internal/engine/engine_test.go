@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"encoding/json"
 	"maps"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -550,27 +548,34 @@ func TestRunRealWithInListQueries(t *testing.T) {
 	}
 }
 
-func TestWriteTrace(t *testing.T) {
-	s := testSystem(t, nil)
-	g := testGen(t, s, 29, 0.2)
-	res, err := s.RunModel(g.Batch(25), ModelOptions{})
+// TestTransFeedbackReachesBookedQueue: under TransOnCPUQueue the
+// scheduler books translation on the CPU queue, so the attempt loop's
+// correction must land there too — fed to the translation partition
+// instead, it would leave the CPU queue a booking nobody corrects.
+func TestTransFeedbackReachesBookedQueue(t *testing.T) {
+	s := testSystem(t, func(sp *SetupSpec) {
+		sp.Translation = sched.TransOnCPUQueue
+		sp.VirtualDictLens = map[string]int{"store_name": 100_000_000}
+	})
+	q := &query.Query{
+		TextConds: []query.TextCondition{{Column: "store_name", From: "a", To: "m"}},
+		GroupBy:   []query.GroupRef{{Dim: 0, Level: 0}},
+		Op:        table.AggCount,
+	}
+	j, err := s.newJob(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := res.WriteTrace(&sb); err != nil {
+	if j.est.TransSeconds < 1 {
+		t.Fatalf("T_TRANS = %.3fs: the booking must dwarf a real translation", j.est.TransSeconds)
+	}
+	if _, err := s.run(&j); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 25 {
-		t.Fatalf("trace lines = %d", len(lines))
-	}
-	var rec TraceRecord
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Queue == "" || rec.FinishedAt < rec.SubmittedAt {
-		t.Fatalf("record = %+v", rec)
+	cpu := s.scheduler.QueueClock(sched.QueueRef{Kind: sched.QueueCPU})
+	if ahead := cpu - s.nowS(); ahead > 0.25 {
+		t.Fatalf("CPU queue %.3fs ahead of the clock after a %.3fs translation booking was answered",
+			ahead, j.est.TransSeconds)
 	}
 }
 

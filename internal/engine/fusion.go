@@ -143,7 +143,7 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	if empty {
 		// A predicate names a string no dictionary knows: no row can match
 		// at any epoch, and translation was the only step that ran.
-		return ServeOutcome{Queue: transQueue, Latency: time.Since(started)}, nil
+		return ServeOutcome{Queue: s.transQueue(), Latency: time.Since(started)}, nil
 	}
 
 	if s.cache != nil {

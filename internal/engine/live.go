@@ -53,54 +53,20 @@ func (s *System) cubesAt(snap *table.Snapshot) *cube.Set {
 	return s.cfg.Cubes
 }
 
-// cpuCanAnswer reports whether the cube set can answer the query at all:
-// no text predicates (cubes aggregate over hierarchies only) and the
-// query's measure is the one the cubes aggregate (count queries read no
-// measure, so any cube set works).
-func cpuCanAnswer(q *query.Query, cs *cube.Set) bool {
-	if q.GPUOnly() {
-		return false
-	}
-	return q.Op == table.AggCount || q.Measure == cs.Measure()
-}
-
-// cpuAnswer is the CPU side of Fig. 10 for a query of either shape: a
-// walk of the cube set riding the pinned epoch, into one aggregate or one
-// per group.
+// cpuAnswer is the CPU side of Fig. 10 for a query of either shape: the
+// cube walk over the set riding the pinned epoch, finalised.
 func (s *System) cpuAnswer(q *query.Query, snap *table.Snapshot) (gpusim.Answer, error) {
-	cs := s.cubesAt(snap)
-	if cs == nil {
-		return gpusim.Answer{}, fmt.Errorf("engine: no cube set configured")
-	}
-	if !cpuCanAnswer(q, cs) {
-		return gpusim.Answer{}, fmt.Errorf("engine: query %d (measure %d, %d text predicates) cannot be answered from the cube set",
-			q.ID, q.Measure, len(q.TextConds))
-	}
-	r := q.Resolution()
-	box, empty, err := q.Box(cs.Schema(), r)
-	if err != nil || empty {
+	st, err := CubeWalk(q, s.cubesAt(snap), s.cfg.CPUThreads)
+	if err != nil {
 		return gpusim.Answer{}, err
 	}
 	if !q.Grouped() {
-		agg, _, err := cs.Aggregate(box, r, s.cfg.CPUThreads)
-		if err != nil {
-			return gpusim.Answer{}, err
-		}
-		return gpusim.Answer{Result: table.Finalize(q.Op, agg.Result(q.Op))}, nil
+		return gpusim.Answer{Result: table.Finalize(q.Op, st.Scalar)}, nil
 	}
-	groups, err := q.CubeGroupLevels()
-	if err != nil {
-		return gpusim.Answer{}, err
+	if st.Groups == nil { // an empty box: nil rows, as for an empty GPU member
+		return gpusim.Answer{}, nil
 	}
-	m, err := cs.AggregateGroups(box, r, groups, s.cfg.CPUThreads)
-	if err != nil {
-		return gpusim.Answer{}, err
-	}
-	acc := make(table.Groups, len(m))
-	for k, agg := range m {
-		acc[k] = agg.Result(q.Op)
-	}
-	return gpusim.Answer{Groups: table.FinalizeGroups(q.Op, acc, len(q.GroupBy))}, nil
+	return gpusim.Answer{Groups: table.FinalizeGroups(q.Op, st.Groups, len(q.GroupBy))}, nil
 }
 
 // gpuAnswer is the GPU side of Fig. 10 for a (translated) query of either

@@ -97,8 +97,9 @@ func (s *System) RunModel(queries []*query.Query, opts ModelOptions) (*ModelResu
 	var loop sim.Loop
 	cpuSrv := sim.NewServer(&loop, "cpu")
 	transSrv := sim.NewServer(&loop, "trans")
-	gpuSrv := make([]*sim.Server, len(s.widths))
-	for i, w := range s.widths {
+	widths := s.pricer.Widths()
+	gpuSrv := make([]*sim.Server, len(widths))
+	for i, w := range widths {
 		gpuSrv[i] = sim.NewServer(&loop, fmt.Sprintf("gpu%d-%dsm", i, w))
 	}
 
@@ -208,11 +209,10 @@ func (s *System) RunModel(queries []*query.Query, opts ModelOptions) (*ModelResu
 					// processing server, where it contends with cube
 					// aggregation.
 					srv := transSrv
-					trans := transQueue
 					if s.cfg.Sched.Translation == sched.TransOnCPUQueue {
 						srv = cpuSrv
-						trans = sched.QueueRef{Kind: sched.QueueCPU}
 					}
+					trans := s.transQueue()
 					gate = srv.Submit(sim.FromSeconds(actTr), func(f sim.Time) {
 						s.schedMu.Lock()
 						s.scheduler.Feedback(trans, actTr-estTr, sim.Seconds(f))

@@ -37,8 +37,15 @@ func (s *System) newJob(q *query.Query) (job, error) {
 	return job{q: qq, snap: s.pin(), est: est}, err
 }
 
-// transQueue is the text-to-integer translation partition.
-var transQueue = sched.QueueRef{Kind: sched.QueueCPU, Index: -1}
+// transQueue names the queue the scheduler books translation on: the
+// text-to-integer translation partition, or the CPU processing partition
+// under the TransOnCPUQueue ablation. Translation feedback goes there.
+func (s *System) transQueue() sched.QueueRef {
+	if s.cfg.Sched.Translation == sched.TransOnCPUQueue {
+		return sched.QueueRef{Kind: sched.QueueCPU}
+	}
+	return sched.QueueRef{Kind: sched.QueueCPU, Index: -1}
+}
 
 // feedback reports one step's actual − estimated service time on the
 // system clock.
@@ -100,7 +107,7 @@ func (s *System) attempt(j *job) (out gpusim.Answer, err error) {
 	if j.q.NeedsTranslation() {
 		t0 := time.Now()
 		err = s.translate(j.q)
-		s.feedback(transQueue, time.Since(t0).Seconds()-j.est.TransSeconds)
+		s.feedback(s.transQueue(), time.Since(t0).Seconds()-j.est.TransSeconds)
 		if err != nil {
 			return out, err
 		}

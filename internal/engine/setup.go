@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"hybridolap/internal/cube"
 	"hybridolap/internal/fault"
-	"hybridolap/internal/gpusim"
 	"hybridolap/internal/ingest"
 	"hybridolap/internal/perfmodel"
 	"hybridolap/internal/sched"
@@ -82,18 +80,7 @@ func Setup(spec SetupSpec) (*System, error) {
 	if spec.Rows == 0 {
 		spec.Rows = 50_000
 	}
-	if spec.CubeLevels == nil {
-		spec.CubeLevels = []int{0, 1}
-	}
-	if spec.CPUThreads == 0 {
-		spec.CPUThreads = 8
-	}
-	if spec.DeadlineSeconds == 0 {
-		spec.DeadlineSeconds = 1.0
-	}
-	if spec.Layout == nil {
-		spec.Layout = gpusim.PaperLayout()
-	}
+	Defaults{CubeLevels: &spec.CubeLevels, DeadlineSeconds: &spec.DeadlineSeconds, Layout: &spec.Layout}.Fill()
 
 	ft, err := table.Generate(table.GenSpec{
 		Schema: table.PaperSchema(),
@@ -104,20 +91,9 @@ func Setup(spec SetupSpec) (*System, error) {
 		return nil, fmt.Errorf("engine: generating fact table: %w", err)
 	}
 
-	dev, err := gpusim.NewDevice(gpusim.TeslaC2070())
+	dev, cs, err := NewNode(ft, spec.Layout, spec.CubeLevels, spec.Faults)
 	if err != nil {
 		return nil, err
-	}
-	if err := dev.LoadTable(ft); err != nil {
-		return nil, err
-	}
-	if err := dev.Partition(spec.Layout); err != nil {
-		return nil, err
-	}
-
-	cs, err := cube.BuildSet(ft, spec.CubeLevels, 0, cube.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("engine: building cube set: %w", err)
 	}
 	for _, l := range spec.VirtualLevels {
 		if err := cs.AddVirtual(l); err != nil {

@@ -266,7 +266,7 @@ func TestOneClockQueuesDrain(t *testing.T) {
 	}
 	now := s.nowS()
 	refs := []sched.QueueRef{{Kind: sched.QueueCPU}, {Kind: sched.QueueCPU, Index: -1}}
-	for i := range s.widths {
+	for i := range s.pricer.Widths() {
 		refs = append(refs, sched.QueueRef{Kind: sched.QueueGPU, Index: i})
 	}
 	for _, ref := range refs {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -80,17 +79,4 @@ func Run(id string, opts Options) (*Table, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
 	return r(opts)
-}
-
-// RunAll executes every experiment in order, printing each as it
-// completes.
-func RunAll(opts Options, w io.Writer) error {
-	for _, id := range IDs() {
-		t, err := Run(id, opts)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		t.Fprint(w)
-	}
-	return nil
 }

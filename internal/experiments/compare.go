@@ -10,18 +10,18 @@ import (
 )
 
 // Benchmark regression gate: `olapbench -compare` re-runs the benchmark
-// experiments at quick scale and diffs each fresh headline metric against
-// the committed BENCH_*.json baselines in the invocation directory. Every
-// gated metric is a WITHIN-RUN ratio (kernel speedup, WAL overhead,
-// serving-on/off QPS) — machine speed divides out, so a quick run on a
-// slower box still reproduces the committed ratio — and the scalar
-// compared is a geometric mean across cases, which damps single-case noise
-// enough for a meaningful tolerance.
+// experiments, each at the scale compareSpecs names, and diffs each fresh
+// headline metric against the committed BENCH_*.json baselines in the
+// invocation directory. Every gated metric is a WITHIN-RUN ratio (kernel
+// speedup, WAL overhead, serving-on/off QPS) — machine speed divides out,
+// so a run on a slower box still reproduces the committed ratio — and the
+// scalar compared is a geometric mean across cases, which damps
+// single-case noise enough for a meaningful tolerance.
 
 // A Baseline is the machine-readable record of an experiment the gate
 // covers. An experiment only returns it, on its Table: olapbench writes it
 // to File after a full-scale run, and Compare reads the committed file
-// back into a fresh record to compare headlines with a quick run's.
+// back into a fresh record to compare headlines with a fresh run's.
 type Baseline interface {
 	// File is the record's file name.
 	File() string
@@ -138,13 +138,20 @@ func (r *clusterReport) headline() (float64, error) {
 	return geomean(sp)
 }
 
-// Scan, fusion and cluster rerun at quick scale: their ratios hold across
-// scale (fusion keeps the full row count in quick mode for exactly this
-// reason, and the cluster model is virtual-time). Ingest reruns at FULL
-// scale — the WAL overhead ratio is scale-sensitive (fsync cost amortises
-// over the ingested volume) and the full run is only seconds.
+// Each experiment reruns at the scale its record's headline was measured
+// at wherever that headline moves with scale. Scan-kernels reruns at FULL
+// scale (2M rows, ≈ 3 s): at quick scale its geomean read 7.6–10 against
+// a full-scale 7.5–8.7, too loose for a 15 % gate. Ingest reruns at FULL
+// scale too — the WAL overhead ratio is scale-sensitive (fsync cost
+// amortises over the ingested volume) and the full run is only seconds.
+// Fusion reruns quick: quick mode keeps the full row count and shrinks
+// only the query count, and its quick geomean (3.3–4.1, median 3.85) read
+// like its full one (3.7–4.5, median 3.85). The cluster and repair
+// headlines are virtual-clock quantities, so a rerun reproduces its
+// scale's figure exactly: repair's quick figure equals its record, and
+// cluster's quick 1.680 sits 3 % under its full-scale 1.734.
 var compareSpecs = []compareSpec{
-	{"scan-kernels", "geomean kernel speedup", true, func() Baseline { return new(scanKernelsReport) }},
+	{"scan-kernels", "geomean kernel speedup", false, func() Baseline { return new(scanKernelsReport) }},
 	{"ingest", "wal-on/off throughput", false, func() Baseline { return new(ingestReport) }},
 	{"fusion", "geomean serving on/off QPS", true, func() Baseline { return new(fusionReport) }},
 	{"cluster", "geomean aware/blind QPS", true, func() Baseline { return new(clusterReport) }},
@@ -153,7 +160,7 @@ var compareSpecs = []compareSpec{
 
 // Compare runs the benchmark regression gate. Committed baselines are read
 // from baseDir (normally the repo root olapbench was invoked from); the
-// fresh quick runs write nothing. A baseline file that does not exist is
+// fresh runs write nothing. A baseline file that does not exist is
 // skipped (the experiment has no committed baseline yet); any fresh
 // headline below (1 - tolerance) x committed after one retry makes the
 // returned failed count non-zero.
@@ -224,7 +231,7 @@ func FprintComparison(w io.Writer, rows []ComparisonRow, tolerance float64) {
 	if tolerance <= 0 {
 		tolerance = DefaultCompareTolerance
 	}
-	fmt.Fprintf(w, "== compare: fresh quick run vs committed baselines (tolerance %.0f%%) ==\n", tolerance*100)
+	fmt.Fprintf(w, "== compare: fresh runs vs committed baselines (tolerance %.0f%%) ==\n", tolerance*100)
 	for _, r := range rows {
 		verdict := "ok"
 		if !r.OK {

@@ -155,17 +155,6 @@ func TestCubeGroupLevels(t *testing.T) {
 	}
 }
 
-func TestTextColumns(t *testing.T) {
-	q := &Query{TextConds: []TextCondition{
-		{Column: "a", From: "x", To: "x"},
-		{Column: "b", From: "y", To: "y"},
-	}}
-	cols := q.TextColumns()
-	if len(cols) != 2 || cols[0] != "a" || cols[1] != "b" {
-		t.Fatalf("TextColumns = %v", cols)
-	}
-}
-
 func TestSubCubeBytesEdges(t *testing.T) {
 	ft := genTable(t, 200)
 	cs, err := cube.BuildSet(ft, []int{0, 1}, 0, cube.Config{})

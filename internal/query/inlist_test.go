@@ -114,15 +114,17 @@ func TestInListScanMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestTranslationDictLensCountsInLiterals(t *testing.T) {
-	ft := genTable(t, 50)
+func TestLookupsCountInLiterals(t *testing.T) {
 	q := &Query{TextConds: []TextCondition{
 		{Column: "store_name", In: []string{"a", "b", "c"}},
 		{Column: "store_name", From: "a", To: "z"},
 	}}
-	lens := TranslationDictLens(q, ft.Dicts())
-	if len(lens) != 5 { // 3 IN lookups + 2 range lookups
-		t.Fatalf("lens = %v, want 5 entries", lens)
+	n := 0
+	for i := range q.TextConds {
+		n += q.TextConds[i].Lookups()
+	}
+	if n != 5 { // 3 IN lookups + 2 range lookups
+		t.Fatalf("lookups = %d, want 5", n)
 	}
 }
 

@@ -99,16 +99,6 @@ func (q *Query) NeedsTranslation() bool {
 	return false
 }
 
-// TextColumns returns the text column names referenced (the set CDT_QD of
-// eq. 16 indexes its dictionary lengths by these).
-func (q *Query) TextColumns() []string {
-	cols := make([]string, len(q.TextConds))
-	for i, tc := range q.TextConds {
-		cols[i] = tc.Column
-	}
-	return cols
-}
-
 // GPUOnly reports whether the query cannot be answered from OLAP cubes:
 // cubes aggregate over dimension hierarchies only, so any text predicate —
 // or a GROUP BY over a text column — forces the fact-table path.

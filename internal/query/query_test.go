@@ -214,18 +214,6 @@ func TestTranslateUnknownColumnFails(t *testing.T) {
 	}
 }
 
-func TestTranslationDictLens(t *testing.T) {
-	ft := genTable(t, 100)
-	q := &Query{TextConds: []TextCondition{
-		{Column: "store_name", From: "a", To: "a"},
-		{Column: "store_name", From: "b", To: "b", Translated: true},
-	}}
-	lens := TranslationDictLens(q, ft.Dicts())
-	if len(lens) != 1 || lens[0] != 4 {
-		t.Fatalf("lens = %v, want [4]", lens)
-	}
-}
-
 func TestToScanRequestMatchesDirectScan(t *testing.T) {
 	ft := genTable(t, 500)
 	q := &Query{

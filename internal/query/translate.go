@@ -72,22 +72,3 @@ func Translate(q *Query, dicts *dict.Set) (lookups int, err error) {
 	}
 	return lookups, nil
 }
-
-// TranslationDictLens returns D_L|i of eq. (17) for every pending
-// dictionary lookup: one entry per lookup the untranslated conditions will
-// perform (IN-lists contribute one per literal). The scheduler sums P_DICT
-// over these to bound T_TRANS (eq. 18).
-func TranslationDictLens(q *Query, dicts *dict.Set) []int {
-	var lens []int
-	for i := range q.TextConds {
-		tc := &q.TextConds[i]
-		if tc.Translated {
-			continue
-		}
-		n := dicts.DictLen(tc.Column)
-		for k := 0; k < tc.Lookups(); k++ {
-			lens = append(lens, n)
-		}
-	}
-	return lens
-}

@@ -40,9 +40,6 @@ func (c *Clock) Advance(t Time) {
 	c.now = t
 }
 
-// Reset returns the clock to the epoch.
-func (c *Clock) Reset() { c.now = 0 }
-
 // Seconds converts a virtual time (or duration) to float seconds. It is the
 // unit used by all performance-model functions in the paper.
 func Seconds(t Time) float64 { return t.Seconds() }

@@ -67,9 +67,6 @@ func (l *Loop) Now() Time { return l.clock.Now() }
 // Clock exposes the loop's clock (read-only use intended).
 func (l *Loop) Clock() *Clock { return &l.clock }
 
-// Pending reports how many events are queued.
-func (l *Loop) Pending() int { return len(l.events) }
-
 // Fired reports how many events have fired since construction.
 func (l *Loop) Fired() int64 { return l.fired }
 
@@ -113,17 +110,3 @@ func (l *Loop) Run() {
 	for l.Step() {
 	}
 }
-
-// RunUntil fires events with At <= deadline, then advances the clock to the
-// deadline. Events scheduled beyond the deadline remain queued.
-func (l *Loop) RunUntil(deadline Time) {
-	for len(l.events) > 0 && l.events[0].At <= deadline {
-		l.Step()
-	}
-	if l.clock.Now() < deadline {
-		l.clock.Advance(deadline)
-	}
-}
-
-// RunFor runs for a duration relative to the current time.
-func (l *Loop) RunFor(d Time) { l.RunUntil(l.clock.Now() + d) }

@@ -13,7 +13,6 @@ type Server struct {
 	// last queued job). This is exactly T_Q in the paper.
 	free Time
 
-	queued    int
 	completed int64
 	busy      Time // cumulative busy time, for utilisation reporting
 }
@@ -26,14 +25,8 @@ func NewServer(loop *Loop, name string) *Server {
 // Name returns the server's label (e.g. "GPU-1SM-a").
 func (s *Server) Name() string { return s.name }
 
-// QueueLen reports jobs submitted but not yet completed.
-func (s *Server) QueueLen() int { return s.queued }
-
 // Completed reports the number of jobs finished.
 func (s *Server) Completed() int64 { return s.completed }
-
-// BusyTime reports cumulative service time accumulated so far.
-func (s *Server) BusyTime() Time { return s.busy }
 
 // FreeAt returns the virtual time when all currently queued jobs finish
 // (T_Q in the paper). If the server is idle it returns the current time.
@@ -44,37 +37,11 @@ func (s *Server) FreeAt() Time {
 	return s.free
 }
 
-// SetFreeAt overrides the drain estimate. The paper's scheduler applies
-// feedback: "the real processing time is compared with estimated processing
-// time [and] the difference ... is used to update the value T_Q of the
-// queue". SetFreeAt is that update hook.
-func (s *Server) SetFreeAt(t Time) {
-	if now := s.loop.Now(); t < now {
-		t = now
-	}
-	s.free = t
-}
-
 // Submit enqueues a job with the given service time. done (may be nil) fires
 // at completion with the completion time. Submit returns the completion
 // time, i.e. the new T_Q.
 func (s *Server) Submit(service Time, done func(finished Time)) Time {
-	if service < 0 {
-		service = 0
-	}
-	start := s.FreeAt()
-	end := start + service
-	s.free = end
-	s.queued++
-	s.busy += service
-	s.loop.After(end-s.loop.Now(), func(now Time) {
-		s.queued--
-		s.completed++
-		if done != nil {
-			done(now)
-		}
-	})
-	return end
+	return s.SubmitAfter(0, service, done)
 }
 
 // SubmitAfter enqueues a job that additionally cannot start before
@@ -91,10 +58,8 @@ func (s *Server) SubmitAfter(notBefore Time, service Time, done func(finished Ti
 	}
 	end := start + service
 	s.free = end
-	s.queued++
 	s.busy += service
 	s.loop.After(end-s.loop.Now(), func(now Time) {
-		s.queued--
 		s.completed++
 		if done != nil {
 			done(now)

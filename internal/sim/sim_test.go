@@ -39,15 +39,6 @@ func TestClockBackwardsPanics(t *testing.T) {
 	c.Advance(500 * time.Millisecond)
 }
 
-func TestClockReset(t *testing.T) {
-	var c Clock
-	c.Advance(time.Hour)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("after Reset, Now() = %v, want 0", c.Now())
-	}
-}
-
 func TestSecondsRoundTrip(t *testing.T) {
 	for _, s := range []float64{0, 0.001, 1, 3600, 1e-9} {
 		got := Seconds(FromSeconds(s))
@@ -140,36 +131,6 @@ func TestLoopEventsCanScheduleEvents(t *testing.T) {
 	}
 }
 
-func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
-	var l Loop
-	fired := 0
-	l.After(1*time.Second, func(Time) { fired++ })
-	l.After(5*time.Second, func(Time) { fired++ })
-	l.RunUntil(2 * time.Second)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	if l.Now() != 2*time.Second {
-		t.Fatalf("Now() = %v, want 2s", l.Now())
-	}
-	if l.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", l.Pending())
-	}
-	l.Run()
-	if fired != 2 {
-		t.Fatalf("after Run, fired = %d, want 2", fired)
-	}
-}
-
-func TestRunForAdvancesRelative(t *testing.T) {
-	var l Loop
-	l.RunFor(3 * time.Second)
-	l.RunFor(3 * time.Second)
-	if l.Now() != 6*time.Second {
-		t.Fatalf("Now() = %v, want 6s", l.Now())
-	}
-}
-
 func TestLoopFiredCounter(t *testing.T) {
 	var l Loop
 	for i := 0; i < 7; i++ {
@@ -221,15 +182,12 @@ func TestServerFIFOAndFreeAt(t *testing.T) {
 	if s.FreeAt() != 5*time.Second {
 		t.Fatalf("FreeAt = %v, want 5s", s.FreeAt())
 	}
-	if s.QueueLen() != 2 {
-		t.Fatalf("QueueLen = %d, want 2", s.QueueLen())
-	}
 	l.Run()
 	if len(done) != 2 || done[0] != 2*time.Second || done[1] != 5*time.Second {
 		t.Fatalf("completions %v, want [2s 5s]", done)
 	}
-	if s.Completed() != 2 || s.QueueLen() != 0 {
-		t.Fatalf("Completed=%d QueueLen=%d", s.Completed(), s.QueueLen())
+	if s.Completed() != 2 {
+		t.Fatalf("Completed = %d, want 2", s.Completed())
 	}
 }
 
@@ -260,29 +218,12 @@ func TestServerNegativeServiceClamped(t *testing.T) {
 	l.Run()
 }
 
-func TestServerSetFreeAtFeedback(t *testing.T) {
-	var l Loop
-	s := NewServer(&l, "x")
-	s.Submit(10*time.Second, nil)
-	// Feedback learns the job actually finishes at 8s.
-	s.SetFreeAt(8 * time.Second)
-	if s.FreeAt() != 8*time.Second {
-		t.Fatalf("FreeAt = %v, want 8s", s.FreeAt())
-	}
-	// Clamping: never set before now.
-	l.RunUntil(9 * time.Second)
-	s.SetFreeAt(1 * time.Second)
-	if s.FreeAt() != 9*time.Second {
-		t.Fatalf("FreeAt = %v, want now (9s)", s.FreeAt())
-	}
-	l.Run()
-}
-
 func TestServerUtilisation(t *testing.T) {
 	var l Loop
 	s := NewServer(&l, "x")
 	s.Submit(2*time.Second, nil)
-	l.RunUntil(4 * time.Second)
+	l.After(4*time.Second, func(Time) {})
+	l.Run()
 	u := s.Utilisation()
 	if u < 0.49 || u > 0.51 {
 		t.Fatalf("utilisation = %v, want ~0.5", u)
