@@ -85,6 +85,14 @@ func (w *Writer) U32s(v []uint32) {
 	}
 }
 
+// I32s writes an int32 slice (length-prefixed), each value as its U32 bits.
+func (w *Writer) I32s(v []int32) {
+	w.U64(uint64(len(v)))
+	for _, x := range v {
+		w.U32(uint32(x))
+	}
+}
+
 // F64s writes a float64 slice (length-prefixed).
 func (w *Writer) F64s(v []float64) {
 	w.U64(uint64(len(v)))
@@ -201,6 +209,19 @@ func (r *Reader) U32s(max int) []uint32 {
 	out := make([]uint32, n)
 	for i := range out {
 		out[i] = r.U32()
+	}
+	return out
+}
+
+// I32s reads an int32 slice bounded by max elements.
+func (r *Reader) I32s(max int) []int32 {
+	n := r.Len(max)
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(r.U32())
 	}
 	return out
 }

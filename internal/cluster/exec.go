@@ -203,6 +203,7 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 	}
 
 	res := Result{Partial: cp}
+	scale := c.schema.MeasureScale(m.Measure)
 	if q.Grouped() {
 		var acc table.Groups
 		for _, part := range partials {
@@ -210,7 +211,7 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 				acc = table.MergeGroups(m.Op, acc, st.Groups)
 			}
 		}
-		res.Groups = table.FinalizeGroups(m.Op, acc, len(m.GroupBy))
+		res.Groups = table.FinalizeGroups(m.Op, scale, acc, len(m.GroupBy))
 	} else {
 		var acc table.ScanResult
 		for _, part := range partials {
@@ -218,7 +219,7 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 				acc = table.Merge(m.Op, acc, st.Scalar)
 			}
 		}
-		r := table.Finalize(m.Op, acc)
+		r := table.Finalize(m.Op, scale, acc)
 		res.Value, res.Rows = r.Value, r.Rows
 	}
 	res.Latency = time.Since(started)

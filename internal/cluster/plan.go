@@ -22,9 +22,10 @@ type subQuery struct {
 
 // subQueryFor prices shard s's sub-query with the engine's step 2 over a
 // holder's cube set (every holder builds the same one). The CPU path is
-// offered only for an order-free, ungrouped op: a shard-total cube answer
-// stands in for the shard's chunk partials bit for bit only then, so sum
-// and avg take the grid. P_GPU is calibrated on the full table; a shard
+// offered only for an order-free, ungrouped op, where a shard-total cube
+// answer stands in for the shard's chunk partials bit for bit. (Sum and
+// avg partials are exact integer units now, so theirs would too; they
+// take the grid until AggOp.OrderFree is retired.) P_GPU is calibrated on the full table; a shard
 // scans its row fraction of it — the scale-out the cluster exists to buy.
 func (c *Cluster) subQueryFor(s int, q *query.Query, m table.Member) (subQuery, error) {
 	var cs *cube.Set

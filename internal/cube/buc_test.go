@@ -8,7 +8,7 @@ import (
 func bruteIceberg(t *testing.T, ft interface {
 	Rows() int
 	CoordAt(r, d, l int) uint32
-	MeasureColumn(m int) []float64
+	MeasureColumn(m int) []int32
 }, level int, dims int, lvl []int, minSup int) map[[5]int32]Agg {
 	t.Helper()
 	out := map[[5]int32]Agg{}

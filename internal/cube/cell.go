@@ -19,7 +19,10 @@ import (
 
 // Cell is one aggregate cell of the cube. It carries enough state to answer
 // sum, count, avg, min and max queries exactly, matching what a fact-table
-// scan over the same rows would produce.
+// scan over the same rows would produce: Sum, Min and Max are integer
+// numbers of the measure's units (table.MeasureSpec.Scale), exact in a
+// float64 while the sum of |units| stays below 2^53, so cells and
+// aggregates fold to the same bits in every order.
 type Cell struct {
 	Sum   float64
 	Count int64
@@ -30,10 +33,11 @@ type Cell struct {
 // CellSize is E_size in eq. (3): the in-memory size of one cell in bytes.
 const CellSize = 32
 
-// add folds one measure value into the cell.
+// add folds one measure value, in units, into the cell.
 //
 //olaplint:noalloc
-func (c *Cell) add(v float64) {
+func (c *Cell) add(u int32) {
+	v := float64(u)
 	if c.Count == 0 || v < c.Min {
 		c.Min = v
 	}
@@ -138,14 +142,6 @@ func (a *Agg) foldRunFull(run []Cell) {
 func (a Agg) Merge(b Agg) Agg {
 	a.fold(Cell(b))
 	return a
-}
-
-// Avg returns Sum/Count (0 for an empty aggregate).
-func (a Agg) Avg() float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	return a.Sum / float64(a.Count)
 }
 
 // Result is the answer to op in the pre-finalise form of a scan partial:

@@ -149,13 +149,13 @@ func (c *Cube) Get(coords []uint32) Cell {
 
 // add folds a measure value into the cell at coords, allocating the dense
 // chunk on demand (and decompressing if needed).
-func (c *Cube) add(coords []uint32, v float64) {
+func (c *Cube) add(coords []uint32, v int32) {
 	ci, off := c.chunkOf(coords)
 	c.addAt(ci, off, v)
 }
 
 // addAt folds a measure value into the cell at (chunk, local offset).
-func (c *Cube) addAt(ci int, off uint32, v float64) {
+func (c *Cube) addAt(ci int, off uint32, v int32) {
 	ch := c.chunks[ci]
 	if ch == nil || !ch.isDense() {
 		ch = ch.decompress(c.vol)
@@ -380,7 +380,7 @@ func BuildSynthetic(level int, cards []int, fill float64, seed int64, cfg Config
 	walk = func(d int) {
 		if d == len(cards) {
 			if rng.Float64() < fill {
-				c.add(coords, rng.Float64()*100)
+				c.add(coords, int32(rng.Float64()*1e4)) // [0, 100) in units of 0.01
 			}
 			return
 		}

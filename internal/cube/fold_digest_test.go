@@ -3,6 +3,7 @@ package cube
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -12,12 +13,12 @@ import (
 )
 
 // foldDigestWant is the FNV-64a digest of every answer foldDigest
-// computes. It pins the CPU fold trees bit for bit: a chunk's cells fold
-// into a chunk partial that merges into the worker's partial (scalar), cells
-// fold straight into the worker's group map (grouped), and workers merge in
-// worker order. A change to any of those trees moves a Sum in its last ulps
-// and this value with it.
-const foldDigestWant = 0x4687482e762f6e9e
+// computes. It pins the CPU fold bit for bit: which cells a box covers and
+// what they hold. Cells hold integer units, so the fold trees — chunk
+// partials into worker partials, workers merged in worker order — cannot
+// move a bit, and foldDigest checks that 3 and 8 workers answer like one.
+// Recorded when BuildSynthetic's cells became integer units.
+const foldDigestWant = 0x404522eef0eacce5
 
 // foldDigest runs Aggregate and AggregateGroups over a seeded corpus —
 // fully filled and partly filled dense chunks, compressed chunks, edge
@@ -66,16 +67,30 @@ func foldDigest(t *testing.T) uint64 {
 				boxes = append(boxes, box)
 			}
 			for _, box := range boxes {
+				// Cells hold integer units, so every worker split folds the
+				// same bits as one worker.
+				var one Agg
+				oneGroups := make([]map[table.GroupKey]Agg, len(specSets))
 				for _, workers := range []int{1, 3, 8} {
 					a, err := c.Aggregate(box, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
+					if workers == 1 {
+						one = a
+					} else if a != one {
+						t.Fatalf("box %v: %d workers fold %+v, one worker %+v", box, workers, a, one)
+					}
 					putAgg(a)
-					for _, specs := range specSets {
+					for si, specs := range specSets {
 						m, err := c.AggregateGroups(box, specs, workers)
 						if err != nil {
 							t.Fatal(err)
+						}
+						if workers == 1 {
+							oneGroups[si] = m
+						} else if !maps.Equal(m, oneGroups[si]) {
+							t.Fatalf("box %v, groups %v: %d workers fold other groups than one worker", box, specs, workers)
 						}
 						keys := make([]table.GroupKey, 0, len(m))
 						for k := range m {

@@ -39,7 +39,7 @@ func concatTables(t *testing.T, parts ...*table.FactTable) *table.FactTable {
 		for r := 0; r < ft.Rows(); r++ {
 			row := table.Row{
 				Coords:   []int{int(ft.CoordAt(r, 0, 1)), int(ft.CoordAt(r, 1, 1))},
-				Measures: []float64{ft.MeasureColumn(0)[r]},
+				Measures: []float64{float64(ft.MeasureColumn(0)[r])}, // scale 0: units are values
 			}
 			if err := b.Append(row); err != nil {
 				t.Fatal(err)

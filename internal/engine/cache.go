@@ -23,9 +23,10 @@ import (
 //     cached entry's intervals is folded from the entry's per-cell
 //     aggregates. Served ONLY for count/min/max: their folds are exact
 //     (integer addition / selection), so the folded answer is bit-identical
-//     to running the narrowed query unfused. Sum/avg folds would replay
-//     float additions in cell order instead of row order, so those ops are
-//     exact-match only — soundness beats hit rate.
+//     to running the narrowed query unfused. Sum/avg are exact-match only
+//     (table.CellShape): their cell folds would be exact integer units
+//     too, but the cells they need stay off until the fold grid's replay
+//     is retired.
 //
 // The cache owns one epoch at a time and CARRIES what it can to the next.
 // Ingest only appends and compaction preserves logical row order, so the
@@ -42,14 +43,17 @@ import (
 //     epoch: the open block chained through the tail, every block the tail
 //     completes merged in, a trailing short block left open;
 //   - any other count/min/max answer (a cube walk, a solo attempt, an
-//     anchor's scalar) is its own fold's Full: a count over prefix ++ tail
-//     is the integer sum of the two counts, and a min/max over it the
-//     selection between the two, whatever order either side was scanned in;
+//     anchor's scalar) stores its unfinalised partial as its fold's Full:
+//     a count over prefix ++ tail is the integer sum of the two counts, and
+//     a min/max over it the selection between the two, whatever order
+//     either side was scanned in;
 //   - an anchor also merges the tail's cells into its plane; a plain
 //     count/min/max entry that a carried anchor contains is not carried (a
 //     fold answers it anyway);
 //   - what has no fold is lost: a sum/avg answered by a cube walk or by the
-//     attempt loop (its float bits are not a continuable fold).
+//     attempt loop. Its partial is exact integer units like every other,
+//     so it could be carried as its own Full too; that is left to the
+//     change that retires the fold grid's block replay.
 //
 // Bit-identity: either way a carried entry holds exactly the bits a
 // from-scratch execution at the new epoch would store. A compaction-only
@@ -123,8 +127,8 @@ type cacheEntry struct {
 	// continues; nil for an entry that cannot be carried.
 	fold *gpusim.Fold
 	// queue is the placement that produced the stored bits, reported with
-	// every hit. The bits depend on it only as CPU or GPU (a cube walk folds
-	// cells, a scan folds rows): every GPU partition answers alike.
+	// every hit. The bits do not depend on it: a cube walk and every GPU
+	// partition fold the same integer units.
 	queue sched.QueueRef
 	// cells, when non-nil, makes the entry an anchor.
 	cells *cellSet
@@ -622,18 +626,19 @@ func carry(snap *table.Snapshot, from int, held []*cacheEntry, stamps []uint64) 
 			continue // the plan's members are lost; they re-enter by executing
 		}
 		for mi, i := range idx {
-			next[i] = held[i].successor(folds[mi], states[cellsAt[mi]].Groups, snap.Rows())
+			scale := snap.Schema().MeasureScale(reqs[i].Measure)
+			next[i] = held[i].successor(folds[mi], states[cellsAt[mi]].Groups, scale, snap.Rows())
 		}
 	}
 	return next
 }
 
 // successor returns the entry carried to a snapshot of the given rows: its
-// fold continued to f, its answer f's and, for an anchor, its plane merged
-// with the tail's cells. Built field by field: the use stamps are the
-// cache's to set.
-func (e *cacheEntry) successor(f *gpusim.Fold, cells table.Groups, rows int) *cacheEntry {
-	n := &cacheEntry{key: e.key, op: e.op, result: f.Answer(e.op, rows), fold: f, queue: e.queue}
+// fold continued to f, its answer f's (over a measure stored at scale)
+// and, for an anchor, its plane merged with the tail's cells. Built field
+// by field: the use stamps are the cache's to set.
+func (e *cacheEntry) successor(f *gpusim.Fold, cells table.Groups, scale, rows int) *cacheEntry {
+	n := &cacheEntry{key: e.key, op: e.op, result: f.Answer(e.op, scale, rows), fold: f, queue: e.queue}
 	if e.cells != nil {
 		plane := *e.cells
 		plane.vals = slices.Clone(plane.vals)
@@ -696,7 +701,7 @@ func (c *resultCache) lookup(req *table.ScanRequest, snap *table.Snapshot) (cach
 		return cacheAnswer{}, false
 	}
 	return cacheAnswer{
-		result:   table.Finalize(req.Op, donor.cells.fold(req.Op, ivals)),
+		result:   table.Finalize(req.Op, snap.Schema().MeasureScale(req.Measure), donor.cells.fold(req.Op, ivals)),
 		queue:    donor.queue,
 		subsumed: true,
 	}, true
@@ -718,12 +723,10 @@ func contains(outer, inner []cacheInterval) bool {
 
 // store records an executed answer at its pinned snapshot's epoch: its
 // result and, when the execution has them, its cells (an anchor) and its
-// fold. An answer without a fold is its own if its op is order-free, and
-// otherwise cannot be carried. A store for any epoch but the owned one —
-// or for the owned one while an advance is closing it — is dropped; an
-// existing entry is kept (first stored wins: a later execution brings the
-// same bits unless it ran on the CPU and the first on the GPU, or the
-// reverse, and a cached sum must not change while its epoch lasts).
+// fold. An answer without a fold cannot be carried. A store for any epoch
+// but the owned one — or for the owned one while an advance is closing
+// it — is dropped; an existing entry is kept (first stored wins: a later
+// execution, on the CPU or any GPU partition, brings the same bits).
 func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, ans gpusim.Answer, queue sched.QueueRef) {
 	order, cellShaped := table.CellShape(req, nil)
 	// Build the entry (including the plane) before taking the lock; a
@@ -731,9 +734,6 @@ func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, ans gp
 	// concurrent lookups.
 	sig, key := cacheKeys(req, order)
 	e := &cacheEntry{key: key, op: req.Op, result: ans.Result, fold: ans.Fold, queue: queue}
-	if e.fold == nil && req.Op.OrderFree() {
-		e.fold = &gpusim.Fold{Full: ans.Result}
-	}
 	if cells := ans.Cells; cells != nil && cellShaped {
 		ivals := cellIntervals(req, order, nil)
 		if n := planeCells(ivals); n > 0 {

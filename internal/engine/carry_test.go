@@ -85,7 +85,7 @@ func rowAtATime(t *testing.T, snap *table.Snapshot, req table.ScanRequest) table
 		}
 		acc = table.Merge(req.Op, acc, part)
 	}
-	return table.Finalize(req.Op, acc)
+	return table.Finalize(req.Op, snap.Schema().MeasureScale(req.Measure), acc)
 }
 
 func serveCacheCarryDifferential(t *testing.T, c carryCase) {
@@ -239,7 +239,7 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 				t.Fatalf("%s: an answer without a fold served across an epoch, last executed at %d", desc, lastRun[qi])
 			}
 			if out.CacheHit || out.Attempts > 0 { // not the empty-translation short cut
-				if again := faultFreeAt(t, s, q, out.Queue).Result; !resultBits(out.Result, again) {
+				if again := faultFree(t, s, q).Result; !resultBits(out.Result, again) {
 					t.Fatalf("%s: (%v, %d) is not the recomputed answer (%v, %d)",
 						desc, out.Result.Value, out.Result.Rows, again.Value, again.Rows)
 				}

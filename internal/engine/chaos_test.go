@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,13 +11,14 @@ import (
 	"hybridolap/internal/sched"
 )
 
-// faultFreeAt recomputes a query fault-free, using a system with no fault
-// plan installed: a CPU-placed answer on the CPU, a GPU-placed one on
-// partition 0 whichever partition queue names. A GPU answer is a function
-// of the snapshot's rows and the request alone (gpusim's fold grid;
-// TestPlacementFree), so this is the bit-exact answer every placement must
-// produce in the chaos run.
-func faultFreeAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef) gpusim.Answer {
+// faultFree recomputes a query fault-free, using a system with no fault
+// plan installed, on GPU partition 0 — and, when the cube set can answer
+// it, on the CPU as well, which must agree to the bit. A GPU answer is a
+// function of the snapshot's rows and the request alone (gpusim's fold
+// grid; TestPlacementFree), and a cube walk folds the same exact integer
+// units, so this is the bit-exact answer every placement, CPU or GPU, must
+// produce.
+func faultFree(t *testing.T, s *System, q0 *query.Query) gpusim.Answer {
 	t.Helper()
 	q := q0.Clone()
 	if q.NeedsTranslation() {
@@ -24,15 +26,18 @@ func faultFreeAt(t *testing.T, s *System, q0 *query.Query, queue sched.QueueRef)
 			t.Fatal(err)
 		}
 	}
-	var a gpusim.Answer
-	var err error
-	if queue.Kind == sched.QueueCPU {
-		a, err = s.cpuAnswer(q, s.pin())
-	} else {
-		a, err = s.gpuAnswer(q, 0, s.pin())
-	}
+	snap := s.pin()
+	a, err := s.gpuAnswer(q, 0, snap)
 	if err != nil {
-		t.Fatalf("fault-free recompute of query %d on %s: %v", q0.ID, queue, err)
+		t.Fatalf("fault-free recompute of query %d on gpu[0]: %v", q0.ID, err)
+	}
+	// A query the cube set cannot answer (a text predicate, another
+	// measure, a level no cube stores) fails on the CPU: nothing to compare.
+	if c, err := s.cpuAnswer(q, snap); err == nil {
+		if !resultBits(c.Result, a.Result) {
+			t.Fatalf("query %d: the CPU answers %+v, the GPU %+v", q0.ID, c.Result, a.Result)
+		}
+		groupRowsBits(t, c.Groups, a.Groups, fmt.Sprintf("query %d on the CPU vs the GPU", q0.ID))
 	}
 	return a
 }
@@ -93,12 +98,11 @@ func TestChaosDifferentialRunReal(t *testing.T) {
 				t.Fatal("faults fired but nothing was retried or failed")
 			}
 			// Differential: every completed chaos query must return exactly
-			// the fault-free answer — bit-identical value, same rows. The CPU
-			// folds cube cells where the GPU scans rows, so the bitwise
-			// comparison is matched on CPU-or-GPU and on nothing finer: a
-			// retry that moved a query to another partition must not show.
-			// Row counts are integers and must also agree with the baseline
-			// run whatever the placement.
+			// the fault-free answer — bit-identical value, same rows —
+			// whatever its route: the CPU's cube walk and every GPU
+			// partition fold the same integer units, so a retry that moved
+			// a query to another partition or to the CPU must not show.
+			// Row counts must also agree with the baseline run.
 			pristine := chaosWorkload(t, base, seed, queries)
 			moved := 0
 			for i, co := range chaosRes {
@@ -113,7 +117,7 @@ func TestChaosDifferentialRunReal(t *testing.T) {
 					t.Fatalf("query %d: chaos run matched %d rows, fault-free %d",
 						co.ID, co.Result.Rows, bo.Result.Rows)
 				}
-				want := faultFreeAt(t, base, pristine[i], co.Queue).Result
+				want := faultFree(t, base, pristine[i]).Result
 				if math.Float64bits(co.Result.Value) != math.Float64bits(want.Value) ||
 					co.Result.Rows != want.Rows {
 					t.Fatalf("query %d (queue %s, %d attempts): chaos result (%v, %d rows) != fault-free (%v, %d rows)",
@@ -179,7 +183,7 @@ func TestChaosTotalGPUFailover(t *testing.T) {
 		if co.Result.Rows != bo.Result.Rows {
 			t.Fatalf("query %d: failover matched %d rows, fault-free %d", co.ID, co.Result.Rows, bo.Result.Rows)
 		}
-		want := faultFreeAt(t, base, pristine[i], co.Queue).Result
+		want := faultFree(t, base, pristine[i]).Result
 		if math.Float64bits(co.Result.Value) != math.Float64bits(want.Value) || co.Result.Rows != want.Rows {
 			t.Fatalf("query %d: failover result (%v, %d) != fault-free (%v, %d)",
 				co.ID, co.Result.Value, co.Result.Rows, want.Value, want.Rows)

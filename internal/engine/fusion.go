@@ -240,9 +240,15 @@ func (s *System) serveAlone(q *query.Query, snap *table.Snapshot, est sched.Esti
 	if err != nil || s.cache == nil {
 		return out, err
 	}
-	// The loop has translated whatever Serve could not.
+	// The loop has translated whatever Serve could not. Only a
+	// count/min/max answer keeps its fold: an attempt-loop sum/avg is not
+	// carried (see the resultCache doc).
 	if req, empty, err := j.q.ToScanRequest(s.cfg.Table.Schema()); err == nil && !empty {
-		s.cache.store(&req, j.snap, gpusim.Answer{Result: a.Result}, j.d.Queue)
+		stored := gpusim.Answer{Result: a.Result}
+		if req.Op.OrderFree() {
+			stored.Fold = a.Fold
+		}
+		s.cache.store(&req, j.snap, stored, j.d.Queue)
 	}
 	return out, nil
 }

@@ -11,27 +11,6 @@ import (
 	"hybridolap/internal/table"
 )
 
-func groupRowsEqual(t *testing.T, got, want []table.GroupRow, label string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d groups, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if len(g.Keys) != len(w.Keys) {
-			t.Fatalf("%s group %d: key arity %d vs %d", label, i, len(g.Keys), len(w.Keys))
-		}
-		for k := range w.Keys {
-			if g.Keys[k] != w.Keys[k] {
-				t.Fatalf("%s group %d: keys %v vs %v", label, i, g.Keys, w.Keys)
-			}
-		}
-		if g.Rows != w.Rows || math.Abs(g.Value-w.Value) > 1e-6*math.Max(1, math.Abs(w.Value)) {
-			t.Fatalf("%s group %d: (%v,%d) vs (%v,%d)", label, i, g.Value, g.Rows, w.Value, w.Rows)
-		}
-	}
-}
-
 func TestGroupedCPUAndGPUAgree(t *testing.T) {
 	s := testSystem(t, nil)
 	q := &query.Query{
@@ -56,13 +35,13 @@ func TestGroupedCPUAndGPUAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groupRowsEqual(t, cpu, ref, "cpu")
+	groupRowsBits(t, cpu, ref, "cpu")
 	for p := 0; p < 6; p++ {
 		gpu, err := gpuGroups(s, q.Clone(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		groupRowsEqual(t, gpu, ref, "gpu")
+		groupRowsBits(t, gpu, ref, "gpu")
 	}
 }
 
@@ -82,12 +61,12 @@ func TestGroupedAllOpsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
-		groupRowsEqual(t, cpu, ref, op.String()+"/cpu")
+		groupRowsBits(t, cpu, ref, op.String()+"/cpu")
 		gpu, err := gpuGroups(s, q.Clone(), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		groupRowsEqual(t, gpu, ref, op.String()+"/gpu")
+		groupRowsBits(t, gpu, ref, op.String()+"/gpu")
 	}
 }
 
@@ -111,7 +90,7 @@ func TestGroupedTextGPUOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groupRowsEqual(t, gpu, ref, "text-group")
+	groupRowsBits(t, gpu, ref, "text-group")
 	var total int64
 	for _, r := range gpu {
 		total += r.Rows
@@ -142,7 +121,7 @@ func TestGroupedWithTranslatedPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groupRowsEqual(t, gpu, ref, "translated-group")
+	groupRowsBits(t, gpu, ref, "translated-group")
 }
 
 func TestRunGroupedSchedules(t *testing.T) {
@@ -162,7 +141,7 @@ func TestRunGroupedSchedules(t *testing.T) {
 		t.Fatalf("queue = %s, want cpu", queue)
 	}
 	ref, _ := s.ReferenceGroups(q)
-	groupRowsEqual(t, out.Groups, ref, "scheduled")
+	groupRowsBits(t, out.Groups, ref, "scheduled")
 
 	// A text-grouped query routes to a GPU partition.
 	qt := &query.Query{
@@ -238,8 +217,8 @@ func gpuGroups(s *System, q *query.Query, partition int) ([]table.GroupRow, erro
 	return a.Groups, err
 }
 
-// groupRowsBits is groupRowsEqual without a tolerance: same keys, same
-// row counts, same value bits.
+// groupRowsBits compares grouped answers exactly: same keys, same row
+// counts, same value bits.
 func groupRowsBits(t *testing.T, got, want []table.GroupRow, label string) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -61,12 +61,14 @@ func (s *System) cpuAnswer(q *query.Query, snap *table.Snapshot) (gpusim.Answer,
 		return gpusim.Answer{}, err
 	}
 	if !q.Grouped() {
-		return gpusim.Answer{Result: table.Finalize(q.Op, st.Scalar)}, nil
+		// The walk's partial is its own fold: exact integer units.
+		r := table.Finalize(q.Op, snap.Schema().MeasureScale(q.Measure), st.Scalar)
+		return gpusim.Answer{Result: r, Fold: &gpusim.Fold{Full: st.Scalar}}, nil
 	}
 	if st.Groups == nil { // an empty box: nil rows, as for an empty GPU member
 		return gpusim.Answer{}, nil
 	}
-	return gpusim.Answer{Groups: table.FinalizeGroups(q.Op, st.Groups, len(q.GroupBy))}, nil
+	return gpusim.Answer{Groups: table.FinalizeGroups(q.Op, snap.Schema().MeasureScale(q.Measure), st.Groups, len(q.GroupBy))}, nil
 }
 
 // gpuAnswer is the GPU side of Fig. 10 for a (translated) query of either

@@ -91,7 +91,7 @@ func TestLiveIngestVisibleToRunReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groupRowsEqual(t, got.Groups, ref, "live-grouped")
+	groupRowsBits(t, got.Groups, ref, "live-grouped")
 }
 
 // TestLiveConcurrentIngestQueryCompact drives writers, scalar and grouped

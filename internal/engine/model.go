@@ -95,12 +95,12 @@ type ModelResult struct {
 // applied at each completion, as in the paper.
 func (s *System) RunModel(queries []*query.Query, opts ModelOptions) (*ModelResult, error) {
 	var loop sim.Loop
-	cpuSrv := sim.NewServer(&loop, "cpu")
-	transSrv := sim.NewServer(&loop, "trans")
+	cpuSrv := sim.NewServer(&loop)
+	transSrv := sim.NewServer(&loop)
 	widths := s.pricer.Widths()
 	gpuSrv := make([]*sim.Server, len(widths))
-	for i, w := range widths {
-		gpuSrv[i] = sim.NewServer(&loop, fmt.Sprintf("gpu%d-%dsm", i, w))
+	for i := range gpuSrv {
+		gpuSrv[i] = sim.NewServer(&loop)
 	}
 
 	noiseRng := opts.Noise.Rng

@@ -71,18 +71,22 @@ func storeScanned(t testing.TB, c *resultCache, at *table.Snapshot, req table.Sc
 	if pl.Keyed(0) != cells {
 		t.Fatalf("%v over %+v: cells granted = %v, want %v", req.Op, req.Predicates, pl.Keyed(0), cells)
 	}
-	var ans gpusim.Answer
+	var fold *gpusim.Fold
 	if !cells {
-		ans.Fold = new(gpusim.Fold)
+		fold = new(gpusim.Fold)
 	}
 	st := make([]table.State, 1)
-	if err := gpusim.Continue(at, 0, []table.Member{m}, []*gpusim.Fold{ans.Fold}, st); err != nil {
+	if err := gpusim.Continue(at, 0, []table.Member{m}, []*gpusim.Fold{fold}, st); err != nil {
 		t.Fatal(err)
 	}
+	scale := at.Schema().MeasureScale(req.Measure)
+	ans := gpusim.Answer{Fold: fold}
 	if cells {
-		ans.Cells, ans.Result = st[0].Groups, table.Finalize(req.Op, table.FoldCells(req.Op, st[0].Groups))
+		// Execute's cell answer: the cells' fold is its whole partial.
+		full := table.FoldCells(req.Op, st[0].Groups)
+		ans = gpusim.Answer{Result: table.Finalize(req.Op, scale, full), Cells: st[0].Groups, Fold: &gpusim.Fold{Full: full}}
 	} else {
-		ans.Result = ans.Fold.Answer(req.Op, at.Rows())
+		ans.Result = fold.Answer(req.Op, scale, at.Rows())
 	}
 	c.store(&req, at, ans, sched.QueueRef{Kind: sched.QueueGPU, Index: 1})
 }
@@ -131,7 +135,7 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 // TestResultCacheEpochOwnership pins what an epoch does to the cache at the
 // unit level: older pinned epochs miss and cannot store, a newer one
 // carries a count/min/max entry by a fold of the new rows only and drops a
-// sum/avg stored without a fold (as the CPU stores it).
+// sum/avg stored without a fold (as the attempt loop stores it).
 func TestResultCacheEpochOwnership(t *testing.T) {
 	c := newResultCache(0)
 	at := cacheEpochs(t, genTable(t, 200, 1), 3)
@@ -144,7 +148,10 @@ func TestResultCacheEpochOwnership(t *testing.T) {
 		return r
 	}
 	q := cacheReq(table.AggCount, 0, 5)
-	c.store(&q, at[1], gpusim.Answer{Result: scan(q, at[1])}, sched.QueueRef{})
+	// A finalised count doubles as its own partial: Finalize only copies
+	// Rows into Value.
+	count := scan(q, at[1])
+	c.store(&q, at[1], gpusim.Answer{Result: count, Fold: &gpusim.Fold{Full: count}}, sched.QueueRef{})
 	if _, ok := c.lookup(&q, at[1]); !ok {
 		t.Fatal("store at epoch 1 not visible")
 	}
@@ -458,7 +465,7 @@ func serveFusedDifferential(t *testing.T, rows, rounds int) {
 			if !outs[i].Fused || outs[i].FanIn != k || outs[i].Queue != outs[0].Queue {
 				t.Fatalf("round %d member %d: not one fused job of %d: %+v", round, i, k, outs[i])
 			}
-			want := faultFreeAt(t, s, qs[i], outs[i].Queue).Result
+			want := faultFree(t, s, qs[i]).Result
 			if !resultBits(outs[i].Result, want) {
 				t.Fatalf("round %d member %d (op %v, queue %s): got (%v, %d), want (%v, %d)",
 					round, i, ops[i], outs[i].Queue,
@@ -521,7 +528,7 @@ func TestServeFusedFallbackKeepsDeadline(t *testing.T) {
 		if out.Fused || out.Attempts != 1 {
 			t.Fatalf("member %d did not retry alone, once: %+v", i, out)
 		}
-		if want := faultFreeAt(t, base, qs[i], out.Queue).Result; !resultBits(out.Result, want) {
+		if want := faultFree(t, base, qs[i]).Result; !resultBits(out.Result, want) {
 			t.Fatalf("member %d on %s: got (%v, %d), want (%v, %d)",
 				i, out.Queue, out.Result.Value, out.Result.Rows, want.Value, want.Rows)
 		}
@@ -655,7 +662,7 @@ func TestServeLiveEpochInvalidation(t *testing.T) {
 	if sumOut.Queue.Kind != sched.QueueGPU || !sumOut.CacheHit {
 		t.Fatalf("post-ingest sum: %+v, want a cache hit of a GPU answer", sumOut)
 	}
-	if want := faultFreeAt(t, s, sum, sumOut.Queue).Result; !resultBits(sumOut.Result, want) {
+	if want := faultFree(t, s, sum).Result; !resultBits(sumOut.Result, want) {
 		t.Fatalf("carried sum (%v, %d) != recompute at the new epoch (%v, %d)",
 			sumOut.Result.Value, sumOut.Result.Rows, want.Value, want.Rows)
 	}
@@ -738,7 +745,7 @@ func TestChaosServeDifferential(t *testing.T) {
 					}
 					continue
 				}
-				want := faultFreeAt(t, base, pristine[i], outs[i].Queue).Result
+				want := faultFree(t, base, pristine[i]).Result
 				if !resultBits(outs[i].Result, want) {
 					t.Fatalf("query %d (queue %s, fused=%v cache=%v/%v, %d attempts): chaos (%v, %d) != fault-free (%v, %d)",
 						i, outs[i].Queue, outs[i].Fused, outs[i].CacheHit, outs[i].Subsumed, outs[i].Attempts,
@@ -787,7 +794,7 @@ func TestChaosServeDifferential(t *testing.T) {
 				if o.Queue.Kind == sched.QueueCPU {
 					gcpu++
 				}
-				want := faultFreeAt(t, base, gpristine[i], o.Queue).Groups
+				want := faultFree(t, base, gpristine[i]).Groups
 				groupRowsBits(t, o.Groups, want, fmt.Sprintf("grouped query %d (queue %s, %d attempts)", i, o.Queue, o.Attempts))
 			}
 			if gdone == 0 {

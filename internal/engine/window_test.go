@@ -37,7 +37,7 @@ func TestServeSolitaryMissFiresAtOnce(t *testing.T) {
 	if took >= 50*time.Millisecond {
 		t.Fatalf("solitary miss took %v with a 200ms window: the leader waited for nobody", took)
 	}
-	if !resultBits(out.Result, faultFreeAt(t, s, q, out.Queue).Result) {
+	if !resultBits(out.Result, faultFree(t, s, q).Result) {
 		t.Fatalf("wrong answer: %+v", out)
 	}
 }

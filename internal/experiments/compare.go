@@ -148,13 +148,15 @@ func (r *clusterReport) headline() (float64, error) {
 // only the query count, and its quick geomean (3.3–4.1, median 3.85) read
 // like its full one (3.7–4.5, median 3.85). The cluster and repair
 // headlines are virtual-clock quantities, so a rerun reproduces its
-// scale's figure exactly: repair's quick figure equals its record, and
-// cluster's quick 1.680 sits 3 % under its full-scale 1.734.
+// scale's figure exactly. Cluster reruns at FULL scale (< 1 s): its quick
+// figure, 1.680, sits 3 % under the full-scale record's 1.734, which would
+// spend part of the tolerance before any change lands; repair's quick
+// figure equals its record.
 var compareSpecs = []compareSpec{
 	{"scan-kernels", "geomean kernel speedup", false, func() Baseline { return new(scanKernelsReport) }},
 	{"ingest", "wal-on/off throughput", false, func() Baseline { return new(ingestReport) }},
 	{"fusion", "geomean serving on/off QPS", true, func() Baseline { return new(fusionReport) }},
-	{"cluster", "geomean aware/blind QPS", true, func() Baseline { return new(clusterReport) }},
+	{"cluster", "geomean aware/blind QPS", false, func() Baseline { return new(clusterReport) }},
 	{"repair", "slow/fast recovery ratio", true, func() Baseline { return new(repairReport) }},
 }
 

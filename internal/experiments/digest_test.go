@@ -11,8 +11,11 @@ import (
 // system model, the scheduler, the cluster and repair simulations) at
 // -quick, seed 1. None of them times host hardware, so the bytes are a
 // pure function of the code: a change that moves one decision, one booked
-// queue clock or one modelled second moves this value.
-const modelledTablesDigestWant = 0x6f56dbd5c2c0ff84
+// queue clock or one modelled second moves this value. Re-recorded when
+// measures became int32 units: a shard stores 18 B a row instead of 26, so
+// the repair table's MB moved and its recovery seconds shrank; every other
+// table, and every repair decision, kept its bytes.
+const modelledTablesDigestWant = 0xe5a063360b15dc87
 
 // modelledTables lists those experiments.
 var modelledTables = []string{

@@ -63,8 +63,8 @@ func TestExecuteChunksDeterminism(t *testing.T) {
 	if acc.Rows != want.Rows {
 		t.Fatalf("folded rows %d, scan %d", acc.Rows, want.Rows)
 	}
-	if math.Abs(table.Finalize(req.Op, acc).Value-want.Value) > 1e-6*math.Abs(want.Value) {
-		t.Fatalf("folded sum %v, scan %v", table.Finalize(req.Op, acc).Value, want.Value)
+	if got := table.Finalize(req.Op, ft.Schema().MeasureScale(req.Measure), acc); math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+		t.Fatalf("folded sum %v, scan %v", got.Value, want.Value)
 	}
 }
 
@@ -90,8 +90,8 @@ func TestExecuteGroupChunksDeterminism(t *testing.T) {
 		a = table.MergeGroups(req.Op, a, first[i].Groups)
 		b = table.MergeGroups(req.Op, b, again[i].Groups)
 	}
-	ra := table.FinalizeGroups(req.Op, a, len(req.GroupBy))
-	rb := table.FinalizeGroups(req.Op, b, len(req.GroupBy))
+	ra := table.FinalizeGroups(req.Op, 0, a, len(req.GroupBy))
+	rb := table.FinalizeGroups(req.Op, 0, b, len(req.GroupBy))
 	if len(ra) == 0 || len(ra) != len(rb) {
 		t.Fatalf("group rows: %d vs %d", len(ra), len(rb))
 	}

@@ -8,15 +8,15 @@ import (
 
 // Answer is one member's answer from Execute: the finalised scalar Result,
 // or, for a member with GroupBy columns, its finalised Groups (Result then
-// zero). A cell-granted member also carries its pre-finalise per-cell
-// partials, which the result cache stores for interval subsumption, and
-// every other scalar member the fold its result was finalised from, which
-// the cache continues over rows ingested later.
+// zero). A scalar member carries the fold its result was finalised from,
+// which the result cache continues over rows ingested later, and a
+// cell-granted one also its pre-finalise per-cell partials, which the
+// cache stores for interval subsumption.
 type Answer struct {
 	Result table.ScanResult
 	Groups []table.GroupRow // sorted by key; nil unless the member has GroupBy columns
 	Cells  table.Groups     // nil unless the plan granted cells
-	Fold   *Fold            // nil for a keyed member
+	Fold   *Fold            // nil for a GroupBy member
 }
 
 // Fold is a scalar answer as the fold grid holds it before finalising:
@@ -38,13 +38,14 @@ func (f *Fold) EndBlock(op table.AggOp) {
 	f.Full, f.Open = table.Merge(op, f.Full, f.Open), table.ScanResult{}
 }
 
-// Answer finalises the fold of a snapshot of the given row count: Full
-// merged with the open block, if the grid has one.
-func (f *Fold) Answer(op table.AggOp, rows int) table.ScanResult {
+// Answer finalises the fold of a snapshot of the given row count, over a
+// measure stored at scale: Full merged with the open block, if the grid
+// has one.
+func (f *Fold) Answer(op table.AggOp, scale, rows int) table.ScanResult {
 	if rows%BlockRows == 0 {
-		return table.Finalize(op, f.Full)
+		return table.Finalize(op, scale, f.Full)
 	}
-	return table.Finalize(op, table.Merge(op, f.Full, f.Open))
+	return table.Finalize(op, scale, table.Merge(op, f.Full, f.Open))
 }
 
 // Continue carries folds from the first `from` rows of snap to all of them:
@@ -128,11 +129,12 @@ func (p *Partition) Execute(snap *table.Snapshot, members []table.Member) ([]Ans
 	}
 	out := make([]Answer, len(members))
 	for mi, m := range members {
+		scale := snap.Schema().MeasureScale(m.Measure)
 		// Every stripe's plan grants cells identically (same members, same
 		// schema); a stripeless snapshot has no plan and nothing to grant.
 		if len(m.GroupBy) == 0 && (len(plans) == 0 || !plans[0].Keyed(mi)) {
 			f := foldOf(m.Op, units, states, mi)
-			out[mi] = Answer{Result: f.Answer(m.Op, snap.Rows()), Fold: f}
+			out[mi] = Answer{Result: f.Answer(m.Op, scale, snap.Rows()), Fold: f}
 			continue
 		}
 		var acc table.Groups
@@ -140,13 +142,16 @@ func (p *Partition) Execute(snap *table.Snapshot, members []table.Member) ([]Ans
 			acc = table.MergeGroups(m.Op, acc, g)
 		}
 		if len(m.GroupBy) > 0 {
-			out[mi] = Answer{Groups: table.FinalizeGroups(m.Op, acc, len(m.GroupBy))}
+			out[mi] = Answer{Groups: table.FinalizeGroups(m.Op, scale, acc, len(m.GroupBy))}
 			continue
 		}
 		if acc == nil {
 			acc = make(table.Groups) // a rowless snapshot grants empty cells
 		}
-		out[mi] = Answer{Result: table.Finalize(m.Op, table.FoldCells(m.Op, acc)), Cells: acc}
+		// The cells' fold is the whole answer's partial: an exact integer,
+		// so it continues like the block fold it equals.
+		full := table.FoldCells(m.Op, acc)
+		out[mi] = Answer{Result: table.Finalize(m.Op, scale, full), Cells: acc, Fold: &Fold{Full: full}}
 	}
 	return out, nil
 }

@@ -103,7 +103,7 @@ func TestFoldContinuation(t *testing.T) {
 	for r := 2 * B; r < 3*B; r++ {
 		coords[0][r] %= 4
 	}
-	meas := [][]float64{base.MeasureColumn(0), base.MeasureColumn(1)}
+	meas := [][]int32{base.MeasureColumn(0), base.MeasureColumn(1)}
 	texts := [][]uint32{base.TextColumn(0).AppendTo(nil), base.TextColumn(1).AppendTo(nil)}
 	rows := func(lo, hi int) *table.FactTable {
 		t.Helper()
@@ -114,7 +114,7 @@ func TestFoldContinuation(t *testing.T) {
 			}
 			return out
 		}
-		ft, err := table.FromColumns(s, cut(coords), [][]float64{meas[0][lo:hi], meas[1][lo:hi]}, cut(texts), base.Dicts())
+		ft, err := table.FromColumns(s, cut(coords), [][]int32{meas[0][lo:hi], meas[1][lo:hi]}, cut(texts), base.Dicts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestFoldContinuation(t *testing.T) {
 			if !bitsEqual(folds[mi].Full, want.Full) || !bitsEqual(folds[mi].Open, want.Open) {
 				t.Fatalf("%s, %v member %d: continued fold %+v, fold at %d rows %+v", c.name, req.Op, mi, *folds[mi], c.r1, *want)
 			}
-			if got := folds[mi].Answer(req.Op, c.r1); !bitsEqual(got, after[mi].Result) {
+			if got := folds[mi].Answer(req.Op, s.MeasureScale(req.Measure), c.r1); !bitsEqual(got, after[mi].Result) {
 				t.Fatalf("%s, %v member %d: continued answer %+v, answer at %d rows %+v", c.name, req.Op, mi, got, c.r1, after[mi].Result)
 			}
 		}

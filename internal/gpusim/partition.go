@@ -11,10 +11,11 @@ import (
 // BlockRows is the length of one unit of the fold grid: unit k of a snapshot
 // is its logical rows [k·BlockRows, (k+1)·BlockRows), whatever partition
 // scans it and however the rows are grouped into stripes. A constant, not a
-// setting: every sum/avg's bits depend on it. 32 batches is the unit length
-// the 4-SM partitions' old width-dependent cut had at the benchmark's 1M
-// rows (31 units now, 32 then), and a 100K-row table still forks over four
-// units. BenchmarkExecute at 1M rows, blocks of 8 to 128 batches: the scalar
+// setting: Fold's open block and the cache's carry are cut on it
+// (partials are exact integer units, so no answer's bits depend on it).
+// 32 batches is the unit length the 4-SM partitions' old width-dependent
+// cut had at the benchmark's 1M rows (31 units now, 32 then), and a
+// 100K-row table still forks over four units. BenchmarkExecute at 1M rows, blocks of 8 to 128 batches: the scalar
 // sum and the 4-group GROUP BY are flat at every width; the shapes that keep
 // one hash table per block (a 32 768-group GROUP BY, a cell-granted anchor)
 // cost about as much at 8 and 16 as at 32, and 25 % less at 64 and 40 % less

@@ -17,7 +17,7 @@ func sliceTable(t testing.TB, whole *table.FactTable, lo, hi int) *table.FactTab
 	for d, dim := range s.Dimensions {
 		coords[d] = whole.DimLevelColumn(d, dim.Finest()).AppendTo(nil)[lo:hi]
 	}
-	meas := make([][]float64, len(s.Measures))
+	meas := make([][]int32, len(s.Measures))
 	for m := range meas {
 		meas[m] = whole.MeasureColumn(m)[lo:hi]
 	}

@@ -151,9 +151,9 @@ func (s *Store) CompactOnce(maxRun int) (int, error) {
 		coords[d] = make([]uint32, 0, rows)
 		finest[d] = dim.Finest()
 	}
-	meas := make([][]float64, len(s.schema.Measures))
+	meas := make([][]int32, len(s.schema.Measures))
 	for m := range meas {
-		meas[m] = make([]float64, 0, rows)
+		meas[m] = make([]int32, 0, rows)
 	}
 	texts := make([][]uint32, len(s.schema.Texts))
 	for t := range texts {

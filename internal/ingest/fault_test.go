@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hybridolap/internal/fault"
+	"hybridolap/internal/table"
 )
 
 // TestWALAppendFaultDegradesStore: an injected WAL write error surfaces
@@ -186,14 +187,15 @@ func TestChaosIngestDurability(t *testing.T) {
 			}
 			// Bit-identical, in order: compare each acknowledged row's
 			// measures against the recovered delta stripes.
-			var gotMeasures []float64
+			var gotMeasures []int32
 			for _, st := range snap.Stripes()[1:] {
 				gotMeasures = append(gotMeasures, st.Table().MeasureColumn(0)...)
 			}
+			scale := snap.Schema().MeasureScale(0)
 			i := 0
 			for bi, b := range acked {
 				for ri := range b.Rows {
-					if gotMeasures[i] != b.Rows[ri].Measures[0] {
+					if want, err := table.Units(b.Rows[ri].Measures[0], scale); err != nil || gotMeasures[i] != want {
 						t.Fatalf("batch %d row %d: measure %v != acknowledged %v",
 							bi, ri, gotMeasures[i], b.Rows[ri].Measures[0])
 					}

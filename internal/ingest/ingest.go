@@ -216,7 +216,9 @@ func (s *Store) Current() *table.Snapshot { return s.reg.Current() }
 // stripe.
 func (s *Store) Dicts() *dict.Set { return s.dicts }
 
-// validate checks a batch against the schema before anything is logged.
+// validate checks a batch against the schema before anything is logged:
+// shape, coordinate ranges, and that every measure value is a whole number
+// of its column's units (table.ErrMeasureValue otherwise).
 func (s *Store) validate(b *Batch) error {
 	for i := range b.Rows {
 		r := &b.Rows[i]
@@ -234,6 +236,11 @@ func (s *Store) validate(b *Batch) error {
 		if len(r.Measures) != len(s.schema.Measures) {
 			return fmt.Errorf("ingest: row %d has %d measures, schema has %d",
 				i, len(r.Measures), len(s.schema.Measures))
+		}
+		for m, v := range r.Measures {
+			if _, err := table.Units(v, s.schema.Measures[m].Scale); err != nil {
+				return fmt.Errorf("ingest: row %d measure %q: %w", i, s.schema.Measures[m].Name, err)
+			}
 		}
 		if len(r.Texts) != len(s.schema.Texts) {
 			return fmt.Errorf("ingest: row %d has %d text values, schema has %d",
@@ -284,16 +291,17 @@ func (s *Store) ingest(b *Batch, logIt bool) (*table.Snapshot, error) {
 		}
 	}
 
-	// Columnar encode: coordinates and measures copy straight over; text
-	// goes through GetOrAdd so new strings take stable arrival-order codes.
+	// Columnar encode: coordinates copy straight over, measures become
+	// their units (validate checked they convert); text goes through
+	// GetOrAdd so new strings take stable arrival-order codes.
 	n := len(b.Rows)
 	coords := make([][]uint32, len(s.schema.Dimensions))
 	for d := range coords {
 		coords[d] = make([]uint32, n)
 	}
-	meas := make([][]float64, len(s.schema.Measures))
+	meas := make([][]int32, len(s.schema.Measures))
 	for m := range meas {
-		meas[m] = make([]float64, n)
+		meas[m] = make([]int32, n)
 	}
 	texts := make([][]uint32, len(s.schema.Texts))
 	for t := range texts {
@@ -305,7 +313,7 @@ func (s *Store) ingest(b *Batch, logIt bool) (*table.Snapshot, error) {
 			coords[d][i] = uint32(c)
 		}
 		for m, v := range r.Measures {
-			meas[m][i] = v
+			meas[m][i], _ = table.Units(v, s.schema.Measures[m].Scale)
 		}
 		for t, str := range r.Texts {
 			id, _, err := s.dicts.GetOrAdd(s.schema.Texts[t].Name, str)

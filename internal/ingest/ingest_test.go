@@ -1,11 +1,13 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +26,7 @@ func ingSchema() table.Schema {
 			{Name: "geo", Levels: []table.LevelSpec{
 				{Name: "region", Cardinality: 6}, {Name: "city", Cardinality: 36}}},
 		},
-		Measures: []table.MeasureSpec{{Name: "sales"}, {Name: "qty"}},
+		Measures: []table.MeasureSpec{{Name: "sales", Scale: 2}, {Name: "qty"}},
 		Texts:    []table.TextSpec{{Name: "store"}},
 	}
 }
@@ -94,8 +96,8 @@ func rebuild(t testing.TB, snap *table.Snapshot, s table.Schema) *table.FactTabl
 			for d, dim := range s.Dimensions {
 				row.Coords = append(row.Coords, int(ft.CoordAt(r, d, dim.Finest())))
 			}
-			for m := range s.Measures {
-				row.Measures = append(row.Measures, ft.MeasureColumn(m)[r])
+			for m, ms := range s.Measures {
+				row.Measures = append(row.Measures, float64(ft.MeasureColumn(m)[r])/math.Pow10(ms.Scale))
 			}
 			for x, ts := range s.Texts {
 				str, derr := ft.Dicts().Decode(ts.Name, ft.TextColumn(x).At(r))
@@ -335,6 +337,47 @@ func TestWALRecovery(t *testing.T) {
 		if a != b {
 			t.Fatalf("row %d: recovered text code %d != original %d", x, b, a)
 		}
+	}
+	// The WAL logs the caller's float64 values; replay converts them to
+	// the same int32 units the first ingest stored.
+	for i, st := range got.Stripes()[1:] {
+		for m := range s.Measures {
+			if a, b := want.Stripes()[1+i].Table().MeasureColumn(m), st.Table().MeasureColumn(m); !slices.Equal(a, b) {
+				t.Fatalf("stripe %d measure %d: replayed units differ from the ingested ones", 1+i, m)
+			}
+		}
+	}
+}
+
+// TestIngestMeasureUnits: a measure value is stored as int32 units of its
+// column's scale, and a value the scale cannot represent, or whose units
+// int32 cannot hold, is rejected with table.ErrMeasureValue before anything
+// is logged or published.
+func TestIngestMeasureUnits(t *testing.T) {
+	store, err := Open(Config{Base: baseTable(t, 50, 2), WALPath: filepath.Join(t.TempDir(), "ingest.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	row := func(sales, qty float64) *Batch {
+		return &Batch{Rows: []table.Row{{Coords: []int{1, 2}, Measures: []float64{sales, qty}, Texts: []string{"x"}}}}
+	}
+	before := store.Current().Epoch()
+	for _, b := range []*Batch{row(0.125, 1), row(12.34, 1.5), row(12.34, 3e9), row(math.NaN(), 1)} {
+		if _, err := store.Ingest(b); !errors.Is(err, table.ErrMeasureValue) {
+			t.Fatalf("measures %v: err = %v, want table.ErrMeasureValue", b.Rows[0].Measures, err)
+		}
+	}
+	if got := store.Current().Epoch(); got != before || store.Stats().WALRecords != 0 {
+		t.Fatalf("rejected batches reached epoch %d (from %d), WAL records %d", got, before, store.Stats().WALRecords)
+	}
+	snap, err := store.Ingest(row(12.34, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := snap.Stripes()[len(snap.Stripes())-1].Table()
+	if got := []int32{delta.MeasureColumn(0)[0], delta.MeasureColumn(1)[0]}; !slices.Equal(got, []int32{1234, 7}) {
+		t.Fatalf("stored units %v, want [1234 7]", got)
 	}
 }
 

@@ -105,11 +105,12 @@ func TestInListScanMatchesBruteForce(t *testing.T) {
 	for r := 0; r < ft.Rows(); r++ {
 		code := ft.TextColumn(0).At(r)
 		if ft.CoordAt(r, 0, 0) <= 2 && (code == uint32(acme) || code == uint32(corner)) {
-			want += ft.MeasureColumn(0)[r]
+			want += float64(ft.MeasureColumn(0)[r])
 			rows++
 		}
 	}
-	if got.Rows != rows || math.Abs(got.Value-want) > 1e-9 {
+	want /= math.Pow10(ft.Schema().MeasureScale(0))
+	if got.Rows != rows || got.Value != want {
 		t.Fatalf("scan = (%v,%d), want (%v,%d)", got.Value, got.Rows, want, rows)
 	}
 }

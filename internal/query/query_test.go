@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -239,10 +240,11 @@ func TestToScanRequestMatchesDirectScan(t *testing.T) {
 	acme, _ := d.Lookup("acme")
 	for r := 0; r < ft.Rows(); r++ {
 		if ft.CoordAt(r, 0, 1) <= 17 && ft.TextColumn(0).At(r) == uint32(acme) {
-			want += ft.MeasureColumn(0)[r]
+			want += float64(ft.MeasureColumn(0)[r])
 			rows++
 		}
 	}
+	want /= math.Pow10(ft.Schema().MeasureScale(0))
 	if res.Rows != rows || res.Value != want {
 		t.Fatalf("scan = (%v,%d), want (%v,%d)", res.Value, res.Rows, want, rows)
 	}

@@ -55,7 +55,6 @@ type Loop struct {
 	clock  Clock
 	events eventHeap
 	nextID int
-	fired  int64
 }
 
 // ErrPast is returned when an event is scheduled before the current time.
@@ -63,12 +62,6 @@ var ErrPast = errors.New("sim: event scheduled in the past")
 
 // Now returns the loop's current virtual time.
 func (l *Loop) Now() Time { return l.clock.Now() }
-
-// Clock exposes the loop's clock (read-only use intended).
-func (l *Loop) Clock() *Clock { return &l.clock }
-
-// Fired reports how many events have fired since construction.
-func (l *Loop) Fired() int64 { return l.fired }
 
 // Schedule queues fn to fire at absolute time at. It returns ErrPast if at
 // precedes the current time.
@@ -100,7 +93,6 @@ func (l *Loop) Step() bool {
 	}
 	e := heap.Pop(&l.events).(*Event)
 	l.clock.Advance(e.At)
-	l.fired++
 	e.Fire(e.At)
 	return true
 }

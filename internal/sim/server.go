@@ -7,26 +7,18 @@ package sim
 // will be finished" (the T_Q parameter in Fig. 10).
 type Server struct {
 	loop *Loop
-	name string
 
 	// free is the virtual time at which the server drains: max(now, end of
 	// last queued job). This is exactly T_Q in the paper.
 	free Time
 
-	completed int64
-	busy      Time // cumulative busy time, for utilisation reporting
+	busy Time // cumulative busy time, for utilisation reporting
 }
 
 // NewServer creates a server bound to a loop.
-func NewServer(loop *Loop, name string) *Server {
-	return &Server{loop: loop, name: name}
+func NewServer(loop *Loop) *Server {
+	return &Server{loop: loop}
 }
-
-// Name returns the server's label (e.g. "GPU-1SM-a").
-func (s *Server) Name() string { return s.name }
-
-// Completed reports the number of jobs finished.
-func (s *Server) Completed() int64 { return s.completed }
 
 // FreeAt returns the virtual time when all currently queued jobs finish
 // (T_Q in the paper). If the server is idle it returns the current time.
@@ -60,7 +52,6 @@ func (s *Server) SubmitAfter(notBefore Time, service Time, done func(finished Ti
 	s.free = end
 	s.busy += service
 	s.loop.After(end-s.loop.Now(), func(now Time) {
-		s.completed++
 		if done != nil {
 			done(now)
 		}

@@ -35,7 +35,7 @@ func rowsOf(t testing.TB, whole *FactTable, lo, hi int) *FactTable {
 	for d, spec := range s.Dimensions {
 		coords[d] = whole.DimLevelColumn(d, spec.Finest()).AppendTo(nil)[lo:hi]
 	}
-	meas := make([][]float64, len(s.Measures))
+	meas := make([][]int32, len(s.Measures))
 	for m := range meas {
 		meas[m] = whole.MeasureColumn(m)[lo:hi]
 	}
@@ -128,7 +128,7 @@ func TestFromColumnsRejectsUndefinedCode(t *testing.T) {
 	}
 	build := func(codes ...uint32) error {
 		_, err := FromColumns(schema, [][]uint32{make([]uint32, len(codes))},
-			[][]float64{make([]float64, len(codes))}, [][]uint32{codes}, dicts)
+			[][]int32{make([]int32, len(codes))}, [][]uint32{codes}, dicts)
 		return err
 	}
 	if err := build(0, 2, 1); err != nil {

@@ -17,7 +17,8 @@ func (t *FactTable) WithDicts(ds *dict.Set) *FactTable {
 }
 
 // FromColumns materializes an immutable FactTable directly from columnar
-// data: finest-level coordinates per dimension, measure columns, and
+// data: finest-level coordinates per dimension, measure columns in their
+// units, and
 // pre-encoded text code columns referencing a shared (append-capable)
 // dictionary set. The inputs are full-width; the stored columns are built
 // at their own widths by the same finestColumn / textColumn as
@@ -26,7 +27,7 @@ func (t *FactTable) WithDicts(ds *dict.Set) *FactTable {
 // the table's live dictionaries before materializing, so every stripe of a
 // registry shares one dictionary set and codes stay comparable across
 // stripes; a code the dictionary does not define is rejected.
-func FromColumns(schema Schema, coords [][]uint32, measures [][]float64, texts [][]uint32, dicts *dict.Set) (*FactTable, error) {
+func FromColumns(schema Schema, coords [][]uint32, measures [][]int32, texts [][]uint32, dicts *dict.Set) (*FactTable, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hybridolap/internal/dict"
@@ -16,7 +17,8 @@ type GenSpec struct {
 	// from the pool. When nil, a pool of DefaultPoolSize synthetic values
 	// is used.
 	TextPools [][]string
-	// MeasureMax bounds generated measure values (default 1000).
+	// MeasureMax bounds generated measure values (default 1000); at its
+	// scale, a measure's largest value must fit int32 units.
 	MeasureMax float64
 }
 
@@ -24,8 +26,9 @@ type GenSpec struct {
 const DefaultPoolSize = 1000
 
 // Generate builds a synthetic fact table: uniform coordinates at each
-// dimension's finest level, uniform measures in [0, MeasureMax), and text
-// values drawn from the pools. The same spec always yields the same table.
+// dimension's finest level, uniform measures in [0, MeasureMax) stored as
+// ⌊v·10^scale⌋ units of the drawn value v, and text values drawn from the
+// pools. The same spec always yields the same table.
 //
 // It works a column at a time. One pass over the rows makes each row's
 // draws in a fixed order — a coordinate per dimension, a measure per
@@ -66,15 +69,29 @@ func Generate(spec GenSpec) (*FactTable, error) {
 		cards[d] = dim.Levels[dim.Finest()].Cardinality
 	}
 	coords := columns[uint32](len(s.Dimensions), spec.Rows)
-	measures := columns[float64](len(s.Measures), spec.Rows)
+	measures := columns[int32](len(s.Measures), spec.Rows)
+	type unitCol struct {
+		col  []int32
+		unit float64 // 10^scale
+	}
+	units := make([]unitCol, 0, len(measures))
+	for m, ms := range s.Measures {
+		unit := pow10(ms.Scale)
+		if max*unit > math.MaxInt32 {
+			return nil, fmt.Errorf("table: MeasureMax %v overflows int32 units of measure %q at scale %d", max, ms.Name, ms.Scale)
+		}
+		units = append(units, unitCol{measures[m], unit})
+	}
 	texts := columns[uint32](len(s.Texts), spec.Rows)
 	rng := rand.New(rand.NewSource(spec.Seed))
 	for r := 0; r < spec.Rows; r++ {
 		for d, card := range cards {
 			coords[d][r] = uint32(rng.Intn(card))
 		}
-		for m := range measures {
-			measures[m][r] = rng.Float64() * max
+		for i := range units {
+			u := &units[i]
+			v := rng.Float64() * max
+			u.col[r] = int32(math.Floor(v * u.unit))
 		}
 		for i, pool := range pools {
 			texts[i][r] = uint32(rng.Intn(len(pool)))
@@ -160,8 +177,8 @@ func PaperSchema() Schema {
 			}},
 		},
 		Measures: []MeasureSpec{
-			{Name: "sales"},
-			{Name: "quantity"},
+			{Name: "sales", Scale: 2},
+			{Name: "quantity", Scale: 2},
 		},
 		Texts: []TextSpec{
 			{Name: "store_name"},

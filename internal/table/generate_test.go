@@ -4,17 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"testing"
 
 	"hybridolap/internal/dict"
 )
 
-// tableDigest is the FNV-64a digest of everything a table stores: the row
-// count, each dimension's finest column and each text column as its width
-// and codes, each measure's bits, and each dictionary's strings in code
-// order.
-func tableDigest(t *testing.T, ft *FactTable) uint64 {
+// tableDigests are the FNV-64a digests of everything a table stores, in
+// two parts: codes — the row count, each dimension's finest column and each
+// text column as its width and codes, and each dictionary's strings in code
+// order — and units, each measure column's int32 units.
+func tableDigests(t *testing.T, ft *FactTable) (codes, units uint64) {
 	t.Helper()
 	h := fnv.New64a()
 	var buf [8]byte
@@ -33,12 +32,6 @@ func tableDigest(t *testing.T, ft *FactTable) uint64 {
 	for _, col := range ft.dims {
 		putCodes(col)
 	}
-	for _, col := range ft.measures {
-		put(uint64(len(col)))
-		for _, v := range col {
-			put(math.Float64bits(v))
-		}
-	}
 	for i, ts := range ft.schema.Texts {
 		putCodes(ft.texts[i])
 		n := ft.Dicts().DictLen(ts.Name)
@@ -52,41 +45,54 @@ func tableDigest(t *testing.T, ft *FactTable) uint64 {
 			h.Write([]byte(s))
 		}
 	}
-	return h.Sum64()
+	codes = h.Sum64()
+	h = fnv.New64a()
+	for _, col := range ft.measures {
+		put(uint64(len(col)))
+		for _, c := range col {
+			put(uint64(uint32(c)))
+		}
+	}
+	return codes, h.Sum64()
 }
 
-// TestGenerateDigest pins what Generate builds, byte for byte, to the
-// digests recorded when the row-at-a-time generator was the reference:
+// TestGenerateDigest pins what Generate builds, byte for byte:
 // PaperSchema at several sizes and seeds, a custom pool whose duplicate
 // strings must share one code, a pool drawn widely enough that text codes
-// need 32 bits, and a non-default MeasureMax.
+// need 32 bits, and a non-default MeasureMax. Both parts were recorded on
+// the float64 generator: the codes and dictionaries as it stored them,
+// the measures as ⌊v·100⌋ of each value v it drew — which is what the
+// decimal generator stores at PaperSchema's scale 2, with the same draws.
 func TestGenerateDigest(t *testing.T) {
 	big := make([]string, 200_000)
 	for i := range big {
 		big[i] = fmt.Sprintf("v%07d", (i*7919)%len(big))
 	}
 	type tc struct {
-		name string
-		spec GenSpec
-		want uint64
+		name        string
+		spec        GenSpec
+		codes, meas uint64
 	}
 	cases := []tc{
 		{"dup-pool", GenSpec{Schema: PaperSchema(), Rows: 1000, Seed: 3,
-			TextPools: [][]string{{"b", "a", "b", "c", "a"}, {"x", "x"}}}, 0xb72f299025deb471},
+			TextPools: [][]string{{"b", "a", "b", "c", "a"}, {"x", "x"}}}, 0xcd3ac218bf13a14, 0x6b445758db597799},
 		{"wide-codes", GenSpec{Schema: PaperSchema(), Rows: 100_000, Seed: 5,
-			TextPools: [][]string{big, nil}}, 0x9c156ee7202d52c2},
-		{"measure-max", GenSpec{Schema: PaperSchema(), Rows: 1000, Seed: 2, MeasureMax: 7.5}, 0xf99d16a4631a338c},
+			TextPools: [][]string{big, nil}}, 0x9bc585e3ce1aecee, 0x758c5ed1b3505ec7},
+		{"measure-max", GenSpec{Schema: PaperSchema(), Rows: 1000, Seed: 2, MeasureMax: 7.5}, 0x9cefd4fdf48eae44, 0x3f9848dd87462bcd},
 	}
-	paper := []uint64{
+	paper := [][2]uint64{
 		// seed 1: rows 0, 1, 1000, 100000
-		0x4d0e85fcab4bbf27, 0xae593382053bce3d, 0x6d45511f4bec8281, 0xd6a17c5abc8d231d,
+		{0xd2fd5ff77a712567, 0x88201fb960ff6465}, {0xe975a84d19ee2a0, 0x62430d03161b6674},
+		{0x223e59fd1034aa35, 0x2d90dda6f786cf8b}, {0x27803a6315f1648a, 0xf910fd06cc69d485},
 		// seed 7
-		0x4d0e85fcab4bbf27, 0x75fb39b5687548da, 0xe3f867bb3e553b21, 0xe163c0b1f9132231,
+		{0xd2fd5ff77a712567, 0x88201fb960ff6465}, {0x16058cf290648105, 0x8985f2d578c42c2},
+		{0xba04d3acdc1f7c79, 0x50a0a3cab0e9eabe}, {0xa1130c0af7ccedcc, 0xc8e2d70c019a41ad},
 	}
 	for si, seed := range []int64{1, 7} {
 		for ri, rows := range []int{0, 1, 1000, 100_000} {
+			want := paper[4*si+ri]
 			cases = append(cases, tc{fmt.Sprintf("paper/seed=%d/rows=%d", seed, rows),
-				GenSpec{Schema: PaperSchema(), Rows: rows, Seed: seed}, paper[4*si+ri]})
+				GenSpec{Schema: PaperSchema(), Rows: rows, Seed: seed}, want[0], want[1]})
 		}
 	}
 	for _, c := range cases {
@@ -94,8 +100,12 @@ func TestGenerateDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := tableDigest(t, ft); got != c.want {
-			t.Errorf("%s: digest %#x, want %#x", c.name, got, c.want)
+		codes, meas := tableDigests(t, ft)
+		if codes != c.codes {
+			t.Errorf("%s: codes digest %#x, want %#x", c.name, codes, c.codes)
+		}
+		if meas != c.meas {
+			t.Errorf("%s: measure digest %#x, want %#x", c.name, meas, c.meas)
 		}
 		switch c.name {
 		case "wide-codes":

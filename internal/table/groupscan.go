@@ -85,7 +85,7 @@ func GroupScanRange(t *FactTable, req Member, lo, hi int) (Groups, error) {
 		}
 		gcols[i] = col
 	}
-	var meas []float64
+	var meas []int32
 	if req.Op != AggCount {
 		meas = t.measures[req.Measure]
 	}
@@ -113,15 +113,15 @@ rowLoop:
 		acc.Rows++
 		switch req.Op {
 		case AggSum, AggAvg:
-			acc.Value += meas[r]
+			acc.Value += float64(meas[r])
 		case AggCount:
 		case AggMin:
-			if first || meas[r] < acc.Value {
-				acc.Value = meas[r]
+			if v := float64(meas[r]); first || v < acc.Value {
+				acc.Value = v
 			}
 		case AggMax:
-			if first || meas[r] > acc.Value {
-				acc.Value = meas[r]
+			if v := float64(meas[r]); first || v > acc.Value {
+				acc.Value = v
 			}
 		}
 		groups[key] = acc
@@ -140,9 +140,10 @@ func MergeGroups(op AggOp, dst, src Groups) Groups {
 	return dst
 }
 
-// FinalizeGroups completes the aggregation and returns rows sorted by key
-// (deterministic output order).
-func FinalizeGroups(op AggOp, g Groups, nCols int) []GroupRow {
+// FinalizeGroups completes the aggregation of a measure stored at scale
+// (Finalize per group) and returns rows sorted by key (deterministic
+// output order).
+func FinalizeGroups(op AggOp, scale int, g Groups, nCols int) []GroupRow {
 	keys := make([]GroupKey, 0, len(g))
 	for k := range g {
 		keys = append(keys, k)
@@ -150,7 +151,7 @@ func FinalizeGroups(op AggOp, g Groups, nCols int) []GroupRow {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	out := make([]GroupRow, len(keys))
 	for i, k := range keys {
-		r := Finalize(op, g[k])
+		r := Finalize(op, scale, g[k])
 		out[i] = GroupRow{Keys: UnpackKey(k, nCols), Value: r.Value, Rows: r.Rows}
 	}
 	return out
@@ -162,5 +163,5 @@ func GroupScan(t *FactTable, req Member) ([]GroupRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FinalizeGroups(req.Op, g, len(req.GroupBy)), nil
+	return FinalizeGroups(req.Op, t.schema.MeasureScale(req.Measure), g, len(req.GroupBy)), nil
 }

@@ -59,7 +59,7 @@ func TestGroupScanMatchesBruteForce(t *testing.T) {
 		k := key{ft.CoordAt(i, 0, 0), ft.CoordAt(i, 1, 0)}
 		acc := want[k]
 		acc.Rows++
-		acc.Value += ft.MeasureColumn(0)[i]
+		acc.Value += float64(ft.MeasureColumn(0)[i])
 		want[k] = acc
 	}
 	if len(rows) != len(want) {
@@ -70,7 +70,7 @@ func TestGroupScanMatchesBruteForce(t *testing.T) {
 		if !ok {
 			t.Fatalf("unexpected group %v", r.Keys)
 		}
-		if r.Rows != w.Rows || math.Abs(r.Value-w.Value) > 1e-9 {
+		if w = Finalize(AggSum, ft.Schema().MeasureScale(0), w); r.Rows != w.Rows || r.Value != w.Value {
 			t.Fatalf("group %v: got (%v,%d) want (%v,%d)", r.Keys, r.Value, r.Rows, w.Value, w.Rows)
 		}
 	}
@@ -159,12 +159,12 @@ func TestGroupScanStripeMergeEquivalence(t *testing.T) {
 		}
 		acc = MergeGroups(req.Op, acc, part)
 	}
-	merged := FinalizeGroups(req.Op, acc, 1)
+	merged := FinalizeGroups(req.Op, ft.Schema().MeasureScale(0), acc, 1)
 	if len(merged) != len(whole) {
 		t.Fatalf("groups %d vs %d", len(merged), len(whole))
 	}
 	for i := range whole {
-		if merged[i].Rows != whole[i].Rows || math.Abs(merged[i].Value-whole[i].Value) > 1e-9 {
+		if merged[i].Rows != whole[i].Rows || math.Float64bits(merged[i].Value) != math.Float64bits(whole[i].Value) {
 			t.Fatalf("group %d differs: %+v vs %+v", i, merged[i], whole[i])
 		}
 	}

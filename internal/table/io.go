@@ -10,13 +10,14 @@ import (
 
 // Persistence format: magic, version, schema, then per-dimension finest
 // coordinates (the one column a dimension stores; coarser levels are
-// derived from it), measures, and per-text-column dictionary entries plus
-// code columns. Codes are 32 bits on disk whatever their width in memory:
-// Save widens, Load validates and then narrows. A trailing CRC-32 guards
-// the whole payload.
+// derived from it), measures as int32 units (version 2; version 1 stored
+// float64 measures and is not read), and per-text-column dictionary
+// entries plus code columns. Codes are 32 bits on disk whatever their
+// width in memory: Save widens, Load validates and then narrows. A
+// trailing CRC-32 guards the whole payload.
 const (
 	tableMagic   = "HOLT"
-	tableVersion = 1
+	tableVersion = 2
 	// maxPersistRows bounds length prefixes while decoding.
 	maxPersistRows = 1 << 31
 )
@@ -41,6 +42,7 @@ func (t *FactTable) Save(w io.Writer) error {
 	bw.U32(uint32(len(s.Measures)))
 	for _, m := range s.Measures {
 		bw.String(m.Name)
+		bw.U16(uint16(m.Scale))
 	}
 	bw.U32(uint32(len(s.Texts)))
 	for _, tc := range s.Texts {
@@ -53,7 +55,7 @@ func (t *FactTable) Save(w io.Writer) error {
 		bw.U32s(t.dims[d].AppendTo(make([]uint32, 0, t.rows)))
 	}
 	for m := range s.Measures {
-		bw.F64s(t.measures[m])
+		bw.I32s(t.measures[m])
 	}
 	for i, tc := range s.Texts {
 		d, ok := t.dicts.Get(tc.Name)
@@ -120,7 +122,7 @@ func Load(r io.Reader) (*FactTable, error) {
 		return nil, fmt.Errorf("table: %d measures exceeds limit", nm)
 	}
 	for i := 0; i < nm; i++ {
-		s.Measures = append(s.Measures, MeasureSpec{Name: br.String()})
+		s.Measures = append(s.Measures, MeasureSpec{Name: br.String(), Scale: int(br.U16())})
 	}
 	nt := int(br.U32())
 	if br.Err() != nil {
@@ -163,9 +165,9 @@ func Load(r io.Reader) (*FactTable, error) {
 		}
 		t.dims[d] = col
 	}
-	t.measures = make([][]float64, nm)
+	t.measures = make([][]int32, nm)
 	for m := 0; m < nm; m++ {
-		t.measures[m] = br.F64s(rows)
+		t.measures[m] = br.I32s(rows)
 		if br.Err() != nil {
 			return nil, br.Err()
 		}

@@ -75,7 +75,7 @@ func (m Member) ColumnsAccessed() int {
 // codes pack into its accumulator keys.
 type member struct {
 	op    AggOp
-	meas  []float64 // nil for pure counts
+	meas  []int32 // nil for pure counts; units of the measure's scale
 	preds []boundPred
 	never bool       // some predicate can match no row
 	dense bool       // unfiltered scalar member of an unseeded pass: aggregates dense runs
@@ -357,9 +357,9 @@ func sortedRefs(preds []RangePredicate) []colRef {
 // CellShape returns CanonicalPredOrder of the request's predicates (in
 // buf's storage) and reports whether sub-ranges of the request can soundly
 // be served from per-cell aggregates keyed by its predicate columns' codes
-// in that order. The op's fold must be order-insensitive (count) or
-// selection-exact (min/max) — never sum/avg, whose float accumulation is
-// rounding-order-sensitive — and the predicates must be 1 to MaxGroupCols
+// in that order. The op must be count, min or max (AggOp.OrderFree: sum
+// and avg partials are exact units too, but stay out until the fold
+// grid's replay is retired) — and the predicates must be 1 to MaxGroupCols
 // plain ranges on distinct dimension columns (an inverted range is one:
 // its cells are simply none). The one rule behind a member's cell grant
 // and the engine's subsumption cache.

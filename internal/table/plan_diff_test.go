@@ -272,7 +272,7 @@ func TestGroupKeyBudget(t *testing.T) {
 			Dimensions: []DimensionSpec{{Name: "d", Levels: []LevelSpec{{Name: "l", Cardinality: tc.codes}}}},
 			Measures:   []MeasureSpec{{Name: "m"}},
 			Texts:      []TextSpec{{Name: "s"}},
-		}, [][]uint32{{0}}, [][]float64{{1}}, [][]uint32{{0}}, dicts)
+		}, [][]uint32{{0}}, [][]int32{{1}}, [][]uint32{{0}}, dicts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,11 @@ func (r ScanRequest) ColumnsAccessed() int {
 	return n
 }
 
-// ScanResult carries an aggregate and the number of matching rows.
+// ScanResult carries an aggregate and the number of matching rows. Before
+// Finalize it is a partial in the measure's units — a sum of int32 units,
+// or the selected unit value — so it is an integer, exact in a float64
+// while the sum of |units| stays below 2^53, and partials merge to the same
+// bits in every order. Finalize turns it into the user's value.
 type ScanResult struct {
 	Value float64
 	Rows  int64
@@ -120,18 +124,12 @@ func ScanRange(t *FactTable, req ScanRequest, lo, hi int) (ScanResult, error) {
 		}
 		cols[i] = predCol(t, req.Predicates[i])
 	}
-	var meas []float64
+	var meas []int32
 	if req.Op != AggCount {
 		meas = t.measures[req.Measure]
 	}
 
-	res := ScanResult{}
-	switch req.Op {
-	case AggMin:
-		res.Value = 0 // set on first match
-	case AggMax:
-		res.Value = 0
-	}
+	res := ScanResult{} // min/max: Value is set on the first match
 	first := true
 rowLoop:
 	for r := lo; r < hi; r++ {
@@ -149,16 +147,16 @@ rowLoop:
 		res.Rows++
 		switch req.Op {
 		case AggSum, AggAvg:
-			res.Value += meas[r]
+			res.Value += float64(meas[r])
 		case AggCount:
 			// rows counter is the value
 		case AggMin:
-			if first || meas[r] < res.Value {
-				res.Value = meas[r]
+			if v := float64(meas[r]); first || v < res.Value {
+				res.Value = v
 			}
 		case AggMax:
-			if first || meas[r] > res.Value {
-				res.Value = meas[r]
+			if v := float64(meas[r]); first || v > res.Value {
+				res.Value = v
 			}
 		}
 		first = false
@@ -172,12 +170,13 @@ func Scan(t *FactTable, req ScanRequest) (ScanResult, error) {
 	if err != nil {
 		return ScanResult{}, err
 	}
-	return Finalize(req.Op, res), nil
+	return Finalize(req.Op, t.schema.MeasureScale(req.Measure), res), nil
 }
 
 // Merge combines two partial results of the same request (the parallel
 // reduction step). Count/sum add; min/max compare; avg sums and divides in
-// Finalize. The cluster coordinator folds every shard's chunk partials
+// Finalize. Partials are integer units, so every merge order gives the
+// same bits. The cluster coordinator folds every shard's chunk partials
 // through this on the scalar hot path, so it must stay allocation-free.
 //
 //olaplint:noalloc
@@ -212,26 +211,33 @@ func Merge(op AggOp, a, b ScanResult) ScanResult {
 	return out
 }
 
-// OrderFree reports whether partial results of op merge exactly whatever
-// order their rows were folded in: counts are integers and min/max select
-// an existing value, so their answer is its own fold. Sum and avg
-// accumulate floats, and their bits depend on the fold tree.
+// OrderFree reports whether the result cache and the cluster planner may
+// answer op from a fold other than the one its GPU answer runs: counts and
+// min/max, whose partials are their own fold. Sum and avg partials are
+// exact integer units too, so their bits no longer depend on the fold
+// tree either; they stay off this list until the fold grid's block replay
+// (gpusim.Fold) is retired, which the cache's carry of them still uses.
 func (op AggOp) OrderFree() bool {
 	return op == AggCount || op == AggMin || op == AggMax
 }
 
-// Finalize completes an aggregate: for avg it divides the accumulated sum
-// by the row count; for count it reports the row count as the value.
+// Finalize completes a partial of op over a measure stored at scale, and
+// is the one place units become the user's values: sum = Σc/10^s, avg =
+// Σc/(rows·10^s), min/max = c/10^s, count = rows. Every route — scan, cube
+// walk, cache, shard fold — finalises an exact integer partial through it,
+// so equal partials answer with equal bits.
 //
 //olaplint:noalloc
-func Finalize(op AggOp, r ScanResult) ScanResult {
+func Finalize(op AggOp, scale int, r ScanResult) ScanResult {
 	switch op {
 	case AggAvg:
 		if r.Rows > 0 {
-			r.Value /= float64(r.Rows)
+			r.Value /= float64(r.Rows) * pow10(scale)
 		}
 	case AggCount:
 		r.Value = float64(r.Rows)
+	default:
+		r.Value /= pow10(scale)
 	}
 	return r
 }

@@ -42,10 +42,17 @@ type DimensionSpec struct {
 // Finest returns the index of the finest (last) level.
 func (d DimensionSpec) Finest() int { return len(d.Levels) - 1 }
 
-// MeasureSpec describes one data (measure) column.
+// MeasureSpec describes one data (measure) column. Measures are decimals,
+// as in TPC-DS: the column stores integers in units of 10^-Scale (cents at
+// Scale 2), so every aggregate adds integers and is exact whatever order
+// its rows fold in. Finalize is where units become the user's values.
 type MeasureSpec struct {
-	Name string
+	Name  string
+	Scale int // decimal digits after the point, 0..MaxScale
 }
+
+// MaxScale bounds MeasureSpec.Scale: 10^9 units still fit one int32.
+const MaxScale = 9
 
 // TextSpec describes one dictionary-encoded text column.
 type TextSpec struct {
@@ -109,6 +116,9 @@ func (s *Schema) Validate() error {
 		if err := claim(m.Name); err != nil {
 			return err
 		}
+		if m.Scale < 0 || m.Scale > MaxScale {
+			return fmt.Errorf("table: measure %q has scale %d, want 0..%d", m.Name, m.Scale, MaxScale)
+		}
 	}
 	for _, t := range s.Texts {
 		if err := claim(t.Name); err != nil {
@@ -151,6 +161,15 @@ func (s *Schema) MeasureIndex(name string) int {
 		}
 	}
 	return -1
+}
+
+// MeasureScale returns the scale of measure m, or 0 when m names no
+// measure (a count reads none).
+func (s *Schema) MeasureScale(m int) int {
+	if m < 0 || m >= len(s.Measures) {
+		return 0
+	}
+	return s.Measures[m].Scale
 }
 
 // TextIndex returns the index of the named text column, or -1.

@@ -23,7 +23,7 @@ func Slice(t *FactTable, lo, hi int) (*FactTable, error) {
 	for d, col := range t.dims {
 		s.dims[d] = col.slice(lo, hi)
 	}
-	s.measures = make([][]float64, len(t.measures))
+	s.measures = make([][]int32, len(t.measures))
 	for m := range t.measures {
 		s.measures[m] = t.measures[m][lo:hi:hi]
 	}

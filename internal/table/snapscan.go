@@ -29,7 +29,7 @@ func scanSnapshot(snap *Snapshot, m Member) (State, error) {
 // visible rows.
 func ScanSnapshot(snap *Snapshot, req ScanRequest) (ScanResult, error) {
 	st, err := scanSnapshot(snap, Member{ScanRequest: req})
-	return Finalize(req.Op, st.Scalar), err
+	return Finalize(req.Op, snap.Schema().MeasureScale(req.Measure), st.Scalar), err
 }
 
 // GroupScanSnapshot runs the grouped member over every stripe of the
@@ -44,5 +44,5 @@ func GroupScanSnapshot(snap *Snapshot, m Member) ([]GroupRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FinalizeGroups(m.Op, st.Groups, len(m.GroupBy)), nil
+	return FinalizeGroups(m.Op, snap.Schema().MeasureScale(m.Measure), st.Groups, len(m.GroupBy)), nil
 }

@@ -62,10 +62,14 @@ func (s *Stripe) Rows() int { return s.t.Rows() }
 // any epoch visit rows exactly as a from-scratch rebuild would.
 type Snapshot struct {
 	epoch   uint64
+	schema  *Schema // the registry's, shared by every stripe
 	stripes []*Stripe
 	rows    int
 	aux     any
 }
+
+// Schema returns the schema every stripe of the snapshot shares.
+func (s *Snapshot) Schema() *Schema { return s.schema }
 
 // Epoch returns the snapshot's epoch number (0 is the base-only epoch).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
@@ -148,7 +152,7 @@ func NewRegistry(schema Schema, base *FactTable, aux any) (*Registry, error) {
 		return nil, err
 	}
 	r := &Registry{schema: schema}
-	snap := &Snapshot{aux: aux}
+	snap := &Snapshot{schema: &r.schema, aux: aux}
 	if base != nil {
 		if err := sameSchema(&schema, base.Schema()); err != nil {
 			return nil, fmt.Errorf("table: base stripe: %w", err)
@@ -198,7 +202,7 @@ func (r *Registry) Publish(adds []*FactTable, kind StripeKind, removeIDs []uint6
 		r.nextID++
 	}
 
-	next := &Snapshot{epoch: old.epoch + 1, aux: aux}
+	next := &Snapshot{epoch: old.epoch + 1, schema: &r.schema, aux: aux}
 	next.stripes = make([]*Stripe, 0, len(old.stripes)+len(wrapped))
 	spliced := false
 	for _, st := range old.stripes {

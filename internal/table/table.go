@@ -10,7 +10,8 @@ import (
 // FactTable is an immutable columnar fact table. Each dimension stores one
 // Codes column, its finest level's coordinates, and each text column one
 // of dictionary codes — integer codes in the 8, 16 or 32 bits the
-// cardinality needs; measures are float64. A coarser level is not stored:
+// cardinality needs; measures are int32 decimal units (MeasureSpec.Scale).
+// A coarser level is not stored:
 // its code is the finest code divided by the level's fanout, so a plan
 // binds a coarse predicate to the finest codes it covers and divides
 // group and cell keys (levelOf). Columns are contiguous slices — the 1-D
@@ -21,7 +22,7 @@ type FactTable struct {
 
 	// dims[d] is the finest-level code column of dimension d.
 	dims     []Codes
-	measures [][]float64
+	measures [][]int32
 	texts    []Codes
 	dicts    *dict.Set
 }
@@ -50,18 +51,19 @@ func (t *FactTable) DimLevelColumn(dim, lvl int) Codes {
 	return v.col.rolledUp(codeWidth(t.schema.LevelCardinality(dim, lvl)), v.div)
 }
 
-// MeasureColumn returns the data column of measure m.
-func (t *FactTable) MeasureColumn(m int) []float64 { return t.measures[m] }
+// MeasureColumn returns the data column of measure m, in units of
+// 10^-scale.
+func (t *FactTable) MeasureColumn(m int) []int32 { return t.measures[m] }
 
 // TextColumn returns the encoded codes of text column i.
 func (t *FactTable) TextColumn(i int) Codes { return t.texts[i] }
 
 // SizeBytes returns the bytes the columns actually store: each code
-// column at its own width and 8 per measure cell. This is the table
+// column at its own width and 4 per measure cell. This is the table
 // footprint that must fit in the simulated GPU's global memory, and what a
 // compaction or a shard repair moves.
 func (t *FactTable) SizeBytes() int64 {
-	n := int64(len(t.measures)) * int64(t.rows) * 8
+	n := int64(len(t.measures)) * int64(t.rows) * 4
 	for _, col := range t.dims {
 		n += col.sizeBytes()
 	}
@@ -75,7 +77,8 @@ func (t *FactTable) SizeBytes() int64 {
 type Builder struct {
 	schema   Schema
 	dimCoord [][]uint32 // finest-level coordinate per dimension
-	measures [][]float64
+	measures [][]int32
+	units    []int32 // Append's scratch: the row's measures in units
 	textBldr []*dict.Builder
 	textProv [][]dict.ID
 	rows     int
@@ -88,7 +91,7 @@ func NewBuilder(schema Schema) (*Builder, error) {
 	}
 	b := &Builder{schema: schema}
 	b.dimCoord = make([][]uint32, len(schema.Dimensions))
-	b.measures = make([][]float64, len(schema.Measures))
+	b.measures = make([][]int32, len(schema.Measures))
 	b.textBldr = make([]*dict.Builder, len(schema.Texts))
 	b.textProv = make([][]dict.ID, len(schema.Texts))
 	for i := range b.textBldr {
@@ -101,14 +104,17 @@ func NewBuilder(schema Schema) (*Builder, error) {
 type Row struct {
 	// Coords[d] is the coordinate in dimension d at its finest level.
 	Coords []int
-	// Measures[m] is the value of measure m.
+	// Measures[m] is the value of measure m: a whole number of its
+	// 10^-scale units (Units), or the row is rejected.
 	Measures []float64
 	// Texts[i] is the raw string of text column i.
 	Texts []string
 }
 
 // Append adds one tuple. Coarser-level coordinates are derived from the
-// finest coordinate when read (exact roll-up by integer division).
+// finest coordinate when read (exact roll-up by integer division); a
+// measure value its scale cannot store fails with ErrMeasureValue before
+// anything is appended.
 func (b *Builder) Append(r Row) error {
 	if len(r.Coords) != len(b.schema.Dimensions) {
 		return fmt.Errorf("table: row has %d coords, schema has %d dimensions",
@@ -122,6 +128,15 @@ func (b *Builder) Append(r Row) error {
 		return fmt.Errorf("table: row has %d texts, schema has %d",
 			len(r.Texts), len(b.schema.Texts))
 	}
+	units := b.units[:0]
+	for m, ms := range b.schema.Measures {
+		c, err := Units(r.Measures[m], ms.Scale)
+		if err != nil {
+			return fmt.Errorf("%w (measure %q)", err, ms.Name)
+		}
+		units = append(units, c)
+	}
+	b.units = units
 	for d, c := range r.Coords {
 		card := b.schema.Dimensions[d].Levels[b.schema.Dimensions[d].Finest()].Cardinality
 		if c < 0 || c >= card {
@@ -130,8 +145,8 @@ func (b *Builder) Append(r Row) error {
 		}
 		b.dimCoord[d] = append(b.dimCoord[d], uint32(c))
 	}
-	for m, v := range r.Measures {
-		b.measures[m] = append(b.measures[m], v)
+	for m, c := range units {
+		b.measures[m] = append(b.measures[m], c)
 	}
 	for i, s := range r.Texts {
 		id, err := b.textBldr[i].Add(s)

@@ -191,7 +191,7 @@ func TestGenerateMatchesBuilder(t *testing.T) {
 		for m, ms := range sc.Measures {
 			g, p := grown.MeasureColumn(m), plain.MeasureColumn(m)
 			for r := range g {
-				if math.Float64bits(g[r]) != math.Float64bits(p[r]) {
+				if g[r] != p[r] {
 					t.Fatalf("measure %s row %d differs from the row-built table", ms.Name, r)
 				}
 			}
@@ -251,8 +251,11 @@ func generateRows(t *testing.T, spec GenSpec) *FactTable {
 		for _, dim := range spec.Schema.Dimensions {
 			row.Coords = append(row.Coords, rng.Intn(dim.Levels[dim.Finest()].Cardinality))
 		}
-		for range spec.Schema.Measures {
-			row.Measures = append(row.Measures, rng.Float64()*max)
+		for _, ms := range spec.Schema.Measures {
+			// The drawn value at its scale: the decimal Generate stores.
+			unit := math.Pow10(ms.Scale)
+			v := rng.Float64() * max
+			row.Measures = append(row.Measures, math.Floor(v*unit)/unit)
 		}
 		for _, pool := range pools {
 			row.Texts = append(row.Texts, pool[rng.Intn(len(pool))])
@@ -298,11 +301,11 @@ func TestGenerateHierarchyConsistency(t *testing.T) {
 
 // TestSizeBytes is the footprint floor: SizeBytes is the bytes the columns
 // actually store — one finest-level column per dimension, coarser levels
-// derived — and the paper's schema stores at most 27 of them a row (three
-// finest columns of two bytes, two text columns of two, two float64
-// measures: 26).
+// derived — and the paper's schema stores 18 of them a row at 1M rows
+// (three finest columns of two bytes, two text columns of two, two int32
+// measures).
 func TestSizeBytes(t *testing.T) {
-	ft, err := Generate(GenSpec{Schema: PaperSchema(), Rows: 100_000, Seed: 1})
+	ft, err := Generate(GenSpec{Schema: PaperSchema(), Rows: 1_000_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +319,17 @@ func TestSizeBytes(t *testing.T) {
 		stored += int64(c.Len() * c.Width())
 	}
 	for m := range ft.Schema().Measures {
-		stored += int64(len(ft.MeasureColumn(m)) * 8)
+		col := ft.MeasureColumn(m)
+		if cap(col) != ft.Rows() {
+			t.Fatalf("measure %d: cap %d for %d rows", m, cap(col), ft.Rows())
+		}
+		stored += int64(len(col) * 4)
 	}
 	if got := ft.SizeBytes(); got != stored {
 		t.Fatalf("SizeBytes = %d, columns store %d", got, stored)
 	}
-	if perRow := float64(stored) / float64(ft.Rows()); perRow > 27 {
-		t.Fatalf("PaperSchema stores %.1f B/row, want <= 27", perRow)
+	if perRow := float64(stored) / float64(ft.Rows()); perRow != 18 {
+		t.Fatalf("PaperSchema stores %.1f B/row, want 18", perRow)
 	}
 	half, err := Slice(ft, 0, ft.Rows()/2)
 	if err != nil {
@@ -400,7 +407,7 @@ func TestScanMinMaxAvg(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.Value-c.want) > 1e-12 {
+		if res.Value != c.want {
 			t.Errorf("%v = %v, want %v", c.op, res.Value, c.want)
 		}
 	}
@@ -476,8 +483,8 @@ func TestMergeEquivalenceProperty(t *testing.T) {
 			}
 			acc = Merge(op, acc, part)
 		}
-		acc = Finalize(op, acc)
-		return acc.Rows == whole.Rows && math.Abs(acc.Value-whole.Value) < 1e-6
+		acc = Finalize(op, ft.Schema().MeasureScale(0), acc)
+		return acc.Rows == whole.Rows && math.Float64bits(acc.Value) == math.Float64bits(whole.Value)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -518,7 +525,7 @@ func BenchmarkScan1M(b *testing.B) {
 		},
 		Measure: 0, Op: AggSum,
 	}
-	b.SetBytes(int64(12 * ft.Rows())) // two code columns + one measure
+	b.SetBytes(int64(8 * ft.Rows())) // two code columns + one measure
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Scan(ft, req); err != nil {

@@ -200,20 +200,22 @@ func refineShape[T code](p *boundPred, col []T, sel []int32) int {
 // --- aggregation kernels --------------------------------------------------
 //
 // One loop per AggOp, over either a selection vector or a dense run (the
-// unfiltered case). Accumulation order matches ScanRange exactly — row
-// ascending, one float add per matching row — so results are bit-identical
-// to the reference kernel, not merely close.
+// unfiltered case), reading int32 units: a sum adds them in int64 and the
+// batch's total joins the partial as one exact float add, a min or max
+// selects one. Integer addition is associative, so the result is the
+// reference kernel's bits whatever order the rows come in.
 
 //olaplint:noalloc
-func sumSel(acc float64, meas []float64, base int, sel []int32) float64 {
+func sumSel(meas []int32, base int, sel []int32) int64 {
+	var acc int64
 	for _, i := range sel {
-		acc += meas[base+int(i)]
+		acc += int64(meas[base+int(i)])
 	}
 	return acc
 }
 
 //olaplint:noalloc
-func minSel(acc float64, first bool, meas []float64, base int, sel []int32) float64 {
+func minSel(acc int32, first bool, meas []int32, base int, sel []int32) int32 {
 	for _, i := range sel {
 		v := meas[base+int(i)]
 		if first || v < acc {
@@ -225,7 +227,7 @@ func minSel(acc float64, first bool, meas []float64, base int, sel []int32) floa
 }
 
 //olaplint:noalloc
-func maxSel(acc float64, first bool, meas []float64, base int, sel []int32) float64 {
+func maxSel(acc int32, first bool, meas []int32, base int, sel []int32) int32 {
 	for _, i := range sel {
 		v := meas[base+int(i)]
 		if first || v > acc {
@@ -237,15 +239,16 @@ func maxSel(acc float64, first bool, meas []float64, base int, sel []int32) floa
 }
 
 //olaplint:noalloc
-func sumRun(acc float64, run []float64) float64 {
+func sumRun(run []int32) int64 {
+	var acc int64
 	for _, v := range run {
-		acc += v
+		acc += int64(v)
 	}
 	return acc
 }
 
 //olaplint:noalloc
-func minRun(acc float64, first bool, run []float64) float64 {
+func minRun(acc int32, first bool, run []int32) int32 {
 	for _, v := range run {
 		if first || v < acc {
 			acc = v
@@ -256,7 +259,7 @@ func minRun(acc float64, first bool, run []float64) float64 {
 }
 
 //olaplint:noalloc
-func maxRun(acc float64, first bool, run []float64) float64 {
+func maxRun(acc int32, first bool, run []int32) int32 {
 	for _, v := range run {
 		if first || v > acc {
 			acc = v
@@ -275,8 +278,9 @@ func fillDense(sel []int32, n int) {
 	}
 }
 
-// accumulate folds the selected rows into the member's scalar partial:
-// row ascending, one float add per row, like ScanRange.
+// accumulate folds the selected rows into the member's scalar partial, an
+// integer number of units (a min/max partial converts back to int32
+// exactly).
 //
 //olaplint:noalloc
 func (m *member) accumulate(st *ScanResult, base int, sel []int32) {
@@ -284,11 +288,11 @@ func (m *member) accumulate(st *ScanResult, base int, sel []int32) {
 	st.Rows += int64(len(sel))
 	switch m.op {
 	case AggSum, AggAvg:
-		st.Value = sumSel(st.Value, m.meas, base, sel)
+		st.Value += float64(sumSel(m.meas, base, sel))
 	case AggMin:
-		st.Value = minSel(st.Value, first, m.meas, base, sel)
+		st.Value = float64(minSel(int32(st.Value), first, m.meas, base, sel))
 	case AggMax:
-		st.Value = maxSel(st.Value, first, m.meas, base, sel)
+		st.Value = float64(maxSel(int32(st.Value), first, m.meas, base, sel))
 	}
 }
 
@@ -301,11 +305,11 @@ func (m *member) accumulateRun(st *ScanResult, lo, hi int) {
 	st.Rows += int64(hi - lo)
 	switch m.op {
 	case AggSum, AggAvg:
-		st.Value = sumRun(st.Value, m.meas[lo:hi])
+		st.Value += float64(sumRun(m.meas[lo:hi]))
 	case AggMin:
-		st.Value = minRun(st.Value, first, m.meas[lo:hi])
+		st.Value = float64(minRun(int32(st.Value), first, m.meas[lo:hi]))
 	case AggMax:
-		st.Value = maxRun(st.Value, first, m.meas[lo:hi])
+		st.Value = float64(maxRun(int32(st.Value), first, m.meas[lo:hi]))
 	}
 }
 
@@ -372,7 +376,7 @@ func (m *member) scatter(dst Groups, base int, sel []int32, keys []GroupKey) {
 		for j, i := range sel {
 			acc := dst[keys[j]]
 			acc.Rows++
-			acc.Value += m.meas[base+int(i)]
+			acc.Value += float64(m.meas[base+int(i)])
 			dst[keys[j]] = acc
 		}
 	case AggCount:
@@ -383,7 +387,7 @@ func (m *member) scatter(dst Groups, base int, sel []int32, keys []GroupKey) {
 		}
 	case AggMin:
 		for j, i := range sel {
-			v := m.meas[base+int(i)]
+			v := float64(m.meas[base+int(i)])
 			acc := dst[keys[j]]
 			if acc.Rows == 0 || v < acc.Value {
 				acc.Value = v
@@ -393,7 +397,7 @@ func (m *member) scatter(dst Groups, base int, sel []int32, keys []GroupKey) {
 		}
 	case AggMax:
 		for j, i := range sel {
-			v := m.meas[base+int(i)]
+			v := float64(m.meas[base+int(i)])
 			acc := dst[keys[j]]
 			if acc.Rows == 0 || v > acc.Value {
 				acc.Value = v
@@ -416,13 +420,10 @@ type State struct {
 // RangeInto runs the plan's kernel over rows [lo, hi), accumulating into
 // states (one per member, caller-owned). Chaining consecutive ranges
 // through the same states continues each accumulation as if the rows
-// immediately followed the ones already covered, so it is bit-identical to
-// a single reference scan over their concatenation (continuous
-// accumulation rounds like one long scan, not like Merge / MergeGroups
-// over partial sums) — what snapshot scans rely on to match a from-scratch
-// rebuild exactly, and a gpusim unit that spans stripes to answer like the
-// same rows in one stripe. Safe for concurrent use; allocates nothing in
-// steady state.
+// immediately followed the ones already covered, and since partials are
+// exact integer units it is bit-identical to a single reference scan over
+// their concatenation — and to Merge / MergeGroups over partials of any
+// split. Safe for concurrent use; allocates nothing in steady state.
 func (pl *Plan) RangeInto(lo, hi int, states []State) error {
 	return pl.rangeBatch(lo, hi, states, BatchSize)
 }

@@ -36,8 +36,8 @@ func (s *Spec) defaults() {
 
 // Schema returns the store_sales-like schema: a date hierarchy
 // (year→quarter→month→day), a store geography (region→state→store) and an
-// item hierarchy (category→class→item), with sales measures and four text
-// columns.
+// item hierarchy (category→class→item), with sales measures — decimals
+// at TPC-DS's scales — and four text columns.
 func Schema() table.Schema {
 	return table.Schema{
 		Dimensions: []table.DimensionSpec{
@@ -58,10 +58,12 @@ func Schema() table.Schema {
 				{Name: "sku", Cardinality: 1600},
 			}},
 		},
+		// TPC-DS declares ss_quantity an integer and ss_net_paid /
+		// ss_net_profit decimal(7,2).
 		Measures: []table.MeasureSpec{
-			{Name: "quantity"},
-			{Name: "net_paid"},
-			{Name: "net_profit"},
+			{Name: "quantity", Scale: 0},
+			{Name: "net_paid", Scale: 2},
+			{Name: "net_profit", Scale: 2},
 		},
 		Texts: []table.TextSpec{
 			{Name: "customer_name"},

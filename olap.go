@@ -86,11 +86,11 @@ type Options struct {
 	// range-sharded over that many simulated nodes, each with its own GPU
 	// device, cubes and scheduler, and a coordinator plans every shard
 	// sub-query with a link cost model folded into deadlines. Answers are
-	// bit-identical across every shard count ≥ 2 (and to a one-shard
-	// cluster.New): partials fold on one global chunk grid. Shards <= 1
-	// opens the single-node engine instead, which folds gpusim's block
-	// grid: against it count/min/max are exact and sum/avg agree to
-	// rounding (TestShardsAnswerContract). Sharded databases are static:
+	// bit-identical across every shard count — to a one-shard cluster.New
+	// and to the single-node engine Shards <= 1 opens, on every op:
+	// partials are exact integer units of the measure's scale, so folding
+	// them on the cluster's chunk grid or the engine's block grid gives
+	// the same bits (TestShardsAnswerContract). Sharded databases are static:
 	// Live/WALPath are rejected, and every query answers through the
 	// coordinator (no fusion or result cache across nodes).
 	Shards int
@@ -245,7 +245,9 @@ func (db *DB) dicts() *dict.Set {
 
 // Ingest appends a batch of rows to the live store (Options.Live) and
 // returns the epoch in which they became visible. Rows carry finest-level
-// integer coordinates, one float per measure and one raw string per text
+// integer coordinates, one float per measure — a whole number of the
+// measure's 10^-scale units (cents for the paper schema), or the batch is
+// rejected with table.ErrMeasureValue — and one raw string per text
 // column; strings the dictionaries have never seen are appended with
 // fresh stable codes.
 func (db *DB) Ingest(rows []table.Row) (epoch uint64, err error) {
