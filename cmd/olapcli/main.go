@@ -246,7 +246,7 @@ func printClusterStats(db *olap.DB) {
 	if !ok {
 		return
 	}
-	fmt.Printf("cluster: %d shards  replication %d  chunks %d\n", cs.Shards, cs.Replication, cs.Chunks)
+	fmt.Printf("cluster: %d shards  replication %d\n", cs.Shards, cs.Replication)
 	fmt.Printf("queries %d  group-queries %d  sub-queries %d (local %d, remote %d)\n",
 		cs.Queries, cs.GroupQueries, cs.SubQueries, cs.LocalSubQueries, cs.RemoteSubQueries)
 	fmt.Printf("moved %d bytes in %.4fs  failures %d  failovers %d  quarantines %d  reprobes %d\n",
@@ -290,6 +290,6 @@ func partialSuffix(route olap.Route) string {
 	if p == nil {
 		return ""
 	}
-	return fmt.Sprintf("  ** PARTIAL: %d/%d chunks, missing shards %v **",
-		p.ChunksAnswered, p.ChunksTotal, p.MissingShards)
+	return fmt.Sprintf("  ** PARTIAL: %d/%d rows, missing shards %v **",
+		p.RowsAnswered, p.RowsTotal, p.MissingShards)
 }

@@ -93,8 +93,8 @@ func (v *remoteQueryResponse) partialNote() string {
 	if v.Partial == nil {
 		return ""
 	}
-	return fmt.Sprintf("  ** PARTIAL: %d/%d chunks, missing shards %v **",
-		v.Partial.ChunksAnswered, v.Partial.ChunksTotal, v.Partial.MissingShards)
+	return fmt.Sprintf("  ** PARTIAL: %d/%d rows, missing shards %v **",
+		v.Partial.RowsAnswered, v.Partial.RowsTotal, v.Partial.MissingShards)
 }
 
 func (r *remote) query(sql string) {

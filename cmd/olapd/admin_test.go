@@ -134,9 +134,9 @@ func TestPartialQueryHTTP(t *testing.T) {
 	if code := postQuery(t, ts, `{"sql":"SELECT count(*)"}`, &qv); code != http.StatusPartialContent {
 		t.Fatalf("scalar query = %d, want 206", code)
 	}
-	if qv.Partial == nil || qv.Partial.ChunksAnswered != 48 || qv.Partial.ChunksTotal != 64 ||
+	if qv.Partial == nil || qv.Partial.RowsAnswered != 3000 || qv.Partial.RowsTotal != 4000 ||
 		len(qv.Partial.MissingShards) != 1 || qv.Partial.MissingShards[0] != 2 {
-		t.Fatalf("partial block = %+v, want 48/64 missing [2]", qv.Partial)
+		t.Fatalf("partial block = %+v, want 3000/4000 rows missing [2]", qv.Partial)
 	}
 	if qv.Rows == nil || *qv.Rows != 3000 {
 		t.Fatalf("partial count = %+v, want exactly the 3 live shards' 3000 rows", qv)
@@ -146,7 +146,7 @@ func TestPartialQueryHTTP(t *testing.T) {
 	if code := postQuery(t, ts, `{"sql":"SELECT count(*) GROUP BY geo.region"}`, &gv); code != http.StatusPartialContent {
 		t.Fatalf("grouped query = %d, want 206", code)
 	}
-	if gv.Partial == nil || gv.Partial.ChunksAnswered != 48 {
+	if gv.Partial == nil || gv.Partial.RowsAnswered != 3000 {
 		t.Fatalf("grouped partial block = %+v", gv.Partial)
 	}
 	var rows int64

@@ -344,8 +344,8 @@ type queryResponse struct {
 	Cached   bool `json:"cached,omitempty"`
 	Subsumed bool `json:"subsumed,omitempty"`
 	// Partial is present exactly when the answer is degraded (sharded
-	// servers with -allow-partial): which slice of the global chunk grid
-	// the answer covers and which shards were unavailable. Such responses
+	// servers with -allow-partial): how many of the table's rows the
+	// answer covers and which shards were unavailable. Such responses
 	// are served with status 206 instead of 200.
 	Partial   *cluster.Completeness `json:"partial,omitempty"`
 	LatencyMS float64               `json:"latency_ms"`

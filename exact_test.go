@@ -36,8 +36,8 @@ var exactCorpus = func() []string {
 	return out
 }()
 
-// exactDigest opens a database over a 70K-row table — three blocks of
-// gpusim's fold grid and a short fourth — whose cubes are built with
+// exactDigest opens a database over a 70K-row table — three of gpusim's
+// work units and a short fourth — whose cubes are built with
 // cubeWorkers (0: one per GOMAXPROCS), answers the corpus through Serve
 // and hashes every answer's value bits, rows and groups. It also reports
 // how many answers came from the CPU.

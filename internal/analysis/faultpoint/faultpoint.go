@@ -18,10 +18,9 @@
 //     Reported at the call site. The check is flow-insensitive: it
 //     proves the path is instrumented, not that the check precedes the
 //     operation.
-//  2. Must-cross entry points — both gpusim Partition entry points,
-//     Execute and ExecuteChunks, and (*ingest.Store).CompactOnce — must
-//     themselves cross their point (GPUExec, Compaction). Reported at the
-//     declaration.
+//  2. Must-cross entry points — the gpusim Partition entry point,
+//     Execute, and (*ingest.Store).CompactOnce — must themselves cross
+//     their point (GPUExec, Compaction). Reported at the declaration.
 //
 // Deliberately uninstrumented paths (offline reference executors, fault
 // -free experiment builders) carry an `olaplint:faultexempt` directive
@@ -77,9 +76,8 @@ var guarded = map[key]string{
 
 // mustCross maps each entry point to the Point it must itself cross.
 var mustCross = map[key]string{
-	{"gpusim", "m.Partition.Execute"}:       "GPUExec",
-	{"gpusim", "m.Partition.ExecuteChunks"}: "GPUExec",
-	{"ingest", "m.Store.CompactOnce"}:       "Compaction",
+	{"gpusim", "m.Partition.Execute"}: "GPUExec",
+	{"ingest", "m.Store.CompactOnce"}: "Compaction",
 }
 
 func run(pass *analysis.Pass) (any, error) {

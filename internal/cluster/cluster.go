@@ -7,14 +7,12 @@
 // trades movement against per-node queue slack exactly as the paper
 // trades CPU against GPU.
 //
-// Determinism is load-bearing. Answers must be bit-identical for ANY
-// shard count, so execution happens on a fixed global chunk grid: the
-// table is cut into Config.Chunks chunks whose boundaries depend only on
-// the total row count, every shard executes its chunks as independent
-// single-pass partials (gpusim.ExecuteChunks), and the coordinator folds
-// ALL chunk partials flat, in global chunk order. The fold tree is then a
-// pure function of (table, query, Chunks) — never of N, replica choice,
-// failover history or goroutine interleaving.
+// Answers are bit-identical for ANY shard count. Shard s holds the global
+// rows [s·rows/N, (s+1)·rows/N), answers its sub-query with one unfinalised
+// partial (the device's Execute over its resident shard, or a cube walk of
+// its cube set), and the coordinator merges the shards' partials. Partials
+// are exact integer units, so the merge order — shard count, replica
+// choice, failover history, goroutine interleaving — never moves a bit.
 package cluster
 
 import (
@@ -33,11 +31,6 @@ import (
 	"hybridolap/internal/table"
 )
 
-// DefaultChunks is the default global merge-grid size. It must be
-// divisible by every shard count in use; 64 covers the powers of two up
-// to 64 nodes.
-const DefaultChunks = 64
-
 // Config sizes and wires a cluster.
 type Config struct {
 	// Shards is the number of shards and nodes (one primary shard per
@@ -47,17 +40,12 @@ type Config struct {
 	// min(2, Shards); clamped to [1, Shards]). Shard s is primary on node
 	// s and replicated on nodes (s+1)%N, (s+2)%N, ...
 	Replication int
-	// Chunks is the fixed global merge grid (default DefaultChunks). It
-	// must be a multiple of Shards: chunk boundaries depend only on the
-	// total row count, so shard boundaries nest into the grid and the
-	// coordinator's chunk-order fold is identical for every shard count.
-	Chunks int
 	// CPUThreads selects each node's CPU aggregation model (default 8);
 	// New rejects a count the estimator has no CPU model for.
 	CPUThreads int
 	// CubeLevels are materialised per shard on every holder (default
-	// {0, 1}), so the node CPU path can answer order-insensitive
-	// aggregates locally.
+	// {0, 1}), so the node CPU path can answer what the cubes cover
+	// locally.
 	CubeLevels []int
 	// DeadlineSeconds is T_C for every shard sub-query (default 1.0).
 	DeadlineSeconds float64
@@ -105,14 +93,9 @@ type Config struct {
 	RepairSeed int64
 	// AllowPartial degrades reads instead of failing them: a shard with
 	// no live holder is skipped and the answer carries a Completeness
-	// mask (chunks answered / total, missing shards) instead of
+	// mask (rows answered / total, missing shards) instead of
 	// ErrShardUnavailable. Any other shard error still fails the query.
 	AllowPartial bool
-}
-
-// span is a half-open global row interval.
-type span struct {
-	lo, hi int
 }
 
 // node is one simulated cluster member: its own scheduler (queue clocks
@@ -143,11 +126,8 @@ type Cluster struct {
 	ft     *table.FactTable
 	schema *table.Schema
 
-	grid        []span                // global chunk boundaries, len = cfg.Chunks
-	shardSpans  []span                // per-shard global row range
-	shardChunks [][]gpusim.ChunkRange // per-shard chunk ranges in LOCAL rows
-	shardTables []*table.FactTable    // shard views sharing the parent's dictionaries
-	holders     [][]int               // per-shard holder nodes, primary first
+	shardTables []*table.FactTable // shard views sharing the parent's dictionaries
+	holders     [][]int            // per-shard holder nodes, primary first
 	nodes       []*node
 	pricer      *engine.Pricer // every node's step 2; its widths are every node's GPU layout
 	link        perfmodel.LinkModel
@@ -187,7 +167,6 @@ type NodeStats struct {
 type Stats struct {
 	Shards      int `json:"shards"`
 	Replication int `json:"replication"`
-	Chunks      int `json:"chunks"`
 	// Queries counts scalar cluster queries; GroupQueries grouped ones.
 	Queries      int64 `json:"queries"`
 	GroupQueries int64 `json:"group_queries"`
@@ -246,13 +225,6 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 	if cfg.Replication > cfg.Shards {
 		cfg.Replication = cfg.Shards
 	}
-	if cfg.Chunks <= 0 {
-		cfg.Chunks = DefaultChunks
-	}
-	if cfg.Chunks%cfg.Shards != 0 {
-		return nil, fmt.Errorf("%w: Chunks (%d) must be a multiple of Shards (%d) so shard boundaries nest into the global merge grid",
-			ErrConfig, cfg.Chunks, cfg.Shards)
-	}
 	if cfg.EvictThreshold < 0 {
 		return nil, fmt.Errorf("%w: EvictThreshold (%d) must be >= 0", ErrConfig, cfg.EvictThreshold)
 	}
@@ -300,32 +272,11 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 	}
 	c.stats.Shards = n
 	c.stats.Replication = cfg.Replication
-	c.stats.Chunks = cfg.Chunks
 
-	// Global chunk grid: boundaries are a pure function of (rows, Chunks),
-	// NEVER of the shard count — floor(ci*rows/Chunks) nests for every
-	// divisor of Chunks, which is what keeps the coordinator's fold order
-	// shard-count-invariant.
-	c.grid = make([]span, cfg.Chunks)
-	for ci := range c.grid {
-		c.grid[ci] = span{lo: ci * rows / cfg.Chunks, hi: (ci + 1) * rows / cfg.Chunks}
-	}
-
-	perShard := cfg.Chunks / n
-	c.shardSpans = make([]span, n)
-	c.shardChunks = make([][]gpusim.ChunkRange, n)
 	c.shardTables = make([]*table.FactTable, n)
 	c.holders = make([][]int, n)
 	for s := 0; s < n; s++ {
-		lo := c.grid[s*perShard].lo
-		hi := c.grid[(s+1)*perShard-1].hi
-		c.shardSpans[s] = span{lo: lo, hi: hi}
-		local := make([]gpusim.ChunkRange, perShard)
-		for k := 0; k < perShard; k++ {
-			g := c.grid[s*perShard+k]
-			local[k] = gpusim.ChunkRange{Lo: g.lo - lo, Hi: g.hi - lo}
-		}
-		c.shardChunks[s] = local
+		lo, hi := s*rows/n, (s+1)*rows/n
 		st, err := table.Slice(ft, lo, hi)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: sharding rows [%d,%d): %w", lo, hi, err)

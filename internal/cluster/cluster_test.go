@@ -123,21 +123,33 @@ func sameGroups(a, b []table.GroupRow) bool {
 
 // TestClusterDifferential asserts the tentpole invariant: for every shard
 // count and replication factor, scalar and grouped answers are
-// bit-identical to the single-node (N=1) cluster on the same table —
-// count/min/max additionally exact against the plain engine scan.
+// bit-identical to the single-node (N=1) cluster on the same table, and
+// every scalar answer exact against the plain engine scan. A sum and a
+// grouped sum the cubes cover are answered by the holders' cube walks:
+// their shard partials merge with the same bits as scan partials.
 func TestClusterDifferential(t *testing.T) {
 	ft := testTable(t, 20_000, 11)
-	scalars := diffQueries(t, ft)
-	groups := diffGroupQueries(t)
+	months := []query.Condition{{Dim: 0, Level: 1, From: 3, To: 20}}
+	scalars := append(diffQueries(t, ft), &query.Query{ID: 50, Op: table.AggSum, Conditions: months})
+	groups := append(diffGroupQueries(t), &query.Query{ID: 150, Op: table.AggSum, Conditions: months,
+		GroupBy: []query.GroupRef{{Dim: 1, Level: 0}}})
+	cpuPlaced := func(c *Cluster) (n int64) {
+		for _, ns := range c.Stats().PerNode {
+			n += ns.ToCPU
+		}
+		return n
+	}
 
 	ref, err := New(ft, Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	refS, refG := runAll(t, ref, scalars, groups)
+	if cpuPlaced(ref) < 2 {
+		t.Fatalf("fixture: %d sub-queries placed on a CPU, want the two cube-answerable sums", cpuPlaced(ref))
+	}
 
-	// Exactness against the plain single-pass scan for the
-	// fold-order-insensitive ops (and row counts for every op).
+	// Exactness against the plain single-pass scan.
 	for i, q := range scalars {
 		qq := q.Clone()
 		if qq.NeedsTranslation() {
@@ -156,18 +168,12 @@ func TestClusterDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if refS[i].Rows != want.Rows {
-			t.Errorf("query %d: rows %d, scan reference %d", q.ID, refS[i].Rows, want.Rows)
-		}
-		switch q.Op {
-		case table.AggCount, table.AggMin, table.AggMax:
-			if math.Float64bits(refS[i].Value) != math.Float64bits(want.Value) {
-				t.Errorf("query %d (%v): value %v, scan reference %v", q.ID, q.Op, refS[i].Value, want.Value)
-			}
+		if !sameScalar(refS[i], Result{Value: want.Value, Rows: want.Rows}) {
+			t.Errorf("query %d (%v): {%v %d}, scan reference {%v %d}", q.ID, q.Op, refS[i].Value, refS[i].Rows, want.Value, want.Rows)
 		}
 	}
 
-	for _, shards := range []int{2, 4, 8} {
+	for _, shards := range []int{2, 3, 4, 8} {
 		for _, rf := range []int{1, 2} {
 			c, err := New(ft, Config{Shards: shards, Replication: rf})
 			if err != nil {
@@ -188,6 +194,9 @@ func TestClusterDifferential(t *testing.T) {
 			st := c.Stats()
 			if st.SubQueries < int64(shards*(len(scalars)+len(groups))) {
 				t.Errorf("N=%d RF=%d: only %d sub-queries dispatched", shards, rf, st.SubQueries)
+			}
+			if n := cpuPlaced(c); n < int64(2*shards) {
+				t.Errorf("N=%d RF=%d: only %d sub-queries placed on a CPU", shards, rf, n)
 			}
 		}
 	}
@@ -329,14 +338,11 @@ func TestClusterShardUnavailable(t *testing.T) {
 	}
 }
 
-// TestClusterConfigValidation pins the chunk-grid divisibility rule and
-// replication clamping.
+// TestClusterConfigValidation pins replication clamping, for a shard count
+// that divides nothing in particular.
 func TestClusterConfigValidation(t *testing.T) {
 	ft := testTable(t, 1_000, 1)
-	if _, err := New(ft, Config{Shards: 3}); err == nil {
-		t.Fatal("Chunks=64 with Shards=3 accepted")
-	}
-	c, err := New(ft, Config{Shards: 3, Chunks: 12, Replication: 9})
+	c, err := New(ft, Config{Shards: 3, Replication: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,9 +362,8 @@ func TestClusterConfigValidation(t *testing.T) {
 // TestPriceMatchesEngine: the cluster prices a shard sub-query with the
 // engine's step 2, so a one-shard cluster — shard fraction 1, resident
 // shard — prices every query to the same bits as engine.Estimate: a
-// cube-answerable count (CPU offered), a text query (GPU-only) and a
-// GROUP BY finer than the cubes (GPU-only on both; the cluster never
-// offers the cube path to a grouped op).
+// cube-answerable count, sum and GROUP BY (CPU offered), a text query
+// (GPU-only) and a GROUP BY finer than the cubes (GPU-only on both).
 func TestPriceMatchesEngine(t *testing.T) {
 	ft := testTable(t, 4_000, 3)
 	c, err := New(ft, Config{Shards: 1})
@@ -389,6 +394,11 @@ func TestPriceMatchesEngine(t *testing.T) {
 		{"group-by", &query.Query{Op: table.AggMax,
 			Conditions: []query.Condition{{Dim: 1, Level: 0, From: 0, To: 3}},
 			GroupBy:    []query.GroupRef{{Dim: 0, Level: 2}}}, false},
+		{"sum", &query.Query{Op: table.AggSum,
+			Conditions: []query.Condition{{Dim: 0, Level: 1, From: 2, To: 9}}}, true},
+		{"cube group-by", &query.Query{Op: table.AggAvg,
+			Conditions: []query.Condition{{Dim: 1, Level: 0, From: 0, To: 3}},
+			GroupBy:    []query.GroupRef{{Dim: 0, Level: 0}}}, true},
 	}
 	for _, tc := range cases {
 		q := tc.q
@@ -460,7 +470,7 @@ func TestClusterStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st.Shards != 2 || st.Replication != 2 || st.Chunks != DefaultChunks {
+	if st.Shards != 2 || st.Replication != 2 {
 		t.Fatalf("shape: %+v", st)
 	}
 	if st.Queries != 1 || st.SubQueries != 2 {

@@ -15,17 +15,15 @@ import (
 )
 
 // Completeness is the mask a degraded (Config.AllowPartial) answer
-// carries: exactly which slice of the global chunk grid the fold
-// covered. A full answer has a nil *Completeness — the mask exists only
-// when chunks are missing, so callers can test `route.Partial != nil`
-// instead of comparing counts.
+// carries: exactly which rows the answer covers. A full answer has a nil
+// *Completeness — the mask exists only when shards are missing, so callers
+// can test `route.Partial != nil` instead of comparing counts.
 type Completeness struct {
-	// ChunksAnswered counts global grid chunks folded into the answer;
-	// ChunksTotal is the grid size (Config.Chunks). A shard answered by
-	// the CPU cube shortcut contributes all of its chunks: the shard
-	// total IS those chunks' fold.
-	ChunksAnswered int `json:"chunks_answered"`
-	ChunksTotal    int `json:"chunks_total"`
+	// RowsAnswered counts the table rows merged into the answer: every row
+	// of each shard that answered, whether by a scan or by a cube walk.
+	// RowsTotal is the table's row count.
+	RowsAnswered int `json:"rows_answered"`
+	RowsTotal    int `json:"rows_total"`
 	// MissingShards lists the shards skipped because no live node could
 	// serve them, ascending.
 	MissingShards []int `json:"missing_shards"`
@@ -41,7 +39,7 @@ type Result struct {
 	Groups  []table.GroupRow
 	Latency time.Duration
 	// Partial is non-nil when AllowPartial skipped unavailable shards:
-	// the answer then covers only the chunks the mask claims.
+	// the answer then covers only the rows the mask claims.
 	Partial *Completeness
 }
 
@@ -74,23 +72,23 @@ func (c *Cluster) translate(q *query.Query) error {
 // retry competes for whatever slack remains — the engine's Resubmit
 // semantics lifted to nodes. The failed node is excluded from the re-plan
 // (place falls back to it only when nothing else is alive).
-func (c *Cluster) execShard(s int, deadline float64, q *query.Query, m table.Member) ([]table.State, error) {
+func (c *Cluster) execShard(s int, deadline float64, q *query.Query, m table.Member) (table.State, error) {
 	sq, err := c.subQueryFor(s, q, m)
 	if err != nil {
-		return nil, err
+		return table.State{}, err
 	}
 	tried := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
 		pl, err := c.place(c.nowS(), deadline, sq, tried, attempt > 0)
 		if err != nil {
-			return nil, err
+			return table.State{}, err
 		}
 		if ferr := c.cfg.Faults.Check(fault.NodeExec, pl.node); ferr != nil {
 			willRetry := attempt < c.maxRetries()
 			c.noteFailure(pl, willRetry)
 			tried[pl.node] = true
 			if !willRetry {
-				return nil, ferr
+				return table.State{}, ferr
 			}
 			continue
 		}
@@ -102,7 +100,7 @@ func (c *Cluster) execShard(s int, deadline float64, q *query.Query, m table.Mem
 			c.noteExecFailure(pl, willRetry)
 			tried[pl.node] = true
 			if !willRetry {
-				return nil, err
+				return table.State{}, err
 			}
 			continue
 		}
@@ -130,41 +128,36 @@ func (c *Cluster) deviceFor(nd *node, s int) (*gpusim.Device, error) {
 	return dev, nil
 }
 
-// runShard executes a placed sub-query and returns shard s's chunk
-// states in chunk order. The CPU path walks the node's shard cube set —
-// placed there only for fold-order-insensitive ops (counts are integers,
-// min/max select a stored value), so the single shard-total state it
-// returns merges into the coordinator's chunk fold without perturbing a
-// bit.
-func (c *Cluster) runShard(pl placement, q *query.Query, m table.Member) ([]table.State, error) {
+// runShard executes a placed sub-query and returns shard s's partial: a
+// walk of the node's shard cube set on the CPU path, the one Execute over
+// the node's shard device on a GPU partition. Either is exact integer
+// units, so either merges into the coordinator's answer to the same bits.
+func (c *Cluster) runShard(pl placement, q *query.Query, m table.Member) (table.State, error) {
 	nd := c.nodes[pl.node]
 	if pl.dec.Queue.Kind == sched.QueueCPU {
 		nd.mu.Lock()
 		cs := nd.cubes[pl.shard]
 		nd.mu.Unlock()
-		st, err := engine.CubeWalk(q, cs, c.cfg.CPUThreads)
-		if err != nil {
-			return nil, err
-		}
-		return []table.State{st}, nil
+		return engine.CubeWalk(q, cs, c.cfg.CPUThreads)
 	}
 	dev, err := c.deviceFor(nd, pl.shard)
 	if err != nil {
-		return nil, err
+		return table.State{}, err
 	}
-	return dev.Partitions()[pl.dec.Queue.Index].ExecuteChunks(m, c.shardChunks[pl.shard])
+	ans, err := dev.Partitions()[pl.dec.Queue.Index].Execute(dev.Resident(), []table.Member{m})
+	if err != nil {
+		return table.State{}, err
+	}
+	return ans[0].Partial, nil
 }
 
 // Query answers a query across every shard: translate once at the
 // coordinator, fan the sub-query out (placement and failover per shard,
-// all against the one T_D stamped on arrival), then fold ALL chunk
-// states flat in global chunk order — shard 0's chunks, then shard 1's,
-// ... — and finalize: Merge/Finalize for a scalar query, MergeGroups/
-// FinalizeGroups into key-sorted rows for a grouped one (per-key fold
-// order is the merge-call order, so map iteration order is irrelevant).
-// The fold tree is identical for every shard count, replica choice and
-// failover history, so the answer is bit-identical to the N=1 cluster on
-// the same table.
+// all against the one T_D stamped on arrival), then merge the shards'
+// partials and finalize: Merge/Finalize for a scalar query, MergeGroups/
+// FinalizeGroups into key-sorted rows for a grouped one. Partials are
+// exact integer units, so the answer is bit-identical for every shard
+// count, replica choice and failover history, and to the single node's.
 func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 	started := time.Now()
 	deadline := c.nowS() + c.deadlineSeconds()
@@ -186,7 +179,7 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 	if empty {
 		return Result{Latency: time.Since(started)}, nil
 	}
-	partials := make([][]table.State, len(c.nodes))
+	partials := make([]table.State, len(c.nodes))
 	errs := make([]error, len(c.nodes))
 	var wg sync.WaitGroup
 	for s := range c.nodes {
@@ -204,20 +197,17 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 
 	res := Result{Partial: cp}
 	scale := c.schema.MeasureScale(m.Measure)
+	// A missing shard's partial is the zero state.
 	if q.Grouped() {
 		var acc table.Groups
 		for _, part := range partials {
-			for _, st := range part {
-				acc = table.MergeGroups(m.Op, acc, st.Groups)
-			}
+			acc = table.MergeGroups(m.Op, acc, part.Groups)
 		}
 		res.Groups = table.FinalizeGroups(m.Op, scale, acc, len(m.GroupBy))
 	} else {
 		var acc table.ScanResult
 		for _, part := range partials {
-			for _, st := range part {
-				acc = table.Merge(m.Op, acc, st.Scalar)
-			}
+			acc = table.Merge(m.Op, acc, part.Scalar)
 		}
 		r := table.Finalize(m.Op, scale, acc)
 		res.Value, res.Rows = r.Value, r.Rows
@@ -228,11 +218,9 @@ func (c *Cluster) Query(q0 *query.Query) (Result, error) {
 
 // degrade inspects the per-shard fan-out errors. Without AllowPartial
 // any error is fatal. With it, ErrShardUnavailable shards are dropped
-// from the fold and reported in a Completeness mask whose chunk count
-// is exactly the set of grid chunks the surviving shards contributed —
-// the acceptance contract is that mask == chunks folded, which holds
-// because a shard either contributes ALL of its chunks (scan partials
-// or the equivalent CPU shard total) or none. Any other error stays
+// from the merge and reported in a Completeness mask whose row count is
+// exactly the rows of the surviving shards — a shard contributes all of
+// its rows (a scan or a cube walk of them) or none. Any other error stays
 // fatal even in partial mode: a failed node is not a missing shard.
 func (c *Cluster) degrade(errs []error) (*Completeness, error) {
 	var missing []int
@@ -249,16 +237,16 @@ func (c *Cluster) degrade(errs []error) (*Completeness, error) {
 	if len(missing) == 0 {
 		return nil, nil
 	}
-	answered := c.cfg.Chunks
+	answered := c.ft.Rows()
 	for _, s := range missing {
-		answered -= len(c.shardChunks[s])
+		answered -= c.shardTables[s].Rows()
 	}
 	c.mu.Lock()
 	c.stats.PartialAnswers++
 	c.mu.Unlock()
 	return &Completeness{
-		ChunksAnswered: answered,
-		ChunksTotal:    c.cfg.Chunks,
-		MissingShards:  missing,
+		RowsAnswered:  answered,
+		RowsTotal:     c.ft.Rows(),
+		MissingShards: missing,
 	}, nil
 }

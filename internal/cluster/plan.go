@@ -21,17 +21,13 @@ type subQuery struct {
 }
 
 // subQueryFor prices shard s's sub-query with the engine's step 2 over a
-// holder's cube set (every holder builds the same one). The CPU path is
-// offered only for an order-free, ungrouped op, where a shard-total cube
-// answer stands in for the shard's chunk partials bit for bit. (Sum and
-// avg partials are exact integer units now, so theirs would too; they
-// take the grid until AggOp.OrderFree is retired.) P_GPU is calibrated on the full table; a shard
-// scans its row fraction of it — the scale-out the cluster exists to buy.
+// holder's cube set (every holder builds the same one), offered under the
+// rule System.Estimate applies: whatever the cubes can answer. A cube
+// walk's partial and a scan's are the same exact units. P_GPU is
+// calibrated on the full table; a shard scans its row fraction of it —
+// the scale-out the cluster exists to buy.
 func (c *Cluster) subQueryFor(s int, q *query.Query, m table.Member) (subQuery, error) {
-	var cs *cube.Set
-	if !q.Grouped() && q.Op.OrderFree() {
-		cs = c.holderCubes(s)
-	}
+	cs := c.holderCubes(s)
 	est, err := c.pricer.Price(q, cs)
 	if err != nil {
 		return subQuery{}, err

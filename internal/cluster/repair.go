@@ -33,6 +33,13 @@ const (
 	repairBackoffCap  = 0.1
 )
 
+// tableCopyMessages prices a repair's stream: a copy of the whole table
+// ships as this many messages, a shard's copy as its 1/N share of them (at
+// least one), and each message pays the link's latency once
+// (LinkModel.StreamSeconds), so a mid-stream failure re-sends only from
+// the last message boundary.
+const tableCopyMessages = 64
+
 // Repair runs one controller pass: every under-replicated shard is
 // re-replicated until it is back at the configured replication factor
 // (or no progress is possible). Passes are serialised on repairMu, so
@@ -109,14 +116,14 @@ func (c *Cluster) repairAll(now float64, wait func(time.Duration)) (int, float64
 // transfer.
 func (c *Cluster) repairShard(now float64, s int, wait func(time.Duration)) (float64, error) {
 	bytes := c.shardTables[s].SizeBytes()
-	chunks := len(c.shardChunks[s])
+	msgs := max(1, tableCopyMessages/len(c.nodes))
 
 	c.mu.Lock()
 	c.stats.RepairsStarted++
 	lost := !slices.ContainsFunc(c.holders[s], func(h int) bool { return !c.down[h] })
 	target := -1
 	if !lost {
-		target = c.pickTargetLocked(now, s, bytes, chunks)
+		target = c.pickTargetLocked(now, s, bytes, msgs)
 	}
 	if target < 0 {
 		c.stats.RepairsFailed++
@@ -135,7 +142,7 @@ func (c *Cluster) repairShard(now float64, s int, wait func(time.Duration)) (flo
 	// backoff until the repair deadline runs out on the virtual clock.
 	vnow := now
 	deadline := now + c.cfg.RepairDeadlineSeconds
-	xfer := c.link.StreamSeconds(bytes, chunks)
+	xfer := c.link.StreamSeconds(bytes, msgs)
 	backoff := repairBackoffBase
 	var done float64
 	for {
@@ -206,8 +213,8 @@ func (c *Cluster) repairShard(now float64, s int, wait func(time.Duration)) (flo
 // the priced transfer), ties to the lowest id — the same
 // earliest-completion rule place() applies to queries. Callers hold
 // c.mu.
-func (c *Cluster) pickTargetLocked(now float64, s int, bytes int64, chunks int) int {
-	xfer := c.link.StreamSeconds(bytes, chunks)
+func (c *Cluster) pickTargetLocked(now float64, s int, bytes int64, msgs int) int {
+	xfer := c.link.StreamSeconds(bytes, msgs)
 	best := -1
 	var bestEnd float64
 	for id := range c.nodes {

@@ -160,8 +160,8 @@ func TestChaosRepairDifferential(t *testing.T) {
 
 // TestClusterPartialAnswer pins the degraded-read contract: with
 // AllowPartial, losing a shard's only holder yields an answer whose
-// Completeness mask is EXACTLY the chunks folded — total minus the
-// missing shard's grid slice — and whose row count is exactly the live
+// Completeness mask is EXACTLY the rows merged — total minus the
+// missing shard's rows — and whose row count is exactly the live
 // shards' rows. Without AllowPartial the same loss is a hard
 // ErrShardUnavailable.
 func TestClusterPartialAnswer(t *testing.T) {
@@ -174,7 +174,6 @@ func TestClusterPartialAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRows := int64(ft.Rows() - c.shardTables[2].Rows())
-	wantChunks := c.cfg.Chunks - len(c.shardChunks[2])
 
 	r, err := c.Query(&query.Query{Op: table.AggCount})
 	if err != nil {
@@ -183,9 +182,9 @@ func TestClusterPartialAnswer(t *testing.T) {
 	if r.Partial == nil {
 		t.Fatal("answer with a dead shard carried no completeness mask")
 	}
-	if r.Partial.ChunksAnswered != wantChunks || r.Partial.ChunksTotal != c.cfg.Chunks {
-		t.Fatalf("mask %d/%d, want %d/%d",
-			r.Partial.ChunksAnswered, r.Partial.ChunksTotal, wantChunks, c.cfg.Chunks)
+	if int64(r.Partial.RowsAnswered) != wantRows || r.Partial.RowsTotal != ft.Rows() {
+		t.Fatalf("mask %d/%d rows, want %d/%d",
+			r.Partial.RowsAnswered, r.Partial.RowsTotal, wantRows, ft.Rows())
 	}
 	if len(r.Partial.MissingShards) != 1 || r.Partial.MissingShards[0] != 2 {
 		t.Fatalf("MissingShards = %v, want [2]", r.Partial.MissingShards)
@@ -202,8 +201,8 @@ func TestClusterPartialAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, cp := gr.Groups, gr.Partial
-	if cp == nil || cp.ChunksAnswered != wantChunks || len(cp.MissingShards) != 1 || cp.MissingShards[0] != 2 {
-		t.Fatalf("grouped mask = %+v, want %d/%d missing [2]", cp, wantChunks, c.cfg.Chunks)
+	if cp == nil || int64(cp.RowsAnswered) != wantRows || len(cp.MissingShards) != 1 || cp.MissingShards[0] != 2 {
+		t.Fatalf("grouped mask = %+v, want %d/%d rows missing [2]", cp, wantRows, ft.Rows())
 	}
 	var sum int64
 	for _, g := range rows {
@@ -242,7 +241,7 @@ func TestClusterPartialAnswer(t *testing.T) {
 func TestClusterConfigSentinel(t *testing.T) {
 	ft := testTable(t, 1_000, 1)
 	for _, cfg := range []Config{
-		{Shards: 3},              // 64 chunks not divisible
+		{CPUThreads: 3},          // no 3-thread CPU model
 		{EvictThreshold: -1},     // negative escalation threshold
 		{KillGraceSeconds: -0.5}, // negative grace
 	} {

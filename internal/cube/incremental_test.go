@@ -31,22 +31,22 @@ func incTable(t *testing.T, rows int, seed int64) *table.FactTable {
 // concatTables rebuilds one table holding the rows of both inputs in order.
 func concatTables(t *testing.T, parts ...*table.FactTable) *table.FactTable {
 	t.Helper()
-	b, err := table.NewBuilder(incSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	coords := make([][]uint32, 2)
+	var units []int32
 	for _, ft := range parts {
-		for r := 0; r < ft.Rows(); r++ {
-			row := table.Row{
-				Coords:   []int{int(ft.CoordAt(r, 0, 1)), int(ft.CoordAt(r, 1, 1))},
-				Measures: []float64{float64(ft.MeasureColumn(0)[r])}, // scale 0: units are values
-			}
-			if err := b.Append(row); err != nil {
-				t.Fatal(err)
-			}
+		for d := range coords {
+			coords[d] = ft.DimLevelColumn(d, 1).AppendTo(coords[d])
 		}
+		units = append(units, ft.MeasureColumn(0)...)
 	}
-	ft, err := b.Build()
+	return fromColumns(t, coords, units)
+}
+
+// fromColumns stores finest coordinates and measure units as an incSchema
+// table.
+func fromColumns(t *testing.T, coords [][]uint32, units []int32) *table.FactTable {
+	t.Helper()
+	ft, err := table.FromColumns(incSchema(), coords, [][]int32{units}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +120,7 @@ func TestMergeCOWSharesUntouchedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A single-row delta touches exactly one chunk.
-	b, err := table.NewBuilder(incSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Append(table.Row{Coords: []int{0, 0}, Measures: []float64{5}}); err != nil {
-		t.Fatal(err)
-	}
-	one, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := fromColumns(t, [][]uint32{{0}, {0}}, []int32{5})
 	dc, err := BuildFromTable(one, 1, 0, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

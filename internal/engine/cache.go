@@ -24,38 +24,29 @@ import (
 //     aggregates. Served ONLY for count/min/max: their folds are exact
 //     (integer addition / selection), so the folded answer is bit-identical
 //     to running the narrowed query unfused. Sum/avg are exact-match only
-//     (table.CellShape): their cell folds would be exact integer units
-//     too, but the cells they need stay off until the fold grid's replay
-//     is retired.
+//     (table.CellShape says why): their cell folds would be exact integer
+//     units too.
 //
-// The cache owns one epoch at a time and CARRIES what it can to the next.
+// The cache owns one epoch at a time and CARRIES its entries to the next.
 // Ingest only appends and compaction preserves logical row order, so the
 // rows of epoch n are a prefix of the rows of every later epoch: the first
 // lookup or store that pins a newer snapshot advances the cache by scanning
 // only the tail rows [rows of the owned epoch, rows of the new one) — one
-// bound plan per fusion key, every carried entry a member — and continuing
-// each entry's fold (gpusim.Fold) over them into a copy-on-write successor:
+// bound plan per fusion key, every carried entry a member — into a
+// copy-on-write successor of each entry:
 //
-//   - a GPU-fused scalar answer of any op, sum and avg included, stores the
-//     fold of the fold grid it was finalised from — its complete blocks'
-//     partials folded, and its open last block's running state — and the
-//     carry continues it exactly as gpusim.Execute would fold the new
-//     epoch: the open block chained through the tail, every block the tail
-//     completes merged in, a trailing short block left open;
-//   - any other count/min/max answer (a cube walk, a solo attempt, an
-//     anchor's scalar) stores its unfinalised partial as its fold's Full:
-//     a count over prefix ++ tail is the integer sum of the two counts, and
-//     a min/max over it the selection between the two, whatever order
+//   - every entry, whatever its op and whichever route answered it (a fused
+//     or solo GPU scan, a cube walk), stores the unfinalised partial its
+//     result was finalised from, and its successor's partial is
+//     Merge(entry partial, tail partial): partials are exact integer units,
+//     so a count, sum or avg over prefix ++ tail is the integer sum of the
+//     two sides and a min/max the selection between them, whatever order
 //     either side was scanned in;
 //   - an anchor also merges the tail's cells into its plane; a plain
 //     count/min/max entry that a carried anchor contains is not carried (a
-//     fold answers it anyway);
-//   - what has no fold is lost: a sum/avg answered by a cube walk or by the
-//     attempt loop. Its partial is exact integer units like every other,
-//     so it could be carried as its own Full too; that is left to the
-//     change that retires the fold grid's block replay.
+//     fold answers it anyway).
 //
-// Bit-identity: either way a carried entry holds exactly the bits a
+// Bit-identity: a carried entry holds exactly the bits a
 // from-scratch execution at the new epoch would store. A compaction-only
 // epoch has an empty tail and re-stamps the entries for free. The tail is
 // found by row range, never by stripe identity: a compaction may have
@@ -123,9 +114,9 @@ type cacheEntry struct {
 	key    string
 	op     table.AggOp
 	result table.ScanResult
-	// fold is what result was finalised from, and what an advance
-	// continues; nil for an entry that cannot be carried.
-	fold *gpusim.Fold
+	// partial is what result was finalised from, and what an advance
+	// merges the tail's partial into.
+	partial table.ScanResult
 	// queue is the placement that produced the stored bits, reported with
 	// every hit. The bits do not depend on it: a cube walk and every GPU
 	// partition fold the same integer units.
@@ -545,11 +536,11 @@ func anchored(anchors []*cacheEntry, e *cacheEntry) bool {
 
 // carry returns, parallel to held (anchors first), the successors at
 // snap's epoch of the entries that answer snap's first `from` rows: each
-// carried entry's fold continued over the tail rows [from, snap.Rows()),
-// nil for an entry lost. stamps[i] is held[i].last. Carriers are picked in
-// a fixed order while they fit carryBudget — the anchors in held's order,
-// then the other entries most recently used first — skipping an entry
-// without a fold and a plain entry that a picked anchor contains.
+// carried entry's partial merged with its tail partial over the rows
+// [from, snap.Rows()), nil for an entry lost. stamps[i] is held[i].last.
+// Carriers are picked in a fixed order while they fit carryBudget — the
+// anchors in held's order, then the other entries most recently used
+// first — skipping a plain entry that a picked anchor contains.
 func carry(snap *table.Snapshot, from int, held []*cacheEntry, stamps []uint64) []*cacheEntry {
 	next := make([]*cacheEntry, len(held))
 	tail := snap.Rows() - from
@@ -573,7 +564,7 @@ func carry(snap *table.Snapshot, from int, held []*cacheEntry, stamps []uint64) 
 			break
 		}
 		e := held[i]
-		if e.fold == nil || (e.cells == nil && anchored(anchors, e)) {
+		if e.cells == nil && anchored(anchors, e) {
 			continue
 		}
 		if e.cells != nil {
@@ -599,20 +590,16 @@ func carry(snap *table.Snapshot, from int, held []*cacheEntry, stamps []uint64) 
 		}
 	}
 	for _, idx := range byKey {
-		// Every carrier is a scalar member continuing a copy of its fold; an
-		// anchor is a second, cell-granted one as well (the same request
-		// always is: one schema), whose tail cells its plane merges.
+		// Every carrier is a scalar member; an anchor is a second,
+		// cell-granted one as well (the same request always is: one
+		// schema), whose tail cells its plane merges.
 		members := make([]table.Member, len(idx), 2*len(idx))
-		folds := make([]*gpusim.Fold, len(idx), 2*len(idx))
 		cellsAt := make([]int, len(idx)) // an anchor's cell member; 0, a scalar member's place, for none
 		for mi, i := range idx {
 			members[mi] = table.Member{ScanRequest: reqs[i]}
-			f := *held[i].fold
-			folds[mi] = &f
 			if held[i].cells != nil {
 				cellsAt[mi] = len(members)
 				members = append(members, table.Member{ScanRequest: reqs[i], Cells: true})
-				folds = append(folds, nil)
 			}
 		}
 		states := make([]table.State, len(members))
@@ -622,23 +609,36 @@ func carry(snap *table.Snapshot, from int, held []*cacheEntry, stamps []uint64) 
 				states[at].Groups = make(table.Groups, min(tail, len(held[idx[mi]].cells.vals)))
 			}
 		}
-		if err := gpusim.Continue(snap, from, members, folds, states); err != nil {
+		if err := scanTail(snap, from, members, states); err != nil {
 			continue // the plan's members are lost; they re-enter by executing
 		}
 		for mi, i := range idx {
 			scale := snap.Schema().MeasureScale(reqs[i].Measure)
-			next[i] = held[i].successor(folds[mi], states[cellsAt[mi]].Groups, scale, snap.Rows())
+			next[i] = held[i].successor(states[mi].Scalar, states[cellsAt[mi]].Groups, scale)
 		}
 	}
 	return next
 }
 
-// successor returns the entry carried to a snapshot of the given rows: its
-// fold continued to f, its answer f's (over a measure stored at scale)
-// and, for an anchor, its plane merged with the tail's cells. Built field
-// by field: the use stamps are the cache's to set.
-func (e *cacheEntry) successor(f *gpusim.Fold, cells table.Groups, scale, rows int) *cacheEntry {
-	n := &cacheEntry{key: e.key, op: e.op, result: f.Answer(e.op, scale, rows), fold: f, queue: e.queue}
+// scanTail accumulates snap's rows [from, snap.Rows()) into states, one per
+// member, in one pass: one plan bound per stripe the tail touches.
+func scanTail(snap *table.Snapshot, from int, members []table.Member, states []table.State) error {
+	return snap.RowRange(from, snap.Rows(), func(_ int, t *table.FactTable, lo, hi int) error {
+		pl, err := table.Bind(t, members)
+		if err != nil {
+			return err
+		}
+		return pl.RangeInto(lo, hi, states)
+	})
+}
+
+// successor returns the entry carried over a tail: its partial merged with
+// the tail's, its answer that partial's over a measure stored at scale and,
+// for an anchor, its plane merged with the tail's cells. Built field by
+// field: the use stamps are the cache's to set.
+func (e *cacheEntry) successor(tail table.ScanResult, cells table.Groups, scale int) *cacheEntry {
+	partial := table.Merge(e.op, e.partial, tail)
+	n := &cacheEntry{key: e.key, op: e.op, result: table.Finalize(e.op, scale, partial), partial: partial, queue: e.queue}
 	if e.cells != nil {
 		plane := *e.cells
 		plane.vals = slices.Clone(plane.vals)
@@ -722,19 +722,19 @@ func contains(outer, inner []cacheInterval) bool {
 }
 
 // store records an executed answer at its pinned snapshot's epoch: its
-// result and, when the execution has them, its cells (an anchor) and its
-// fold. An answer without a fold cannot be carried. A store for any epoch
-// but the owned one — or for the owned one while an advance is closing
-// it — is dropped; an existing entry is kept (first stored wins: a later
-// execution, on the CPU or any GPU partition, brings the same bits).
+// result, its partial and, when the execution has them, its cells (an
+// anchor). A store for any epoch but the owned one — or for the owned one
+// while an advance is closing it — is dropped; an existing entry is kept
+// (first stored wins: a later execution, on the CPU or any GPU partition,
+// brings the same bits).
 func (c *resultCache) store(req *table.ScanRequest, snap *table.Snapshot, ans gpusim.Answer, queue sched.QueueRef) {
 	order, cellShaped := table.CellShape(req, nil)
 	// Build the entry (including the plane) before taking the lock; a
 	// stale-epoch or duplicate store wastes the work but never stalls
 	// concurrent lookups.
 	sig, key := cacheKeys(req, order)
-	e := &cacheEntry{key: key, op: req.Op, result: ans.Result, fold: ans.Fold, queue: queue}
-	if cells := ans.Cells; cells != nil && cellShaped {
+	e := &cacheEntry{key: key, op: req.Op, result: ans.Result, partial: ans.Partial.Scalar, queue: queue}
+	if cells := ans.Partial.Groups; cells != nil && cellShaped {
 		ivals := cellIntervals(req, order, nil)
 		if n := planeCells(ivals); n > 0 {
 			e.cells = &cellSet{sig: sig, ivals: ivals, vals: make([]table.ScanResult, n)}

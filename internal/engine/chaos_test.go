@@ -57,9 +57,9 @@ func chaosWorkload(t *testing.T, s *System, seed int64, n int) []*query.Query {
 // may cost retries, quarantines and failovers — never wrong answers.
 func TestChaosDifferentialRunReal(t *testing.T) {
 	const queries = 60
-	// The last case is the only one whose table spans several blocks of
-	// gpusim's fold grid (three full ones and a short fourth), so that the
-	// partitions' fork/join and unit-order merge run under faults too.
+	// The last case is the only one whose table spans several of gpusim's
+	// work units (three full ones and a short fourth), so that the
+	// partitions' fork/join and unit merge run under faults too.
 	for _, c := range []struct {
 		name string
 		seed int64

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"hybridolap/internal/gpusim"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -26,9 +25,9 @@ import (
 // members' deadlines only bound the wait.
 //
 // Soundness is preserved at every turn: fused members get bit-identical
-// answers to solo execution on any partition (gpusim's fold grid and fused
-// kernel pin this), cache hits replay stored execution bits or exact
-// count/min/max folds, and a fused job failure sends every member through
+// answers to solo execution on any partition (gpusim's fused kernel pins
+// this), cache hits replay stored execution bits or exact count/min/max
+// folds, and a fused job failure sends every member through
 // the deadline-aware attempt loop individually, so fusion never reduces
 // fault tolerance. Whatever route answers, it answers the epoch pinned
 // here.
@@ -240,15 +239,9 @@ func (s *System) serveAlone(q *query.Query, snap *table.Snapshot, est sched.Esti
 	if err != nil || s.cache == nil {
 		return out, err
 	}
-	// The loop has translated whatever Serve could not. Only a
-	// count/min/max answer keeps its fold: an attempt-loop sum/avg is not
-	// carried (see the resultCache doc).
+	// The loop has translated whatever Serve could not.
 	if req, empty, err := j.q.ToScanRequest(s.cfg.Table.Schema()); err == nil && !empty {
-		stored := gpusim.Answer{Result: a.Result}
-		if req.Op.OrderFree() {
-			stored.Fold = a.Fold
-		}
-		s.cache.store(&req, j.snap, stored, j.d.Queue)
+		s.cache.store(&req, j.snap, a, j.d.Queue)
 	}
 	return out, nil
 }

@@ -149,8 +149,8 @@ func cpuCanAnswer(q *query.Query, cs *cube.Set) bool {
 
 // CubeWalk is the CPU side's one cube walk: q answered from cs with threads
 // workers, into one aggregate or one per group, left unfinalised — a
-// cluster shard's state merges into its coordinator's chunk fold as it
-// is, and cpuAnswer finalises a single node's. An empty box walks
+// cluster shard's state merges with the other shards' at its coordinator
+// as it is, and cpuAnswer finalises a single node's. An empty box walks
 // nothing and returns the zero state.
 func CubeWalk(q *query.Query, cs *cube.Set, threads int) (table.State, error) {
 	if cs == nil {

@@ -57,10 +57,9 @@ func cacheEpochs(t testing.TB, base *table.FactTable, n int) []*table.Snapshot {
 	return snaps
 }
 
-// storeScanned answers req over the snapshot — per cell when cells is set,
-// and otherwise as the fold grid folds it (gpusim.Continue from row 0
-// continues an empty fold over every row: ExecuteFused's fold) — and
-// stores the answer there, as a fused job would.
+// storeScanned answers req over the snapshot as Execute would — its
+// partial over every row (the cache's own tail scan from row 0), per cell
+// when cells is set — and stores the answer there, as a fused job would.
 func storeScanned(t testing.TB, c *resultCache, at *table.Snapshot, req table.ScanRequest, cells bool) {
 	t.Helper()
 	m := table.Member{ScanRequest: req, Cells: cells}
@@ -71,23 +70,19 @@ func storeScanned(t testing.TB, c *resultCache, at *table.Snapshot, req table.Sc
 	if pl.Keyed(0) != cells {
 		t.Fatalf("%v over %+v: cells granted = %v, want %v", req.Op, req.Predicates, pl.Keyed(0), cells)
 	}
-	var fold *gpusim.Fold
-	if !cells {
-		fold = new(gpusim.Fold)
-	}
 	st := make([]table.State, 1)
-	if err := gpusim.Continue(at, 0, []table.Member{m}, []*gpusim.Fold{fold}, st); err != nil {
+	if err := scanTail(at, 0, []table.Member{m}, st); err != nil {
 		t.Fatal(err)
 	}
-	scale := at.Schema().MeasureScale(req.Measure)
-	ans := gpusim.Answer{Fold: fold}
+	part := st[0]
 	if cells {
+		if part.Groups == nil {
+			part.Groups = make(table.Groups)
+		}
 		// Execute's cell answer: the cells' fold is its whole partial.
-		full := table.FoldCells(req.Op, st[0].Groups)
-		ans = gpusim.Answer{Result: table.Finalize(req.Op, scale, full), Cells: st[0].Groups, Fold: &gpusim.Fold{Full: full}}
-	} else {
-		ans.Result = fold.Answer(req.Op, scale, at.Rows())
+		part.Scalar = table.FoldCells(req.Op, part.Groups)
 	}
+	ans := gpusim.Answer{Result: table.Finalize(req.Op, at.Schema().MeasureScale(req.Measure), part.Scalar), Partial: part}
 	c.store(&req, at, ans, sched.QueueRef{Kind: sched.QueueGPU, Index: 1})
 }
 
@@ -133,9 +128,9 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 }
 
 // TestResultCacheEpochOwnership pins what an epoch does to the cache at the
-// unit level: older pinned epochs miss and cannot store, a newer one
-// carries a count/min/max entry by a fold of the new rows only and drops a
-// sum/avg stored without a fold (as the attempt loop stores it).
+// unit level: older pinned epochs miss and cannot store, and a newer one
+// carries every entry, a count and a sum alike, by merging its partial
+// with a scan of the new rows only.
 func TestResultCacheEpochOwnership(t *testing.T) {
 	c := newResultCache(0)
 	at := cacheEpochs(t, genTable(t, 200, 1), 3)
@@ -151,7 +146,7 @@ func TestResultCacheEpochOwnership(t *testing.T) {
 	// A finalised count doubles as its own partial: Finalize only copies
 	// Rows into Value.
 	count := scan(q, at[1])
-	c.store(&q, at[1], gpusim.Answer{Result: count, Fold: &gpusim.Fold{Full: count}}, sched.QueueRef{})
+	c.store(&q, at[1], gpusim.Answer{Result: count, Partial: table.State{Scalar: count}}, sched.QueueRef{})
 	if _, ok := c.lookup(&q, at[1]); !ok {
 		t.Fatal("store at epoch 1 not visible")
 	}
@@ -170,32 +165,26 @@ func TestResultCacheEpochOwnership(t *testing.T) {
 		t.Fatal("stale-epoch store was kept")
 	}
 
-	// A newer epoch carries the count and drops the sum, used once,
-	// exactly once.
+	// A newer epoch carries the count and the sum, each to the bits a scan
+	// of the new epoch returns.
 	sum := cacheReq(table.AggSum, 0, 5)
-	c.store(&sum, at[1], gpusim.Answer{Result: scan(sum, at[1])}, sched.QueueRef{})
+	storeScanned(t, c, at[1], sum, false)
 	if _, ok := c.lookup(&sum, at[1]); !ok {
 		t.Fatal("sum not stored")
 	}
-	if ans, ok := c.lookup(&q, at[2]); !ok || !resultBits(ans.result, scan(q, at[2])) {
-		t.Fatalf("count not carried to epoch 2: ok=%v %+v, want %+v", ok, ans.result, scan(q, at[2]))
-	}
-	if _, ok := c.lookup(&sum, at[2]); ok {
-		t.Fatal("sum survived epoch publication")
-	}
-	if st := c.snapshotStats(); st.EpochInvalidations != 1 || st.Carried != 1 || st.Dropped != 1 || st.Expired != 0 {
-		t.Fatalf("after epoch 2: %+v, want 1 invalidation, 1 carried, 1 dropped", st)
-	}
-	// The old epoch is now the stale one.
-	if _, ok := c.lookup(&q, at[1]); ok {
-		t.Fatal("lookup at the superseded epoch hit")
-	}
-	// An epoch that drops nothing is not an invalidation.
-	if ans, ok := c.lookup(&q, at[3]); !ok || !resultBits(ans.result, scan(q, at[3])) {
-		t.Fatalf("count not carried to epoch 3: ok=%v %+v", ok, ans.result)
-	}
-	if st := c.snapshotStats(); st.EpochInvalidations != 1 || st.Carried != 2 || st.Dropped != 1 {
-		t.Fatalf("after epoch 3: %+v, want 1 invalidation, 2 carried, 1 dropped", st)
+	for e := 2; e <= 3; e++ {
+		for _, r := range []table.ScanRequest{q, sum} {
+			if ans, ok := c.lookup(&r, at[e]); !ok || !resultBits(ans.result, scan(r, at[e])) {
+				t.Fatalf("%v not carried to epoch %d: ok=%v %+v, want %+v", r.Op, e, ok, ans.result, scan(r, at[e]))
+			}
+		}
+		if st := c.snapshotStats(); st.EpochInvalidations != 0 || st.Carried != int64(2*(e-1)) || st.Dropped != 0 || st.Expired != 0 {
+			t.Fatalf("after epoch %d: %+v, want %d carried and nothing lost", e, st, 2*(e-1))
+		}
+		// The old epoch is now the stale one.
+		if _, ok := c.lookup(&q, at[e-1]); ok {
+			t.Fatal("lookup at the superseded epoch hit")
+		}
 	}
 }
 
@@ -420,8 +409,8 @@ func serveTogether(t *testing.T, s *System, qs []*query.Query) []ServeOutcome {
 // compatible queries inside Serve together run as exactly one fused job
 // of fan-in K, and every answer — fused or cached — is bit-identical to a
 // fault-free solo recompute on partition 0, whichever partition ran the
-// fused job. The 100K-row case spans several blocks of gpusim's fold grid,
-// so the shared scan's fork/join and unit-order merge are in the comparison.
+// fused job. The 100K-row case spans several of gpusim's work units, so
+// the shared scan's fork/join and unit merge are in the comparison.
 func TestServeFusedDifferential(t *testing.T) {
 	t.Run("rows=5000", func(t *testing.T) { serveFusedDifferential(t, 5000, 4) })
 	t.Run("rows=100000", func(t *testing.T) {

@@ -128,7 +128,7 @@ func Fig5(opts Options) (*Table, error) {
 // and 4 SMs and for different number of searched columns": kernel time
 // versus C/C_TOT per partition width, on the functional simulator, with
 // the calibrated eq. 14 models alongside. Both table sizes give the 4-SM
-// partition more fold-grid blocks than SMs; membench.GPUSweep refuses a
+// partition more gpusim work units than SMs; membench.GPUSweep refuses a
 // table that does not.
 func Fig8(opts Options) (*Table, error) {
 	rows := opts.pick(2_000_000, 200_000)

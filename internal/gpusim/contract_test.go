@@ -9,17 +9,14 @@ import (
 	"hybridolap/internal/table"
 )
 
-// TestEntryPointContract pins what both kernel entry points owe their
-// caller, for every member shape each takes — Execute with a scalar
-// member ("Execute"), a GroupBy member ("ExecuteGroup") and two members
-// ("ExecuteFused"), ExecuteChunks with a scalar ("ExecuteChunks") and a
-// GroupBy member ("ExecuteGroupChunks") — on every partition width: an
-// injected fault.GPUExec aborts the launch with the injected error and no
-// accounting; a fault-free launch advances Completed by exactly one
-// whatever the unit count (zero, one, many); and a failing unit surfaces
-// as an error — never a panic, a partial answer or a completed kernel.
+// TestEntryPointContract pins what the kernel entry point owes its
+// caller, for every member shape it takes — a scalar member ("Execute"), a
+// GroupBy member ("ExecuteGroup") and two members ("ExecuteFused") — on
+// every partition width: an injected fault.GPUExec aborts the launch with
+// the injected error and no accounting, and a fault-free launch advances
+// Completed by exactly one whatever the unit count (zero, one, many).
 func TestEntryPointContract(t *testing.T) {
-	const rows = 5000
+	const rows = 2*BlockRows + 100
 	scalar := table.ScanRequest{Op: table.AggSum, Measure: 0,
 		Predicates: []table.RangePredicate{{Dim: 0, Level: 0, From: 0, To: 3}}}
 	grouped := table.Member{ScanRequest: scalar, GroupBy: []table.GroupCol{{Dim: 1, Level: 0}}}
@@ -37,41 +34,30 @@ func TestEntryPointContract(t *testing.T) {
 	empty, _ := testSnapshot(t, 0, []int{0})
 	single, _ := testSnapshot(t, 1, []int{1})
 
-	// work is one launch's row source: a snapshot for Execute, a chunk grid
-	// over the resident table for ExecuteChunks.
+	// work is one launch's row source.
 	type work struct {
-		name   string
-		snap   *table.Snapshot
-		chunks []ChunkRange
+		name string
+		snap *table.Snapshot
 	}
 	sizes := []work{
-		{"zero units", empty, nil},
-		{"one unit", single, []ChunkRange{{Lo: 0, Hi: rows}}},
-		{"many units", d.Resident(), fixedGrid(rows, 16)},
+		{"zero units", empty},
+		{"one unit", single},
+		{"many units", d.Resident()},
 	}
 	entries := []struct {
-		name   string
-		chunks bool // takes the chunk grid rather than the snapshot
-		run    func(p *Partition, w work) (answers int, err error)
+		name string
+		run  func(p *Partition, w work) (answers int, err error)
 	}{
-		{"Execute", false, func(p *Partition, w work) (int, error) {
+		{"Execute", func(p *Partition, w work) (int, error) {
 			_, err := execScalar(p, w.snap, scalar)
 			return 0, err
 		}},
-		{"ExecuteGroup", false, func(p *Partition, w work) (int, error) {
+		{"ExecuteGroup", func(p *Partition, w work) (int, error) {
 			got, err := execGroups(p, w.snap, grouped)
 			return len(got), err
 		}},
-		{"ExecuteFused", false, func(p *Partition, w work) (int, error) {
+		{"ExecuteFused", func(p *Partition, w work) (int, error) {
 			got, err := p.Execute(w.snap, cellMembers([]table.ScanRequest{scalar, scalar}, nil))
-			return len(got), err
-		}},
-		{"ExecuteChunks", true, func(p *Partition, w work) (int, error) {
-			got, err := p.ExecuteChunks(table.Member{ScanRequest: scalar}, w.chunks)
-			return len(got), err
-		}},
-		{"ExecuteGroupChunks", true, func(p *Partition, w work) (int, error) {
-			got, err := p.ExecuteChunks(grouped, w.chunks)
 			return len(got), err
 		}},
 	}
@@ -87,18 +73,6 @@ func TestEntryPointContract(t *testing.T) {
 					}
 					if got := p.Completed() - before; got != 1 {
 						t.Fatalf("%s: Completed advanced by %d, want 1", w.name, got)
-					}
-				}
-
-				if e.chunks {
-					bad := work{chunks: []ChunkRange{{Lo: 0, Hi: rows / 2}, {Lo: rows / 2, Hi: rows + 1}}}
-					before := p.Completed()
-					n, err := e.run(p, bad)
-					if err == nil || n != 0 {
-						t.Fatalf("out-of-range chunk: %d answers, err %v", n, err)
-					}
-					if p.Completed() != before {
-						t.Fatal("out-of-range chunk: failed kernel counted as completed")
 					}
 				}
 

@@ -89,8 +89,8 @@ func (d *Device) LoadTable(ft *table.FactTable) error {
 }
 
 // Resident returns the loaded table as a one-stripe epoch-0 snapshot (nil
-// when none) — the row source every kernel of a static system scans, and
-// the one ExecuteChunks' ranges address.
+// when none) — the row source every kernel of a static system, and every
+// cluster shard, scans.
 func (d *Device) Resident() *table.Snapshot { return d.resident }
 
 // Table returns the loaded fact table (nil when none).

@@ -57,10 +57,10 @@ func TestExecuteFusedMatchesExecute(t *testing.T) {
 			if !bitsEqual(fused[mi].Result, want) {
 				t.Fatalf("partition %d member %d: fused=%+v solo=%+v", p.ID(), mi, fused[mi].Result, want)
 			}
-			if wantCells[mi] && fused[mi].Cells == nil {
+			if wantCells[mi] && fused[mi].Partial.Groups == nil {
 				t.Fatalf("partition %d member %d: cells requested but nil", p.ID(), mi)
 			}
-			if !wantCells[mi] && fused[mi].Cells != nil {
+			if !wantCells[mi] && fused[mi].Partial.Groups != nil {
 				t.Fatalf("partition %d member %d: cells granted without request", p.ID(), mi)
 			}
 		}
@@ -86,12 +86,12 @@ func TestExecuteFusedValidation(t *testing.T) {
 }
 
 // TestFoldContinuation pins what the result cache's carry stands on: the
-// folds Execute returns at r0 rows, continued over the rows appended
-// since (Continue: RangeInto over the tail, Open chained, ended into Full at
-// each block edge), are the folds — and finalise to the answers —
-// Execute returns at r1 rows, bit for bit, for every op. The tail
-// arrives as two stripes, and block 2 of the table holds only time.hour
-// 0..3, so the month-filtered members match no row of it.
+// partials Execute returns at r0 rows, merged with the partials of the rows
+// appended since (one plan per stripe, RangeInto over the tail), are the
+// partials — and finalise to the answers — Execute returns at r1 rows, bit
+// for bit, for every op. The tail arrives as two stripes, and block 2 of
+// the table holds only time.hour 0..3, so the month-filtered members match
+// no row of it.
 func TestFoldContinuation(t *testing.T) {
 	const B = BlockRows
 	base := testTable(t, 4*B+321)
@@ -167,20 +167,23 @@ func TestFoldContinuation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		folds := make([]*Fold, len(reqs))
-		for mi := range reqs {
-			f := *before[mi].Fold
-			folds[mi] = &f
-		}
-		if err := Continue(at1, c.r0, members, folds, make([]table.State, len(members))); err != nil {
+		tail := make([]table.State, len(members))
+		err = at1.RowRange(c.r0, c.r1, func(_ int, ft *table.FactTable, lo, hi int) error {
+			pl, err := table.Bind(ft, members)
+			if err != nil {
+				return err
+			}
+			return pl.RangeInto(lo, hi, tail)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 		for mi, req := range reqs {
-			want := after[mi].Fold
-			if !bitsEqual(folds[mi].Full, want.Full) || !bitsEqual(folds[mi].Open, want.Open) {
-				t.Fatalf("%s, %v member %d: continued fold %+v, fold at %d rows %+v", c.name, req.Op, mi, *folds[mi], c.r1, *want)
+			got := table.Merge(req.Op, before[mi].Partial.Scalar, tail[mi].Scalar)
+			if want := after[mi].Partial.Scalar; !bitsEqual(got, want) {
+				t.Fatalf("%s, %v member %d: continued partial %+v, partial at %d rows %+v", c.name, req.Op, mi, got, c.r1, want)
 			}
-			if got := folds[mi].Answer(req.Op, s.MeasureScale(req.Measure), c.r1); !bitsEqual(got, after[mi].Result) {
+			if got := table.Finalize(req.Op, s.MeasureScale(req.Measure), got); !bitsEqual(got, after[mi].Result) {
 				t.Fatalf("%s, %v member %d: continued answer %+v, answer at %d rows %+v", c.name, req.Op, mi, got, c.r1, after[mi].Result)
 			}
 		}

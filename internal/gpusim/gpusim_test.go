@@ -250,11 +250,11 @@ func TestConcurrentKernelExecution(t *testing.T) {
 	}
 }
 
-// BenchmarkExecute puts the cost of the fold grid on record per partition
-// width: a scalar sum, a GROUP BY with 4 groups and one with up to 32 768
-// (one hash table per block, merged in block order), and a fused kernel
-// whose first member is a cell-granted anchor, at the benchmark's 1M rows
-// (31 blocks). EXPERIMENTS.md "One fold grid" has parent vs change.
+// BenchmarkExecute puts the cost of the work units on record per
+// partition width: a scalar sum, a GROUP BY with 4 groups and one with up
+// to 32 768 (one hash table per unit, merged), and a fused kernel whose
+// first member is a cell-granted anchor, at the benchmark's 1M rows (31
+// units). EXPERIMENTS.md "One fold grid" has parent vs change.
 func BenchmarkExecute(b *testing.B) {
 	ft, err := table.Generate(table.GenSpec{Schema: table.PaperSchema(), Rows: 1_000_000, Seed: 9})
 	if err != nil {

@@ -8,30 +8,28 @@ import (
 	"hybridolap/internal/table"
 )
 
-// BlockRows is the length of one unit of the fold grid: unit k of a snapshot
-// is its logical rows [k·BlockRows, (k+1)·BlockRows), whatever partition
-// scans it and however the rows are grouped into stripes. A constant, not a
-// setting: Fold's open block and the cache's carry are cut on it
-// (partials are exact integer units, so no answer's bits depend on it).
+// BlockRows is the length of one work unit: unit k of a snapshot is its
+// logical rows [k·BlockRows, (k+1)·BlockRows), whatever partition scans it
+// and however the rows are grouped into stripes. A performance constant
+// only: partials are exact integer units, so no answer's bits depend on it.
 // 32 batches is the unit length the 4-SM partitions' old width-dependent
 // cut had at the benchmark's 1M rows (31 units now, 32 then), and a
-// 100K-row table still forks over four units. BenchmarkExecute at 1M rows, blocks of 8 to 128 batches: the scalar
+// 100K-row table still forks over four units. BenchmarkExecute at 1M rows, units of 8 to 128 batches: the scalar
 // sum and the 4-group GROUP BY are flat at every width; the shapes that keep
-// one hash table per block (a 32 768-group GROUP BY, a cell-granted anchor)
+// one hash table per unit (a 32 768-group GROUP BY, a cell-granted anchor)
 // cost about as much at 8 and 16 as at 32, and 25 % less at 64 and 40 % less
 // at 128, where a 1M-row table is 8 units and a 100K-row one a single unit
 // (EXPERIMENTS.md "One fold grid").
 const BlockRows = 32 * table.BatchSize
 
 // Partition is a disjoint group of SMs with concurrent-kernel access to
-// the whole device memory. It has one entry point per grid: Execute, on
-// the fold grid, for any mix of scalar, cell-granted and GroupBy members,
-// and ExecuteChunks, on the cluster's chunk grid, for one member. Both are
-// safe to call concurrently on different partitions (Fermi-style
-// concurrent kernel execution); each call runs its own fork/join over the
+// the whole device memory. It has one entry point, Execute, for any mix of
+// scalar, cell-granted and GroupBy members over any snapshot. It is safe
+// to call concurrently on different partitions (Fermi-style concurrent
+// kernel execution); each call runs its own fork/join over the
 // partition's SMs.
 //
-// Both entry points are the same pipeline:
+// Execute is a four-step pipeline:
 //
 //	step 1 — bind: after crossing the fault.GPUExec point, the request is
 //	         validated and bound once per stripe of the snapshot
@@ -39,30 +37,27 @@ const BlockRows = 32 * table.BatchSize
 //	         selectivity), so no unit re-validates — and an invalid
 //	         request fails the same way on empty and non-empty data;
 //	step 2 — parallel table scan: the snapshot's logical row space is cut
-//	         into work units on a grid that does not know the partition
-//	         (blocks: fixed BlockRows-long units; or the caller's chunk
-//	         grid) and one goroutine per SM drains units from a shared
-//	         cursor through the vectorized batch kernel, a unit that spans
-//	         stripes chaining one state through them in row order (steps 1
-//	         and 2 are scan, shared by both);
-//	step 3 — reduction: a fold of per-unit partials in unit order (by the
-//	         caller, for the chunk entry point);
+//	         into BlockRows-long work units that do not know the partition,
+//	         and one goroutine per SM drains units from a shared cursor
+//	         through the vectorized batch kernel, a unit that spans stripes
+//	         chaining one state through them in row order (steps 1 and 2
+//	         are scan);
+//	step 3 — reduction: the per-unit partials merge into one;
 //	step 4 — final aggregation: the finalised aggregate returns to the
 //	         caller (the CPU side), and Completed advances by one.
 //
 // An Execute answer therefore depends on the snapshot's rows and the member
 // and on nothing else: not the other members, not the partition, not how
 // its SMs interleave, not how ingest or compaction grouped the rows into
-// stripes — every placement returns the same bits, and a snapshot's
-// full blocks are the same blocks, with the same partials, at every later
-// epoch. Retries, the result cache, fusion and the chaos differentials all
-// lean on this (TestPlacementFree pins it).
+// stripes — every placement returns the same bits. Retries, the result
+// cache, fusion, the cluster's shards and the chaos differentials all lean
+// on this (TestPlacementFree pins it).
 //
 // A static system scans the device's resident one-stripe snapshot
 // (Device.Resident); a live one pins an epoch snapshot at bind time, so a
 // concurrently ingesting store never changes the row set mid-kernel. CPU
 // preprocessing (query decomposition and text translation) happens before
-// any entry point is called.
+// Execute is called.
 type Partition struct {
 	id  int
 	sms int
@@ -84,8 +79,8 @@ func (p *Partition) Completed() int64 { return p.completed.Load() }
 // what an SM scans between two visits to the shared cursor.
 type workUnit struct{ lo, hi int }
 
-// blocks is the fold grid of a snapshot: its row space in BlockRows-long
-// units, the last one short. A nil snapshot has none (scan reports it).
+// blocks cuts a snapshot's row space into BlockRows-long units, the last
+// one short. A nil snapshot has none (scan reports it).
 func blocks(snap *table.Snapshot) []workUnit {
 	if snap == nil {
 		return nil
@@ -115,9 +110,8 @@ func bindStripes(snap *table.Snapshot, members []table.Member) ([]*table.Plan, e
 
 // drain is the one fork/join of the package: one goroutine per SM takes
 // unit indices from a shared cursor and runs them until the units are
-// exhausted or its own run fails. Empty units are skipped (their slot in
-// the caller's partials stays zero). It returns the first error in SM
-// order; run(i, u) may write only state owned by unit i.
+// exhausted or its own run fails. It returns the first error in SM order;
+// run(i, u) may write only state owned by unit i.
 func (p *Partition) drain(units []workUnit, run func(i int, u workUnit) error) error {
 	var (
 		mu   sync.Mutex
@@ -136,11 +130,7 @@ func (p *Partition) drain(units []workUnit, run func(i int, u workUnit) error) e
 		go func() {
 			defer wg.Done()
 			for i := take(); i < len(units); i = take() {
-				u := units[i]
-				if u.lo >= u.hi {
-					continue
-				}
-				if err := run(i, u); err != nil {
+				if err := run(i, units[i]); err != nil {
 					errs[sm] = err
 					return
 				}
@@ -156,25 +146,22 @@ func (p *Partition) drain(units []workUnit, run func(i int, u workUnit) error) e
 	return nil
 }
 
-// scan is what every entry point shares: cross the fault point, bind the
-// members once per stripe and drain the units through the one vectorized
-// kernel. states[i] holds the member states unit i accumulated (nil for an
-// empty unit, which never runs). The kernel accumulates strictly in row
-// order and a unit's stripe segments chain through one state, so a unit's
-// bits depend only on the rows inside it — not on which SM drained it or on
-// where the stripe edges fall. Completed advances only when every unit ran.
-func (p *Partition) scan(snap *table.Snapshot, members []table.Member, units []workUnit) (plans []*table.Plan, states [][]table.State, err error) {
+// scan is Execute's steps 1 and 2: cross the fault point, bind the
+// members once per stripe and drain the snapshot's units through the one
+// vectorized kernel. states[i] holds the member states unit i accumulated.
+// A unit's stripe segments chain through one state, so a unit's partial
+// covers exactly the rows inside it. Completed advances only when every
+// unit ran.
+func (p *Partition) scan(snap *table.Snapshot, members []table.Member) (plans []*table.Plan, states [][]table.State, err error) {
 	if err := p.dev.faultCheck(p.id); err != nil {
 		return nil, nil, err
 	}
 	if plans, err = bindStripes(snap, members); err != nil {
 		return nil, nil, err
 	}
+	units := blocks(snap)
 	states = make([][]table.State, len(units))
 	err = p.drain(units, func(i int, u workUnit) error {
-		if u.lo < 0 || u.hi > snap.Rows() {
-			return fmt.Errorf("gpusim: unit [%d,%d) outside the snapshot's rows [0,%d)", u.lo, u.hi, snap.Rows())
-		}
 		// Each SM allocates the states it fills: the kernel writes them
 		// once per batch, so neighbouring units' states stay off each
 		// other's cache lines.
@@ -189,29 +176,6 @@ func (p *Partition) scan(snap *table.Snapshot, members []table.Member, units []w
 	}
 	p.done()
 	return plans, states, nil
-}
-
-// scalars returns member mi's scalar partial of every unit, in unit order.
-func scalars(states [][]table.State, mi int) []table.ScanResult {
-	out := make([]table.ScanResult, len(states))
-	for i, st := range states {
-		if st != nil {
-			out[i] = st[mi].Scalar
-		}
-	}
-	return out
-}
-
-// groups is scalars for a keyed member: one map per unit, nil where no
-// row matched.
-func groups(states [][]table.State, mi int) []table.Groups {
-	out := make([]table.Groups, len(states))
-	for i, st := range states {
-		if st != nil {
-			out[i] = st[mi].Groups
-		}
-	}
-	return out
 }
 
 func (p *Partition) done() { p.completed.Add(1) }

@@ -8,7 +8,7 @@ import (
 	"hybridolap/internal/table"
 )
 
-// placementRows is four full fold-grid blocks and a short fifth.
+// placementRows is four full work units and a short fifth.
 const placementRows = 4*32768 + 9000
 
 // placementSnapshots returns the same placementRows rows four ways — the
@@ -93,17 +93,14 @@ func rowsBitsEqual(a, b []table.GroupRow) bool {
 	return true
 }
 
-// answerBitsEqual compares two answers bit for bit: result, group rows,
-// cells and fold.
+// answerBitsEqual compares two answers bit for bit: result, group rows and
+// partial.
 func answerBitsEqual(a, b Answer) bool {
-	if !bitsEqual(a.Result, b.Result) || !rowsBitsEqual(a.Groups, b.Groups) ||
-		(a.Cells == nil) != (b.Cells == nil) || !groupsBitsEqual(a.Cells, b.Cells) || (a.Fold == nil) != (b.Fold == nil) {
-		return false
-	}
-	return a.Fold == nil || bitsEqual(a.Fold.Full, b.Fold.Full) && bitsEqual(a.Fold.Open, b.Fold.Open)
+	return bitsEqual(a.Result, b.Result) && rowsBitsEqual(a.Groups, b.Groups) && bitsEqual(a.Partial.Scalar, b.Partial.Scalar) &&
+		(a.Partial.Groups == nil) == (b.Partial.Groups == nil) && groupsBitsEqual(a.Partial.Groups, b.Partial.Groups)
 }
 
-// TestPlacementFree pins the contract of the fold grid: an Execute answer
+// TestPlacementFree pins the placement contract: an Execute answer
 // is a function of the snapshot's rows and the member — every partition of
 // the paper's layout, over every striping of the same rows, returns the
 // bits partition 0 returns on a one-stripe rebuild, run after run, for a
@@ -201,8 +198,8 @@ func TestPlacementFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !answerBitsEqual(want[mi], solo[0]) || (want[mi].Cells != nil) != m.Cells {
-			t.Fatalf("mixed member %d on the reference: %+v (cells %v), alone %+v", mi, want[mi], want[mi].Cells != nil, solo[0])
+		if keyed := want[mi].Partial.Groups != nil; !answerBitsEqual(want[mi], solo[0]) || keyed != (m.Cells || len(m.GroupBy) > 0) {
+			t.Fatalf("mixed member %d on the reference: %+v (keyed %v), alone %+v", mi, want[mi], keyed, solo[0])
 		}
 	}
 	each(func(where string, p *Partition, snap *table.Snapshot) {
@@ -235,11 +232,11 @@ func testBlockPrefix(t *testing.T, d *Device, older, newer *table.Snapshot) {
 		GroupBy:     []table.GroupCol{{Dim: 0, Level: 2}, {Dim: 1, Level: 2}},
 	}
 	members := []table.Member{{ScanRequest: fusedReqs()[0]}, {ScanRequest: fusedReqs()[1], Cells: true}, grouped}
-	_, was, err := d.Partitions()[1].scan(older, members, blocks(older))
+	_, was, err := d.Partitions()[1].scan(older, members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, is, err := d.Partitions()[4].scan(newer, members, blocks(newer))
+	_, is, err := d.Partitions()[4].scan(newer, members)
 	if err != nil {
 		t.Fatal(err)
 	}

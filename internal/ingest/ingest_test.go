@@ -54,29 +54,63 @@ func randBatch(rng *rand.Rand, s *table.Schema, n int) *Batch {
 	return b
 }
 
-// baseTable builds an offline base table with sorted dictionaries.
-func baseTable(t testing.TB, rows int, seed int64) *table.FactTable {
+// buildTable stores rows as an offline table, each text column under a
+// fresh Sorted dictionary of its distinct strings.
+func buildTable(t testing.TB, s table.Schema, rows []table.Row) *table.FactTable {
 	t.Helper()
-	s := ingSchema()
-	b, err := table.NewBuilder(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < rows; i++ {
-		if err := b.Append(table.Row{
-			Coords:   []int{rng.Intn(48), rng.Intn(36)},
-			Measures: []float64{math.Round(rng.Float64()*10000) / 100, float64(rng.Intn(50) + 1)},
-			Texts:    []string{fmt.Sprintf("store-%02d", rng.Intn(20))},
-		}); err != nil {
-			t.Fatal(err)
+	coords := make([][]uint32, len(s.Dimensions))
+	measures := make([][]int32, len(s.Measures))
+	for _, r := range rows {
+		for d, c := range r.Coords {
+			coords[d] = append(coords[d], uint32(c))
+		}
+		for m, v := range r.Measures {
+			u, err := table.Units(v, s.Measures[m].Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			measures[m] = append(measures[m], u)
 		}
 	}
-	ft, err := b.Build()
+	texts := make([][]uint32, len(s.Texts))
+	dicts := dict.NewSet()
+	for i, ts := range s.Texts {
+		var strs []string
+		for _, r := range rows {
+			strs = append(strs, r.Texts[i])
+		}
+		slices.Sort(strs)
+		strs = slices.Compact(strs)
+		d, err := dict.NewSorted(strs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dicts.Put(ts.Name, d)
+		for _, r := range rows {
+			id, _ := slices.BinarySearch(strs, r.Texts[i])
+			texts[i] = append(texts[i], uint32(id))
+		}
+	}
+	ft, err := table.FromColumns(s, coords, measures, texts, dicts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ft
+}
+
+// baseTable builds an offline base table with sorted dictionaries.
+func baseTable(t testing.TB, rows int, seed int64) *table.FactTable {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	rs := make([]table.Row, rows)
+	for i := range rs {
+		rs[i] = table.Row{
+			Coords:   []int{rng.Intn(48), rng.Intn(36)},
+			Measures: []float64{math.Round(rng.Float64()*10000) / 100, float64(rng.Intn(50) + 1)},
+			Texts:    []string{fmt.Sprintf("store-%02d", rng.Intn(20))},
+		}
+	}
+	return buildTable(t, ingSchema(), rs)
 }
 
 // rebuild reconstructs a from-scratch fact table holding exactly the rows
@@ -85,10 +119,7 @@ func baseTable(t testing.TB, rows int, seed int64) *table.FactTable {
 // dictionaries — the reference every epoch must match bit-identically.
 func rebuild(t testing.TB, snap *table.Snapshot, s table.Schema) *table.FactTable {
 	t.Helper()
-	b, err := table.NewBuilder(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var rows []table.Row
 	for _, st := range snap.Stripes() {
 		ft := st.Table()
 		for r := 0; r < ft.Rows(); r++ {
@@ -106,16 +137,10 @@ func rebuild(t testing.TB, snap *table.Snapshot, s table.Schema) *table.FactTabl
 				}
 				row.Texts = append(row.Texts, str)
 			}
-			if err := b.Append(row); err != nil {
-				t.Fatal(err)
-			}
+			rows = append(rows, row)
 		}
 	}
-	ft, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ft
+	return buildTable(t, s, rows)
 }
 
 // diffQueries is the query mix every epoch is checked under: dimension

@@ -150,7 +150,7 @@ type GPUPoint struct {
 // simulator for queries touching 1..maxCols columns, per partition width.
 // The shape (linear growth with the number of columns scanned, smaller
 // slope for wider partitions) mirrors Fig. 8; absolute values are host CPU
-// times, not Tesla times. A table with fewer fold-grid blocks than the
+// times, not Tesla times. A table with fewer gpusim work units than the
 // widest partition has SMs is refused: its extra SMs would idle, and the
 // per-width fit would be fitting noise.
 func GPUSweep(rows int, widths []int, maxCols, reps int, seed int64) ([]GPUPoint, error) {

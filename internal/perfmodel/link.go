@@ -31,20 +31,20 @@ func (l LinkModel) TransferSeconds(bytes int64) float64 {
 }
 
 // StreamSeconds returns the simulated time to move the given byte
-// volume as a stream of messages chunks messages long — the shape of a
-// shard re-replication copy, which ships one message per merge-grid
-// chunk so a mid-stream failure only re-sends from the last chunk
-// boundary. The per-message latency is paid chunks times; the byte cost
-// is identical to a single transfer. chunks < 1 is treated as one
-// message, so StreamSeconds(b, 1) == TransferSeconds(b).
-func (l LinkModel) StreamSeconds(bytes int64, chunks int) float64 {
+// volume as a stream of msgs messages — the shape of a shard
+// re-replication copy, which ships in messages so a mid-stream failure
+// only re-sends from the last message boundary. The per-message latency
+// is paid msgs times; the byte cost is identical to a single transfer.
+// msgs < 1 is treated as one message, so StreamSeconds(b, 1) ==
+// TransferSeconds(b).
+func (l LinkModel) StreamSeconds(bytes int64, msgs int) float64 {
 	if bytes <= 0 {
 		return 0
 	}
-	if chunks < 1 {
-		chunks = 1
+	if msgs < 1 {
+		msgs = 1
 	}
-	t := l.LatencySeconds * float64(chunks)
+	t := l.LatencySeconds * float64(msgs)
 	if l.BandwidthMBps > 0 {
 		t += float64(bytes) / (l.BandwidthMBps * (1 << 20))
 	}

@@ -161,7 +161,7 @@ func (c Codes) rolledUp(width int, div uint32) Codes {
 // finestColumn stores one dimension's finest-level coordinates, at the
 // width the finest cardinality needs: the dimension's one stored column,
 // every coarser level being derived from it (levelOf). It is the one place
-// a coordinate becomes a stored column — Builder, FromColumns and Load all
+// a coordinate becomes a stored column — FromColumns and Load both
 // end here — and rejects a coordinate outside the finest cardinality.
 func finestColumn(spec DimensionSpec, finest []uint32) (Codes, error) {
 	card := spec.Levels[spec.Finest()].Cardinality

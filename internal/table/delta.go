@@ -22,7 +22,7 @@ func (t *FactTable) WithDicts(ds *dict.Set) *FactTable {
 // pre-encoded text code columns referencing a shared (append-capable)
 // dictionary set. The inputs are full-width; the stored columns are built
 // at their own widths by the same finestColumn / textColumn as
-// Builder.Build (the coordinate and code slices are read, not kept). This
+// Generate (the coordinate and code slices are read, not kept). This
 // is the delta-stripe constructor — the ingest path encodes text against
 // the table's live dictionaries before materializing, so every stripe of a
 // registry shares one dictionary set and codes stay comparable across

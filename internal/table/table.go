@@ -1,11 +1,6 @@
 package table
 
-import (
-	"fmt"
-	"slices"
-
-	"hybridolap/internal/dict"
-)
+import "hybridolap/internal/dict"
 
 // FactTable is an immutable columnar fact table. Each dimension stores one
 // Codes column, its finest level's coordinates, and each text column one
@@ -73,34 +68,7 @@ func (t *FactTable) SizeBytes() int64 {
 	return n
 }
 
-// Builder assembles a FactTable row by row.
-type Builder struct {
-	schema   Schema
-	dimCoord [][]uint32 // finest-level coordinate per dimension
-	measures [][]int32
-	units    []int32 // Append's scratch: the row's measures in units
-	textBldr []*dict.Builder
-	textProv [][]dict.ID
-	rows     int
-}
-
-// NewBuilder validates the schema and returns an empty builder.
-func NewBuilder(schema Schema) (*Builder, error) {
-	if err := schema.Validate(); err != nil {
-		return nil, err
-	}
-	b := &Builder{schema: schema}
-	b.dimCoord = make([][]uint32, len(schema.Dimensions))
-	b.measures = make([][]int32, len(schema.Measures))
-	b.textBldr = make([]*dict.Builder, len(schema.Texts))
-	b.textProv = make([][]dict.ID, len(schema.Texts))
-	for i := range b.textBldr {
-		b.textBldr[i] = dict.NewBuilder()
-	}
-	return b, nil
-}
-
-// Row is one input tuple for Builder.Append.
+// Row is one input tuple: what an ingest batch carries.
 type Row struct {
 	// Coords[d] is the coordinate in dimension d at its finest level.
 	Coords []int
@@ -109,72 +77,6 @@ type Row struct {
 	Measures []float64
 	// Texts[i] is the raw string of text column i.
 	Texts []string
-}
-
-// Append adds one tuple. Coarser-level coordinates are derived from the
-// finest coordinate when read (exact roll-up by integer division); a
-// measure value its scale cannot store fails with ErrMeasureValue before
-// anything is appended.
-func (b *Builder) Append(r Row) error {
-	if len(r.Coords) != len(b.schema.Dimensions) {
-		return fmt.Errorf("table: row has %d coords, schema has %d dimensions",
-			len(r.Coords), len(b.schema.Dimensions))
-	}
-	if len(r.Measures) != len(b.schema.Measures) {
-		return fmt.Errorf("table: row has %d measures, schema has %d",
-			len(r.Measures), len(b.schema.Measures))
-	}
-	if len(r.Texts) != len(b.schema.Texts) {
-		return fmt.Errorf("table: row has %d texts, schema has %d",
-			len(r.Texts), len(b.schema.Texts))
-	}
-	units := b.units[:0]
-	for m, ms := range b.schema.Measures {
-		c, err := Units(r.Measures[m], ms.Scale)
-		if err != nil {
-			return fmt.Errorf("%w (measure %q)", err, ms.Name)
-		}
-		units = append(units, c)
-	}
-	b.units = units
-	for d, c := range r.Coords {
-		card := b.schema.Dimensions[d].Levels[b.schema.Dimensions[d].Finest()].Cardinality
-		if c < 0 || c >= card {
-			return fmt.Errorf("table: coord %d out of range [0,%d) for dimension %q",
-				c, card, b.schema.Dimensions[d].Name)
-		}
-		b.dimCoord[d] = append(b.dimCoord[d], uint32(c))
-	}
-	for m, c := range units {
-		b.measures[m] = append(b.measures[m], c)
-	}
-	for i, s := range r.Texts {
-		id, err := b.textBldr[i].Add(s)
-		if err != nil {
-			return err
-		}
-		b.textProv[i] = append(b.textProv[i], id)
-	}
-	b.rows++
-	return nil
-}
-
-// Rows returns the number of tuples appended so far.
-func (b *Builder) Rows() int { return b.rows }
-
-// Build stores the rows appended so far as a table: each text column gets
-// its order-preserving Sorted dictionary and final codes (textDicts), and
-// the columns go through FromColumns. The builder stays usable.
-func (b *Builder) Build() (*FactTable, error) {
-	texts := make([][]uint32, len(b.textProv))
-	for i, prov := range b.textProv {
-		texts[i] = slices.Clone(prov)
-	}
-	dicts, err := textDicts(b.schema.Texts, b.textBldr, texts)
-	if err != nil {
-		return nil, err
-	}
-	return FromColumns(b.schema, b.dimCoord, b.measures, texts, dicts)
 }
 
 // textDicts freezes each text column's dictionary builder into a Sorted

@@ -67,26 +67,56 @@ func TestSchemaColumnCounts(t *testing.T) {
 	}
 }
 
-func TestBuilderRollup(t *testing.T) {
-	b, err := NewBuilder(smallSchema())
+// buildRows is the row-at-a-time builder the tests build small tables
+// with: each row's finest coordinates, measure units and text strings in
+// turn, every text column getting its Sorted dictionary (textDicts), then
+// FromColumns. The rows must be well formed.
+func buildRows(t *testing.T, s Schema, rows []Row) *FactTable {
+	t.Helper()
+	coords := make([][]uint32, len(s.Dimensions))
+	measures := make([][]int32, len(s.Measures))
+	texts := make([][]uint32, len(s.Texts))
+	bldrs := make([]*dict.Builder, len(s.Texts))
+	for i := range bldrs {
+		bldrs[i] = dict.NewBuilder()
+	}
+	for _, r := range rows {
+		for d, c := range r.Coords {
+			coords[d] = append(coords[d], uint32(c))
+		}
+		for m, v := range r.Measures {
+			u, err := Units(v, s.Measures[m].Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			measures[m] = append(measures[m], u)
+		}
+		for i, str := range r.Texts {
+			id, err := bldrs[i].Add(str)
+			if err != nil {
+				t.Fatal(err)
+			}
+			texts[i] = append(texts[i], uint32(id))
+		}
+	}
+	dicts, err := textDicts(s.Texts, bldrs, texts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := []Row{
+	ft, err := FromColumns(s, coords, measures, texts, dicts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
+}
+
+func TestBuilderRollup(t *testing.T) {
+	ft := buildRows(t, smallSchema(), []Row{
 		{Coords: []int{0, 0}, Measures: []float64{10}, Texts: []string{"boston"}},
 		{Coords: []int{11, 1}, Measures: []float64{20}, Texts: []string{"austin"}},
 		{Coords: []int{12, 2}, Measures: []float64{30}, Texts: []string{"boston"}},
 		{Coords: []int{23, 3}, Measures: []float64{40}, Texts: []string{"chicago"}},
-	}
-	for _, r := range rows {
-		if err := b.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ft, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if ft.Rows() != 4 {
 		t.Fatalf("Rows = %d", ft.Rows())
 	}
@@ -115,25 +145,6 @@ func TestBuilderRollup(t *testing.T) {
 	}
 }
 
-func TestBuilderRejectsBadRows(t *testing.T) {
-	b, _ := NewBuilder(smallSchema())
-	cases := []Row{
-		{Coords: []int{0}, Measures: []float64{1}, Texts: []string{"x"}},     // short coords
-		{Coords: []int{0, 0}, Measures: nil, Texts: []string{"x"}},           // short measures
-		{Coords: []int{0, 0}, Measures: []float64{1}, Texts: nil},            // short texts
-		{Coords: []int{24, 0}, Measures: []float64{1}, Texts: []string{"x"}}, // coord out of range
-		{Coords: []int{-1, 0}, Measures: []float64{1}, Texts: []string{"x"}}, // negative coord
-	}
-	for i, r := range cases {
-		if err := b.Append(r); err == nil {
-			t.Errorf("bad row %d accepted", i)
-		}
-	}
-	if b.Rows() != 0 {
-		t.Fatalf("builder recorded %d rows from rejected appends", b.Rows())
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	spec := GenSpec{Schema: smallSchema(), Rows: 500, Seed: 99}
 	a, err := Generate(spec)
@@ -156,7 +167,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestGenerateMatchesBuilder pins the column-at-a-time generator to the
 // row-at-a-time reference: replaying Generate's draws row by row through
-// Builder.Append builds the same columns, at the same widths, and the same
+// buildRows builds the same columns, at the same widths, and the same
 // dictionaries, and no generated column carries spare capacity.
 func TestGenerateMatchesBuilder(t *testing.T) {
 	pools := [][]string{{"oslo", "lima", "oslo", "baku"}, nil}
@@ -223,13 +234,9 @@ func TestGenerateMatchesBuilder(t *testing.T) {
 }
 
 // generateRows is the row-at-a-time reference for Generate: the same
-// draws in the same order, each row appended to a Builder.
+// draws in the same order, the rows built by buildRows.
 func generateRows(t *testing.T, spec GenSpec) *FactTable {
 	t.Helper()
-	b, err := NewBuilder(spec.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
 	max := spec.MeasureMax
 	if max <= 0 {
 		max = 1000
@@ -246,8 +253,9 @@ func generateRows(t *testing.T, spec GenSpec) *FactTable {
 		}
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	for r := 0; r < spec.Rows; r++ {
-		row := Row{}
+	rows := make([]Row, spec.Rows)
+	for r := range rows {
+		row := &rows[r]
 		for _, dim := range spec.Schema.Dimensions {
 			row.Coords = append(row.Coords, rng.Intn(dim.Levels[dim.Finest()].Cardinality))
 		}
@@ -260,15 +268,8 @@ func generateRows(t *testing.T, spec GenSpec) *FactTable {
 		for _, pool := range pools {
 			row.Texts = append(row.Texts, pool[rng.Intn(len(pool))])
 		}
-		if err := b.Append(row); err != nil {
-			t.Fatal(err)
-		}
 	}
-	ft, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ft
+	return buildRows(t, spec.Schema, rows)
 }
 
 // TestGenerateTooFewPools: a spec with fewer text pools than text columns
@@ -341,7 +342,6 @@ func TestSizeBytes(t *testing.T) {
 }
 
 func TestScanSumAndCount(t *testing.T) {
-	b, _ := NewBuilder(smallSchema())
 	data := []struct {
 		month, region int
 		sales         float64
@@ -349,12 +349,11 @@ func TestScanSumAndCount(t *testing.T) {
 	}{
 		{0, 0, 10, "a"}, {5, 1, 20, "b"}, {12, 2, 30, "a"}, {23, 3, 40, "c"},
 	}
+	var rows []Row
 	for _, d := range data {
-		if err := b.Append(Row{Coords: []int{d.month, d.region}, Measures: []float64{d.sales}, Texts: []string{d.city}}); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, Row{Coords: []int{d.month, d.region}, Measures: []float64{d.sales}, Texts: []string{d.city}})
 	}
-	ft, _ := b.Build()
+	ft := buildRows(t, smallSchema(), rows)
 
 	// Sum of sales for year == 0 (months 0..11): rows 0 and 1.
 	req := ScanRequest{
@@ -392,13 +391,11 @@ func TestScanSumAndCount(t *testing.T) {
 }
 
 func TestScanMinMaxAvg(t *testing.T) {
-	b, _ := NewBuilder(smallSchema())
+	var rows []Row
 	for i, v := range []float64{5, 1, 9, 3} {
-		if err := b.Append(Row{Coords: []int{i, 0}, Measures: []float64{v}, Texts: []string{"x"}}); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, Row{Coords: []int{i, 0}, Measures: []float64{v}, Texts: []string{"x"}})
 	}
-	ft, _ := b.Build()
+	ft := buildRows(t, smallSchema(), rows)
 	for _, c := range []struct {
 		op   AggOp
 		want float64

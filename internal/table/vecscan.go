@@ -2,7 +2,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -492,20 +491,13 @@ func (pl *Plan) rangeBatch(lo, hi int, states []State, batch int) error {
 	return nil
 }
 
-// FoldCells folds every per-cell partial into one scalar partial, in
-// sorted key order (deterministic). For count the fold is exact integer
-// addition and for min/max an exact selection, so the folded partial is
-// bit-identical to the member's scalar accumulation over the same rows;
-// sum/avg members never carry cells (see CellShape).
+// FoldCells folds every per-cell partial into one scalar partial. Cell
+// partials are exact integer units, so any order gives the same bits as
+// the member's scalar accumulation over the same rows.
 func FoldCells(op AggOp, cells Groups) ScanResult {
-	keys := make([]GroupKey, 0, len(cells))
-	for k := range cells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var acc ScanResult
-	for _, k := range keys {
-		acc = Merge(op, acc, cells[k])
+	for _, v := range cells {
+		acc = Merge(op, acc, v)
 	}
 	return acc
 }

@@ -83,14 +83,15 @@ type Options struct {
 	ResultCache     bool
 	CacheMaxEntries int
 	// Shards > 1 opens a distributed database: the fact table is
-	// range-sharded over that many simulated nodes, each with its own GPU
-	// device, cubes and scheduler, and a coordinator plans every shard
-	// sub-query with a link cost model folded into deadlines. Answers are
+	// range-sharded over that many simulated nodes (any count; shard s
+	// holds rows [s·rows/N, (s+1)·rows/N)), each with its own GPU device,
+	// cubes and scheduler, and a coordinator plans every shard sub-query
+	// with a link cost model folded into deadlines. Answers are
 	// bit-identical across every shard count — to a one-shard cluster.New
 	// and to the single-node engine Shards <= 1 opens, on every op:
-	// partials are exact integer units of the measure's scale, so folding
-	// them on the cluster's chunk grid or the engine's block grid gives
-	// the same bits (TestShardsAnswerContract). Sharded databases are static:
+	// partials are exact integer units of the measure's scale, so merging
+	// one partial per shard gives the bits one scan of every row does
+	// (TestShardsAnswerContract). Sharded databases are static:
 	// Live/WALPath are rejected, and every query answers through the
 	// coordinator (no fusion or result cache across nodes).
 	Shards int
@@ -345,9 +346,9 @@ type Route struct {
 	Cached   bool
 	Subsumed bool
 	// Partial is non-nil when a sharded database answered in degraded
-	// mode (Options.AllowPartial): the mask says exactly which slice of
-	// the global chunk grid the answer covers and which shards were
-	// unavailable. Full answers leave it nil.
+	// mode (Options.AllowPartial): the mask says exactly how many of the
+	// table's rows the answer covers and which shards were unavailable.
+	// Full answers leave it nil.
 	Partial *cluster.Completeness
 }
 
