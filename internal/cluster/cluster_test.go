@@ -123,8 +123,8 @@ func sameGroups(a, b []table.GroupRow) bool {
 
 // TestClusterDifferential asserts the tentpole invariant: for every shard
 // count and replication factor, scalar and grouped answers are
-// bit-identical to the single-node (N=1) cluster on the same table, and
-// every scalar answer exact against the plain engine scan. A sum and a
+// bit-identical to the single-node (N=1) cluster on the same table (which
+// FuzzRoutes holds to the row-at-a-time oracle, with 2 and 4 shards). A sum and a
 // grouped sum the cubes cover are answered by the holders' cube walks:
 // their shard partials merge with the same bits as scan partials.
 func TestClusterDifferential(t *testing.T) {
@@ -147,30 +147,6 @@ func TestClusterDifferential(t *testing.T) {
 	refS, refG := runAll(t, ref, scalars, groups)
 	if cpuPlaced(ref) < 2 {
 		t.Fatalf("fixture: %d sub-queries placed on a CPU, want the two cube-answerable sums", cpuPlaced(ref))
-	}
-
-	// Exactness against the plain single-pass scan.
-	for i, q := range scalars {
-		qq := q.Clone()
-		if qq.NeedsTranslation() {
-			if _, err := query.Translate(qq, ft.Dicts()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		req, empty, err := qq.ToScanRequest(ft.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if empty {
-			continue
-		}
-		want, err := table.Scan(ft, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameScalar(refS[i], Result{Value: want.Value, Rows: want.Rows}) {
-			t.Errorf("query %d (%v): {%v %d}, scan reference {%v %d}", q.ID, q.Op, refS[i].Value, refS[i].Rows, want.Value, want.Rows)
-		}
 	}
 
 	for _, shards := range []int{2, 3, 4, 8} {

@@ -21,8 +21,8 @@ import (
 // equality, IN-lists and lexical ranges (Or-lists once translated), strings
 // first ingested mid-run; cube-answerable and GPU-bound — so that entries
 // stored at one epoch are looked up at later ones, and checks every answer,
-// cached or not, bit-identical to a from-scratch scan of the snapshot
-// pinned for that call; a sum/avg also bit-identical to a recompute on GPU
+// cached or not, bit-identical to the row-at-a-time oracle over the
+// snapshot pinned for that call; a sum/avg also bit-identical to a recompute on GPU
 // partition 0 (or the CPU, if placed there). Every route's entry is
 // carried: a sum/avg the attempt loop answered on the CPU (a
 // cube-answerable one, used every epoch) is hit at later epochs like a
@@ -31,8 +31,7 @@ import (
 // tail crosses it. The 200-row case starts with text dictionaries below
 // 256 strings and ingests 200 new store names, so its snapshots hold
 // one-byte and two-byte stripes of one column, before and after the
-// compactions that merge them; there every count/min/max is also checked
-// against the row-at-a-time scan, which shares no kernel with it.
+// compactions that merge them.
 func TestServeCacheCarryDifferential(t *testing.T) {
 	t.Run("rows=3000", func(t *testing.T) {
 		serveCacheCarryDifferential(t, carryCase{rows: 3000, rounds: 24, lateStores: 4, epochs: 50, hits: 100, folds: 50})
@@ -68,21 +67,6 @@ func storeNameWidths(snap *table.Snapshot) map[int]bool {
 		widths[st.Table().TextColumn(0).Width()] = true
 	}
 	return widths
-}
-
-// rowAtATime answers a request over the snapshot with the reference
-// kernel, stripe by stripe: partials are exact under Merge.
-func rowAtATime(t *testing.T, snap *table.Snapshot, req table.ScanRequest) table.ScanResult {
-	t.Helper()
-	var acc table.ScanResult
-	for _, st := range snap.Stripes() {
-		part, err := table.ScanRange(st.Table(), req, 0, st.Rows())
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc = table.Merge(req.Op, acc, part)
-	}
-	return table.Finalize(req.Op, snap.Schema().MeasureScale(req.Measure), acc)
 }
 
 func serveCacheCarryDifferential(t *testing.T, c carryCase) {
@@ -202,29 +186,15 @@ func serveCacheCarryDifferential(t *testing.T, c carryCase) {
 		if err != nil {
 			t.Fatalf("epoch %d query %d: %v", snap.Epoch(), qi, err)
 		}
-		want, err := s.ReferenceAt(q, snap)
+		want, _, err := s.reference(q, snap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		desc := fmt.Sprintf("epoch %d query %d (%v, hit=%v subsumed=%v, queue %s)",
 			snap.Epoch(), qi, q.Op, out.CacheHit, out.Subsumed, out.Queue)
 		if !resultBits(out.Result, want) {
-			t.Fatalf("%s: got (%v, %d), from-scratch scan (%v, %d)",
+			t.Fatalf("%s: got (%v, %d), oracle (%v, %d)",
 				desc, out.Result.Value, out.Result.Rows, want.Value, want.Rows)
-		}
-		if c.mixedWidths {
-			qq := q.Clone()
-			if _, err := query.Translate(qq, s.dicts()); err != nil {
-				t.Fatal(err)
-			}
-			req, empty, err := qq.ToScanRequest(s.cfg.Table.Schema())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref := rowAtATime(t, snap, req); !empty && !resultBits(want, ref) {
-				t.Fatalf("%s: from-scratch scan (%v, %d), row at a time (%v, %d)",
-					desc, want.Value, want.Rows, ref.Value, ref.Rows)
-			}
 		}
 		if sum := q.Op == table.AggSum || q.Op == table.AggAvg; sum && (out.CacheHit || out.Attempts > 0) { // not the empty-translation short cut
 			if again := faultFree(t, s, q).Result; !resultBits(out.Result, again) {

@@ -249,11 +249,13 @@ func (s *System) AnswerOnGPU(q *query.Query, partition int) (table.ScanResult, e
 // Reference answers a query by a sequential full scan of the current
 // epoch — the ground truth both partitions must agree with.
 func (s *System) Reference(q *query.Query) (table.ScanResult, error) {
-	return s.ReferenceAt(q, s.pin())
+	r, _, err := s.reference(q, s.pin())
+	return r, err
 }
 
 // ReferenceGroups answers a grouped query by a sequential scan — the
 // ground truth both paths must match.
 func (s *System) ReferenceGroups(q *query.Query) ([]table.GroupRow, error) {
-	return s.ReferenceGroupsAt(q, s.pin())
+	_, g, err := s.reference(q, s.pin())
+	return g, err
 }

@@ -459,25 +459,6 @@ func TestRunModelNoiseWithFeedbackStillCompletes(t *testing.T) {
 	}
 }
 
-func TestRunRealAnswersMatchReference(t *testing.T) {
-	s := testSystem(t, func(sp *SetupSpec) { sp.Rows = 3000 })
-	g := testGen(t, s, 14, 0.3)
-	qs := g.Batch(60)
-	for i, o := range serveAll(s, qs) {
-		if o.Err != nil {
-			t.Fatalf("query %d: %v", o.ID, o.Err)
-		}
-		ref, err := s.Reference(qs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o.Result.Rows != ref.Rows || math.Abs(o.Result.Value-ref.Value) > 1e-6*math.Max(1, math.Abs(ref.Value)) {
-			t.Fatalf("query %d via %v: got (%v,%d), want (%v,%d)",
-				o.ID, o.Queue, o.Result.Value, o.Result.Rows, ref.Value, ref.Rows)
-		}
-	}
-}
-
 func TestRunRealDoesNotMutateInputQueries(t *testing.T) {
 	s := testSystem(t, func(sp *SetupSpec) { sp.Rows = 1000 })
 	g := testGen(t, s, 15, 1.0)

@@ -8,6 +8,7 @@ import (
 	"hybridolap/internal/dict"
 	"hybridolap/internal/gpusim"
 	"hybridolap/internal/ingest"
+	"hybridolap/internal/oracle"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -88,55 +89,31 @@ func (s *System) gpuAnswer(q *query.Query, partition int, snap *table.Snapshot) 
 	return ans[0], nil
 }
 
-// ReferenceAt answers a query by a sequential scan of the given pinned
-// epoch snapshot — the ground truth. A static system keeps the
-// row-at-a-time oracle over its one table.
+// reference answers a query of either shape at the pinned epoch snapshot
+// by the row-at-a-time oracle — the ground truth: translate, then
+// oracle.Snapshot, then finalise. Groups is nil for a scalar query, and
+// an empty translation answers zero.
 //
 // olaplint:faultexempt: reference executor — the oracle every
 // fault-injected path is checked against; injecting a dictionary fault
 // here would fail the ground truth itself, not the system under test.
-func (s *System) ReferenceAt(q *query.Query, snap *table.Snapshot) (table.ScanResult, error) {
+func (s *System) reference(q *query.Query, snap *table.Snapshot) (table.ScanResult, []table.GroupRow, error) {
 	qq := q.Clone()
 	if qq.NeedsTranslation() {
 		if _, err := query.Translate(qq, s.dicts()); err != nil {
-			return table.ScanResult{}, err
-		}
-	}
-	req, empty, err := qq.ToScanRequest(s.cfg.Table.Schema())
-	if err != nil {
-		return table.ScanResult{}, err
-	}
-	if empty {
-		return table.ScanResult{}, nil
-	}
-	if s.cfg.Live == nil {
-		return table.Scan(s.cfg.Table, req)
-	}
-	return table.ScanSnapshot(snap, req)
-}
-
-// ReferenceGroupsAt answers a grouped query by a sequential scan of the
-// given pinned epoch snapshot (row-at-a-time on a static system, like
-// ReferenceAt).
-//
-// olaplint:faultexempt: reference executor — the oracle every
-// fault-injected path is checked against; injecting a dictionary fault
-// here would fail the ground truth itself, not the system under test.
-func (s *System) ReferenceGroupsAt(q *query.Query, snap *table.Snapshot) ([]table.GroupRow, error) {
-	qq := q.Clone()
-	if qq.NeedsTranslation() {
-		if _, err := query.Translate(qq, s.dicts()); err != nil {
-			return nil, err
+			return table.ScanResult{}, nil, err
 		}
 	}
 	m, empty, err := qq.Member(s.cfg.Table.Schema())
 	if err != nil || empty {
-		return nil, err
+		return table.ScanResult{}, nil, err
 	}
-	if s.cfg.Live == nil {
-		return table.GroupScan(s.cfg.Table, m)
+	st, err := oracle.Snapshot(snap, m)
+	if err != nil {
+		return table.ScanResult{}, nil, err
 	}
-	return table.GroupScanSnapshot(snap, m)
+	r, g := oracle.Final(snap.Schema(), m, st)
+	return r, g, nil
 }
 
 // Ingest forwards a batch to the live store and returns the first epoch

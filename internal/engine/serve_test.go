@@ -11,6 +11,7 @@ import (
 	"hybridolap/internal/fault"
 	"hybridolap/internal/gpusim"
 	"hybridolap/internal/ingest"
+	"hybridolap/internal/oracle"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -22,6 +23,18 @@ func resultBits(a, b table.ScanResult) bool {
 }
 
 // cacheReq fabricates a one-predicate request for cache unit tests.
+// oracleScan answers req over snap with the oracle, finalised.
+func oracleScan(t testing.TB, snap *table.Snapshot, req table.ScanRequest) table.ScanResult {
+	t.Helper()
+	m := table.Member{ScanRequest: req}
+	st, err := oracle.Snapshot(snap, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := oracle.Final(snap.Schema(), m, st)
+	return r
+}
+
 func cacheReq(op table.AggOp, from, to uint32) table.ScanRequest {
 	return table.ScanRequest{Op: op, Measure: 0, Predicates: []table.RangePredicate{
 		{Dim: 0, Level: 1, From: from, To: to},
@@ -134,14 +147,7 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 func TestResultCacheEpochOwnership(t *testing.T) {
 	c := newResultCache(0)
 	at := cacheEpochs(t, genTable(t, 200, 1), 3)
-	scan := func(q table.ScanRequest, snap *table.Snapshot) table.ScanResult {
-		t.Helper()
-		r, err := table.ScanSnapshot(snap, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
+	scan := func(q table.ScanRequest, snap *table.Snapshot) table.ScanResult { return oracleScan(t, snap, q) }
 	q := cacheReq(table.AggCount, 0, 5)
 	// A finalised count doubles as its own partial: Finalize only copies
 	// Rows into Value.
@@ -218,10 +224,7 @@ func TestServeCacheEvictionUnlinksAnchor(t *testing.T) {
 		if !ok {
 			return false
 		}
-		want, err := table.ScanSnapshot(at, req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleScan(t, at, req)
 		if !ans.subsumed || !resultBits(ans.result, want) {
 			t.Fatalf("lookup %+v: %+v, want a fold equal to %+v", req.Predicates, ans, want)
 		}
@@ -318,11 +321,7 @@ func TestResultCacheSubsumptionFold(t *testing.T) {
 			if !ok || !ans.subsumed {
 				t.Fatalf("op %v case %d: no subsumption hit (%+v)", op, i, inner.Predicates)
 			}
-			want, err := table.Scan(ft, inner)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !resultBits(ans.result, want) {
+			if want := oracleScan(t, at, inner); !resultBits(ans.result, want) {
 				t.Fatalf("op %v case %d: subsumed fold (%v, %d) != scan (%v, %d)",
 					op, i, ans.result.Value, ans.result.Rows, want.Value, want.Rows)
 			}
@@ -637,7 +636,7 @@ func TestServeLiveEpochInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.ReferenceAt(q, snap)
+	want, _, err := s.reference(q, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

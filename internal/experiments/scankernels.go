@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"hybridolap/internal/oracle"
 	"hybridolap/internal/table"
 )
 
@@ -28,7 +29,7 @@ type scanKernelsReport struct {
 	Results    []scanKernelCase `json:"results"`
 }
 
-// ScanKernels measures the row-at-a-time reference scan (ScanRange) against
+// ScanKernels measures the row-at-a-time reference scan (the oracle) against
 // the bound vectorized plan (a 1-member table.Plan) on the same table and
 // predicate set — per aggregation op, per predicate selectivity, and per
 // predicate shape — and writes the series to BENCH_scan.json. It is the
@@ -120,7 +121,7 @@ func ScanKernels(opts Options) (*Table, error) {
 
 	for _, tc := range cases {
 		refNs, err := timeNsPerRow(func() error {
-			_, err := table.ScanRange(ft, tc.req, 0, ft.Rows())
+			_, err := oracle.Table(ft, table.Member{ScanRequest: tc.req})
 			return err
 		})
 		if err != nil {

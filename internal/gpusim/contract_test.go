@@ -31,8 +31,8 @@ func TestEntryPointContract(t *testing.T) {
 	if err := d.Partition([]int{1, 2, 4}); err != nil {
 		t.Fatal(err)
 	}
-	empty, _ := testSnapshot(t, 0, []int{0})
-	single, _ := testSnapshot(t, 1, []int{1})
+	empty := testSnapshot(t, 0, []int{0})
+	single := testSnapshot(t, 1, []int{1})
 
 	// work is one launch's row source.
 	type work struct {

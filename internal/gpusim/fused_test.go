@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hybridolap/internal/oracle"
 	"hybridolap/internal/table"
 )
 
@@ -130,12 +131,12 @@ func TestFoldContinuation(t *testing.T) {
 	members := cellMembers(reqs, nil)
 	p := newTestDevice(t, 1000).Partitions()[1]
 	for r, want := range map[[2]int]bool{{2 * B, 3 * B}: false, {B, 2 * B}: true} {
-		got, err := table.ScanRange(rows(r[0], r[1]), empty(table.AggCount, 0), 0, r[1]-r[0])
+		got, err := oracle.Table(rows(r[0], r[1]), table.Member{ScanRequest: empty(table.AggCount, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (got.Rows > 0) != want {
-			t.Fatalf("the month-filtered members match %d rows of [%d, %d)", got.Rows, r[0], r[1])
+		if (got.Scalar.Rows > 0) != want {
+			t.Fatalf("the month-filtered members match %d rows of [%d, %d)", got.Scalar.Rows, r[0], r[1])
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"hybridolap/internal/oracle"
 	"hybridolap/internal/table"
 )
 
@@ -49,6 +50,16 @@ func execGroups(p *Partition, snap *table.Snapshot, m table.Member) ([]table.Gro
 		return nil, err
 	}
 	return ans[0].Groups, nil
+}
+
+// reference answers m with the oracle over snap, finalised.
+func reference(t testing.TB, snap *table.Snapshot, m table.Member) (table.ScanResult, []table.GroupRow) {
+	t.Helper()
+	st, err := oracle.Snapshot(snap, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oracle.Final(snap.Schema(), m, st)
 }
 
 // cellMembers makes one member per request, member mi asking for cells
@@ -126,31 +137,6 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
-func TestExecuteMatchesSequentialScan(t *testing.T) {
-	d := newTestDevice(t, 20000)
-	req := table.ScanRequest{
-		Predicates: []table.RangePredicate{
-			{Dim: 0, Level: 1, From: 0, To: 23},
-			{Dim: 2, Level: 0, From: 2, To: 7},
-		},
-		Measure: 0, Op: table.AggSum,
-	}
-	want, err := table.Scan(d.Table(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range d.Partitions() {
-		got, err := execScalar(p, d.Resident(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Rows != want.Rows || math.Abs(got.Value-want.Value) > 1e-6 {
-			t.Fatalf("partition %d (%d SMs): got (%v,%d), want (%v,%d)",
-				p.ID(), p.SMs(), got.Value, got.Rows, want.Value, want.Rows)
-		}
-	}
-}
-
 func TestExecuteAllOps(t *testing.T) {
 	d := newTestDevice(t, 5000)
 	for _, op := range []table.AggOp{table.AggSum, table.AggCount, table.AggMin, table.AggMax, table.AggAvg} {
@@ -158,10 +144,7 @@ func TestExecuteAllOps(t *testing.T) {
 			Predicates: []table.RangePredicate{{Dim: 1, Level: 0, From: 0, To: 3}},
 			Measure:    1, Op: op,
 		}
-		want, err := table.Scan(d.Table(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _ := reference(t, d.Resident(), table.Member{ScanRequest: req})
 		got, err := execScalar(d.Partitions()[4], d.Resident(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +203,7 @@ func TestConcurrentKernelExecution(t *testing.T) {
 		Predicates: []table.RangePredicate{{Dim: 0, Level: 0, From: 0, To: 1}},
 		Measure:    0, Op: table.AggSum,
 	}
-	want, _ := table.Scan(d.Table(), req)
+	want, _ := reference(t, d.Resident(), table.Member{ScanRequest: req})
 	var wg sync.WaitGroup
 	results := make([]table.ScanResult, 6)
 	errs := make([]error, 6)
@@ -312,42 +295,13 @@ func BenchmarkExecute(b *testing.B) {
 	}
 }
 
-func TestExecuteGroupMatchesSequential(t *testing.T) {
-	d := newTestDevice(t, 15000)
-	req := table.Member{
-		ScanRequest: table.ScanRequest{
-			Predicates: []table.RangePredicate{{Dim: 0, Level: 0, From: 0, To: 5}},
-			Measure:    0, Op: table.AggSum,
-		},
-		GroupBy: []table.GroupCol{{Dim: 1, Level: 0}},
-	}
-	want, err := table.GroupScan(d.Table(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range d.Partitions() {
-		got, err := execGroups(p, d.Resident(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("partition %d: %d groups, want %d", p.ID(), len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Rows != want[i].Rows || math.Abs(got[i].Value-want[i].Value) > 1e-6 {
-				t.Fatalf("partition %d group %d: %+v vs %+v", p.ID(), i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestExecuteGroupConcurrent(t *testing.T) {
 	d := newTestDevice(t, 20000)
 	req := table.Member{
 		ScanRequest: table.ScanRequest{Measure: 0, Op: table.AggCount},
 		GroupBy:     []table.GroupCol{{Dim: 2, Level: 0}},
 	}
-	want, _ := table.GroupScan(d.Table(), req)
+	_, want := reference(t, d.Resident(), req)
 	var wg sync.WaitGroup
 	errs := make([]error, 6)
 	for i, p := range d.Partitions() {

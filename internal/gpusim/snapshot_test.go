@@ -1,7 +1,6 @@
 package gpusim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -33,9 +32,8 @@ func sliceTable(t testing.TB, whole *table.FactTable, lo, hi int) *table.FactTab
 }
 
 // testSnapshot splits one generated table into a base stripe plus delta
-// stripes (sharing the whole table's dictionaries), so snapshot answers
-// can be compared against whole-table answers.
-func testSnapshot(t testing.TB, rows int, cuts []int) (*table.Snapshot, *table.FactTable) {
+// stripes (sharing the whole table's dictionaries).
+func testSnapshot(t testing.TB, rows int, cuts []int) *table.Snapshot {
 	t.Helper()
 	whole := testTable(t, rows)
 	s := *whole.Schema()
@@ -56,81 +54,12 @@ func testSnapshot(t testing.TB, rows int, cuts []int) (*table.Snapshot, *table.F
 			t.Fatal(err)
 		}
 	}
-	return reg.Current(), whole
-}
-
-// TestExecuteStripesDifferential is the one-stripe ≡ k-stripe ≡ reference
-// differential over every op × partition width. The device's resident
-// (one-stripe) snapshot and a k-stripe snapshot of the same rows both
-// answer count/min/max exactly like the row-at-a-time table.Scan (sum/avg
-// within the fold-tree epsilon); a fused member answers bit-for-bit like
-// the same request run solo; and two solo runs of a request are
-// bit-identical (TestPlacementFree pins the same across partitions and
-// stripings).
-func TestExecuteStripesDifferential(t *testing.T) {
-	const rows = 20000
-	d := newTestDevice(t, rows)
-	striped, whole := testSnapshot(t, rows, []int{7000, 7003, 12000, 19999})
-	// The first len(family) requests are one fusion family (every op, one
-	// predicate-column set); the rest vary the predicate shape solo-only.
-	family := fusedReqs()
-	reqs := append(family[:len(family):len(family)],
-		table.ScanRequest{Op: table.AggCount},
-		table.ScanRequest{Op: table.AggMin, Measure: 1},
-		table.ScanRequest{Op: table.AggMax, Measure: 0, Predicates: []table.RangePredicate{
-			{Dim: 1, Level: 0, From: 0, To: 2}}},
-		table.ScanRequest{Op: table.AggAvg, Measure: 1, Predicates: []table.RangePredicate{
-			{Dim: 0, Level: 0, From: 1, To: 3}}})
-	wantCells := make([]bool, len(family))
-	wantCells[1] = true
-	snaps := []struct {
-		name string
-		snap *table.Snapshot
-	}{{"resident", d.Resident()}, {"striped", striped}}
-	for _, sn := range snaps {
-		for _, p := range d.Partitions() {
-			fused, err := p.Execute(sn.snap, cellMembers(family, wantCells))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for mi, req := range reqs {
-				where := fmt.Sprintf("%s partition %d (%d SMs) %v request %d", sn.name, p.ID(), p.SMs(), req.Op, mi)
-				want, err := table.Scan(whole, req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				solo, err := execScalar(p, sn.snap, req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				again, err := execScalar(p, sn.snap, req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if solo != again {
-					t.Fatalf("%s: solo runs differ: %+v vs %+v", where, solo, again)
-				}
-				if mi < len(family) && fused[mi].Result != solo {
-					t.Fatalf("%s: fused=%+v solo=%+v", where, fused[mi].Result, solo)
-				}
-				switch req.Op {
-				case table.AggSum, table.AggAvg:
-					if solo.Rows != want.Rows || math.Abs(solo.Value-want.Value) > 1e-6 {
-						t.Fatalf("%s: got (%v,%d), want (%v,%d)", where, solo.Value, solo.Rows, want.Value, want.Rows)
-					}
-				default:
-					if solo != want {
-						t.Fatalf("%s: got %+v, reference %+v", where, solo, want)
-					}
-				}
-			}
-		}
-	}
+	return reg.Current()
 }
 
 func TestExecuteGroupSnapshotMatchesWholeTable(t *testing.T) {
 	d := newTestDevice(t, 64)
-	snap, whole := testSnapshot(t, 15000, []int{1, 5000, 5001, 11000})
+	snap := testSnapshot(t, 15000, []int{1, 5000, 5001, 11000})
 	reqs := []table.Member{
 		{ScanRequest: table.ScanRequest{Op: table.AggSum, Measure: 0},
 			GroupBy: []table.GroupCol{{Dim: 0, Level: 0}}},
@@ -139,10 +68,7 @@ func TestExecuteGroupSnapshotMatchesWholeTable(t *testing.T) {
 			GroupBy: []table.GroupCol{{Dim: 0, Level: 0}, {Dim: 1, Level: 0}}},
 	}
 	for ri, req := range reqs {
-		want, err := table.GroupScan(whole, req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, want := reference(t, snap, req)
 		for _, p := range d.Partitions() {
 			got, err := execGroups(p, snap, req)
 			if err != nil {
@@ -154,7 +80,7 @@ func TestExecuteGroupSnapshotMatchesWholeTable(t *testing.T) {
 			for i := range got {
 				if table.PackKey(got[i].Keys) != table.PackKey(want[i].Keys) ||
 					got[i].Rows != want[i].Rows ||
-					math.Abs(got[i].Value-want[i].Value) > 1e-6 {
+					math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
 					t.Fatalf("req %d partition %d group %d: %+v != %+v", ri, p.ID(), i, got[i], want[i])
 				}
 			}
@@ -172,16 +98,12 @@ func TestExecuteSnapshotEdgeCases(t *testing.T) {
 		t.Fatal("nil snapshot accepted (grouped)")
 	}
 	// A tiny snapshot (one short block over three stripes) must still answer.
-	snap, whole := testSnapshot(t, 3, []int{1, 2})
+	snap := testSnapshot(t, 3, []int{1, 2})
 	got, err := execScalar(p, snap, table.ScanRequest{Op: table.AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := table.Scan(whole, table.ScanRequest{Op: table.AggCount})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows != want.Rows || got.Value != want.Value {
+	if want, _ := reference(t, snap, table.Member{ScanRequest: table.ScanRequest{Op: table.AggCount}}); got.Rows != want.Rows || got.Value != want.Value {
 		t.Fatalf("tiny snapshot: got %+v, want %+v", got, want)
 	}
 	// Scan errors must propagate, not panic.
@@ -191,7 +113,7 @@ func TestExecuteSnapshotEdgeCases(t *testing.T) {
 	}
 	// ... identically on a snapshot whose only stripe has no rows: every
 	// entry point validates before it cuts.
-	empty, _ := testSnapshot(t, 0, []int{0})
+	empty := testSnapshot(t, 0, []int{0})
 	if empty.Rows() != 0 || len(empty.Stripes()) == 0 {
 		t.Fatalf("fixture: %d rows in %d stripes", empty.Rows(), len(empty.Stripes()))
 	}

@@ -14,6 +14,7 @@ import (
 
 	"hybridolap/internal/cube"
 	"hybridolap/internal/dict"
+	"hybridolap/internal/oracle"
 	"hybridolap/internal/query"
 	"hybridolap/internal/table"
 )
@@ -195,14 +196,10 @@ func checkEpoch(t testing.TB, snap *table.Snapshot, s table.Schema) {
 		}
 		var got, want table.ScanResult
 		if !lempty {
-			if got, err = table.ScanSnapshot(snap, lreq); err != nil {
-				t.Fatal(err)
-			}
+			got, _ = oracleAnswer(t, snap, nil, table.Member{ScanRequest: lreq})
 		}
 		if !rempty {
-			if want, err = table.Scan(ref, rreq); err != nil {
-				t.Fatal(err)
-			}
+			want, _ = oracleAnswer(t, nil, ref, table.Member{ScanRequest: rreq})
 		}
 		if got.Rows != want.Rows || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
 			t.Fatalf("epoch %d query %d: snapshot %+v != rebuild %+v", snap.Epoch(), qi, got, want)
@@ -219,14 +216,8 @@ func checkEpoch(t testing.TB, snap *table.Snapshot, s table.Schema) {
 			GroupBy: []table.GroupCol{{Dim: 0, Level: 0}, {Dim: 1, Level: 0}}},
 	}
 	for gi, req := range greqs {
-		got, err := table.GroupScanSnapshot(snap, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := table.GroupScan(ref, req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, got := oracleAnswer(t, snap, nil, req)
+		_, want := oracleAnswer(t, nil, ref, req)
 		if len(got) != len(want) {
 			t.Fatalf("epoch %d greq %d: %d groups != %d", snap.Epoch(), gi, len(got), len(want))
 		}
@@ -623,16 +614,16 @@ func TestConcurrentIngestCompactQuery(t *testing.T) {
 				default:
 				}
 				snap := store.Current()
-				res, err := table.ScanSnapshot(snap, table.ScanRequest{Op: table.AggCount})
+				res, err := oracle.Snapshot(snap, table.Member{ScanRequest: table.ScanRequest{Op: table.AggCount}})
 				if err != nil {
 					errc <- err
 					return
 				}
-				if res.Rows != int64(snap.Rows()) {
-					errc <- fmt.Errorf("pinned snapshot count %d != %d", res.Rows, snap.Rows())
+				if res.Scalar.Rows != int64(snap.Rows()) {
+					errc <- fmt.Errorf("pinned snapshot count %d != %d", res.Scalar.Rows, snap.Rows())
 					return
 				}
-				if _, err := table.GroupScanSnapshot(snap, table.Member{
+				if _, err := oracle.Snapshot(snap, table.Member{
 					ScanRequest: table.ScanRequest{Op: table.AggSum},
 					GroupBy:     []table.GroupCol{{Dim: 0, Level: 0}},
 				}); err != nil {
@@ -666,4 +657,24 @@ func TestConcurrentIngestCompactQuery(t *testing.T) {
 		t.Fatalf("recovered %d rows, want %d", re.Current().Rows(), 300+writers*batches*20)
 	}
 	checkEpoch(t, re.Current(), s)
+}
+
+// oracleAnswer answers m with the oracle over snap's stripes, or, when
+// snap is nil, over ft; finalised.
+func oracleAnswer(t testing.TB, snap *table.Snapshot, ft *table.FactTable, m table.Member) (table.ScanResult, []table.GroupRow) {
+	t.Helper()
+	var st table.State
+	var err error
+	var schema *table.Schema
+	if snap != nil {
+		st, err = oracle.Snapshot(snap, m)
+		schema = snap.Schema()
+	} else {
+		st, err = oracle.Table(ft, m)
+		schema = ft.Schema()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oracle.Final(schema, m, st)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hybridolap/internal/cube"
+	"hybridolap/internal/oracle"
 	"hybridolap/internal/table"
 )
 
@@ -109,11 +110,11 @@ func TestQueryMember(t *testing.T) {
 		t.Fatalf("req.GroupBy = %+v", req.GroupBy)
 	}
 	// It executes.
-	rows, err := table.GroupScan(ft, req)
+	rows, err := oracle.Table(ft, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
+	if len(rows.Groups) == 0 {
 		t.Fatal("no groups")
 	}
 	// An ungrouped query is a scalar member.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hybridolap/internal/oracle"
 	"hybridolap/internal/table"
 )
 
@@ -93,10 +94,12 @@ func TestInListScanMatchesBruteForce(t *testing.T) {
 	if err != nil || empty {
 		t.Fatalf("ToScanRequest: empty=%v err=%v", empty, err)
 	}
-	got, err := table.Scan(ft, req)
+	m := table.Member{ScanRequest: req}
+	st, err := oracle.Table(ft, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, _ := oracle.Final(ft.Schema(), m, st)
 	d, _ := ft.Dicts().Get("store_name")
 	acme, _ := d.Lookup("acme")
 	corner, _ := d.Lookup("corner")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybridolap/internal/cube"
+	"hybridolap/internal/oracle"
 	"hybridolap/internal/table"
 )
 
@@ -229,10 +230,12 @@ func TestToScanRequestMatchesDirectScan(t *testing.T) {
 	if err != nil || empty {
 		t.Fatalf("ToScanRequest: empty=%v err=%v", empty, err)
 	}
-	res, err := table.Scan(ft, req)
+	m := table.Member{ScanRequest: req}
+	st, err := oracle.Table(ft, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, _ := oracle.Final(ft.Schema(), m, st)
 	// Brute force over the raw strings.
 	var want float64
 	var rows int64

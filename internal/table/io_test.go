@@ -67,8 +67,8 @@ func TestTableSaveLoadRoundTrip(t *testing.T) {
 		Predicates: []RangePredicate{{Dim: 0, Level: 1, From: 0, To: 11}},
 		Measure:    0, Op: AggSum,
 	}
-	a, _ := Scan(orig, req)
-	b, _ := Scan(got, req)
+	a, _ := scan(orig, req)
+	b, _ := scan(got, req)
 	if a != b {
 		t.Fatalf("scan differs: %+v vs %+v", a, b)
 	}

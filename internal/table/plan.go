@@ -14,8 +14,8 @@ import (
 // member scatters by its GroupBy columns, a fusion window K members;
 // nothing else binds or runs a vectorized scan, so the per-stripe kernels
 // the GPU simulator launches do no validation, no column lookup and no
-// re-ordering work at all. The row-at-a-time ScanRange / GroupScanRange
-// stay as the reference kernels the plan is proven against.
+// re-ordering work at all. The row-at-a-time loop of internal/oracle is
+// the reference the plan is proven against.
 //
 // Members must filter the same column multiset (FusionKey); ops,
 // measures, intervals and key columns are free per member. Scans are
@@ -32,10 +32,10 @@ import (
 // Bit-identity: the refinement passes compact the selection vector in
 // place preserving ascending row order, and a member's residual list
 // includes every predicate the envelope did not exactly apply, so the
-// final per-member selection is exactly the row set the reference kernel
-// selects for that member alone, in the same order — whatever the other
-// members are. Accumulation over the same rows in the same order is
-// bit-identical to ScanRange / GroupScanRange, not merely close.
+// final per-member selection is exactly the row set the oracle selects
+// for that member alone, in the same order — whatever the other members
+// are. Accumulation over the same rows in the same order is bit-identical
+// to the oracle's, not merely close.
 //
 // Immutable after binding; safe for concurrent RangeInto calls on
 // disjoint state slices (the paper's per-SM stripe kernels all share one

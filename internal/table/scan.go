@@ -24,19 +24,6 @@ type RangePredicate struct {
 	Or []CodeRange
 }
 
-// matches reports whether a code passes the predicate.
-func (p *RangePredicate) matches(v uint32) bool {
-	if v >= p.From && v <= p.To {
-		return true
-	}
-	for _, r := range p.Or {
-		if v >= r.From && v <= r.To {
-			return true
-		}
-	}
-	return false
-}
-
 // AggOp selects the aggregation applied to the measure column.
 type AggOp int
 
@@ -103,81 +90,12 @@ func predCol(t *FactTable, p RangePredicate) levelCol {
 	return t.levelOf(p.Dim, p.Level)
 }
 
-// ScanRange runs the request sequentially over rows [lo, hi) and returns a
-// partial result. It is the row-at-a-time reference kernel the vectorized
-// Plan is proven against; hot callers (the GPU simulator's per-stripe
-// blocks) go through Bind + (*Plan).RangeInto instead, which validates
-// once per request rather than once per unit.
-func ScanRange(t *FactTable, req ScanRequest, lo, hi int) (ScanResult, error) {
-	if lo < 0 || hi > t.rows || lo > hi {
-		return ScanResult{}, fmt.Errorf("table: scan range [%d,%d) outside [0,%d)", lo, hi, t.rows)
-	}
-	if req.Op != AggCount {
-		if req.Measure < 0 || req.Measure >= len(t.measures) {
-			return ScanResult{}, fmt.Errorf("table: measure %d out of range", req.Measure)
-		}
-	}
-	cols := make([]levelCol, len(req.Predicates))
-	for i := range req.Predicates {
-		if err := validatePred(t, &req.Predicates[i]); err != nil {
-			return ScanResult{}, err
-		}
-		cols[i] = predCol(t, req.Predicates[i])
-	}
-	var meas []int32
-	if req.Op != AggCount {
-		meas = t.measures[req.Measure]
-	}
-
-	res := ScanResult{} // min/max: Value is set on the first match
-	first := true
-rowLoop:
-	for r := lo; r < hi; r++ {
-		for i := range req.Predicates {
-			p := &req.Predicates[i]
-			v := cols[i].at(r)
-			if len(p.Or) == 0 {
-				if v < p.From || v > p.To {
-					continue rowLoop
-				}
-			} else if !p.matches(v) {
-				continue rowLoop
-			}
-		}
-		res.Rows++
-		switch req.Op {
-		case AggSum, AggAvg:
-			res.Value += float64(meas[r])
-		case AggCount:
-			// rows counter is the value
-		case AggMin:
-			if v := float64(meas[r]); first || v < res.Value {
-				res.Value = v
-			}
-		case AggMax:
-			if v := float64(meas[r]); first || v > res.Value {
-				res.Value = v
-			}
-		}
-		first = false
-	}
-	return res, nil
-}
-
-// Scan runs the request over the whole table sequentially.
-func Scan(t *FactTable, req ScanRequest) (ScanResult, error) {
-	res, err := ScanRange(t, req, 0, t.rows)
-	if err != nil {
-		return ScanResult{}, err
-	}
-	return Finalize(req.Op, t.schema.MeasureScale(req.Measure), res), nil
-}
-
 // Merge combines two partial results of the same request (the parallel
 // reduction step). Count/sum add; min/max compare; avg sums and divides in
 // Finalize. Partials are integer units, so every merge order gives the
-// same bits. The cluster coordinator folds every shard's chunk partials
-// through this on the scalar hot path, so it must stay allocation-free.
+// same bits. gpusim merges its work units' partials and the cluster
+// coordinator its shards' (one partial each) through this on the scalar
+// hot path, so it must stay allocation-free.
 //
 //olaplint:noalloc
 func Merge(op AggOp, a, b ScanResult) ScanResult {

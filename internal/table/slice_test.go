@@ -34,7 +34,7 @@ func TestSlice(t *testing.T) {
 	// Scanning the slices end to end reproduces the full-table scan for
 	// fold-order-insensitive ops.
 	req := ScanRequest{Op: AggCount}
-	whole, err := Scan(ft, req)
+	whole, err := scan(ft, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := Scan(sv, req)
+		part, err := scan(sv, req)
 		if err != nil {
 			t.Fatal(err)
 		}

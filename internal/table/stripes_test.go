@@ -158,85 +158,6 @@ func TestRangeFromChaining(t *testing.T) {
 	}
 }
 
-// TestScanSnapshotMatchesRebuild: scanning a snapshot of several stripes
-// must be bit-identical to scanning one table holding the same rows.
-func TestScanSnapshotMatchesRebuild(t *testing.T) {
-	schema := diffSchema()
-	whole := stripeTable(t, 2*BatchSize+331, 21)
-
-	// Split the whole table's rows into stripes at fixed cut points using
-	// FromColumns, sharing the whole table's dictionary set so text codes
-	// agree.
-	cuts := []int{0, 17, 17, BatchSize + 5, whole.Rows()}
-	var parts []*FactTable
-	for i := 0; i+1 < len(cuts); i++ {
-		ft := rowsOf(t, whole, cuts[i], cuts[i+1])
-		parts = append(parts, ft)
-	}
-
-	reg, err := NewRegistry(schema, parts[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := reg.Publish(parts[1:], StripeDelta, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Rows() != whole.Rows() {
-		t.Fatalf("snapshot rows = %d, want %d", snap.Rows(), whole.Rows())
-	}
-
-	reqs := []ScanRequest{
-		{Op: AggSum, Measure: 0, Predicates: []RangePredicate{{Dim: 0, Level: 1, From: 3, To: 33}}},
-		{Op: AggAvg, Measure: 1, Predicates: []RangePredicate{{Dim: 1, Level: 1, From: 10, To: 44}}},
-		{Op: AggMin, Measure: 0},
-		{Op: AggMax, Measure: 1, Predicates: []RangePredicate{{Dim: 2, Level: 0, From: 2, To: 8}}},
-		{Op: AggCount, Predicates: []RangePredicate{{Text: true, TextIndex: 0, From: 3, To: 12}}},
-	}
-	for ri, req := range reqs {
-		want, err := Scan(whole, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ScanSnapshot(snap, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Rows != want.Rows || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
-			t.Fatalf("req %d: snapshot %+v != rebuild %+v", ri, got, want)
-		}
-	}
-
-	greqs := []Member{
-		{ScanRequest: ScanRequest{Op: AggSum, Measure: 0},
-			GroupBy: []GroupCol{{Dim: 0, Level: 0}}},
-		{ScanRequest: ScanRequest{Op: AggAvg, Measure: 1,
-			Predicates: []RangePredicate{{Dim: 0, Level: 1, From: 0, To: 40}}},
-			GroupBy: []GroupCol{{Dim: 1, Level: 0}, {Dim: 2, Level: 0}}},
-		{ScanRequest: ScanRequest{Op: AggCount},
-			GroupBy: []GroupCol{{Text: true, TextIndex: 0}}},
-	}
-	for ri, req := range greqs {
-		want, err := GroupScan(whole, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := GroupScanSnapshot(snap, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("greq %d: %d groups, want %d", ri, len(got), len(want))
-		}
-		for i := range got {
-			if PackKey(got[i].Keys) != PackKey(want[i].Keys) || got[i].Rows != want[i].Rows ||
-				math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
-				t.Fatalf("greq %d group %d: %+v != %+v", ri, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestSnapshotRowRange pins the one logical-row-range → stripe-segments
 // walker: segments come in row order with the right stripe index and
 // stripe-local rows; empty stripes, empty ranges and stripes the range only

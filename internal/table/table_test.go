@@ -360,7 +360,7 @@ func TestScanSumAndCount(t *testing.T) {
 		Predicates: []RangePredicate{{Dim: 0, Level: 0, From: 0, To: 0}},
 		Measure:    0, Op: AggSum,
 	}
-	res, err := Scan(ft, req)
+	res, err := scan(ft, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestScanSumAndCount(t *testing.T) {
 	}
 
 	// Count with no predicates = all rows.
-	res, err = Scan(ft, ScanRequest{Op: AggCount})
+	res, err = scan(ft, ScanRequest{Op: AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestScanSumAndCount(t *testing.T) {
 	}
 
 	// Text predicate: city == "a" (code 0).
-	res, err = Scan(ft, ScanRequest{
+	res, err = scan(ft, ScanRequest{
 		Predicates: []RangePredicate{{Text: true, TextIndex: 0, From: 0, To: 0}},
 		Measure:    0, Op: AggSum,
 	})
@@ -400,7 +400,7 @@ func TestScanMinMaxAvg(t *testing.T) {
 		op   AggOp
 		want float64
 	}{{AggMin, 1}, {AggMax, 9}, {AggAvg, 4.5}, {AggSum, 18}} {
-		res, err := Scan(ft, ScanRequest{Measure: 0, Op: c.op})
+		res, err := scan(ft, ScanRequest{Measure: 0, Op: c.op})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +412,7 @@ func TestScanMinMaxAvg(t *testing.T) {
 
 func TestScanEmptySelection(t *testing.T) {
 	ft, _ := Generate(GenSpec{Schema: smallSchema(), Rows: 50, Seed: 3})
-	res, err := Scan(ft, ScanRequest{
+	res, err := scan(ft, ScanRequest{
 		Predicates: []RangePredicate{{Dim: 0, Level: 1, From: 100, To: 200}}, // beyond cardinality
 		Measure:    0, Op: AggMin,
 	})
@@ -433,14 +433,14 @@ func TestScanErrors(t *testing.T) {
 		{Predicates: []RangePredicate{{Text: true, TextIndex: 9}}, Op: AggCount},
 	}
 	for i, req := range cases {
-		if _, err := Scan(ft, req); err == nil {
+		if _, err := scan(ft, req); err == nil {
 			t.Errorf("bad request %d accepted", i)
 		}
 	}
-	if _, err := ScanRange(ft, ScanRequest{Op: AggCount}, 5, 2); err == nil {
+	if _, err := planRange(ft, Member{ScanRequest: ScanRequest{Op: AggCount}}, 5, 2); err == nil {
 		t.Error("inverted range accepted")
 	}
-	if _, err := ScanRange(ft, ScanRequest{Op: AggCount}, 0, 99); err == nil {
+	if _, err := planRange(ft, Member{ScanRequest: ScanRequest{Op: AggCount}}, 0, 99); err == nil {
 		t.Error("out-of-bounds range accepted")
 	}
 }
@@ -462,7 +462,7 @@ func TestMergeEquivalenceProperty(t *testing.T) {
 			Predicates: []RangePredicate{{Dim: 0, Level: 1, From: from, To: to}},
 			Measure:    0, Op: op,
 		}
-		whole, err := Scan(ft, req)
+		whole, err := scan(ft, req)
 		if err != nil {
 			return false
 		}
@@ -474,11 +474,11 @@ func TestMergeEquivalenceProperty(t *testing.T) {
 			if hi > ft.Rows() {
 				hi = ft.Rows()
 			}
-			part, err := ScanRange(ft, req, lo, hi)
+			part, err := planRange(ft, Member{ScanRequest: req}, lo, hi)
 			if err != nil {
 				return false
 			}
-			acc = Merge(op, acc, part)
+			acc = Merge(op, acc, part.Scalar)
 		}
 		acc = Finalize(op, ft.Schema().MeasureScale(0), acc)
 		return acc.Rows == whole.Rows && math.Float64bits(acc.Value) == math.Float64bits(whole.Value)
@@ -525,7 +525,7 @@ func BenchmarkScan1M(b *testing.B) {
 	b.SetBytes(int64(8 * ft.Rows())) // two code columns + one measure
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Scan(ft, req); err != nil {
+		if _, err := scan(ft, req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -202,7 +202,7 @@ func refineShape[T code](p *boundPred, col []T, sel []int32) int {
 // unfiltered case), reading int32 units: a sum adds them in int64 and the
 // batch's total joins the partial as one exact float add, a min or max
 // selects one. Integer addition is associative, so the result is the
-// reference kernel's bits whatever order the rows come in.
+// oracle's bits whatever order the rows come in.
 
 //olaplint:noalloc
 func sumSel(meas []int32, base int, sel []int32) int64 {
@@ -408,7 +408,7 @@ func (m *member) scatter(dst Groups, base int, sel []int32, keys []GroupKey) {
 }
 
 // State is one member's accumulation state of a pass, with the same
-// pre-Finalize semantics as ScanRange / GroupScanRange: a scalar partial
+// pre-Finalize semantics as internal/oracle's answer: a scalar partial
 // or, for a keyed member, per-key partials (allocated on the first
 // matching row).
 type State struct {
