@@ -69,7 +69,9 @@ test-chaos:
 # 100K-row cases (they pin bits over several fold-grid blocks and cost a
 # table build each; `make test` and `make race` run them). The root
 # package's Serve and Batch tests put the facade's one-goroutine-per-query
-# Batch under the same stress. CI runs this beside test-chaos.
+# Batch under the same stress, and olapd's TestStatsWhileServing reads the
+# scheduler over /stats while clients book and settle through it (the
+# scheduler serialises itself). CI runs this beside test-chaos.
 test-serve-stress:
 	$(GO) test -race -short -count=20 -run 'Serv|Fus|Window|Batch' . ./internal/engine ./internal/sched ./cmd/olapd
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -181,6 +182,64 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if v.Submitted < 2 || len(v.ToGPU) != 6 {
 		t.Fatalf("stats = %+v", v)
+	}
+}
+
+// TestStatsWhileServing reads /stats in a loop while two clients POST
+// queries: the handler reads the scheduler's counters and partition health
+// with no lock of its own while Serve books and settles, so under -race
+// this is the check that the scheduler serialises itself. Once the
+// clients are done, every booking has been settled.
+func TestStatsWhileServing(t *testing.T) {
+	db, err := olap.Open(olap.Options{Rows: 2000, Seed: 5, Fusion: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newMux(db))
+	t.Cleanup(ts.Close)
+
+	const perClient = 30
+	var clients sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		clients.Add(1)
+		go func(c int) {
+			defer clients.Done()
+			for i := 0; i < perClient; i++ {
+				// GPU scans through the fusion window and cube walks that
+				// bypass it; the result cache is off, so each is booked.
+				sql := fmt.Sprintf(`{"sql":"SELECT count(*) WHERE time.day BETWEEN %d AND 250"}`, c*perClient+i)
+				if i%2 == 1 {
+					sql = fmt.Sprintf(`{"sql":"SELECT sum(sales) WHERE time.month BETWEEN 0 AND %d"}`, i%12)
+				}
+				if code := postQuery(t, ts, sql, nil); code != 200 {
+					t.Errorf("client %d query %d: status %d", c, i, code)
+					return
+				}
+			}
+		}(c)
+	}
+	served := make(chan struct{})
+	go func() {
+		clients.Wait()
+		close(served)
+	}()
+	reads := 0
+	for serving := true; serving; reads++ {
+		select {
+		case <-served:
+			serving = false
+		default:
+		}
+		var st statsResponse
+		if code := get(t, ts, "/stats", &st); code != 200 || len(st.PartitionHealth) != 6 {
+			t.Fatalf("stats read %d: status %d, %+v", reads, code, st)
+		}
+	}
+
+	st := db.System().Scheduler().Stats()
+	if st.Submitted == 0 || st.Submitted+st.Resubmitted+st.MaintenanceJobs != st.Settled {
+		t.Fatalf("after %d reads: %d submitted + %d resubmitted + %d maintenance bookings, %d settled",
+			reads, st.Submitted, st.Resubmitted, st.MaintenanceJobs, st.Settled)
 	}
 }
 

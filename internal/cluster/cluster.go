@@ -103,21 +103,21 @@ type Config struct {
 // replica (the devices share the node's SM partitions, so they share one
 // set of scheduler queues), and per-shard cube sets for the CPU path.
 type node struct {
-	id int
+	id    int
+	sched *sched.Scheduler // serialises itself
 
-	// mu serialises all scheduler access and guards devs/cubes. Lock
-	// order: Cluster.mu before node.mu, never the reverse.
-	mu    sync.Mutex
-	sched *sched.Scheduler
+	// mu guards devs and cubes. Lock order: Cluster.mu before node.mu,
+	// never the reverse.
+	mu sync.Mutex
 	// devs maps shard -> device. Resident shards are loaded at
 	// construction; a non-resident entry appears when the coordinator
 	// places a sub-query here and the shard's columns are fetched from a
 	// live holder (the fetch is what LinkSeconds priced).
 	devs map[int]*gpusim.Device
-	// cubes maps RESIDENT shard -> cube set. Fetched shards get no cubes:
+	// cubes maps RESIDENT shard -> cube set: it has an entry exactly when
+	// the node is in the shard's holder set. Fetched shards get no cubes:
 	// the CPU path is only offered where the data already lives.
-	cubes    map[int]*cube.Set
-	resident map[int]bool
+	cubes map[int]*cube.Set
 }
 
 // Cluster is the coordinator plus its nodes.
@@ -292,10 +292,9 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 	c.nodes = make([]*node, n)
 	for id := 0; id < n; id++ {
 		nd := &node{
-			id:       id,
-			devs:     make(map[int]*gpusim.Device),
-			cubes:    make(map[int]*cube.Set),
-			resident: make(map[int]bool),
+			id:    id,
+			devs:  make(map[int]*gpusim.Device),
+			cubes: make(map[int]*cube.Set),
 		}
 		sc, err := sched.New(sched.Config{
 			GPUWidths:           layout,
@@ -317,7 +316,6 @@ func New(ft *table.FactTable, cfg Config) (*Cluster, error) {
 			}
 			nd.devs[s] = dev
 			nd.cubes[s] = cs
-			nd.resident[s] = true
 		}
 	}
 	return c, nil
@@ -427,7 +425,6 @@ func (c *Cluster) declareDeadLocked(id int) bool {
 	nd.mu.Lock()
 	nd.devs = make(map[int]*gpusim.Device)
 	nd.cubes = make(map[int]*cube.Set)
-	nd.resident = make(map[int]bool)
 	nd.mu.Unlock()
 	return true
 }
@@ -494,48 +491,35 @@ func (c *Cluster) UnderReplicated() []int {
 }
 
 // Stats snapshots the coordinator counters plus each node's scheduler
-// totals and health.
+// totals, health and holdings.
 func (c *Cluster) Stats() Stats {
 	c.mu.Lock()
 	out := c.stats
 	out.UnderReplicatedShards = len(c.underReplicatedLocked())
 	states := c.health.States()
+	out.PerNode = make([]NodeStats, len(c.nodes))
+	for i := range out.PerNode {
+		out.PerNode[i] = NodeStats{Node: i, Shards: []int{}, Health: states[i].String()}
+	}
+	for s, hs := range c.holders {
+		for _, h := range hs {
+			out.PerNode[h].Shards = append(out.PerNode[h].Shards, s)
+		}
+	}
 	c.mu.Unlock()
 
-	out.PerNode = make([]NodeStats, len(c.nodes))
 	for i, nd := range c.nodes {
-		nd.mu.Lock()
 		st := nd.sched.Stats()
-		parts := nd.sched.HealthStates()
-		shards := make([]int, 0, len(nd.resident))
-		for s := range nd.resident {
-			shards = append(shards, s)
-		}
-		nd.mu.Unlock()
-		sortInts(shards)
-		var gpu int64
+		ns := &out.PerNode[i]
+		ns.Submitted, ns.ToCPU = st.Submitted, st.ToCPU
 		for _, g := range st.ToGPU {
-			gpu += g
+			ns.ToGPU += g
 		}
-		ps := make([]string, len(parts))
+		parts := nd.sched.HealthStates()
+		ns.Partition = make([]string, len(parts))
 		for k, p := range parts {
-			ps[k] = p.String()
-		}
-		out.PerNode[i] = NodeStats{
-			Node: i, Shards: shards, Health: states[i].String(),
-			Submitted: st.Submitted, ToCPU: st.ToCPU, ToGPU: gpu,
-			Partition: ps,
+			ns.Partition[k] = p.String()
 		}
 	}
 	return out
-}
-
-// sortInts is a tiny insertion sort (shards-per-node is small; avoids an
-// import for one call site).
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

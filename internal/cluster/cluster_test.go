@@ -255,6 +255,14 @@ func TestChaosClusterDifferential(t *testing.T) {
 				if fired := plan.Fired(fault.NodeExec); fired > 0 && st.Failovers == 0 {
 					t.Errorf("%d node faults fired but no failovers recorded", fired)
 				}
+				// Every booking on every node was settled: crashed dispatches
+				// released, attempts that ran charged what they took.
+				for _, nd := range c.nodes {
+					if ns := nd.sched.Stats(); ns.Submitted+ns.Resubmitted+ns.MaintenanceJobs != ns.Settled {
+						t.Errorf("node %d: %d submitted + %d resubmitted + %d maintenance bookings, but %d settled",
+							nd.id, ns.Submitted, ns.Resubmitted, ns.MaintenanceJobs, ns.Settled)
+					}
+				}
 			})
 		}
 	}

@@ -70,8 +70,13 @@ func (c *Cluster) translate(q *query.Query) error {
 // node, cross the NodeExec fault point (the simulated crash), execute,
 // and on failure re-plan against the query's absolute deadline so the
 // retry competes for whatever slack remains — the engine's Resubmit
-// semantics lifted to nodes. The failed node is excluded from the re-plan
-// (place falls back to it only when nothing else is alive).
+// semantics lifted to nodes. Every booking is settled on its node's
+// scheduler under the engine's rule: a crashed dispatch never ran and
+// gives its window back; an attempt that ran is charged what it took,
+// the priced link time included (a simulated network has no wall clock,
+// so movement congestion stays on the clocks). The failed node is
+// excluded from the re-plan (place falls back to it only when nothing
+// else is alive).
 func (c *Cluster) execShard(s int, deadline float64, q *query.Query, m table.Member) (table.State, error) {
 	sq, err := c.subQueryFor(s, q, m)
 	if err != nil {
@@ -83,30 +88,24 @@ func (c *Cluster) execShard(s int, deadline float64, q *query.Query, m table.Mem
 		if err != nil {
 			return table.State{}, err
 		}
-		if ferr := c.cfg.Faults.Check(fault.NodeExec, pl.node); ferr != nil {
-			willRetry := attempt < c.maxRetries()
-			c.noteFailure(pl, willRetry)
-			tried[pl.node] = true
-			if !willRetry {
-				return table.State{}, ferr
-			}
-			continue
+		var out table.State
+		var o sched.Outcome
+		if err = c.cfg.Faults.Check(fault.NodeExec, pl.node); err == nil {
+			t0 := time.Now()
+			out, err = c.runShard(pl, q, m)
+			o = sched.Outcome{Ran: true, Seconds: time.Since(t0).Seconds() + pl.linkSeconds, Failed: err != nil}
 		}
-		t0 := time.Now()
-		out, err := c.runShard(pl, q, m)
-		act := time.Since(t0).Seconds()
-		if err != nil {
-			willRetry := attempt < c.maxRetries()
-			c.noteExecFailure(pl, willRetry)
-			tried[pl.node] = true
-			if !willRetry {
-				return table.State{}, err
-			}
-			continue
+		c.nodes[pl.node].sched.Settle(pl.dec, c.nowS(), o)
+		if err == nil {
+			c.noteDispatch(pl)
+			return out, nil
 		}
-		c.noteSuccess(pl, act)
-		c.noteDispatch(pl)
-		return out, nil
+		willRetry := attempt < c.maxRetries()
+		c.noteFailure(pl, willRetry)
+		tried[pl.node] = true
+		if !willRetry {
+			return table.State{}, err
+		}
 	}
 }
 

@@ -136,10 +136,7 @@ func (c *Cluster) RunModel(mc ModelConfig) (ModelResult, error) {
 				start = transferEnd
 			}
 			end := start + pl.svcSeconds
-			nd := c.nodes[pl.node]
-			nd.mu.Lock()
-			nd.sched.Feedback(pl.dec.Queue, end-pl.dec.End, now)
-			nd.mu.Unlock()
+			c.nodes[pl.node].sched.Feedback(pl.dec.Queue, end-pl.dec.End, now)
 			c.noteDispatch(pl)
 			if end > completion {
 				completion = end

@@ -161,9 +161,7 @@ func (c *Cluster) place(now, deadline float64, sq subQuery, tried map[int]bool, 
 					cand.est.LinkSeconds = sq.linkSeconds
 				}
 			}
-			nd.mu.Lock()
 			d, err := nd.sched.Peek(now, cand.est)
-			nd.mu.Unlock()
 			if err != nil {
 				continue // e.g. every partition of this node quarantined
 			}
@@ -190,7 +188,6 @@ func (c *Cluster) place(now, deadline float64, sq subQuery, tried map[int]bool, 
 	}
 
 	nd := c.nodes[best.node]
-	nd.mu.Lock()
 	var d sched.Decision
 	var err error
 	if resubmit {
@@ -198,7 +195,6 @@ func (c *Cluster) place(now, deadline float64, sq subQuery, tried map[int]bool, 
 	} else {
 		d, err = nd.sched.Submit(now, best.est)
 	}
-	nd.mu.Unlock()
 	if err != nil {
 		return placement{}, err
 	}
@@ -247,12 +243,11 @@ func (c *Cluster) noteDispatch(pl placement) {
 	}
 }
 
-// noteFailure records a failed dispatch: coordinator health (possibly
-// quarantining the node), failure counters, and releasing the booked
-// service time from the node's queue clock so later placements are not
-// charged phantom work on a dead node. When the quarantine escalates to
-// eviction (Config.EvictThreshold), the node is declared permanently
-// dead here and the repair controller takes over its shards.
+// noteFailure records a failed dispatch in the coordinator: node health
+// (possibly quarantining the node) and the failure counters. The node's
+// own scheduler has already settled the booking. When the quarantine
+// escalates to eviction (Config.EvictThreshold), the node is declared
+// permanently dead here and the repair controller takes over its shards.
 func (c *Cluster) noteFailure(pl placement, willRetry bool) {
 	now := c.nowS()
 	evicted := false
@@ -271,39 +266,4 @@ func (c *Cluster) noteFailure(pl placement, willRetry bool) {
 	if evicted {
 		c.kickAutoRepair()
 	}
-
-	nd := c.nodes[pl.node]
-	nd.mu.Lock()
-	nd.sched.Feedback(pl.dec.Queue, -(pl.dec.End - pl.dec.Start), now)
-	nd.mu.Unlock()
-}
-
-// noteSuccess feeds the attempt's simulated-plus-measured service time
-// back into the node's queue clock and reports partition health. The
-// priced link time is treated as having really elapsed (there is no wall
-// clock for a simulated network), so movement congestion stays on the
-// clocks instead of being drained by feedback.
-func (c *Cluster) noteSuccess(pl placement, actSeconds float64) {
-	now := c.nowS()
-	nd := c.nodes[pl.node]
-	nd.mu.Lock()
-	nd.sched.Feedback(pl.dec.Queue, (actSeconds+pl.linkSeconds)-(pl.dec.End-pl.dec.Start), now)
-	if pl.dec.Queue.Kind == sched.QueueGPU {
-		nd.sched.ReportSuccess(pl.dec.Queue)
-	}
-	nd.mu.Unlock()
-}
-
-// noteExecFailure is noteFailure plus partition-health reporting on the
-// node's own scheduler: an execution error (e.g. an injected GPU fault)
-// indicts the partition, not just the node.
-func (c *Cluster) noteExecFailure(pl placement, willRetry bool) {
-	now := c.nowS()
-	nd := c.nodes[pl.node]
-	nd.mu.Lock()
-	if pl.dec.Queue.Kind == sched.QueueGPU {
-		nd.sched.ReportFailure(pl.dec.Queue, now)
-	}
-	nd.mu.Unlock()
-	c.noteFailure(pl, willRetry)
 }

@@ -197,7 +197,6 @@ func (c *Cluster) repairShard(now float64, s int, wait func(time.Duration)) (flo
 		nd.mu.Lock()
 		nd.devs[s] = dev
 		nd.cubes[s] = cs
-		nd.resident[s] = true
 		nd.mu.Unlock()
 	}
 	c.mu.Unlock()

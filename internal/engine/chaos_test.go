@@ -42,6 +42,17 @@ func faultFree(t *testing.T, s *System, q0 *query.Query) gpusim.Answer {
 	return a
 }
 
+// ledgerBalances asserts the booking ledger of a quiesced scheduler: every
+// booking it made — a query, a re-booking, a fused job, a compaction — was
+// settled exactly once.
+func ledgerBalances(t *testing.T, s *sched.Scheduler) {
+	t.Helper()
+	if st := s.Stats(); st.Submitted+st.Resubmitted+st.MaintenanceJobs != st.Settled {
+		t.Fatalf("%d submitted + %d resubmitted + %d maintenance bookings, but %d settled",
+			st.Submitted, st.Resubmitted, st.MaintenanceJobs, st.Settled)
+	}
+}
+
 // chaosWorkload regenerates the identical query stream for one seed:
 // queries are mutated in place by translation, so each run gets a fresh
 // copy from the same generator seed.
@@ -138,6 +149,7 @@ func TestChaosDifferentialRunReal(t *testing.T) {
 			if st.PartitionFailures == 0 {
 				t.Fatal("no partition failures recorded despite fired GPU faults")
 			}
+			ledgerBalances(t, chaos.Scheduler())
 			t.Logf("seed %d: fired=%d retried=%d failed=%d resubmitted=%d quarantines=%d reprobes=%d",
 				seed, plan.TotalFired(), retried, failed,
 				st.Resubmitted, st.Quarantines, st.Reprobes)
@@ -208,4 +220,41 @@ func TestChaosTotalGPUFailover(t *testing.T) {
 	}
 	t.Logf("completed=%d/%d failed=%d quarantines=%d states=%v",
 		completed, queries, queries-completed, st.Quarantines, states)
+}
+
+// TestFailedTranslationReleasesBooking: a text query whose first
+// translation fails never runs its first GPU booking, so settling that
+// attempt gives the whole processing window back. Were it left on the
+// clock, the partition would carry the query's booked service (26 ms on
+// gpu[0] at 1M rows) as phantom work while run re-books the query.
+func TestFailedTranslationReleasesBooking(t *testing.T) {
+	s := testSystem(t, func(spec *SetupSpec) {
+		spec.Rows = 1_000_000
+		spec.Faults = fault.NewPlan(fault.PlanConfig{Seed: 1, Points: map[fault.Point]fault.PointConfig{
+			fault.DictLookup: {Rate: 1, Limit: 1},
+		}})
+	})
+	j, err := s.newJob(&query.Query{TextConds: []query.TextCondition{{Column: "store_name", From: "a", To: "a"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.scheduler.Peek(s.nowS(), j.est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.run(&j); err != nil {
+		t.Fatal(err)
+	}
+	if j.attempts != 2 {
+		t.Fatalf("%d attempts, want 2: only the first translation fails", j.attempts)
+	}
+	booked := first.End - first.Start
+	if ahead := s.scheduler.QueueClock(first.Queue) - s.nowS(); ahead >= booked/2 {
+		t.Fatalf("%v is %.2f ms ahead of the clock once the query answered: its %.2f ms booking behind the failed translation was never released",
+			first.Queue, ahead*1e3, booked*1e3)
+	}
+	ledgerBalances(t, s.scheduler)
+	if st := s.scheduler.Stats(); st.PartitionFailures != 0 {
+		t.Fatalf("%d partition failures: a failed translation blamed the partition", st.PartitionFailures)
+	}
 }

@@ -36,9 +36,7 @@ func (s *System) Explain(q *query.Query) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.schedMu.Lock()
 	d, err := s.scheduler.Peek(s.nowS(), est)
-	s.schedMu.Unlock()
 	if err != nil {
 		return nil, err
 	}

@@ -89,8 +89,8 @@ func (g *fusionGroup) nudge() {
 }
 
 // nowS is the real path's one scheduler clock: seconds since system
-// construction, the monotone origin every Submit, Feedback and health
-// report of Serve and maintenance shares.
+// construction, the monotone origin every booking and settlement of Serve
+// and maintenance shares.
 func (s *System) nowS() float64 { return time.Since(s.start).Seconds() }
 
 // Serve answers one query through the serving path. Safe for concurrent
@@ -362,9 +362,7 @@ func (s *System) executeFused(g *fusionGroup) {
 		rep[i] = len(kernel)
 		kernel = append(kernel, m.member)
 	}
-	s.schedMu.Lock()
 	d, err := s.scheduler.SubmitFused(s.nowS(), deadline, ests)
-	s.schedMu.Unlock()
 	if err != nil {
 		for _, m := range members {
 			m.fallback = true
@@ -375,8 +373,7 @@ func (s *System) executeFused(g *fusionGroup) {
 	part := s.cfg.Device.Partitions()[d.Queue.Index]
 	t0 := time.Now()
 	answers, execErr := part.Execute(g.snap, kernel)
-	act := time.Since(t0).Seconds()
-	s.reportGPU(d.Queue, act-(d.End-d.Start), execErr)
+	s.scheduler.Settle(d, s.nowS(), sched.Outcome{Ran: true, Seconds: time.Since(t0).Seconds(), Failed: execErr != nil})
 	if execErr != nil {
 		for _, m := range members {
 			m.fallback = true

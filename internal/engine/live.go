@@ -128,8 +128,8 @@ func (s *System) Ingest(b *ingest.Batch) (*table.Snapshot, error) {
 // schedPacer routes compaction cost through the scheduler's CPU
 // processing queue: Begin books the estimated merge time (so concurrent
 // query placement sees the queue busy and T_Q stays honest) and the
-// returned done feeds the actual-vs-estimated delta back, exactly like a
-// query worker.
+// returned done settles the booking with the time the merge took, exactly
+// like a query.
 type schedPacer struct {
 	sys *System
 }
@@ -149,13 +149,10 @@ func (p *schedPacer) estimate(bytes int64) float64 {
 }
 
 func (p *schedPacer) Begin(bytes int64) (done func()) {
-	est := p.estimate(bytes)
-	p.sys.schedMu.Lock()
-	p.sys.scheduler.SubmitMaintenance(p.sys.nowS(), est)
-	p.sys.schedMu.Unlock()
+	d := p.sys.scheduler.SubmitMaintenance(p.sys.nowS(), p.estimate(bytes))
 	t0 := time.Now()
 	return func() {
-		p.sys.feedback(sched.QueueRef{Kind: sched.QueueCPU}, time.Since(t0).Seconds()-est)
+		p.sys.scheduler.Settle(d, p.sys.nowS(), sched.Outcome{Ran: true, Seconds: time.Since(t0).Seconds()})
 	}
 }
 

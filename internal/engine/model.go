@@ -161,9 +161,7 @@ func (s *System) RunModel(queries []*query.Query, opts ModelOptions) (*ModelResu
 				firstErr = fmt.Errorf("engine: estimating query %d: %w", q.ID, err)
 				return
 			}
-			s.schedMu.Lock()
 			d, err := s.scheduler.Submit(nowS, est)
-			s.schedMu.Unlock()
 			if err != nil {
 				firstErr = fmt.Errorf("engine: scheduling query %d: %w", q.ID, err)
 				return
@@ -171,9 +169,7 @@ func (s *System) RunModel(queries []*query.Query, opts ModelOptions) (*ModelResu
 
 			finish := func(f sim.Time, estSvc, actSvc float64, queue sched.QueueRef) {
 				fs := sim.Seconds(f)
-				s.schedMu.Lock()
 				s.scheduler.Feedback(queue, actSvc-estSvc, fs)
-				s.schedMu.Unlock()
 				res.Completed++
 				met := fs <= d.Deadline
 				if met {
@@ -214,9 +210,7 @@ func (s *System) RunModel(queries []*query.Query, opts ModelOptions) (*ModelResu
 					}
 					trans := s.transQueue()
 					gate = srv.Submit(sim.FromSeconds(actTr), func(f sim.Time) {
-						s.schedMu.Lock()
 						s.scheduler.Feedback(trans, actTr-estTr, sim.Seconds(f))
-						s.schedMu.Unlock()
 					})
 				}
 				gpuSrv[i].SubmitAfter(gate, sim.FromSeconds(actSvc), func(f sim.Time) {
@@ -257,8 +251,6 @@ func (s *System) RunModel(queries []*query.Query, opts ModelOptions) (*ModelResu
 	for i, srv := range gpuSrv {
 		res.Utilisation[fmt.Sprintf("gpu[%d]", i)] = srv.Utilisation()
 	}
-	s.schedMu.Lock()
 	res.SchedStats = s.scheduler.Stats()
-	s.schedMu.Unlock()
 	return res, nil
 }

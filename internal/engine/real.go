@@ -39,7 +39,7 @@ func (s *System) newJob(q *query.Query) (job, error) {
 
 // transQueue names the queue the scheduler books translation on: the
 // text-to-integer translation partition, or the CPU processing partition
-// under the TransOnCPUQueue ablation. Translation feedback goes there.
+// under the TransOnCPUQueue ablation.
 func (s *System) transQueue() sched.QueueRef {
 	if s.cfg.Sched.Translation == sched.TransOnCPUQueue {
 		return sched.QueueRef{Kind: sched.QueueCPU}
@@ -47,32 +47,9 @@ func (s *System) transQueue() sched.QueueRef {
 	return sched.QueueRef{Kind: sched.QueueCPU, Index: -1}
 }
 
-// feedback reports one step's actual − estimated service time on the
-// system clock.
-func (s *System) feedback(ref sched.QueueRef, delta float64) {
-	s.schedMu.Lock()
-	s.scheduler.Feedback(ref, delta, s.nowS())
-	s.schedMu.Unlock()
-}
-
-// reportGPU closes one GPU attempt's loop in one critical section: the
-// service-time feedback, then the partition-health verdict.
-func (s *System) reportGPU(ref sched.QueueRef, delta float64, err error) {
-	s.schedMu.Lock()
-	s.scheduler.Feedback(ref, delta, s.nowS())
-	if err != nil {
-		s.scheduler.ReportFailure(ref, s.nowS())
-	} else {
-		s.scheduler.ReportSuccess(ref)
-	}
-	s.schedMu.Unlock()
-}
-
 // book places the job with the configured policy and commits the chosen
 // queue's clock (see job.d for Submit against Resubmit).
 func (s *System) book(j *job) error {
-	s.schedMu.Lock()
-	defer s.schedMu.Unlock()
 	var d sched.Decision
 	var err error
 	if j.d.Deadline == 0 {
@@ -100,27 +77,27 @@ func (s *System) translate(q *query.Query) error {
 
 // attempt runs one booked attempt — the translation partition first when
 // text predicates still owe it, like the paper's pipeline, then the chosen
-// partition — and feeds what each step took back to the scheduler. A
-// failed translation spends retry budget but never partition health, which
-// the dictionary cannot implicate.
+// partition — and settles the booking with what each step took. A failed
+// translation spends retry budget but never partition health, which the
+// dictionary cannot implicate: the processing job behind it never ran.
 func (s *System) attempt(j *job) (out gpusim.Answer, err error) {
+	var o sched.Outcome
 	if j.q.NeedsTranslation() {
 		t0 := time.Now()
 		err = s.translate(j.q)
-		s.feedback(s.transQueue(), time.Since(t0).Seconds()-j.est.TransSeconds)
-		if err != nil {
-			return out, err
+		o.TransSeconds = time.Since(t0).Seconds()
+	}
+	if err == nil {
+		ref := j.d.Queue
+		t0 := time.Now()
+		if ref.Kind == sched.QueueCPU {
+			out, err = s.cpuAnswer(j.q, j.snap)
+		} else {
+			out, err = s.gpuAnswer(j.q, ref.Index, j.snap)
 		}
+		o.Ran, o.Seconds, o.Failed = true, time.Since(t0).Seconds(), err != nil
 	}
-	ref := j.d.Queue
-	t0 := time.Now()
-	if ref.Kind == sched.QueueCPU {
-		out, err = s.cpuAnswer(j.q, j.snap)
-		s.feedback(ref, time.Since(t0).Seconds()-j.est.CPUSeconds)
-	} else {
-		out, err = s.gpuAnswer(j.q, ref.Index, j.snap)
-		s.reportGPU(ref, time.Since(t0).Seconds()-j.est.GPUSeconds[ref.Index], err)
-	}
+	s.scheduler.Settle(j.d, s.nowS(), o)
 	return out, err
 }
 

@@ -788,6 +788,7 @@ func TestChaosServeDifferential(t *testing.T) {
 			if gdone == 0 {
 				t.Fatal("no grouped query completed under chaos; the grouped differential is vacuous")
 			}
+			ledgerBalances(t, chaos.Scheduler())
 			t.Logf("seed %d: fired=%d failed=%d fused=%d cached=%d grouped=%d/%d (retried %d, cpu %d) sched=%+v cache=%+v",
 				seed, plan.TotalFired(), failed, fused, cached, gdone, len(gwork), gretried, gcpu,
 				chaos.Scheduler().Stats().FusedJobs, chaos.CacheStats())

@@ -258,8 +258,6 @@ func TestOneClockQueuesDrain(t *testing.T) {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
-	s.schedMu.Lock()
-	defer s.schedMu.Unlock()
 	st := s.scheduler.Stats()
 	if st.PredictedLate != 0 || st.Submitted != 3000 {
 		t.Fatalf("%d of %d bookings predicted late: %+v", st.PredictedLate, st.Submitted, st)

@@ -69,9 +69,6 @@ func NewDevice(spec DeviceSpec) (*Device, error) {
 	return &Device{spec: spec}, nil
 }
 
-// Spec returns the device description.
-func (d *Device) Spec() DeviceSpec { return d.spec }
-
 // LoadTable places a fact table in global memory. It fails when the table
 // does not fit — the constraint that forces dictionary encoding of text
 // columns in the first place.

@@ -45,6 +45,8 @@ func (f BatchFlavor) String() string {
 // quarantined partitions take no work, and translated queries gate their
 // GPU start on the translation queue.
 func (s *Scheduler) PlanBatch(now float64, ests []Estimates, flavor BatchFlavor) ([]Decision, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i := range ests {
 		if err := s.check(ests[i]); err != nil {
 			return nil, fmt.Errorf("%w (batch item %d)", err, i)

@@ -12,6 +12,8 @@ import (
 // (seconds on the engine's clock) with the given step-2 estimates, commits
 // the chosen queue's clock updates, and returns the placement.
 func (s *Scheduler) Submit(now float64, est Estimates) (Decision, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.submit(now, now+s.cfg.DeadlineSeconds, est, &s.stats.Submitted, s.pick)
 }
 
@@ -21,15 +23,19 @@ func (s *Scheduler) Submit(now float64, est Estimates) (Decision, error) {
 // GPU partition can still make the deadline, the policy's own CPU
 // preference and min-|slack| fallback provide the failover path.
 func (s *Scheduler) Resubmit(now, deadline float64, est Estimates) (Decision, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.submit(now, deadline, est, &s.stats.Resubmitted, s.pick)
 }
 
 // Peek returns what Submit would decide now without booking it: no queue
 // clock, health state, round-robin cursor or counter changes. It powers
-// EXPLAIN-style introspection and the cluster's choice of node. Like
-// Submit, it needs the caller's serialisation: the candidate set is built
-// in the scheduler's scratch space.
+// EXPLAIN-style introspection and the cluster's choice of node. It holds
+// the lock like Submit: the candidate set is built in the scheduler's
+// scratch space.
 func (s *Scheduler) Peek(now float64, est Estimates) (Decision, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	c, err := s.candidates(now, now+s.cfg.DeadlineSeconds, est)
 	if err != nil {
 		return Decision{}, err
@@ -42,7 +48,8 @@ func (s *Scheduler) Peek(now float64, est Estimates) (Decision, error) {
 }
 
 // submit is the one path from estimates to a booked placement: step 3's
-// candidate set, the pick of steps 4–6, and the commit.
+// candidate set, the pick of steps 4–6, and the commit. The caller holds
+// s.mu.
 func (s *Scheduler) submit(now, deadline float64, est Estimates, counter *int64, pick pickFunc) (Decision, error) {
 	c, err := s.candidates(now, deadline, est)
 	if err != nil {

@@ -58,7 +58,7 @@ func (g *digester) state(s *Scheduler) {
 	g.f64(s.QueueClock(QueueRef{Kind: QueueCPU, Index: -1}))
 	for i := range s.cfg.GPUWidths {
 		g.f64(s.QueueClock(QueueRef{Kind: QueueGPU, Index: i}))
-		st, at := s.Health(i)
+		st, at := s.health.State(i)
 		g.u64(uint64(st))
 		g.f64(at)
 	}
@@ -152,14 +152,14 @@ func digestStream(t *testing.T, g *digester, s *Scheduler, r *rand.Rand, ops int
 			// Failures come in bursts on one partition so thresholds trip.
 			ref := QueueRef{Kind: QueueGPU, Index: r.Intn(n)}
 			for b := r.Intn(4); b >= 0; b-- {
-				s.ReportFailure(ref, now)
+				s.reportFailure(ref, now)
 			}
 		case op < 19:
-			s.ReportSuccess(randQueue(r, n))
+			s.reportSuccess(randQueue(r, n))
 		default:
-			start, end := s.SubmitMaintenance(now, r.Float64()*0.06-0.01)
-			g.f64(start)
-			g.f64(end)
+			d := s.SubmitMaintenance(now, r.Float64()*0.06-0.01)
+			g.f64(d.Start)
+			g.f64(d.End)
 		}
 		g.state(s)
 	}

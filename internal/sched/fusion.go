@@ -42,8 +42,10 @@ func FanInBucket(k int) int {
 // member's arrival + T_C, so time a member spent waiting in the fusion
 // window is charged against its T_C instead of earning a fresh one at
 // fire time. The decision's queue, window and deadline apply to every
-// member; the caller reports one Feedback/outcome for the whole job.
+// member; the caller settles the whole job with one Settle.
 func (s *Scheduler) SubmitFused(now, deadline float64, members []Estimates) (Decision, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if len(members) == 0 {
 		return Decision{}, fmt.Errorf("sched: fused submission needs at least one member")
 	}

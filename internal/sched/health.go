@@ -62,8 +62,9 @@ type partitionHealth struct {
 // HealthTracker is the failure/quarantine state machine over n execution
 // units, factored out of the Scheduler so the cluster coordinator can run
 // the identical Healthy → Probation → Quarantined lifecycle over nodes.
-// It is not concurrency-safe; callers serialise access exactly as they
-// serialise the Scheduler that owns it.
+// It is not safe for concurrent use: a Scheduler guards its tracker with
+// its own lock, and the cluster guards the node tracker with its
+// coordinator lock.
 type HealthTracker struct {
 	units     []partitionHealth
 	threshold int
@@ -253,14 +254,14 @@ func (t *HealthTracker) States() []HealthState {
 	return out
 }
 
-// ReportFailure records a failed job on a queue at virtual time now. CPU
+// reportFailure records a failed job on a queue at virtual time now. CPU
 // and translation failures are not health-tracked (there is exactly one
 // of each; quarantining them is shutting the system down). Quarantining
 // drops the partition's booked queue time back to now: its queued jobs
 // are being re-placed through the retry path, so leaving their estimates
 // on the clock would charge phantom work to a dead partition and poison
 // every later comparison against it.
-func (s *Scheduler) ReportFailure(ref QueueRef, now float64) {
+func (s *Scheduler) reportFailure(ref QueueRef, now float64) {
 	if ref.Kind != QueueGPU || ref.Index < 0 || ref.Index >= s.health.Len() {
 		return
 	}
@@ -271,9 +272,9 @@ func (s *Scheduler) ReportFailure(ref QueueRef, now float64) {
 	}
 }
 
-// ReportSuccess records a completed job: consecutive-failure counts reset
+// reportSuccess records a completed job: consecutive-failure counts reset
 // and a Probation partition that survived its probe returns to Healthy.
-func (s *Scheduler) ReportSuccess(ref QueueRef) {
+func (s *Scheduler) reportSuccess(ref QueueRef) {
 	if ref.Kind != QueueGPU || ref.Index < 0 || ref.Index >= s.health.Len() {
 		return
 	}
@@ -282,14 +283,10 @@ func (s *Scheduler) ReportSuccess(ref QueueRef) {
 	}
 }
 
-// Health returns partition i's current state and, when quarantined, the
-// virtual time its re-probe opens.
-func (s *Scheduler) Health(i int) (HealthState, float64) {
-	return s.health.State(i)
-}
-
 // HealthStates snapshots every GPU partition's state.
 func (s *Scheduler) HealthStates() []HealthState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.health.States()
 }
 

@@ -11,24 +11,24 @@ import (
 func failGPU(s *Scheduler, i int, now float64) {
 	ref := QueueRef{Kind: QueueGPU, Index: i}
 	for k := 0; k < s.health.threshold; k++ {
-		s.ReportFailure(ref, now)
+		s.reportFailure(ref, now)
 	}
 }
 
 func TestFailuresBelowThresholdStayHealthy(t *testing.T) {
 	s := newPaper(t, paperCfg())
 	ref := QueueRef{Kind: QueueGPU, Index: 2}
-	s.ReportFailure(ref, 0)
-	s.ReportFailure(ref, 0)
-	if st, _ := s.Health(2); st != Healthy {
+	s.reportFailure(ref, 0)
+	s.reportFailure(ref, 0)
+	if st, _ := s.health.State(2); st != Healthy {
 		t.Fatalf("state after 2/3 failures = %v, want healthy", st)
 	}
 	// A success resets the consecutive count: two more failures still
 	// don't quarantine.
-	s.ReportSuccess(ref)
-	s.ReportFailure(ref, 0)
-	s.ReportFailure(ref, 0)
-	if st, _ := s.Health(2); st != Healthy {
+	s.reportSuccess(ref)
+	s.reportFailure(ref, 0)
+	s.reportFailure(ref, 0)
+	if st, _ := s.health.State(2); st != Healthy {
 		t.Fatalf("state after success-reset = %v, want healthy", st)
 	}
 	if s.Stats().Quarantines != 0 {
@@ -53,7 +53,7 @@ func TestQuarantineClearsQueueClockAndExcludesPartition(t *testing.T) {
 	}
 
 	failGPU(s, 0, 0.05)
-	if st, _ := s.Health(0); st != Quarantined {
+	if st, _ := s.health.State(0); st != Quarantined {
 		t.Fatalf("state = %v, want quarantined", st)
 	}
 	// The booked estimate is dropped back to the failure time: its job is
@@ -94,7 +94,7 @@ func TestReprobeClockTransitions(t *testing.T) {
 	if d.Queue.Index == 0 {
 		t.Fatal("selected before re-probe time")
 	}
-	if st, _ := s.Health(0); st != Quarantined {
+	if st, _ := s.health.State(0); st != Quarantined {
 		t.Fatalf("state at 2.9 = %v", st)
 	}
 
@@ -108,13 +108,13 @@ func TestReprobeClockTransitions(t *testing.T) {
 	if d.Queue != (QueueRef{Kind: QueueGPU, Index: 0}) {
 		t.Fatalf("probe job went to %v, want gpu[0]", d.Queue)
 	}
-	if st, _ := s.Health(0); st != Probation {
+	if st, _ := s.health.State(0); st != Probation {
 		t.Fatalf("state after probe placement = %v, want probation", st)
 	}
 
 	// Surviving the probe returns it to healthy.
-	s.ReportSuccess(QueueRef{Kind: QueueGPU, Index: 0})
-	if st, _ := s.Health(0); st != Healthy {
+	s.reportSuccess(QueueRef{Kind: QueueGPU, Index: 0})
+	if st, _ := s.health.State(0); st != Healthy {
 		t.Fatalf("state after probe success = %v, want healthy", st)
 	}
 	if s.Stats().Reprobes != 1 {
@@ -131,12 +131,12 @@ func TestProbationFailureRequarantinesImmediately(t *testing.T) {
 	if _, err := s.Submit(1.5, est); err != nil { // transitions to probation
 		t.Fatal(err)
 	}
-	if st, _ := s.Health(3); st != Probation {
+	if st, _ := s.health.State(3); st != Probation {
 		t.Fatalf("state = %v, want probation", st)
 	}
 	// One failure suffices in probation — no threshold grace.
-	s.ReportFailure(QueueRef{Kind: QueueGPU, Index: 3}, 2.0)
-	st, reprobe := s.Health(3)
+	s.reportFailure(QueueRef{Kind: QueueGPU, Index: 3}, 2.0)
+	st, reprobe := s.health.State(3)
 	if st != Quarantined {
 		t.Fatalf("state = %v, want quarantined", st)
 	}
@@ -273,7 +273,7 @@ func TestPeekDoesNotMutateHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := s.Health(0); st != Quarantined {
+	if st, _ := s.health.State(0); st != Quarantined {
 		t.Fatalf("Peek mutated health: state = %v", st)
 	}
 	if got := clocks(); !reflect.DeepEqual(got, beforeClocks) {

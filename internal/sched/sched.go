@@ -6,11 +6,23 @@
 // The scheduler is deliberately pure control logic over virtual queue
 // clocks (the T_Q parameters): it owns no threads and performs no I/O, so
 // the same decisions drive both the discrete-event system model and the
-// real goroutine-backed engine.
+// real goroutine-backed engine. Like the paper's single scheduler thread
+// it serialises itself: every method that touches its state holds one
+// lock, so concurrent Serve calls, a cluster coordinator and a /stats
+// reader share a Scheduler with no lock of their own. A caller reads now
+// before the lock, so a now may trail one already seen by microseconds;
+// that is harmless, because a booking only raises a clock and a
+// correction floors it at now.
+//
+// On the real path Settle closes every booking — Submit, Resubmit,
+// SubmitFused, SubmitMaintenance — by the feedback rule of Sec. III-G, so
+// once nothing is in flight Submitted + Resubmitted + MaintenanceJobs ==
+// Settled. The virtual-clock runners feed back per event instead.
 package sched
 
 import (
 	"fmt"
+	"sync"
 
 	"hybridolap/internal/sched/tq"
 )
@@ -210,6 +222,16 @@ type Decision struct {
 	MeetsDeadline bool
 }
 
+// Outcome is what became of a booking's jobs, for Settle: how long the
+// translation and the processing job took, whether the processing job ran
+// at all (one behind a failed translation, or on a node that crashed at
+// dispatch, did not: it took no time and blames no partition), and
+// whether it failed.
+type Outcome struct {
+	TransSeconds, Seconds float64
+	Ran, Failed           bool
+}
+
 // Stats aggregates decisions for reporting.
 type Stats struct {
 	Submitted       int64
@@ -235,12 +257,16 @@ type Stats struct {
 	FusedJobs    int64
 	FusedMembers int64
 	FusionFanIn  []int64
+	// Settled counts Settle calls: one per booking (fused jobs count in
+	// Submitted).
+	Settled int64
 }
 
 // Scheduler applies the configured policy over the queue clocks it holds.
-// It is not safe for concurrent use; the engine serialises submissions,
-// exactly like the paper's single scheduler thread.
+// It is safe for concurrent use: mu is the paper's single scheduler
+// thread.
 type Scheduler struct {
+	mu  sync.Mutex
 	cfg Config
 
 	clocks tq.Clocks
@@ -278,11 +304,13 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// Config returns the scheduler's configuration.
+// Config returns the scheduler's configuration, which never changes.
 func (s *Scheduler) Config() Config { return s.cfg }
 
 // Stats returns a snapshot of the counters.
 func (s *Scheduler) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := s.stats
 	out.ToGPU = append([]int64(nil), s.stats.ToGPU...)
 	out.FusionFanIn = append([]int64(nil), s.stats.FusionFanIn...)
@@ -293,6 +321,8 @@ func (s *Scheduler) Stats() Stats {
 // and telemetry). The translation queue is addressed as kind QueueCPU with
 // index -1.
 func (s *Scheduler) QueueClock(ref QueueRef) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.clocks.Get(lane(ref))
 }
 
@@ -311,33 +341,65 @@ func lane(ref QueueRef) tq.Lane {
 // time is compared with estimated processing time. The difference of these
 // two times [is] used to update the value T_Q of the queue". delta is
 // actual − estimated seconds; now clamps the clock. A GPU reference out
-// of range is ignored.
+// of range is ignored. The virtual-clock runners call it; the real path
+// settles.
 func (s *Scheduler) Feedback(ref QueueRef, delta, now float64) {
-	if s.cfg.DisableFeedback {
-		return
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if ref.Kind == QueueGPU && (ref.Index < 0 || ref.Index >= len(s.cfg.GPUWidths)) {
 		return
 	}
-	s.clocks.Shift(lane(ref), delta, now)
+	s.shift(lane(ref), delta, now)
+}
+
+// shift is the feedback correction of one lane, unless the ablation
+// disabled it.
+func (s *Scheduler) shift(l tq.Lane, delta, now float64) {
+	if !s.cfg.DisableFeedback {
+		s.clocks.Shift(l, delta, now)
+	}
 }
 
 // SubmitMaintenance books a background maintenance job (delta-stripe
 // compaction) of estSeconds on the CPU processing partition queue and
-// returns its window. Maintenance contends with query processing for the
+// returns the booking. Maintenance contends with query processing for the
 // same cores, so it must advance T_Q|CPU like any query — otherwise every
 // CPU placement made while a compaction runs would be optimistically
-// wrong. The caller reports actual-vs-estimated time through Feedback,
-// closing the same correction loop queries use.
-func (s *Scheduler) SubmitMaintenance(now, estSeconds float64) (start, end float64) {
+// wrong. The caller closes it with Settle, like a query.
+func (s *Scheduler) SubmitMaintenance(now, estSeconds float64) Decision {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if estSeconds < 0 {
 		estSeconds = 0
 	}
-	start = s.clocks.Start(tq.CPU, now)
-	end = start + estSeconds
-	s.clocks.Book(tq.CPU, end)
+	d := Decision{Queue: QueueRef{Kind: QueueCPU}, Start: s.clocks.Start(tq.CPU, now)}
+	d.End = d.Start + estSeconds
+	s.clocks.Book(tq.CPU, d.End)
 	s.stats.MaintenanceJobs++
-	return start, end
+	return d
+}
+
+// Settle closes booking d at now. Each lane d booked (a positive TransEnd
+// marks a translation window) moves by the time its job took minus the
+// time booked for it — the paper's feedback step — so a job that never
+// ran gives its whole window back. A GPU job that ran then reports
+// partition health: a failure counts toward quarantine, a success ends a
+// probation.
+func (s *Scheduler) Settle(d Decision, now float64, o Outcome) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Settled++
+	if d.TransEnd > 0 {
+		s.shift(s.transLane(), o.TransSeconds-(d.TransEnd-d.TransStart), now)
+	}
+	s.shift(lane(d.Queue), o.Seconds-(d.End-d.Start), now)
+	switch {
+	case !o.Ran:
+	case o.Failed:
+		s.reportFailure(d.Queue, now)
+	default:
+		s.reportSuccess(d.Queue)
+	}
 }
 
 // ErrUnanswerable is returned when the policy cannot place the query (for

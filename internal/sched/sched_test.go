@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -540,22 +541,22 @@ func BenchmarkSubmitPaper(b *testing.B) {
 func TestSubmitMaintenance(t *testing.T) {
 	s := newPaper(t, paperCfg())
 	// Idle queue: the job starts now and books its full estimate.
-	start, end := s.SubmitMaintenance(1.0, 0.25)
-	if start != 1.0 || end != 1.25 {
-		t.Fatalf("idle maintenance window = [%v,%v], want [1,1.25]", start, end)
+	first := s.SubmitMaintenance(1.0, 0.25)
+	if first.Start != 1.0 || first.End != 1.25 || first.Queue != (QueueRef{Kind: QueueCPU}) {
+		t.Fatalf("idle maintenance booking = %+v, want cpu [1,1.25]", first)
 	}
 	if got := s.QueueClock(QueueRef{Kind: QueueCPU}); got != 1.25 {
 		t.Fatalf("CPU clock = %v, want 1.25", got)
 	}
 	// Busy queue: the job waits behind the booked work.
-	start, end = s.SubmitMaintenance(1.0, 0.1)
-	if start != 1.25 || end != 1.35 {
-		t.Fatalf("queued maintenance window = [%v,%v], want [1.25,1.35]", start, end)
+	d := s.SubmitMaintenance(1.0, 0.1)
+	if d.Start != 1.25 || d.End != 1.35 {
+		t.Fatalf("queued maintenance window = [%v,%v], want [1.25,1.35]", d.Start, d.End)
 	}
 	// Negative estimates clamp to zero-width bookings.
-	start, end = s.SubmitMaintenance(1.0, -3)
-	if start != 1.35 || end != 1.35 {
-		t.Fatalf("negative estimate window = [%v,%v], want [1.35,1.35]", start, end)
+	d = s.SubmitMaintenance(1.0, -3)
+	if d.Start != 1.35 || d.End != 1.35 {
+		t.Fatalf("negative estimate window = [%v,%v], want [1.35,1.35]", d.Start, d.End)
 	}
 	if got := s.Stats().MaintenanceJobs; got != 3 {
 		t.Fatalf("MaintenanceJobs = %d, want 3", got)
@@ -572,10 +573,114 @@ func TestSubmitMaintenance(t *testing.T) {
 		t.Fatalf("query after maintenance: %+v, want CPU start 1.35", d)
 	}
 
-	// Feedback on the CPU queue corrects over-estimated maintenance.
-	s.Feedback(QueueRef{Kind: QueueCPU}, -0.05, 1.0)
+	// Settling the first job corrects its over-estimate on the CPU queue.
+	s.Settle(first, 1.0, Outcome{Ran: true, Seconds: 0.20})
 	if got := s.QueueClock(QueueRef{Kind: QueueCPU}); math.Abs(got-1.31) > 1e-12 {
-		t.Fatalf("clock after feedback = %v, want 1.31", got)
+		t.Fatalf("clock after settling = %v, want 1.31", got)
+	}
+}
+
+// TestSettle checks the one rule that closes every booking: each lane it
+// booked moves by the time taken minus the time booked, so a job that
+// never ran gives its window back, and only a GPU job that ran touches
+// partition health.
+func TestSettle(t *testing.T) {
+	gpu0 := QueueRef{Kind: QueueGPU, Index: 0}
+	trans := QueueRef{Kind: QueueCPU, Index: -1}
+	est := Estimates{NeedsTranslation: true, TransSeconds: 0.1, GPUSeconds: flatGPU(0.5, 0.3, 0.2)}
+	cfg := paperCfg()
+	cfg.QuarantineThreshold = 1
+	book := func(t *testing.T) (*Scheduler, Decision) {
+		t.Helper()
+		s := newPaper(t, cfg)
+		d, err := s.Submit(1.0, est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Queue != gpu0 || d.TransEnd != 1.1 || d.End != 1.6 {
+			t.Fatalf("booking %+v, want gpu[0] after a 0.1 s translation", d)
+		}
+		return s, d
+	}
+	clocks := func(s *Scheduler) (float64, float64) { return s.QueueClock(trans), s.QueueClock(gpu0) }
+
+	t.Run("ran", func(t *testing.T) {
+		s, d := book(t)
+		s.Settle(d, 1.2, Outcome{TransSeconds: 0.05, Ran: true, Seconds: 0.2})
+		tr, g := clocks(s)
+		if math.Abs(tr-1.2) > 1e-12 || math.Abs(g-1.3) > 1e-12 {
+			t.Fatalf("clocks after a fast run: trans %v, gpu %v; want 1.2 (floored at now) and 1.3", tr, g)
+		}
+		if st := s.Stats(); st.Settled != 1 || st.PartitionFailures != 0 {
+			t.Fatalf("stats %+v", st)
+		}
+	})
+	t.Run("translation failed", func(t *testing.T) {
+		s, d := book(t)
+		s.Settle(d, 1.05, Outcome{TransSeconds: 0.03})
+		tr, g := clocks(s)
+		// Each lane gives its whole window back: the GPU lane returns to
+		// where its window started, behind the translation gate.
+		if math.Abs(tr-1.05) > 1e-12 || math.Abs(g-d.Start) > 1e-12 {
+			t.Fatalf("clocks after a failed translation: trans %v, gpu %v; want 1.05 and %v", tr, g, d.Start)
+		}
+		if st, _ := s.health.State(0); st != Healthy || s.Stats().PartitionFailures != 0 {
+			t.Fatal("a job that never ran blamed its partition")
+		}
+	})
+	t.Run("failed", func(t *testing.T) {
+		s, d := book(t)
+		s.Settle(d, 1.3, Outcome{TransSeconds: 0.1, Ran: true, Seconds: 0.2, Failed: true})
+		if st, _ := s.health.State(0); st != Quarantined || s.Stats().PartitionFailures != 1 {
+			t.Fatal("a failed GPU run was not charged to its partition")
+		}
+		// Quarantine drops the lane to now after the failure's feedback.
+		if _, g := clocks(s); g != 1.3 {
+			t.Fatalf("quarantined gpu clock %v, want 1.3", g)
+		}
+	})
+	t.Run("feedback disabled", func(t *testing.T) {
+		off := cfg
+		off.DisableFeedback = true
+		s := newPaper(t, off)
+		d, err := s.Submit(1.0, est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Settle(d, 1.05, Outcome{})
+		if tr, g := clocks(s); tr != d.TransEnd || g != d.End || s.Stats().Settled != 1 {
+			t.Fatalf("the ablation moved a clock: trans %v, gpu %v", tr, g)
+		}
+	})
+}
+
+// TestConcurrentUse drives every exported method from several goroutines
+// at once: the scheduler serialises itself, so under -race nothing
+// reports, and every booking is settled exactly once.
+func TestConcurrentUse(t *testing.T) {
+	s := newPaper(t, paperCfg())
+	est := Estimates{NeedsTranslation: true, TransSeconds: 0.001, GPUSeconds: flatGPU(0.03, 0.015, 0.007)}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				now := float64(i) * 1e-3
+				if d, err := s.Submit(now, est); err == nil {
+					s.Settle(d, now, Outcome{Ran: true, Seconds: 0.01, Failed: i%7 == w})
+				}
+				s.Settle(s.SubmitMaintenance(now, 0.001), now, Outcome{Ran: true})
+				_, _ = s.Peek(now, est)
+				_ = s.Stats()
+				_ = s.HealthStates()
+				_ = s.QueueClock(QueueRef{Kind: QueueGPU, Index: w})
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Submitted+st.Resubmitted+st.MaintenanceJobs != st.Settled {
+		t.Fatalf("bookings %d + %d + %d != settlements %d", st.Submitted, st.Resubmitted, st.MaintenanceJobs, st.Settled)
 	}
 }
 
@@ -598,9 +703,11 @@ func TestPlacementAllocs(t *testing.T) {
 			submit := testing.AllocsPerRun(50, func() { now += 0.01; _, _ = s.Submit(now, est) })
 			members := []Estimates{est, est}
 			fused := testing.AllocsPerRun(50, func() { now += 0.01; _, _ = s.SubmitFused(now, now+1, members) })
-			if peek != 0 || submit != 0 || fused != 0 {
-				t.Errorf("%v, translation %v: Peek %v allocs, Submit %v, SubmitFused %v, want 0, 0 and 0",
-					p, est.NeedsTranslation, peek, submit, fused)
+			d, _ := s.Submit(now, est)
+			settle := testing.AllocsPerRun(50, func() { s.Settle(d, now, Outcome{Ran: true, Seconds: 0.01}) })
+			if peek != 0 || submit != 0 || fused != 0 || settle != 0 {
+				t.Errorf("%v, translation %v: Peek %v allocs, Submit %v, SubmitFused %v, Settle %v, want 0 each",
+					p, est.NeedsTranslation, peek, submit, fused, settle)
 			}
 		}
 	}
